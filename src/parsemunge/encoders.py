@@ -8,7 +8,7 @@ Fit states are plain JSON-able dicts so they can live inside the artifact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 
 from .errors import DataError
 from .tidytable import (
@@ -19,7 +19,6 @@ from .tidytable import (
     as_number,
     canon_text,
     column_stats,
-    distinct_counts,
     infer_coltype,
 )
 
@@ -268,8 +267,29 @@ def _weighted_moments(counts: dict[Cell, int]) -> tuple[float, float, float, int
         return 0.0, 0.0, 0.0, 0
     mean = math.fsum(v * c for v, c in pairs) / total
     shift = math.fsum((v - mean) * c for v, c in pairs) / total
-    var = math.fsum(((v - mean) - shift) ** 2 * c for v, c in pairs) / total
-    return mean, shift, math.sqrt(var), total
+    std = deviation_std([(v - mean) - shift for v, _ in pairs], total, [c for _, c in pairs])
+    return mean, shift, std, total
+
+
+def deviation_std(deviations: list[float], total: int, counts=None) -> float:
+    """sqrt(sum(count * d**2) / total) over deviations in ascending order, each
+    counting once by default.
+
+    Where the squares would overflow or lose bits as subnormals, every
+    deviation is first scaled by the power of two of the largest, which is
+    exact. Other data is not scaled, since pow() may round a scaled square
+    differently in the last bit.
+    """
+    largest = max(-deviations[0], deviations[-1]) if deviations else 0.0
+    if largest == 0.0:
+        return 0.0
+    exp = math.frexp(largest)[1]
+    exp = 0 if -400 <= exp <= 400 else max(exp, -1023)  # keeps 2**-exp finite
+    scale = math.ldexp(1.0, -exp)
+    squares = ((d * scale) ** 2 for d in deviations)
+    if counts is not None:
+        squares = map(operator.mul, squares, counts)
+    return math.ldexp(math.sqrt(math.fsum(squares) / total), exp)
 
 
 class NmbrBehavior(Behavior):
@@ -317,87 +337,6 @@ class MnmxBehavior(Behavior):
     def decoder(self, state):
         span = state["max"] - state["min"]
         return lambda values: values[0] * span + state["min"]
-
-
-# Module-level functional surface over the behaviors.
-
-@dataclass
-class NormFit:
-    mean: float
-    std: float
-
-
-@dataclass
-class MinMaxFit:
-    min: float
-    max: float
-    mean: float
-
-
-_UPCS = UpcsBehavior()
-_NARW = NarwBehavior()
-_ORD3 = Ord3Behavior()
-_ONHT = OnhtBehavior()
-_BNRY = BnryBehavior()
-_B1010 = B1010Behavior()
-_NMBR = NmbrBehavior()
-_MNMX = MnmxBehavior()
-_EXCL = ExclBehavior()
-
-
-def _run(behavior: Behavior, col: list[Cell], params: dict | None = None,
-         root_rule: str = "missing_only"):
-    state = behavior.fit(distinct_counts(col), params or {}, root_rule)
-    rows = [behavior.apply_cell(state, cell) for cell in col]
-    return state, rows
-
-
-def upcs(col: list[Cell], enabled: bool = True) -> list[Cell]:
-    _, rows = _run(_UPCS, col, {"enabled": enabled})
-    return [r[0] for r in rows]
-
-
-def narw(col: list[Cell], target_rule: str = "missing_only") -> list[float]:
-    _, rows = _run(_NARW, col, root_rule=target_rule)
-    return [r[0] for r in rows]
-
-
-def ord3(col: list[Cell]) -> tuple[list[float], dict[str, int]]:
-    state, rows = _run(_ORD3, col)
-    return [r[0] for r in rows], dict(state["codes"])
-
-
-def ord3_apply(codes: dict[str, int], col: list[Cell]) -> list[float]:
-    state = {"codes": codes}
-    return [_ORD3.apply_cell(state, cell)[0] for cell in col]
-
-
-def onht(col: list[Cell]) -> tuple[list[list[float]], list[str]]:
-    state, rows = _run(_ONHT, col)
-    entries = state["entries"]
-    return [[r[i] for r in rows] for i in range(len(entries))], list(entries)
-
-
-def bnry(col: list[Cell]) -> tuple[list[float], dict[str, int]]:
-    state, rows = _run(_BNRY, col)
-    return [r[0] for r in rows], {state["one"]: 1, state["zero"]: 0}
-
-
-def b1010(col: list[Cell]) -> tuple[list[list[float]], list[str], int]:
-    state, rows = _run(_B1010, col)
-    width = state["width"]
-    return [[r[i] for r in rows] for i in range(width)], list(state["entries"]), width
-
-
-def nmbr(col: list[Cell]) -> tuple[list[float], NormFit]:
-    state, rows = _run(_NMBR, col)
-    return [r[0] for r in rows], NormFit(mean=state["mean"] + state["shift"],
-                                         std=state["std"])
-
-
-def mnmx(col: list[Cell]) -> tuple[list[float], MinMaxFit]:
-    state, rows = _run(_MNMX, col)
-    return [r[0] for r in rows], MinMaxFit(state["min"], state["max"], state["mean"])
 
 
 def auto_root_select(col: list[Cell], stats: UniqueSetStats | None = None,

@@ -20,7 +20,7 @@ from .encoders import (
     text_counts,
 )
 from .errors import ConfigError
-from .tidytable import Cell, canon_text, distinct_counts
+from .tidytable import canon_text
 
 
 @lru_cache(maxsize=None)
@@ -90,12 +90,6 @@ class Nmc7Behavior(NmcmBehavior):
         if text in lookup:
             return (lookup[text],)
         return (nmcm_extract(text, **state["flags"]),)
-
-
-@dataclass
-class NumericExtractFit:
-    lookup: dict[str, float | None]
-    flags: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -169,44 +163,3 @@ class SrchBehavior(Behavior):
                     return (float(i + 1),)
             return (0.0,)
         return tuple(1.0 if h else 0.0 for h in hits)
-
-
-_NMCM = NmcmBehavior()
-_NMC7 = Nmc7Behavior()
-_SRCH = SrchBehavior()
-
-
-def nmcm(col: list[Cell], **flags) -> tuple[list[float | None], NumericExtractFit]:
-    state = _NMCM.fit(distinct_counts(col), flags, "missing_only")
-    values = [_NMCM.apply_cell(state, cell)[0] for cell in col]
-    return values, NumericExtractFit(lookup=state["lookup"], flags=state["flags"])
-
-
-def nmc7_apply(fit: NumericExtractFit, col: list[Cell]) -> list[float | None]:
-    state = {"lookup": fit.lookup, "flags": fit.flags}
-    memo: dict[Cell, tuple] = {}
-    out = []
-    for cell in col:
-        if cell not in memo:
-            memo[cell] = _NMC7.apply_cell(state, cell)
-        out.append(memo[cell][0])
-    return out
-
-
-def srch(col: list[Cell], spec: SearchSpec):
-    """Per-term boolean columns (with labels) or a single ordinal column."""
-    params = {
-        "aggregate": spec.groups,
-        "ordinal": spec.ordinal,
-        "case_sensitive": spec.case_sensitive,
-    }
-    state = _SRCH.fit(distinct_counts(col), params, "missing_only")
-    memo: dict[Cell, tuple] = {}
-    rows = []
-    for cell in col:
-        if cell not in memo:
-            memo[cell] = _SRCH.apply_cell(state, cell)
-        rows.append(memo[cell])
-    if spec.ordinal:
-        return [r[0] for r in rows]
-    return [[r[i] for r in rows] for i in range(len(state["groups"]))], list(state["labels"])

@@ -22,7 +22,7 @@ from .encoders import (
     text_counts,
 )
 from .errors import ConfigError
-from .tidytable import Cell, canon_text, distinct_counts
+from .tidytable import canon_text
 
 DEFAULT_MIN_LEN = 5
 DEFAULT_PLUG = "zzzplug"
@@ -34,7 +34,6 @@ class OverlapScanConfig:
     min_len: int = DEFAULT_MIN_LEN
     exclude_chars: frozenset[str] = frozenset()
     single_id: bool = True
-    test_subset_assumption: bool = False
 
 
 @dataclass
@@ -333,79 +332,3 @@ class SbstBehavior(Behavior):
         text = canon_text(cell)
         mine = state["assignment"].get(text) if text is not None else None
         return tuple(1.0 if c == mine else 0.0 for c in state["columns"])
-
-
-_SPLT = SpltBehavior()
-_SP15 = Sp15Behavior()
-_SPL2 = Spl2Behavior()
-_SPL5 = Spl5Behavior()
-_SPL9 = Spl9Behavior()
-_SP10 = Sp10Behavior()
-_SP19 = Sp19Behavior()
-_SBST = SbstBehavior()
-
-
-def _params_from_config(cfg: OverlapScanConfig | None, **extra) -> dict:
-    params = dict(extra)
-    if cfg is not None:
-        params["min_len"] = cfg.min_len
-        params["exclude_chars"] = "".join(sorted(cfg.exclude_chars))
-    return params
-
-
-def _multi(behavior: Behavior, col: list[Cell], params: dict):
-    state = behavior.fit(distinct_counts(col), params, "missing_only")
-    rows = [behavior.apply_cell(state, cell) for cell in col]
-    names = state.get("overlaps") or state.get("columns") or []
-    width = state.get("width")
-    n = width if width is not None else len(names)
-    return [[r[i] for r in rows] for i in range(n)], state
-
-
-def splt(col: list[Cell], cfg: OverlapScanConfig | None = None):
-    """Boolean columns per overlap; returns (columns, overlap strings)."""
-    columns, state = _multi(_SPLT, col, _params_from_config(cfg))
-    return columns, state["overlaps"]
-
-
-def sp15(col: list[Cell], cfg: OverlapScanConfig | None = None):
-    columns, state = _multi(_SP15, col, _params_from_config(cfg))
-    return columns, state["overlaps"]
-
-
-def spl2(col: list[Cell], cfg: OverlapScanConfig | None = None) -> list[Cell]:
-    state = _SPL2.fit(distinct_counts(col), _params_from_config(cfg), "missing_only")
-    return [_SPL2.apply_cell(state, cell)[0] for cell in col]
-
-
-def spl5(col: list[Cell], cfg: OverlapScanConfig | None = None,
-         plug: str = DEFAULT_PLUG) -> list[Cell]:
-    state = _SPL5.fit(distinct_counts(col), _params_from_config(cfg, plug=plug), "missing_only")
-    return [_SPL5.apply_cell(state, cell)[0] for cell in col]
-
-
-def sp19(col: list[Cell], cfg: OverlapScanConfig | None = None):
-    columns, state = _multi(_SP19, col, _params_from_config(cfg))
-    return columns, state
-
-
-def sbst(col: list[Cell], cfg: OverlapScanConfig | None = None):
-    columns, state = _multi(_SBST, col, _params_from_config(cfg))
-    return columns, state["columns"]
-
-
-def spl9_fit(col: list[Cell], cfg: OverlapScanConfig | None = None) -> dict:
-    return _SPL9.fit(distinct_counts(col), _params_from_config(cfg), "missing_only")
-
-
-def spl9_apply(state: dict, col: list[Cell]) -> list[Cell]:
-    return [_SPL9.apply_cell(state, cell)[0] for cell in col]
-
-
-def sp10_fit(col: list[Cell], cfg: OverlapScanConfig | None = None,
-             plug: str = DEFAULT_PLUG) -> dict:
-    return _SP10.fit(distinct_counts(col), _params_from_config(cfg, plug=plug), "missing_only")
-
-
-def sp10_apply(state: dict, col: list[Cell]) -> list[Cell]:
-    return [_SP10.apply_cell(state, cell)[0] for cell in col]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import DataError
@@ -168,11 +169,21 @@ def _render(cell: Cell) -> str:
     return cell
 
 
-def distinct_counts(col: list[Cell]) -> dict[Cell, int]:
-    """Occurrence counts keyed by raw cell value (missing included), in first-seen order."""
-    counts: dict[Cell, int] = {}
-    for cell in col:
-        counts[cell] = counts.get(cell, 0) + 1
+def distinct_counts(values, weights=None) -> dict[Cell, int]:
+    """Occurrence counts keyed by raw value (missing included), in first-seen order.
+
+    ``weights`` gives each value's count, one by default. Both zeros are keyed
+    as 0.0, placed last: one key cannot hold both, and keeping whichever came
+    first would make every output derived from it depend on row order.
+    """
+    if weights is None:
+        counts = Counter(values)
+    else:
+        counts = {}
+        for value, n in zip(values, weights):
+            counts[value] = counts.get(value, 0) + n
+    if 0.0 in counts:
+        counts[0.0] = counts.pop(0.0)
     return counts
 
 

@@ -1,10 +1,13 @@
 """Fit/apply orchestration: recursive family-tree traversal, suffix-appender
 header logging, fit-artifact serialization, inversion, and drift reporting.
 
-Every transform is cell-local on its frozen train basis, so both fit and
-apply evaluate each source column's step pipeline once per distinct value and
-expand rows by lookup. Applying an artifact back to its own train table
-reproduces the fit output bit-exactly.
+A source's plan is evaluated one way, step by step: each step runs once per
+distinct value of its input header, and the outputs form a table from each
+distinct source value to its retained outputs, from which rows are expanded.
+``fit`` evaluates each step right after fitting it and takes the encoded train
+table and the infill statistics from that table; ``apply`` replays the stored
+steps. So applying an artifact to its own train table makes the evaluations
+fit made and reproduces the fit output bit-exactly.
 """
 
 from __future__ import annotations
@@ -12,13 +15,11 @@ from __future__ import annotations
 import json
 import logging
 import math
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import infill as infill_mod
-from .encoders import CLASS_NUMERIC, auto_root_select
+from .encoders import CLASS_NUMERIC, auto_root_select, deviation_std
 from .errors import ConfigError, DataError
 from .registry import (
     BEHAVIORS,
@@ -154,8 +155,8 @@ def _source_stats(col: list[Cell]) -> dict:
         values = sorted(v for v in col if v is not None)
         total = len(values)
         mean = math.fsum(values) / total if total else 0.0
-        var = math.fsum((v - mean) ** 2 for v in values) / total if total else 0.0
-        return {"coltype": coltype, "total": total, "mean": mean, "std": math.sqrt(var)}
+        std = deviation_std([v - mean for v in values], total)
+        return {"coltype": coltype, "total": total, "mean": mean, "std": std}
     freq: dict[str, int] = {}
     for cell in col:
         text = canon_text(cell)
@@ -170,13 +171,45 @@ def _source_stats(col: list[Cell]) -> dict:
     }
 
 
+def _step_outputs(behavior, state: dict, in_counts: dict) -> dict[Cell, tuple]:
+    """Evaluate one step once per distinct input value: value -> output tuple."""
+    return {value: behavior.apply_cell(state, value) for value in in_counts}
+
+
+def _record(values: dict[str, list], rec: StepRecord, step_map: dict) -> None:
+    """Add a step's outputs to ``values``: header -> value per distinct source value."""
+    outs = [step_map[v] for v in values[rec.input_header]]
+    for i, h in enumerate(rec.output_headers):
+        values[h] = [o[i] for o in outs]
+
+
+def _table(plan: SourcePlan, values: dict[str, list]) -> dict[Cell, tuple]:
+    """Distinct source value -> retained output tuple."""
+    retained = [values[h] for h in plan.retained_headers()]
+    return dict(zip(values[plan.header], zip(*retained)))
+
+
+def _walk(plan: SourcePlan, counts: dict) -> dict[Cell, tuple]:
+    """Evaluate a fitted plan in step order, each step over its distinct inputs."""
+    values = {plan.header: list(counts)}
+    inputs = {plan.header: counts}
+    for rec in plan.steps:
+        if rec.input_header not in inputs:
+            inputs[rec.input_header] = distinct_counts(values[rec.input_header], counts.values())
+        step_map = _step_outputs(BEHAVIORS[rec.behavior], rec.fit, inputs[rec.input_header])
+        _record(values, rec, step_map)
+    return _table(plan, values)
+
+
 def _fit_source(header: str, col: list[Cell], root_key: str, reg: Registry,
-                opts: Options, dedup) -> SourcePlan:
+                opts: Options, dedup) -> tuple[SourcePlan, dict, dict]:
+    """Fit one source's step tree; returns the plan, distinct counts and table."""
     counts = distinct_counts(col)
     root_rule = reg.entry(root_key).target_rule
     steps: list[StepRecord] = []
+    values = {header: list(counts)}
 
-    def apply_category(cat_key: str, in_header: str, in_counts: dict):
+    def fit_step(cat_key: str, in_header: str, in_counts: dict) -> StepRecord:
         entry = reg.entry(cat_key)
         state = entry.behavior.fit(in_counts, _resolve_params(opts, cat_key, header), root_rule)
         out_headers = []
@@ -191,12 +224,10 @@ def _fit_source(header: str, col: list[Cell], root_key: str, reg: Registry,
             output_headers=out_headers,
             fit=state,
         )
-        out_counts: list[dict] = [{} for _ in out_headers]
-        for value, n in in_counts.items():
-            outs = entry.behavior.apply_cell(state, value)
-            for acc, v in zip(out_counts, outs):
-                acc[v] = acc.get(v, 0) + n
-        return rec, out_counts
+        steps.append(rec)
+        # Evaluated right away: the children fit on these outputs.
+        _record(values, rec, _step_outputs(entry.behavior, state, in_counts))
+        return rec
 
     def run_generation(owner_key: str, in_header: str, in_counts: dict,
                        slots, depth: int) -> bool:
@@ -211,54 +242,36 @@ def _fit_source(header: str, col: list[Cell], root_key: str, reg: Registry,
         for slot in slots:
             offspring = PRIMITIVE_SEMANTICS[slot][0]
             for cat in tree.slot(slot):
-                rec, out_counts = apply_category(cat, in_header, in_counts)
-                steps.append(rec)
+                rec = fit_step(cat, in_header, in_counts)
                 if offspring and reg.tree(cat).has_downstream():
-                    for out_header, counts_out in zip(rec.output_headers, out_counts):
+                    for out_header in rec.output_headers:
                         rec.retained = run_generation(
-                            cat, out_header, counts_out, DOWNSTREAM_SLOTS, depth + 1
+                            cat, out_header, distinct_counts(values[out_header], counts.values()),
+                            DOWNSTREAM_SLOTS, depth + 1,
                         )
         return input_retained
 
     if run_generation(root_key, header, counts, UPSTREAM_SLOTS, 1):
         # Root generation had no replacement entries: keep the source itself.
-        rec, _ = apply_category("excl", header, counts)
-        steps.append(rec)
-    return SourcePlan(
+        fit_step("excl", header, counts)
+    plan = SourcePlan(
         header=header,
         root=reg.resolve(root_key),
         target_rule=root_rule,
         steps=steps,
         source_stats=_source_stats(col),
     )
+    return plan, counts, _table(plan, values)
 
 
-def _expand_source(plan: SourcePlan, col: list[Cell]) -> dict[str, list[Cell]]:
-    """Evaluate the pipeline once per distinct value and expand by lookup."""
-    behaviors = [BEHAVIORS[rec.behavior] for rec in plan.steps]
+def _expand_source(plan: SourcePlan, col: list[Cell], table: dict) -> dict[str, list[Cell]]:
+    """Expand a source's rows from its per-distinct table by lookup."""
     out_headers = plan.retained_headers()
-    cache: dict[Cell, tuple] = {}
-    for cell in set(col):
-        env = {plan.header: cell}
-        for rec, behavior in zip(plan.steps, behaviors):
-            outs = behavior.apply_cell(rec.fit, env[rec.input_header])
-            for h, v in zip(rec.output_headers, outs):
-                env[h] = v
-        cache[cell] = tuple(env[h] for h in out_headers)
-    rows = [cache[cell] for cell in col]
     if not out_headers:
         return {}
+    rows = [table[cell] for cell in col]
     transposed = zip(*rows) if rows else [[] for _ in out_headers]
     return {h: list(vals) for h, vals in zip(out_headers, transposed)}
-
-
-def _column_classes(plan: SourcePlan) -> dict[str, str]:
-    classes = {}
-    for rec in plan.steps:
-        if rec.retained:
-            for h in rec.output_headers:
-                classes[h] = BEHAVIORS[rec.behavior].coltype_class
-    return classes
 
 
 def _infill_columns(plan: SourcePlan, col: list[Cell], columns: dict,
@@ -274,32 +287,22 @@ def _infill_columns(plan: SourcePlan, col: list[Cell], columns: dict,
         columns[h] = infill_mod.apply_infill(columns[h], mask, spec["kind"], spec.get("value"))
 
 
-def _fit_infill_spec(plan: SourcePlan, counts: dict, kind: str) -> dict[str, dict]:
-    """Per retained column: requested kind where compatible, with train stats."""
+def _fit_infill_spec(plan: SourcePlan, counts: dict, table: dict,
+                     kind: str) -> dict[str, dict]:
+    """Per retained column: requested kind where compatible, with train stats
+    taken over the non-target distinct values of the fit-time table."""
     spec: dict[str, dict] = {}
-    classes = _column_classes(plan)
-    target = {
-        value: infill_mod.is_infill_target(value, plan.target_rule) for value in counts
-    }
-    # Recompute per-distinct outputs to take statistics over non-target rows.
-    behaviors = [BEHAVIORS[rec.behavior] for rec in plan.steps]
-    out_headers = plan.retained_headers()
-    per_header_pairs: dict[str, list] = {h: [] for h in out_headers}
-    for value, n in counts.items():
-        if target[value]:
-            continue
-        env = {plan.header: value}
-        for rec, behavior in zip(plan.steps, behaviors):
-            outs = behavior.apply_cell(rec.fit, env[rec.input_header])
-            for h, v in zip(rec.output_headers, outs):
-                env[h] = v
-        for h in out_headers:
-            per_header_pairs[h].append((env[h], n))
-    for h in out_headers:
-        if kind in infill_mod.NUMERIC_ONLY_KINDS and classes[h] != CLASS_NUMERIC:
+    classes = [BEHAVIORS[rec.behavior].coltype_class
+               for rec in plan.steps if rec.retained for _ in rec.output_headers]
+    pairs = [
+        (table[value], n) for value, n in counts.items()
+        if not infill_mod.is_infill_target(value, plan.target_rule)
+    ]
+    for i, h in enumerate(plan.retained_headers()):
+        if kind in infill_mod.NUMERIC_ONLY_KINDS and classes[i] != CLASS_NUMERIC:
             spec[h] = {"kind": infill_mod.KIND_DEFAULT}
             continue
-        stat = infill_mod.train_stat(kind, per_header_pairs[h])
+        stat = infill_mod.train_stat(kind, [(row[i], n) for row, n in pairs])
         entry = {"kind": kind}
         if stat is not None:
             entry["value"] = stat
@@ -355,6 +358,8 @@ def fit(train: TidyTable, assignments: dict[str, str] | None = None,
         return name
 
     plans: dict[str, SourcePlan] = {}
+    infill_spec: dict[str, dict] = {}
+    columns: dict[str, list[Cell]] = {}
     for h in sources:
         col = train.column(h)
         root = assignments.get(h)
@@ -362,79 +367,55 @@ def fit(train: TidyTable, assignments: dict[str, str] | None = None,
             root = "excl" if opts.passthrough_unassigned else auto_root_select(
                 col, threshold=opts.threshold
             )
-        plans[h] = _fit_source(h, col, root, reg, opts, dedup)
-
-    infill_spec: dict[str, dict] = {}
-    for h, plan in plans.items():
+        # One source's table at a time, so peak memory holds one table.
+        plan, counts, table = _fit_source(h, col, root, reg, opts, dedup)
+        plans[h] = plan
         kind = requested_infill.get(h, infill_mod.KIND_DEFAULT)
         if kind == infill_mod.KIND_DEFAULT:
             for out in plan.retained_headers():
                 infill_spec[out] = {"kind": infill_mod.KIND_DEFAULT}
         else:
-            infill_spec.update(_fit_infill_spec(plan, distinct_counts(train.column(h)), kind))
+            infill_spec.update(_fit_infill_spec(plan, counts, table, kind))
+        expanded = _expand_source(plan, col, table)
+        _infill_columns(plan, col, expanded, infill_spec)
+        columns.update(expanded)
 
+    output_order = [h for plan in plans.values() for h in plan.retained_headers()]
     artifact = FitArtifact(
         format_version=FORMAT_VERSION,
         options=opts,
         registry_snapshot=reg.snapshot(),
         per_source=plans,
-        output_order=[h for plan in plans.values() for h in plan.retained_headers()],
+        output_order=output_order,
         infill_spec=infill_spec,
     )
-    encoded = _encode(artifact, train, warn_extra=False)
+    encoded = [columns[h] for h in output_order]
     if opts.shuffle_train:
-        order = list(range(encoded.row_count))
+        order = list(range(train.row_count))
         random.Random(opts.seed).shuffle(order)
-        encoded = TidyTable(
-            headers=encoded.headers,
-            columns=[[col[i] for i in order] for col in encoded.columns],
-        )
-    return encoded, artifact
-
-
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("PARSEMUNGE_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _encode(artifact: FitArtifact, table: TidyTable, warn_extra: bool) -> TidyTable:
-    missing = [h for h in artifact.per_source if h not in table.headers]
-    if missing:
-        raise DataError(f"table is missing required source columns: {missing}")
-    if warn_extra:
-        known = set(artifact.per_source) | {artifact.options.labels_column}
-        extra = [h for h in table.headers if h not in known]
-        if extra:
-            logger.warning("ignoring columns not present at fit time: %s", extra)
-
-    def encode_one(item):
-        header, plan = item
-        col = table.column(header)
-        columns = _expand_source(plan, col)
-        _infill_columns(plan, col, columns, artifact.infill_spec)
-        return columns
-
-    items = list(artifact.per_source.items())
-    workers = _worker_count()
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(encode_one, items))
-    else:
-        results = [encode_one(item) for item in items]
-    combined: dict[str, list[Cell]] = {}
-    for columns in results:
-        combined.update(columns)
-    return TidyTable(
-        headers=list(artifact.output_order),
-        columns=[combined[h] for h in artifact.output_order],
-    )
+        encoded = [[col[i] for i in order] for col in encoded]
+    return TidyTable(headers=list(output_order), columns=encoded), artifact
 
 
 def apply(artifact: FitArtifact, test: TidyTable) -> TidyTable:
     """Encode a table on the artifact's train basis; no statistic is refit."""
-    return _encode(artifact, test, warn_extra=True)
+    missing = [h for h in artifact.per_source if h not in test.headers]
+    if missing:
+        raise DataError(f"table is missing required source columns: {missing}")
+    known = set(artifact.per_source) | {artifact.options.labels_column}
+    extra = [h for h in test.headers if h not in known]
+    if extra:
+        logger.warning("ignoring columns not present at fit time: %s", extra)
+    columns: dict[str, list[Cell]] = {}
+    for header, plan in artifact.per_source.items():
+        col = test.column(header)
+        expanded = _expand_source(plan, col, _walk(plan, distinct_counts(col)))
+        _infill_columns(plan, col, expanded, artifact.infill_spec)
+        columns.update(expanded)
+    return TidyTable(
+        headers=list(artifact.output_order),
+        columns=[columns[h] for h in artifact.output_order],
+    )
 
 
 def serialize(artifact: FitArtifact) -> bytes:
@@ -451,6 +432,36 @@ def serialize(artifact: FitArtifact) -> bytes:
                       separators=(",", ":")).encode("utf-8")
 
 
+def _plan_from_doc(header: str, doc: dict) -> SourcePlan:
+    """Read one source plan; each step must read the source or an earlier output."""
+    if not isinstance(doc["steps"], list):
+        raise DataError(f"artifact steps of source {header!r} are not a list")
+    keys = [f.name for f in fields(StepRecord)]
+    steps = [StepRecord(**{k: s[k] for k in keys}) for s in doc["steps"]]
+    known = {header}
+    for rec in steps:
+        if rec.behavior not in BEHAVIORS:
+            raise DataError(f"artifact references unknown behavior {rec.behavior!r}")
+        if rec.input_header not in known:
+            raise DataError(f"artifact step {rec.category!r} of source {header!r} reads "
+                            f"{rec.input_header!r}, which no earlier step produces")
+        known.update(rec.output_headers)
+    return SourcePlan(header, doc["root"], doc["target_rule"], steps,
+                      doc.get("source_stats", {}))
+
+
+def _check_output_order(per_source: dict[str, SourcePlan], output_order: list) -> None:
+    """output_order must list the retained headers, each plan's in plan order."""
+    retained = [h for plan in per_source.values() for h in plan.retained_headers()]
+    if sorted(output_order) != sorted(retained):
+        raise DataError("artifact output_order does not match the retained columns")
+    position = {h: i for i, h in enumerate(output_order)}
+    for header, plan in per_source.items():
+        positions = [position[h] for h in plan.retained_headers()]
+        if positions != sorted(positions):
+            raise DataError(f"artifact output_order lists source {header!r} out of plan order")
+
+
 def deserialize(data: bytes | str) -> FitArtifact:
     try:
         doc = json.loads(data)
@@ -464,34 +475,20 @@ def deserialize(data: bytes | str) -> FitArtifact:
             f"unsupported artifact format_version {version!r}, expected {FORMAT_VERSION}"
         )
     Registry.from_snapshot(doc.get("registry_snapshot", {}))
-    per_source = {}
-    for header, plan_doc in doc.get("per_source", {}).items():
-        steps = []
-        for s in plan_doc.get("steps", []):
-            if s["behavior"] not in BEHAVIORS:
-                raise DataError(f"artifact references unknown behavior {s['behavior']!r}")
-            steps.append(StepRecord(
-                category=s["category"],
-                suffix=s["suffix"],
-                behavior=s["behavior"],
-                input_header=s["input_header"],
-                output_headers=list(s["output_headers"]),
-                fit=s["fit"],
-                retained=s["retained"],
-            ))
-        per_source[header] = SourcePlan(
-            header=header,
-            root=plan_doc["root"],
-            target_rule=plan_doc["target_rule"],
-            steps=steps,
-            source_stats=plan_doc.get("source_stats", {}),
-        )
+    # A missing key or a value of the wrong JSON type surfaces as one of these.
+    try:
+        per_source = {h: _plan_from_doc(h, p) for h, p in doc.get("per_source", {}).items()}
+        output_order = list(doc.get("output_order", []))
+        _check_output_order(per_source, output_order)
+        options = Options.from_jsonable(doc.get("options", {}))
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise DataError(f"malformed artifact document: {type(exc).__name__}: {exc}") from None
     return FitArtifact(
         format_version=version,
-        options=Options.from_jsonable(doc.get("options", {})),
+        options=options,
         registry_snapshot=doc.get("registry_snapshot", {}),
         per_source=per_source,
-        output_order=list(doc.get("output_order", [])),
+        output_order=output_order,
         infill_spec=doc.get("infill_spec", {}),
     )
 

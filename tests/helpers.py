@@ -1,10 +1,11 @@
-"""Shared table generators for engine-level and acceptance tests."""
+"""Shared table generators and a single-behavior runner for the tests."""
 
 from __future__ import annotations
 
 import random
 
-from parsemunge.tidytable import TidyTable
+from parsemunge.registry import BEHAVIORS
+from parsemunge.tidytable import TidyTable, distinct_counts
 
 WORDS = ["chrome", "safari", "edge", "mac os x", "windows", "lynx", "opera"]
 
@@ -38,3 +39,18 @@ def make_random_table(rnd: random.Random, rows: int = 40, want_missing: bool = T
         if root:
             assignments[header] = root
     return TidyTable(headers=headers, columns=columns), assignments
+
+
+def run_behavior(name: str, col: list, params: dict | None = None,
+                 root_rule: str = "missing_only", state: dict | None = None):
+    """Fit the registered behavior ``name`` on the column's distinct counts
+    (skipped when a fit ``state`` is given) and apply it cell by cell.
+
+    Returns the fit state and one list per output column.
+    """
+    behavior = BEHAVIORS[name]
+    if state is None:
+        state = behavior.fit(distinct_counts(col), params or {}, root_rule)
+    rows = [behavior.apply_cell(state, cell) for cell in col]
+    width = len(behavior.output_tokens(state))
+    return state, [[row[i] for row in rows] for i in range(width)]

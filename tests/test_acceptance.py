@@ -9,12 +9,12 @@ import statistics
 import time
 
 import parsemunge as pm
-from parsemunge.extract_search import SearchSpec, nmcm_extract, srch
+from parsemunge.extract_search import nmcm_extract
 from parsemunge.importance import TASK_CLASSIFICATION, builtin_tree, permutation_importance
 from parsemunge.stringparse import OverlapScanConfig, scan_overlaps
 from parsemunge.tidytable import TidyTable
 
-from .helpers import make_random_table
+from .helpers import make_random_table, run_behavior
 from .oracles import oracle_extract, oracle_single_assignment
 
 
@@ -94,14 +94,14 @@ def test_criterion_4_encoder_numerics():
     """nmbr standardization bounds and 1010 width formula for N in [1, 300]."""
     import math
 
-    from parsemunge.encoders import binary_width, nmbr
+    from parsemunge.encoders import binary_width
 
     rnd = random.Random(4004)
     worst_mean, worst_std = 0.0, 0.0
     for _ in range(50):
         col = [rnd.uniform(-100, 100) for _ in range(rnd.randint(2, 200))]
-        encoded, fit = nmbr(col)
-        if fit.std > 0:
+        state, [encoded] = run_behavior("nmbr", col)
+        if state["std"] > 0:
             m = sum(encoded) / len(encoded)
             s = math.sqrt(sum((v - m) ** 2 for v in encoded) / len(encoded))
             worst_mean = max(worst_mean, abs(m))
@@ -242,8 +242,7 @@ def test_criterion_9_srch_equivalence():
              for _ in range(1000)]
     terms = sorted({"".join(rnd.choice("abcdef") for _ in range(rnd.randint(1, 3)))
                     for _ in range(40)})[:20]
-    columns, _ = srch(cells, SearchSpec(groups=[[t] for t in terms],
-                                        case_sensitive=True))
+    _, columns = run_behavior("srch", cells, {"search": terms, "case_sensitive": True})
     mismatches = sum(
         1
         for j, term in enumerate(terms)

@@ -116,6 +116,17 @@ class TestCmdApply:
         assert main(["apply", str(out / "artifact.pmz.json"), str(bad),
                      "--out", str(tmp_path / "r.csv")]) == 3
 
+    def test_malformed_artifact_exit_3(self, tmp_path, capsys):
+        train, _ = _write_train(tmp_path)
+        out = tmp_path / "out"
+        main(["fit", str(train), "--out-dir", str(out)])
+        blob = out / "artifact.pmz.json"
+        doc = json.loads(blob.read_text(encoding="utf-8"))
+        del doc["per_source"]["col1"]["steps"][0]["retained"]
+        blob.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["apply", str(blob), str(train), "--out", str(tmp_path / "r.csv")]) == 3
+        assert "retained" in capsys.readouterr().err
+
 
 class TestCmdInvert:
     def test_round_trip(self, tmp_path):

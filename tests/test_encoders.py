@@ -1,122 +1,112 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from parsemunge.encoders import (
-    auto_root_select,
-    b1010,
-    binary_width,
-    bnry,
-    mnmx,
-    narw,
-    nmbr,
-    onht,
-    ord3,
-    ord3_apply,
-    sanitize_token,
-    upcs,
-)
+import parsemunge as pm
+from parsemunge.encoders import auto_root_select, binary_width, sanitize_token
 from parsemunge.errors import DataError
+
+from .helpers import run_behavior
 
 
 class TestUpcs:
     def test_case_consolidation(self):
-        assert upcs(["usa", "Usa", "USA"]) == ["USA", "USA", "USA"]
+        assert run_behavior("UPCS", ["usa", "Usa", "USA"])[1] == [["USA", "USA", "USA"]]
 
     def test_missing_unchanged(self):
-        assert upcs([None]) == [None]
+        assert run_behavior("UPCS", [None])[1] == [[None]]
 
     def test_fixed_points(self):
-        assert upcs(["a1_b"]) == ["A1_B"]
+        assert run_behavior("UPCS", ["a1_b"])[1] == [["A1_B"]]
 
     def test_disabled(self):
-        assert upcs(["usa"], enabled=False) == ["usa"]
+        assert run_behavior("UPCS", ["usa"], {"enabled": False})[1] == [["usa"]]
 
 
 class TestNarw:
     def test_missing_marked(self):
-        assert narw(["x", None, "y"]) == [0.0, 1.0, 0.0]
+        assert run_behavior("NArw", ["x", None, "y"])[1] == [[0.0, 1.0, 0.0]]
 
     def test_numeric_parse_rule(self):
-        assert narw(["3", "q"], target_rule="numeric_parse") == [0.0, 1.0]
+        assert run_behavior("NArw", ["3", "q"], root_rule="numeric_parse")[1] == [[0.0, 1.0]]
 
     def test_all_present(self):
-        assert narw(["a", "b", "c"]) == [0.0, 0.0, 0.0]
+        assert run_behavior("NArw", ["a", "b", "c"])[1] == [[0.0, 0.0, 0.0]]
 
 
 class TestOrd3:
     def test_frequency_then_alpha(self):
-        codes, cmap = ord3(["b", "a", "b", "c"])
-        assert cmap == {"b": 1, "a": 2, "c": 3}
+        state, [codes] = run_behavior("ord3", ["b", "a", "b", "c"])
+        assert state["codes"] == {"b": 1, "a": 2, "c": 3}
         assert codes == [1.0, 2.0, 1.0, 3.0]
 
     def test_alphabetical_tie_break(self):
-        _, cmap = ord3(["circle", "square", "triangle"])
-        assert cmap == {"circle": 1, "square": 2, "triangle": 3}
+        state, _ = run_behavior("ord3", ["circle", "square", "triangle"])
+        assert state["codes"] == {"circle": 1, "square": 2, "triangle": 3}
 
     def test_unseen_reserved_zero(self):
-        _, cmap = ord3(["a", "b"])
-        assert ord3_apply(cmap, ["zzz", None, "a"]) == [0.0, 0.0, 1.0]
+        state, _ = run_behavior("ord3", ["a", "b"])
+        assert run_behavior("ord3", ["zzz", None, "a"], state=state)[1] == [[0.0, 0.0, 1.0]]
 
     def test_rank_property(self):
         col = ["w"] * 5 + ["q"] * 3 + ["a"] * 3 + ["z"]
-        _, cmap = ord3(col)
-        assert cmap == {"w": 1, "a": 2, "q": 3, "z": 4}
+        state, _ = run_behavior("ord3", col)
+        assert state["codes"] == {"w": 1, "a": 2, "q": 3, "z": 4}
 
 
 class TestOnht:
     def test_two_entries(self):
-        columns, entries = onht(["a", "b"])
-        assert entries == ["a", "b"]
+        state, columns = run_behavior("onht", ["a", "b"])
+        assert state["entries"] == ["a", "b"]
         assert columns == [[1.0, 0.0], [0.0, 1.0]]
 
     def test_frequency_ordering(self):
-        columns, entries = onht(["b", "a", "b"])
-        assert entries == ["b", "a"]
+        state, columns = run_behavior("onht", ["b", "a", "b"])
+        assert state["entries"] == ["b", "a"]
         assert columns == [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
 
     def test_missing_all_zero(self):
-        columns, _ = onht(["a", "b", None])
+        _, columns = run_behavior("onht", ["a", "b", None])
         assert [col[2] for col in columns] == [0.0, 0.0]
 
     @given(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=30))
     @settings(max_examples=40, deadline=None)
     def test_single_activation_per_seen_row(self, col):
-        columns, _ = onht(col)
+        _, columns = run_behavior("onht", col)
         for i in range(len(col)):
             assert sum(c[i] for c in columns) == 1.0
 
 
 class TestBnry:
     def test_mode_rule(self):
-        codes, cmap = bnry(["y", "n", "y"])
-        assert cmap == {"y": 1, "n": 0}
+        state, [codes] = run_behavior("bnry", ["y", "n", "y"])
+        assert {state["one"]: 1, state["zero"]: 0} == {"y": 1, "n": 0}
         assert codes == [1.0, 0.0, 1.0]
 
     def test_missing_gets_mode(self):
-        codes, _ = bnry(["y", "n", None, "y"])
+        _, [codes] = run_behavior("bnry", ["y", "n", None, "y"])
         assert codes[2] == 1.0
 
     def test_requires_two_entries(self):
         with pytest.raises(DataError, match="2 distinct"):
-            bnry(["a", "b", "c"])
+            run_behavior("bnry", ["a", "b", "c"])
 
 
 class TestB1010:
     def test_three_entries_width_two(self):
-        columns, entries, width = b1010(["a", "b", "c", "a"])
-        assert width == 2
-        assert entries == ["a", "b", "c"]
+        state, columns = run_behavior("1010", ["a", "b", "c", "a"])
+        assert state["width"] == 2
+        assert state["entries"] == ["a", "b", "c"]
         # codes: a=01, b=10, c=11; missing would be 00
         assert [col[0] for col in columns] == [0.0, 1.0]
         assert [col[1] for col in columns] == [1.0, 0.0]
         assert [col[2] for col in columns] == [1.0, 1.0]
 
     def test_degenerate_single_entry(self):
-        columns, _, width = b1010(["solo", "solo"])
-        assert width == 1
+        state, columns = run_behavior("1010", ["solo", "solo"])
+        assert state["width"] == 1
         assert columns == [[1.0, 1.0]]
 
     def test_width_formula(self):
@@ -125,20 +115,20 @@ class TestB1010:
             assert binary_width(n) == math.ceil(math.log2(n + 1))
 
     def test_seen_codes_never_all_zero(self):
-        columns, entries, _ = b1010(list("abcdefgh"))
-        for i in range(len(entries)):
+        state, columns = run_behavior("1010", list("abcdefgh"))
+        for i in range(len(state["entries"])):
             assert any(col[i] == 1.0 for col in columns)
 
 
 class TestNumeric:
     def test_nmbr_population_std(self):
-        values, fit = nmbr([1.0, 2.0, 3.0])
-        assert fit.mean == pytest.approx(2.0)
-        assert fit.std == pytest.approx(0.8165, abs=1e-4)
+        state, [values] = run_behavior("nmbr", [1.0, 2.0, 3.0])
+        assert state["mean"] + state["shift"] == pytest.approx(2.0)
+        assert state["std"] == pytest.approx(0.8165, abs=1e-4)
         assert values == pytest.approx([-1.2247, 0.0, 1.2247], abs=1e-4)
 
     def test_nmbr_zero_variance(self):
-        values, _ = nmbr([5.0, 5.0, 5.0])
+        _, [values] = run_behavior("nmbr", [5.0, 5.0, 5.0])
         assert values == [0.0, 0.0, 0.0]
 
     def test_mnmx_extrapolation(self):
@@ -148,18 +138,29 @@ class TestNumeric:
         assert behavior.apply_cell(state, 20.0) == (2.0,)
 
     def test_mnmx_missing_uses_scaled_mean(self):
-        values, fit = mnmx([0.0, 10.0, None])
+        _, [values] = run_behavior("mnmx", [0.0, 10.0, None])
         assert values[2] == pytest.approx(0.5)
 
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=40))
+    @example([0.0, 3.011038763261972e-160])  # squared deviations fall below the normal range
     @settings(max_examples=60, deadline=None)
     def test_nmbr_standardization_property(self, values):
-        encoded, fit = nmbr(values)
-        if fit.std > 0:
+        state, [encoded] = run_behavior("nmbr", values)
+        if state["std"] > 0:
             mean = sum(encoded) / len(encoded)
             var = sum((v - mean) ** 2 for v in encoded) / len(encoded)
             assert abs(mean) < 1e-9
             assert abs(math.sqrt(var) - 1.0) < 1e-9
+
+    def test_nmbr_fit_survives_squares_beyond_float_range(self):
+        col = [0.0, 1e200, 5e199]
+        table = pm.TidyTable(headers=["x"], columns=[col])
+        encoded, artifact = pm.fit(table, {"x": "nmbr"})
+        plan = artifact.per_source["x"]
+        state = next(rec.fit for rec in plan.steps if rec.behavior == "nmbr")
+        assert state["std"] == pytest.approx(5e199 * math.sqrt(2 / 3))
+        assert encoded.column("x_nmbr") == pytest.approx([-1.2247, 1.2247, 0.0], abs=1e-4)
+        assert plan.source_stats["std"] == state["std"]
 
 
 class TestAutoRootSelect:

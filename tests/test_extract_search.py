@@ -3,14 +3,9 @@ import random
 import pytest
 
 from parsemunge.errors import ConfigError
-from parsemunge.extract_search import (
-    SearchSpec,
-    nmc7_apply,
-    nmcm,
-    nmcm_extract,
-    srch,
-)
+from parsemunge.extract_search import SearchSpec, nmcm_extract
 
+from .helpers import run_behavior
 from .oracles import oracle_extract
 
 
@@ -61,68 +56,65 @@ class TestNmcmExtract:
 
 class TestNmcmColumn:
     def test_basic_extraction(self):
-        values, fit = nmcm(["a 12", "b 7"])
+        state, [values] = run_behavior("nmcm", ["a 12", "b 7"])
         assert values == [12.0, 7.0]
-        assert fit.lookup == {"a 12": 12.0, "b 7": 7.0}
+        assert state["lookup"] == {"a 12": 12.0, "b 7": 7.0}
 
     def test_all_text_column(self):
-        values, _ = nmcm(["alpha", "beta"])
+        _, [values] = run_behavior("nmcm", ["alpha", "beta"])
         assert values == [None, None]
 
     def test_duplicates_share_lookup(self):
-        _, fit = nmcm(["a 12", "a 12", "b 7"])
-        assert len(fit.lookup) == 2
+        state, _ = run_behavior("nmcm", ["a 12", "a 12", "b 7"])
+        assert len(state["lookup"]) == 2
 
     def test_missing_passthrough(self):
-        values, _ = nmcm(["a 12", None])
+        _, [values] = run_behavior("nmcm", ["a 12", None])
         assert values == [12.0, None]
 
 
 class TestNmc7Apply:
     def test_replay_equals_fit_output(self):
         col = ["a 12", "b 7", "a 12"]
-        values, fit = nmcm(col)
-        assert nmc7_apply(fit, col) == values
+        state, [values] = run_behavior("nmcm", col)
+        assert run_behavior("nmc7", col, state=state)[1] == [values]
 
     def test_unseen_fresh_parse(self):
-        _, fit = nmcm(["a 12"])
-        assert nmc7_apply(fit, ["zone 88"]) == [88.0]
+        state, _ = run_behavior("nmcm", ["a 12"])
+        assert run_behavior("nmc7", ["zone 88"], state=state)[1] == [[88.0]]
 
     def test_unseen_without_digits(self):
-        _, fit = nmcm(["a 12"])
-        assert nmc7_apply(fit, ["none"]) == [None]
+        state, _ = run_behavior("nmcm", ["a 12"])
+        assert run_behavior("nmc7", ["none"], state=state)[1] == [[None]]
 
     def test_stored_value_preferred(self):
-        from parsemunge.extract_search import NumericExtractFit
-        fit = NumericExtractFit(lookup={"a 12": 99.0},
-                                flags={"allow_commas": True, "allow_decimal": True,
-                                       "allow_negative": False})
-        assert nmc7_apply(fit, ["a 12"]) == [99.0]
+        state = {"lookup": {"a 12": 99.0},
+                 "flags": {"allow_commas": True, "allow_decimal": True,
+                           "allow_negative": False}}
+        assert run_behavior("nmc7", ["a 12"], state=state)[1] == [[99.0]]
 
 
 class TestSrch:
     def test_case_insensitive_terms(self):
-        columns, labels = srch(
-            ["MAC OS X 10_7_5", "CHROME 62.0"],
-            SearchSpec(groups=[["Mac"], ["chrome"]]),
+        state, columns = run_behavior(
+            "srch", ["MAC OS X 10_7_5", "CHROME 62.0"], {"aggregate": [["Mac"], ["chrome"]]},
         )
-        assert labels == ["Mac", "chrome"]
+        assert state["labels"] == ["Mac", "chrome"]
         assert columns == [[1.0, 0.0], [0.0, 1.0]]
 
     def test_ordinal_no_matches(self):
-        out = srch(["aa", "bb"], SearchSpec(groups=[["zz"]], ordinal=True))
+        _, [out] = run_behavior("srch", ["aa", "bb"], {"aggregate": [["zz"]], "ordinal": True})
         assert out == [0.0, 0.0]
 
     def test_group_aggregation(self):
-        columns, labels = srch(
-            ["made in USA", "U.S. source", "elsewhere"],
-            SearchSpec(groups=[["USA", "U.S."]]),
+        _, columns = run_behavior(
+            "srch", ["made in USA", "U.S. source", "elsewhere"], {"aggregate": [["USA", "U.S."]]},
         )
         assert len(columns) == 1
         assert columns[0] == [1.0, 1.0, 0.0]
 
     def test_ordinal_first_group_wins(self):
-        out = srch(["ab"], SearchSpec(groups=[["a"], ["b"]], ordinal=True))
+        _, [out] = run_behavior("srch", ["ab"], {"aggregate": [["a"], ["b"]], "ordinal": True})
         assert out == [1.0]
 
     def test_empty_term_rejected(self):
@@ -139,12 +131,11 @@ class TestSrch:
                  or "x" for _ in range(100)]
         terms = sorted({"".join(rnd.choice("abcdef") for _ in range(rnd.randint(1, 3)))
                         for _ in range(10)})
-        columns, _ = srch(cells, SearchSpec(groups=[[t] for t in terms],
-                                            case_sensitive=True))
+        _, columns = run_behavior("srch", cells, {"search": terms, "case_sensitive": True})
         for j, term in enumerate(terms):
             for i, cell in enumerate(cells):
                 assert columns[j][i] == (1.0 if term in cell else 0.0)
 
     def test_case_sensitivity_flag(self):
-        columns, _ = srch(["Mac"], SearchSpec(groups=[["mac"]], case_sensitive=True))
+        _, columns = run_behavior("srch", ["Mac"], {"search": ["mac"], "case_sensitive": True})
         assert columns[0] == [0.0]

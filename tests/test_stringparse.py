@@ -5,21 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parsemunge.errors import ConfigError
-from parsemunge.stringparse import (
-    OverlapScanConfig,
-    sbst,
-    scan_overlaps,
-    sp10_apply,
-    sp10_fit,
-    sp15,
-    sp19,
-    spl2,
-    spl5,
-    spl9_apply,
-    spl9_fit,
-    splt,
-)
+from parsemunge.stringparse import OverlapScanConfig, scan_overlaps
 
+from .helpers import run_behavior
 from .oracles import oracle_pair_longest_common, oracle_single_assignment
 
 
@@ -84,14 +72,13 @@ class TestScanOverlaps:
 
 class TestSplt:
     def test_chrome_column(self):
-        columns, overlaps = splt(["chrome 62.0", "chrome 49.0"],
-                                 OverlapScanConfig(min_len=5))
-        assert overlaps == ["chrome "]
+        state, columns = run_behavior("splt", ["chrome 62.0", "chrome 49.0"], {"min_len": 5})
+        assert state["overlaps"] == ["chrome "]
         assert columns == [[1.0, 1.0]]
 
     def test_no_overlaps_zero_columns(self):
-        columns, overlaps = splt(["abc", "xyz"], OverlapScanConfig(min_len=2))
-        assert columns == [] and overlaps == []
+        state, columns = run_behavior("splt", ["abc", "xyz"], {"min_len": 2})
+        assert columns == [] and state["overlaps"] == []
 
     def test_unseen_entry_all_zero(self):
         from parsemunge.stringparse import SpltBehavior
@@ -103,55 +90,53 @@ class TestSplt:
 
 class TestSp15:
     def test_concurrent_activations(self):
-        columns, overlaps = sp15(["ab cd", "ab xy", "zz cd"],
-                                 OverlapScanConfig(min_len=2, single_id=False))
-        row = {o: [col[i] for i in range(3)] for o, col in zip(overlaps, columns)}
+        state, columns = run_behavior("sp15", ["ab cd", "ab xy", "zz cd"], {"min_len": 2})
+        row = {o: [col[i] for i in range(3)] for o, col in zip(state["overlaps"], columns)}
         assert "ab " in row and " cd" in row
         assert row["ab "] == [1.0, 1.0, 0.0]
         assert row[" cd"] == [1.0, 0.0, 1.0]
 
     def test_single_overlap_equals_splt(self):
         col = ["chrome 62.0", "chrome 49.0"]
-        cfg = OverlapScanConfig(min_len=5)
-        assert sp15(col, cfg)[0] == splt(col, cfg)[0]
+        params = {"min_len": 5}
+        assert run_behavior("sp15", col, params)[1] == run_behavior("splt", col, params)[1]
 
     def test_disjoint_zero_columns(self):
-        columns, _ = sp15(["abc", "xyz"], OverlapScanConfig(min_len=2))
+        _, columns = run_behavior("sp15", ["abc", "xyz"], {"min_len": 2})
         assert columns == []
 
 
 class TestSpl2:
     def test_chrome_replacement(self):
-        out = spl2(["chrome 62.0", "chrome 49.0"], OverlapScanConfig(min_len=5))
+        _, [out] = run_behavior("spl2", ["chrome 62.0", "chrome 49.0"], {"min_len": 5})
         assert out == ["chrome ", "chrome "]
 
     def test_unchanged_without_overlap(self):
-        assert spl2(["abc", "xyz"], OverlapScanConfig(min_len=2)) == ["abc", "xyz"]
+        assert run_behavior("spl2", ["abc", "xyz"], {"min_len": 2})[1] == [["abc", "xyz"]]
 
     def test_mixed_set_matches_oracle(self):
         col = ["chrome 62.0", "chrome 49.0", "safari 11.0", "edge 17.0", "opera 9.0"]
-        cfg = OverlapScanConfig(min_len=5)
         expected_assignment = oracle_single_assignment(set(col), min_len=5)
-        out = spl2(col, cfg)
+        _, [out] = run_behavior("spl2", col, {"min_len": 5})
         assert out == [expected_assignment.get(c, c) for c in col]
 
     def test_cardinality_monotonic(self):
         col = ["chrome 62.0", "chrome 49.0", "safari 11.0", "safari 12.0", "lynx"]
-        out = spl2(col, OverlapScanConfig(min_len=5))
+        _, [out] = run_behavior("spl2", col, {"min_len": 5})
         assert len(set(out)) <= len(set(col))
 
 
 class TestSpl5:
     def test_plug_for_unassigned(self):
-        out = spl5(["chrome 62.0", "chrome 49.0", "safari"], OverlapScanConfig(min_len=5))
+        _, [out] = run_behavior("spl5", ["chrome 62.0", "chrome 49.0", "safari"], {"min_len": 5})
         assert out == ["chrome ", "chrome ", "zzzplug"]
 
     def test_no_plugs_when_all_assigned(self):
-        out = spl5(["chrome 62.0", "chrome 49.0"], OverlapScanConfig(min_len=5))
+        _, [out] = run_behavior("spl5", ["chrome 62.0", "chrome 49.0"], {"min_len": 5})
         assert "zzzplug" not in out
 
     def test_all_plugs_without_overlaps(self):
-        out = spl5(["abc", "xyz"], OverlapScanConfig(min_len=2))
+        _, [out] = run_behavior("spl5", ["abc", "xyz"], {"min_len": 2})
         assert out == ["zzzplug", "zzzplug"]
 
     def test_plug_collision_resolved(self):
@@ -166,38 +151,36 @@ class TestSpl5:
 class TestSp19:
     def test_three_patterns_two_columns(self):
         col = ["ab cd", "ab xy", "zz cd"]
-        columns, state = sp19(col, OverlapScanConfig(min_len=2, single_id=False))
+        state, columns = run_behavior("sp19", col, {"min_len": 2})
         assert state["width"] == 2
         assert len(columns) == 2
 
     def test_degenerate_zero_patterns(self):
-        columns, state = sp19(["abc", "xyz"], OverlapScanConfig(min_len=2))
+        state, columns = run_behavior("sp19", ["abc", "xyz"], {"min_len": 2})
         assert state["width"] == 1
         assert columns == [[0.0, 0.0]]
 
     def test_single_pattern_single_column(self):
-        columns, state = sp19(["chrome 62.0", "chrome 49.0"],
-                              OverlapScanConfig(min_len=5))
+        state, columns = run_behavior("sp19", ["chrome 62.0", "chrome 49.0"], {"min_len": 5})
         assert state["width"] == 1
         assert columns == [[1.0, 1.0]]
 
     def test_pattern_injectivity(self):
         col = ["ab cd", "ab xy", "zz cd", "zz xy"]
-        _, state = sp19(col, OverlapScanConfig(min_len=2, single_id=False))
+        state, _ = run_behavior("sp19", col, {"min_len": 2})
         codes = [state["codes"][e] for e in sorted(state["codes"])]
         assert len(set(codes)) == len(codes)
 
 
 class TestSbst:
     def test_containment(self):
-        columns, candidates = sbst(["chrome", "chrome 62.0"],
-                                   OverlapScanConfig(min_len=5))
-        assert candidates == ["chrome"]
+        state, columns = run_behavior("sbst", ["chrome", "chrome 62.0"], {"min_len": 5})
+        assert state["columns"] == ["chrome"]
         assert columns == [[0.0, 1.0]]
 
     def test_no_containment(self):
-        columns, candidates = sbst(["abc", "xyz"], OverlapScanConfig(min_len=2))
-        assert columns == [] and candidates == []
+        state, columns = run_behavior("sbst", ["abc", "xyz"], {"min_len": 2})
+        assert columns == [] and state["columns"] == []
 
     def test_longest_contained_entry_wins(self):
         from parsemunge.stringparse import SbstBehavior
@@ -212,21 +195,23 @@ class TestSbst:
 class TestTestEfficientVariants:
     def test_spl9_replay(self):
         col = ["chrome 62.0", "chrome 49.0", "safari"]
-        state = spl9_fit(col, OverlapScanConfig(min_len=5))
-        assert spl9_apply(state, col) == spl2(col, OverlapScanConfig(min_len=5))
+        state, _ = run_behavior("spl9", col, {"min_len": 5})
+        assert (run_behavior("spl9", col, state=state)[1]
+                == run_behavior("spl2", col, {"min_len": 5})[1])
 
     def test_sp10_replay(self):
         col = ["chrome 62.0", "chrome 49.0", "safari"]
-        state = sp10_fit(col, OverlapScanConfig(min_len=5))
-        assert sp10_apply(state, col) == spl5(col, OverlapScanConfig(min_len=5))
+        state, _ = run_behavior("sp10", col, {"min_len": 5})
+        assert (run_behavior("sp10", col, state=state)[1]
+                == run_behavior("spl5", col, {"min_len": 5})[1])
 
     def test_spl9_unseen_passthrough(self):
-        state = spl9_fit(["chrome 62.0", "chrome 49.0"], OverlapScanConfig(min_len=5))
-        assert spl9_apply(state, ["edge 99.0"]) == ["edge 99.0"]
+        state, _ = run_behavior("spl9", ["chrome 62.0", "chrome 49.0"], {"min_len": 5})
+        assert run_behavior("spl9", ["edge 99.0"], state=state)[1] == [["edge 99.0"]]
 
     def test_sp10_unseen_plug(self):
-        state = sp10_fit(["chrome 62.0", "chrome 49.0"], OverlapScanConfig(min_len=5))
-        assert sp10_apply(state, ["edge 99.0"]) == ["zzzplug"]
+        state, _ = run_behavior("sp10", ["chrome 62.0", "chrome 49.0"], {"min_len": 5})
+        assert run_behavior("sp10", ["edge 99.0"], state=state)[1] == [["zzzplug"]]
 
     def test_spl2_unseen_containment_match(self):
         from parsemunge.stringparse import Spl2Behavior
@@ -250,19 +235,19 @@ def test_single_id_oracle_property(uniques):
 @settings(max_examples=40, deadline=None)
 def test_train_consistency_property(uniques):
     col = sorted(uniques)
-    cfg = OverlapScanConfig(min_len=2)
-    first = spl2(col, cfg)
-    state = spl9_fit(col, cfg)
-    assert spl9_apply(state, col) == first
+    params = {"min_len": 2}
+    _, first = run_behavior("spl2", col, params)
+    state, _ = run_behavior("spl9", col, params)
+    assert run_behavior("spl9", col, state=state)[1] == first
 
 
 @given(_entries)
 @settings(max_examples=40, deadline=None)
 def test_cardinality_monotonicity_property(uniques):
     col = sorted(uniques)
-    cfg = OverlapScanConfig(min_len=2)
-    reduced = spl2(col, cfg)
-    plugged = spl5(col, cfg)
+    params = {"min_len": 2}
+    _, [reduced] = run_behavior("spl2", col, params)
+    _, [plugged] = run_behavior("spl5", col, params)
     assert len(set(reduced)) <= len(set(col))
     assert len(set(plugged)) <= len(set(reduced)) + 1
 

@@ -1,3 +1,4 @@
+import json
 import logging
 import random
 
@@ -7,10 +8,11 @@ from hypothesis import strategies as st
 
 import parsemunge as pm
 from parsemunge.errors import ConfigError, DataError
+from parsemunge.registry import BEHAVIORS
 from parsemunge.tidytable import TidyTable
 from parsemunge.treeengine import Options
 
-from .helpers import make_random_table
+from .helpers import make_random_table, random_text_cell, run_behavior
 
 ADDRESSES = ["123 Main St 94107", "456 Oak Ave 94110", "789 Main Blvd 94107",
              "12 Pine Rd 94110", None]
@@ -106,12 +108,6 @@ class TestFit:
 
 class TestOr19Differential:
     def test_engine_matches_hand_composed_pipeline(self):
-        from parsemunge.encoders import b1010, narw, nmbr, ord3, upcs
-        from parsemunge.extract_search import nmcm
-        from parsemunge.stringparse import (
-            OverlapScanConfig, sp10_apply, sp10_fit, spl9_apply, spl9_fit,
-        )
-
         rnd = random.Random(19)
         pool = [f"{p} {rnd.randint(10, 60)}.{rnd.randint(0, 9)}"
                 for p in ("chrome", "safari", "edge") for _ in range(8)]
@@ -121,25 +117,24 @@ class TestOr19Differential:
 
         encoded, _ = pm.fit(_table(src=col), {"src": "or19"})
 
-        up = upcs(col)
-        bit_cols, _, width = b1010(up)
-        for i in range(width):
+        _, [up] = run_behavior("UPCS", col)
+        state, bit_cols = run_behavior("1010", up)
+        for i in range(state["width"]):
             assert encoded.column(f"src_UPCS_1010_{i}") == bit_cols[i]
 
-        extracted, _ = nmcm(up)
-        z_vals, _ = nmbr(extracted)
+        _, [extracted] = run_behavior("nmcm", up)
+        _, [z_vals] = run_behavior("nmbr", extracted)
         assert encoded.column("src_UPCS_nmc7_nmbr") == z_vals
 
-        cfg = OverlapScanConfig()
-        s9 = spl9_apply(spl9_fit(up, cfg), up)
-        s9_codes, _ = ord3(s9)
+        _, [s9] = run_behavior("spl9", up)
+        _, [s9_codes] = run_behavior("ord3", s9)
         assert encoded.column("src_UPCS_spl9_ord3") == s9_codes
 
-        s10 = sp10_apply(sp10_fit(s9, cfg), s9)
-        s10_codes, _ = ord3(s10)
+        _, [s10] = run_behavior("sp10", s9)
+        _, [s10_codes] = run_behavior("ord3", s10)
         assert encoded.column("src_UPCS_spl9_sp10_ord3") == s10_codes
 
-        assert encoded.column("src_NArw") == narw(col)
+        assert encoded.column("src_NArw") == run_behavior("NArw", col)[1][0]
 
 
 class TestApply:
@@ -194,6 +189,47 @@ class TestApply:
         out1 = pm.apply(artifact, _table(a=["x"]))
         out2 = pm.apply(artifact, _table(a=["unrelated"]))
         assert out1.headers == out2.headers == artifact.output_order
+
+    @pytest.mark.parametrize("root,col,opts", [
+        ("ord3", ["a", "b", "a", 0.0, -0.0, -0.0], Options()),
+        # -0.0 and 0.0 as intermediate values, consumed by the nmbr child
+        ("nmcm", ["t -0", "t 0", "u 3", "v -3"],
+         Options(assignparam={"nmcm": {"a": {"allow_negative": True}}})),
+    ])
+    def test_signed_zero_outputs_do_not_depend_on_row_order(self, root, col, opts):
+        # == cannot tell the zeros apart; json.dumps renders "-0.0"
+        def render(table):
+            return json.dumps(table.columns)
+
+        encoded, artifact = pm.fit(_table(a=col), {"a": root}, opts=opts)
+        for order in (range(len(col)), reversed(range(len(col))),
+                      sorted(range(len(col)), key=lambda i: str(col[i]))):
+            order = list(order)
+            permuted = _table(a=[col[i] for i in order])
+            expected = TidyTable(encoded.headers, [[c[i] for i in order] for c in encoded.columns])
+            assert render(pm.apply(artifact, permuted)) == render(expected)
+            refit, reartifact = pm.fit(permuted, {"a": root}, opts=opts)
+            assert render(refit) == render(expected)
+            assert pm.serialize(reartifact) == pm.serialize(artifact)
+
+    def test_fit_evaluates_each_step_once_per_distinct_value(self, monkeypatch):
+        calls = {"n": 0}
+        for behavior in BEHAVIORS.values():
+            def counted(state, cell, _original=behavior.apply_cell):
+                calls["n"] += 1
+                return _original(state, cell)
+            monkeypatch.setattr(behavior, "apply_cell", counted)
+        rnd = random.Random(3)
+        table = _table(
+            serial=[random_text_cell(rnd) if rnd.random() > 0.1 else None for _ in range(300)],
+            amount=[round(rnd.uniform(0, 50), 1) if rnd.random() > 0.1 else None
+                    for _ in range(300)],
+        )
+        opts = Options(assigninfill={"meaninfill": ["amount"]})
+        encoded, artifact = pm.fit(table, {"serial": "or19", "amount": "nmbr"}, opts=opts)
+        in_fit, calls["n"] = calls["n"], 0
+        assert pm.apply(artifact, table) == encoded
+        assert in_fit == calls["n"] > 0
 
 
 class TestEdgeCases:
@@ -284,6 +320,25 @@ class TestSerialization:
     def test_malformed_document(self):
         with pytest.raises(DataError, match="malformed"):
             pm.deserialize(b"{not json")
+
+    @pytest.mark.parametrize("mutate", [
+        lambda doc, plan: plan["steps"][0].pop("retained"),
+        lambda doc, plan: doc["options"].update(bogus=1),
+        lambda doc, plan: plan.update(steps={}),
+        lambda doc, plan: plan.pop("root"),
+        lambda doc, plan: plan["steps"][-1].update(input_header="nowhere"),
+        lambda doc, plan: doc["output_order"].append("ghost"),
+        lambda doc, plan: doc["output_order"].reverse(),
+    ], ids=["step-without-retained", "unknown-option", "steps-not-a-list",
+            "plan-without-root", "unproduced-input-header", "unproduced-output",
+            "output-order-out-of-plan-order"])
+    def test_malformed_artifact_raises_data_error(self, mutate):
+        table = _table(col2=ADDRESSES)
+        _, artifact = pm.fit(table, {"col2": "or19"})
+        doc = json.loads(pm.serialize(artifact))
+        mutate(doc, doc["per_source"]["col2"])
+        with pytest.raises(DataError):
+            pm.deserialize(json.dumps(doc))
 
     def test_apply_after_round_trip(self):
         table = _table(col2=ADDRESSES)
