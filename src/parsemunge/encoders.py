@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 
 from .errors import DataError
+from .infill import is_infill_target
 from .tidytable import (
     COLTYPE_ALL_MISSING,
     COLTYPE_NUMERIC,
@@ -44,7 +46,12 @@ class Behavior:
         """Extra header tokens, one per output column; "" means single column."""
         return [""]
 
-    def apply_cell(self, state: dict, cell: Cell) -> tuple:
+    def compile(self, state: dict):
+        """Return the apply-ready form of a fit state, which ``apply_cell``
+        takes; built once per step evaluation. The fit state by default."""
+        return state
+
+    def apply_cell(self, state, cell: Cell) -> tuple:
         raise NotImplementedError
 
     def decoder(self, state: dict):
@@ -103,8 +110,6 @@ class NarwBehavior(Behavior):
         return {"rule": root_rule}
 
     def apply_cell(self, state, cell):
-        from .infill import is_infill_target
-
         return (1.0 if is_infill_target(cell, state["rule"]) else 0.0,)
 
 
@@ -206,8 +211,12 @@ def binary_width(n: int) -> int:
     return max(1, math.ceil(math.log2(n + 1))) if n else 1
 
 
+_BITS = (0.0, 1.0)
+
+
 def code_bits(code: int, width: int) -> tuple[float, ...]:
-    return tuple(float((code >> (width - 1 - i)) & 1) for i in range(width))
+    """The code's width low bits, most significant first, as shared 0.0/1.0 objects."""
+    return tuple(_BITS[(code >> (width - 1 - i)) & 1] for i in range(width))
 
 
 class B1010Behavior(Behavior):
@@ -222,16 +231,13 @@ class B1010Behavior(Behavior):
     def output_tokens(self, state):
         return [str(i) for i in range(state["width"])]
 
+    def compile(self, state):
+        return {"codes": {e: i + 1 for i, e in enumerate(state["entries"])},
+                "width": state["width"]}
+
     def apply_cell(self, state, cell):
-        text = canon_text(cell)
-        width = state["width"]
-        if text is None:
-            return (0.0,) * width
-        try:
-            code = state["entries"].index(text) + 1
-        except ValueError:
-            return (0.0,) * width
-        return code_bits(code, width)
+        # Missing (None) and unseen entries take the reserved zero code.
+        return code_bits(state["codes"].get(canon_text(cell), 0), state["width"])
 
     def decoder(self, state):
         entries, width = state["entries"], state["width"]
@@ -265,10 +271,24 @@ def _weighted_moments(counts: dict[Cell, int]) -> tuple[float, float, float, int
     total = sum(c for _, c in pairs)
     if not total:
         return 0.0, 0.0, 0.0, 0
+    exp = sum_scale_exponent(max(-pairs[0][0], pairs[-1][0]), total)
+    if exp:
+        pairs = [(math.ldexp(v, -exp), c) for v, c in pairs]
     mean = math.fsum(v * c for v, c in pairs) / total
     shift = math.fsum((v - mean) * c for v, c in pairs) / total
     std = deviation_std([(v - mean) - shift for v, _ in pairs], total, [c for _, c in pairs])
-    return mean, shift, std, total
+    return math.ldexp(mean, exp), math.ldexp(shift, exp), math.ldexp(std, exp), total
+
+
+def sum_scale_exponent(largest: float, total: int) -> int:
+    """Power of two to divide values of magnitude at most ``largest`` by, so
+    that sums of ``total`` of them (weights included) and of their deviations
+    from their mean stay inside the float range; 0 when they already do.
+
+    Dividing by a power of two is exact unless a value becomes subnormal, and
+    data that needs no scaling is not scaled, so its results keep every bit.
+    """
+    return max(0, math.frexp(largest)[1] + total.bit_length() + 2 - 1024)
 
 
 def deviation_std(deviations: list[float], total: int, counts=None) -> float:
@@ -300,6 +320,10 @@ class NmbrBehavior(Behavior):
 
     def fit(self, counts, params, root_rule):
         mean, shift, std, _ = _weighted_moments(counts)
+        if std < sys.float_info.min:
+            # A subnormal std is a rounded stand-in for a spread too small to
+            # represent; dividing by it does not standardize, so it counts as none.
+            std = 0.0
         return {"mean": mean, "shift": shift, "std": std}
 
     def apply_cell(self, state, cell):

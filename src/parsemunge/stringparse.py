@@ -2,9 +2,12 @@
 bounded-set encoding variants and their test-efficient counterparts.
 
 The scan walks window lengths from (longest entry - 1) down to a configurable
-minimum, comparing every equal-length substring between entries. Complexity is
-quadratic in both entry count and entry length, which is acceptable for the
-bounded-cardinality columns these transforms target.
+minimum. At each width it maps every entry's distinct windows to the sorted
+entries that contain them, one dict operation per window, so a width costs
+time in proportion to the total characters of the set; the same index gives
+each overlap its supporting entries. Multi mode also intersects the window
+sets of every entry pair not yet matched, which stays quadratic in the entry
+count.
 """
 
 from __future__ import annotations
@@ -60,12 +63,30 @@ def config_from_params(params: dict, single_id: bool = True) -> OverlapScanConfi
     )
 
 
-def _window_set(entry: str, w: int) -> set[str]:
-    return {entry[i:i + w] for i in range(len(entry) - w + 1)}
-
-
 def _clean(s: str, exclude: frozenset[str]) -> bool:
     return not any(ch in exclude for ch in s)
+
+
+def _windows(entry: str, w: int, exclude: frozenset[str]) -> set[str]:
+    """The entry's distinct substrings of length w free of excluded characters."""
+    windows = {entry[i:i + w] for i in range(len(entry) - w + 1)}
+    if exclude:
+        windows = {s for s in windows if _clean(s, exclude)}
+    return windows
+
+
+def _width_index(windows) -> dict[str, list[str]]:
+    """Window -> the entries containing it, in the order of the (entry, window
+    set) pairs given."""
+    index: dict[str, list[str]] = {}
+    for e, mine in windows:
+        for s in mine:
+            holders = index.get(s)
+            if holders is None:
+                index[s] = [e]
+            else:
+                holders.append(e)
+    return index
 
 
 def scan_overlaps(uniques, cfg: OverlapScanConfig) -> OverlapMap:
@@ -83,28 +104,20 @@ def scan_overlaps(uniques, cfg: OverlapScanConfig) -> OverlapMap:
 
 def _scan_single(entries: list[str], top: int, cfg: OverlapScanConfig) -> OverlapMap:
     assignment: dict[str, str] = {}
+    overlaps: dict[str, list[str]] = {}
+    exclude = cfg.exclude_chars
     for w in range(top, cfg.min_len - 1, -1):
         if len(assignment) == len(entries):
             break
-        index: dict[str, set[str]] = {}
-        for e in entries:
-            for s in _window_set(e, w):
-                if _clean(s, cfg.exclude_chars):
-                    index.setdefault(s, set()).add(e)
+        index = _width_index((e, _windows(e, w, exclude)) for e in entries)
         for e in entries:
             if e in assignment:
                 continue
-            candidates = [
-                s for s in _window_set(e, w)
-                if _clean(s, cfg.exclude_chars) and any(o != e for o in index.get(s, ()))
-            ]
+            candidates = [s for s in _windows(e, w, exclude) if len(index[s]) > 1]
             if candidates:
-                assignment[e] = min(candidates)
-    overlaps = {
-        s: sorted(e for e in entries if s in e)
-        for s in sorted(set(assignment.values()))
-    }
-    return OverlapMap(overlaps=overlaps, assignment=assignment)
+                s = assignment[e] = min(candidates)
+                overlaps[s] = index[s]
+    return OverlapMap(overlaps=dict(sorted(overlaps.items())), assignment=assignment)
 
 
 def _scan_multi(entries: list[str], top: int, cfg: OverlapScanConfig) -> OverlapMap:
@@ -112,14 +125,12 @@ def _scan_multi(entries: list[str], top: int, cfg: OverlapScanConfig) -> Overlap
     pending = {
         (a, b) for i, a in enumerate(entries) for b in entries[i + 1:]
     }
-    found: set[str] = set()
+    overlaps: dict[str, list[str]] = {}
     for w in range(top, cfg.min_len - 1, -1):
         if not pending:
             break
-        windows = {
-            e: {s for s in _window_set(e, w) if _clean(s, cfg.exclude_chars)}
-            for e in entries
-        }
+        windows = {e: _windows(e, w, cfg.exclude_chars) for e in entries}
+        found: set[str] = set()
         done = set()
         for pair in pending:
             a, b = pair
@@ -128,13 +139,16 @@ def _scan_multi(entries: list[str], top: int, cfg: OverlapScanConfig) -> Overlap
                 found |= common
                 done.add(pair)
         pending -= done
-    overlaps = {s: sorted(e for e in entries if s in e) for s in sorted(found)}
-    assignment = {}
-    for e in entries:
-        mine = sorted((s for s in found if s in e), key=lambda s: (-len(s), s))
-        if mine:
-            assignment[e] = mine
-    return OverlapMap(overlaps=overlaps, assignment=assignment)
+        if found:
+            index = _width_index(windows.items())
+            for s in found:
+                overlaps[s] = index[s]
+    overlaps = dict(sorted(overlaps.items()))
+    assignment: dict[str, list[str]] = {}
+    for s in _ordered_overlaps(overlaps):
+        for e in overlaps[s]:
+            assignment.setdefault(e, []).append(s)
+    return OverlapMap(overlaps=overlaps, assignment=dict(sorted(assignment.items())))
 
 
 def _ordered_overlaps(keys) -> list[str]:
@@ -195,11 +209,23 @@ class Sp15Behavior(Behavior):
         return tuple(1.0 if o in mine else 0.0 for o in state["overlaps"])
 
 
-def _match_train_overlap(text: str, overlaps: list[str]) -> str | None:
-    """Longest stored overlap contained in text; overlaps are pre-ordered."""
+def _length_buckets(overlaps) -> list[tuple[int, set[str]]]:
+    """Overlaps grouped into one set per length, longest first."""
+    by_length: dict[int, set[str]] = {}
     for o in overlaps:
-        if o in text:
-            return o
+        by_length.setdefault(len(o), set()).add(o)
+    return sorted(by_length.items(), reverse=True)
+
+
+def _match_train_overlap(text: str, buckets) -> str | None:
+    """Longest stored overlap contained in text, the smallest on a tie: the
+    first in (-len, s) order. ``buckets`` come from ``_length_buckets``."""
+    for n, bucket in buckets:
+        if n > len(text):
+            continue
+        hit = bucket.intersection([text[i:i + n] for i in range(len(text) - n + 1)])
+        if hit:
+            return min(hit)
     return None
 
 
@@ -218,13 +244,18 @@ class Spl2Behavior(Behavior):
             "assignment": omap.assignment,
         }
 
+    def compile(self, state):
+        if not self.unseen_matches:
+            return state
+        return {**state, "buckets": _length_buckets(state["overlaps"])}
+
     def apply_cell(self, state, cell):
         text = canon_text(cell)
         if text is None:
             return (None,)
         assigned = state["assignment"].get(text)
         if assigned is None and self.unseen_matches:
-            assigned = _match_train_overlap(text, state["overlaps"])
+            assigned = _match_train_overlap(text, state["buckets"])
         return (assigned if assigned is not None else self._fallback(state, text),)
 
     @staticmethod

@@ -18,8 +18,10 @@ import math
 import random
 from dataclasses import dataclass, field, fields
 
+import numpy as np
+
 from . import infill as infill_mod
-from .encoders import CLASS_NUMERIC, auto_root_select, deviation_std
+from .encoders import CLASS_NUMERIC, auto_root_select, deviation_std, sum_scale_exponent
 from .errors import ConfigError, DataError
 from .registry import (
     BEHAVIORS,
@@ -154,9 +156,13 @@ def _source_stats(col: list[Cell]) -> dict:
     if coltype == COLTYPE_NUMERIC:
         values = sorted(v for v in col if v is not None)
         total = len(values)
+        exp = sum_scale_exponent(max(-values[0], values[-1]), total) if total else 0
+        if exp:
+            values = [math.ldexp(v, -exp) for v in values]
         mean = math.fsum(values) / total if total else 0.0
         std = deviation_std([v - mean for v in values], total)
-        return {"coltype": coltype, "total": total, "mean": mean, "std": std}
+        return {"coltype": coltype, "total": total,
+                "mean": math.ldexp(mean, exp), "std": math.ldexp(std, exp)}
     freq: dict[str, int] = {}
     for cell in col:
         text = canon_text(cell)
@@ -173,7 +179,8 @@ def _source_stats(col: list[Cell]) -> dict:
 
 def _step_outputs(behavior, state: dict, in_counts: dict) -> dict[Cell, tuple]:
     """Evaluate one step once per distinct input value: value -> output tuple."""
-    return {value: behavior.apply_cell(state, value) for value in in_counts}
+    compiled = behavior.compile(state)
+    return {value: behavior.apply_cell(compiled, value) for value in in_counts}
 
 
 def _record(values: dict[str, list], rec: StepRecord, step_map: dict) -> None:
@@ -265,13 +272,19 @@ def _fit_source(header: str, col: list[Cell], root_key: str, reg: Registry,
 
 
 def _expand_source(plan: SourcePlan, col: list[Cell], table: dict) -> dict[str, list[Cell]]:
-    """Expand a source's rows from its per-distinct table by lookup."""
+    """Expand a source's rows from its per-distinct table: each row's distinct
+    value becomes a position, through which every output column is gathered."""
     out_headers = plan.retained_headers()
     if not out_headers:
         return {}
-    rows = [table[cell] for cell in col]
-    transposed = zip(*rows) if rows else [[] for _ in out_headers]
-    return {h: list(vals) for h, vals in zip(out_headers, transposed)}
+    position = {value: i for i, value in enumerate(table)}
+    codes = np.fromiter((position[cell] for cell in col), dtype=np.intp, count=len(col))
+    rows = table.values()
+    return {
+        h: np.fromiter((row[i] for row in rows), dtype=object, count=len(rows))
+        .take(codes).tolist()
+        for i, h in enumerate(out_headers)
+    }
 
 
 def _infill_columns(plan: SourcePlan, col: list[Cell], columns: dict,

@@ -44,13 +44,15 @@ def make_random_table(rnd: random.Random, rows: int = 40, want_missing: bool = T
 def run_behavior(name: str, col: list, params: dict | None = None,
                  root_rule: str = "missing_only", state: dict | None = None):
     """Fit the registered behavior ``name`` on the column's distinct counts
-    (skipped when a fit ``state`` is given) and apply it cell by cell.
+    (skipped when a fit ``state`` is given), compile the state and apply it
+    cell by cell.
 
     Returns the fit state and one list per output column.
     """
     behavior = BEHAVIORS[name]
     if state is None:
         state = behavior.fit(distinct_counts(col), params or {}, root_rule)
-    rows = [behavior.apply_cell(state, cell) for cell in col]
+    compiled = behavior.compile(state)
+    rows = [behavior.apply_cell(compiled, cell) for cell in col]
     width = len(behavior.output_tokens(state))
     return state, [[row[i] for row in rows] for i in range(width)]

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 import parsemunge as pm
 from parsemunge.encoders import auto_root_select, binary_width, sanitize_token
 from parsemunge.errors import DataError
+from parsemunge.registry import BEHAVIORS
+from parsemunge.tidytable import canon_text
 
 from .helpers import run_behavior
 
@@ -114,6 +117,19 @@ class TestB1010:
         for n in range(1, 301):
             assert binary_width(n) == math.ceil(math.log2(n + 1))
 
+    def test_compiled_codes_match_list_index(self):
+        rnd = random.Random(1010)
+        col = [f"e{rnd.randint(0, 60)}" for _ in range(300)] + [None, 7.0]
+        state, _ = run_behavior("1010", col)
+        behavior = BEHAVIORS["1010"]
+        compiled = behavior.compile(state)
+        entries, width = state["entries"], state["width"]
+        for cell in sorted(set(col) - {None, 7.0}) + [7.0, None, "unseen", "e61"]:
+            text = canon_text(cell)
+            code = entries.index(text) + 1 if text in entries else 0
+            expected = tuple(float((code >> (width - 1 - i)) & 1) for i in range(width))
+            assert behavior.apply_cell(compiled, cell) == expected
+
     def test_seen_codes_never_all_zero(self):
         state, columns = run_behavior("1010", list("abcdefgh"))
         for i in range(len(state["entries"])):
@@ -135,7 +151,7 @@ class TestNumeric:
         from parsemunge.encoders import MnmxBehavior
         behavior = MnmxBehavior()
         state = behavior.fit({0.0: 1, 10.0: 1}, {}, "numeric_parse")
-        assert behavior.apply_cell(state, 20.0) == (2.0,)
+        assert behavior.apply_cell(behavior.compile(state), 20.0) == (2.0,)
 
     def test_mnmx_missing_uses_scaled_mean(self):
         _, [values] = run_behavior("mnmx", [0.0, 10.0, None])
@@ -143,6 +159,7 @@ class TestNumeric:
 
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=40))
     @example([0.0, 3.011038763261972e-160])  # squared deviations fall below the normal range
+    @example([0.0, 5e-324])  # the std rounds to the smallest subnormal, twice the true one
     @settings(max_examples=60, deadline=None)
     def test_nmbr_standardization_property(self, values):
         state, [encoded] = run_behavior("nmbr", values)
@@ -161,6 +178,22 @@ class TestNumeric:
         assert state["std"] == pytest.approx(5e199 * math.sqrt(2 / 3))
         assert encoded.column("x_nmbr") == pytest.approx([-1.2247, 1.2247, 0.0], abs=1e-4)
         assert plan.source_stats["std"] == state["std"]
+
+    @pytest.mark.parametrize("col,mean,std,expected", [
+        ([1e308, -1e308, 1e308], 1e308 / 3, 1e308 / 3 * math.sqrt(8), [0.7071, -1.4142, 0.7071]),
+        ([1e308, 1e308, 0.0], 1e308 / 3 * 2, 1e308 / 3 * math.sqrt(2), [0.7071, 0.7071, -1.4142]),
+    ])
+    def test_nmbr_fit_survives_sums_beyond_float_range(self, col, mean, std, expected):
+        table = pm.TidyTable(headers=["x"], columns=[col])
+        encoded, artifact = pm.fit(table, {"x": "nmbr"})
+        rebuilt = pm.deserialize(pm.serialize(artifact))
+        plan = rebuilt.per_source["x"]
+        state = next(rec.fit for rec in plan.steps if rec.behavior == "nmbr")
+        assert state["mean"] + state["shift"] == pytest.approx(mean)
+        assert state["std"] == pytest.approx(std)
+        assert encoded.column("x_nmbr") == pytest.approx(expected, abs=1e-4)
+        assert plan.source_stats["mean"] == pytest.approx(mean)
+        assert plan.source_stats["std"] == pytest.approx(std)
 
 
 class TestAutoRootSelect:

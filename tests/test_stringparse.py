@@ -1,11 +1,17 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parsemunge.errors import ConfigError
-from parsemunge.stringparse import OverlapScanConfig, scan_overlaps
+from parsemunge.stringparse import (
+    OverlapScanConfig,
+    Spl2Behavior,
+    Spl5Behavior,
+    _match_train_overlap,
+    scan_overlaps,
+)
 
 from .helpers import run_behavior
 from .oracles import oracle_pair_longest_common, oracle_single_assignment
@@ -85,7 +91,7 @@ class TestSplt:
         behavior = SpltBehavior()
         state = behavior.fit({"chrome 62.0": 1, "chrome 49.0": 1}, {"min_len": 5},
                              "missing_only")
-        assert behavior.apply_cell(state, "edge 99.0") == (0.0,)
+        assert behavior.apply_cell(behavior.compile(state), "edge 99.0") == (0.0,)
 
 
 class TestSp15:
@@ -145,7 +151,7 @@ class TestSpl5:
         counts = {"aaaa1": 1, "aaaa2": 1, "zz": 1}
         state = behavior.fit(counts, {"min_len": 4, "plug": "aaaa"}, "missing_only")
         assert state["plug"] != "aaaa"
-        assert behavior.apply_cell(state, "zz") == (state["plug"],)
+        assert behavior.apply_cell(behavior.compile(state), "zz") == (state["plug"],)
 
 
 class TestSp19:
@@ -218,7 +224,7 @@ class TestTestEfficientVariants:
         behavior = Spl2Behavior()
         state = behavior.fit({"chrome 62.0": 1, "chrome 49.0": 1}, {"min_len": 5},
                              "missing_only")
-        assert behavior.apply_cell(state, "chrome 88.0") == ("chrome ",)
+        assert behavior.apply_cell(behavior.compile(state), "chrome 88.0") == ("chrome ",)
 
 
 _entries = st.sets(st.text(alphabet="abcd", min_size=1, max_size=8), min_size=1, max_size=7)
@@ -265,6 +271,51 @@ def test_every_variant_replays_train_entries(uniques):
                      sp.Spl5Behavior(), sp.Spl9Behavior(), sp.Sp10Behavior(),
                      sp.Sp19Behavior(), sp.SbstBehavior()):
         state = behavior.fit(counts, params, "missing_only")
-        fit_rows = [behavior.apply_cell(state, c) for c in col]
-        replay_rows = [behavior.apply_cell(state, c) for c in col]
+        compiled = behavior.compile(state)
+        fit_rows = [behavior.apply_cell(compiled, c) for c in col]
+        replay_rows = [behavior.apply_cell(compiled, c) for c in col]
         assert fit_rows == replay_rows
+
+
+def _by_length_then_text(s):
+    return (-len(s), s)
+
+
+@given(_entries, st.booleans(), st.sampled_from([frozenset(), frozenset("b")]))
+@settings(max_examples=80, deadline=None)
+def test_overlap_supporters_match_containment(uniques, single_id, exclude):
+    cfg = OverlapScanConfig(min_len=2, exclude_chars=exclude, single_id=single_id)
+    omap = scan_overlaps(uniques, cfg)
+    for s, supporters in omap.overlaps.items():
+        assert supporters == sorted(e for e in uniques if s in e)
+    if single_id:
+        assert set(omap.overlaps) == set(omap.assignment.values())
+    else:
+        for e in uniques:
+            mine = sorted((s for s in omap.overlaps if s in e), key=_by_length_then_text)
+            assert omap.assignment.get(e, []) == mine
+
+
+def _linear_match(text, overlaps):
+    """Reference: the first stored overlap, in (-len, s) order, that text contains."""
+    for o in sorted(overlaps, key=_by_length_then_text):
+        if o in text:
+            return o
+    return None
+
+
+@given(st.sets(st.text(alphabet="abc", min_size=1, max_size=5), max_size=12),
+       st.text(alphabet="abcd", min_size=1, max_size=9))
+@example({"ab", "ba", "c"}, "bab")  # two overlaps of the longest length tie
+@example({"abcd", "bcda"}, "abc")  # text shorter than every overlap
+@example(set(), "abc")
+@settings(max_examples=150, deadline=None)
+def test_compiled_overlap_match_equals_linear_scan(overlaps, text):
+    expected = _linear_match(text, overlaps)
+    state = {"overlaps": sorted(overlaps, key=_by_length_then_text), "assignment": {},
+             "plug": "zzzplug"}
+    for behavior in (Spl2Behavior(), Spl5Behavior()):
+        compiled = behavior.compile(state)
+        assert _match_train_overlap(text, compiled["buckets"]) == expected
+        fallback = text if behavior.name == "spl2" else "zzzplug"
+        assert behavior.apply_cell(compiled, text) == (expected or fallback,)
