@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from math import isinf
 
 from .errors import DataError
 from .infill import is_infill_target
@@ -17,7 +18,6 @@ from .tidytable import (
     COLTYPE_ALL_MISSING,
     COLTYPE_NUMERIC,
     Cell,
-    UniqueSetStats,
     as_number,
     canon_text,
     column_stats,
@@ -38,6 +38,7 @@ class Behavior:
     target_rule = "missing_only"  # missing_only | numeric_parse | numeric_extract
     invertible = False
     inversion_pass = False  # step is transparent on an inversion path (UPCS, excl)
+    fit_keys: tuple[str, ...] = ()  # the keys of every fit state; artifacts are checked on them
 
     def fit(self, counts: dict[Cell, int], params: dict, root_rule: str) -> dict:
         return {}
@@ -91,6 +92,7 @@ class UpcsBehavior(Behavior):
     name = "UPCS"
     coltype_class = CLASS_CATEGORIC
     inversion_pass = True
+    fit_keys = ("enabled",)
 
     def fit(self, counts, params, root_rule):
         return {"enabled": bool(params.get("enabled", True))}
@@ -105,6 +107,7 @@ class UpcsBehavior(Behavior):
 class NarwBehavior(Behavior):
     name = "NArw"
     coltype_class = CLASS_BOOLEAN
+    fit_keys = ("rule",)
 
     def fit(self, counts, params, root_rule):
         return {"rule": root_rule}
@@ -125,39 +128,53 @@ class ExclBehavior(Behavior):
         return lambda values: values[0]
 
 
-class Ord3Behavior(Behavior):
-    name = "ord3"
-    coltype_class = CLASS_CATEGORIC
+class RankedCodeBehavior(Behavior):
+    """Fits the ranked entries, where entry i has code i + 1 and code 0 stands
+    for missing and unseen cells; decodes a code back to its entry."""
+
     invertible = True
+    fit_keys = ("entries",)
 
     def fit(self, counts, params, root_rule):
-        agg = text_counts(counts)
-        return {"codes": {e: i + 1 for i, e in enumerate(ranked_entries(agg))}}
+        return {"entries": ranked_entries(text_counts(counts))}
 
-    def apply_cell(self, state, cell):
-        text = canon_text(cell)
-        if text is None:
-            return (0.0,)
-        return (float(state["codes"].get(text, 0)),)
+    def code_of(self, values) -> int:
+        raise NotImplementedError
 
     def decoder(self, state):
-        rev = {code: entry for entry, code in state["codes"].items()}
+        entries, code_of = state["entries"], self.code_of
 
         def decode(values):
-            code = int(values[0])
+            code = code_of(values)
             if code == 0:
                 return None
-            if code not in rev:
-                raise DataError(f"ord3 code {code} not in the stored code map")
-            return rev[code]
+            if not 0 < code <= len(entries):
+                raise DataError(f"{self.name} output pattern {list(values)} has code {code}, "
+                                "which is not in the stored code map")
+            return entries[code - 1]
 
         return decode
+
+
+class Ord3Behavior(RankedCodeBehavior):
+    name = "ord3"
+    coltype_class = CLASS_CATEGORIC
+
+    def compile(self, state):
+        return {e: float(i + 1) for i, e in enumerate(state["entries"])}
+
+    def apply_cell(self, codes, cell):
+        return (codes.get(canon_text(cell), 0.0),)
+
+    def code_of(self, values):
+        return int(values[0])
 
 
 class OnhtBehavior(Behavior):
     name = "onht"
     coltype_class = CLASS_BOOLEAN
     invertible = True
+    fit_keys = ("entries",)
 
     def fit(self, counts, params, root_rule):
         return {"entries": ranked_entries(text_counts(counts))}
@@ -187,6 +204,7 @@ class BnryBehavior(Behavior):
     name = "bnry"
     coltype_class = CLASS_BOOLEAN
     invertible = True
+    fit_keys = ("one", "zero")
 
     def fit(self, counts, params, root_rule):
         agg = text_counts(counts)
@@ -219,10 +237,10 @@ def code_bits(code: int, width: int) -> tuple[float, ...]:
     return tuple(_BITS[(code >> (width - 1 - i)) & 1] for i in range(width))
 
 
-class B1010Behavior(Behavior):
+class B1010Behavior(RankedCodeBehavior):
     name = "1010"
     coltype_class = CLASS_BOOLEAN
-    invertible = True
+    fit_keys = ("entries", "width")
 
     def fit(self, counts, params, root_rule):
         entries = ranked_entries(text_counts(counts))
@@ -239,21 +257,11 @@ class B1010Behavior(Behavior):
         # Missing (None) and unseen entries take the reserved zero code.
         return code_bits(state["codes"].get(canon_text(cell), 0), state["width"])
 
-    def decoder(self, state):
-        entries, width = state["entries"], state["width"]
-
-        def decode(values):
-            code = 0
-            for v in values:
-                code = (code << 1) | (1 if v == 1.0 else 0)
-            if code == 0:
-                return None
-            if code > len(entries):
-                pattern = "".join("1" if v == 1.0 else "0" for v in values)
-                raise DataError(f"1010 pattern {pattern} not in the stored code map")
-            return entries[code - 1]
-
-        return decode
+    def code_of(self, values):
+        code = 0
+        for v in values:
+            code = (code << 1) | (1 if v == 1.0 else 0)
+        return code
 
 
 def _weighted_moments(counts: dict[Cell, int]) -> tuple[float, float, float, int]:
@@ -317,6 +325,7 @@ class NmbrBehavior(Behavior):
     coltype_class = CLASS_NUMERIC
     target_rule = "numeric_parse"
     invertible = True
+    fit_keys = ("mean", "shift", "std")
 
     def fit(self, counts, params, root_rule):
         mean, shift, std, _ = _weighted_moments(counts)
@@ -328,12 +337,25 @@ class NmbrBehavior(Behavior):
 
     def apply_cell(self, state, cell):
         v = as_number(cell)
-        if v is None or state["std"] == 0.0:
+        mean, shift, std = state["mean"], state["shift"], state["std"]
+        if v is None or std == 0.0:
             return (0.0,)
-        return (((v - state["mean"]) - state["shift"]) / state["std"],)
+        if isinf(v - mean):
+            # Quartering every term is exact for normal floats. Only data
+            # spanning more than the float range comes here: the rest keeps every bit.
+            v, mean, shift, std = v * 0.25, mean * 0.25, shift * 0.25, std * 0.25
+        return (((v - mean) - shift) / std,)
 
     def decoder(self, state):
-        return lambda values: (values[0] * state["std"] + state["shift"]) + state["mean"]
+        mean, shift, std = state["mean"], state["shift"], state["std"]
+
+        def decode(values):
+            d = values[0] * std
+            if isinf(d):  # as in apply_cell; dividing by 0.25 overflows to inf, not an error
+                return ((values[0] * (std * 0.25) + shift * 0.25) + mean * 0.25) / 0.25
+            return (d + shift) + mean
+
+        return decode
 
 
 class MnmxBehavior(Behavior):
@@ -341,6 +363,7 @@ class MnmxBehavior(Behavior):
     coltype_class = CLASS_NUMERIC
     target_rule = "numeric_parse"
     invertible = True
+    fit_keys = ("min", "max", "mean")
 
     def fit(self, counts, params, root_rule):
         mean, shift, _, _ = _weighted_moments(counts)
@@ -349,31 +372,35 @@ class MnmxBehavior(Behavior):
         hi = max(values) if values else 0.0
         return {"min": lo, "max": hi, "mean": mean + shift}
 
-    def apply_cell(self, state, cell):
-        span = state["max"] - state["min"]
+    def compile(self, state):
+        """(scale, min, span, mean), where min and span are scaled. The scale
+        is 1 unless the span exceeds the float range; then, as in
+        NmbrBehavior.apply_cell, every term is quartered."""
+        q = 0.25 if isinf(state["max"] - state["min"]) else 1.0
+        return q, state["min"] * q, state["max"] * q - state["min"] * q, state["mean"]
+
+    def apply_cell(self, compiled, cell):
+        q, lo, span, mean = compiled
         v = as_number(cell)
         if v is None:
-            v = state["mean"]  # train mean, scaled below
+            v = mean  # train mean, scaled below
         if span == 0.0:
             return (0.0,)
-        return ((v - state["min"]) / span,)
+        return ((v * q - lo) / span,)
 
     def decoder(self, state):
-        span = state["max"] - state["min"]
-        return lambda values: values[0] * span + state["min"]
+        q, lo, span, _ = self.compile(state)
+        return lambda values: (values[0] * span + lo) / q
 
 
-def auto_root_select(col: list[Cell], stats: UniqueSetStats | None = None,
-                     threshold: int = 255) -> str:
+def auto_root_select(col: list[Cell], threshold: int = 255) -> str:
     """Automation default: pick a root category from column type and cardinality."""
     coltype = infer_coltype(col)
     if coltype == COLTYPE_NUMERIC:
         return "nmbr"
     if coltype == COLTYPE_ALL_MISSING:
         return "excl"
-    if stats is None:
-        stats = column_stats(col)
-    n = stats.n_unique
+    n = column_stats(col).n_unique
     if n == 2:
         return "bnry"
     if n == 3:

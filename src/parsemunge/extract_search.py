@@ -52,23 +52,19 @@ def nmcm_extract(entry: str, allow_commas: bool = True, allow_decimal: bool = Tr
 
 
 class NmcmBehavior(Behavior):
-    """Numeric extraction fit on every train unique (scan-at-apply variant)."""
+    """Numeric extraction of every entry at apply (scan-at-apply variant)."""
 
     name = "nmcm"
     coltype_class = CLASS_NUMERIC
     target_rule = "numeric_extract"
+    fit_keys = ("flags",)
 
     def fit(self, counts, params, root_rule):
-        flags = {
+        return {"flags": {
             "allow_commas": bool(params.get("allow_commas", True)),
             "allow_decimal": bool(params.get("allow_decimal", True)),
             "allow_negative": bool(params.get("allow_negative", False)),
-        }
-        lookup = {
-            entry: nmcm_extract(entry, **flags)
-            for entry in sorted(text_counts(counts))
-        }
-        return {"lookup": lookup, "flags": flags}
+        }}
 
     def apply_cell(self, state, cell):
         text = canon_text(cell)
@@ -78,9 +74,18 @@ class NmcmBehavior(Behavior):
 
 
 class Nmc7Behavior(NmcmBehavior):
-    """As nmcm, but only entries unseen in train are string-parsed at apply."""
+    """As nmcm, but fit stores each train entry's extraction: apply parses unseen ones."""
 
     name = "nmc7"
+    fit_keys = ("flags", "lookup")
+
+    def fit(self, counts, params, root_rule):
+        state = super().fit(counts, params, root_rule)
+        state["lookup"] = {
+            entry: nmcm_extract(entry, **state["flags"])
+            for entry in sorted(text_counts(counts))
+        }
+        return state
 
     def apply_cell(self, state, cell):
         text = canon_text(cell)
@@ -132,6 +137,7 @@ class SrchBehavior(Behavior):
 
     name = "srch"
     coltype_class = CLASS_BOOLEAN
+    fit_keys = ("groups", "labels", "ordinal", "case_sensitive")
 
     def fit(self, counts, params, root_rule):
         spec = SearchSpec.from_params(params)

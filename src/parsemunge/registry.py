@@ -90,11 +90,6 @@ class ProcessEntry:
     key: str
     behavior: Behavior
     suffix: str
-    default_infill: str = "default"
-
-    @property
-    def coltype_class(self) -> str:
-        return self.behavior.coltype_class
 
     @property
     def target_rule(self) -> str:
@@ -135,11 +130,7 @@ class Registry:
                 for k, t in sorted(self.trees.items())
             },
             "entries": {
-                k: {
-                    "behavior": e.behavior.name,
-                    "suffix": e.suffix,
-                    "default_infill": e.default_infill,
-                }
+                k: {"behavior": e.behavior.name, "suffix": e.suffix}
                 for k, e in sorted(self.entries.items())
             },
             "aliases": dict(sorted(self.aliases.items())),
@@ -159,6 +150,8 @@ class Registry:
 def _tree_from_spec(key: str, spec) -> FamilyTree:
     if isinstance(spec, FamilyTree):
         return spec
+    if not isinstance(spec, dict):
+        raise ConfigError(f"family tree for {key!r} is not an object")
     unknown = set(spec) - set(ALL_SLOTS)
     if unknown:
         raise ConfigError(f"family tree for {key!r} has unknown slots: {sorted(unknown)}")
@@ -168,16 +161,16 @@ def _tree_from_spec(key: str, spec) -> FamilyTree:
 def _entry_from_spec(key: str, spec) -> ProcessEntry:
     if isinstance(spec, ProcessEntry):
         return spec
+    if not isinstance(spec, dict):
+        raise ConfigError(f"process entry {key!r} is not an object")
+    unknown = set(spec) - {"behavior", "suffix"}
+    if unknown:
+        raise ConfigError(f"process entry {key!r} has unknown keys: {sorted(unknown)}")
     name = spec.get("behavior", key)
     if name not in BEHAVIORS:
         raise ConfigError(f"process entry {key!r} references unknown behavior {name!r}")
     behavior = BEHAVIORS[name]
-    return ProcessEntry(
-        key=key,
-        behavior=behavior,
-        suffix=spec.get("suffix", behavior.name),
-        default_infill=spec.get("default_infill", "default"),
-    )
+    return ProcessEntry(key=key, behavior=behavior, suffix=spec.get("suffix", behavior.name))
 
 
 def _cat(key, behavior=None, suffix=None, parents=None, cousins=("NArw",), **slots):

@@ -168,6 +168,7 @@ class SpltBehavior(Behavior):
 
     name = "splt"
     coltype_class = CLASS_BOOLEAN
+    fit_keys = ("overlaps", "assignment")  # the overlaps name the output columns
 
     def fit(self, counts, params, root_rule):
         cfg = config_from_params(params, single_id=True)
@@ -191,6 +192,7 @@ class Sp15Behavior(Behavior):
 
     name = "sp15"
     coltype_class = CLASS_BOOLEAN
+    fit_keys = ("overlaps", "assignment")
 
     def fit(self, counts, params, root_rule):
         cfg = config_from_params(params, single_id=False)
@@ -234,20 +236,17 @@ class Spl2Behavior(Behavior):
 
     name = "spl2"
     coltype_class = CLASS_CATEGORIC
+    fit_keys = ("assignment",)  # single-id overlaps are exactly the assigned values
     unseen_matches = True  # entries unseen in train are matched against stored overlaps
 
     def fit(self, counts, params, root_rule):
         cfg = config_from_params(params, single_id=True)
-        omap = scan_overlaps(text_counts(counts), cfg)
-        return {
-            "overlaps": _ordered_overlaps(omap.overlaps),
-            "assignment": omap.assignment,
-        }
+        return {"assignment": scan_overlaps(text_counts(counts), cfg).assignment}
 
     def compile(self, state):
         if not self.unseen_matches:
             return state
-        return {**state, "buckets": _length_buckets(state["overlaps"])}
+        return {**state, "buckets": _length_buckets(state["assignment"].values())}
 
     def apply_cell(self, state, cell):
         text = canon_text(cell)
@@ -267,10 +266,12 @@ class Spl5Behavior(Spl2Behavior):
     """As spl2, but entries without an overlap become an infill plug value."""
 
     name = "spl5"
+    fit_keys = ("assignment", "plug")
 
     def fit(self, counts, params, root_rule):
         state = super().fit(counts, params, root_rule)
-        state["plug"] = _resolve_plug(str(params.get("plug", DEFAULT_PLUG)), state["overlaps"])
+        overlaps = set(state["assignment"].values())
+        state["plug"] = _resolve_plug(str(params.get("plug", DEFAULT_PLUG)), overlaps)
         return state
 
     @staticmethod
@@ -297,6 +298,7 @@ class Sp19Behavior(Behavior):
 
     name = "sp19"
     coltype_class = CLASS_BOOLEAN
+    fit_keys = ("codes", "width")
 
     def fit(self, counts, params, root_rule):
         cfg = config_from_params(params, single_id=False)
@@ -314,7 +316,6 @@ class Sp19Behavior(Behavior):
         ranked = sorted(pattern_counts, key=lambda p: (-pattern_counts[p], p))
         pattern_code = {p: i + 1 for i, p in enumerate(ranked)}
         return {
-            "overlaps": overlaps,
             "codes": {e: pattern_code[p] for e, p in entry_pattern.items()},
             "width": binary_width(len(ranked)),
         }
@@ -333,6 +334,7 @@ class SbstBehavior(Behavior):
 
     name = "sbst"
     coltype_class = CLASS_BOOLEAN
+    fit_keys = ("columns", "assignment")
 
     def fit(self, counts, params, root_rule):
         min_len = int(params.get("min_len", DEFAULT_MIN_LEN))

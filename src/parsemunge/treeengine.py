@@ -21,7 +21,13 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import infill as infill_mod
-from .encoders import CLASS_NUMERIC, auto_root_select, deviation_std, sum_scale_exponent
+from .encoders import (
+    CLASS_NUMERIC,
+    auto_root_select,
+    deviation_std,
+    sum_scale_exponent,
+    text_counts,
+)
 from .errors import ConfigError, DataError
 from .registry import (
     BEHAVIORS,
@@ -36,14 +42,13 @@ from .tidytable import (
     COLTYPE_NUMERIC,
     Cell,
     TidyTable,
-    canon_text,
     distinct_counts,
     infer_coltype,
 )
 
 logger = logging.getLogger(__name__)
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 ARTIFACT_SUFFIX = ".pmz.json"
 
 
@@ -163,11 +168,7 @@ def _source_stats(col: list[Cell]) -> dict:
         std = deviation_std([v - mean for v in values], total)
         return {"coltype": coltype, "total": total,
                 "mean": math.ldexp(mean, exp), "std": math.ldexp(std, exp)}
-    freq: dict[str, int] = {}
-    for cell in col:
-        text = canon_text(cell)
-        if text is not None:
-            freq[text] = freq.get(text, 0) + 1
+    freq = text_counts(distinct_counts(col))
     top = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
     return {
         "coltype": coltype,
@@ -455,6 +456,10 @@ def _plan_from_doc(header: str, doc: dict) -> SourcePlan:
     for rec in steps:
         if rec.behavior not in BEHAVIORS:
             raise DataError(f"artifact references unknown behavior {rec.behavior!r}")
+        fit_keys = BEHAVIORS[rec.behavior].fit_keys
+        if not isinstance(rec.fit, dict) or set(rec.fit) != set(fit_keys):
+            raise DataError(f"artifact step {rec.category!r} of source {header!r}: a "
+                            f"{rec.behavior} fit must be an object with keys {list(fit_keys)}")
         if rec.input_header not in known:
             raise DataError(f"artifact step {rec.category!r} of source {header!r} reads "
                             f"{rec.input_header!r}, which no earlier step produces")
@@ -487,14 +492,19 @@ def deserialize(data: bytes | str) -> FitArtifact:
         raise DataError(
             f"unsupported artifact format_version {version!r}, expected {FORMAT_VERSION}"
         )
-    Registry.from_snapshot(doc.get("registry_snapshot", {}))
-    # A missing key or a value of the wrong JSON type surfaces as one of these.
+    # A missing key or a value of the wrong JSON type surfaces as one of these;
+    # so does a snapshot the registry rejects.
     try:
+        Registry.from_snapshot(doc.get("registry_snapshot", {}))
         per_source = {h: _plan_from_doc(h, p) for h, p in doc.get("per_source", {}).items()}
         output_order = list(doc.get("output_order", []))
         _check_output_order(per_source, output_order)
         options = Options.from_jsonable(doc.get("options", {}))
-    except (KeyError, TypeError, AttributeError) as exc:
+        infill_spec = doc.get("infill_spec", {})
+        for h, spec in infill_spec.items():
+            if spec.get("kind") not in infill_mod.ALL_KINDS:
+                raise DataError(f"artifact infill_spec of {h!r} has no known kind")
+    except (ConfigError, KeyError, TypeError, AttributeError) as exc:
         raise DataError(f"malformed artifact document: {type(exc).__name__}: {exc}") from None
     return FitArtifact(
         format_version=version,
@@ -502,7 +512,7 @@ def deserialize(data: bytes | str) -> FitArtifact:
         registry_snapshot=doc.get("registry_snapshot", {}),
         per_source=per_source,
         output_order=output_order,
-        infill_spec=doc.get("infill_spec", {}),
+        infill_spec=infill_spec,
     )
 
 
@@ -575,8 +585,8 @@ def drift_report(artifact: FitArtifact, new: TidyTable) -> DriftReport:
     for header, plan in artifact.per_source.items():
         base = plan.source_stats
         col = new.column(header)
-        fresh = _source_stats(col)
         if base.get("coltype") == COLTYPE_NUMERIC:
+            fresh = _source_stats(col)
             per_source[header] = {
                 "kind": "numeric",
                 "train": {"mean": base["mean"], "std": base["std"], "total": base["total"]},
@@ -589,18 +599,10 @@ def drift_report(artifact: FitArtifact, new: TidyTable) -> DriftReport:
             }
         else:
             train_total = max(base.get("total", 0), 1)
-            new_freq: dict[str, int] = {}
-            unseen = 0
-            total = 0
+            new_freq = text_counts(distinct_counts(col))
+            total = sum(new_freq.values())
             known = set(base.get("uniques", []))
-            for cell in col:
-                text = canon_text(cell)
-                if text is None:
-                    continue
-                total += 1
-                new_freq[text] = new_freq.get(text, 0) + 1
-                if text not in known:
-                    unseen += 1
+            unseen = sum(n for text, n in new_freq.items() if text not in known)
             new_total = max(total, 1)
             top = {}
             for entry, count in base.get("top", []):

@@ -127,6 +127,17 @@ class TestCmdApply:
         assert main(["apply", str(blob), str(train), "--out", str(tmp_path / "r.csv")]) == 3
         assert "retained" in capsys.readouterr().err
 
+    def test_bad_registry_snapshot_exit_3(self, tmp_path, capsys):
+        train, _ = _write_train(tmp_path)
+        out = tmp_path / "out"
+        main(["fit", str(train), "--out-dir", str(out)])
+        blob = out / "artifact.pmz.json"
+        doc = json.loads(blob.read_text(encoding="utf-8"))
+        doc["registry_snapshot"]["entries"]["ord3"]["behavior"] = "nope"
+        blob.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["apply", str(blob), str(train), "--out", str(tmp_path / "r.csv")]) == 3
+        assert "nope" in capsys.readouterr().err
+
 
 class TestCmdInvert:
     def test_round_trip(self, tmp_path):

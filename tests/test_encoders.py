@@ -39,15 +39,20 @@ class TestNarw:
         assert run_behavior("NArw", ["a", "b", "c"])[1] == [[0.0, 0.0, 0.0]]
 
 
+def _codes(state):
+    """ord3's entry -> code map: the ranked entries, coded from 1."""
+    return {e: i + 1 for i, e in enumerate(state["entries"])}
+
+
 class TestOrd3:
     def test_frequency_then_alpha(self):
         state, [codes] = run_behavior("ord3", ["b", "a", "b", "c"])
-        assert state["codes"] == {"b": 1, "a": 2, "c": 3}
+        assert _codes(state) == {"b": 1, "a": 2, "c": 3}
         assert codes == [1.0, 2.0, 1.0, 3.0]
 
     def test_alphabetical_tie_break(self):
         state, _ = run_behavior("ord3", ["circle", "square", "triangle"])
-        assert state["codes"] == {"circle": 1, "square": 2, "triangle": 3}
+        assert _codes(state) == {"circle": 1, "square": 2, "triangle": 3}
 
     def test_unseen_reserved_zero(self):
         state, _ = run_behavior("ord3", ["a", "b"])
@@ -56,7 +61,7 @@ class TestOrd3:
     def test_rank_property(self):
         col = ["w"] * 5 + ["q"] * 3 + ["a"] * 3 + ["z"]
         state, _ = run_behavior("ord3", col)
-        assert state["codes"] == {"w": 1, "a": 2, "q": 3, "z": 4}
+        assert _codes(state) == {"w": 1, "a": 2, "q": 3, "z": 4}
 
 
 class TestOnht:
@@ -194,6 +199,24 @@ class TestNumeric:
         assert encoded.column("x_nmbr") == pytest.approx(expected, abs=1e-4)
         assert plan.source_stats["mean"] == pytest.approx(mean)
         assert plan.source_stats["std"] == pytest.approx(std)
+
+
+    @pytest.mark.parametrize("root,col,expected", [
+        ("nmbr", [1.7e308, -1.7e308, -1.7e308], [1.4142, -0.7071, -0.7071]),
+        ("mnmx", [1e308, -1e308, 0.0], [1.0, 0.0, 0.5]),
+    ])
+    def test_differences_beyond_float_range(self, root, col, expected):
+        # v - mean and max - min overflow here, though every value is finite.
+        table = pm.TidyTable(headers=["x"], columns=[col])
+        encoded, artifact = pm.fit(table, {"x": root})
+        rebuilt = pm.deserialize(pm.serialize(artifact))
+        applied = pm.apply(rebuilt, table)
+        assert applied == encoded
+        assert encoded.column(f"x_{root}") == pytest.approx(expected, abs=1e-4)
+        recovered, failed = pm.invert(rebuilt, applied)
+        assert failed == []
+        assert all(math.isfinite(v) for v in recovered.column("x"))
+        assert recovered.column("x") == pytest.approx(col, rel=1e-12)
 
 
 class TestAutoRootSelect:

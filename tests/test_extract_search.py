@@ -56,8 +56,9 @@ class TestNmcmExtract:
 
 class TestNmcmColumn:
     def test_basic_extraction(self):
-        state, [values] = run_behavior("nmcm", ["a 12", "b 7"])
+        _, [values] = run_behavior("nmcm", ["a 12", "b 7"])
         assert values == [12.0, 7.0]
+        state, _ = run_behavior("nmc7", ["a 12", "b 7"])
         assert state["lookup"] == {"a 12": 12.0, "b 7": 7.0}
 
     def test_all_text_column(self):
@@ -65,7 +66,7 @@ class TestNmcmColumn:
         assert values == [None, None]
 
     def test_duplicates_share_lookup(self):
-        state, _ = run_behavior("nmcm", ["a 12", "a 12", "b 7"])
+        state, _ = run_behavior("nmc7", ["a 12", "a 12", "b 7"])
         assert len(state["lookup"]) == 2
 
     def test_missing_passthrough(self):
@@ -76,15 +77,16 @@ class TestNmcmColumn:
 class TestNmc7Apply:
     def test_replay_equals_fit_output(self):
         col = ["a 12", "b 7", "a 12"]
-        state, [values] = run_behavior("nmcm", col)
+        _, [values] = run_behavior("nmcm", col)
+        state, _ = run_behavior("nmc7", col)
         assert run_behavior("nmc7", col, state=state)[1] == [values]
 
     def test_unseen_fresh_parse(self):
-        state, _ = run_behavior("nmcm", ["a 12"])
+        state, _ = run_behavior("nmc7", ["a 12"])
         assert run_behavior("nmc7", ["zone 88"], state=state)[1] == [[88.0]]
 
     def test_unseen_without_digits(self):
-        state, _ = run_behavior("nmcm", ["a 12"])
+        state, _ = run_behavior("nmc7", ["a 12"])
         assert run_behavior("nmc7", ["none"], state=state)[1] == [[None]]
 
     def test_stored_value_preferred(self):

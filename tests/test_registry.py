@@ -113,6 +113,15 @@ class TestMergeOverrides:
             merge_overrides(builtin_registry(),
                             entries={"wxyz": {"behavior": "nope"}})
 
+    def test_entry_spec_accepts_behavior_and_suffix_only(self):
+        with pytest.raises(ConfigError, match="default_infill"):
+            merge_overrides(builtin_registry(),
+                            entries={"wxyz": {"behavior": "ord3", "default_infill": "mean"}})
+        with pytest.raises(ConfigError, match="not an object"):
+            merge_overrides(builtin_registry(), entries={"wxyz": "ord3"})
+        with pytest.raises(ConfigError, match="not an object"):
+            merge_overrides(builtin_registry(), trees={"ord3": ["parents"]})
+
     def test_new_category_with_entry(self):
         merged = merge_overrides(
             builtin_registry(),

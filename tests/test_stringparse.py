@@ -296,6 +296,18 @@ def test_overlap_supporters_match_containment(uniques, single_id, exclude):
             assert omap.assignment.get(e, []) == mine
 
 
+@given(st.sets(st.text(alphabet="ab c", min_size=1, max_size=9), max_size=14),
+       st.integers(min_value=2, max_value=4),
+       st.sampled_from([frozenset(), frozenset(" ")]))
+@settings(max_examples=100, deadline=None)
+def test_single_id_overlaps_are_the_assigned_values(uniques, min_len, exclude):
+    # spl2/spl5/spl9/sp10 store only the assignment and rebuild the overlaps
+    # from its values, which loses nothing only while this holds.
+    cfg = OverlapScanConfig(min_len=min_len, exclude_chars=exclude)
+    omap = scan_overlaps(uniques, cfg)
+    assert set(omap.overlaps) == set(omap.assignment.values())
+
+
 def _linear_match(text, overlaps):
     """Reference: the first stored overlap, in (-len, s) order, that text contains."""
     for o in sorted(overlaps, key=_by_length_then_text):
@@ -312,8 +324,9 @@ def _linear_match(text, overlaps):
 @settings(max_examples=150, deadline=None)
 def test_compiled_overlap_match_equals_linear_scan(overlaps, text):
     expected = _linear_match(text, overlaps)
-    state = {"overlaps": sorted(overlaps, key=_by_length_then_text), "assignment": {},
-             "plug": "zzzplug"}
+    # Each stored overlap is assigned to one train entry; "#" keeps those
+    # entries out of the texts' alphabet, so no text is a train entry.
+    state = {"assignment": {f"#{o}": o for o in overlaps}, "plug": "zzzplug"}
     for behavior in (Spl2Behavior(), Spl5Behavior()):
         compiled = behavior.compile(state)
         assert _match_train_overlap(text, compiled["buckets"]) == expected

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import random
@@ -10,7 +11,7 @@ import parsemunge as pm
 from parsemunge.errors import ConfigError, DataError
 from parsemunge.registry import BEHAVIORS
 from parsemunge.tidytable import TidyTable
-from parsemunge.treeengine import Options
+from parsemunge.treeengine import FORMAT_VERSION, Options
 
 from .helpers import make_random_table, random_text_cell, run_behavior
 
@@ -298,6 +299,15 @@ def test_replay_property_nasty_content(col, root):
     assert pm.apply(rebuilt, table) == encoded
 
 
+# sha256 of the serialized artifact of TestSerialization::test_golden_artifact's fit.
+GOLDEN_ARTIFACT_SHA256 = "b8ea79ee99912106dd7f4181b0e50d008c57dbfd8a06b05dbcb939beb0aa98ea"
+
+
+def _fit_of(plan: dict, behavior: str) -> dict:
+    """The fit state of a serialized plan's first step of ``behavior``."""
+    return next(step["fit"] for step in plan["steps"] if step["behavior"] == behavior)
+
+
 class TestSerialization:
     def test_canonical_fixed_point(self):
         _, artifact = pm.fit(_table(a=["x", "y"]), {"a": "ord3"})
@@ -312,10 +322,33 @@ class TestSerialization:
 
     def test_version_mismatch(self):
         _, artifact = pm.fit(_table(a=["x"]), {"a": "ord3"})
-        doc = pm.serialize(artifact).decode("utf-8").replace(
-            '"format_version":1', '"format_version":999')
-        with pytest.raises(DataError, match="999"):
-            pm.deserialize(doc)
+        for version in (999, FORMAT_VERSION - 1):
+            doc = pm.serialize(artifact).decode("utf-8").replace(
+                f'"format_version":{FORMAT_VERSION}', f'"format_version":{version}')
+            with pytest.raises(DataError, match=str(version)):
+                pm.deserialize(doc)
+
+    def test_golden_artifact(self):
+        text = ["chrome 62.0", "Chrome 49.0", "safari 11.0", "safari", None, "edge 17"]
+        table = _table(
+            u=text, o=text, s1=text, s2=text, s3=text, s4=text, s5=text, s6=text, x=text,
+            q=text, e=text, h=["a", "b", "c", "a", "b", None],
+            b=["y", "n", "y", "n", None, "y"], m=[1.0, 2.5, None, 4.0, -3.0, 0.5],
+            n=[0.25, -1.5, 3.0, None, 8.0, 1.0],
+        )
+        roots = {"u": "or19", "o": "ord3", "s1": "splt", "s2": "sp15", "s3": "spl2",
+                 "s4": "spl5", "s5": "sp19", "s6": "sbst", "x": "nmcm", "q": "srch",
+                 "e": "excl", "h": "onht", "b": "bnry", "m": "mnmx", "n": "nmbr"}
+        opts = Options(assignparam={"srch": {"q": {"search": ["chrome", "safari"]}}},
+                       assigninfill={"meaninfill": ["n"], "modeinfill": ["h"]})
+        _, artifact = pm.fit(table, roots, opts=opts)
+        blob = pm.serialize(artifact)
+        used = {rec.behavior for plan in artifact.per_source.values() for rec in plan.steps}
+        assert used == set(BEHAVIORS)
+        assert pm.serialize(pm.deserialize(blob)) == blob
+        assert hashlib.sha256(blob).hexdigest() == GOLDEN_ARTIFACT_SHA256, (
+            "the serialized artifact changed: a change to the artifact format must bump "
+            "FORMAT_VERSION on purpose, and then re-pin this digest")
 
     def test_malformed_document(self):
         with pytest.raises(DataError, match="malformed"):
@@ -329,9 +362,29 @@ class TestSerialization:
         lambda doc, plan: plan["steps"][-1].update(input_header="nowhere"),
         lambda doc, plan: doc["output_order"].append("ghost"),
         lambda doc, plan: doc["output_order"].reverse(),
+        lambda doc, plan: _fit_of(plan, "1010").clear(),
+        lambda doc, plan: _fit_of(plan, "ord3").clear(),
+        lambda doc, plan: _fit_of(plan, "nmc7").clear(),
+        lambda doc, plan: _fit_of(plan, "spl9").clear(),
+        lambda doc, plan: _fit_of(plan, "sp10").clear(),
+        lambda doc, plan: _fit_of(plan, "UPCS").clear(),
+        lambda doc, plan: _fit_of(plan, "nmbr").update(bogus=1),
+        lambda doc, plan: plan["steps"][0].update(fit=[]),
+        lambda doc, plan: doc["registry_snapshot"]["trees"]["ord3"].update(bogus=[]),
+        lambda doc, plan: doc["registry_snapshot"]["entries"]["ord3"].update(behavior="nope"),
+        lambda doc, plan: doc["registry_snapshot"]["entries"]["ord3"].update(default_infill="x"),
+        lambda doc, plan: doc["registry_snapshot"]["trees"].update(ord3=5),
+        lambda doc, plan: doc.update(registry_snapshot=[]),
+        lambda doc, plan: doc["infill_spec"].update({doc["output_order"][0]: "mean"}),
+        lambda doc, plan: doc["infill_spec"].update({doc["output_order"][0]: {"kind": "?"}}),
     ], ids=["step-without-retained", "unknown-option", "steps-not-a-list",
             "plan-without-root", "unproduced-input-header", "unproduced-output",
-            "output-order-out-of-plan-order"])
+            "output-order-out-of-plan-order", "empty-1010-fit", "empty-ord3-fit",
+            "empty-nmc7-fit", "empty-spl9-fit", "empty-sp10-fit", "empty-UPCS-fit",
+            "unknown-fit-key", "fit-not-an-object", "snapshot-unknown-slot",
+            "snapshot-unknown-behavior", "snapshot-unknown-entry-key",
+            "snapshot-tree-not-an-object", "snapshot-not-an-object",
+            "infill-spec-entry-not-an-object", "infill-spec-unknown-kind"])
     def test_malformed_artifact_raises_data_error(self, mutate):
         table = _table(col2=ADDRESSES)
         _, artifact = pm.fit(table, {"col2": "or19"})
@@ -449,6 +502,18 @@ class TestDrift:
         _, artifact = pm.fit(table)
         report = pm.drift_report(artifact, _table(cat=["q", "r"]))
         assert report.per_source["cat"]["unseen_rate"] == 1.0
+
+
+    def test_signed_zeros_count_as_one_value(self):
+        _, artifact = pm.fit(_table(cat=["a", -0.0, "b", 0.0, 0.0]), {"cat": "ord3"})
+        stats = artifact.per_source["cat"].source_stats
+        assert stats["uniques"] == ["0", "a", "b"]
+        assert stats["top"] == [["0", 3], ["a", 1], ["b", 1]]
+        report = pm.drift_report(artifact, _table(cat=[-0.0, "a", 0.0]))
+        assert report.per_source["cat"]["top"]["0"]["new"] == pytest.approx(2 / 3)
+        _, artifact = pm.fit(_table(cat=["a", 0.0, "b", 0.0]), {"cat": "ord3"})
+        report = pm.drift_report(artifact, _table(cat=[-0.0, "a"]))
+        assert report.per_source["cat"]["unseen_rate"] == 0.0
 
 
 class TestInfillIntegration:
