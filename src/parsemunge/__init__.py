@@ -7,7 +7,7 @@ from .extract_search import SearchSpec, nmcm_extract
 from .importance import ImportanceReport, PredictorAdapter, builtin_tree, permutation_importance
 from .registry import FamilyTree, ProcessEntry, Registry, builtin_registry, merge_overrides, validate_registry
 from .stringparse import OverlapMap, OverlapScanConfig, scan_overlaps
-from .tidytable import TidyTable, UniqueSetStats, column_stats, infer_coltype, load_csv, write_csv
+from .tidytable import TidyTable, infer_coltype, load_csv, write_csv
 from .treeengine import (
     DriftReport,
     FitArtifact,
@@ -40,12 +40,10 @@ __all__ = [
     "SearchSpec",
     "StepRecord",
     "TidyTable",
-    "UniqueSetStats",
     "apply",
     "auto_root_select",
     "builtin_registry",
     "builtin_tree",
-    "column_stats",
     "deserialize",
     "drift_report",
     "fit",

@@ -20,7 +20,7 @@ from .tidytable import (
     Cell,
     as_number,
     canon_text,
-    column_stats,
+    distinct_counts,
     infer_coltype,
 )
 
@@ -123,9 +123,6 @@ class ExclBehavior(Behavior):
 
     def apply_cell(self, state, cell):
         return (cell,)
-
-    def decoder(self, state):
-        return lambda values: values[0]
 
 
 class RankedCodeBehavior(Behavior):
@@ -400,7 +397,7 @@ def auto_root_select(col: list[Cell], threshold: int = 255) -> str:
         return "nmbr"
     if coltype == COLTYPE_ALL_MISSING:
         return "excl"
-    n = column_stats(col).n_unique
+    n = len(text_counts(distinct_counts(col)))
     if n == 2:
         return "bnry"
     if n == 3:

@@ -136,16 +136,6 @@ class Registry:
             "aliases": dict(sorted(self.aliases.items())),
         }
 
-    @classmethod
-    def from_snapshot(cls, doc: dict) -> "Registry":
-        trees = {
-            k: _tree_from_spec(k, spec) for k, spec in doc.get("trees", {}).items()
-        }
-        entries = {}
-        for k, spec in doc.get("entries", {}).items():
-            entries[k] = _entry_from_spec(k, spec)
-        return cls(trees=trees, entries=entries, aliases=dict(doc.get("aliases", {})))
-
 
 def _tree_from_spec(key: str, spec) -> FamilyTree:
     if isinstance(spec, FamilyTree):

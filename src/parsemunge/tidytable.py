@@ -11,7 +11,7 @@ import csv
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DataError
 
@@ -102,15 +102,6 @@ class TidyTable:
         return self.headers == other.headers and self.columns == other.columns
 
 
-@dataclass
-class UniqueSetStats:
-    """Distinct-value statistics of one column, missing excluded."""
-
-    n_unique: int
-    avg_len: float
-    freq: dict[str, int] = field(default_factory=dict)
-
-
 def _classify(token: str, missing_tokens: frozenset[str]) -> Cell:
     if token in missing_tokens:
         return None
@@ -185,19 +176,6 @@ def distinct_counts(values, weights=None) -> dict[Cell, int]:
     if 0.0 in counts:
         counts[0.0] = counts.pop(0.0)
     return counts
-
-
-def column_stats(col: list[Cell]) -> UniqueSetStats:
-    """Distinct non-missing values with counts, over canonical text forms."""
-    freq: dict[str, int] = {}
-    for cell in col:
-        text = canon_text(cell)
-        if text is None:
-            continue
-        freq[text] = freq.get(text, 0) + 1
-    n = len(freq)
-    avg = sum(len(k) for k in freq) / n if n else 0.0
-    return UniqueSetStats(n_unique=n, avg_len=avg, freq=freq)
 
 
 def infer_coltype(col: list[Cell]) -> str:

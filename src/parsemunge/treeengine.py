@@ -48,7 +48,7 @@ from .tidytable import (
 
 logger = logging.getLogger(__name__)
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 ARTIFACT_SUFFIX = ".pmz.json"
 
 
@@ -63,45 +63,17 @@ class Options:
     assigninfill: dict = field(default_factory=dict)
     max_depth: int = 16
 
-    def to_jsonable(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "seed": self.seed,
-            "labels_column": self.labels_column,
-            "passthrough_unassigned": self.passthrough_unassigned,
-            "shuffle_train": self.shuffle_train,
-            "assignparam": self.assignparam,
-            "assigninfill": self.assigninfill,
-            "max_depth": self.max_depth,
-        }
-
-    @classmethod
-    def from_jsonable(cls, doc: dict) -> "Options":
-        return cls(**doc)
-
 
 @dataclass
 class StepRecord:
     """One transform application: category, header bookkeeping, frozen fit."""
 
     category: str
-    suffix: str
     behavior: str
     input_header: str
     output_headers: list[str]
     fit: dict
     retained: bool = True
-
-    def to_jsonable(self) -> dict:
-        return {
-            "category": self.category,
-            "suffix": self.suffix,
-            "behavior": self.behavior,
-            "input_header": self.input_header,
-            "output_headers": list(self.output_headers),
-            "fit": self.fit,
-            "retained": self.retained,
-        }
 
 
 @dataclass
@@ -118,26 +90,21 @@ class SourcePlan:
     def retained_headers(self) -> list[str]:
         return [h for rec in self.steps if rec.retained for h in rec.output_headers]
 
-    def to_jsonable(self) -> dict:
-        return {
-            "root": self.root,
-            "target_rule": self.target_rule,
-            "steps": [rec.to_jsonable() for rec in self.steps],
-            "source_stats": self.source_stats,
-        }
-
 
 @dataclass
 class FitArtifact:
-    """Serializable closure of an entire fit; replaying it on the original
-    train table reproduces the fit output exactly."""
+    """Serializable closure of an entire fit: each source's plan, in fit order,
+    and the infill of the retained columns that get one. Replaying it on the
+    original train table reproduces the fit output exactly."""
 
     format_version: int
-    options: Options
-    registry_snapshot: dict
+    labels_column: str | None
     per_source: dict[str, SourcePlan]
-    output_order: list[str]
     infill_spec: dict[str, dict]
+
+    @property
+    def output_order(self) -> list[str]:
+        return [h for plan in self.per_source.values() for h in plan.retained_headers()]
 
 
 @dataclass
@@ -226,7 +193,6 @@ def _fit_source(header: str, col: list[Cell], root_key: str, reg: Registry,
             out_headers.append(dedup(base))
         rec = StepRecord(
             category=reg.resolve(cat_key),
-            suffix=entry.suffix,
             behavior=entry.behavior.name,
             input_header=in_header,
             output_headers=out_headers,
@@ -290,10 +256,7 @@ def _expand_source(plan: SourcePlan, col: list[Cell], table: dict) -> dict[str, 
 
 def _infill_columns(plan: SourcePlan, col: list[Cell], columns: dict,
                     infill_spec: dict) -> None:
-    kinds = {
-        h: spec for h, spec in infill_spec.items()
-        if h in columns and spec["kind"] != infill_mod.KIND_DEFAULT
-    }
+    kinds = {h: spec for h, spec in infill_spec.items() if h in columns}
     if not kinds:
         return
     mask = infill_mod.mark_targets(col, plan.target_rule)
@@ -303,8 +266,9 @@ def _infill_columns(plan: SourcePlan, col: list[Cell], columns: dict,
 
 def _fit_infill_spec(plan: SourcePlan, counts: dict, table: dict,
                      kind: str) -> dict[str, dict]:
-    """Per retained column: requested kind where compatible, with train stats
-    taken over the non-target distinct values of the fit-time table."""
+    """Per retained column where the requested kind is compatible: the kind,
+    with train stats taken over the non-target distinct values of the fit-time
+    table. Other columns get no entry, which means no infill."""
     spec: dict[str, dict] = {}
     classes = [BEHAVIORS[rec.behavior].coltype_class
                for rec in plan.steps if rec.retained for _ in rec.output_headers]
@@ -314,7 +278,6 @@ def _fit_infill_spec(plan: SourcePlan, counts: dict, table: dict,
     ]
     for i, h in enumerate(plan.retained_headers()):
         if kind in infill_mod.NUMERIC_ONLY_KINDS and classes[i] != CLASS_NUMERIC:
-            spec[h] = {"kind": infill_mod.KIND_DEFAULT}
             continue
         stat = infill_mod.train_stat(kind, [(row[i], n) for row, n in pairs])
         entry = {"kind": kind}
@@ -385,30 +348,20 @@ def fit(train: TidyTable, assignments: dict[str, str] | None = None,
         plan, counts, table = _fit_source(h, col, root, reg, opts, dedup)
         plans[h] = plan
         kind = requested_infill.get(h, infill_mod.KIND_DEFAULT)
-        if kind == infill_mod.KIND_DEFAULT:
-            for out in plan.retained_headers():
-                infill_spec[out] = {"kind": infill_mod.KIND_DEFAULT}
-        else:
+        if kind != infill_mod.KIND_DEFAULT:
             infill_spec.update(_fit_infill_spec(plan, counts, table, kind))
         expanded = _expand_source(plan, col, table)
         _infill_columns(plan, col, expanded, infill_spec)
         columns.update(expanded)
 
-    output_order = [h for plan in plans.values() for h in plan.retained_headers()]
-    artifact = FitArtifact(
-        format_version=FORMAT_VERSION,
-        options=opts,
-        registry_snapshot=reg.snapshot(),
-        per_source=plans,
-        output_order=output_order,
-        infill_spec=infill_spec,
-    )
+    artifact = FitArtifact(FORMAT_VERSION, opts.labels_column, plans, infill_spec)
+    output_order = artifact.output_order
     encoded = [columns[h] for h in output_order]
     if opts.shuffle_train:
         order = list(range(train.row_count))
         random.Random(opts.seed).shuffle(order)
         encoded = [[col[i] for i in order] for col in encoded]
-    return TidyTable(headers=list(output_order), columns=encoded), artifact
+    return TidyTable(headers=output_order, columns=encoded), artifact
 
 
 def apply(artifact: FitArtifact, test: TidyTable) -> TidyTable:
@@ -416,7 +369,7 @@ def apply(artifact: FitArtifact, test: TidyTable) -> TidyTable:
     missing = [h for h in artifact.per_source if h not in test.headers]
     if missing:
         raise DataError(f"table is missing required source columns: {missing}")
-    known = set(artifact.per_source) | {artifact.options.labels_column}
+    known = set(artifact.per_source) | {artifact.labels_column}
     extra = [h for h in test.headers if h not in known]
     if extra:
         logger.warning("ignoring columns not present at fit time: %s", extra)
@@ -426,58 +379,66 @@ def apply(artifact: FitArtifact, test: TidyTable) -> TidyTable:
         expanded = _expand_source(plan, col, _walk(plan, distinct_counts(col)))
         _infill_columns(plan, col, expanded, artifact.infill_spec)
         columns.update(expanded)
-    return TidyTable(
-        headers=list(artifact.output_order),
-        columns=[columns[h] for h in artifact.output_order],
-    )
+    output_order = artifact.output_order
+    return TidyTable(headers=output_order, columns=[columns[h] for h in output_order])
 
 
 def serialize(artifact: FitArtifact) -> bytes:
-    """Canonical JSON bytes: sorted keys, shortest round-trip floats."""
+    """Canonical JSON bytes: sorted keys, shortest round-trip floats. A plan or
+    step is stored as its dataclass fields, so those are its keys."""
     doc = {
         "format_version": artifact.format_version,
-        "options": artifact.options.to_jsonable(),
-        "registry_snapshot": artifact.registry_snapshot,
-        "per_source": {h: plan.to_jsonable() for h, plan in artifact.per_source.items()},
-        "output_order": list(artifact.output_order),
+        "labels_column": artifact.labels_column,
+        "per_source": [{**vars(plan), "steps": [vars(rec) for rec in plan.steps]}
+                       for plan in artifact.per_source.values()],
         "infill_spec": artifact.infill_spec,
     }
     return json.dumps(doc, sort_keys=True, ensure_ascii=False, allow_nan=False,
                       separators=(",", ":")).encode("utf-8")
 
 
-def _plan_from_doc(header: str, doc: dict) -> SourcePlan:
-    """Read one source plan; each step must read the source or an earlier output."""
+_ARTIFACT_KEYS = tuple(f.name for f in fields(FitArtifact))
+_PLAN_KEYS = tuple(f.name for f in fields(SourcePlan))
+_STEP_KEYS = tuple(f.name for f in fields(StepRecord))
+_NUMERIC_STATS_KEYS = ("coltype", "total", "mean", "std")
+_CATEGORIC_STATS_KEYS = ("coltype", "total", "top", "uniques")
+
+
+def _checked(doc, keys, what: str) -> dict:
+    """``doc``, which must be an object with exactly ``keys``."""
+    if not isinstance(doc, dict) or set(doc) != set(keys):
+        got = sorted(doc) if isinstance(doc, dict) else type(doc).__name__
+        raise DataError(f"artifact {what} must be an object with keys {list(keys)}, not {got}")
+    return doc
+
+
+def _plan_from_doc(doc) -> SourcePlan:
+    """Read one source plan; each step must read the source or an earlier
+    output and name one output column per output token of its fit."""
+    header = _checked(doc, _PLAN_KEYS, "plan")["header"]
     if not isinstance(doc["steps"], list):
         raise DataError(f"artifact steps of source {header!r} are not a list")
-    keys = [f.name for f in fields(StepRecord)]
-    steps = [StepRecord(**{k: s[k] for k in keys}) for s in doc["steps"]]
+    steps = [StepRecord(**_checked(s, _STEP_KEYS, f"step of source {header!r}"))
+             for s in doc["steps"]]
     known = {header}
     for rec in steps:
         if rec.behavior not in BEHAVIORS:
             raise DataError(f"artifact references unknown behavior {rec.behavior!r}")
-        fit_keys = BEHAVIORS[rec.behavior].fit_keys
-        if not isinstance(rec.fit, dict) or set(rec.fit) != set(fit_keys):
-            raise DataError(f"artifact step {rec.category!r} of source {header!r}: a "
-                            f"{rec.behavior} fit must be an object with keys {list(fit_keys)}")
+        behavior = BEHAVIORS[rec.behavior]
+        where = f"step {rec.category!r} of source {header!r}"
+        _checked(rec.fit, behavior.fit_keys, f"{rec.behavior} fit of {where}")
+        if len(behavior.output_tokens(rec.fit)) != len(rec.output_headers):
+            raise DataError(f"artifact {where} names {len(rec.output_headers)} output "
+                            "columns, which its fit does not make")
         if rec.input_header not in known:
-            raise DataError(f"artifact step {rec.category!r} of source {header!r} reads "
-                            f"{rec.input_header!r}, which no earlier step produces")
+            raise DataError(f"artifact {where} reads {rec.input_header!r}, "
+                            "which no earlier step produces")
         known.update(rec.output_headers)
-    return SourcePlan(header, doc["root"], doc["target_rule"], steps,
-                      doc.get("source_stats", {}))
-
-
-def _check_output_order(per_source: dict[str, SourcePlan], output_order: list) -> None:
-    """output_order must list the retained headers, each plan's in plan order."""
-    retained = [h for plan in per_source.values() for h in plan.retained_headers()]
-    if sorted(output_order) != sorted(retained):
-        raise DataError("artifact output_order does not match the retained columns")
-    position = {h: i for i, h in enumerate(output_order)}
-    for header, plan in per_source.items():
-        positions = [position[h] for h in plan.retained_headers()]
-        if positions != sorted(positions):
-            raise DataError(f"artifact output_order lists source {header!r} out of plan order")
+    stats = doc["source_stats"]
+    numeric = isinstance(stats, dict) and stats.get("coltype") == COLTYPE_NUMERIC
+    _checked(stats, _NUMERIC_STATS_KEYS if numeric else _CATEGORIC_STATS_KEYS,
+             f"source_stats of source {header!r}")
+    return SourcePlan(header, doc["root"], doc["target_rule"], steps, stats)
 
 
 def deserialize(data: bytes | str) -> FitArtifact:
@@ -492,28 +453,29 @@ def deserialize(data: bytes | str) -> FitArtifact:
         raise DataError(
             f"unsupported artifact format_version {version!r}, expected {FORMAT_VERSION}"
         )
-    # A missing key or a value of the wrong JSON type surfaces as one of these;
-    # so does a snapshot the registry rejects.
+    # A value of the wrong JSON type surfaces as one of the caught errors.
     try:
-        Registry.from_snapshot(doc.get("registry_snapshot", {}))
-        per_source = {h: _plan_from_doc(h, p) for h, p in doc.get("per_source", {}).items()}
-        output_order = list(doc.get("output_order", []))
-        _check_output_order(per_source, output_order)
-        options = Options.from_jsonable(doc.get("options", {}))
-        infill_spec = doc.get("infill_spec", {})
-        for h, spec in infill_spec.items():
-            if spec.get("kind") not in infill_mod.ALL_KINDS:
-                raise DataError(f"artifact infill_spec of {h!r} has no known kind")
-    except (ConfigError, KeyError, TypeError, AttributeError) as exc:
+        _checked(doc, _ARTIFACT_KEYS, "document")
+        if not isinstance(doc["labels_column"], (str, type(None))):
+            raise DataError("artifact labels_column is neither a header nor null")
+        if not isinstance(doc["per_source"], list):
+            raise DataError("artifact per_source is not a list")
+        per_source: dict[str, SourcePlan] = {}
+        for plan in map(_plan_from_doc, doc["per_source"]):
+            if plan.header in per_source:
+                raise DataError(f"artifact lists source {plan.header!r} twice")
+            per_source[plan.header] = plan
+        artifact = FitArtifact(version, doc["labels_column"], per_source, doc["infill_spec"])
+        retained = set(artifact.output_order)
+        for h, spec in artifact.infill_spec.items():
+            if h not in retained:
+                raise DataError(f"artifact infill_spec names {h!r}, which is no retained column")
+            kind = spec.get("kind")
+            if kind == infill_mod.KIND_DEFAULT or kind not in infill_mod.ALL_KINDS:
+                raise DataError(f"artifact infill_spec of {h!r} has no known non-default kind")
+    except (KeyError, TypeError, AttributeError) as exc:
         raise DataError(f"malformed artifact document: {type(exc).__name__}: {exc}") from None
-    return FitArtifact(
-        format_version=version,
-        options=options,
-        registry_snapshot=doc.get("registry_snapshot", {}),
-        per_source=per_source,
-        output_order=output_order,
-        infill_spec=infill_spec,
-    )
+    return artifact
 
 
 _INVERT_PREFERENCE = {"1010": 0, "onht": 1, "bnry": 2, "ord3": 3, "mnmx": 4, "nmbr": 5}
@@ -585,7 +547,7 @@ def drift_report(artifact: FitArtifact, new: TidyTable) -> DriftReport:
     for header, plan in artifact.per_source.items():
         base = plan.source_stats
         col = new.column(header)
-        if base.get("coltype") == COLTYPE_NUMERIC:
+        if base["coltype"] == COLTYPE_NUMERIC:
             fresh = _source_stats(col)
             per_source[header] = {
                 "kind": "numeric",
@@ -598,14 +560,14 @@ def drift_report(artifact: FitArtifact, new: TidyTable) -> DriftReport:
                 },
             }
         else:
-            train_total = max(base.get("total", 0), 1)
+            train_total = max(base["total"], 1)
             new_freq = text_counts(distinct_counts(col))
             total = sum(new_freq.values())
-            known = set(base.get("uniques", []))
+            known = set(base["uniques"])
             unseen = sum(n for text, n in new_freq.items() if text not in known)
             new_total = max(total, 1)
             top = {}
-            for entry, count in base.get("top", []):
+            for entry, count in base["top"]:
                 train_prop = count / train_total
                 new_prop = new_freq.get(entry, 0) / new_total
                 top[entry] = {
@@ -617,7 +579,7 @@ def drift_report(artifact: FitArtifact, new: TidyTable) -> DriftReport:
                 "kind": "categoric",
                 "top": top,
                 "unseen_rate": (unseen / total) if total else 0.0,
-                "train_total": base.get("total", 0),
+                "train_total": base["total"],
                 "new_total": total,
             }
     return DriftReport(per_source=per_source)

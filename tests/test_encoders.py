@@ -227,6 +227,7 @@ class TestAutoRootSelect:
         (["a", "b", "c"], "onht"),
         (["a", "b", "c", "d"], "1010"),
         (["only"], "1010"),
+        (["a", -0.0, 0.0, "a"], "bnry"),  # both zeros are one value
     ])
     def test_rules(self, col, expected):
         assert auto_root_select(col) == expected

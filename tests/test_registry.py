@@ -59,7 +59,8 @@ class TestBuiltins:
     def test_snapshot_round_trip(self):
         reg = builtin_registry()
         snap = reg.snapshot()
-        rebuilt = Registry.from_snapshot(snap)
+        # the snapshot holds all the override path needs to rebuild the registry
+        rebuilt = merge_overrides(Registry(aliases=snap["aliases"]), snap["trees"], snap["entries"])
         assert rebuilt.snapshot() == snap
 
 

@@ -8,7 +8,6 @@ from parsemunge.tidytable import (
     COLTYPE_CATEGORIC,
     COLTYPE_NUMERIC,
     TidyTable,
-    column_stats,
     format_number,
     infer_coltype,
     load_csv,
@@ -103,31 +102,6 @@ def test_round_trip_property(tmp_path_factory, cols):
     path = tmp_path_factory.mktemp("rt") / "t.csv"
     write_csv(table, path)
     assert load_csv(path) == table
-
-
-class TestColumnStats:
-    def test_counts(self):
-        stats = column_stats(["b", "a", "b", None])
-        assert stats.n_unique == 2
-        assert stats.freq == {"b": 2, "a": 1}
-        assert stats.avg_len == 1.0
-
-    def test_empty(self):
-        stats = column_stats([])
-        assert stats.n_unique == 0
-        assert stats.freq == {}
-
-    def test_avg_len(self):
-        stats = column_stats(["chrome 62.0", "chrome 49.0"])
-        assert stats.n_unique == 2
-        assert stats.avg_len == 11.0
-
-    @given(st.lists(_cells, max_size=20))
-    @settings(max_examples=50, deadline=None)
-    def test_n_matches_freq_size(self, col):
-        stats = column_stats(col)
-        assert stats.n_unique == len(stats.freq)
-        assert sum(stats.freq.values()) == sum(1 for c in col if c is not None)
 
 
 class TestInferColtype:

@@ -299,13 +299,58 @@ def test_replay_property_nasty_content(col, root):
     assert pm.apply(rebuilt, table) == encoded
 
 
-# sha256 of the serialized artifact of TestSerialization::test_golden_artifact's fit.
-GOLDEN_ARTIFACT_SHA256 = "b8ea79ee99912106dd7f4181b0e50d008c57dbfd8a06b05dbcb939beb0aa98ea"
+# sha256 of the serialized artifact of _golden_artifact().
+GOLDEN_ARTIFACT_SHA256 = "10725afb70c2bfe5ba634bca45ece66c0d861f93931d15de521d194590b890f6"
 
 
 def _fit_of(plan: dict, behavior: str) -> dict:
     """The fit state of a serialized plan's first step of ``behavior``."""
     return next(step["fit"] for step in plan["steps"] if step["behavior"] == behavior)
+
+
+def _plan_of(doc: dict, header: str) -> dict:
+    """The serialized plan of source ``header``."""
+    return next(plan for plan in doc["per_source"] if plan["header"] == header)
+
+
+def _golden_artifact():
+    """A fit that uses every built-in behaviour, a numeric and a categoric
+    source, and infill entries."""
+    text = ["chrome 62.0", "Chrome 49.0", "safari 11.0", "safari", None, "edge 17"]
+    table = _table(
+        u=text, o=text, s1=text, s2=text, s3=text, s4=text, s5=text, s6=text, x=text,
+        q=text, e=text, h=["a", "b", "c", "a", "b", None],
+        b=["y", "n", "y", "n", None, "y"], m=[1.0, 2.5, None, 4.0, -3.0, 0.5],
+        n=[0.25, -1.5, 3.0, None, 8.0, 1.0],
+    )
+    roots = {"u": "or19", "o": "ord3", "s1": "splt", "s2": "sp15", "s3": "spl2",
+             "s4": "spl5", "s5": "sp19", "s6": "sbst", "x": "nmcm", "q": "srch",
+             "e": "excl", "h": "onht", "b": "bnry", "m": "mnmx", "n": "nmbr"}
+    opts = Options(assignparam={"srch": {"q": {"search": ["chrome", "safari"]}}},
+                   assigninfill={"meaninfill": ["n"], "modeinfill": ["h"]})
+    return pm.fit(table, roots, opts=opts)[1]
+
+
+def _stored_keys(doc: dict) -> dict[str, tuple]:
+    """Path of each key a serialized artifact stores: the top-level keys, the
+    keys of a plan and of a step, the source_stats keys of a numeric and of a
+    categoric source, and the fit-state keys of each behaviour."""
+    plans = doc["per_source"]
+    paths = {k: (k,) for k in doc}
+    paths.update({f"plan.{k}": ("per_source", 0, k) for k in plans[0]})
+    paths.update({f"step.{k}": ("per_source", 0, "steps", 0, k) for k in plans[0]["steps"][0]})
+    for i, plan in enumerate(plans):
+        stats = plan["source_stats"]
+        paths.update({f"source_stats.{stats['coltype']}.{k}": ("per_source", i, "source_stats", k)
+                      for k in stats})
+        for j, step in enumerate(plan["steps"]):
+            paths.update({f"fit.{step['behavior']}.{k}": ("per_source", i, "steps", j, "fit", k)
+                          for k in step["fit"]})
+    return paths
+
+
+_GOLDEN_BLOB = pm.serialize(_golden_artifact())
+_GOLDEN_KEYS = _stored_keys(json.loads(_GOLDEN_BLOB))
 
 
 class TestSerialization:
@@ -329,19 +374,7 @@ class TestSerialization:
                 pm.deserialize(doc)
 
     def test_golden_artifact(self):
-        text = ["chrome 62.0", "Chrome 49.0", "safari 11.0", "safari", None, "edge 17"]
-        table = _table(
-            u=text, o=text, s1=text, s2=text, s3=text, s4=text, s5=text, s6=text, x=text,
-            q=text, e=text, h=["a", "b", "c", "a", "b", None],
-            b=["y", "n", "y", "n", None, "y"], m=[1.0, 2.5, None, 4.0, -3.0, 0.5],
-            n=[0.25, -1.5, 3.0, None, 8.0, 1.0],
-        )
-        roots = {"u": "or19", "o": "ord3", "s1": "splt", "s2": "sp15", "s3": "spl2",
-                 "s4": "spl5", "s5": "sp19", "s6": "sbst", "x": "nmcm", "q": "srch",
-                 "e": "excl", "h": "onht", "b": "bnry", "m": "mnmx", "n": "nmbr"}
-        opts = Options(assignparam={"srch": {"q": {"search": ["chrome", "safari"]}}},
-                       assigninfill={"meaninfill": ["n"], "modeinfill": ["h"]})
-        _, artifact = pm.fit(table, roots, opts=opts)
+        artifact = _golden_artifact()
         blob = pm.serialize(artifact)
         used = {rec.behavior for plan in artifact.per_source.values() for rec in plan.steps}
         assert used == set(BEHAVIORS)
@@ -350,18 +383,39 @@ class TestSerialization:
             "the serialized artifact changed: a change to the artifact format must bump "
             "FORMAT_VERSION on purpose, and then re-pin this digest")
 
+    @pytest.mark.parametrize("path", list(_GOLDEN_KEYS.values()), ids=list(_GOLDEN_KEYS))
+    def test_every_stored_key_is_required(self, path):
+        doc = json.loads(_GOLDEN_BLOB)
+        *parents, key = path
+        node = doc
+        for p in parents:
+            node = node[p]
+        del node[key]
+        with pytest.raises(DataError):
+            pm.deserialize(json.dumps(doc))
+
+    def test_output_order_survives_round_trip(self):
+        table = _table(b=["x", "y", "x"], a=[1.0, 2.0, None])
+        encoded, artifact = pm.fit(table)
+        assert encoded.headers[0].startswith("b_")
+        rebuilt = pm.deserialize(pm.serialize(artifact))
+        assert list(rebuilt.per_source) == ["b", "a"]
+        assert rebuilt.output_order == artifact.output_order == encoded.headers
+        assert pm.apply(rebuilt, table) == encoded
+
     def test_malformed_document(self):
         with pytest.raises(DataError, match="malformed"):
             pm.deserialize(b"{not json")
 
     @pytest.mark.parametrize("mutate", [
         lambda doc, plan: plan["steps"][0].pop("retained"),
-        lambda doc, plan: doc["options"].update(bogus=1),
+        lambda doc, plan: doc.update(registry_snapshot={}),
+        lambda doc, plan: doc.update(per_source={plan["header"]: plan}),
+        lambda doc, plan: doc["per_source"].append(plan),
         lambda doc, plan: plan.update(steps={}),
         lambda doc, plan: plan.pop("root"),
         lambda doc, plan: plan["steps"][-1].update(input_header="nowhere"),
-        lambda doc, plan: doc["output_order"].append("ghost"),
-        lambda doc, plan: doc["output_order"].reverse(),
+        lambda doc, plan: doc["infill_spec"].update(ghost={"kind": "zero"}),
         lambda doc, plan: _fit_of(plan, "1010").clear(),
         lambda doc, plan: _fit_of(plan, "ord3").clear(),
         lambda doc, plan: _fit_of(plan, "nmc7").clear(),
@@ -370,26 +424,26 @@ class TestSerialization:
         lambda doc, plan: _fit_of(plan, "UPCS").clear(),
         lambda doc, plan: _fit_of(plan, "nmbr").update(bogus=1),
         lambda doc, plan: plan["steps"][0].update(fit=[]),
-        lambda doc, plan: doc["registry_snapshot"]["trees"]["ord3"].update(bogus=[]),
-        lambda doc, plan: doc["registry_snapshot"]["entries"]["ord3"].update(behavior="nope"),
-        lambda doc, plan: doc["registry_snapshot"]["entries"]["ord3"].update(default_infill="x"),
-        lambda doc, plan: doc["registry_snapshot"]["trees"].update(ord3=5),
-        lambda doc, plan: doc.update(registry_snapshot=[]),
-        lambda doc, plan: doc["infill_spec"].update({doc["output_order"][0]: "mean"}),
-        lambda doc, plan: doc["infill_spec"].update({doc["output_order"][0]: {"kind": "?"}}),
-    ], ids=["step-without-retained", "unknown-option", "steps-not-a-list",
-            "plan-without-root", "unproduced-input-header", "unproduced-output",
-            "output-order-out-of-plan-order", "empty-1010-fit", "empty-ord3-fit",
-            "empty-nmc7-fit", "empty-spl9-fit", "empty-sp10-fit", "empty-UPCS-fit",
-            "unknown-fit-key", "fit-not-an-object", "snapshot-unknown-slot",
-            "snapshot-unknown-behavior", "snapshot-unknown-entry-key",
-            "snapshot-tree-not-an-object", "snapshot-not-an-object",
-            "infill-spec-entry-not-an-object", "infill-spec-unknown-kind"])
+        lambda doc, plan: _fit_of(plan, "1010").update(width="x"),
+        lambda doc, plan: _fit_of(plan, "1010").update(width=5),
+        lambda doc, plan: _fit_of(plan, "1010").update(width=1),
+        lambda doc, plan: _plan_of(doc, "num").update(source_stats={"coltype": "numeric"}),
+        lambda doc, plan: doc["infill_spec"].update(col2_NArw="mean"),
+        lambda doc, plan: doc["infill_spec"].update(col2_NArw={"kind": "?"}),
+        lambda doc, plan: doc["infill_spec"].update(col2_NArw={"kind": "default"}),
+    ], ids=["step-without-retained", "unknown-top-level-key", "per-source-not-a-list",
+            "duplicate-plan-header", "steps-not-a-list", "plan-without-root",
+            "unproduced-input-header", "unproduced-output", "empty-1010-fit",
+            "empty-ord3-fit", "empty-nmc7-fit", "empty-spl9-fit", "empty-sp10-fit",
+            "empty-UPCS-fit", "unknown-fit-key", "fit-not-an-object",
+            "1010-width-not-a-number", "1010-width-above-headers", "1010-width-below-headers",
+            "numeric-source-stats-without-moments", "infill-spec-entry-not-an-object",
+            "infill-spec-unknown-kind", "infill-spec-default-kind"])
     def test_malformed_artifact_raises_data_error(self, mutate):
-        table = _table(col2=ADDRESSES)
-        _, artifact = pm.fit(table, {"col2": "or19"})
+        table = _table(col2=ADDRESSES, num=[1.0, 2.5, None, 4.0, 0.5])
+        _, artifact = pm.fit(table, {"col2": "or19", "num": "nmbr"})
         doc = json.loads(pm.serialize(artifact))
-        mutate(doc, doc["per_source"]["col2"])
+        mutate(doc, _plan_of(doc, "col2"))
         with pytest.raises(DataError):
             pm.deserialize(json.dumps(doc))
 
@@ -408,7 +462,9 @@ class TestSerialization:
         encoded, artifact = pm.fit(table, {"a": "splt", "b": "nmbr"}, opts=opts)
         rebuilt = pm.deserialize(pm.serialize(artifact))
         assert pm.apply(rebuilt, table) == encoded
-        assert rebuilt.options.assigninfill == {"meaninfill": ["b"]}
+        assert rebuilt.infill_spec == artifact.infill_spec
+        assert list(rebuilt.infill_spec) == ["b_nmbr"]
+        assert rebuilt.infill_spec["b_nmbr"]["kind"] == "mean"
 
 
 class TestInvert:
@@ -544,7 +600,7 @@ class TestInfillIntegration:
         encoded, artifact = pm.fit(table, {"a": "ord3"}, opts=opts)
         # ord3 is categoric-output: the reserved code stays in place
         assert encoded.column("a_ord3")[1] == 0.0
-        assert artifact.infill_spec["a_ord3"]["kind"] == "default"
+        assert "a_ord3" not in artifact.infill_spec
 
     def test_mode_infill_on_ord3(self):
         opts = Options(assigninfill={"modeinfill": ["a"]})
