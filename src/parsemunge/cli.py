@@ -160,6 +160,8 @@ def cmd_apply(args) -> int:
             if entry["kind"] == "numeric":
                 print(f"drift {header}: mean delta {entry['deltas']['mean']:.6g}, "
                       f"std delta {entry['deltas']['std']:.6g}")
+            elif entry["kind"] == "type_change":
+                print(f"drift {header}: type {entry['train_coltype']} -> {entry['new_coltype']}")
             else:
                 print(f"drift {header}: unseen rate {entry['unseen_rate']:.6g}")
     return 0

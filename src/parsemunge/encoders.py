@@ -126,14 +126,35 @@ class ExclBehavior(Behavior):
 
 
 class RankedCodeBehavior(Behavior):
-    """Fits the ranked entries, where entry i has code i + 1 and code 0 stands
-    for missing and unseen cells; decodes a code back to its entry."""
+    """A code per entry: the fit ranks the entries, entry i has code i + 1, and
+    code 0 stands for missing and unseen cells. Subclasses say how a code
+    becomes output columns (``encode``) and how it is read back (``code_of``)."""
 
     invertible = True
     fit_keys = ("entries",)
 
     def fit(self, counts, params, root_rule):
         return {"entries": ranked_entries(text_counts(counts))}
+
+    def code_map(self, state) -> dict[str, int]:
+        return {e: i + 1 for i, e in enumerate(state["entries"])}
+
+    def top_code(self, state) -> int:
+        return len(state["entries"])
+
+    def size(self, top: int) -> int:
+        """Output column count for codes 0 through ``top``."""
+        return 1
+
+    def compile(self, state):
+        return self.code_map(state), self.size(self.top_code(state))
+
+    def apply_cell(self, compiled, cell):
+        codes, size = compiled
+        return self.encode(codes.get(canon_text(cell), 0), size)
+
+    def encode(self, code: int, size: int) -> tuple:
+        raise NotImplementedError
 
     def code_of(self, values) -> int:
         raise NotImplementedError
@@ -157,44 +178,34 @@ class Ord3Behavior(RankedCodeBehavior):
     name = "ord3"
     coltype_class = CLASS_CATEGORIC
 
-    def compile(self, state):
-        return {e: float(i + 1) for i, e in enumerate(state["entries"])}
-
-    def apply_cell(self, codes, cell):
-        return (codes.get(canon_text(cell), 0.0),)
+    def encode(self, code, size):
+        return (float(code),)
 
     def code_of(self, values):
         return int(values[0])
 
 
-class OnhtBehavior(Behavior):
+class OnhtBehavior(RankedCodeBehavior):
     name = "onht"
     coltype_class = CLASS_BOOLEAN
-    invertible = True
-    fit_keys = ("entries",)
-
-    def fit(self, counts, params, root_rule):
-        return {"entries": ranked_entries(text_counts(counts))}
 
     def output_tokens(self, state):
         return [sanitize_token(e) for e in state["entries"]]
 
-    def apply_cell(self, state, cell):
-        text = canon_text(cell)
-        return tuple(1.0 if text == e else 0.0 for e in state["entries"])
+    def size(self, top):
+        return top
 
-    def decoder(self, state):
-        entries = state["entries"]
+    def encode(self, code, size):
+        out = [0.0] * size
+        if code:
+            out[code - 1] = 1.0
+        return tuple(out)
 
-        def decode(values):
-            hot = [i for i, v in enumerate(values) if v == 1.0]
-            if not hot:
-                return None
-            if len(hot) > 1:
-                raise DataError(f"onht row activates {len(hot)} columns, expected one")
-            return entries[hot[0]]
-
-        return decode
+    def code_of(self, values):
+        hot = [i for i, v in enumerate(values) if v == 1.0]
+        if len(hot) > 1:
+            raise DataError(f"onht row activates {len(hot)} columns, expected one")
+        return hot[0] + 1 if hot else 0
 
 
 class BnryBehavior(Behavior):
@@ -235,24 +246,16 @@ def code_bits(code: int, width: int) -> tuple[float, ...]:
 
 
 class B1010Behavior(RankedCodeBehavior):
+    """Each code as binary_width(top code) bits, so the width follows from the
+    code map; missing and unseen cells take the all-zero row."""
+
     name = "1010"
     coltype_class = CLASS_BOOLEAN
-    fit_keys = ("entries", "width")
-
-    def fit(self, counts, params, root_rule):
-        entries = ranked_entries(text_counts(counts))
-        return {"entries": entries, "width": binary_width(len(entries))}
+    size = staticmethod(binary_width)
+    encode = staticmethod(code_bits)
 
     def output_tokens(self, state):
-        return [str(i) for i in range(state["width"])]
-
-    def compile(self, state):
-        return {"codes": {e: i + 1 for i, e in enumerate(state["entries"])},
-                "width": state["width"]}
-
-    def apply_cell(self, state, cell):
-        # Missing (None) and unseen entries take the reserved zero code.
-        return code_bits(state["codes"].get(canon_text(cell), 0), state["width"])
+        return [str(i) for i in range(self.size(self.top_code(state)))]
 
     def code_of(self, values):
         code = 0

@@ -25,30 +25,30 @@ from .tidytable import canon_text
 
 @lru_cache(maxsize=None)
 def _pattern(allow_commas: bool, allow_decimal: bool, allow_negative: bool):
+    """The match at every candidate start, in order: a digit that follows no
+    digit, and, when negatives are allowed, a "-" sign. A start inside a digit
+    run matches a strict suffix of the match at the run's start."""
     core = r"\d+(?:,\d+)*" if allow_commas else r"\d+"
     if allow_decimal:
         core += r"(?:\.\d+)?"
+    starts = rf"(?<!\d){core}"
     if allow_negative:
-        core = "-?" + core
-    return re.compile(core, re.ASCII)
+        starts = f"-{core}|{starts}"
+    return re.compile(f"(?=({starts}))", re.ASCII)
 
 
 def nmcm_extract(entry: str, allow_commas: bool = True, allow_decimal: bool = True,
                  allow_negative: bool = False) -> float | None:
     """Longest numeric partition of entry as a float, or None when absent.
 
-    Every start position is tried so that partitions overlapping a shorter
-    leading match are still found; ties go to the earliest occurrence.
+    Every start that can begin a longest match is tried, so partitions
+    overlapping a shorter leading match are still found; ties go to the
+    earliest occurrence.
     """
-    pat = _pattern(allow_commas, allow_decimal, allow_negative)
-    best_len, best_text = 0, None
-    for i in range(len(entry)):
-        m = pat.match(entry, i)
-        if m is not None and m.end() - i > best_len:
-            best_len, best_text = m.end() - i, m.group()
-    if best_text is None:
+    found = _pattern(allow_commas, allow_decimal, allow_negative).findall(entry)
+    if not found:
         return None
-    return float(best_text.replace(",", ""))
+    return float(max(found, key=len).replace(",", ""))
 
 
 class NmcmBehavior(Behavior):

@@ -196,10 +196,10 @@ def permutation_importance(artifact: FitArtifact, table: TidyTable,
 # Built-in predictor: bagged CART trees, gini for classification and variance
 # for regression, seeded bootstraps, majority vote / mean aggregation.
 
-def _best_split(X, y, features, task: str, n_classes: int, parent_imp: float):
+def _best_split(X, y, task: str, n_classes: int, parent_imp: float):
     n = len(y)
     best = None
-    for j in features:
+    for j in range(X.shape[1]):
         order = np.argsort(X[:, j], kind="stable")
         xs, ys = X[order, j], y[order]
         cuts = np.nonzero(xs[1:] > xs[:-1])[0]
@@ -243,17 +243,11 @@ def _leaf_value(y, task: str) -> float:
     return float(np.mean(y))
 
 
-def _grow(X, y, depth, max_depth, task, n_classes, rng, feature_subsample):
+def _grow(X, y, depth, max_depth, task, n_classes):
     if depth >= max_depth or len(y) < 2 or len(np.unique(y)) == 1:
         return {"leaf": _leaf_value(y, task)}
-    d = X.shape[1]
-    if feature_subsample and d > 1:
-        k = max(1, int(np.sqrt(d)))
-        features = sorted(rng.choice(d, size=k, replace=False).tolist())
-    else:
-        features = range(d)
     parent = _impurity(y, task, n_classes)
-    split = _best_split(X, y, features, task, n_classes, parent)
+    split = _best_split(X, y, task, n_classes, parent)
     if split is None:
         return {"leaf": _leaf_value(y, task)}
     _, j, threshold = split
@@ -261,10 +255,8 @@ def _grow(X, y, depth, max_depth, task, n_classes, rng, feature_subsample):
     return {
         "feature": j,
         "threshold": threshold,
-        "left": _grow(X[mask], y[mask], depth + 1, max_depth, task, n_classes, rng,
-                      feature_subsample),
-        "right": _grow(X[~mask], y[~mask], depth + 1, max_depth, task, n_classes, rng,
-                       feature_subsample),
+        "left": _grow(X[mask], y[mask], depth + 1, max_depth, task, n_classes),
+        "right": _grow(X[~mask], y[~mask], depth + 1, max_depth, task, n_classes),
     }
 
 
@@ -284,8 +276,8 @@ def _predict_tree(node, X) -> np.ndarray:
     return out
 
 
-def builtin_tree(task: str, max_depth: int = 8, n_trees: int = 10, seed: int = 0,
-                 feature_subsample: bool = False) -> PredictorAdapter:
+def builtin_tree(task: str, max_depth: int = 8, n_trees: int = 10,
+                 seed: int = 0) -> PredictorAdapter:
     """Small bagged-CART ensemble; deterministic for a given seed."""
     if task not in (TASK_CLASSIFICATION, TASK_REGRESSION):
         raise ConfigError(f"unknown task {task!r}")
@@ -304,8 +296,7 @@ def builtin_tree(task: str, max_depth: int = 8, n_trees: int = 10, seed: int = 0
         for child in np.random.SeedSequence(seed).spawn(n_trees):
             rng = np.random.default_rng(child)
             idx = rng.integers(0, len(y), len(y))
-            trees.append(_grow(X[idx], y[idx], 0, max_depth, task, n_classes, rng,
-                               feature_subsample))
+            trees.append(_grow(X[idx], y[idx], 0, max_depth, task, n_classes))
         return {"trees": trees, "n_classes": n_classes}
 
     def predict(model, X):

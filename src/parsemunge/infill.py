@@ -7,6 +7,7 @@ fills of the encoded columns use train-basis statistics only.
 from __future__ import annotations
 
 import math
+import re
 
 from .errors import ConfigError
 from .tidytable import Cell, as_number, canon_text
@@ -39,6 +40,8 @@ CONFIG_KIND_NAMES = {
 
 NUMERIC_ONLY_KINDS = (KIND_MEAN, KIND_MEDIAN)
 
+_DIGIT = re.compile("[0-9]")
+
 
 def is_infill_target(cell: Cell, rule: str) -> bool:
     """Missing cells are always targets; numeric rules also target unparsable text."""
@@ -47,9 +50,8 @@ def is_infill_target(cell: Cell, rule: str) -> bool:
     if rule == "numeric_parse":
         return as_number(cell) is None
     if rule == "numeric_extract":
-        from .extract_search import nmcm_extract
-
-        return nmcm_extract(canon_text(cell)) is None
+        # nmcm_extract finds a number exactly when the text holds an ASCII digit.
+        return _DIGIT.search(canon_text(cell)) is None
     return False
 
 

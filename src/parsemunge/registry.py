@@ -20,6 +20,7 @@ from .errors import ConfigError
 UPSTREAM_SLOTS = ("parents", "siblings", "auntsuncles", "cousins")
 DOWNSTREAM_SLOTS = ("children", "niecesnephews", "coworkers", "friends")
 ALL_SLOTS = UPSTREAM_SLOTS + DOWNSTREAM_SLOTS
+MAX_DEPTH = 16  # family-tree recursion limit
 
 # slot -> (bears offspring, retains the column the generation was applied to)
 PRIMITIVE_SEMANTICS = {
@@ -119,9 +120,6 @@ class Registry:
         if resolved not in self.entries:
             raise ConfigError(f"unknown transformation category {key!r}")
         return self.entries[resolved]
-
-    def keys(self):
-        return sorted(self.trees)
 
     def snapshot(self) -> dict:
         return {
@@ -225,24 +223,14 @@ def merge_overrides(base: Registry, trees: dict | None = None,
         merged.entries[key] = _entry_from_spec(key, spec)
     for key, spec in (trees or {}).items():
         merged.trees[key] = _tree_from_spec(key, spec)
-        if key not in merged.entries:
-            raise ConfigError(
-                f"family tree override for {key!r} has no process entry in either map"
-            )
-    for key, tree in merged.trees.items():
-        for slot, ref in tree.references():
-            if not merged.has(ref):
-                raise ConfigError(
-                    f"dangling category reference {ref!r} in {key}.{slot}"
-                )
     diagnostics = validate_registry(merged)
     if diagnostics:
         raise ConfigError("registry validation failed: " + "; ".join(diagnostics))
     return merged
 
 
-def _offspring_depth_exceeded(reg: Registry, key: str, depth: int, limit: int) -> bool:
-    if depth > limit:
+def _offspring_depth_exceeded(reg: Registry, key: str, depth: int) -> bool:
+    if depth > MAX_DEPTH:
         return True
     tree = reg.trees.get(reg.resolve(key))
     if tree is None:
@@ -253,12 +241,12 @@ def _offspring_depth_exceeded(reg: Registry, key: str, depth: int, limit: int) -
         for entry in tree.slot(slot):
             sub = reg.trees.get(reg.resolve(entry))
             if sub is not None and sub.has_downstream():
-                if _offspring_depth_exceeded(reg, entry, depth + 1, limit):
+                if _offspring_depth_exceeded(reg, entry, depth + 1):
                     return True
     return False
 
 
-def validate_registry(reg: Registry, max_depth: int = 16) -> list[str]:
+def validate_registry(reg: Registry) -> list[str]:
     """Diagnostics for dangling keys, unbounded offspring recursion, and
     downstream wiring that no offspring-bearing slot can ever reach."""
     diagnostics = []
@@ -281,8 +269,8 @@ def validate_registry(reg: Registry, max_depth: int = 16) -> list[str]:
                 "offspring-bearing slot"
             )
     for key in sorted(reg.trees):
-        if _offspring_depth_exceeded(reg, key, 0, max_depth):
+        if _offspring_depth_exceeded(reg, key, 0):
             diagnostics.append(
-                f"offspring recursion from {key!r} exceeds max depth {max_depth}"
+                f"offspring recursion from {key!r} exceeds max depth {MAX_DEPTH}"
             )
     return diagnostics

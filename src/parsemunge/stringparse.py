@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 from .encoders import (
     CLASS_BOOLEAN,
     CLASS_CATEGORIC,
+    B1010Behavior,
     Behavior,
-    binary_width,
-    code_bits,
     sanitize_token,
     text_counts,
 )
@@ -54,7 +53,7 @@ class OverlapMap:
 
 def config_from_params(params: dict, single_id: bool = True) -> OverlapScanConfig:
     exclude = set(params.get("exclude_chars", ""))
-    if params.get("exclude_space_punct", False) or params.get("space_and_punctuation", True) is False:
+    if params.get("space_and_punctuation", True) is False:
         exclude |= SPACE_AND_PUNCTUATION
     return OverlapScanConfig(
         min_len=int(params.get("min_len", DEFAULT_MIN_LEN)),
@@ -164,14 +163,16 @@ def _resolve_plug(plug: str, overlaps) -> str:
 
 
 class SpltBehavior(Behavior):
-    """Boolean activation column per identified overlap, one per entry."""
+    """Boolean activation column per identified overlap: an entry activates
+    its assigned overlap (splt, sbst) or overlaps (sp15)."""
 
     name = "splt"
     coltype_class = CLASS_BOOLEAN
     fit_keys = ("overlaps", "assignment")  # the overlaps name the output columns
+    single_id = True
 
     def fit(self, counts, params, root_rule):
-        cfg = config_from_params(params, single_id=True)
+        cfg = config_from_params(params, single_id=self.single_id)
         omap = scan_overlaps(text_counts(counts), cfg)
         return {
             "overlaps": _ordered_overlaps(omap.overlaps),
@@ -181,34 +182,29 @@ class SpltBehavior(Behavior):
     def output_tokens(self, state):
         return [sanitize_token(o) for o in state["overlaps"]]
 
-    def apply_cell(self, state, cell):
-        text = canon_text(cell)
-        mine = state["assignment"].get(text) if text is not None else None
-        return tuple(1.0 if o == mine else 0.0 for o in state["overlaps"])
+    def compile(self, state):
+        """Entry -> positions of its active columns, and the column count. An
+        assigned name that is no stored overlap activates nothing."""
+        column = {o: i for i, o in enumerate(state["overlaps"])}
+        active = {}
+        for e, mine in state["assignment"].items():
+            names = [mine] if isinstance(mine, str) else mine
+            active[e] = [column[o] for o in names if o in column]
+        return active, len(column)
+
+    def apply_cell(self, compiled, cell):
+        active, size = compiled
+        out = [0.0] * size
+        for i in active.get(canon_text(cell), ()):
+            out[i] = 1.0
+        return tuple(out)
 
 
-class Sp15Behavior(Behavior):
+class Sp15Behavior(SpltBehavior):
     """As splt, but entries may activate several overlaps concurrently."""
 
     name = "sp15"
-    coltype_class = CLASS_BOOLEAN
-    fit_keys = ("overlaps", "assignment")
-
-    def fit(self, counts, params, root_rule):
-        cfg = config_from_params(params, single_id=False)
-        omap = scan_overlaps(text_counts(counts), cfg)
-        return {
-            "overlaps": _ordered_overlaps(omap.overlaps),
-            "assignment": omap.assignment,
-        }
-
-    def output_tokens(self, state):
-        return [sanitize_token(o) for o in state["overlaps"]]
-
-    def apply_cell(self, state, cell):
-        text = canon_text(cell)
-        mine = state["assignment"].get(text, ()) if text is not None else ()
-        return tuple(1.0 if o in mine else 0.0 for o in state["overlaps"])
+    single_id = False
 
 
 def _length_buckets(overlaps) -> list[tuple[int, set[str]]]:
@@ -293,12 +289,13 @@ class Sp10Behavior(Spl5Behavior):
     unseen_matches = False
 
 
-class Sp19Behavior(Behavior):
-    """Concurrent activation patterns consolidated by a binary encoding."""
+class Sp19Behavior(B1010Behavior):
+    """Concurrent activation patterns consolidated by a binary encoding: each
+    entry's pattern code takes 1010's bits."""
 
     name = "sp19"
-    coltype_class = CLASS_BOOLEAN
-    fit_keys = ("codes", "width")
+    invertible = False
+    fit_keys = ("codes",)
 
     def fit(self, counts, params, root_rule):
         cfg = config_from_params(params, single_id=False)
@@ -315,26 +312,19 @@ class Sp19Behavior(Behavior):
                 pattern_counts[bits] = pattern_counts.get(bits, 0) + n
         ranked = sorted(pattern_counts, key=lambda p: (-pattern_counts[p], p))
         pattern_code = {p: i + 1 for i, p in enumerate(ranked)}
-        return {
-            "codes": {e: pattern_code[p] for e, p in entry_pattern.items()},
-            "width": binary_width(len(ranked)),
-        }
+        return {"codes": {e: pattern_code[p] for e, p in entry_pattern.items()}}
 
-    def output_tokens(self, state):
-        return [str(i) for i in range(state["width"])]
+    def code_map(self, state):
+        return state["codes"]
 
-    def apply_cell(self, state, cell):
-        text = canon_text(cell)
-        code = state["codes"].get(text, 0) if text is not None else 0
-        return code_bits(code, state["width"])
+    def top_code(self, state):
+        return max(state["codes"].values(), default=0)
 
 
-class SbstBehavior(Behavior):
+class SbstBehavior(SpltBehavior):
     """Whole-entry candidates: an entry activates the longest other entry it contains."""
 
     name = "sbst"
-    coltype_class = CLASS_BOOLEAN
-    fit_keys = ("columns", "assignment")
 
     def fit(self, counts, params, root_rule):
         min_len = int(params.get("min_len", DEFAULT_MIN_LEN))
@@ -350,18 +340,10 @@ class SbstBehavior(Behavior):
             mine = [b for b in candidates if b != a and b in a]
             if mine:
                 assignment[a] = sorted(mine, key=lambda b: (-len(b), b))[0]
-        columns = [
+        overlaps = [
             b for b in candidates if any(a != b and b in a for a in uniques)
         ]
         return {
-            "columns": _ordered_overlaps(columns),
+            "overlaps": _ordered_overlaps(overlaps),
             "assignment": assignment,
         }
-
-    def output_tokens(self, state):
-        return [sanitize_token(c) for c in state["columns"]]
-
-    def apply_cell(self, state, cell):
-        text = canon_text(cell)
-        mine = state["assignment"].get(text) if text is not None else None
-        return tuple(1.0 if c == mine else 0.0 for c in state["columns"])

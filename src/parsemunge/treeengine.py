@@ -32,6 +32,7 @@ from .errors import ConfigError, DataError
 from .registry import (
     BEHAVIORS,
     DOWNSTREAM_SLOTS,
+    MAX_DEPTH,
     PRIMITIVE_SEMANTICS,
     UPSTREAM_SLOTS,
     Registry,
@@ -48,7 +49,7 @@ from .tidytable import (
 
 logger = logging.getLogger(__name__)
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 ARTIFACT_SUFFIX = ".pmz.json"
 
 
@@ -61,7 +62,6 @@ class Options:
     shuffle_train: bool = False
     assignparam: dict = field(default_factory=dict)
     assigninfill: dict = field(default_factory=dict)
-    max_depth: int = 16
 
 
 @dataclass
@@ -205,9 +205,9 @@ def _fit_source(header: str, col: list[Cell], root_key: str, reg: Registry,
 
     def run_generation(owner_key: str, in_header: str, in_counts: dict,
                        slots, depth: int) -> bool:
-        if depth > opts.max_depth:
+        if depth > MAX_DEPTH:
             raise ConfigError(
-                f"family tree recursion exceeds max depth {opts.max_depth} at {owner_key!r}"
+                f"family tree recursion exceeds max depth {MAX_DEPTH} at {owner_key!r}"
             )
         tree = reg.tree(owner_key)
         input_retained = not any(
@@ -307,7 +307,7 @@ def fit(train: TidyTable, assignments: dict[str, str] | None = None,
     opts = opts if opts is not None else Options()
     if not train.headers or train.row_count == 0:
         raise DataError("empty train table")
-    diagnostics = validate_registry(reg, max_depth=opts.max_depth)
+    diagnostics = validate_registry(reg)
     if diagnostics:
         raise ConfigError("registry validation failed: " + "; ".join(diagnostics))
     assignments = dict(assignments or {})
@@ -438,6 +438,14 @@ def _plan_from_doc(doc) -> SourcePlan:
     numeric = isinstance(stats, dict) and stats.get("coltype") == COLTYPE_NUMERIC
     _checked(stats, _NUMERIC_STATS_KEYS if numeric else _CATEGORIC_STATS_KEYS,
              f"source_stats of source {header!r}")
+    if not numeric:
+        # str.join type-checks every entry in C: a TypeError unless all are text.
+        "".join(stats["uniques"])
+        if not (isinstance(stats["top"], list) and isinstance(stats["uniques"], list)
+                and all(type(pair) is list and len(pair) == 2 and type(pair[0]) is str
+                        and type(pair[1]) is int for pair in stats["top"])):
+            raise DataError(f"artifact source_stats of source {header!r} need top as "
+                            "[entry, count] pairs and uniques as a list of entries")
     return SourcePlan(header, doc["root"], doc["target_rule"], steps, stats)
 
 
@@ -549,14 +557,18 @@ def drift_report(artifact: FitArtifact, new: TidyTable) -> DriftReport:
         col = new.column(header)
         if base["coltype"] == COLTYPE_NUMERIC:
             fresh = _source_stats(col)
+            if fresh["coltype"] != COLTYPE_NUMERIC:
+                # No moments to compare: the new data holds text or no values.
+                per_source[header] = {"kind": "type_change", "train_coltype": base["coltype"],
+                                      "new_coltype": fresh["coltype"], "new_total": fresh["total"]}
+                continue
             per_source[header] = {
                 "kind": "numeric",
                 "train": {"mean": base["mean"], "std": base["std"], "total": base["total"]},
-                "new": {"mean": fresh.get("mean", 0.0), "std": fresh.get("std", 0.0),
-                        "total": fresh.get("total", 0)},
+                "new": {"mean": fresh["mean"], "std": fresh["std"], "total": fresh["total"]},
                 "deltas": {
-                    "mean": abs(fresh.get("mean", 0.0) - base["mean"]),
-                    "std": abs(fresh.get("std", 0.0) - base["std"]),
+                    "mean": abs(fresh["mean"] - base["mean"]),
+                    "std": abs(fresh["std"] - base["std"]),
                 },
             }
         else:

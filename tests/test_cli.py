@@ -112,6 +112,18 @@ class TestCmdApply:
                      "--out", str(tmp_path / "r.csv"), "--drift"]) == 0
         assert "drift" in capsys.readouterr().out
 
+    def test_drift_type_change_printed(self, tmp_path, capsys):
+        train, table = _write_train(tmp_path)
+        out = tmp_path / "out"
+        main(["fit", str(train), "--out-dir", str(out)])
+        text_num = tmp_path / "text_num.csv"
+        write_csv(TidyTable(headers=table.headers,
+                            columns=table.columns[:2] + [["n/a"] * table.row_count]), text_num)
+        capsys.readouterr()
+        assert main(["apply", str(out / "artifact.pmz.json"), str(text_num),
+                     "--out", str(tmp_path / "r.csv"), "--drift"]) == 0
+        assert "drift num: type numeric -> categoric" in capsys.readouterr().out
+
     def test_missing_column_exit_3(self, tmp_path):
         train, _ = _write_train(tmp_path)
         out = tmp_path / "out"

@@ -105,7 +105,7 @@ class TestBnry:
 class TestB1010:
     def test_three_entries_width_two(self):
         state, columns = run_behavior("1010", ["a", "b", "c", "a"])
-        assert state["width"] == 2
+        assert BEHAVIORS["1010"].output_tokens(state) == ["0", "1"]
         assert state["entries"] == ["a", "b", "c"]
         # codes: a=01, b=10, c=11; missing would be 00
         assert [col[0] for col in columns] == [0.0, 1.0]
@@ -114,7 +114,7 @@ class TestB1010:
 
     def test_degenerate_single_entry(self):
         state, columns = run_behavior("1010", ["solo", "solo"])
-        assert state["width"] == 1
+        assert BEHAVIORS["1010"].output_tokens(state) == ["0"]
         assert columns == [[1.0, 1.0]]
 
     def test_width_formula(self):
@@ -128,7 +128,7 @@ class TestB1010:
         state, _ = run_behavior("1010", col)
         behavior = BEHAVIORS["1010"]
         compiled = behavior.compile(state)
-        entries, width = state["entries"], state["width"]
+        entries, width = state["entries"], len(behavior.output_tokens(state))
         for cell in sorted(set(col) - {None, 7.0}) + [7.0, None, "unseen", "e61"]:
             text = canon_text(cell)
             code = entries.index(text) + 1 if text in entries else 0

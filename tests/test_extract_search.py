@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parsemunge.errors import ConfigError
 from parsemunge.extract_search import SearchSpec, nmcm_extract
@@ -52,6 +55,14 @@ class TestNmcmExtract:
         for _ in range(800):
             s = "".join(rnd.choice(alphabet) for _ in range(rnd.randint(0, 24)))
             assert nmcm_extract(s, **flags) == oracle_extract(s, **flags), repr(s)
+
+    @given(st.text(alphabet="a0129,.- \u0663", max_size=20))
+    @settings(max_examples=150, deadline=None)
+    def test_oracle_equivalence_every_flag_set(self, s):
+        # Only digit-run starts and "-" signs are tried; no other start can
+        # begin a longest match.
+        for flags in itertools.product((False, True), repeat=3):
+            assert nmcm_extract(s, *flags) == oracle_extract(s, *flags), (s, flags)
 
 
 class TestNmcmColumn:

@@ -1,6 +1,11 @@
+import itertools
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from parsemunge.errors import ConfigError
+from parsemunge.extract_search import nmcm_extract
 from parsemunge.infill import (
     KIND_ADJACENT,
     KIND_DEFAULT,
@@ -32,6 +37,17 @@ class TestMarkTargets:
 
     def test_number_cells_parse(self):
         assert is_infill_target(3.0, "numeric_parse") is False
+
+    @given(st.one_of(st.text(), st.text(alphabet="ab09,.- \u0663\uff19\u00b2")))
+    @example("\u0663")  # a non-ASCII digit is no digit to nmcm_extract
+    @example("-,.")
+    @settings(max_examples=200, deadline=None)
+    def test_numeric_extract_rule_is_the_extraction_failing(self, text):
+        # The rule tests for an ASCII digit; extraction fails exactly without
+        # one, whatever its flags.
+        target = is_infill_target(text, "numeric_extract")
+        for flags in itertools.product((False, True), repeat=3):
+            assert target == (nmcm_extract(text, *flags) is None)
 
 
 class TestApplyInfill:

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parsemunge.errors import ConfigError
+from parsemunge.registry import BEHAVIORS
 from parsemunge.stringparse import (
     OverlapScanConfig,
     Spl2Behavior,
@@ -158,17 +160,17 @@ class TestSp19:
     def test_three_patterns_two_columns(self):
         col = ["ab cd", "ab xy", "zz cd"]
         state, columns = run_behavior("sp19", col, {"min_len": 2})
-        assert state["width"] == 2
+        assert BEHAVIORS["sp19"].output_tokens(state) == ["0", "1"]
         assert len(columns) == 2
 
     def test_degenerate_zero_patterns(self):
         state, columns = run_behavior("sp19", ["abc", "xyz"], {"min_len": 2})
-        assert state["width"] == 1
+        assert BEHAVIORS["sp19"].output_tokens(state) == ["0"]
         assert columns == [[0.0, 0.0]]
 
     def test_single_pattern_single_column(self):
         state, columns = run_behavior("sp19", ["chrome 62.0", "chrome 49.0"], {"min_len": 5})
-        assert state["width"] == 1
+        assert BEHAVIORS["sp19"].output_tokens(state) == ["0"]
         assert columns == [[1.0, 1.0]]
 
     def test_pattern_injectivity(self):
@@ -181,12 +183,12 @@ class TestSp19:
 class TestSbst:
     def test_containment(self):
         state, columns = run_behavior("sbst", ["chrome", "chrome 62.0"], {"min_len": 5})
-        assert state["columns"] == ["chrome"]
+        assert state["overlaps"] == ["chrome"]
         assert columns == [[0.0, 1.0]]
 
     def test_no_containment(self):
         state, columns = run_behavior("sbst", ["abc", "xyz"], {"min_len": 2})
-        assert columns == [] and state["columns"] == []
+        assert columns == [] and state["overlaps"] == []
 
     def test_longest_contained_entry_wins(self):
         from parsemunge.stringparse import SbstBehavior
@@ -195,7 +197,7 @@ class TestSbst:
                              "missing_only")
         assert state["assignment"]["cba"] == "ba"
         assert state["assignment"]["ba"] == "a"
-        assert state["columns"] == ["ba", "a"]
+        assert state["overlaps"] == ["ba", "a"]
 
 
 class TestTestEfficientVariants:
@@ -332,3 +334,53 @@ def test_compiled_overlap_match_equals_linear_scan(overlaps, text):
         assert _match_train_overlap(text, compiled["buckets"]) == expected
         fallback = text if behavior.name == "spl2" else "zzzplug"
         assert behavior.apply_cell(compiled, text) == (expected or fallback,)
+
+
+def _naive_row(name: str, state: dict, text):
+    """One cell's outputs straight from the fit state: each stored entry or
+    overlap compared with the cell's text in turn."""
+    if name in ("ord3", "onht", "1010"):
+        entries = state["entries"]
+        code = entries.index(text) + 1 if text in entries else 0
+        if name == "ord3":
+            return (float(code),)
+        if name == "onht":
+            return tuple(1.0 if text == e else 0.0 for e in entries)
+        top = len(entries)
+    elif name == "sp19":
+        code, top = state["codes"].get(text, 0), max(state["codes"].values(), default=0)
+    else:
+        mine = state["assignment"].get(text)
+        if name == "sp15":
+            return tuple(1.0 if o in (mine or ()) else 0.0 for o in state["overlaps"])
+        return tuple(1.0 if o == mine else 0.0 for o in state["overlaps"])
+    width = max(1, math.ceil(math.log2(top + 1)))
+    return tuple(float((code >> (width - 1 - i)) & 1) for i in range(width))
+
+
+@given(st.lists(st.text(alphabet="ab c", min_size=1, max_size=7), min_size=1, max_size=12),
+       st.lists(st.text(alphabet="abc d", max_size=7), max_size=6))
+@settings(max_examples=80, deadline=None)
+def test_compiled_apply_equals_naive_reference(col, unseen):
+    from parsemunge.tidytable import distinct_counts
+
+    counts = distinct_counts(col)
+    for name in ("ord3", "onht", "1010", "sp19", "splt", "sp15", "sbst"):
+        behavior = BEHAVIORS[name]
+        state = behavior.fit(counts, {"min_len": 2}, "missing_only")
+        compiled = behavior.compile(state)
+        for cell in col + unseen + [None]:
+            row = behavior.apply_cell(compiled, cell)
+            assert row == _naive_row(name, state, cell), (name, cell)
+            assert len(row) == len(behavior.output_tokens(state))
+
+
+@pytest.mark.parametrize("name", ["splt", "sp15", "sbst"])
+def test_assignment_to_no_stored_overlap_activates_nothing(name):
+    behavior = BEHAVIORS[name]
+    state = {"overlaps": ["ab", "cd"],
+             "assignment": {"x": "zz", "y": ["zz", "cd"], "w": "ab"}}
+    compiled = behavior.compile(state)
+    assert behavior.apply_cell(compiled, "x") == (0.0, 0.0)
+    assert behavior.apply_cell(compiled, "y") == (0.0, 1.0)
+    assert behavior.apply_cell(compiled, "w") == (1.0, 0.0)

@@ -120,7 +120,7 @@ class TestOr19Differential:
 
         _, [up] = run_behavior("UPCS", col)
         state, bit_cols = run_behavior("1010", up)
-        for i in range(state["width"]):
+        for i in range(len(BEHAVIORS["1010"].output_tokens(state))):
             assert encoded.column(f"src_UPCS_1010_{i}") == bit_cols[i]
 
         _, [extracted] = run_behavior("nmcm", up)
@@ -300,12 +300,27 @@ def test_replay_property_nasty_content(col, root):
 
 
 # sha256 of the serialized artifact of _golden_artifact().
-GOLDEN_ARTIFACT_SHA256 = "10725afb70c2bfe5ba634bca45ece66c0d861f93931d15de521d194590b890f6"
+GOLDEN_ARTIFACT_SHA256 = "af8b9e2ebb84cdf5c371bd07d5732107425ae413fdc8126bf7ad2e600afec72d"
+
+
+def _step_of(plan: dict, behavior: str) -> dict:
+    """A serialized plan's first step of ``behavior``."""
+    return next(step for step in plan["steps"] if step["behavior"] == behavior)
 
 
 def _fit_of(plan: dict, behavior: str) -> dict:
     """The fit state of a serialized plan's first step of ``behavior``."""
-    return next(step["fit"] for step in plan["steps"] if step["behavior"] == behavior)
+    return _step_of(plan, behavior)["fit"]
+
+
+def _with_top_code(step: dict, top: int) -> None:
+    """Rewrite a 1010 or sp19 fit so that its highest code is ``top``; the step
+    keeps its output headers, which fit 3 bits for the tests' fits."""
+    assert len(step["output_headers"]) == 3
+    if step["behavior"] == "1010":
+        step["fit"]["entries"] = [f"e{i}" for i in range(top)]
+    else:
+        step["fit"]["codes"]["E"] = top
 
 
 def _plan_of(doc: dict, header: str) -> dict:
@@ -424,10 +439,14 @@ class TestSerialization:
         lambda doc, plan: _fit_of(plan, "UPCS").clear(),
         lambda doc, plan: _fit_of(plan, "nmbr").update(bogus=1),
         lambda doc, plan: plan["steps"][0].update(fit=[]),
-        lambda doc, plan: _fit_of(plan, "1010").update(width="x"),
-        lambda doc, plan: _fit_of(plan, "1010").update(width=5),
-        lambda doc, plan: _fit_of(plan, "1010").update(width=1),
+        lambda doc, plan: _with_top_code(_step_of(plan, "1010"), 2 ** 3),
+        lambda doc, plan: _with_top_code(_step_of(plan, "1010"), 1),
+        lambda doc, plan: _with_top_code(_step_of(_plan_of(doc, "pat"), "sp19"), 2 ** 3),
         lambda doc, plan: _plan_of(doc, "num").update(source_stats={"coltype": "numeric"}),
+        lambda doc, plan: plan["source_stats"].update(top=[["a"]]),
+        lambda doc, plan: plan["source_stats"].update(top=[["a", "1"]]),
+        lambda doc, plan: plan["source_stats"].update(top={"a": 1}),
+        lambda doc, plan: plan["source_stats"].update(uniques=["a", 1.0]),
         lambda doc, plan: doc["infill_spec"].update(col2_NArw="mean"),
         lambda doc, plan: doc["infill_spec"].update(col2_NArw={"kind": "?"}),
         lambda doc, plan: doc["infill_spec"].update(col2_NArw={"kind": "default"}),
@@ -436,12 +455,14 @@ class TestSerialization:
             "unproduced-input-header", "unproduced-output", "empty-1010-fit",
             "empty-ord3-fit", "empty-nmc7-fit", "empty-spl9-fit", "empty-sp10-fit",
             "empty-UPCS-fit", "unknown-fit-key", "fit-not-an-object",
-            "1010-width-not-a-number", "1010-width-above-headers", "1010-width-below-headers",
-            "numeric-source-stats-without-moments", "infill-spec-entry-not-an-object",
-            "infill-spec-unknown-kind", "infill-spec-default-kind"])
+            "1010-entries-above-headers", "1010-entries-below-headers",
+            "sp19-codes-above-headers", "numeric-source-stats-without-moments",
+            "top-not-pairs", "top-count-not-int", "top-not-a-list", "uniques-not-text",
+            "infill-spec-entry-not-an-object", "infill-spec-unknown-kind",
+            "infill-spec-default-kind"])
     def test_malformed_artifact_raises_data_error(self, mutate):
-        table = _table(col2=ADDRESSES, num=[1.0, 2.5, None, 4.0, 0.5])
-        _, artifact = pm.fit(table, {"col2": "or19", "num": "nmbr"})
+        table = _table(col2=ADDRESSES, num=[1.0, 2.5, None, 4.0, 0.5], pat=ADDRESSES)
+        _, artifact = pm.fit(table, {"col2": "or19", "num": "nmbr", "pat": "sp19"})
         doc = json.loads(pm.serialize(artifact))
         mutate(doc, _plan_of(doc, "col2"))
         with pytest.raises(DataError):
@@ -552,6 +573,15 @@ class TestDrift:
         shifted = _table(num=[2.0, 3.0, 4.0])
         report = pm.drift_report(artifact, shifted)
         assert report.per_source["num"]["deltas"]["mean"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_numeric_source_turned_text_is_a_type_change(self):
+        _, artifact = pm.fit(_table(num=[1.0, 2.0, 3.0]))
+        report = pm.drift_report(artifact, _table(num=["x", "y", 5.0]))
+        assert report.per_source["num"] == {
+            "kind": "type_change", "train_coltype": "numeric",
+            "new_coltype": "categoric", "new_total": 3}
+        report = pm.drift_report(artifact, _table(num=[None, None]))
+        assert report.per_source["num"]["new_coltype"] == "all-missing"
 
     def test_disjoint_categoric(self):
         table = _table(cat=["a", "b", "a", "c"])
