@@ -36,9 +36,8 @@ class Behavior:
     name = "?"
     coltype_class = CLASS_CATEGORIC
     target_rule = "missing_only"  # missing_only | numeric_parse | numeric_extract
-    invertible = False
     inversion_pass = False  # step is transparent on an inversion path (UPCS, excl)
-    fit_keys: tuple[str, ...] = ()  # the keys of every fit state; artifacts are checked on them
+    fit_schema: dict = {}  # schema spec of every fit state; artifacts are checked on it
 
     def fit(self, counts: dict[Cell, int], params: dict, root_rule: str) -> dict:
         return {}
@@ -92,7 +91,7 @@ class UpcsBehavior(Behavior):
     name = "UPCS"
     coltype_class = CLASS_CATEGORIC
     inversion_pass = True
-    fit_keys = ("enabled",)
+    fit_schema = {"enabled": bool}
 
     def fit(self, counts, params, root_rule):
         return {"enabled": bool(params.get("enabled", True))}
@@ -107,7 +106,7 @@ class UpcsBehavior(Behavior):
 class NarwBehavior(Behavior):
     name = "NArw"
     coltype_class = CLASS_BOOLEAN
-    fit_keys = ("rule",)
+    fit_schema = {"rule": str}
 
     def fit(self, counts, params, root_rule):
         return {"rule": root_rule}
@@ -130,8 +129,7 @@ class RankedCodeBehavior(Behavior):
     code 0 stands for missing and unseen cells. Subclasses say how a code
     becomes output columns (``encode``) and how it is read back (``code_of``)."""
 
-    invertible = True
-    fit_keys = ("entries",)
+    fit_schema = {"entries": [str]}
 
     def fit(self, counts, params, root_rule):
         return {"entries": ranked_entries(text_counts(counts))}
@@ -211,8 +209,7 @@ class OnhtBehavior(RankedCodeBehavior):
 class BnryBehavior(Behavior):
     name = "bnry"
     coltype_class = CLASS_BOOLEAN
-    invertible = True
-    fit_keys = ("one", "zero")
+    fit_schema = {"one": str, "zero": str}
 
     def fit(self, counts, params, root_rule):
         agg = text_counts(counts)
@@ -324,8 +321,7 @@ class NmbrBehavior(Behavior):
     name = "nmbr"
     coltype_class = CLASS_NUMERIC
     target_rule = "numeric_parse"
-    invertible = True
-    fit_keys = ("mean", "shift", "std")
+    fit_schema = {"mean": float, "shift": float, "std": float}
 
     def fit(self, counts, params, root_rule):
         mean, shift, std, _ = _weighted_moments(counts)
@@ -362,8 +358,7 @@ class MnmxBehavior(Behavior):
     name = "mnmx"
     coltype_class = CLASS_NUMERIC
     target_rule = "numeric_parse"
-    invertible = True
-    fit_keys = ("min", "max", "mean")
+    fit_schema = {"min": float, "max": float, "mean": float}
 
     def fit(self, counts, params, root_rule):
         mean, shift, _, _ = _weighted_moments(counts)

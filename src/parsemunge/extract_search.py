@@ -57,7 +57,7 @@ class NmcmBehavior(Behavior):
     name = "nmcm"
     coltype_class = CLASS_NUMERIC
     target_rule = "numeric_extract"
-    fit_keys = ("flags",)
+    fit_schema = {"flags": {"allow_commas": bool, "allow_decimal": bool, "allow_negative": bool}}
 
     def fit(self, counts, params, root_rule):
         return {"flags": {
@@ -77,7 +77,7 @@ class Nmc7Behavior(NmcmBehavior):
     """As nmcm, but fit stores each train entry's extraction: apply parses unseen ones."""
 
     name = "nmc7"
-    fit_keys = ("flags", "lookup")
+    fit_schema = {**NmcmBehavior.fit_schema, "lookup": {str: float | None}}
 
     def fit(self, counts, params, root_rule):
         state = super().fit(counts, params, root_rule)
@@ -137,7 +137,7 @@ class SrchBehavior(Behavior):
 
     name = "srch"
     coltype_class = CLASS_BOOLEAN
-    fit_keys = ("groups", "labels", "ordinal", "case_sensitive")
+    fit_schema = {"groups": [[str]], "labels": [str], "ordinal": bool, "case_sensitive": bool}
 
     def fit(self, counts, params, root_rule):
         spec = SearchSpec.from_params(params)

@@ -168,7 +168,7 @@ class SpltBehavior(Behavior):
 
     name = "splt"
     coltype_class = CLASS_BOOLEAN
-    fit_keys = ("overlaps", "assignment")  # the overlaps name the output columns
+    fit_schema = {"overlaps": [str], "assignment": {str: str}}  # overlaps name the columns
     single_id = True
 
     def fit(self, counts, params, root_rule):
@@ -204,6 +204,7 @@ class Sp15Behavior(SpltBehavior):
     """As splt, but entries may activate several overlaps concurrently."""
 
     name = "sp15"
+    fit_schema = {"overlaps": [str], "assignment": {str: [str]}}
     single_id = False
 
 
@@ -232,7 +233,7 @@ class Spl2Behavior(Behavior):
 
     name = "spl2"
     coltype_class = CLASS_CATEGORIC
-    fit_keys = ("assignment",)  # single-id overlaps are exactly the assigned values
+    fit_schema = {"assignment": {str: str}}  # single-id overlaps are exactly the assigned values
     unseen_matches = True  # entries unseen in train are matched against stored overlaps
 
     def fit(self, counts, params, root_rule):
@@ -262,7 +263,7 @@ class Spl5Behavior(Spl2Behavior):
     """As spl2, but entries without an overlap become an infill plug value."""
 
     name = "spl5"
-    fit_keys = ("assignment", "plug")
+    fit_schema = {"assignment": {str: str}, "plug": str}
 
     def fit(self, counts, params, root_rule):
         state = super().fit(counts, params, root_rule)
@@ -294,8 +295,7 @@ class Sp19Behavior(B1010Behavior):
     entry's pattern code takes 1010's bits."""
 
     name = "sp19"
-    invertible = False
-    fit_keys = ("codes",)
+    fit_schema = {"codes": {str: int}}
 
     def fit(self, counts, params, root_rule):
         cfg = config_from_params(params, single_id=False)

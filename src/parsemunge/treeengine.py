@@ -16,7 +16,7 @@ import json
 import logging
 import math
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,7 +39,10 @@ from .registry import (
     builtin_registry,
     validate_registry,
 )
+from .schema import Tagged, checker
 from .tidytable import (
+    COLTYPE_ALL_MISSING,
+    COLTYPE_CATEGORIC,
     COLTYPE_NUMERIC,
     Cell,
     TidyTable,
@@ -58,7 +61,6 @@ class Options:
     threshold: int = 255
     seed: int = 0
     labels_column: str | None = None
-    passthrough_unassigned: bool = False
     shuffle_train: bool = False
     assignparam: dict = field(default_factory=dict)
     assigninfill: dict = field(default_factory=dict)
@@ -339,11 +341,7 @@ def fit(train: TidyTable, assignments: dict[str, str] | None = None,
     columns: dict[str, list[Cell]] = {}
     for h in sources:
         col = train.column(h)
-        root = assignments.get(h)
-        if root is None:
-            root = "excl" if opts.passthrough_unassigned else auto_root_select(
-                col, threshold=opts.threshold
-            )
+        root = assignments.get(h) or auto_root_select(col, threshold=opts.threshold)
         # One source's table at a time, so peak memory holds one table.
         plan, counts, table = _fit_source(h, col, root, reg, opts, dedup)
         plans[h] = plan
@@ -397,62 +395,52 @@ def serialize(artifact: FitArtifact) -> bytes:
                       separators=(",", ":")).encode("utf-8")
 
 
-_ARTIFACT_KEYS = tuple(f.name for f in fields(FitArtifact))
-_PLAN_KEYS = tuple(f.name for f in fields(SourcePlan))
-_STEP_KEYS = tuple(f.name for f in fields(StepRecord))
-_NUMERIC_STATS_KEYS = ("coltype", "total", "mean", "std")
-_CATEGORIC_STATS_KEYS = ("coltype", "total", "top", "uniques")
+_CATEGORIC_STATS = {"coltype": str, "total": int, "top": [[str, int]], "uniques": [str]}
+_STEP = {"category": str, "behavior": str, "input_header": str, "output_headers": [str],
+         "retained": bool}
+_INFILL = {"kind": str, "value?": float | str}  # the value of a kind with a train statistic
+# The serialized FitArtifact: the keys of a plan and of a step are their fields.
+_check_artifact = checker({
+    "format_version": int,
+    "labels_column": str | None,
+    "per_source": [{
+        "header": str,
+        "root": str,
+        "target_rule": str,
+        "steps": [Tagged("behavior", {name: {**_STEP, "fit": behavior.fit_schema}
+                                      for name, behavior in BEHAVIORS.items()})],
+        "source_stats": Tagged("coltype", {
+            COLTYPE_NUMERIC: {"coltype": str, "total": int, "mean": float, "std": float},
+            COLTYPE_CATEGORIC: _CATEGORIC_STATS,
+            COLTYPE_ALL_MISSING: _CATEGORIC_STATS,
+        }),
+    }],
+    "infill_spec": {str: Tagged("kind", dict.fromkeys(
+        set(infill_mod.ALL_KINDS) - {infill_mod.KIND_DEFAULT}, _INFILL))},
+}, "artifact")
 
 
-def _checked(doc, keys, what: str) -> dict:
-    """``doc``, which must be an object with exactly ``keys``."""
-    if not isinstance(doc, dict) or set(doc) != set(keys):
-        got = sorted(doc) if isinstance(doc, dict) else type(doc).__name__
-        raise DataError(f"artifact {what} must be an object with keys {list(keys)}, not {got}")
-    return doc
-
-
-def _plan_from_doc(doc) -> SourcePlan:
-    """Read one source plan; each step must read the source or an earlier
-    output and name one output column per output token of its fit."""
-    header = _checked(doc, _PLAN_KEYS, "plan")["header"]
-    if not isinstance(doc["steps"], list):
-        raise DataError(f"artifact steps of source {header!r} are not a list")
-    steps = [StepRecord(**_checked(s, _STEP_KEYS, f"step of source {header!r}"))
-             for s in doc["steps"]]
-    known = {header}
+def _plan_from_doc(doc: dict) -> SourcePlan:
+    """Read one checked source plan; each step must read the source or an
+    earlier output and name one output column per output token of its fit."""
+    steps = [StepRecord(**s) for s in doc["steps"]]
+    known = {doc["header"]}
     for rec in steps:
-        if rec.behavior not in BEHAVIORS:
-            raise DataError(f"artifact references unknown behavior {rec.behavior!r}")
-        behavior = BEHAVIORS[rec.behavior]
-        where = f"step {rec.category!r} of source {header!r}"
-        _checked(rec.fit, behavior.fit_keys, f"{rec.behavior} fit of {where}")
-        if len(behavior.output_tokens(rec.fit)) != len(rec.output_headers):
-            raise DataError(f"artifact {where} names {len(rec.output_headers)} output "
-                            "columns, which its fit does not make")
-        if rec.input_header not in known:
-            raise DataError(f"artifact {where} reads {rec.input_header!r}, "
-                            "which no earlier step produces")
-        known.update(rec.output_headers)
-    stats = doc["source_stats"]
-    numeric = isinstance(stats, dict) and stats.get("coltype") == COLTYPE_NUMERIC
-    _checked(stats, _NUMERIC_STATS_KEYS if numeric else _CATEGORIC_STATS_KEYS,
-             f"source_stats of source {header!r}")
-    if not numeric:
-        # str.join type-checks every entry in C: a TypeError unless all are text.
-        "".join(stats["uniques"])
-        if not (isinstance(stats["top"], list) and isinstance(stats["uniques"], list)
-                and all(type(pair) is list and len(pair) == 2 and type(pair[0]) is str
-                        and type(pair[1]) is int for pair in stats["top"])):
-            raise DataError(f"artifact source_stats of source {header!r} need top as "
-                            "[entry, count] pairs and uniques as a list of entries")
-    return SourcePlan(header, doc["root"], doc["target_rule"], steps, stats)
+        if len(BEHAVIORS[rec.behavior].output_tokens(rec.fit)) != len(rec.output_headers):
+            fault = f"names {len(rec.output_headers)} output columns, which its fit does not make"
+        elif rec.input_header not in known:
+            fault = f"reads {rec.input_header!r}, which no earlier step produces"
+        else:
+            known.update(rec.output_headers)
+            continue
+        raise DataError(f"artifact step {rec.category!r} of source {doc['header']!r} {fault}")
+    return SourcePlan(**{**doc, "steps": steps})
 
 
 def deserialize(data: bytes | str) -> FitArtifact:
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also undecodable bytes, too deep nesting
         raise DataError(f"malformed artifact document: {exc}") from None
     if not isinstance(doc, dict):
         raise DataError("malformed artifact document: not an object")
@@ -461,28 +449,17 @@ def deserialize(data: bytes | str) -> FitArtifact:
         raise DataError(
             f"unsupported artifact format_version {version!r}, expected {FORMAT_VERSION}"
         )
-    # A value of the wrong JSON type surfaces as one of the caught errors.
-    try:
-        _checked(doc, _ARTIFACT_KEYS, "document")
-        if not isinstance(doc["labels_column"], (str, type(None))):
-            raise DataError("artifact labels_column is neither a header nor null")
-        if not isinstance(doc["per_source"], list):
-            raise DataError("artifact per_source is not a list")
-        per_source: dict[str, SourcePlan] = {}
-        for plan in map(_plan_from_doc, doc["per_source"]):
-            if plan.header in per_source:
-                raise DataError(f"artifact lists source {plan.header!r} twice")
-            per_source[plan.header] = plan
-        artifact = FitArtifact(version, doc["labels_column"], per_source, doc["infill_spec"])
-        retained = set(artifact.output_order)
-        for h, spec in artifact.infill_spec.items():
-            if h not in retained:
-                raise DataError(f"artifact infill_spec names {h!r}, which is no retained column")
-            kind = spec.get("kind")
-            if kind == infill_mod.KIND_DEFAULT or kind not in infill_mod.ALL_KINDS:
-                raise DataError(f"artifact infill_spec of {h!r} has no known non-default kind")
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise DataError(f"malformed artifact document: {type(exc).__name__}: {exc}") from None
+    _check_artifact(doc)
+    per_source: dict[str, SourcePlan] = {}
+    for plan in map(_plan_from_doc, doc["per_source"]):
+        if plan.header in per_source:
+            raise DataError(f"artifact lists source {plan.header!r} twice")
+        per_source[plan.header] = plan
+    artifact = FitArtifact(version, doc["labels_column"], per_source, doc["infill_spec"])
+    retained = set(artifact.output_order)
+    for h in artifact.infill_spec:
+        if h not in retained:
+            raise DataError(f"artifact infill_spec names {h!r}, which is no retained column")
     return artifact
 
 
@@ -508,8 +485,7 @@ def invert(artifact: FitArtifact, encoded: TidyTable,
         }
         candidates = []
         for i, rec in enumerate(plan.steps):
-            behavior = BEHAVIORS[rec.behavior]
-            if not rec.retained or not behavior.invertible:
+            if not rec.retained or rec.behavior not in _INVERT_PREFERENCE:
                 continue
             cur, clean = rec.input_header, True
             while cur != plan.header:
@@ -519,7 +495,7 @@ def invert(artifact: FitArtifact, encoded: TidyTable,
                     break
                 cur = parent.input_header
             if clean and all(h in encoded.headers for h in rec.output_headers):
-                candidates.append((_INVERT_PREFERENCE.get(rec.behavior, 99), i, rec))
+                candidates.append((_INVERT_PREFERENCE[rec.behavior], i, rec))
         if not candidates:
             failed.append(header)
             continue

@@ -10,13 +10,6 @@ def _table(**cols) -> TidyTable:
 
 
 class TestOptionRouting:
-    def test_passthrough_unassigned(self):
-        table = _table(a=["x", "y", "z"], b=[1.0, 2.0, 3.0])
-        _, artifact = pm.fit(table, {"a": "ord3"},
-                             opts=Options(passthrough_unassigned=True))
-        assert artifact.per_source["a"].root == "ord3"
-        assert artifact.per_source["b"].root == "excl"
-
     def test_threshold_routes_high_cardinality_to_ord3(self):
         col = [f"e{i}" for i in range(10)]
         table = _table(a=col)

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import logging
@@ -8,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import parsemunge as pm
-from parsemunge.errors import ConfigError, DataError
-from parsemunge.registry import BEHAVIORS
-from parsemunge.tidytable import TidyTable
+from parsemunge.errors import ConfigError, DataError, ParsemungeError
+from parsemunge.infill import CONFIG_KIND_NAMES
+from parsemunge.registry import BEHAVIORS, builtin_registry
+from parsemunge.schema import checker
+from parsemunge.tidytable import TidyTable, distinct_counts
 from parsemunge.treeengine import FORMAT_VERSION, Options
 
 from .helpers import make_random_table, random_text_cell, run_behavior
@@ -299,6 +302,61 @@ def test_replay_property_nasty_content(col, root):
     assert pm.apply(rebuilt, table) == encoded
 
 
+_BATCH_TRAIN = ["chrome 62.0", "Chrome 49.0", "safari 11.0", "3", 2.5, None, -0.0, 7.0,
+                "edge 17", "safari"]
+# Every fill kind but adjinfill, whose leading targets take the applied batch's first value.
+_BATCH_KINDS = sorted(set(CONFIG_KIND_NAMES) - {"adjinfill"})
+
+
+@functools.cache
+def _batch_fit(root: str, kind: str):
+    col = ["y", "n", None, "y"] if root == "bnry" else _BATCH_TRAIN
+    opts = Options(assigninfill={kind: ["a"]}, assignparam={
+        "global_assignparam": {"min_len": 3}, "srch": {"a": {"search": ["chrome", "1"]}}})
+    return pm.fit(_table(a=col), {"a": root}, opts=opts)[1]
+
+
+@pytest.mark.parametrize("root", sorted(builtin_registry().trees))
+@given(st.lists(st.one_of(st.sampled_from(_BATCH_TRAIN + ["y", "n", "unseen 5", 0.0, 99.0]),
+                          st.text(alphabet="ab9 .", max_size=6)), max_size=8),
+       st.sampled_from(_BATCH_KINDS))
+@settings(max_examples=20, deadline=None)
+def test_apply_is_batch_invariant(root, col, kind):
+    """apply(A ++ B) == apply(A) ++ apply(B) at every row split; json.dumps
+    tells the signed zeros apart."""
+    artifact = _batch_fit(root, kind)
+    whole = json.dumps(pm.apply(artifact, _table(a=col)).columns)
+    for k in range(len(col) + 1):
+        head, tail = pm.apply(artifact, _table(a=col[:k])), pm.apply(artifact, _table(a=col[k:]))
+        assert json.dumps([x + y for x, y in zip(head.columns, tail.columns)]) == whole
+
+
+_text_cells = st.one_of(st.none(), st.text(alphabet="ab9 ,.-", min_size=1, max_size=8))
+_number_cells = st.one_of(st.none(), st.sampled_from([0.0, -0.0]),
+                          st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(st.one_of(
+    st.lists(_text_cells, min_size=1, max_size=12),
+    st.lists(_number_cells, min_size=1, max_size=12),
+    st.lists(st.one_of(_text_cells, _number_cells), min_size=1, max_size=12),
+    st.lists(st.sampled_from(["y", "n", None, 0.0, -0.0]), min_size=1, max_size=12),
+    st.lists(st.none(), min_size=1, max_size=3),
+))
+@settings(max_examples=80, deadline=None)
+def test_every_fit_state_matches_its_schema(col):
+    params = {"min_len": 2, "search": ["a", "9"]}
+    for name, behavior in BEHAVIORS.items():
+        try:
+            state = behavior.fit(distinct_counts(col), params, "missing_only")
+        except DataError:
+            assert name == "bnry"  # which needs exactly two distinct entries
+            continue
+        check = checker(behavior.fit_schema, f"{name} fit")
+        check(state)
+        check(json.loads(json.dumps(state)))
+
+
 # sha256 of the serialized artifact of _golden_artifact().
 GOLDEN_ARTIFACT_SHA256 = "af8b9e2ebb84cdf5c371bd07d5732107425ae413fdc8126bf7ad2e600afec72d"
 
@@ -323,27 +381,46 @@ def _with_top_code(step: dict, top: int) -> None:
         step["fit"]["codes"]["E"] = top
 
 
+def _first_assigned(state: dict, value) -> None:
+    """Set the value of a fit's first assignment entry."""
+    state["assignment"][next(iter(state["assignment"]))] = value
+
+
+def _value_paths(node, path=()):
+    """The path of every value in a JSON document, containers included."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+    else:
+        items = ()
+    for key, child in items:
+        yield (*path, key)
+        yield from _value_paths(child, (*path, key))
+
+
 def _plan_of(doc: dict, header: str) -> dict:
     """The serialized plan of source ``header``."""
     return next(plan for plan in doc["per_source"] if plan["header"] == header)
 
 
-def _golden_artifact():
-    """A fit that uses every built-in behaviour, a numeric and a categoric
-    source, and infill entries."""
+def _golden_table() -> TidyTable:
     text = ["chrome 62.0", "Chrome 49.0", "safari 11.0", "safari", None, "edge 17"]
-    table = _table(
+    return _table(
         u=text, o=text, s1=text, s2=text, s3=text, s4=text, s5=text, s6=text, x=text,
         q=text, e=text, h=["a", "b", "c", "a", "b", None],
         b=["y", "n", "y", "n", None, "y"], m=[1.0, 2.5, None, 4.0, -3.0, 0.5],
         n=[0.25, -1.5, 3.0, None, 8.0, 1.0],
     )
+
+
+def _golden_artifact():
+    """A fit of _golden_table() that uses every built-in behaviour, a numeric
+    and a categoric source, and infill entries."""
     roots = {"u": "or19", "o": "ord3", "s1": "splt", "s2": "sp15", "s3": "spl2",
              "s4": "spl5", "s5": "sp19", "s6": "sbst", "x": "nmcm", "q": "srch",
              "e": "excl", "h": "onht", "b": "bnry", "m": "mnmx", "n": "nmbr"}
     opts = Options(assignparam={"srch": {"q": {"search": ["chrome", "safari"]}}},
                    assigninfill={"meaninfill": ["n"], "modeinfill": ["h"]})
-    return pm.fit(table, roots, opts=opts)[1]
+    return pm.fit(_golden_table(), roots, opts=opts)[1]
 
 
 def _stored_keys(doc: dict) -> dict[str, tuple]:
@@ -419,8 +496,9 @@ class TestSerialization:
         assert pm.apply(rebuilt, table) == encoded
 
     def test_malformed_document(self):
-        with pytest.raises(DataError, match="malformed"):
-            pm.deserialize(b"{not json")
+        for data in (b"{not json", b"\xff\xfe{", b"[" * 100_000):
+            with pytest.raises(DataError, match="malformed"):
+                pm.deserialize(data)
 
     @pytest.mark.parametrize("mutate", [
         lambda doc, plan: plan["steps"][0].pop("retained"),
@@ -450,6 +528,7 @@ class TestSerialization:
         lambda doc, plan: doc["infill_spec"].update(col2_NArw="mean"),
         lambda doc, plan: doc["infill_spec"].update(col2_NArw={"kind": "?"}),
         lambda doc, plan: doc["infill_spec"].update(col2_NArw={"kind": "default"}),
+        lambda doc, plan: _first_assigned(_fit_of(_plan_of(doc, "spl"), "splt"), 5),
     ], ids=["step-without-retained", "unknown-top-level-key", "per-source-not-a-list",
             "duplicate-plan-header", "steps-not-a-list", "plan-without-root",
             "unproduced-input-header", "unproduced-output", "empty-1010-fit",
@@ -459,14 +538,46 @@ class TestSerialization:
             "sp19-codes-above-headers", "numeric-source-stats-without-moments",
             "top-not-pairs", "top-count-not-int", "top-not-a-list", "uniques-not-text",
             "infill-spec-entry-not-an-object", "infill-spec-unknown-kind",
-            "infill-spec-default-kind"])
+            "infill-spec-default-kind", "splt-assignment-not-text"])
     def test_malformed_artifact_raises_data_error(self, mutate):
-        table = _table(col2=ADDRESSES, num=[1.0, 2.5, None, 4.0, 0.5], pat=ADDRESSES)
-        _, artifact = pm.fit(table, {"col2": "or19", "num": "nmbr", "pat": "sp19"})
+        table = _table(col2=ADDRESSES, num=[1.0, 2.5, None, 4.0, 0.5], pat=ADDRESSES,
+                       spl=ADDRESSES)
+        _, artifact = pm.fit(table, {"col2": "or19", "num": "nmbr", "pat": "sp19", "spl": "splt"})
         doc = json.loads(pm.serialize(artifact))
         mutate(doc, _plan_of(doc, "col2"))
         with pytest.raises(DataError):
             pm.deserialize(json.dumps(doc))
+
+    def test_retyped_values_raise_only_parsemunge_errors(self):
+        """Every stored value of the golden artifact, swapped in turn for each
+        probe value of another JSON type: deserialize, apply, invert and
+        drift_report may raise only ParsemungeError."""
+        table, doc = _golden_table(), json.loads(_GOLDEN_BLOB)
+        encoded = pm.apply(pm.deserialize(_GOLDEN_BLOB), table)
+        escapes, count = [], 0
+        for path in list(_value_paths(doc)):
+            *parents, key = path
+            node = doc
+            for p in parents:
+                node = node[p]
+            stored = node[key]
+            for probe in (None, 5, 2.5, "s", [], ["s"], {}, {"k": "v"}, True, [[]]):
+                if type(probe) is type(stored):
+                    continue
+                node[key], count = probe, count + 1
+                blob = json.dumps(doc)
+                node[key] = stored
+                try:
+                    artifact = pm.deserialize(blob)
+                    pm.apply(artifact, table)
+                    pm.invert(artifact, encoded)
+                    pm.drift_report(artifact, table)
+                except ParsemungeError:
+                    pass
+                except Exception as exc:  # noqa: BLE001 - every other escape is the failure
+                    escapes.append(f"{path} = {probe!r}: {type(exc).__name__}: {exc}")
+        assert count == 7288  # the golden artifact is pinned, so is its mutation count
+        assert not escapes, f"{len(escapes)} of {count} escaped, first: {escapes[:5]}"
 
     def test_apply_after_round_trip(self):
         table = _table(col2=ADDRESSES)
