@@ -15,7 +15,8 @@ from pathlib import Path
 from .errors import ConfigError, DataError
 from .importance import TASK_CLASSIFICATION, TASK_REGRESSION, builtin_tree, permutation_importance
 from .infill import CONFIG_KIND_NAMES
-from .registry import Registry, builtin_registry, merge_overrides
+from .registry import ALL_SLOTS, Registry, builtin_registry, merge_overrides
+from .schema import checker
 from .tidytable import COLTYPE_NUMERIC, TidyTable, infer_coltype, load_csv, write_csv
 from .treeengine import (
     ARTIFACT_SUFFIX,
@@ -31,10 +32,21 @@ from .treeengine import (
 
 logger = logging.getLogger("parsemunge")
 
-CONFIG_KEYS = {
-    "assigncat", "assignparam", "assigninfill", "transformdict", "processdict",
-    "labels_column", "seed", "threshold", "valpercent", "srch", "shuffletrain",
-}
+# Every key is optional. Values inside `assignparam` and `srch` are transform
+# parameters, left to the code that reads them.
+_check_config = checker({
+    "assigncat?": {str: [str]},
+    "assignparam?": {str: {str: object}},
+    "assigninfill?": {str: [str]},
+    "transformdict?": {str: {f"{slot}?": [str] for slot in ALL_SLOTS}},
+    "processdict?": {str: {"behavior?": str, "suffix?": str}},
+    "labels_column?": str | None,
+    "seed?": int,
+    "threshold?": int,
+    "valpercent?": float | int | None,
+    "srch?": {str: {str: object}},
+    "shuffletrain?": bool,
+}, "config", ConfigError)
 
 
 def _load_config(path: str | None) -> dict:
@@ -46,11 +58,7 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = sorted(set(doc) - CONFIG_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {unknown}")
+    _check_config(doc)
     # Convenience: a top-level srch block is per-column srch parameters.
     srch_block = doc.pop("srch", None)
     if srch_block:
@@ -85,12 +93,11 @@ def _options(config: dict, args) -> Options:
         if name not in CONFIG_KIND_NAMES:
             raise ConfigError(f"unknown assigninfill kind {name!r}")
     return Options(
-        threshold=int(args.threshold if args.threshold is not None
-                      else config.get("threshold", 255)),
-        seed=int(args.seed if args.seed is not None else config.get("seed", 0)),
+        threshold=args.threshold if args.threshold is not None else config.get("threshold", 255),
+        seed=args.seed if args.seed is not None else config.get("seed", 0),
         labels_column=(args.labels if getattr(args, "labels", None)
                        else config.get("labels_column")),
-        shuffle_train=bool(config.get("shuffletrain", False)),
+        shuffle_train=config.get("shuffletrain", False),
         assignparam=config.get("assignparam") or {},
         assigninfill=infill_block,
     )

@@ -42,6 +42,11 @@ class Behavior:
     def fit(self, counts: dict[Cell, int], params: dict, root_rule: str) -> dict:
         return {}
 
+    def fit_fault(self, state: dict) -> str | None:
+        """What is wrong with a fit state that matches ``fit_schema``, for a
+        relation the schema cannot state (a length, a range); None if nothing."""
+        return None
+
     def output_tokens(self, state: dict) -> list[str]:
         """Extra header tokens, one per output column; "" means single column."""
         return [""]

@@ -151,6 +151,11 @@ class SrchBehavior(Behavior):
             "case_sensitive": spec.case_sensitive,
         }
 
+    def fit_fault(self, state):
+        if len(state["groups"]) != len(state["labels"]):
+            return f"has {len(state['groups'])} term groups but {len(state['labels'])} labels"
+        return None
+
     def output_tokens(self, state):
         if state["ordinal"]:
             return [""]

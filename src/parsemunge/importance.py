@@ -14,6 +14,7 @@ import hashlib
 import json
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -195,39 +196,105 @@ def permutation_importance(artifact: FitArtifact, table: TidyTable,
 
 # Built-in predictor: bagged CART trees, gini for classification and variance
 # for regression, seeded bootstraps, majority vote / mean aggregation.
+#
+# Splits are exact histogram splits (the histogram split of LightGBM, Ke et al.
+# 2017, without the approximation): each tree maps every feature of its
+# bootstrap sample to the codes of its sorted distinct values once, and a node
+# counts its rows per value in one bincount over all features. A cut lies
+# between two adjacent values present in the node, its threshold is their
+# midpoint, and NaN, which sorts last, never offers one.
 
-def _best_split(X, y, task: str, n_classes: int, parent_imp: float):
-    n = len(y)
-    best = None
+
+class _Bins(NamedTuple):
+    """Sorted distinct values of every feature, numbered globally in feature
+    order, and the bin of each value of the sample."""
+
+    codes: np.ndarray    # (rows, features): bin of each value
+    feature: np.ndarray  # feature of each bin
+    value: np.ndarray    # value of each bin
+    upper: np.ndarray    # the bin may be the upper side of a cut: not NaN
+
+
+def _bin(X) -> _Bins:
+    codes = np.empty(X.shape, dtype=np.intp)
+    values = []
+    offset = 0
     for j in range(X.shape[1]):
-        order = np.argsort(X[:, j], kind="stable")
-        xs, ys = X[order, j], y[order]
-        cuts = np.nonzero(xs[1:] > xs[:-1])[0]
-        if len(cuts) == 0:
-            continue
-        nl = cuts + 1.0
+        distinct, inverse = np.unique(X[:, j], return_inverse=True)
+        codes[:, j] = inverse.reshape(-1) + offset
+        offset += len(distinct)
+        values.append(distinct)
+    value = np.concatenate(values) if values else np.zeros(0)
+    feature = np.repeat(np.arange(len(values)), list(map(len, values)))
+    return _Bins(codes, feature, value, ~np.isnan(value))
+
+
+def _threshold(lower: float, upper: float) -> float:
+    """The midpoint of two adjacent values, or the lower value where the
+    midpoint is not in [lower, upper): adjacent floats, a finite value and inf,
+    -inf and inf, or an overflowing sum, any of which would empty a child."""
+    mid = (lower + upper) / 2.0
+    return mid if lower <= mid < upper else lower
+
+
+def _best_split(bins: _Bins, y, rows, task: str, n_classes: int, parent_imp: float):
+    """(feature, threshold) of the best cut of the node's ``rows``, or None.
+    Every feature has a present bin for every row, so each feature's segment
+    of the present bins sums to the node's totals."""
+    n = len(rows)
+    codes = bins.codes[rows]
+    if task == TASK_CLASSIFICATION:
+        counts = np.bincount((codes * n_classes + y[rows, None]).ravel(),
+                             minlength=len(bins.value) * n_classes).reshape(-1, n_classes)
+        present = np.flatnonzero(counts.any(axis=1))
+    else:
+        counts = np.bincount(codes.ravel(), minlength=len(bins.value))
+        present = np.flatnonzero(counts)
+    feature = bins.feature[present]
+    cuts = np.flatnonzero((feature[1:] == feature[:-1]) & bins.upper[present[1:]])
+    if len(cuts) == 0:
+        return None
+    cut_feature = feature[cuts]
+    if task == TASK_CLASSIFICATION:
+        # Integer counts: the cumsum less each segment's start is exact.
+        totals = np.bincount(y[rows], minlength=n_classes)
+        left = np.cumsum(counts[present], axis=0)[cuts] - cut_feature[:, None] * totals
+        nl = left.sum(axis=1).astype(float)
         nr = n - nl
-        if task == TASK_CLASSIFICATION:
-            onehot = np.zeros((n, n_classes))
-            onehot[np.arange(n), ys] = 1.0
-            cum = np.cumsum(onehot, axis=0)
-            lc = cum[cuts]
-            rc = cum[-1] - lc
-            imp_l = 1.0 - ((lc / nl[:, None]) ** 2).sum(axis=1)
-            imp_r = 1.0 - ((rc / nr[:, None]) ** 2).sum(axis=1)
-        else:
-            cs = np.cumsum(ys)
-            css = np.cumsum(ys.astype(float) ** 2)
-            sl, ssl = cs[cuts], css[cuts]
-            sr, ssr = cs[-1] - sl, css[-1] - ssl
-            imp_l = ssl / nl - (sl / nl) ** 2
-            imp_r = ssr / nr - (sr / nr) ** 2
-        weighted = (nl * imp_l + nr * imp_r) / n
-        k = int(np.argmin(weighted))
-        if weighted[k] < parent_imp - 1e-12 and (best is None or weighted[k] < best[0] - 1e-12):
-            threshold = (xs[cuts[k]] + xs[cuts[k] + 1]) / 2.0
-            best = (float(weighted[k]), j, float(threshold))
-    return best
+        lc = left.astype(float)
+        rc = (totals - left).astype(float)
+        imp_l = 1.0 - ((lc / nl[:, None]) ** 2).sum(axis=1)
+        imp_r = 1.0 - ((rc / nr[:, None]) ** 2).sum(axis=1)
+    else:
+        nl = (np.cumsum(counts[present])[cuts] - cut_feature * n).astype(float)
+        nr = n - nl
+        ys = np.repeat(y[rows], codes.shape[1])
+        segments = np.flatnonzero(feature[1:] != feature[:-1]) + 1
+        sums = []
+        for weights in (ys, ys ** 2):
+            per_bin = np.bincount(codes.ravel(), weights=weights, minlength=len(bins.value))
+            # Float sums: a cumulative sum per feature, never one across features.
+            cum = [np.cumsum(seg) for seg in np.split(per_bin[present], segments)]
+            sums.append((np.concatenate(cum)[cuts], np.array([c[-1] for c in cum])[cut_feature]))
+        (sl, s_all), (ssl, ss_all) = sums
+        sr, ssr = s_all - sl, ss_all - ssl
+        imp_l = ssl / nl - (sl / nl) ** 2
+        imp_r = ssr / nr - (sr / nr) ** 2
+    weighted = (nl * imp_l + nr * imp_r) / n
+    # Per feature in order, its first minimum must beat the parent and the
+    # best so far by 1e-12.
+    starts = np.flatnonzero(np.concatenate(([True], cut_feature[1:] != cut_feature[:-1])))
+    best = None
+    for lo, hi, score in zip(starts.tolist(), [*starts[1:].tolist(), len(cuts)],
+                             np.minimum.reduceat(weighted, starts).tolist()):
+        if score < parent_imp - 1e-12 and (best is None or score < best[0] - 1e-12):
+            best = (score, lo, hi)
+    if best is None:
+        return None
+    _, lo, hi = best
+    k = cuts[lo + int(np.argmin(weighted[lo:hi]))]
+    lower, upper = bins.value[present[k]], bins.value[present[k + 1]]
+    return int(feature[k]), _threshold(float(lower), float(upper))
 
 
 def _impurity(y, task: str, n_classes: int) -> float:
@@ -243,37 +310,57 @@ def _leaf_value(y, task: str) -> float:
     return float(np.mean(y))
 
 
-def _grow(X, y, depth, max_depth, task, n_classes):
-    if depth >= max_depth or len(y) < 2 or len(np.unique(y)) == 1:
-        return {"leaf": _leaf_value(y, task)}
-    parent = _impurity(y, task, n_classes)
-    split = _best_split(X, y, task, n_classes, parent)
+class _Tree(NamedTuple):
+    """Nodes in preorder as flat arrays; a leaf is its own left and right."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    depth: int
+
+
+def _grow_node(nodes: list, bins: _Bins, X, y, rows, depth: int, max_depth: int,
+               task: str, n_classes: int) -> int:
+    """Append the subtree of ``rows`` to ``nodes`` in preorder; its deepest
+    level."""
+    me = len(nodes)
+    nodes.append(())
+    ys = y[rows]
+    split = None
+    if depth < max_depth and len(ys) >= 2 and len(np.unique(ys)) > 1:
+        split = _best_split(bins, y, rows, task, n_classes, _impurity(ys, task, n_classes))
     if split is None:
-        return {"leaf": _leaf_value(y, task)}
-    _, j, threshold = split
-    mask = X[:, j] <= threshold
-    return {
-        "feature": j,
-        "threshold": threshold,
-        "left": _grow(X[mask], y[mask], depth + 1, max_depth, task, n_classes),
-        "right": _grow(X[~mask], y[~mask], depth + 1, max_depth, task, n_classes),
-    }
+        nodes[me] = (0, 0.0, me, me, _leaf_value(ys, task))
+        return depth
+    j, threshold = split
+    mask = X[rows, j] <= threshold
+    deepest = _grow_node(nodes, bins, X, y, rows[mask], depth + 1, max_depth, task, n_classes)
+    right = len(nodes)
+    deepest = max(deepest, _grow_node(nodes, bins, X, y, rows[~mask], depth + 1, max_depth,
+                                      task, n_classes))
+    nodes[me] = (j, threshold, me + 1, right, 0.0)
+    return deepest
 
 
-def _predict_tree(node, X) -> np.ndarray:
-    out = np.empty(len(X))
-    stack = [(node, np.arange(len(X)))]
-    while stack:
-        nd, idx = stack.pop()
-        if len(idx) == 0:
-            continue
-        if "leaf" in nd:
-            out[idx] = nd["leaf"]
-            continue
-        mask = X[idx, nd["feature"]] <= nd["threshold"]
-        stack.append((nd["left"], idx[mask]))
-        stack.append((nd["right"], idx[~mask]))
-    return out
+def _grow(X, y, max_depth: int, task: str, n_classes: int) -> _Tree:
+    nodes: list[tuple] = []
+    depth = _grow_node(nodes, _bin(X), X, y, np.arange(len(y)), 0, max_depth, task, n_classes)
+    feature, threshold, left, right, value = zip(*nodes)
+    return _Tree(np.array(feature, dtype=np.intp), np.array(threshold, dtype=float),
+                 np.array(left, dtype=np.intp), np.array(right, dtype=np.intp),
+                 np.array(value, dtype=float), depth)
+
+
+def _predict_tree(tree: _Tree, X) -> np.ndarray:
+    """Walk every row down the tree together, one level at a time."""
+    rows = np.arange(len(X))
+    node = np.zeros(len(X), dtype=np.intp)
+    for _ in range(tree.depth):
+        go_left = X[rows, tree.feature[node]] <= tree.threshold[node]
+        node = np.where(go_left, tree.left[node], tree.right[node])
+    return tree.value[node]
 
 
 def builtin_tree(task: str, max_depth: int = 8, n_trees: int = 10,
@@ -296,7 +383,7 @@ def builtin_tree(task: str, max_depth: int = 8, n_trees: int = 10,
         for child in np.random.SeedSequence(seed).spawn(n_trees):
             rng = np.random.default_rng(child)
             idx = rng.integers(0, len(y), len(y))
-            trees.append(_grow(X[idx], y[idx], 0, max_depth, task, n_classes))
+            trees.append(_grow(X[idx], y[idx], max_depth, task, n_classes))
         return {"trees": trees, "n_classes": n_classes}
 
     def predict(model, X):

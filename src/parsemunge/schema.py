@@ -2,10 +2,10 @@
 
 A spec is one of: a type (``str``, ``int``, ``float``, ``bool``) or a union of
 types such as ``float | None``, matched by exact type, so a bool is no int and
-an int no float; ``[item]``, a list of items, or ``[a, b, ...]``, a list of
-exactly these scalars; ``{str: value}``, an object of values;
-``{"key": spec, ...}``, an object with exactly these keys, of which one
-written with a trailing "?" may be absent; or ``Tagged(key, {tag: spec})``,
+an int no float; ``object``, any value; ``[item]``, a list of items, or
+``[a, b, ...]``, a list of exactly these scalars; ``{str: value}``, an object
+of values; ``{"key": spec, ...}``, an object with exactly these keys, of which
+one written with a trailing "?" may be absent; or ``Tagged(key, {tag: spec})``,
 an object whose text ``key`` picks its spec. Lists and objects of scalars are
 checked in C.
 """
@@ -53,7 +53,7 @@ def _fast(spec):
         columns = list(enumerate(map(_fast, spec)))
         return lambda rows: (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {len(spec)}
                              and all(ok(map(itemgetter(i), rows)) for i, ok in columns))
-    if not isinstance(spec, _SCALAR):
+    if not isinstance(spec, _SCALAR) or spec is object:
         return None
     allowed = set(getattr(spec, "__args__", (spec,)))
     return _all_text if spec is str else lambda values: set(map(type, values)) <= allowed
@@ -63,6 +63,8 @@ def _compile(spec):
     """Compile a spec into check(value) -> None, or the (path, expected, found)
     of the first mismatch, where path holds the keys and indices leading to it;
     a container puts the key of the item that holds a mismatch in front."""
+    if spec is object:
+        return lambda v: None
     if isinstance(spec, _SCALAR):
         allowed, expected = getattr(spec, "__args__", (spec,)), _describe(spec)
         return lambda v: None if type(v) in allowed else ((), expected, _kind(v))
@@ -112,15 +114,15 @@ def _compile(spec):
     return record
 
 
-def checker(spec, what: str):
-    """Compile ``spec`` once into a function that raises ``DataError`` naming
-    the first value of a document that does not match it."""
+def checker(spec, what: str, error: type[Exception] = DataError):
+    """Compile ``spec`` once into a function that raises ``error`` naming the
+    first value of a document that does not match it."""
     check = _compile(spec)
 
     def run(value) -> None:
         if (miss := check(value)) is not None:
             path, expected, found = miss
             where = what + "".join(f"[{key!r}]" for key in path)
-            raise DataError(f"{where} must be {expected}, not {found}")
+            raise error(f"{where} must be {expected}, not {found}")
 
     return run

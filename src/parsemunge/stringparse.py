@@ -314,6 +314,11 @@ class Sp19Behavior(B1010Behavior):
         pattern_code = {p: i + 1 for i, p in enumerate(ranked)}
         return {"codes": {e: pattern_code[p] for e, p in entry_pattern.items()}}
 
+    def fit_fault(self, state):
+        if min(state["codes"].values(), default=1) < 1:
+            return "holds a pattern code below 1; 0 is the code of unseen entries"
+        return None
+
     def code_map(self, state):
         return state["codes"]
 

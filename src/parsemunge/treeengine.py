@@ -421,19 +421,21 @@ _check_artifact = checker({
 
 
 def _plan_from_doc(doc: dict) -> SourcePlan:
-    """Read one checked source plan; each step must read the source or an
-    earlier output and name one output column per output token of its fit."""
+    """Read one checked source plan; each step's fit must hold no fault its
+    behaviour names, and the step must read the source or an earlier output
+    and name one output column per output token of its fit."""
     steps = [StepRecord(**s) for s in doc["steps"]]
     known = {doc["header"]}
     for rec in steps:
-        if len(BEHAVIORS[rec.behavior].output_tokens(rec.fit)) != len(rec.output_headers):
+        behavior = BEHAVIORS[rec.behavior]
+        fault = behavior.fit_fault(rec.fit)
+        if fault is None and len(behavior.output_tokens(rec.fit)) != len(rec.output_headers):
             fault = f"names {len(rec.output_headers)} output columns, which its fit does not make"
-        elif rec.input_header not in known:
+        if fault is None and rec.input_header not in known:
             fault = f"reads {rec.input_header!r}, which no earlier step produces"
-        else:
-            known.update(rec.output_headers)
-            continue
-        raise DataError(f"artifact step {rec.category!r} of source {doc['header']!r} {fault}")
+        if fault is not None:
+            raise DataError(f"artifact step {rec.category!r} of source {doc['header']!r} {fault}")
+        known.update(rec.output_headers)
     return SourcePlan(**{**doc, "steps": steps})
 
 

@@ -2,11 +2,17 @@
 
 These deliberately avoid the implementation's windowed-scan and regex-match
 machinery: overlap answers come from a dynamic-programming longest common
-substring table plus substring enumeration, and numeric extraction answers
-from an enumerate-every-substring walk with a hand-rolled format validator.
+substring table plus substring enumeration, numeric extraction answers from
+an enumerate-every-substring walk with a hand-rolled format validator, and
+the built-in trees' answers from an argsort-and-cumsum CART with nested-dict
+nodes.
 """
 
 from __future__ import annotations
+
+import numpy as np
+
+from parsemunge.importance import TASK_CLASSIFICATION, PredictorAdapter, _impurity, _leaf_value
 
 
 def dp_lcs_length(a: str, b: str) -> int:
@@ -111,3 +117,116 @@ def oracle_extract(s: str, allow_commas: bool = True, allow_decimal: bool = True
             if valid_numeric(piece, allow_commas, allow_decimal, allow_negative):
                 return float(piece.replace(",", ""))
     return None
+
+
+def _best_split(X, y, task: str, n_classes: int, parent_imp: float):
+    """Per feature: sort the node's rows, cut between unequal neighbours and
+    score every cut from cumulative sums in sorted order."""
+    n = len(y)
+    best = None
+    for j in range(X.shape[1]):
+        order = np.argsort(X[:, j], kind="stable")
+        xs, ys = X[order, j], y[order]
+        cuts = np.nonzero(xs[1:] > xs[:-1])[0]
+        if len(cuts) == 0:
+            continue
+        nl = cuts + 1.0
+        nr = n - nl
+        if task == TASK_CLASSIFICATION:
+            onehot = np.zeros((n, n_classes))
+            onehot[np.arange(n), ys] = 1.0
+            cum = np.cumsum(onehot, axis=0)
+            lc = cum[cuts]
+            rc = cum[-1] - lc
+            imp_l = 1.0 - ((lc / nl[:, None]) ** 2).sum(axis=1)
+            imp_r = 1.0 - ((rc / nr[:, None]) ** 2).sum(axis=1)
+        else:
+            cs = np.cumsum(ys)
+            css = np.cumsum(ys.astype(float) ** 2)
+            sl, ssl = cs[cuts], css[cuts]
+            sr, ssr = cs[-1] - sl, css[-1] - ssl
+            imp_l = ssl / nl - (sl / nl) ** 2
+            imp_r = ssr / nr - (sr / nr) ** 2
+        weighted = (nl * imp_l + nr * imp_r) / n
+        k = int(np.argmin(weighted))
+        if weighted[k] < parent_imp - 1e-12 and (best is None or weighted[k] < best[0] - 1e-12):
+            lower, upper = float(xs[cuts[k]]), float(xs[cuts[k] + 1])
+            threshold = (lower + upper) / 2.0
+            if not lower <= threshold < upper:  # a midpoint that would empty a child
+                threshold = lower
+            best = (float(weighted[k]), j, threshold)
+    return best
+
+
+def _grow(X, y, depth, max_depth, task, n_classes):
+    if depth >= max_depth or len(y) < 2 or len(np.unique(y)) == 1:
+        return {"leaf": _leaf_value(y, task)}
+    parent = _impurity(y, task, n_classes)
+    split = _best_split(X, y, task, n_classes, parent)
+    if split is None:
+        return {"leaf": _leaf_value(y, task)}
+    _, j, threshold = split
+    mask = X[:, j] <= threshold
+    return {
+        "feature": j,
+        "threshold": threshold,
+        "left": _grow(X[mask], y[mask], depth + 1, max_depth, task, n_classes),
+        "right": _grow(X[~mask], y[~mask], depth + 1, max_depth, task, n_classes),
+    }
+
+
+def _predict_tree(node, X) -> np.ndarray:
+    out = np.empty(len(X))
+    stack = [(node, np.arange(len(X)))]
+    while stack:
+        nd, idx = stack.pop()
+        if len(idx) == 0:
+            continue
+        if "leaf" in nd:
+            out[idx] = nd["leaf"]
+            continue
+        mask = X[idx, nd["feature"]] <= nd["threshold"]
+        stack.append((nd["left"], idx[mask]))
+        stack.append((nd["right"], idx[~mask]))
+    return out
+
+
+def preorder(node) -> list[tuple]:
+    """(feature, threshold) of each split and (leaf value,) of each leaf, in
+    preorder."""
+    if "leaf" in node:
+        return [(node["leaf"],)]
+    return [(node["feature"], node["threshold"]), *preorder(node["left"]),
+            *preorder(node["right"])]
+
+
+def reference_tree(task: str, max_depth: int = 8, n_trees: int = 10,
+                   seed: int = 0) -> PredictorAdapter:
+    """``builtin_tree`` with the reference CART: the same seeded bootstraps
+    and the same vote and mean aggregation."""
+
+    def train(X, y):
+        X = np.asarray(X, dtype=float)
+        if task == TASK_CLASSIFICATION:
+            y = np.asarray(y, dtype=int)
+            n_classes = int(y.max()) + 1
+        else:
+            y = np.asarray(y, dtype=float)
+            n_classes = 0
+        trees = []
+        for child in np.random.SeedSequence(seed).spawn(n_trees):
+            idx = np.random.default_rng(child).integers(0, len(y), len(y))
+            trees.append(_grow(X[idx], y[idx], 0, max_depth, task, n_classes))
+        return {"trees": trees, "n_classes": n_classes}
+
+    def predict(model, X):
+        X = np.asarray(X, dtype=float)
+        preds = np.stack([_predict_tree(t, X) for t in model["trees"]])
+        if task == TASK_CLASSIFICATION:
+            votes = np.zeros((len(X), max(model["n_classes"], 1)))
+            for row in preds.astype(int):
+                votes[np.arange(len(X)), row] += 1.0
+            return votes.argmax(axis=1)
+        return preds.mean(axis=0)
+
+    return PredictorAdapter(train=train, predict=predict, task=task)

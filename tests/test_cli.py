@@ -1,6 +1,8 @@
 import json
 import random
 
+import pytest
+
 from parsemunge.cli import main
 from parsemunge.tidytable import TidyTable, load_csv, write_csv
 
@@ -290,6 +292,20 @@ class TestConfigDocument:
                      "--out-dir", str(out)]) == 0
         encoded = load_csv(out / "train_encoded.csv")
         assert encoded.column("a_mnmx") == [0.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize("doc, where", [
+        ({"assigncat": {"ord3": 5}}, "config['assigncat']['ord3'] must be a list"),
+        ({"assigninfill": {"meaninfill": 5}}, "config['assigninfill']['meaninfill'] must be a list"),
+        ({"transformdict": {"zz": {"parents": 5}}},
+         "config['transformdict']['zz']['parents'] must be a list"),
+        ({"threshold": "x"}, "config['threshold'] must be an integer, not text"),
+    ])
+    def test_mistyped_value_exit_2(self, tmp_path, capsys, doc, where):
+        train, _ = _write_train(tmp_path)
+        config = _config(tmp_path, doc)
+        assert main(["fit", str(train), "--config", str(config),
+                     "--out-dir", str(tmp_path / "o")]) == 2
+        assert f"configuration error: {where}" in capsys.readouterr().err
 
     def test_labels_column_config(self, tmp_path):
         path = tmp_path / "train.csv"

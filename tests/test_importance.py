@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import parsemunge as pm
 from parsemunge.errors import ConfigError, DataError
@@ -9,10 +11,17 @@ from parsemunge.importance import (
     TASK_CLASSIFICATION,
     TASK_REGRESSION,
     PredictorAdapter,
+    _best_split,
+    _bin,
+    _grow,
+    _impurity,
     builtin_tree,
     permutation_importance,
 )
 from parsemunge.tidytable import TidyTable
+
+from . import oracles
+from .oracles import preorder, reference_tree
 
 
 def _table(**cols) -> TidyTable:
@@ -56,6 +65,26 @@ class TestBuiltinTree:
         adapter = builtin_tree(TASK_CLASSIFICATION)
         with pytest.raises(DataError, match="empty"):
             adapter.train(np.zeros((0, 1)), np.zeros(0, dtype=int))
+
+    @pytest.mark.parametrize("task", [TASK_CLASSIFICATION, TASK_REGRESSION])
+    @pytest.mark.parametrize("lower, upper", [
+        (1.0 + 2 ** -52, 1.0 + 2 ** -51),
+        (5.0, np.inf),
+        (-np.inf, np.inf),
+        (-1.5e308, -1e308),
+        (1e308, 1.5e308),
+    ])
+    def test_cut_whose_midpoint_leaves_the_gap_splits_at_the_lower_value(self, task, lower, upper):
+        # Each midpoint is not in [lower, upper): it rounds onto the upper
+        # value, is inf or NaN, or overflows. A cut there would send every
+        # row to one side and leave the other child empty. (The seed-0
+        # bootstrap of these six rows draws both values.)
+        X = np.array([[lower], [upper]] * 3)
+        y = np.array([0, 1] * 3)
+        adapter = builtin_tree(task, max_depth=1, n_trees=1)
+        model = adapter.train(X, y)
+        assert model["trees"][0].threshold[0] == lower
+        assert list(adapter.predict(model, X)) == [0, 1] * 3
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(2)
@@ -168,3 +197,136 @@ class TestPermutationImportance:
         report = permutation_importance(artifact, table, labels, adapter, seed=13)
         text = report.sorted_table()
         assert "metric1" in text and "informative" in text
+
+
+# Few-valued pool: signed zeros, infinities and NaN, which sorts last.
+_POOL = [-np.inf, -1.5, -0.0, 0.0, 0.5, 1.0, 1.0 + 2 ** -52, 3.0, np.inf, np.nan]
+
+
+@st.composite
+def _matrices(draw, rows: int):
+    """A feature matrix of few-valued, constant, many-valued and repeated
+    columns, and a second matrix of the same columns' values to predict on."""
+    columns = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["few", "constant", "many", "repeat"]))
+        if kind == "repeat" and columns:
+            columns.append(columns[draw(st.integers(0, len(columns) - 1))])
+            continue
+        if kind == "many":
+            values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                   min_size=1, max_size=2 * rows))
+        elif kind == "constant":
+            values = [draw(st.sampled_from(_POOL))]
+        else:
+            values = draw(st.lists(st.sampled_from(_POOL), min_size=1, max_size=5))
+        columns.append([draw(st.sampled_from(values)) for _ in range(2 * rows)])
+    X = np.array(columns, dtype=float).T
+    return X[:rows], X[rows:]
+
+
+def _nodes(tree) -> list[tuple]:
+    return [(tree.value[i],) if tree.left[i] == i
+            else (int(tree.feature[i]), float(tree.threshold[i]))
+            for i in range(len(tree.value))]
+
+
+def _assert_same_trees(task, X, y, X_other, depth, n_trees, seed):
+    fast = builtin_tree(task, max_depth=depth, n_trees=n_trees, seed=seed)
+    slow = reference_tree(task, max_depth=depth, n_trees=n_trees, seed=seed)
+    fast_model, slow_model = fast.train(X, y), slow.train(X, y)
+    assert [_nodes(t) for t in fast_model["trees"]] == [preorder(t) for t in slow_model["trees"]]
+    for data in (X, X_other):
+        assert np.array_equal(fast.predict(fast_model, data), slow.predict(slow_model, data))
+
+
+class TestHistogramTreeMatchesReference:
+    """The histogram CART chooses the reference argsort CART's splits, so its
+    trees and predictions are identical: exactly for classes and
+    integer-valued regression targets, whose sums are exact in any order."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), rows=st.integers(2, 40), n_classes=st.integers(2, 12),
+           depth=st.integers(1, 8), n_trees=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
+    def test_classification(self, data, rows, n_classes, depth, n_trees, seed):
+        X, X_other = data.draw(_matrices(rows))
+        y = np.array(data.draw(st.lists(st.integers(0, n_classes - 1),
+                                        min_size=rows, max_size=rows)))
+        _assert_same_trees(TASK_CLASSIFICATION, X, y, X_other, depth, n_trees, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), rows=st.integers(2, 40), depth=st.integers(1, 8),
+           seed=st.integers(0, 2 ** 16))
+    def test_integer_valued_regression(self, data, rows, depth, seed):
+        X, X_other = data.draw(_matrices(rows))
+        y = np.array(data.draw(st.lists(st.integers(-1000, 1000), min_size=rows,
+                                        max_size=rows)), dtype=float)
+        _assert_same_trees(TASK_REGRESSION, X, y, X_other, depth, 2, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), rows=st.integers(2, 40))
+    def test_float_regression_split_scores_within_rounding(self, data, rows):
+        """Float targets are summed per value first, so a split may differ
+        from the reference's, but only between cuts whose scores agree to
+        rounding: 1e-9 of the targets' mean square."""
+        X, _ = data.draw(_matrices(rows))
+        y = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=rows, max_size=rows)))
+        parent = _impurity(y, TASK_REGRESSION, 0)
+        tolerance = 1e-9 * (1.0 + float(np.mean(y ** 2)))
+
+        def score(split):
+            if split is None:
+                return parent
+            mask = X[:, split[0]] <= split[1]
+            return (mask.sum() * np.var(y[mask]) + (~mask).sum() * np.var(y[~mask])) / rows
+
+        fast = _best_split(_bin(X), y, np.arange(rows), TASK_REGRESSION, 0, parent)
+        slow = oracles._best_split(X, y, TASK_REGRESSION, 0, parent)
+        assert abs(score(fast) - score(slow and slow[1:])) <= tolerance
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), n_classes=st.integers(2, 10), seed=st.integers(0, 2 ** 16))
+    def test_permutation_importance_json(self, data, n_classes, seed):
+        rows = 60
+        text = st.sampled_from(["a", "b", "c", "d", None])
+        number = st.sampled_from([-0.0, 0.0, 1.0, 2.5, -3.0, None])
+        table = _table(
+            t=data.draw(st.lists(text, min_size=rows, max_size=rows)),
+            u=data.draw(st.lists(st.text("xyz", max_size=3), min_size=rows, max_size=rows)),
+            v=data.draw(st.lists(number, min_size=rows, max_size=rows)),
+        )
+        labels = data.draw(st.lists(st.integers(0, n_classes - 1), min_size=rows, max_size=rows))
+        _, artifact = pm.fit(table)
+        reports = []
+        for make in (builtin_tree, reference_tree):
+            try:
+                reports.append(permutation_importance(
+                    artifact, table, labels, make(TASK_CLASSIFICATION, seed=seed),
+                    seed=seed).to_json())
+            except ConfigError:  # a single-class validation split
+                reports.append(None)
+        assume(reports[0] is not None)
+        assert reports[0] == reports[1]
+
+    def test_first_minimum_among_cuts_that_tie_only_as_rounded(self):
+        # Eight classes, two rows each. The cut after 0 leaves class counts
+        # c | 2 - c and the cut after 1 leaves 2 - s | s, where s permutes c:
+        # equal impurities in exact arithmetic. Under numpy's pairwise sum of
+        # the eight class terms they tie as floats too, and the first is kept;
+        # a left-to-right sum rounds them apart.
+        per_value = [[0, 1, 1, 1, 1, 1, 1, 0], [2, 0, 1, 0, 0, 0, 0, 1], [0, 1, 0, 1, 1, 1, 1, 1]]
+        X = np.repeat([0.0, 1.0, 2.0], [sum(c) for c in per_value])[:, None]
+        y = np.concatenate([np.repeat(np.arange(8), c) for c in per_value])
+        assert _nodes(_grow(X, y, 1, TASK_CLASSIFICATION, 8)) == preorder(
+            oracles._grow(X, y, 0, 1, TASK_CLASSIFICATION, 8))
+
+    def test_later_feature_must_win_by_the_tolerance(self):
+        # Ten classes, five rows each. Feature 1's cut leaves a permutation of
+        # feature 0's class counts on each side, and its impurity rounds one
+        # ulp lower, which is inside the 1e-12 tolerance: feature 0 is kept.
+        left = [[1, 1, 2, 2, 1, 0, 2, 1, 2, 1], [0, 1, 1, 2, 2, 1, 2, 1, 1, 2]]
+        X = np.array([[float(i >= n) for n in counts for i in range(5)] for counts in left]).T
+        y = np.repeat(np.arange(10), 5)
+        tree = _grow(X, y, 1, TASK_CLASSIFICATION, 10)
+        assert tree.feature[0] == 0
+        assert _nodes(tree) == preorder(oracles._grow(X, y, 0, 1, TASK_CLASSIFICATION, 10))

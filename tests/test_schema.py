@@ -2,7 +2,7 @@
 
 import pytest
 
-from parsemunge.errors import DataError
+from parsemunge.errors import ConfigError, DataError
 from parsemunge.schema import Tagged, checker
 
 _STATS = Tagged("coltype", {
@@ -19,6 +19,7 @@ _STATS = Tagged("coltype", {
     ({"kind": str, "value?": float | str}, {"kind": "mode", "value": "x"}),
     (_STATS, {"coltype": "categoric", "top": [["a", 3], ["b", 1]]}),
     (_STATS, {"coltype": "numeric", "mean": -0.0}),
+    ({str: object}, {"a": 5, "b": [None, {"c": "d"}]}),
 ])
 def test_matching_documents_pass(spec, value):
     checker(spec, "doc")(value)
@@ -45,3 +46,8 @@ def test_first_mismatch_is_named_by_its_path(spec, value, message):
     with pytest.raises(DataError) as err:
         checker(spec, "doc")(value)
     assert message in str(err.value)
+
+
+def test_caller_chooses_the_error_class():
+    with pytest.raises(ConfigError, match=r"config\['seed'\] must be an integer, not text"):
+        checker({"seed?": int}, "config", ConfigError)({"seed": "1"})

@@ -355,6 +355,7 @@ def test_every_fit_state_matches_its_schema(col):
         check = checker(behavior.fit_schema, f"{name} fit")
         check(state)
         check(json.loads(json.dumps(state)))
+        assert behavior.fit_fault(state) is None
 
 
 # sha256 of the serialized artifact of _golden_artifact().
@@ -529,6 +530,10 @@ class TestSerialization:
         lambda doc, plan: doc["infill_spec"].update(col2_NArw={"kind": "?"}),
         lambda doc, plan: doc["infill_spec"].update(col2_NArw={"kind": "default"}),
         lambda doc, plan: _first_assigned(_fit_of(_plan_of(doc, "spl"), "splt"), 5),
+        lambda doc, plan: _fit_of(_plan_of(doc, "q"), "srch")["groups"].pop(),
+        lambda doc, plan: _fit_of(_plan_of(doc, "q"), "srch")["groups"].append(["Pine"]),
+        lambda doc, plan: _fit_of(_plan_of(doc, "pat"), "sp19")["codes"].update(E=-1),
+        lambda doc, plan: _fit_of(_plan_of(doc, "pat"), "sp19")["codes"].update(E=0),
     ], ids=["step-without-retained", "unknown-top-level-key", "per-source-not-a-list",
             "duplicate-plan-header", "steps-not-a-list", "plan-without-root",
             "unproduced-input-header", "unproduced-output", "empty-1010-fit",
@@ -538,11 +543,15 @@ class TestSerialization:
             "sp19-codes-above-headers", "numeric-source-stats-without-moments",
             "top-not-pairs", "top-count-not-int", "top-not-a-list", "uniques-not-text",
             "infill-spec-entry-not-an-object", "infill-spec-unknown-kind",
-            "infill-spec-default-kind", "splt-assignment-not-text"])
+            "infill-spec-default-kind", "splt-assignment-not-text",
+            "srch-fewer-groups-than-labels", "srch-more-groups-than-labels",
+            "sp19-code-negative", "sp19-code-zero"])
     def test_malformed_artifact_raises_data_error(self, mutate):
         table = _table(col2=ADDRESSES, num=[1.0, 2.5, None, 4.0, 0.5], pat=ADDRESSES,
-                       spl=ADDRESSES)
-        _, artifact = pm.fit(table, {"col2": "or19", "num": "nmbr", "pat": "sp19", "spl": "splt"})
+                       spl=ADDRESSES, q=ADDRESSES)
+        opts = Options(assignparam={"srch": {"q": {"search": ["Main", "Oak"]}}})
+        _, artifact = pm.fit(table, {"col2": "or19", "num": "nmbr", "pat": "sp19", "spl": "splt",
+                                     "q": "srch"}, opts=opts)
         doc = json.loads(pm.serialize(artifact))
         mutate(doc, _plan_of(doc, "col2"))
         with pytest.raises(DataError):
