@@ -33,7 +33,7 @@ from .treeengine import (
 logger = logging.getLogger("parsemunge")
 
 # Every key is optional. Values inside `assignparam` and `srch` are transform
-# parameters, left to the code that reads them.
+# parameters, which fit checks on the param_schema of the behaviour reading them.
 _check_config = checker({
     "assigncat?": {str: [str]},
     "assignparam?": {str: {str: object}},

@@ -38,6 +38,7 @@ class Behavior:
     target_rule = "missing_only"  # missing_only | numeric_parse | numeric_extract
     inversion_pass = False  # step is transparent on an inversion path (UPCS, excl)
     fit_schema: dict = {}  # schema spec of every fit state; artifacts are checked on it
+    param_schema: dict = {}  # schema spec of the transform parameters, every key optional
 
     def fit(self, counts: dict[Cell, int], params: dict, root_rule: str) -> dict:
         return {}
@@ -60,7 +61,8 @@ class Behavior:
         raise NotImplementedError
 
     def decoder(self, state: dict):
-        """Return a function mapping one output tuple back to the input cell."""
+        """Return a function mapping one output tuple back to the input cell;
+        it raises KeyError or TypeError on a tuple the step cannot output."""
         raise DataError(f"{self.name} is not invertible")
 
 
@@ -97,9 +99,10 @@ class UpcsBehavior(Behavior):
     coltype_class = CLASS_CATEGORIC
     inversion_pass = True
     fit_schema = {"enabled": bool}
+    param_schema = {"enabled?": bool}
 
     def fit(self, counts, params, root_rule):
-        return {"enabled": bool(params.get("enabled", True))}
+        return {"enabled": params.get("enabled", True)}
 
     def apply_cell(self, state, cell):
         text = canon_text(cell)
@@ -132,7 +135,7 @@ class ExclBehavior(Behavior):
 class RankedCodeBehavior(Behavior):
     """A code per entry: the fit ranks the entries, entry i has code i + 1, and
     code 0 stands for missing and unseen cells. Subclasses say how a code
-    becomes output columns (``encode``) and how it is read back (``code_of``)."""
+    becomes output columns (``encode``); inversion reads that map backwards."""
 
     fit_schema = {"entries": [str]}
 
@@ -159,22 +162,12 @@ class RankedCodeBehavior(Behavior):
     def encode(self, code: int, size: int) -> tuple:
         raise NotImplementedError
 
-    def code_of(self, values) -> int:
-        raise NotImplementedError
-
     def decoder(self, state):
-        entries, code_of = state["entries"], self.code_of
-
-        def decode(values):
-            code = code_of(values)
-            if code == 0:
-                return None
-            if not 0 < code <= len(entries):
-                raise DataError(f"{self.name} output pattern {list(values)} has code {code}, "
-                                "which is not in the stored code map")
-            return entries[code - 1]
-
-        return decode
+        """The code map read backwards; the code-0 pattern reads as missing."""
+        codes, size = self.compile(state)
+        patterns = {self.encode(code, size): entry for entry, code in codes.items()}
+        patterns[self.encode(0, size)] = None
+        return patterns.__getitem__
 
 
 class Ord3Behavior(RankedCodeBehavior):
@@ -183,9 +176,6 @@ class Ord3Behavior(RankedCodeBehavior):
 
     def encode(self, code, size):
         return (float(code),)
-
-    def code_of(self, values):
-        return int(values[0])
 
 
 class OnhtBehavior(RankedCodeBehavior):
@@ -203,12 +193,6 @@ class OnhtBehavior(RankedCodeBehavior):
         if code:
             out[code - 1] = 1.0
         return tuple(out)
-
-    def code_of(self, values):
-        hot = [i for i, v in enumerate(values) if v == 1.0]
-        if len(hot) > 1:
-            raise DataError(f"onht row activates {len(hot)} columns, expected one")
-        return hot[0] + 1 if hot else 0
 
 
 class BnryBehavior(Behavior):
@@ -231,7 +215,7 @@ class BnryBehavior(Behavior):
         return (1.0,)
 
     def decoder(self, state):
-        return lambda values: state["one"] if values[0] == 1.0 else state["zero"]
+        return {(1.0,): state["one"], (0.0,): state["zero"]}.__getitem__
 
 
 def binary_width(n: int) -> int:
@@ -258,12 +242,6 @@ class B1010Behavior(RankedCodeBehavior):
 
     def output_tokens(self, state):
         return [str(i) for i in range(self.size(self.top_code(state)))]
-
-    def code_of(self, values):
-        code = 0
-        for v in values:
-            code = (code << 1) | (1 if v == 1.0 else 0)
-        return code
 
 
 def _weighted_moments(counts: dict[Cell, int]) -> tuple[float, float, float, int]:

@@ -58,12 +58,13 @@ class NmcmBehavior(Behavior):
     coltype_class = CLASS_NUMERIC
     target_rule = "numeric_extract"
     fit_schema = {"flags": {"allow_commas": bool, "allow_decimal": bool, "allow_negative": bool}}
+    param_schema = {"allow_commas?": bool, "allow_decimal?": bool, "allow_negative?": bool}
 
     def fit(self, counts, params, root_rule):
         return {"flags": {
-            "allow_commas": bool(params.get("allow_commas", True)),
-            "allow_decimal": bool(params.get("allow_decimal", True)),
-            "allow_negative": bool(params.get("allow_negative", False)),
+            "allow_commas": params.get("allow_commas", True),
+            "allow_decimal": params.get("allow_decimal", True),
+            "allow_negative": params.get("allow_negative", False),
         }}
 
     def apply_cell(self, state, cell):
@@ -127,8 +128,8 @@ class SearchSpec:
             groups = [[t] for t in params.get("search", [])]
         return cls(
             groups=groups,
-            ordinal=bool(params.get("ordinal", False)),
-            case_sensitive=bool(params.get("case_sensitive", False)),
+            ordinal=params.get("ordinal", False),
+            case_sensitive=params.get("case_sensitive", False),
         )
 
 
@@ -138,6 +139,8 @@ class SrchBehavior(Behavior):
     name = "srch"
     coltype_class = CLASS_BOOLEAN
     fit_schema = {"groups": [[str]], "labels": [str], "ordinal": bool, "case_sensitive": bool}
+    param_schema = {"search?": [str], "aggregate?": [[str]], "ordinal?": bool,
+                    "case_sensitive?": bool}
 
     def fit(self, counts, params, root_rule):
         spec = SearchSpec.from_params(params)

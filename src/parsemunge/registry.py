@@ -229,19 +229,22 @@ def merge_overrides(base: Registry, trees: dict | None = None,
     return merged
 
 
-def _offspring_depth_exceeded(reg: Registry, key: str, depth: int) -> bool:
+def _offspring_depth_exceeded(reg: Registry, key: str, slots, depth: int) -> bool:
+    """Whether the generation that fit runs for ``key`` over ``slots`` at
+    ``depth``, or one it starts, is deeper than MAX_DEPTH. As in fit, a root's
+    generation has depth 1 and each offspring generation one more."""
     if depth > MAX_DEPTH:
         return True
     tree = reg.trees.get(reg.resolve(key))
     if tree is None:
         return False
-    for slot in DOWNSTREAM_SLOTS:
+    for slot in slots:
         if not PRIMITIVE_SEMANTICS[slot][0]:
             continue
         for entry in tree.slot(slot):
             sub = reg.trees.get(reg.resolve(entry))
             if sub is not None and sub.has_downstream():
-                if _offspring_depth_exceeded(reg, entry, depth + 1):
+                if _offspring_depth_exceeded(reg, entry, DOWNSTREAM_SLOTS, depth + 1):
                     return True
     return False
 
@@ -269,7 +272,7 @@ def validate_registry(reg: Registry) -> list[str]:
                 "offspring-bearing slot"
             )
     for key in sorted(reg.trees):
-        if _offspring_depth_exceeded(reg, key, 0):
+        if _offspring_depth_exceeded(reg, key, UPSTREAM_SLOTS, 1):
             diagnostics.append(
                 f"offspring recursion from {key!r} exceeds max depth {MAX_DEPTH}"
             )

@@ -29,6 +29,8 @@ from .tidytable import canon_text
 DEFAULT_MIN_LEN = 5
 DEFAULT_PLUG = "zzzplug"
 SPACE_AND_PUNCTUATION = frozenset(" " + string.punctuation)
+# The transform parameters that config_from_params reads.
+SCAN_PARAMS = {"min_len?": int, "exclude_chars?": str, "space_and_punctuation?": bool}
 
 
 @dataclass(frozen=True)
@@ -56,7 +58,7 @@ def config_from_params(params: dict, single_id: bool = True) -> OverlapScanConfi
     if params.get("space_and_punctuation", True) is False:
         exclude |= SPACE_AND_PUNCTUATION
     return OverlapScanConfig(
-        min_len=int(params.get("min_len", DEFAULT_MIN_LEN)),
+        min_len=params.get("min_len", DEFAULT_MIN_LEN),
         exclude_chars=frozenset(exclude),
         single_id=single_id,
     )
@@ -169,6 +171,7 @@ class SpltBehavior(Behavior):
     name = "splt"
     coltype_class = CLASS_BOOLEAN
     fit_schema = {"overlaps": [str], "assignment": {str: str}}  # overlaps name the columns
+    param_schema = SCAN_PARAMS
     single_id = True
 
     def fit(self, counts, params, root_rule):
@@ -234,6 +237,7 @@ class Spl2Behavior(Behavior):
     name = "spl2"
     coltype_class = CLASS_CATEGORIC
     fit_schema = {"assignment": {str: str}}  # single-id overlaps are exactly the assigned values
+    param_schema = SCAN_PARAMS
     unseen_matches = True  # entries unseen in train are matched against stored overlaps
 
     def fit(self, counts, params, root_rule):
@@ -264,11 +268,12 @@ class Spl5Behavior(Spl2Behavior):
 
     name = "spl5"
     fit_schema = {"assignment": {str: str}, "plug": str}
+    param_schema = {**SCAN_PARAMS, "plug?": str}
 
     def fit(self, counts, params, root_rule):
         state = super().fit(counts, params, root_rule)
         overlaps = set(state["assignment"].values())
-        state["plug"] = _resolve_plug(str(params.get("plug", DEFAULT_PLUG)), overlaps)
+        state["plug"] = _resolve_plug(params.get("plug", DEFAULT_PLUG), overlaps)
         return state
 
     @staticmethod
@@ -296,6 +301,7 @@ class Sp19Behavior(B1010Behavior):
 
     name = "sp19"
     fit_schema = {"codes": {str: int}}
+    param_schema = SCAN_PARAMS
 
     def fit(self, counts, params, root_rule):
         cfg = config_from_params(params, single_id=False)
@@ -332,7 +338,7 @@ class SbstBehavior(SpltBehavior):
     name = "sbst"
 
     def fit(self, counts, params, root_rule):
-        min_len = int(params.get("min_len", DEFAULT_MIN_LEN))
+        min_len = params.get("min_len", DEFAULT_MIN_LEN)
         if min_len < 1:
             raise ConfigError("sbst min_len must be at least 1")
         cfg = config_from_params(params, single_id=True)

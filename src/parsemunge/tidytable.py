@@ -149,15 +149,7 @@ def write_csv(table: TidyTable, path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(table.headers)
         for i in range(table.row_count):
-            writer.writerow([_render(col[i]) for col in table.columns])
-
-
-def _render(cell: Cell) -> str:
-    if cell is None:
-        return ""
-    if isinstance(cell, float):
-        return format_number(cell)
-    return cell
+            writer.writerow([canon_text(col[i]) for col in table.columns])  # None as ""
 
 
 def distinct_counts(values, weights=None) -> dict[Cell, int]:

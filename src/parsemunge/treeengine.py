@@ -32,7 +32,6 @@ from .errors import ConfigError, DataError
 from .registry import (
     BEHAVIORS,
     DOWNSTREAM_SLOTS,
-    MAX_DEPTH,
     PRIMITIVE_SEMANTICS,
     UPSTREAM_SLOTS,
     Registry,
@@ -117,11 +116,26 @@ class DriftReport:
         return {"per_source": self.per_source}
 
 
-def _resolve_params(opts: Options, category: str, source_header: str) -> dict:
+_check_assignparam = checker({str: {str: object}}, "assignparam", ConfigError)
+
+
+def _resolve_params(opts: Options, behavior, category: str, source_header: str) -> dict:
+    """One step's transform parameters: the global keys its behaviour declares,
+    then the category's defaults, then the source column's; each layer is
+    checked on the behaviour's ``param_schema``."""
     ap = opts.assignparam or {}
-    params = dict(ap.get("global_assignparam", {}))
-    params.update(ap.get("default_assignparam", {}).get(category, {}))
-    params.update(ap.get(category, {}).get(source_header, {}))
+    declared = {key.removesuffix("?") for key in behavior.param_schema}
+    defaults = ap.get("default_assignparam", {})
+    layers = {
+        "['global_assignparam']": {k: v for k, v in ap.get("global_assignparam", {}).items()
+                                   if k in declared},
+        f"['default_assignparam'][{category!r}]": defaults.get(category, {}),
+        f"[{category!r}][{source_header!r}]": ap.get(category, {}).get(source_header, {}),
+    }
+    params = {}
+    for where, layer in layers.items():
+        checker(behavior.param_schema, "assignparam" + where, ConfigError)(layer)
+        params.update(layer)
     return params
 
 
@@ -188,7 +202,8 @@ def _fit_source(header: str, col: list[Cell], root_key: str, reg: Registry,
 
     def fit_step(cat_key: str, in_header: str, in_counts: dict) -> StepRecord:
         entry = reg.entry(cat_key)
-        state = entry.behavior.fit(in_counts, _resolve_params(opts, cat_key, header), root_rule)
+        params = _resolve_params(opts, entry.behavior, cat_key, header)
+        state = entry.behavior.fit(in_counts, params, root_rule)
         out_headers = []
         for token in entry.behavior.output_tokens(state):
             base = f"{in_header}_{entry.suffix}" + (f"_{token}" if token else "")
@@ -205,12 +220,8 @@ def _fit_source(header: str, col: list[Cell], root_key: str, reg: Registry,
         _record(values, rec, _step_outputs(entry.behavior, state, in_counts))
         return rec
 
-    def run_generation(owner_key: str, in_header: str, in_counts: dict,
-                       slots, depth: int) -> bool:
-        if depth > MAX_DEPTH:
-            raise ConfigError(
-                f"family tree recursion exceeds max depth {MAX_DEPTH} at {owner_key!r}"
-            )
+    def run_generation(owner_key: str, in_header: str, in_counts: dict, slots) -> bool:
+        # validate_registry has bounded the recursion depth from every root.
         tree = reg.tree(owner_key)
         input_retained = not any(
             tree.slot(s) and not PRIMITIVE_SEMANTICS[s][1] for s in slots
@@ -223,11 +234,11 @@ def _fit_source(header: str, col: list[Cell], root_key: str, reg: Registry,
                     for out_header in rec.output_headers:
                         rec.retained = run_generation(
                             cat, out_header, distinct_counts(values[out_header], counts.values()),
-                            DOWNSTREAM_SLOTS, depth + 1,
+                            DOWNSTREAM_SLOTS,
                         )
         return input_retained
 
-    if run_generation(root_key, header, counts, UPSTREAM_SLOTS, 1):
+    if run_generation(root_key, header, counts, UPSTREAM_SLOTS):
         # Root generation had no replacement entries: keep the source itself.
         fit_step("excl", header, counts)
     plan = SourcePlan(
@@ -320,6 +331,7 @@ def fit(train: TidyTable, assignments: dict[str, str] | None = None,
             raise ConfigError(f"unknown transformation category {key!r}")
     if opts.labels_column is not None and opts.labels_column not in train.headers:
         raise DataError(f"labels column {opts.labels_column!r} not in table")
+    _check_assignparam(opts.assignparam or {})
     requested_infill = _requested_infill(opts)
     for h in requested_infill:
         if h not in train.headers:
@@ -479,52 +491,42 @@ def invert(artifact: FitArtifact, encoded: TidyTable,
     for h in wanted:
         if h not in artifact.per_source:
             raise DataError(f"unknown source column {h!r}")
+    present = set(encoded.headers)
     headers, columns, failed = [], [], []
     for header in wanted:
-        plan = artifact.per_source[header]
-        producer = {
-            out: rec for rec in plan.steps for out in rec.output_headers
-        }
-        candidates = []
-        for i, rec in enumerate(plan.steps):
-            if not rec.retained or rec.behavior not in _INVERT_PREFERENCE:
+        # One pass in step order: a step reads the source cleanly when its
+        # input is the source or the output of a clean inversion-pass step.
+        clean, candidates, narw = {header}, [], None
+        for i, rec in enumerate(artifact.per_source[header].steps):
+            if rec.input_header not in clean:
                 continue
-            cur, clean = rec.input_header, True
-            while cur != plan.header:
-                parent = producer[cur]
-                if not BEHAVIORS[parent.behavior].inversion_pass:
-                    clean = False
-                    break
-                cur = parent.input_header
-            if clean and all(h in encoded.headers for h in rec.output_headers):
+            if BEHAVIORS[rec.behavior].inversion_pass:
+                clean.update(rec.output_headers)
+            elif not rec.retained or not present.issuperset(rec.output_headers):
+                continue
+            elif rec.behavior in _INVERT_PREFERENCE:
                 candidates.append((_INVERT_PREFERENCE[rec.behavior], i, rec))
+            elif rec.behavior == "NArw" and rec.input_header == header and narw is None:
+                narw = encoded.column(rec.output_headers[0])
         if not candidates:
             failed.append(header)
             continue
         rec = min(candidates)[2]
         decode = BEHAVIORS[rec.behavior].decoder(rec.fit)
         cols = [encoded.column(h) for h in rec.output_headers]
-        narw = _retained_narw(plan, encoded)
         recovered = []
-        for r in range(encoded.row_count):
-            if narw is not None and narw[r] == 1.0:
-                recovered.append(None)
-            else:
-                recovered.append(decode(tuple(c[r] for c in cols)))
+        for flag, *row in zip(narw or [0.0] * encoded.row_count, *cols):
+            try:
+                recovered.append(None if flag == 1.0 else decode(tuple(row)))
+            except (KeyError, TypeError):
+                raise DataError(f"cannot invert source {header!r}: step {rec.category!r} "
+                                f"columns {rec.output_headers} hold the pattern {row!r},"
+                                " which the fitted step never outputs") from None
         headers.append(header)
         columns.append(recovered)
     if sources is not None and failed:
         raise DataError(f"no invertible path for sources: {failed}")
     return TidyTable(headers=headers, columns=columns), failed
-
-
-def _retained_narw(plan: SourcePlan, encoded: TidyTable):
-    for rec in plan.steps:
-        if (rec.behavior == "NArw" and rec.retained
-                and rec.input_header == plan.header
-                and rec.output_headers[0] in encoded.headers):
-            return encoded.column(rec.output_headers[0])
-    return None
 
 
 def drift_report(artifact: FitArtifact, new: TidyTable) -> DriftReport:

@@ -183,6 +183,20 @@ class TestCmdInvert:
                      "--out", str(tmp_path / "r.csv")]) == 0
         assert "non-invertible" in capsys.readouterr().err
 
+    def test_junk_code_exit_3(self, tmp_path, capsys):
+        train, _ = _write_train(tmp_path)
+        out = tmp_path / "out"
+        config = _config(tmp_path, {"assigncat": {"ord3": ["col1"]}})
+        main(["fit", str(train), "--config", str(config), "--out-dir", str(out)])
+        encoded = load_csv(out / "train_encoded.csv")
+        encoded.columns[encoded.headers.index("col1_ord3")][3] = "junk"
+        write_csv(encoded, tmp_path / "junk.csv")
+        capsys.readouterr()
+        assert main(["invert", str(out / "artifact.pmz.json"), str(tmp_path / "junk.csv"),
+                     "--out", str(tmp_path / "r.csv")]) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "['junk']" in err
+
     def test_bad_artifact_exit_3(self, tmp_path):
         blob = tmp_path / "artifact.pmz.json"
         blob.write_text("{}", encoding="utf-8")
@@ -301,6 +315,23 @@ class TestConfigDocument:
         ({"threshold": "x"}, "config['threshold'] must be an integer, not text"),
     ])
     def test_mistyped_value_exit_2(self, tmp_path, capsys, doc, where):
+        train, _ = _write_train(tmp_path)
+        config = _config(tmp_path, doc)
+        assert main(["fit", str(train), "--config", str(config),
+                     "--out-dir", str(tmp_path / "o")]) == 2
+        assert f"configuration error: {where}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, where", [
+        ({"assigncat": {"splt": ["col1"]}, "assignparam": {"splt": {"col1": 5}}},
+         "assignparam['splt']['col1'] must be an object"),
+        ({"assigncat": {"splt": ["col1"]}, "assignparam": {"splt": {"col1": {"min_len": "x"}}}},
+         "assignparam['splt']['col1']['min_len'] must be an integer, not text"),
+        ({"assigncat": {"srch": ["col2"]}, "srch": {"col2": {"search": 5}}},
+         "assignparam['srch']['col2']['search'] must be a list, not an integer"),
+        ({"assigncat": {"or19": ["col2"]}, "assignparam": {"UPCS": {"col2": {"enabled": "false"}}}},
+         "assignparam['UPCS']['col2']['enabled'] must be a boolean, not text"),
+    ])
+    def test_mistyped_transform_parameter_exit_2(self, tmp_path, capsys, doc, where):
         train, _ = _write_train(tmp_path)
         config = _config(tmp_path, doc)
         assert main(["fit", str(train), "--config", str(config),

@@ -1,6 +1,9 @@
 """Option and per-column parameter plumbing through the engine."""
 
+import pytest
+
 import parsemunge as pm
+from parsemunge.errors import ConfigError
 from parsemunge.tidytable import TidyTable
 from parsemunge.treeengine import Options
 
@@ -90,3 +93,20 @@ class TestAssignparam:
         table = _table(c=["abq", "abr"])
         _, artifact = pm.fit(table, {"c": "splt"}, opts=opts)
         assert artifact.per_source["c"].steps[0].fit["overlaps"] == []
+
+    @pytest.mark.parametrize("assignparam, where", [
+        ({"splt": {"c": {"min_len": 2.0}}}, r"\['splt'\]\['c'\]\['min_len'\] must be an integer"),
+        ({"default_assignparam": {"splt": {"plug": "p"}}},
+         r"\['default_assignparam'\]\['splt'\] must be an object with keys"),
+        ({"global_assignparam": {"min_len": "2"}},
+         r"\['global_assignparam'\]\['min_len'\] must be an integer"),
+        ({"splt": ["c"]}, r"assignparam\['splt'\] must be an object"),
+    ])
+    def test_mistyped_parameter_is_a_config_error(self, assignparam, where):
+        with pytest.raises(ConfigError, match=where):
+            pm.fit(_table(c=["abq", "abr"]), {"c": "splt"}, opts=Options(assignparam=assignparam))
+
+    def test_global_keys_reach_only_the_behaviours_that_declare_them(self):
+        opts = Options(assignparam={"global_assignparam": {"min_len": 2, "plug": 5}})
+        _, artifact = pm.fit(_table(c=["abq", "abr"]), {"c": "splt"}, opts=opts)
+        assert artifact.per_source["c"].steps[0].fit["overlaps"] == ["ab"]

@@ -1,9 +1,11 @@
 import pytest
 
+import parsemunge as pm
 from parsemunge.errors import ConfigError
 from parsemunge.registry import (
     ALL_SLOTS,
     DOWNSTREAM_SLOTS,
+    MAX_DEPTH,
     PRIMITIVE_SEMANTICS,
     UPSTREAM_SLOTS,
     Registry,
@@ -11,6 +13,7 @@ from parsemunge.registry import (
     merge_overrides,
     validate_registry,
 )
+from parsemunge.tidytable import TidyTable
 
 REQUIRED_KEYS = [
     "ord3", "onht", "bnry", "1010", "nmbr", "mnmx", "NArw", "UPCS", "excl",
@@ -143,6 +146,36 @@ class TestValidate:
         crafted.entries["loop"] = _entry_from_spec("loop", {"behavior": "ord3"})
         diagnostics = validate_registry(crafted)
         assert any("max depth 16" in d and "loop" in d for d in diagnostics)
+
+    @pytest.mark.parametrize("length", range(14, 19))
+    def test_merge_accepts_exactly_the_chains_fit_runs(self, length):
+        """c1 -> c2 -> ... -> c<length> through children: assigned as a root,
+        c1's root generation has depth 1 and c<k>'s children generation k + 1,
+        so the deepest generation has depth ``length``."""
+        trees = {f"c{i}": {"children": [f"c{i + 1}"]} for i in range(1, length)}
+        trees["c1"]["parents"] = ["c1"]
+        trees[f"c{length}"] = {}
+        entries = dict.fromkeys(trees, {"behavior": "UPCS"})
+        try:
+            merge_overrides(builtin_registry(), trees, entries)
+            accepted = True
+        except ConfigError:
+            accepted = False
+        assert accepted == (length <= MAX_DEPTH)
+        # fit on the same registry, unvalidated, runs exactly when it is accepted.
+        from parsemunge.registry import _entry_from_spec, _tree_from_spec
+        base = builtin_registry()
+        unchecked = Registry(
+            trees={**base.trees, **{k: _tree_from_spec(k, v) for k, v in trees.items()}},
+            entries={**base.entries, **{k: _entry_from_spec(k, v) for k, v in entries.items()}},
+        )
+        try:
+            encoded, _ = pm.fit(TidyTable(["a"], [["x", "y"]]), {"a": "c1"}, unchecked)
+            assert encoded.headers == ["a" + "_UPCS" * length]
+            ran = True
+        except ConfigError:
+            ran = False
+        assert ran == accepted
 
     def test_dangling_diagnostic(self):
         base = builtin_registry()

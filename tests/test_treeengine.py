@@ -637,9 +637,10 @@ class TestInvert:
         recovered, _ = pm.invert(artifact, encoded)
         assert recovered.column("a") == pytest.approx(col)
 
-    def test_splt_only_not_invertible(self):
+    @pytest.mark.parametrize("root", ["splt", "spl2"])  # spl2: ord3 codes its lossy output
+    def test_lossy_paths_not_invertible(self, root):
         col = ["chrome 62.0", "chrome 49.0"]
-        encoded, artifact = pm.fit(_table(a=col), {"a": "splt"})
+        encoded, artifact = pm.fit(_table(a=col), {"a": root})
         recovered, failed = pm.invert(artifact, encoded)
         assert failed == ["a"]
         assert recovered.headers == []
@@ -661,6 +662,56 @@ class TestInvert:
         broken = TidyTable(headers=list(cols), columns=[cols[h] for h in cols])
         with pytest.raises(DataError, match="pattern"):
             pm.invert(art4, broken)
+
+    def test_fractional_ord3_code_raises(self):
+        encoded, artifact = pm.fit(_table(a=["x", "y", "x"]), {"a": "ord3"})
+        broken = _table(a_ord3=[1.0, 2.5, 1.0], a_NArw=[0.0, 0.0, 0.0])
+        with pytest.raises(DataError, match=r"'a'.*'ord3'.*\['a_ord3'\].*pattern \[2.5\]"):
+            pm.invert(artifact, broken)
+
+    def test_missing_cell_where_narw_is_0_raises(self):
+        encoded, artifact = pm.fit(_table(a=[1.0, 2.0, None]), {"a": "nmbr"})
+        assert encoded.column("a_NArw") == [0.0, 0.0, 1.0]
+        assert pm.invert(artifact, _table(a_nmbr=[0.5, None, None],
+                                          a_NArw=[0.0, 1.0, 1.0]))[0].column("a")[1:] == [None] * 2
+        with pytest.raises(DataError, match="pattern"):
+            pm.invert(artifact, _table(a_nmbr=[0.5, None, None], a_NArw=[0.0, 0.0, 1.0]))
+
+    def test_onht_without_entries_inverts_to_missing(self):
+        encoded, artifact = pm.fit(_table(a=[None, None], b=["x", "y"]), {"a": "onht"})
+        assert [h for h in encoded.headers if h.startswith("a_")] == ["a_NArw"]
+        narw_off = _table(**{h: [0.0, 0.0] if h == "a_NArw" else encoded.column(h)
+                             for h in encoded.headers})
+        for table in (encoded, narw_off):
+            assert pm.invert(artifact, table, ["a"])[0].column("a") == [None, None]
+
+    def test_malformed_cells_raise_only_data_error(self):
+        """Each cell of an encoded table of seven roots, swapped in turn for
+        each probe value: invert returns or raises DataError."""
+        roots = {"a": "ord3", "b": "onht", "c": "1010", "d": "or19", "e": "nmbr",
+                 "f": "mnmx", "g": "bnry"}
+        table = _table(a=["x", "y", "x", None, "z"], b=["p", "q", "r", "p", None],
+                       c=["u", "v", "w", "u", "t"], d=["ab12", "ab13", "cd12", None, "AB12"],
+                       e=[1.0, 2.5, None, -4.0, 3.0], f=[0.0, 10.0, 5.0, None, 2.0],
+                       g=["yes", "no", "yes", None, "no"])
+        encoded, artifact = pm.fit(table, roots)
+        recovered, failed = pm.invert(artifact, encoded)
+        assert failed == [] and recovered.column("c") == table.column("c")
+        escapes, count = [], 0
+        for j, header in enumerate(encoded.headers):
+            for r in range(encoded.row_count):
+                for probe in ("junk", "", "1", None, 0.5, 2.5, -1.0, 99.0, float("nan")):
+                    columns = list(encoded.columns)
+                    columns[j] = columns[j][:r] + [probe] + columns[j][r + 1:]
+                    count += 1
+                    try:
+                        pm.invert(artifact, TidyTable(encoded.headers, columns))
+                    except DataError:
+                        pass
+                    except Exception as exc:  # noqa: BLE001 - every other escape is the failure
+                        escapes.append(f"{header}[{r}] = {probe!r}: {type(exc).__name__}: {exc}")
+        assert count == 990
+        assert not escapes, f"{len(escapes)} of {count} escaped, first: {escapes[:5]}"
 
     def test_preference_order_prefers_1010(self):
         # or19 retains both a 1010 branch and ord3 branches; inversion should
