@@ -14,13 +14,13 @@ from pathlib import Path
 
 from .errors import ConfigError, DataError
 from .importance import TASK_CLASSIFICATION, TASK_REGRESSION, builtin_tree, permutation_importance
-from .infill import CONFIG_KIND_NAMES
-from .registry import ALL_SLOTS, Registry, builtin_registry, merge_overrides
+from .registry import BEHAVIORS, ENTRY_SPEC, TREE_SPEC, Registry, builtin_registry, merge_overrides
 from .schema import checker
 from .tidytable import COLTYPE_NUMERIC, TidyTable, infer_coltype, load_csv, write_csv
 from .treeengine import (
     ARTIFACT_SUFFIX,
     FitArtifact,
+    OPTIONS_SPEC,
     Options,
     apply,
     deserialize,
@@ -32,20 +32,21 @@ from .treeengine import (
 
 logger = logging.getLogger("parsemunge")
 
-# Every key is optional. Values inside `assignparam` and `srch` are transform
-# parameters, which fit checks on the param_schema of the behaviour reading them.
+# Every key is optional. The values inside `assignparam` are transform
+# parameters, which fit checks on the param_schema of the behaviour reading them;
+# the top-level `srch` block holds the `srch` parameters of each column.
 _check_config = checker({
     "assigncat?": {str: [str]},
-    "assignparam?": {str: {str: object}},
-    "assigninfill?": {str: [str]},
-    "transformdict?": {str: {f"{slot}?": [str] for slot in ALL_SLOTS}},
-    "processdict?": {str: {"behavior?": str, "suffix?": str}},
-    "labels_column?": str | None,
-    "seed?": int,
-    "threshold?": int,
+    "assignparam?": OPTIONS_SPEC["assignparam"],
+    "assigninfill?": OPTIONS_SPEC["assigninfill"],
+    "transformdict?": {str: TREE_SPEC},
+    "processdict?": {str: ENTRY_SPEC},
+    "labels_column?": OPTIONS_SPEC["labels_column"],
+    "seed?": OPTIONS_SPEC["seed"],
+    "threshold?": OPTIONS_SPEC["threshold"],
     "valpercent?": float | int | None,
-    "srch?": {str: {str: object}},
-    "shuffletrain?": bool,
+    "srch?": {str: BEHAVIORS["srch"].param_schema},
+    "shuffletrain?": OPTIONS_SPEC["shuffle_train"],
 }, "config", ConfigError)
 
 
@@ -67,19 +68,13 @@ def _load_config(path: str | None) -> dict:
 
 
 def _build_registry(config: dict) -> Registry:
-    reg = builtin_registry()
-    trees = config.get("transformdict") or {}
-    entries = config.get("processdict") or {}
-    if trees or entries:
-        reg = merge_overrides(reg, trees, entries)
-    return reg
+    return merge_overrides(builtin_registry(), config.get("transformdict"),
+                           config.get("processdict"))
 
 
-def _assignments(config: dict, reg: Registry) -> dict[str, str]:
+def _assignments(config: dict) -> dict[str, str]:
     out: dict[str, str] = {}
-    for category, headers in (config.get("assigncat") or {}).items():
-        if not reg.has(category):
-            raise ConfigError(f"assigncat names unknown category {category!r}")
+    for category, headers in config.get("assigncat", {}).items():
         for h in headers:
             if h in out:
                 raise ConfigError(f"column {h!r} assigned to multiple categories")
@@ -88,18 +83,14 @@ def _assignments(config: dict, reg: Registry) -> dict[str, str]:
 
 
 def _options(config: dict, args) -> Options:
-    infill_block = config.get("assigninfill") or {}
-    for name in infill_block:
-        if name not in CONFIG_KIND_NAMES:
-            raise ConfigError(f"unknown assigninfill kind {name!r}")
     return Options(
         threshold=args.threshold if args.threshold is not None else config.get("threshold", 255),
         seed=args.seed if args.seed is not None else config.get("seed", 0),
         labels_column=(args.labels if getattr(args, "labels", None)
                        else config.get("labels_column")),
         shuffle_train=config.get("shuffletrain", False),
-        assignparam=config.get("assignparam") or {},
-        assigninfill=infill_block,
+        assignparam=config.get("assignparam", {}),
+        assigninfill=config.get("assigninfill", {}),
     )
 
 
@@ -133,7 +124,7 @@ def _fit_report(artifact: FitArtifact) -> str:
 def cmd_fit(args) -> int:
     config = _load_config(args.config)
     reg = _build_registry(config)
-    assignments = _assignments(config, reg)
+    assignments = _assignments(config)
     opts = _options(config, args)
     train = load_csv(args.train)
     encoded, artifact = fit(train, assignments, reg, opts)
@@ -188,7 +179,7 @@ def cmd_invert(args) -> int:
 def cmd_importance(args) -> int:
     config = _load_config(args.config)
     reg = _build_registry(config)
-    assignments = _assignments(config, reg)
+    assignments = _assignments(config)
     opts = _options(config, args)
     if not opts.labels_column:
         raise ConfigError("importance requires labels_column (config) or --labels")
@@ -198,9 +189,10 @@ def cmd_importance(args) -> int:
     task = TASK_REGRESSION if infer_coltype(labels) == COLTYPE_NUMERIC \
         else TASK_CLASSIFICATION
     adapter = builtin_tree(task, seed=opts.seed)
+    valpercent = config.get("valpercent")
     report = permutation_importance(
         artifact, train, labels, adapter,
-        val_fraction=float(config.get("valpercent") or 0.2),
+        val_fraction=0.2 if valpercent is None else valpercent,
         seed=opts.seed,
     )
     out_dir = Path(args.out_dir)

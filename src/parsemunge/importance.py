@@ -139,6 +139,10 @@ def permutation_importance(artifact: FitArtifact, table: TidyTable,
                            val_fraction: float = 0.2, seed: int = 0,
                            repeats: int = 1) -> ImportanceReport:
     """Seeded split, base score, then per-feature and per-column shuffle metrics."""
+    if not 0 < val_fraction < 1:
+        raise ConfigError(f"val_fraction must lie strictly between 0 and 1, not {val_fraction!r}")
+    if seed < 0:
+        raise ConfigError(f"seed must not be negative, not {seed!r}")
     if len(labels) != table.row_count:
         raise DataError("labels length does not match table rows")
     encoded = apply(artifact, table)
@@ -368,6 +372,8 @@ def builtin_tree(task: str, max_depth: int = 8, n_trees: int = 10,
     """Small bagged-CART ensemble; deterministic for a given seed."""
     if task not in (TASK_CLASSIFICATION, TASK_REGRESSION):
         raise ConfigError(f"unknown task {task!r}")
+    if seed < 0:
+        raise ConfigError(f"seed must not be negative, not {seed!r}")
 
     def train(X, y):
         X = np.asarray(X, dtype=float)

@@ -21,11 +21,6 @@ KIND_MEDIAN = "median"
 KIND_MODE = "mode"
 KIND_NEGZERO = "negzero"
 
-ALL_KINDS = (
-    KIND_DEFAULT, KIND_ZERO, KIND_ONE, KIND_ADJACENT,
-    KIND_MEAN, KIND_MEDIAN, KIND_MODE, KIND_NEGZERO,
-)
-
 # Config-document spelling of each kind.
 CONFIG_KIND_NAMES = {
     "stdrdinfill": KIND_DEFAULT,

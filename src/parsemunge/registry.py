@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 from . import encoders, extract_search, stringparse
 from .encoders import Behavior
 from .errors import ConfigError
+from .schema import checker
 
 UPSTREAM_SLOTS = ("parents", "siblings", "auntsuncles", "cousins")
 DOWNSTREAM_SLOTS = ("children", "niecesnephews", "coworkers", "friends")
@@ -135,25 +136,20 @@ class Registry:
         }
 
 
-def _tree_from_spec(key: str, spec) -> FamilyTree:
-    if isinstance(spec, FamilyTree):
-        return spec
-    if not isinstance(spec, dict):
-        raise ConfigError(f"family tree for {key!r} is not an object")
-    unknown = set(spec) - set(ALL_SLOTS)
-    if unknown:
-        raise ConfigError(f"family tree for {key!r} has unknown slots: {sorted(unknown)}")
-    return FamilyTree(**{s: tuple(spec.get(s, ())) for s in ALL_SLOTS})
+# The shapes of a user family tree and process entry (see merge_overrides).
+TREE_SPEC = {f"{slot}?": [str] for slot in ALL_SLOTS}
+ENTRY_SPEC = {"behavior?": str, "suffix?": str}
+_check_trees = checker({str: TREE_SPEC}, "transformdict", ConfigError)
+_check_entries = checker({str: ENTRY_SPEC}, "processdict", ConfigError)
 
 
-def _entry_from_spec(key: str, spec) -> ProcessEntry:
-    if isinstance(spec, ProcessEntry):
-        return spec
-    if not isinstance(spec, dict):
-        raise ConfigError(f"process entry {key!r} is not an object")
-    unknown = set(spec) - {"behavior", "suffix"}
-    if unknown:
-        raise ConfigError(f"process entry {key!r} has unknown keys: {sorted(unknown)}")
+def _tree_from_spec(key: str, spec: dict) -> FamilyTree:
+    """The family tree of a checked TREE_SPEC document."""
+    return FamilyTree(**{slot: tuple(keys) for slot, keys in spec.items()})
+
+
+def _entry_from_spec(key: str, spec: dict) -> ProcessEntry:
+    """The process entry of a checked ENTRY_SPEC document."""
     name = spec.get("behavior", key)
     if name not in BEHAVIORS:
         raise ConfigError(f"process entry {key!r} references unknown behavior {name!r}")
@@ -214,14 +210,18 @@ def builtin_registry() -> Registry:
 def merge_overrides(base: Registry, trees: dict | None = None,
                     entries: dict | None = None) -> Registry:
     """User trees and process entries shadow built-ins key by key."""
+    trees = {} if trees is None else trees
+    entries = {} if entries is None else entries
+    _check_trees(trees)
+    _check_entries(entries)
     merged = Registry(
         trees=dict(base.trees),
         entries=dict(base.entries),
         aliases=dict(base.aliases),
     )
-    for key, spec in (entries or {}).items():
+    for key, spec in entries.items():
         merged.entries[key] = _entry_from_spec(key, spec)
-    for key, spec in (trees or {}).items():
+    for key, spec in trees.items():
         merged.trees[key] = _tree_from_spec(key, spec)
     diagnostics = validate_registry(merged)
     if diagnostics:

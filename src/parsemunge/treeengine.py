@@ -65,6 +65,19 @@ class Options:
     assigninfill: dict = field(default_factory=dict)
 
 
+# The declared type of each Options field, which fit checks under its name.
+OPTIONS_SPEC = {
+    "threshold": int,
+    "seed": int,
+    "labels_column": str | None,
+    "shuffle_train": bool,
+    "assignparam": {str: {str: object}},  # each layer is checked on a behaviour's param_schema
+    "assigninfill": {f"{name}?": [str] for name in infill_mod.CONFIG_KIND_NAMES},
+}
+_OPTION_CHECKS = {name: checker(spec, name, ConfigError) for name, spec in OPTIONS_SPEC.items()}
+_check_assignments = checker({str: str}, "assignments", ConfigError)
+
+
 @dataclass
 class StepRecord:
     """One transform application: category, header bookkeeping, frozen fit."""
@@ -116,14 +129,11 @@ class DriftReport:
         return {"per_source": self.per_source}
 
 
-_check_assignparam = checker({str: {str: object}}, "assignparam", ConfigError)
-
-
 def _resolve_params(opts: Options, behavior, category: str, source_header: str) -> dict:
     """One step's transform parameters: the global keys its behaviour declares,
     then the category's defaults, then the source column's; each layer is
     checked on the behaviour's ``param_schema``."""
-    ap = opts.assignparam or {}
+    ap = opts.assignparam
     declared = {key.removesuffix("?") for key in behavior.param_schema}
     defaults = ap.get("default_assignparam", {})
     layers = {
@@ -277,20 +287,24 @@ def _infill_columns(plan: SourcePlan, col: list[Cell], columns: dict,
         columns[h] = infill_mod.apply_infill(columns[h], mask, spec["kind"], spec.get("value"))
 
 
+def _column_classes(plan: SourcePlan) -> dict[str, str]:
+    """Retained output header -> coltype class of the behaviour writing it."""
+    return {h: BEHAVIORS[rec.behavior].coltype_class
+            for rec in plan.steps if rec.retained for h in rec.output_headers}
+
+
 def _fit_infill_spec(plan: SourcePlan, counts: dict, table: dict,
                      kind: str) -> dict[str, dict]:
     """Per retained column where the requested kind is compatible: the kind,
     with train stats taken over the non-target distinct values of the fit-time
     table. Other columns get no entry, which means no infill."""
     spec: dict[str, dict] = {}
-    classes = [BEHAVIORS[rec.behavior].coltype_class
-               for rec in plan.steps if rec.retained for _ in rec.output_headers]
     pairs = [
         (table[value], n) for value, n in counts.items()
         if not infill_mod.is_infill_target(value, plan.target_rule)
     ]
-    for i, h in enumerate(plan.retained_headers()):
-        if kind in infill_mod.NUMERIC_ONLY_KINDS and classes[i] != CLASS_NUMERIC:
+    for i, (h, coltype_class) in enumerate(_column_classes(plan).items()):
+        if kind in infill_mod.NUMERIC_ONLY_KINDS and coltype_class != CLASS_NUMERIC:
             continue
         stat = infill_mod.train_stat(kind, [(row[i], n) for row, n in pairs])
         entry = {"kind": kind}
@@ -298,18 +312,6 @@ def _fit_infill_spec(plan: SourcePlan, counts: dict, table: dict,
             entry["value"] = stat
         spec[h] = entry
     return spec
-
-
-def _requested_infill(opts: Options) -> dict[str, str]:
-    """source header -> canonical infill kind, from the assigninfill block."""
-    requested: dict[str, str] = {}
-    for name, headers in (opts.assigninfill or {}).items():
-        kind = infill_mod.CONFIG_KIND_NAMES.get(name, name)
-        if kind not in infill_mod.ALL_KINDS:
-            raise ConfigError(f"unknown infill kind {name!r}")
-        for h in headers:
-            requested[h] = kind
-    return requested
 
 
 def fit(train: TidyTable, assignments: dict[str, str] | None = None,
@@ -323,7 +325,10 @@ def fit(train: TidyTable, assignments: dict[str, str] | None = None,
     diagnostics = validate_registry(reg)
     if diagnostics:
         raise ConfigError("registry validation failed: " + "; ".join(diagnostics))
-    assignments = dict(assignments or {})
+    assignments = {} if assignments is None else assignments
+    _check_assignments(assignments)
+    for name, check in _OPTION_CHECKS.items():
+        check(getattr(opts, name))
     for h, key in assignments.items():
         if h not in train.headers:
             raise DataError(f"assigned header {h!r} not in table")
@@ -331,8 +336,8 @@ def fit(train: TidyTable, assignments: dict[str, str] | None = None,
             raise ConfigError(f"unknown transformation category {key!r}")
     if opts.labels_column is not None and opts.labels_column not in train.headers:
         raise DataError(f"labels column {opts.labels_column!r} not in table")
-    _check_assignparam(opts.assignparam or {})
-    requested_infill = _requested_infill(opts)
+    requested_infill = {h: infill_mod.CONFIG_KIND_NAMES[name]
+                        for name, headers in opts.assigninfill.items() for h in headers}
     for h in requested_infill:
         if h not in train.headers:
             raise ConfigError(f"assigninfill names unknown column {h!r}")
@@ -410,7 +415,14 @@ def serialize(artifact: FitArtifact) -> bytes:
 _CATEGORIC_STATS = {"coltype": str, "total": int, "top": [[str, int]], "uniques": [str]}
 _STEP = {"category": str, "behavior": str, "input_header": str, "output_headers": [str],
          "retained": bool}
-_INFILL = {"kind": str, "value?": float | str}  # the value of a kind with a train statistic
+# An infill entry holds its kind, and the train statistic of a kind that has one.
+_INFILL = Tagged("kind", {
+    infill_mod.KIND_MEAN: {"kind": str, "value?": float},
+    infill_mod.KIND_MEDIAN: {"kind": str, "value?": float},
+    infill_mod.KIND_MODE: {"kind": str, "value?": float | str},
+    **dict.fromkeys((infill_mod.KIND_ZERO, infill_mod.KIND_ONE, infill_mod.KIND_NEGZERO,
+                     infill_mod.KIND_ADJACENT), {"kind": str}),
+})
 # The serialized FitArtifact: the keys of a plan and of a step are their fields.
 _check_artifact = checker({
     "format_version": int,
@@ -427,8 +439,7 @@ _check_artifact = checker({
             COLTYPE_ALL_MISSING: _CATEGORIC_STATS,
         }),
     }],
-    "infill_spec": {str: Tagged("kind", dict.fromkeys(
-        set(infill_mod.ALL_KINDS) - {infill_mod.KIND_DEFAULT}, _INFILL))},
+    "infill_spec": {str: _INFILL},
 }, "artifact")
 
 
@@ -470,10 +481,13 @@ def deserialize(data: bytes | str) -> FitArtifact:
             raise DataError(f"artifact lists source {plan.header!r} twice")
         per_source[plan.header] = plan
     artifact = FitArtifact(version, doc["labels_column"], per_source, doc["infill_spec"])
-    retained = set(artifact.output_order)
-    for h in artifact.infill_spec:
-        if h not in retained:
+    classes = {h: c for plan in per_source.values() for h, c in _column_classes(plan).items()}
+    for h, spec in artifact.infill_spec.items():
+        if h not in classes:
             raise DataError(f"artifact infill_spec names {h!r}, which is no retained column")
+        if spec["kind"] in infill_mod.NUMERIC_ONLY_KINDS and classes[h] != CLASS_NUMERIC:
+            raise DataError(f"artifact infill_spec gives {h!r} {spec['kind']} infill,"
+                            " which needs a numeric column")
     return artifact
 
 

@@ -1,7 +1,9 @@
-"""Shared table generators and a single-behavior runner for the tests."""
+"""Shared table generators, a single-behavior runner and a document fuzzer
+for the tests."""
 
 from __future__ import annotations
 
+import copy
 import random
 
 from parsemunge.registry import BEHAVIORS
@@ -56,3 +58,35 @@ def run_behavior(name: str, col: list, params: dict | None = None,
     rows = [behavior.apply_cell(compiled, cell) for cell in col]
     width = len(behavior.output_tokens(state))
     return state, [[row[i] for row in rows] for i in range(width)]
+
+
+# One value of each JSON type, and of a few container shapes.
+RETYPE_PROBES = (None, 5, 2.5, "s", [], ["s"], {}, {"k": "v"}, True, [[]])
+
+
+def value_paths(node, path=()):
+    """The path of every value in a JSON document, containers included."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+    else:
+        items = ()
+    for key, child in items:
+        yield (*path, key)
+        yield from value_paths(child, (*path, key))
+
+
+def retyped(doc):
+    """Swap each value of ``doc`` in turn for each probe of another type, in
+    place: yields the path and the probe while the swap holds, and restores
+    the value afterwards."""
+    for path in list(value_paths(doc)):
+        *parents, key = path
+        node = doc
+        for p in parents:
+            node = node[p]
+        stored = node[key]
+        for probe in RETYPE_PROBES:
+            if type(probe) is not type(stored):
+                node[key] = copy.deepcopy(probe)
+                yield path, probe
+        node[key] = stored

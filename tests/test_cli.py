@@ -6,7 +6,7 @@ import pytest
 from parsemunge.cli import main
 from parsemunge.tidytable import TidyTable, load_csv, write_csv
 
-from .helpers import random_text_cell
+from .helpers import random_text_cell, retyped
 
 
 def _write_train(tmp_path, rows=30, seed=4):
@@ -234,6 +234,21 @@ class TestCmdImportance:
         assert main(["importance", str(train),
                      "--out-dir", str(tmp_path / "imp")]) == 2
 
+    @pytest.mark.parametrize("flags, doc", [
+        (["--seed", "-1"], None),
+        ([], {"seed": -1}),
+        ([], {"valpercent": 1e308}),
+        ([], {"valpercent": 0}),
+        ([], {"valpercent": 1}),
+    ])
+    def test_out_of_range_argument_exit_2(self, tmp_path, capsys, flags, doc):
+        train = self._labelled_csv(tmp_path)
+        if doc is not None:
+            flags = flags + ["--config", str(_config(tmp_path, doc))]
+        assert main(["importance", str(train), "--labels", "target",
+                     "--out-dir", str(tmp_path / "imp"), *flags]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_fixed_seed_identical_outputs(self, tmp_path):
         train = self._labelled_csv(tmp_path)
         blobs = []
@@ -327,7 +342,7 @@ class TestConfigDocument:
         ({"assigncat": {"splt": ["col1"]}, "assignparam": {"splt": {"col1": {"min_len": "x"}}}},
          "assignparam['splt']['col1']['min_len'] must be an integer, not text"),
         ({"assigncat": {"srch": ["col2"]}, "srch": {"col2": {"search": 5}}},
-         "assignparam['srch']['col2']['search'] must be a list, not an integer"),
+         "config['srch']['col2']['search'] must be a list, not an integer"),
         ({"assigncat": {"or19": ["col2"]}, "assignparam": {"UPCS": {"col2": {"enabled": "false"}}}},
          "assignparam['UPCS']['col2']['enabled'] must be a boolean, not text"),
     ])
@@ -337,6 +352,47 @@ class TestConfigDocument:
         assert main(["fit", str(train), "--config", str(config),
                      "--out-dir", str(tmp_path / "o")]) == 2
         assert f"configuration error: {where}" in capsys.readouterr().err
+
+    def test_retyped_values_exit_0_2_or_3(self, tmp_path):
+        """Every value of a config that sets every key, swapped in turn for
+        each probe value of another JSON type: fit exits 0, 2 or 3 and never
+        raises."""
+        path = tmp_path / "train.csv"
+        write_csv(TidyTable(headers=["col1", "col2", "num", "y"], columns=[
+            ["ab cd", "ab ce", "zz cd", None], ["chrome 62", "mac 10", "lynx", "chrome 49"],
+            [1.0, None, 3.0, 2.0], ["p", "q", "p", "q"],
+        ]), path)
+        doc = {
+            "assigncat": {"splt": ["col1"], "srch": ["col2"], "myrt": ["num"]},
+            "assignparam": {"global_assignparam": {"min_len": 2},
+                            "default_assignparam": {"splt": {"min_len": 2}},
+                            "splt": {"col1": {"space_and_punctuation": False}}},
+            "assigninfill": {"meaninfill": ["num"]},
+            "transformdict": {"myrt": {"parents": ["myrt"], "cousins": ["NArw"]}},
+            "processdict": {"myrt": {"behavior": "nmbr", "suffix": "mine"}},
+            "labels_column": "y",
+            "seed": 3,
+            "threshold": 255,
+            "valpercent": 0.2,
+            "srch": {"col2": {"search": ["chrome", "mac"]}},
+            "shuffletrain": True,
+        }
+        args = ["fit", str(path), "--config", str(tmp_path / "config.json"),
+                "--out-dir", str(tmp_path / "o")]
+        _config(tmp_path, doc)
+        assert main(args) == 0
+        escapes, count = [], 0
+        for where, probe in retyped(doc):
+            count += 1
+            _config(tmp_path, doc)
+            try:
+                code = main(args)
+            except Exception as exc:  # noqa: BLE001 - every escape is the failure
+                escapes.append(f"{where} = {probe!r}: {type(exc).__name__}: {exc}")
+            else:
+                if code not in (0, 2, 3):
+                    escapes.append(f"{where} = {probe!r}: exit {code}")
+        assert not escapes, f"{len(escapes)} of {count} escaped, first: {escapes[:5]}"
 
     def test_labels_column_config(self, tmp_path):
         path = tmp_path / "train.csv"

@@ -173,6 +173,18 @@ class TestPermutationImportance:
         with pytest.raises(ConfigError, match="seed"):
             permutation_importance(artifact, table, labels, adapter, seed=1)
 
+    @pytest.mark.parametrize("val_fraction, seed", [(0, 0), (1.0, 0), (1e308, 0), (0.2, -1)])
+    def test_out_of_range_argument_rejected(self, val_fraction, seed):
+        table, labels = _labelled_table(50, 1)
+        _, artifact = pm.fit(table)
+        adapter = builtin_tree(TASK_CLASSIFICATION)
+        with pytest.raises(ConfigError, match="val_fraction" if seed == 0 else "seed"):
+            permutation_importance(artifact, table, labels, adapter, val_fraction, seed)
+
+    def test_negative_tree_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            builtin_tree(TASK_CLASSIFICATION, seed=-1)
+
     def test_too_few_validation_rows(self):
         table = _table(a=["x", "y", "x", "y"])
         _, artifact = pm.fit(table)

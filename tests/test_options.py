@@ -1,11 +1,15 @@
 """Option and per-column parameter plumbing through the engine."""
 
+import dataclasses
+
 import pytest
 
 import parsemunge as pm
-from parsemunge.errors import ConfigError
+from parsemunge.errors import ConfigError, DataError
 from parsemunge.tidytable import TidyTable
-from parsemunge.treeengine import Options
+from parsemunge.treeengine import OPTIONS_SPEC, Options
+
+from .helpers import retyped
 
 
 def _table(**cols) -> TidyTable:
@@ -110,3 +114,56 @@ class TestAssignparam:
         opts = Options(assignparam={"global_assignparam": {"min_len": 2, "plug": 5}})
         _, artifact = pm.fit(_table(c=["abq", "abr"]), {"c": "splt"}, opts=opts)
         assert artifact.per_source["c"].steps[0].fit["overlaps"] == ["ab"]
+
+
+class TestDeclaredInputs:
+    def test_every_option_field_is_declared(self):
+        assert set(OPTIONS_SPEC) == {f.name for f in dataclasses.fields(Options)}
+
+    @pytest.mark.parametrize("assignments, options, where", [
+        ({"c": ["splt"]}, {}, r"^assignments\['c'\] must be text, not a list"),
+        ({}, {"assigninfill": {"meaninfill": 5}},
+         r"^assigninfill\['meaninfill'\] must be a list, not an integer"),
+        ({}, {"assigninfill": {"meaninfill": "n"}},
+         r"^assigninfill\['meaninfill'\] must be a list, not text"),
+        ({}, {"assigninfill": {"mean": ["n"]}}, r"^assigninfill must be an object with keys"),
+        ({}, {"threshold": "x"}, r"^threshold must be an integer, not text"),
+        ({}, {"seed": "x", "shuffle_train": True}, r"^seed must be an integer, not text"),
+        ({}, {"labels_column": 5}, r"^labels_column must be text or null"),
+        ({}, {"shuffle_train": 1}, r"^shuffle_train must be a boolean"),
+        ({}, {"assignparam": None}, r"^assignparam must be an object, not null"),
+    ])
+    def test_mistyped_input_is_a_config_error(self, assignments, options, where):
+        table = _table(c=["abq", "abr"], n=[1.0, None])
+        with pytest.raises(ConfigError, match=where):
+            pm.fit(table, assignments, opts=Options(**options))
+
+    def test_retyped_inputs_raise_only_parsemunge_errors(self):
+        """Every value of a fit call that sets every Options field, swapped in
+        turn for each probe value of another JSON type: fit returns or raises
+        ConfigError or DataError."""
+        table = _table(c=["abq", "abr", "abq", None], d=["x", "y", "z", "x"],
+                       n=[1.0, None, 3.0, 2.0], y=["p", "q", "p", "q"])
+        doc = {
+            "assignments": {"c": "splt"},
+            "options": {
+                "threshold": 2, "seed": 7, "labels_column": "y", "shuffle_train": True,
+                "assignparam": {"global_assignparam": {"min_len": 2},
+                                "default_assignparam": {"splt": {"min_len": 2}},
+                                "splt": {"c": {"space_and_punctuation": False}}},
+                "assigninfill": {"zeroinfill": ["n"], "modeinfill": ["d"]},
+            },
+        }
+        pm.fit(table, doc["assignments"], opts=Options(**doc["options"]))
+        escapes, count = [], 0
+        for path, probe in retyped(doc):
+            if path == ("options",):
+                continue  # Options(**probe) itself is no fit call
+            count += 1
+            try:
+                pm.fit(table, doc["assignments"], opts=Options(**doc["options"]))
+            except (ConfigError, DataError):
+                pass
+            except Exception as exc:  # noqa: BLE001 - every other escape is the failure
+                escapes.append(f"{path} = {probe!r}: {type(exc).__name__}: {exc}")
+        assert not escapes, f"{len(escapes)} of {count} escaped, first: {escapes[:5]}"

@@ -15,6 +15,8 @@ from parsemunge.registry import (
 )
 from parsemunge.tidytable import TidyTable
 
+from .helpers import retyped
+
 REQUIRED_KEYS = [
     "ord3", "onht", "bnry", "1010", "nmbr", "mnmx", "NArw", "UPCS", "excl",
     "splt", "sp15", "spl2", "spl5", "sp19", "sbst", "spl9", "sp10",
@@ -121,10 +123,49 @@ class TestMergeOverrides:
         with pytest.raises(ConfigError, match="default_infill"):
             merge_overrides(builtin_registry(),
                             entries={"wxyz": {"behavior": "ord3", "default_infill": "mean"}})
-        with pytest.raises(ConfigError, match="not an object"):
+        with pytest.raises(ConfigError, match="must be an object"):
             merge_overrides(builtin_registry(), entries={"wxyz": "ord3"})
-        with pytest.raises(ConfigError, match="not an object"):
+        with pytest.raises(ConfigError, match="must be an object"):
             merge_overrides(builtin_registry(), trees={"ord3": ["parents"]})
+
+    @pytest.mark.parametrize("trees, entries, where", [
+        ({"ord3": {"parents": 5}}, None,
+         r"^transformdict\['ord3'\]\['parents'\] must be a list, not an integer"),
+        ({"ord3": {"parents": "ord3"}}, None,
+         r"^transformdict\['ord3'\]\['parents'\] must be a list, not text"),
+        ({"ord3": {"parents": ["ord3"], "uncles": []}}, None, r"^transformdict\['ord3'\] must be"),
+        (None, {"zz": {"behavior": "ord3", "suffix": 5}},
+         r"^processdict\['zz'\]\['suffix'\] must be text, not an integer"),
+        (None, {"zz": {"behavior": ["ord3"]}},
+         r"^processdict\['zz'\]\['behavior'\] must be text, not a list"),
+        ([], None, r"^transformdict must be an object, not a list"),
+    ])
+    def test_mistyped_override_is_a_config_error(self, trees, entries, where):
+        with pytest.raises(ConfigError, match=where):
+            merge_overrides(builtin_registry(), trees, entries)
+
+    def test_retyped_overrides_raise_only_config_errors(self):
+        """Every value of an override pair that fills every slot and entry
+        key, swapped in turn for each probe value of another JSON type:
+        merge_overrides returns or raises ConfigError."""
+        doc = {
+            "trees": {"mytr": {"parents": ["mytr"], "siblings": ["ord3"], "auntsuncles": ["onht"],
+                               "cousins": ["NArw"], "children": ["ord3"],
+                               "niecesnephews": ["nmbr"], "coworkers": ["bnry"],
+                               "friends": ["1010"]}},
+            "entries": {"mytr": {"behavior": "UPCS", "suffix": "my"}},
+        }
+        merge_overrides(builtin_registry(), **doc)
+        escapes, count = [], 0
+        for path, probe in retyped(doc):
+            count += 1
+            try:
+                merge_overrides(builtin_registry(), **doc)
+            except ConfigError:
+                pass
+            except Exception as exc:  # noqa: BLE001 - every other escape is the failure
+                escapes.append(f"{path} = {probe!r}: {type(exc).__name__}: {exc}")
+        assert not escapes, f"{len(escapes)} of {count} escaped, first: {escapes[:5]}"
 
     def test_new_category_with_entry(self):
         merged = merge_overrides(

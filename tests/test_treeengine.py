@@ -16,7 +16,7 @@ from parsemunge.schema import checker
 from parsemunge.tidytable import TidyTable, distinct_counts
 from parsemunge.treeengine import FORMAT_VERSION, Options
 
-from .helpers import make_random_table, random_text_cell, run_behavior
+from .helpers import make_random_table, random_text_cell, retyped, run_behavior
 
 ADDRESSES = ["123 Main St 94107", "456 Oak Ave 94110", "789 Main Blvd 94107",
              "12 Pine Rd 94110", None]
@@ -387,17 +387,6 @@ def _first_assigned(state: dict, value) -> None:
     state["assignment"][next(iter(state["assignment"]))] = value
 
 
-def _value_paths(node, path=()):
-    """The path of every value in a JSON document, containers included."""
-    if isinstance(node, (dict, list)):
-        items = node.items() if isinstance(node, dict) else enumerate(node)
-    else:
-        items = ()
-    for key, child in items:
-        yield (*path, key)
-        yield from _value_paths(child, (*path, key))
-
-
 def _plan_of(doc: dict, header: str) -> dict:
     """The serialized plan of source ``header``."""
     return next(plan for plan in doc["per_source"] if plan["header"] == header)
@@ -534,6 +523,15 @@ class TestSerialization:
         lambda doc, plan: _fit_of(_plan_of(doc, "q"), "srch")["groups"].append(["Pine"]),
         lambda doc, plan: _fit_of(_plan_of(doc, "pat"), "sp19")["codes"].update(E=-1),
         lambda doc, plan: _fit_of(_plan_of(doc, "pat"), "sp19")["codes"].update(E=0),
+        lambda doc, plan: doc["infill_spec"].update(num_nmbr={"kind": "mean", "value": "zz"}),
+        lambda doc, plan: doc["infill_spec"].update(num_nmbr={"kind": "median", "value": "zz"}),
+        lambda doc, plan: doc["infill_spec"].update(col2_NArw={"kind": "mean", "value": 0.5}),
+        lambda doc, plan: doc["infill_spec"].update(col2_NArw={"kind": "median"}),
+        lambda doc, plan: doc["infill_spec"].update(col2_NArw={"kind": "mode", "value": [1.0]}),
+        lambda doc, plan: doc["infill_spec"].update(num_nmbr={"kind": "zero", "value": 0.0}),
+        lambda doc, plan: doc["infill_spec"].update(num_nmbr={"kind": "one", "value": 1.0}),
+        lambda doc, plan: doc["infill_spec"].update(num_nmbr={"kind": "negzero", "value": 0.0}),
+        lambda doc, plan: doc["infill_spec"].update(num_nmbr={"kind": "adjacent", "value": 1.0}),
     ], ids=["step-without-retained", "unknown-top-level-key", "per-source-not-a-list",
             "duplicate-plan-header", "steps-not-a-list", "plan-without-root",
             "unproduced-input-header", "unproduced-output", "empty-1010-fit",
@@ -545,7 +543,9 @@ class TestSerialization:
             "infill-spec-entry-not-an-object", "infill-spec-unknown-kind",
             "infill-spec-default-kind", "splt-assignment-not-text",
             "srch-fewer-groups-than-labels", "srch-more-groups-than-labels",
-            "sp19-code-negative", "sp19-code-zero"])
+            "sp19-code-negative", "sp19-code-zero", "mean-value-text", "median-value-text",
+            "mean-on-boolean-column", "median-on-boolean-column", "mode-value-a-list",
+            "zero-with-value", "one-with-value", "negzero-with-value", "adjacent-with-value"])
     def test_malformed_artifact_raises_data_error(self, mutate):
         table = _table(col2=ADDRESSES, num=[1.0, 2.5, None, 4.0, 0.5], pat=ADDRESSES,
                        spl=ADDRESSES, q=ADDRESSES)
@@ -564,27 +564,18 @@ class TestSerialization:
         table, doc = _golden_table(), json.loads(_GOLDEN_BLOB)
         encoded = pm.apply(pm.deserialize(_GOLDEN_BLOB), table)
         escapes, count = [], 0
-        for path in list(_value_paths(doc)):
-            *parents, key = path
-            node = doc
-            for p in parents:
-                node = node[p]
-            stored = node[key]
-            for probe in (None, 5, 2.5, "s", [], ["s"], {}, {"k": "v"}, True, [[]]):
-                if type(probe) is type(stored):
-                    continue
-                node[key], count = probe, count + 1
-                blob = json.dumps(doc)
-                node[key] = stored
-                try:
-                    artifact = pm.deserialize(blob)
-                    pm.apply(artifact, table)
-                    pm.invert(artifact, encoded)
-                    pm.drift_report(artifact, table)
-                except ParsemungeError:
-                    pass
-                except Exception as exc:  # noqa: BLE001 - every other escape is the failure
-                    escapes.append(f"{path} = {probe!r}: {type(exc).__name__}: {exc}")
+        for path, probe in retyped(doc):
+            count += 1
+            blob = json.dumps(doc)
+            try:
+                artifact = pm.deserialize(blob)
+                pm.apply(artifact, table)
+                pm.invert(artifact, encoded)
+                pm.drift_report(artifact, table)
+            except ParsemungeError:
+                pass
+            except Exception as exc:  # noqa: BLE001 - every other escape is the failure
+                escapes.append(f"{path} = {probe!r}: {type(exc).__name__}: {exc}")
         assert count == 7288  # the golden artifact is pinned, so is its mutation count
         assert not escapes, f"{len(escapes)} of {count} escaped, first: {escapes[:5]}"
 
