@@ -72,9 +72,11 @@ def _build_registry(config: dict) -> Registry:
                            config.get("processdict"))
 
 
-def _assignments(config: dict) -> dict[str, str]:
+def _assignments(config: dict, reg: Registry) -> dict[str, str]:
     out: dict[str, str] = {}
     for category, headers in config.get("assigncat", {}).items():
+        if not reg.has(category):
+            raise ConfigError(f"unknown transformation category {category!r}")
         for h in headers:
             if h in out:
                 raise ConfigError(f"column {h!r} assigned to multiple categories")
@@ -124,7 +126,7 @@ def _fit_report(artifact: FitArtifact) -> str:
 def cmd_fit(args) -> int:
     config = _load_config(args.config)
     reg = _build_registry(config)
-    assignments = _assignments(config)
+    assignments = _assignments(config, reg)
     opts = _options(config, args)
     train = load_csv(args.train)
     encoded, artifact = fit(train, assignments, reg, opts)
@@ -179,21 +181,23 @@ def cmd_invert(args) -> int:
 def cmd_importance(args) -> int:
     config = _load_config(args.config)
     reg = _build_registry(config)
-    assignments = _assignments(config)
+    assignments = _assignments(config, reg)
     opts = _options(config, args)
     if not opts.labels_column:
         raise ConfigError("importance requires labels_column (config) or --labels")
+    valpercent = config.get("valpercent")
+    val_fraction = 0.2 if valpercent is None else valpercent
+    if not 0 < val_fraction < 1:
+        raise ConfigError(f"config['valpercent'] must lie strictly between 0 and 1, "
+                          f"not {valpercent!r}")
     train = load_csv(args.train)
     labels = train.column(opts.labels_column)
     encoded, artifact = fit(train, assignments, reg, opts)
     task = TASK_REGRESSION if infer_coltype(labels) == COLTYPE_NUMERIC \
         else TASK_CLASSIFICATION
     adapter = builtin_tree(task, seed=opts.seed)
-    valpercent = config.get("valpercent")
     report = permutation_importance(
-        artifact, train, labels, adapter,
-        val_fraction=0.2 if valpercent is None else valpercent,
-        seed=opts.seed,
+        artifact, train, labels, adapter, val_fraction=val_fraction, seed=opts.seed,
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -3,6 +3,13 @@
 Cells are plain Python values: ``str`` for text, ``float`` for numbers,
 ``None`` for missing. Numbers are kept finite; anything that would parse to
 NaN or an infinity is normalized to missing at ingestion.
+
+CSV I/O works column by column over blocks of ``BLOCK_ROWS`` rows:
+``load_csv`` classifies each distinct token of a column once and gathers the
+cells by token; ``write_csv`` renders each distinct number of an all-number
+column once, keyed by bit pattern so -0.0 stays apart from 0.0, and gathers
+the text by code. The cells and bytes are those of classifying and rendering
+cell by cell.
 """
 
 from __future__ import annotations
@@ -12,6 +19,9 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress, islice
+
+import numpy as np
 
 from .errors import DataError
 
@@ -22,6 +32,13 @@ DEFAULT_MISSING_TOKENS = frozenset({"", "NA", "NaN", "null"})
 COLTYPE_NUMERIC = "numeric"
 COLTYPE_CATEGORIC = "categoric"
 COLTYPE_ALL_MISSING = "all-missing"
+
+# Rows per block of CSV reading and writing, so the memory held beyond the
+# cells is bounded by a block, not by the file. A block of parsed rows costs
+# about 1 KiB a row on an 8-column file.
+BLOCK_ROWS = 2**14
+
+_NEG_ZERO_BITS = np.float64(-0.0).view(np.uint64)
 
 # Strict decimal grammar: no inf/nan words, no underscores, no stray whitespace.
 _DECIMAL_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z", re.ASCII)
@@ -102,16 +119,16 @@ class TidyTable:
         return self.headers == other.headers and self.columns == other.columns
 
 
-def _classify(token: str, missing_tokens: frozenset[str]) -> Cell:
-    if token in missing_tokens:
-        return None
-    num = parse_number(token)
-    if num is not None:
-        return num
-    # Overflowing decimals ("1e999") match the grammar but are non-finite.
-    if _DECIMAL_RE.match(token):
-        return None
-    return token
+def _classify(tokens: set[str], missing_tokens: frozenset[str]) -> dict[str, Cell]:
+    """The cell of each distinct token: missing for a missing token, a number
+    for a finite decimal, missing for an overflowing one ("1e999"), else text."""
+    cells: dict[str, Cell] = dict(zip(tokens, tokens))
+    decimals = list(filter(_DECIMAL_RE.match, tokens))
+    values = list(map(float, decimals))
+    cells.update(zip(decimals, values))
+    cells.update(dict.fromkeys(compress(decimals, map(math.isinf, values))))
+    cells.update(dict.fromkeys(tokens & missing_tokens))
+    return cells
 
 
 def load_csv(path, missing_tokens=None) -> TidyTable:
@@ -133,14 +150,35 @@ def load_csv(path, missing_tokens=None) -> TidyTable:
                 raise DataError(f"{path}: duplicate header {h!r}")
             seen.add(h)
         columns: list[list[Cell]] = [[] for _ in headers]
-        for i, row in enumerate(reader, start=1):
-            if len(row) != len(headers):
+        first_row = 1
+        while block := list(islice(reader, BLOCK_ROWS)):
+            if set(map(len, block)) != {len(headers)}:
+                i, row = next((i, row) for i, row in enumerate(block, start=first_row)
+                              if len(row) != len(headers))
                 raise DataError(
                     f"{path}: row {i} has {len(row)} fields, expected {len(headers)}"
                 )
-            for col, token in zip(columns, row):
-                col.append(_classify(token, tokens))
+            first_row += len(block)
+            for col, toks in zip(columns, zip(*block)):
+                cells = _classify(set(toks), tokens)
+                col.extend(map(cells.__getitem__, toks))
     return TidyTable(headers=headers, columns=columns)
+
+
+def _render_floats(col: list[float]) -> list[str]:
+    """``format_number`` of every cell, computed once per distinct bit pattern
+    (so -0.0 stays apart from 0.0) and gathered back by code."""
+    bits, codes = np.unique(np.fromiter(col, np.float64, len(col)).view(np.uint64),
+                            return_inverse=True)
+    values = bits.view(np.float64)
+    if not np.isfinite(values).all():
+        return list(map(format_number, col))  # raises as format_number does
+    integral = (values == np.trunc(values)) & (np.abs(values) < 1e16)
+    text = np.empty(len(values), dtype=object)
+    text[integral] = list(map(str, values[integral].astype(np.int64).tolist()))
+    text[~integral] = list(map(repr, values[~integral].tolist()))
+    text[bits == _NEG_ZERO_BITS] = "-0"
+    return text[codes].tolist()
 
 
 def write_csv(table: TidyTable, path) -> None:
@@ -148,8 +186,12 @@ def write_csv(table: TidyTable, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(table.headers)
-        for i in range(table.row_count):
-            writer.writerow([canon_text(col[i]) for col in table.columns])  # None as ""
+        for start in range(0, table.row_count, BLOCK_ROWS):
+            block = [col[start:start + BLOCK_ROWS] for col in table.columns]
+            rendered = [_render_floats(col) if set(map(type, col)) == {float}
+                        else list(map(canon_text, col))  # None is written as ""
+                        for col in block]
+            writer.writerows(zip(*rendered))
 
 
 def distinct_counts(values, weights=None) -> dict[Cell, int]:

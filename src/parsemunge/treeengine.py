@@ -329,11 +329,12 @@ def fit(train: TidyTable, assignments: dict[str, str] | None = None,
     _check_assignments(assignments)
     for name, check in _OPTION_CHECKS.items():
         check(getattr(opts, name))
-    for h, key in assignments.items():
-        if h not in train.headers:
-            raise DataError(f"assigned header {h!r} not in table")
+    for key in assignments.values():
         if not reg.has(key):
             raise ConfigError(f"unknown transformation category {key!r}")
+    for h in assignments:
+        if h not in train.headers:
+            raise DataError(f"assigned header {h!r} not in table")
     if opts.labels_column is not None and opts.labels_column not in train.headers:
         raise DataError(f"labels column {opts.labels_column!r} not in table")
     requested_infill = {h: infill_mod.CONFIG_KIND_NAMES[name]

@@ -3,16 +3,28 @@
 These deliberately avoid the implementation's windowed-scan and regex-match
 machinery: overlap answers come from a dynamic-programming longest common
 substring table plus substring enumeration, numeric extraction answers from
-an enumerate-every-substring walk with a hand-rolled format validator, and
-the built-in trees' answers from an argsort-and-cumsum CART with nested-dict
-nodes.
+an enumerate-every-substring walk with a hand-rolled format validator, the
+built-in trees' answers from an argsort-and-cumsum CART with nested-dict
+nodes, and CSV files from a reader and writer that classify and render cell
+by cell.
 """
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 
+from parsemunge.errors import DataError
 from parsemunge.importance import TASK_CLASSIFICATION, PredictorAdapter, _impurity, _leaf_value
+from parsemunge.tidytable import (
+    _DECIMAL_RE,
+    DEFAULT_MISSING_TOKENS,
+    Cell,
+    TidyTable,
+    canon_text,
+    parse_number,
+)
 
 
 def dp_lcs_length(a: str, b: str) -> int:
@@ -230,3 +242,49 @@ def reference_tree(task: str, max_depth: int = 8, n_trees: int = 10,
         return preds.mean(axis=0)
 
     return PredictorAdapter(train=train, predict=predict, task=task)
+
+
+def _reference_classify(token: str, missing_tokens: frozenset[str]) -> Cell:
+    if token in missing_tokens:
+        return None
+    num = parse_number(token)
+    if num is not None:
+        return num
+    # Overflowing decimals ("1e999") match the grammar but are non-finite.
+    if _DECIMAL_RE.match(token):
+        return None
+    return token
+
+
+def reference_load_csv(path, missing_tokens=None) -> TidyTable:
+    """``load_csv`` classifying cell by cell, row by row."""
+    tokens = frozenset(missing_tokens) if missing_tokens is not None else DEFAULT_MISSING_TOKENS
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            headers = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file, header row required") from None
+        seen = set()
+        for h in headers:
+            if h in seen:
+                raise DataError(f"{path}: duplicate header {h!r}")
+            seen.add(h)
+        columns: list[list[Cell]] = [[] for _ in headers]
+        for i, row in enumerate(reader, start=1):
+            if len(row) != len(headers):
+                raise DataError(
+                    f"{path}: row {i} has {len(row)} fields, expected {len(headers)}"
+                )
+            for col, token in zip(columns, row):
+                col.append(_reference_classify(token, tokens))
+    return TidyTable(headers=headers, columns=columns)
+
+
+def reference_write_csv(table: TidyTable, path) -> None:
+    """``write_csv`` rendering cell by cell, row by row."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(table.headers)
+        for i in range(table.row_count):
+            writer.writerow([canon_text(col[i]) for col in table.columns])  # None as ""

@@ -1,12 +1,15 @@
+import csv
 import json
 import random
 
 import pytest
 
+import parsemunge as pm
 from parsemunge.cli import main
 from parsemunge.tidytable import TidyTable, load_csv, write_csv
 
 from .helpers import random_text_cell, retyped
+from .oracles import reference_write_csv
 
 
 def _write_train(tmp_path, rows=30, seed=4):
@@ -60,6 +63,15 @@ class TestCmdFit:
         assert main(["fit", str(train), "--config", str(config),
                      "--out-dir", str(tmp_path / "o")]) == 2
         assert "qq" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("columns", [[], ["missing"]])
+    def test_unknown_category_checked_first_exit_2(self, tmp_path, capsys, columns):
+        """Before any header is looked up, and even when it names no column."""
+        train, _ = _write_train(tmp_path)
+        config = _config(tmp_path, {"assigncat": {"qq": columns}})
+        assert main(["fit", str(train), "--config", str(config),
+                     "--out-dir", str(tmp_path / "o")]) == 2
+        assert "unknown transformation category 'qq'" in capsys.readouterr().err
 
     def test_unknown_config_key_exit_2(self, tmp_path):
         train, _ = _write_train(tmp_path)
@@ -249,6 +261,15 @@ class TestCmdImportance:
                      "--out-dir", str(tmp_path / "imp"), *flags]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_valpercent_error_names_valpercent(self, tmp_path, capsys):
+        train = self._labelled_csv(tmp_path)
+        config = _config(tmp_path, {"valpercent": 0})
+        assert main(["importance", str(train), "--labels", "target", "--config", str(config),
+                     "--out-dir", str(tmp_path / "imp")]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: config['valpercent'] must lie strictly between 0 and 1, "
+            "not 0\n")
+
     def test_fixed_seed_identical_outputs(self, tmp_path):
         train = self._labelled_csv(tmp_path)
         blobs = []
@@ -415,3 +436,43 @@ class TestCmdInspect:
         assert main(["inspect", str(out / "artifact.pmz.json")]) == 0
         text = capsys.readouterr().out
         assert "source columns: 3" in text
+
+
+def test_written_csvs_match_the_cell_by_cell_writer(tmp_path):
+    """fit --test, apply and invert write the bytes the reference writer makes
+    of the same in-memory tables: text passthrough, quoting and -0 (kept in
+    the labels file; fit keys both zeros of a source as one value)."""
+    rnd = random.Random(3)
+    rows = 40
+    zeros = [-0.0, 0.0, 2.5, -7.0, 1e17, None]
+    train = TidyTable(headers=["note", "num", "cat", "y"], columns=[
+        [rnd.choice(['say "hi", then go', "a,b", "plain", None]) for _ in range(rows)],
+        [rnd.choice(zeros) for _ in range(rows)],
+        [rnd.choice(['x "1"', "y,2", "z"]) for _ in range(rows)],
+        [rnd.choice(zeros) for _ in range(rows)],
+    ])
+    write_csv(train, tmp_path / "train.csv")
+    assignments = {"note": "excl", "cat": "ord3"}
+    config = _config(tmp_path, {"assigncat": {"excl": ["note"], "ord3": ["cat"]},
+                                "labels_column": "y"})
+    out = tmp_path / "out"
+    assert main(["fit", str(tmp_path / "train.csv"), "--test", str(tmp_path / "train.csv"),
+                 "--config", str(config), "--out-dir", str(out)]) == 0
+    assert main(["apply", str(out / "artifact.pmz.json"), str(tmp_path / "train.csv"),
+                 "--out", str(tmp_path / "applied.csv")]) == 0
+    assert main(["invert", str(out / "artifact.pmz.json"), str(out / "train_encoded.csv"),
+                 "--out", str(tmp_path / "recovered.csv")]) == 0
+
+    loaded = load_csv(tmp_path / "train.csv")
+    encoded, artifact = pm.fit(loaded, assignments, opts=pm.Options(labels_column="y"))
+    recovered, _ = pm.invert(artifact, load_csv(out / "train_encoded.csv"))
+    labels = TidyTable(headers=["y"], columns=[loaded.column("y")])
+    with open(out / "train_labels.csv", newline="", encoding="utf-8") as fh:
+        assert "-0" in {row[0] for row in csv.reader(fh)}
+    for written, table in [(out / "train_encoded.csv", encoded),
+                           (out / "train_labels.csv", labels),
+                           (out / "test_encoded.csv", pm.apply(artifact, loaded)),
+                           (tmp_path / "applied.csv", pm.apply(artifact, loaded)),
+                           (tmp_path / "recovered.csv", recovered)]:
+        reference_write_csv(table, tmp_path / "reference.csv")
+        assert written.read_bytes() == (tmp_path / "reference.csv").read_bytes(), written.name

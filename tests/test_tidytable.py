@@ -1,7 +1,14 @@
+import csv
+import math
+import re
+import struct
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parsemunge import tidytable
 from parsemunge.errors import DataError
 from parsemunge.tidytable import (
     COLTYPE_ALL_MISSING,
@@ -14,6 +21,8 @@ from parsemunge.tidytable import (
     parse_number,
     write_csv,
 )
+
+from .oracles import reference_load_csv, reference_write_csv
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -102,6 +111,116 @@ def test_round_trip_property(tmp_path_factory, cols):
     path = tmp_path_factory.mktemp("rt") / "t.csv"
     write_csv(table, path)
     assert load_csv(path) == table
+
+
+# Blocks of one or a few rows put block boundaries inside the small tables
+# drawn here; the default size checks the single-block path.
+_block_rows = st.sampled_from([1, 2, 3, tidytable.BLOCK_ROWS])
+
+_EDGE_FLOATS = [0.0, -0.0, 1e16, -1e16, 1e16 - 2, -(1e16 - 2), 2.0**53 + 1, 2.0**53 - 1,
+                5e-324, 1.7976931348623157e308]
+_raw_floats = st.integers(0, 2**64 - 1).map(
+    lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]).filter(math.isfinite)
+_any_floats = st.one_of(_raw_floats, st.sampled_from(_EDGE_FLOATS),
+                        st.floats(allow_nan=False, allow_infinity=False))
+_quoted_texts = st.text(alphabet='ab ,"\n\r-.0123eE', min_size=1)
+
+
+def _tables(cells, max_cols=4):
+    """Tables of 1..max_cols columns, all of one drawn length, cells from ``cells``."""
+    return st.integers(0, 12).flatmap(lambda n: st.lists(
+        st.lists(cells, min_size=n, max_size=n), min_size=1, max_size=max_cols)
+    ).map(lambda cols: TidyTable(headers=[f"c{i}" for i in range(len(cols))], columns=cols))
+
+
+def _typed(table):
+    """A table's cells by type and repr, so -0.0 and 0.0 differ."""
+    return table.headers, [[(type(c), repr(c)) for c in col] for col in table.columns]
+
+
+def _outcome(load, path, **kw):
+    try:
+        return _typed(load(path, **kw))
+    except DataError as exc:
+        return "DataError", str(exc)
+
+
+class TestAgainstReference:
+    """The columnar reader and writer against the cell-by-cell reference."""
+
+    def _assert_same_bytes(self, tmp_path_factory, table, block_rows):
+        d = tmp_path_factory.mktemp("w")
+        with mock.patch.object(tidytable, "BLOCK_ROWS", block_rows):
+            write_csv(table, d / "new.csv")
+        reference_write_csv(table, d / "ref.csv")
+        assert (d / "new.csv").read_bytes() == (d / "ref.csv").read_bytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(_tables(_any_floats), _block_rows)
+    def test_float_columns_write_the_reference_bytes(self, tmp_path_factory, table, block_rows):
+        self._assert_same_bytes(tmp_path_factory, table, block_rows)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 60).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n - 1))),
+           _block_rows)
+    def test_lone_negative_zero_among_zeros(self, tmp_path_factory, n_at, block_rows):
+        n, at = n_at
+        col = [0.0] * n
+        col[at] = -0.0
+        self._assert_same_bytes(tmp_path_factory, TidyTable(headers=["z"], columns=[col]),
+                                block_rows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_tables(st.one_of(st.none(), _any_floats, _quoted_texts)), _block_rows)
+    def test_mixed_columns_write_the_reference_bytes(self, tmp_path_factory, table, block_rows):
+        self._assert_same_bytes(tmp_path_factory, table, block_rows)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_tables(st.one_of(st.none(), _any_floats), max_cols=1), _block_rows)
+    def test_one_column_with_missing_writes_the_reference_bytes(self, tmp_path_factory, table,
+                                                                block_rows):
+        self._assert_same_bytes(tmp_path_factory, table, block_rows)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_raises_as_the_reference(self, tmp_path, bad):
+        table = TidyTable(headers=["x"], columns=[[1.0, bad]])
+        with pytest.raises(Exception) as ref:
+            reference_write_csv(table, tmp_path / "ref.csv")
+        with pytest.raises(ref.type, match=re.escape(str(ref.value))):
+            write_csv(table, tmp_path / "new.csv")
+
+    _tokens = st.one_of(
+        st.sampled_from(["-0", "0", "-0.0", "1e999", "-1e999", "NA", "NaN", "null", "", "inf",
+                         "nan", " 1", "1_0", "+.5", "5.", "2.5e-3", "007", "a,b", 'q"t']),
+        _any_floats.map(repr),
+        st.text(alphabet="ab0123.-+eE ", max_size=6),
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.lists(_tokens, min_size=1, max_size=4), max_size=12),
+           st.none() | st.sets(st.sampled_from(["", "NA", "-0", "0", "1e999", "x"])),
+           st.booleans(), _block_rows)
+    def test_load_matches_the_reference(self, tmp_path_factory, rows, missing, ragged,
+                                        block_rows):
+        """Cells match by type and repr, and a ragged row names the same row;
+        an empty row list is a header-only file."""
+        width = len(rows[0]) if rows else 2
+        if not ragged:
+            rows = [(row * width)[:width] for row in rows]
+        path = tmp_path_factory.mktemp("l") / "t.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow([f"h{i}" for i in range(width)])
+            writer.writerows(rows)
+        with mock.patch.object(tidytable, "BLOCK_ROWS", block_rows):
+            got = _outcome(load_csv, path, missing_tokens=missing)
+        assert got == _outcome(reference_load_csv, path, missing_tokens=missing)
+
+    def test_ragged_row_in_a_later_block_is_named(self, tmp_path):
+        path = _write(tmp_path, "a,b\n1,2\n3,4\n5,6\n7\n8,9\n")
+        with mock.patch.object(tidytable, "BLOCK_ROWS", 2), \
+                pytest.raises(DataError, match="row 4 has 1 fields, expected 2"):
+            load_csv(path)
 
 
 class TestInferColtype:

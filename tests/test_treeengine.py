@@ -54,6 +54,8 @@ class TestFit:
     def test_unknown_category(self):
         with pytest.raises(ConfigError, match="qq"):
             pm.fit(_table(a=["x"]), {"a": "qq"})
+        with pytest.raises(ConfigError, match="qq"):  # checked before the header
+            pm.fit(_table(a=["x"]), {"zz": "qq"})
 
     def test_empty_table(self):
         with pytest.raises(DataError, match="empty"):
