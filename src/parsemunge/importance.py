@@ -241,6 +241,14 @@ def _threshold(lower: float, upper: float) -> float:
     return mid if lower <= mid < upper else lower
 
 
+def _centred(y):
+    """Regression targets less the target nearest their mean, which lies within
+    one standard deviation of it: sums of squares about it do not cancel when
+    the mean is large against the spread, and integer targets stay integers,
+    whose sums are exact in any order."""
+    return y - y[np.argmin(np.abs(y - y.mean()))]
+
+
 def _best_split(bins: _Bins, y, rows, task: str, n_classes: int, parent_imp: float):
     """(feature, threshold) of the best cut of the node's ``rows``, or None.
     Every feature has a present bin for every row, so each feature's segment
@@ -272,7 +280,7 @@ def _best_split(bins: _Bins, y, rows, task: str, n_classes: int, parent_imp: flo
     else:
         nl = (np.cumsum(counts[present])[cuts] - cut_feature * n).astype(float)
         nr = n - nl
-        ys = np.repeat(y[rows], codes.shape[1])
+        ys = np.repeat(_centred(y[rows]), codes.shape[1])
         segments = np.flatnonzero(feature[1:] != feature[:-1]) + 1
         sums = []
         for weights in (ys, ys ** 2):
@@ -286,12 +294,14 @@ def _best_split(bins: _Bins, y, rows, task: str, n_classes: int, parent_imp: flo
         imp_r = ssr / nr - (sr / nr) ** 2
     weighted = (nl * imp_l + nr * imp_r) / n
     # Per feature in order, its first minimum must beat the parent and the
-    # best so far by 1e-12.
+    # best so far by 1e-12: absolute for Gini, which lies in [0, 1), relative
+    # to the parent for variance, which has the targets' scale.
+    tol = 1e-12 if task == TASK_CLASSIFICATION else 1e-12 * parent_imp
     starts = np.flatnonzero(np.concatenate(([True], cut_feature[1:] != cut_feature[:-1])))
     best = None
     for lo, hi, score in zip(starts.tolist(), [*starts[1:].tolist(), len(cuts)],
                              np.minimum.reduceat(weighted, starts).tolist()):
-        if score < parent_imp - 1e-12 and (best is None or score < best[0] - 1e-12):
+        if score < parent_imp - tol and (best is None or score < best[0] - tol):
             best = (score, lo, hi)
     if best is None:
         return None

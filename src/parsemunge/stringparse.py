@@ -1,19 +1,30 @@
 """Substring-overlap detection across a column's unique entries, with the
 bounded-set encoding variants and their test-efficient counterparts.
 
-The scan walks window lengths from (longest entry - 1) down to a configurable
-minimum. At each width it maps every entry's distinct windows to the sorted
-entries that contain them, one dict operation per window, so a width costs
-time in proportion to the total characters of the set; the same index gives
-each overlap its supporting entries. Multi mode also intersects the window
-sets of every entry pair not yet matched, which stays quadratic in the entry
-count.
+Single-id mode sorts every suffix of the entries once, as a generalized
+suffix array: the entries are split into clean runs at excluded characters,
+every suffix of a run with at least ``min_len`` characters is sorted by
+prefix doubling over integer ranks (Manber & Myers 1993), and the longest
+common prefix of each adjacent pair comes from binary lifting over the same
+ranks. A suffix's longest prefix shared with another entry is the running
+minimum of those prefixes back to the nearest suffix of another entry on
+either side, so one pass gives every entry its widest overlap, and the
+entries holding an overlap are the owners of one interval of the array. The
+cost grows with the total characters of the set, times their logarithm.
+
+Multi mode walks window lengths from (longest entry - 1) down to the
+minimum. At each width it intersects the window sets of every entry pair not
+yet matched, which stays quadratic in the entry count, and maps every
+entry's windows to the entries containing them, which gives each overlap its
+supporting entries.
 """
 
 from __future__ import annotations
 
 import string
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .encoders import (
     CLASS_BOOLEAN,
@@ -104,21 +115,113 @@ def scan_overlaps(uniques, cfg: OverlapScanConfig) -> OverlapMap:
 
 
 def _scan_single(entries: list[str], top: int, cfg: OverlapScanConfig) -> OverlapMap:
-    assignment: dict[str, str] = {}
-    overlaps: dict[str, list[str]] = {}
-    exclude = cfg.exclude_chars
-    for w in range(top, cfg.min_len - 1, -1):
-        if len(assignment) == len(entries):
-            break
-        index = _width_index((e, _windows(e, w, exclude)) for e in entries)
-        for e in entries:
-            if e in assignment:
-                continue
-            candidates = [s for s in _windows(e, w, exclude) if len(index[s]) > 1]
-            if candidates:
-                s = assignment[e] = min(candidates)
-                overlaps[s] = index[s]
-    return OverlapMap(overlaps=dict(sorted(overlaps.items())), assignment=assignment)
+    """Each entry's longest substring of at least ``min_len`` clean characters
+    that another entry holds too (at most ``top`` long), the smallest on a tie;
+    the assignment lists the entries widest first, then in entry order."""
+    text = "".join(entries)
+    if len(text) < cfg.min_len:
+        return OverlapMap()
+    # The entries as one array of character ranks from 1, each entry followed
+    # by a 0 separator; excluded characters are separators too.
+    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
+    low = int(codes.min())
+    ranks = codes - np.int64(low - 1)
+    if cfg.exclude_chars:
+        ranks[np.isin(codes, np.fromiter(map(ord, cfg.exclude_chars), np.uint32))] = 0
+    size = np.fromiter(map(len, entries), np.int64, len(entries))
+    entry = np.arange(len(entries))
+    chars = np.zeros(len(text) + len(entries), np.int64)
+    body = np.ones(len(chars), bool)
+    body[np.cumsum(size) + entry] = False
+    chars[body] = ranks
+    # rest[p]: the characters from p to the next separator, the rest of its
+    # clean run.
+    at = np.arange(len(chars))
+    rest = np.minimum.accumulate(np.where(chars == 0, at, len(at))[::-1])[::-1] - at
+    longest = int(rest.max())
+    if longest < cfg.min_len:
+        return OverlapMap()
+    keys = _block_keys(chars, int(codes.max()) - low + 2, longest)
+    kept = np.flatnonzero(rest >= cfg.min_len)
+    sa = kept[np.argsort(keys[-1, kept])]
+    owner = np.repeat(entry, size + 1)[sa]
+    lcp = np.zeros(len(sa) + 1, np.int64)  # lcp[i]: sa[i - 1] against sa[i], 0 at both ends
+    lcp[1:-1] = _adjacent_lcp(keys, rest, sa[:-1], sa[1:])
+
+    # Each suffix's longest prefix shared with another entry: the running
+    # minimum of lcp back to the nearest other-owner suffix on either side.
+    # Offsetting each block of one owner's suffixes by its block number times
+    # ``span`` keeps the running minima of the blocks apart.
+    block = np.zeros(len(sa), np.int64)
+    np.cumsum(owner[1:] != owner[:-1], out=block[1:])
+    span = block * (longest + 1)
+    left = np.minimum.accumulate(lcp[:-1] - span) + span
+    right = np.minimum.accumulate((lcp[1:] + span)[::-1])[::-1] - span
+    shared = np.minimum(np.maximum(left, right), top)
+
+    # Per entry, its first suffix in suffix-array order at its widest share: the
+    # prefix of that width is the smallest of the longest overlaps. A stable
+    # sort by (owner, widest first) keeps suffix-array order within a tie.
+    hit = np.flatnonzero(shared >= cfg.min_len)
+    if not len(hit):
+        return OverlapMap()
+    hit = hit[np.argsort(owner[hit] * (longest + 1) + longest - shared[hit], kind="stable")]
+    first = hit[np.concatenate(([True], owner[hit[1:]] != owner[hit[:-1]]))]
+    width = shared[first].tolist()
+    owners = owner[first].tolist()
+    # A position less its entry's index is a position in text, which has no separators.
+    names = [text[p:p + w] for p, w in zip((sa[first] - owner[first]).tolist(), width)]
+    assignment = {entries[owners[i]]: names[i]
+                  for i in sorted(range(len(names)), key=width.__getitem__, reverse=True)}
+    # Each distinct overlap's supporters: the owners of the interval of suffixes
+    # around one of its suffix-array positions where lcp stays at its width.
+    one = dict(zip(names, first.tolist()))
+    lcp, owner = lcp.tolist(), owner.tolist()
+    overlaps = {}
+    for s, lo in sorted(one.items()):
+        hi = lo
+        while lcp[lo] >= len(s):
+            lo -= 1
+        while lcp[hi + 1] >= len(s):
+            hi += 1
+        overlaps[s] = [entries[o] for o in sorted(set(owner[lo:hi + 1]))]
+    return OverlapMap(overlaps=overlaps, assignment=assignment)
+
+
+def _block_keys(chars, base: int, longest: int):
+    """Row j keys the 2**j characters from each position, so that keys order
+    as the blocks do as strings: prefix doubling (Manber & Myers 1993).
+    ``chars`` are character ranks below ``base``. Blocks are packed in that
+    base while it fits 63 bits, then ranked."""
+    keys = np.zeros(((longest - 1).bit_length() + 1, len(chars)), np.int64)
+    keys[0] = chars
+    for j in range(1, len(keys)):
+        b = 1 << (j - 1)
+        prev = keys[j - 1]
+        if base ** (2 * b) <= 2**63:
+            scale = base ** b
+        else:
+            order = np.argsort(prev)
+            ranked = prev[order]
+            step = np.ones(len(prev), np.int64)
+            step[1:] = ranked[1:] != ranked[:-1]
+            prev = np.empty_like(prev)
+            prev[order] = np.cumsum(step)  # dense ranks from 1
+            scale = len(prev) + 1
+        keys[j, :-b] = prev[b:]
+        keys[j] += prev * scale
+    return keys
+
+
+def _adjacent_lcp(keys, rest, x, y):
+    """Longest common prefix of the suffixes at positions x and y within their
+    clean runs: binary lifting over the block keys to their common prefix
+    across separators, then cut at the shorter run."""
+    lcp = np.zeros(len(x), np.int64)
+    for j in range(len(keys) - 1, -1, -1):
+        same = keys[j].take(x + lcp, mode="clip") == keys[j].take(y + lcp, mode="clip")
+        lcp += same << j
+    return np.minimum(lcp, np.minimum(rest[x], rest[y]))
 
 
 def _scan_multi(entries: list[str], top: int, cfg: OverlapScanConfig) -> OverlapMap:

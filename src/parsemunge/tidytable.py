@@ -17,9 +17,9 @@ from __future__ import annotations
 import csv
 import math
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import compress, islice
+from itertools import compress, count, islice
 
 import numpy as np
 
@@ -139,29 +139,38 @@ def load_csv(path, missing_tokens=None) -> TidyTable:
     """
     tokens = frozenset(missing_tokens) if missing_tokens is not None else DEFAULT_MISSING_TOKENS
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        # strict: a quoted field must end in a quote and a delimiter or line end.
+        reader = csv.reader(fh, strict=True)
         try:
-            headers = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, header row required") from None
-        seen = set()
-        for h in headers:
-            if h in seen:
-                raise DataError(f"{path}: duplicate header {h!r}")
-            seen.add(h)
-        columns: list[list[Cell]] = [[] for _ in headers]
-        first_row = 1
-        while block := list(islice(reader, BLOCK_ROWS)):
-            if set(map(len, block)) != {len(headers)}:
-                i, row = next((i, row) for i, row in enumerate(block, start=first_row)
-                              if len(row) != len(headers))
-                raise DataError(
-                    f"{path}: row {i} has {len(row)} fields, expected {len(headers)}"
-                )
-            first_row += len(block)
-            for col, toks in zip(columns, zip(*block)):
-                cells = _classify(set(toks), tokens)
-                col.extend(map(cells.__getitem__, toks))
+            return _read_columns(path, reader, tokens)
+        except csv.Error as exc:  # also a field over csv.field_size_limit()
+            raise DataError(f"{path}: malformed CSV at line {reader.line_num}: {exc}") from None
+
+
+def _read_columns(path, reader, tokens: frozenset[str]) -> TidyTable:
+    """The table of the rows ``reader`` yields, the first of them the header."""
+    try:
+        headers = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty file, header row required") from None
+    seen = set()
+    for h in headers:
+        if h in seen:
+            raise DataError(f"{path}: duplicate header {h!r}")
+        seen.add(h)
+    columns: list[list[Cell]] = [[] for _ in headers]
+    first_row = 1
+    while block := list(islice(reader, BLOCK_ROWS)):
+        if set(map(len, block)) != {len(headers)}:
+            i, row = next((i, row) for i, row in enumerate(block, start=first_row)
+                          if len(row) != len(headers))
+            raise DataError(
+                f"{path}: row {i} has {len(row)} fields, expected {len(headers)}"
+            )
+        first_row += len(block)
+        for col, toks in zip(columns, zip(*block)):
+            cells = _classify(set(toks), tokens)
+            col.extend(map(cells.__getitem__, toks))
     return TidyTable(headers=headers, columns=columns)
 
 
@@ -210,6 +219,18 @@ def distinct_counts(values, weights=None) -> dict[Cell, int]:
     if 0.0 in counts:
         counts[0.0] = counts.pop(0.0)
     return counts
+
+
+def factorize(values) -> tuple[list[Cell], np.ndarray]:
+    """The keys of ``distinct_counts(values)`` in the same order, without the
+    counts, and each value's position among them, from one C-level pass."""
+    position = defaultdict(count().__next__)
+    codes = np.fromiter(map(position.__getitem__, values), np.intp, len(values))
+    if 0.0 in position:  # both zeros as one key, 0.0, placed last
+        zero = position.pop(0.0)
+        codes = np.where(codes == zero, len(position), codes - (codes > zero))
+        position[0.0] = len(position)
+    return list(position), codes
 
 
 def infer_coltype(col: list[Cell]) -> str:

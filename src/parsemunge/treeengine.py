@@ -46,6 +46,7 @@ from .tidytable import (
     Cell,
     TidyTable,
     distinct_counts,
+    factorize,
     infer_coltype,
 )
 
@@ -171,10 +172,10 @@ def _source_stats(col: list[Cell]) -> dict:
     }
 
 
-def _step_outputs(behavior, state: dict, in_counts: dict) -> dict[Cell, tuple]:
+def _step_outputs(behavior, state: dict, distinct) -> dict[Cell, tuple]:
     """Evaluate one step once per distinct input value: value -> output tuple."""
     compiled = behavior.compile(state)
-    return {value: behavior.apply_cell(compiled, value) for value in in_counts}
+    return {value: behavior.apply_cell(compiled, value) for value in distinct}
 
 
 def _record(values: dict[str, list], rec: StepRecord, step_map: dict) -> None:
@@ -190,13 +191,13 @@ def _table(plan: SourcePlan, values: dict[str, list]) -> dict[Cell, tuple]:
     return dict(zip(values[plan.header], zip(*retained)))
 
 
-def _walk(plan: SourcePlan, counts: dict) -> dict[Cell, tuple]:
+def _walk(plan: SourcePlan, distinct: list[Cell]) -> dict[Cell, tuple]:
     """Evaluate a fitted plan in step order, each step over its distinct inputs."""
-    values = {plan.header: list(counts)}
-    inputs = {plan.header: counts}
+    values = {plan.header: distinct}
+    inputs = {plan.header: distinct}
     for rec in plan.steps:
         if rec.input_header not in inputs:
-            inputs[rec.input_header] = distinct_counts(values[rec.input_header], counts.values())
+            inputs[rec.input_header] = factorize(values[rec.input_header])[0]
         step_map = _step_outputs(BEHAVIORS[rec.behavior], rec.fit, inputs[rec.input_header])
         _record(values, rec, step_map)
     return _table(plan, values)
@@ -261,14 +262,13 @@ def _fit_source(header: str, col: list[Cell], root_key: str, reg: Registry,
     return plan, counts, _table(plan, values)
 
 
-def _expand_source(plan: SourcePlan, col: list[Cell], table: dict) -> dict[str, list[Cell]]:
-    """Expand a source's rows from its per-distinct table: each row's distinct
-    value becomes a position, through which every output column is gathered."""
+def _expand_source(plan: SourcePlan, col: list[Cell], table: dict,
+                   codes: np.ndarray) -> dict[str, list[Cell]]:
+    """Expand a source's rows from its per-distinct table: ``codes`` holds each
+    row's position in the table, through which every output column is gathered."""
     out_headers = plan.retained_headers()
     if not out_headers:
         return {}
-    position = {value: i for i, value in enumerate(table)}
-    codes = np.fromiter((position[cell] for cell in col), dtype=np.intp, count=len(col))
     rows = table.values()
     return {
         h: np.fromiter((row[i] for row in rows), dtype=object, count=len(rows))
@@ -366,7 +366,9 @@ def fit(train: TidyTable, assignments: dict[str, str] | None = None,
         kind = requested_infill.get(h, infill_mod.KIND_DEFAULT)
         if kind != infill_mod.KIND_DEFAULT:
             infill_spec.update(_fit_infill_spec(plan, counts, table, kind))
-        expanded = _expand_source(plan, col, table)
+        position = {value: i for i, value in enumerate(table)}
+        codes = np.fromiter(map(position.__getitem__, col), dtype=np.intp, count=len(col))
+        expanded = _expand_source(plan, col, table, codes)
         _infill_columns(plan, col, expanded, infill_spec)
         columns.update(expanded)
 
@@ -392,7 +394,8 @@ def apply(artifact: FitArtifact, test: TidyTable) -> TidyTable:
     columns: dict[str, list[Cell]] = {}
     for header, plan in artifact.per_source.items():
         col = test.column(header)
-        expanded = _expand_source(plan, col, _walk(plan, distinct_counts(col)))
+        distinct, codes = factorize(col)
+        expanded = _expand_source(plan, col, _walk(plan, distinct), codes)
         _infill_columns(plan, col, expanded, artifact.infill_spec)
         columns.update(expanded)
     output_order = artifact.output_order

@@ -1,12 +1,13 @@
 """Independent brute-force oracles used to verify the production paths.
 
-These deliberately avoid the implementation's windowed-scan and regex-match
-machinery: overlap answers come from a dynamic-programming longest common
-substring table plus substring enumeration, numeric extraction answers from
-an enumerate-every-substring walk with a hand-rolled format validator, the
-built-in trees' answers from an argsort-and-cumsum CART with nested-dict
-nodes, and CSV files from a reader and writer that classify and render cell
-by cell.
+These deliberately avoid the implementation's suffix-array scan and
+regex-match machinery: overlap answers come from a dynamic-programming
+longest common substring table plus substring enumeration, and whole
+single-id overlap maps from the window-width loop that the suffix-array
+scan replaced; numeric extraction answers from an enumerate-every-substring
+walk with a hand-rolled format validator, the built-in trees' answers from
+an argsort-and-cumsum CART with nested-dict nodes, and CSV files from a
+reader and writer that classify and render cell by cell.
 """
 
 from __future__ import annotations
@@ -16,7 +17,13 @@ import csv
 import numpy as np
 
 from parsemunge.errors import DataError
-from parsemunge.importance import TASK_CLASSIFICATION, PredictorAdapter, _impurity, _leaf_value
+from parsemunge.importance import (
+    TASK_CLASSIFICATION,
+    PredictorAdapter,
+    _centred,
+    _impurity,
+    _leaf_value,
+)
 from parsemunge.tidytable import (
     _DECIMAL_RE,
     DEFAULT_MISSING_TOKENS,
@@ -25,6 +32,7 @@ from parsemunge.tidytable import (
     canon_text,
     parse_number,
 )
+from parsemunge.stringparse import OverlapMap, OverlapScanConfig, _width_index, _windows
 
 
 def dp_lcs_length(a: str, b: str) -> int:
@@ -153,6 +161,7 @@ def _best_split(X, y, task: str, n_classes: int, parent_imp: float):
             imp_l = 1.0 - ((lc / nl[:, None]) ** 2).sum(axis=1)
             imp_r = 1.0 - ((rc / nr[:, None]) ** 2).sum(axis=1)
         else:
+            ys = _centred(ys)
             cs = np.cumsum(ys)
             css = np.cumsum(ys.astype(float) ** 2)
             sl, ssl = cs[cuts], css[cuts]
@@ -161,7 +170,8 @@ def _best_split(X, y, task: str, n_classes: int, parent_imp: float):
             imp_r = ssr / nr - (sr / nr) ** 2
         weighted = (nl * imp_l + nr * imp_r) / n
         k = int(np.argmin(weighted))
-        if weighted[k] < parent_imp - 1e-12 and (best is None or weighted[k] < best[0] - 1e-12):
+        tol = 1e-12 if task == TASK_CLASSIFICATION else 1e-12 * parent_imp
+        if weighted[k] < parent_imp - tol and (best is None or weighted[k] < best[0] - tol):
             lower, upper = float(xs[cuts[k]]), float(xs[cuts[k] + 1])
             threshold = (lower + upper) / 2.0
             if not lower <= threshold < upper:  # a midpoint that would empty a child
@@ -288,3 +298,23 @@ def reference_write_csv(table: TidyTable, path) -> None:
         writer.writerow(table.headers)
         for i in range(table.row_count):
             writer.writerow([canon_text(col[i]) for col in table.columns])  # None as ""
+
+
+def reference_scan_single(entries: list[str], top: int, cfg: OverlapScanConfig) -> OverlapMap:
+    """The single-id overlap scan as a loop over window widths, longest first,
+    with a window index over every entry at each width."""
+    assignment: dict[str, str] = {}
+    overlaps: dict[str, list[str]] = {}
+    exclude = cfg.exclude_chars
+    for w in range(top, cfg.min_len - 1, -1):
+        if len(assignment) == len(entries):
+            break
+        index = _width_index((e, _windows(e, w, exclude)) for e in entries)
+        for e in entries:
+            if e in assignment:
+                continue
+            candidates = [s for s in _windows(e, w, exclude) if len(index[s]) > 1]
+            if candidates:
+                s = assignment[e] = min(candidates)
+                overlaps[s] = index[s]
+    return OverlapMap(overlaps=dict(sorted(overlaps.items())), assignment=assignment)

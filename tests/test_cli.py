@@ -147,6 +147,24 @@ class TestCmdApply:
         assert main(["apply", str(out / "artifact.pmz.json"), str(bad),
                      "--out", str(tmp_path / "r.csv")]) == 3
 
+    @pytest.mark.parametrize("text", [
+        "col1\n" + "x" * 131_073 + "\n",
+        "col1\n\"x\n",
+        "col1\n\"x\"y\n",
+    ], ids=["oversized-field", "open-quote-at-end", "text-after-closing-quote"])
+    def test_malformed_csv_exit_3(self, tmp_path, capsys, text):
+        train, _ = _write_train(tmp_path)
+        out = tmp_path / "out"
+        main(["fit", str(train), "--out-dir", str(out)])
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["fit", str(bad), "--out-dir", str(tmp_path / "refit")]) == 3
+        assert main(["apply", str(out / "artifact.pmz.json"), str(bad),
+                     "--out", str(tmp_path / "r.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.count(f"data error: {bad}: malformed CSV at line 2:") == 2
+
     def test_malformed_artifact_exit_3(self, tmp_path, capsys):
         train, _ = _write_train(tmp_path)
         out = tmp_path / "out"

@@ -342,3 +342,52 @@ class TestHistogramTreeMatchesReference:
         tree = _grow(X, y, 1, TASK_CLASSIFICATION, 10)
         assert tree.feature[0] == 0
         assert _nodes(tree) == preorder(oracles._grow(X, y, 0, 1, TASK_CLASSIFICATION, 10))
+
+
+class TestRegressionSplitsOnLargeTargets:
+    """Variance splits are scored about a target near the node mean, with a
+    tolerance relative to the parent's variance, so a mean far above the
+    spread neither invents nor hides a split."""
+
+    @staticmethod
+    def _data(seed=0, rows=200):
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 5, size=(rows, 3)).astype(float)
+        return X, 1e8 + rng.normal(0.0, 1e-3, rows)
+
+    # At seeds 17 and 130, scoring about the raw targets with an absolute
+    # tolerance accepted a split that leaves the variance where it was.
+    @pytest.mark.parametrize("seed", [0, 1, 2, 17, 130])
+    def test_every_split_lowers_the_children_variance(self, seed):
+        X, y = self._data(seed)
+        tree = _grow(X, y, 8, TASK_REGRESSION, 0)
+        splits = 0
+        stack = [(0, np.arange(len(y)))]
+        while stack:
+            node, rows = stack.pop()
+            if tree.left[node] == node:
+                continue
+            mask = X[rows, tree.feature[node]] <= tree.threshold[node]
+            left, right = rows[mask], rows[~mask]
+            weighted = (len(left) * np.var(y[left]) + len(right) * np.var(y[right])) / len(rows)
+            assert weighted < np.var(y[rows])
+            splits += 1
+            stack += [(tree.left[node], left), (tree.right[node], right)]
+        assert splits > 0
+
+    def test_root_split_matches_the_shifted_targets(self):
+        # The same features over the spread alone choose the same root cut.
+        X, y = self._data()
+        parent = _impurity(y, TASK_REGRESSION, 0)
+        shifted = y - 1e8
+        assert _best_split(_bin(X), y, np.arange(len(y)), TASK_REGRESSION, 0, parent) == \
+            _best_split(_bin(X), shifted, np.arange(len(y)), TASK_REGRESSION, 0,
+                        _impurity(shifted, TASK_REGRESSION, 0))
+
+    @pytest.mark.parametrize("value", [0.0, 1e8, -3.5])
+    def test_constant_targets_give_a_single_leaf(self, value):
+        X, _ = self._data()
+        y = np.full(len(X), value)
+        tree = _grow(X, y, 8, TASK_REGRESSION, 0)
+        assert _nodes(tree) == [(value,)]
+        assert _best_split(_bin(X), y, np.arange(len(y)), TASK_REGRESSION, 0, 0.0) is None

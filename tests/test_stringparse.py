@@ -1,10 +1,13 @@
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import parsemunge as pm
+from parsemunge import stringparse
 from parsemunge.errors import ConfigError
 from parsemunge.registry import BEHAVIORS
 from parsemunge.stringparse import (
@@ -12,11 +15,16 @@ from parsemunge.stringparse import (
     Spl2Behavior,
     Spl5Behavior,
     _match_train_overlap,
+    config_from_params,
     scan_overlaps,
 )
 
 from .helpers import run_behavior
-from .oracles import oracle_pair_longest_common, oracle_single_assignment
+from .oracles import (
+    oracle_pair_longest_common,
+    oracle_single_assignment,
+    reference_scan_single,
+)
 
 
 class TestScanOverlaps:
@@ -384,3 +392,73 @@ def test_assignment_to_no_stored_overlap_activates_nothing(name):
     assert behavior.apply_cell(compiled, "x") == (0.0, 0.0)
     assert behavior.apply_cell(compiled, "y") == (0.0, 1.0)
     assert behavior.apply_cell(compiled, "w") == (1.0, 0.0)
+
+
+def _assert_same_as_width_loop(uniques, cfg):
+    """The single-id scan equals the width-loop reference: the same overlaps
+    with the same holders, the same assignment, and the same key order."""
+    got = scan_overlaps(uniques, cfg)
+    entries = sorted(uniques)
+    want = reference_scan_single(entries, max(map(len, entries)) - 1, cfg)
+    assert list(got.overlaps.items()) == list(want.overlaps.items())
+    assert list(got.assignment.items()) == list(want.assignment.items())
+
+
+# NUL and U+10FFFF bound the code points; the astral characters take four
+# bytes in UTF-8 and two code units in UTF-16.
+_SCAN_ALPHABETS = ["ab", "abc", " -ab", "a\x00b\U0010ffff", "x\U0001f600y\U00010000-"]
+
+
+@st.composite
+def _scan_inputs(draw):
+    alphabet = draw(st.sampled_from(_SCAN_ALPHABETS))
+    text = st.text(alphabet=alphabet, max_size=24)
+    base = draw(text)
+    entries = set(draw(st.lists(text, min_size=1, max_size=8)))
+    for nested, start, stop, tail in draw(st.lists(
+            st.tuples(st.booleans(), st.integers(0, 24), st.integers(0, 24), text), max_size=6)):
+        if nested:  # inside another entry
+            entries.add(draw(st.sampled_from(sorted(entries)))[start:stop])
+        else:  # sharing a long prefix with the others of its kind
+            entries.add(base[:start] + tail)
+    params = {
+        "min_len": draw(st.integers(2, 6)),
+        "exclude_chars": "".join(draw(st.sets(st.sampled_from(alphabet), max_size=2))),
+        "space_and_punctuation": draw(st.booleans()),
+    }
+    return entries, config_from_params(params)
+
+
+@given(_scan_inputs())
+@settings(max_examples=400, deadline=None)
+@example(({"abcab"}, OverlapScanConfig(min_len=2)))
+@example(({"ab-ab", "xab-"}, OverlapScanConfig(min_len=2, exclude_chars=frozenset("-"))))
+@example(({"", "\x00\x00", "\x00\x00\x00"}, OverlapScanConfig(min_len=2)))
+def test_single_scan_matches_width_loop_reference(case):
+    _assert_same_as_width_loop(*case)
+
+
+def _benchmark_scan_inputs(name: str, seed: int = 7):
+    """The single-id scan inputs of fitting a benchmark workload."""
+    from perfbench import workloads
+    from perfbench.pipeline import as_table
+
+    w = getattr(workloads, name)(seed)
+    inputs = []
+
+    def record(uniques, cfg):
+        inputs.append((sorted(uniques), cfg))
+        return scan_overlaps(uniques, cfg)
+
+    with mock.patch.object(stringparse, "scan_overlaps", record):
+        pm.fit(as_table(w.train), w.assignments, opts=pm.Options(**w.options))
+    return [(u, cfg) for u, cfg in inputs if cfg.single_id]
+
+
+@pytest.mark.parametrize("name", ["parse_highcard", "wide_roundtrip", "unseen_drift",
+                                  "importance_prefix"])
+def test_benchmark_scans_match_width_loop_reference(name):
+    inputs = _benchmark_scan_inputs(name)
+    assert inputs
+    for uniques, cfg in inputs:
+        _assert_same_as_width_loop(uniques, cfg)

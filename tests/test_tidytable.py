@@ -15,6 +15,8 @@ from parsemunge.tidytable import (
     COLTYPE_CATEGORIC,
     COLTYPE_NUMERIC,
     TidyTable,
+    distinct_counts,
+    factorize,
     format_number,
     infer_coltype,
     load_csv,
@@ -49,6 +51,17 @@ class TestLoadCsv:
     def test_ragged_row(self, tmp_path):
         with pytest.raises(DataError, match="row 2"):
             load_csv(_write(tmp_path, "a,b\n1,2\n3\n"))
+
+    @pytest.mark.parametrize("text, line, reason", [
+        ("a\n" + "x" * 131_073 + "\n", 2, "field larger than field limit"),
+        ("a\n1\n\"x\n", 3, "unexpected end of data"),  # ends inside an open quote
+        ("a\n\"x\"y\n", 2, "',' expected after '\"'"),  # text after a closing quote
+    ], ids=["oversized-field", "open-quote-at-end", "text-after-closing-quote"])
+    def test_malformed_csv_names_file_and_line(self, tmp_path, text, line, reason):
+        path = _write(tmp_path, text)
+        with pytest.raises(DataError) as info:
+            load_csv(path)
+        assert str(info.value).startswith(f"{path}: malformed CSV at line {line}: {reason}")
 
     def test_custom_missing_tokens(self, tmp_path):
         table = load_csv(_write(tmp_path, "a\nNA\n"), missing_tokens={""})
@@ -238,3 +251,18 @@ class TestInferColtype:
         shuffled = list(col)
         rnd.shuffle(shuffled)
         assert infer_coltype(shuffled) == infer_coltype(col)
+
+
+class TestFactorize:
+    def test_zeros_are_one_key_placed_last(self):
+        distinct, codes = factorize(["a", -0.0, "b", 0.0, -0.0, None])
+        assert distinct == ["a", "b", None, 0.0]
+        assert math.copysign(1.0, distinct[-1]) == 1.0
+        assert codes.tolist() == [0, 3, 1, 3, 3, 2]
+
+    @given(st.lists(st.sampled_from(["a", "b", "", None, -0.0, 0.0, 1.0, -2.5]), max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_keys_are_those_of_distinct_counts(self, col):
+        distinct, codes = factorize(col)
+        assert list(map(repr, distinct)) == list(map(repr, distinct_counts(col)))
+        assert [distinct[c] for c in codes] == col
