@@ -1,7 +1,8 @@
 """Baseline categoric and numeric transforms, plus the automation root heuristic.
 
 Every transform is a Behavior: it fits once against the distinct-value counts
-of its train input and then maps cells one at a time on that frozen basis.
+of its train input and then maps all the distinct values of an input at once
+on that frozen basis, cell by cell unless it has a batched form.
 Fit states are plain JSON-able dicts so they can live inside the artifact.
 """
 
@@ -31,7 +32,8 @@ CLASS_PASSTHROUGH = "passthrough"
 
 
 class Behavior:
-    """One transform: fit on train-basis counts, then per-cell application."""
+    """One transform: fit on train-basis counts, then evaluation of all the
+    distinct values of its input in one call (``apply_distinct``)."""
 
     name = "?"
     coltype_class = CLASS_CATEGORIC
@@ -53,11 +55,18 @@ class Behavior:
         return [""]
 
     def compile(self, state: dict):
-        """Return the apply-ready form of a fit state, which ``apply_cell``
-        takes; built once per step evaluation. The fit state by default."""
+        """Return the apply-ready form of a fit state, which ``apply_distinct``
+        and ``apply_cell`` take; built once per step evaluation. The fit state
+        by default."""
         return state
 
-    def apply_cell(self, state, cell: Cell) -> tuple:
+    def apply_distinct(self, compiled, values: list[Cell]) -> list[tuple]:
+        """The output tuple of each value, in order: one ``apply_cell`` per
+        value, unless the behaviour evaluates them together."""
+        apply_cell = self.apply_cell
+        return [apply_cell(compiled, value) for value in values]
+
+    def apply_cell(self, compiled, cell: Cell) -> tuple:
         raise NotImplementedError
 
     def decoder(self, state: dict):

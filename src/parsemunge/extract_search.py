@@ -3,7 +3,8 @@ user-specified substring search.
 
 Extraction picks the longest format-valid numeric partition of an entry
 (earliest occurrence on ties), matching a brute-force enumerate-all-substrings
-rule exactly.
+rule exactly. Search looks for each term in all the distinct texts of its
+input at once, with ``numpy.strings.find``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,11 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+import numpy as np
+from numpy.dtypes import StringDType
+
 from .encoders import (
+    _BITS,
     CLASS_BOOLEAN,
     CLASS_NUMERIC,
     Behavior,
@@ -164,16 +169,28 @@ class SrchBehavior(Behavior):
             return [""]
         return list(state["labels"])
 
-    def apply_cell(self, state, cell):
-        text = canon_text(cell)
-        if text is None:
-            hits = [False] * len(state["groups"])
-        else:
-            probe = text if state["case_sensitive"] else text.upper()
-            hits = [any(t in probe for t in g) for g in state["groups"]]
+    def apply_distinct(self, state, values):
+        """Each term is looked for in every text at once; a group hits where
+        any of its terms does."""
+        texts = list(map(canon_text, values))
+        # Python's str.upper, as fit upper-cases the terms: "ß" becomes "SS".
+        probes = ["" if t is None else t if state["case_sensitive"] else t.upper()
+                  for t in texts]
+        array = np.array(probes, StringDType())
+        hits = np.zeros((len(state["groups"]), len(texts)), bool)
+        for row, group in zip(hits, state["groups"]):
+            for term in group:
+                if term.endswith("\0"):  # np.strings.find drops a term's trailing NULs
+                    row |= np.fromiter((term in p for p in probes), bool, len(probes))
+                else:
+                    row |= np.strings.find(array, term) >= 0
+        hits[:, [t is None for t in texts]] = False  # a missing cell hits no term
         if state["ordinal"]:
-            for i, hit in enumerate(hits):
-                if hit:
-                    return (float(i + 1),)
-            return (0.0,)
-        return tuple(1.0 if h else 0.0 for h in hits)
+            codes = np.zeros(len(texts))
+            for i in range(len(hits), 0, -1):  # the first group that hits writes last
+                codes[hits[i - 1]] = i
+            return [(code,) for code in codes.tolist()]
+        return [tuple(map(_BITS.__getitem__, flags)) for flags in hits.T.tolist()]
+
+    def apply_cell(self, state, cell):
+        return self.apply_distinct(state, [cell])[0]

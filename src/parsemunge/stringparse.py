@@ -12,6 +12,13 @@ either side, so one pass gives every entry its widest overlap, and the
 entries holding an overlap are the owners of one interval of the array. The
 cost grows with the total characters of the set, times their logarithm.
 
+Entries unseen at fit (``spl2``, ``spl5``) are matched in one call per step
+evaluation. The stored overlaps of each length are one sorted array of
+fixed-width UTF-32 keys; longest length first, every window of that length of
+the texts still unmatched is looked up in it by binary search, and each text
+takes the smallest key its windows equal. Keys are compared whole, so a match
+is exact.
+
 Multi mode walks window lengths from (longest entry - 1) down to the
 minimum. At each width it intersects the window sets of every entry pair not
 yet matched, which stays quadratic in the entry count, and maps every
@@ -40,6 +47,9 @@ from .tidytable import canon_text
 DEFAULT_MIN_LEN = 5
 DEFAULT_PLUG = "zzzplug"
 SPACE_AND_PUNCTUATION = frozenset(" " + string.punctuation)
+# Texts per block of unseen-entry matching, so that the arrays it holds stay
+# small whatever the number of texts; results do not depend on it.
+MATCH_BLOCK = 2**11
 # The transform parameters that config_from_params reads.
 SCAN_PARAMS = {"min_len?": int, "exclude_chars?": str, "space_and_punctuation?": bool}
 
@@ -101,6 +111,11 @@ def _width_index(windows) -> dict[str, list[str]]:
     return index
 
 
+def _utf32(text: str) -> np.ndarray:
+    """The text's code points, surrogates included."""
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), "<u4")
+
+
 def scan_overlaps(uniques, cfg: OverlapScanConfig) -> OverlapMap:
     """Find character-subset overlaps between the given unique entries."""
     if cfg.min_len < 2:
@@ -123,7 +138,7 @@ def _scan_single(entries: list[str], top: int, cfg: OverlapScanConfig) -> Overla
         return OverlapMap()
     # The entries as one array of character ranks from 1, each entry followed
     # by a 0 separator; excluded characters are separators too.
-    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
+    codes = _utf32(text)
     low = int(codes.min())
     ranks = codes - np.int64(low - 1)
     if cfg.exclude_chars:
@@ -314,24 +329,65 @@ class Sp15Behavior(SpltBehavior):
     single_id = False
 
 
-def _length_buckets(overlaps) -> list[tuple[int, set[str]]]:
-    """Overlaps grouped into one set per length, longest first."""
-    by_length: dict[int, set[str]] = {}
-    for o in overlaps:
-        by_length.setdefault(len(o), set()).add(o)
-    return sorted(by_length.items(), reverse=True)
+def _overlap_keys(overlaps) -> list[tuple[int, np.ndarray | None, list[str]]]:
+    """The stored overlaps of each length, longest first: in string order, and
+    as one array of fixed-width UTF-32 keys, which sort as the strings do."""
+    by_length: dict[int, list[str]] = {}
+    for o in sorted(set(overlaps)):
+        by_length.setdefault(len(o), []).append(o)
+    return [(n, _utf32("".join(names)).view(f"<U{n}") if n else None, names)
+            for n, names in sorted(by_length.items(), reverse=True)]
 
 
-def _match_train_overlap(text: str, buckets) -> str | None:
-    """Longest stored overlap contained in text, the smallest on a tie: the
-    first in (-len, s) order. ``buckets`` come from ``_length_buckets``."""
-    for n, bucket in buckets:
-        if n > len(text):
+def _match_train_overlap(texts: list[str], keys) -> list[str | None]:
+    """Per text, the longest stored overlap it contains, the smallest on a tie:
+    the first in (-len, s) order. ``keys`` come from ``_overlap_keys``."""
+    return [m for lo in range(0, len(texts), MATCH_BLOCK)
+            for m in _match_block(texts[lo:lo + MATCH_BLOCK], keys)]
+
+
+def _match_block(texts: list[str], keys) -> list[str | None]:
+    """Longest first, the windows of that length of every text still unmatched
+    are looked up among the keys of that length at once; a text's match is the
+    smallest key any of its windows equals."""
+    found: list[str | None] = [None] * len(texts)
+    if not keys:
+        return found
+    codes = _utf32("".join(texts))
+    size = np.fromiter(map(len, texts), np.int64, len(texts))
+    offset = np.cumsum(size) - size
+    unmatched = np.ones(len(texts), bool)
+    left, longest = len(texts), int(size.max())
+    for n, stored, names in keys:
+        if n > longest:
             continue
-        hit = bucket.intersection([text[i:i + n] for i in range(len(text) - n + 1)])
-        if hit:
-            return min(hit)
-    return None
+        if n == 0:  # every text holds the empty string
+            for i in np.flatnonzero(unmatched).tolist():
+                found[i] = names[0]
+            break
+        # Every window of n characters of the unmatched texts, by text.
+        live = np.flatnonzero(unmatched & (size >= n))
+        if not len(live):
+            continue
+        count = size[live] - (n - 1)
+        owner = np.repeat(live, count)
+        at = np.arange(len(owner)) + np.repeat(offset[live] - (np.cumsum(count) - count), count)
+        # The n characters from each position as one fixed-width key, without a copy.
+        windows = np.ndarray((len(codes) - n + 1,), stored.dtype, codes, strides=(4,))[at]
+        rank = np.searchsorted(stored, windows).clip(max=len(stored) - 1)
+        hit = stored[rank] == windows
+        if not hit.any():
+            continue
+        best = np.full(len(texts), len(stored))
+        np.minimum.at(best, owner[hit], rank[hit])
+        won = np.flatnonzero(best < len(stored))
+        for i, r in zip(won.tolist(), best[won].tolist()):
+            found[i] = names[r]
+        unmatched[won] = False
+        left -= len(won)
+        if not left:
+            break
+    return found
 
 
 class Spl2Behavior(Behavior):
@@ -350,16 +406,24 @@ class Spl2Behavior(Behavior):
     def compile(self, state):
         if not self.unseen_matches:
             return state
-        return {**state, "buckets": _length_buckets(state["assignment"].values())}
+        return {**state, "keys": _overlap_keys(state["assignment"].values())}
+
+    def apply_distinct(self, state, values):
+        """Seen entries are looked up; the unseen ones are matched together."""
+        texts = list(map(canon_text, values))
+        found = list(map(state["assignment"].get, texts))
+        if self.unseen_matches:
+            unseen = [i for i, (t, f) in enumerate(zip(texts, found))
+                      if f is None and t is not None]
+            if unseen:
+                matched = _match_train_overlap([texts[i] for i in unseen], state["keys"])
+                for i, m in zip(unseen, matched):
+                    found[i] = m
+        return [(f if f is not None or t is None else self._fallback(state, t),)
+                for t, f in zip(texts, found)]
 
     def apply_cell(self, state, cell):
-        text = canon_text(cell)
-        if text is None:
-            return (None,)
-        assigned = state["assignment"].get(text)
-        if assigned is None and self.unseen_matches:
-            assigned = _match_train_overlap(text, state["buckets"])
-        return (assigned if assigned is not None else self._fallback(state, text),)
+        return self.apply_distinct(state, [cell])[0]
 
     @staticmethod
     def _fallback(state, text):

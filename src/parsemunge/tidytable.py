@@ -145,6 +145,9 @@ def load_csv(path, missing_tokens=None) -> TidyTable:
             return _read_columns(path, reader, tokens)
         except csv.Error as exc:  # also a field over csv.field_size_limit()
             raise DataError(f"{path}: malformed CSV at line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8: byte {exc.object[exc.start]:#04x}:"
+                            f" {exc.reason}") from None
 
 
 def _read_columns(path, reader, tokens: frozenset[str]) -> TidyTable:

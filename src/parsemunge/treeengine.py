@@ -1,9 +1,10 @@
 """Fit/apply orchestration: recursive family-tree traversal, suffix-appender
 header logging, fit-artifact serialization, inversion, and drift reporting.
 
-A source's plan is evaluated one way, step by step: each step runs once per
-distinct value of its input header, and the outputs form a table from each
-distinct source value to its retained outputs, from which rows are expanded.
+A source's plan is evaluated one way, step by step: each step is handed all
+the distinct values of its input header in one call, and the outputs form a
+table from each distinct source value to its retained outputs, from which rows
+are expanded.
 ``fit`` evaluates each step right after fitting it and takes the encoded train
 table and the infill statistics from that table; ``apply`` replays the stored
 steps. So applying an artifact to its own train table makes the evaluations
@@ -173,9 +174,10 @@ def _source_stats(col: list[Cell]) -> dict:
 
 
 def _step_outputs(behavior, state: dict, distinct) -> dict[Cell, tuple]:
-    """Evaluate one step once per distinct input value: value -> output tuple."""
-    compiled = behavior.compile(state)
-    return {value: behavior.apply_cell(compiled, value) for value in distinct}
+    """Evaluate one step over all its distinct input values in one call:
+    value -> output tuple."""
+    distinct = list(distinct)
+    return dict(zip(distinct, behavior.apply_distinct(behavior.compile(state), distinct)))
 
 
 def _record(values: dict[str, list], rec: StepRecord, step_map: dict) -> None:

@@ -47,7 +47,7 @@ def run_behavior(name: str, col: list, params: dict | None = None,
                  root_rule: str = "missing_only", state: dict | None = None):
     """Fit the registered behavior ``name`` on the column's distinct counts
     (skipped when a fit ``state`` is given), compile the state and apply it
-    cell by cell.
+    to the whole column in one ``apply_distinct`` call, as a step is evaluated.
 
     Returns the fit state and one list per output column.
     """
@@ -55,7 +55,7 @@ def run_behavior(name: str, col: list, params: dict | None = None,
     if state is None:
         state = behavior.fit(distinct_counts(col), params or {}, root_rule)
     compiled = behavior.compile(state)
-    rows = [behavior.apply_cell(compiled, cell) for cell in col]
+    rows = behavior.apply_distinct(compiled, col)
     width = len(behavior.output_tokens(state))
     return state, [[row[i] for row in rows] for i in range(width)]
 

@@ -4,7 +4,8 @@ These deliberately avoid the implementation's suffix-array scan and
 regex-match machinery: overlap answers come from a dynamic-programming
 longest common substring table plus substring enumeration, and whole
 single-id overlap maps from the window-width loop that the suffix-array
-scan replaced; numeric extraction answers from an enumerate-every-substring
+scan replaced; unseen-entry matching and search from per-text containment
+tests in Python; numeric extraction answers from an enumerate-every-substring
 walk with a hand-rolled format validator, the built-in trees' answers from
 an argsort-and-cumsum CART with nested-dict nodes, and CSV files from a
 reader and writer that classify and render cell by cell.
@@ -90,6 +91,46 @@ def oracle_pair_longest_common(a: str, b: str, min_len: int,
         if common:
             return common
     return set()
+
+
+def reference_match_train_overlap(text: str, overlaps) -> str | None:
+    """The first stored overlap, in (-len, s) order, that text contains."""
+    for o in sorted(overlaps, key=lambda s: (-len(s), s)):
+        if o in text:
+            return o
+    return None
+
+
+def reference_overlap_cell(state: dict, cell, plug: bool = False) -> tuple:
+    """One spl2 cell (spl5 with ``plug``) by the scalar rule: the assigned
+    overlap of a train entry, else the first stored overlap the text contains,
+    else the text itself (the plug)."""
+    text = canon_text(cell)
+    if text is None:
+        return (None,)
+    found = state["assignment"].get(text)
+    if found is None:
+        found = reference_match_train_overlap(text, state["assignment"].values())
+    if found is None:
+        found = state["plug"] if plug else text
+    return (found,)
+
+
+def reference_srch_cell(state: dict, cell) -> tuple:
+    """One srch cell by the scalar rule: each term tested with ``in`` on the
+    text, upper-cased by str.upper unless the search is case-sensitive."""
+    text = canon_text(cell)
+    if text is None:
+        hits = [False] * len(state["groups"])
+    else:
+        probe = text if state["case_sensitive"] else text.upper()
+        hits = [any(t in probe for t in g) for g in state["groups"]]
+    if state["ordinal"]:
+        for i, hit in enumerate(hits):
+            if hit:
+                return (float(i + 1),)
+        return (0.0,)
+    return tuple(1.0 if h else 0.0 for h in hits)
 
 
 def valid_numeric(s: str, allow_commas: bool = True, allow_decimal: bool = True,

@@ -165,6 +165,19 @@ class TestCmdApply:
         err = capsys.readouterr().err
         assert err.count(f"data error: {bad}: malformed CSV at line 2:") == 2
 
+    def test_not_utf8_csv_exit_3(self, tmp_path, capsys):
+        train, _ = _write_train(tmp_path)
+        out = tmp_path / "out"
+        main(["fit", str(train), "--out-dir", str(out)])
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"col1\n\xff\xfe\n")
+        capsys.readouterr()
+        assert main(["fit", str(bad), "--out-dir", str(tmp_path / "refit")]) == 3
+        assert main(["apply", str(out / "artifact.pmz.json"), str(bad),
+                     "--out", str(tmp_path / "r.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.count(f"data error: {bad}: not UTF-8: byte 0xff") == 2
+
     def test_malformed_artifact_exit_3(self, tmp_path, capsys):
         train, _ = _write_train(tmp_path)
         out = tmp_path / "out"

@@ -10,6 +10,7 @@ import parsemunge as pm
 from parsemunge import stringparse
 from parsemunge.errors import ConfigError
 from parsemunge.registry import BEHAVIORS
+from parsemunge.tidytable import canon_text
 from parsemunge.stringparse import (
     OverlapScanConfig,
     Spl2Behavior,
@@ -23,6 +24,8 @@ from .helpers import run_behavior
 from .oracles import (
     oracle_pair_longest_common,
     oracle_single_assignment,
+    reference_match_train_overlap,
+    reference_overlap_cell,
     reference_scan_single,
 )
 
@@ -318,14 +321,6 @@ def test_single_id_overlaps_are_the_assigned_values(uniques, min_len, exclude):
     assert set(omap.overlaps) == set(omap.assignment.values())
 
 
-def _linear_match(text, overlaps):
-    """Reference: the first stored overlap, in (-len, s) order, that text contains."""
-    for o in sorted(overlaps, key=_by_length_then_text):
-        if o in text:
-            return o
-    return None
-
-
 @given(st.sets(st.text(alphabet="abc", min_size=1, max_size=5), max_size=12),
        st.text(alphabet="abcd", min_size=1, max_size=9))
 @example({"ab", "ba", "c"}, "bab")  # two overlaps of the longest length tie
@@ -333,15 +328,111 @@ def _linear_match(text, overlaps):
 @example(set(), "abc")
 @settings(max_examples=150, deadline=None)
 def test_compiled_overlap_match_equals_linear_scan(overlaps, text):
-    expected = _linear_match(text, overlaps)
+    expected = reference_match_train_overlap(text, overlaps)
     # Each stored overlap is assigned to one train entry; "#" keeps those
     # entries out of the texts' alphabet, so no text is a train entry.
     state = {"assignment": {f"#{o}": o for o in overlaps}, "plug": "zzzplug"}
     for behavior in (Spl2Behavior(), Spl5Behavior()):
         compiled = behavior.compile(state)
-        assert _match_train_overlap(text, compiled["buckets"]) == expected
+        assert _match_train_overlap([text], compiled["keys"]) == [expected]
         fallback = text if behavior.name == "spl2" else "zzzplug"
         assert behavior.apply_cell(compiled, text) == (expected or fallback,)
+
+
+# NUL and U+10FFFF bound the code points; the astral characters take four
+# bytes in UTF-8 and two code units in UTF-16.
+_MATCH_ALPHABETS = ["ab", "abc", "a\x00b\U0010ffff", "x\U0001f600y\U00010000\x00"]
+
+
+@st.composite
+def _match_inputs(draw):
+    """Stored overlaps (maybe none) and texts over one small alphabet, so that
+    equal-length overlaps often tie within a text; some texts are shorter
+    than every overlap, and some hold an overlap between other characters."""
+    alphabet = draw(st.sampled_from(_MATCH_ALPHABETS))
+    overlaps = draw(st.sets(st.text(alphabet=alphabet, min_size=2, max_size=6), max_size=10))
+    text = st.text(alphabet=alphabet, max_size=12)
+    texts = draw(st.lists(text, max_size=12))
+    shortest = min(map(len, overlaps), default=1)
+    texts += draw(st.lists(st.text(alphabet=alphabet, max_size=shortest - 1), max_size=3))
+    if overlaps:
+        held = st.tuples(text, st.sampled_from(sorted(overlaps)), text).map("".join)
+        texts += draw(st.lists(held, max_size=6))
+    return overlaps, texts
+
+
+@given(_match_inputs(), st.randoms(use_true_random=False), st.integers(1, 5))
+@settings(max_examples=300, deadline=None)
+@example((set(), ["abc", ""]), random.Random(0), 1)
+@example(({"", "ab"}, ["xab", "q", ""]), random.Random(0), 1)  # as a hand-edited artifact may hold
+@example(({"ab", "ba"}, ["bab", "aba", "a"]), random.Random(0), 2)
+@example(({"a\x00", "\x00b", "b\U0010ffff"}, ["a\x00b\U0010ffff", "\x00", "b"]),
+         random.Random(0), 1)
+def test_batched_match_equals_reference_in_any_batching(case, rnd, chunk):
+    overlaps, texts = case
+    keys = stringparse._overlap_keys(overlaps)
+    expected = [reference_match_train_overlap(t, overlaps) for t in texts]
+    assert _match_train_overlap(texts, keys) == expected
+    order = list(range(len(texts)))
+    rnd.shuffle(order)
+    shuffled = _match_train_overlap([texts[i] for i in order], keys)
+    assert shuffled == [expected[i] for i in order]
+    chunked = [m for i in range(0, len(texts), chunk)
+               for m in _match_train_overlap(texts[i:i + chunk], keys)]
+    assert chunked == expected
+    with mock.patch.object(stringparse, "MATCH_BLOCK", chunk):
+        assert _match_train_overlap(texts, keys) == expected
+
+
+@given(st.lists(st.text(alphabet="abc", min_size=2, max_size=5), min_size=1, max_size=10),
+       st.lists(st.one_of(st.none(), st.text(alphabet="abcd", max_size=8),
+                          st.sampled_from([1.0, -0.0, 12.5])), max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_apply_distinct_equals_scalar_rule(overlaps, cells):
+    # Half the overlaps' holders are cells, so seen and unseen entries mix.
+    state = {"assignment": {**{f"#{o}": o for o in overlaps},
+                            **{c: overlaps[0] for c in cells[::2] if isinstance(c, str)}},
+             "plug": "zzzplug"}
+    for name, plug in (("spl2", False), ("spl5", True), ("spl9", False), ("sp10", True)):
+        behavior = BEHAVIORS[name]
+        got = behavior.apply_distinct(behavior.compile(state), cells)
+        if behavior.unseen_matches:
+            assert got == [reference_overlap_cell(state, c, plug) for c in cells]
+        else:  # a pure lookup
+            fallback = (lambda t: "zzzplug") if plug else (lambda t: t)
+            assert got == [(None if t is None else state["assignment"].get(t, fallback(t)),)
+                           for t in map(canon_text, cells)]
+
+
+@pytest.mark.parametrize("name", ["spl9", "sp10"])
+def test_lookup_variants_never_match_unseen_entries(name):
+    train = pm.TidyTable(["s"], [["chrome 62.0", "chrome 49.0", "safari 7.1"]])
+    test = pm.TidyTable(["s"], [["chrome 88.0", "edge 99.0", None, 3.0]])
+
+    def refuse(texts, keys):
+        raise AssertionError("the unseen-entry matcher ran")
+
+    with mock.patch.object(stringparse, "_match_train_overlap", refuse):
+        _, artifact = pm.fit(train, {"s": name}, opts=pm.Options())
+        pm.apply(artifact, test)
+
+
+def test_matcher_runs_once_per_step_and_only_for_unseen_entries():
+    train = pm.TidyTable(["s"], [["chrome 62.0", "chrome 49.0", "safari 7.1"]])
+    test = pm.TidyTable(["s"], [["chrome 88.0", "edge 9", "chrome 62.0", "chrome 88.0"]])
+    match = stringparse._match_train_overlap
+    calls = []
+
+    def record(texts, keys):
+        calls.append(list(texts))
+        return match(texts, keys)
+
+    with mock.patch.object(stringparse, "_match_train_overlap", record):
+        _, artifact = pm.fit(train, {"s": "spl2"}, opts=pm.Options())
+        assert calls == [["safari 7.1"]]  # the train entry without an overlap
+        out = pm.apply(artifact, test)
+    assert calls[1:] == [["chrome 88.0", "edge 9"]]
+    assert out.columns[0] == [1.0, 0.0, 1.0, 1.0]  # spl2's ord3 codes: "chrome " is 1
 
 
 def _naive_row(name: str, state: dict, text):

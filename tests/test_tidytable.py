@@ -63,6 +63,13 @@ class TestLoadCsv:
             load_csv(path)
         assert str(info.value).startswith(f"{path}: malformed CSV at line {line}: {reason}")
 
+    def test_not_utf8_is_a_data_error(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"a\n\xff\xfe\n")
+        with pytest.raises(DataError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}: not UTF-8: byte 0xff: invalid start byte"
+
     def test_custom_missing_tokens(self, tmp_path):
         table = load_csv(_write(tmp_path, "a\nNA\n"), missing_tokens={""})
         assert table.columns[0] == ["NA"]
