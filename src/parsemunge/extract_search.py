@@ -10,6 +10,7 @@ input at once, with ``numpy.strings.find``.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -48,12 +49,14 @@ def nmcm_extract(entry: str, allow_commas: bool = True, allow_decimal: bool = Tr
 
     Every start that can begin a longest match is tried, so partitions
     overlapping a shorter leading match are still found; ties go to the
-    earliest occurrence.
+    earliest occurrence. A partition beyond the float range saturates to the
+    largest finite float of its sign, so every extraction is finite.
     """
     found = _pattern(allow_commas, allow_decimal, allow_negative).findall(entry)
     if not found:
         return None
-    return float(max(found, key=len).replace(",", ""))
+    value = float(max(found, key=len).replace(",", ""))
+    return max(-sys.float_info.max, min(value, sys.float_info.max))
 
 
 class NmcmBehavior(Behavior):

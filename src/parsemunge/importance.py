@@ -20,7 +20,6 @@ import numpy as np
 
 from .encoders import CLASS_PASSTHROUGH
 from .errors import ConfigError, DataError
-from .registry import BEHAVIORS
 from .tidytable import Cell, TidyTable, as_number, canon_text
 from .treeengine import FitArtifact, apply
 
@@ -88,13 +87,7 @@ def _feature_matrix(artifact: FitArtifact, encoded: TidyTable):
     groups: dict[str, list[str]] = {}
     arrays = []
     for source, plan in artifact.per_source.items():
-        headers = []
-        for rec in plan.steps:
-            if not rec.retained:
-                continue
-            if BEHAVIORS[rec.behavior].coltype_class == CLASS_PASSTHROUGH:
-                continue
-            headers.extend(rec.output_headers)
+        headers = [h for h, c in plan.column_classes().items() if c != CLASS_PASSTHROUGH]
         groups[source] = headers
         for h in headers:
             col_index[h] = len(arrays)
@@ -143,6 +136,8 @@ def permutation_importance(artifact: FitArtifact, table: TidyTable,
         raise ConfigError(f"val_fraction must lie strictly between 0 and 1, not {val_fraction!r}")
     if seed < 0:
         raise ConfigError(f"seed must not be negative, not {seed!r}")
+    if repeats < 1:
+        raise ConfigError(f"repeats must be at least 1, not {repeats!r}")
     if len(labels) != table.row_count:
         raise DataError("labels length does not match table rows")
     encoded = apply(artifact, table)
@@ -384,6 +379,8 @@ def builtin_tree(task: str, max_depth: int = 8, n_trees: int = 10,
         raise ConfigError(f"unknown task {task!r}")
     if seed < 0:
         raise ConfigError(f"seed must not be negative, not {seed!r}")
+    if n_trees < 1:
+        raise ConfigError(f"n_trees must be at least 1, not {n_trees!r}")
 
     def train(X, y):
         X = np.asarray(X, dtype=float)

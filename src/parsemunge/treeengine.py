@@ -1,14 +1,14 @@
 """Fit/apply orchestration: recursive family-tree traversal, suffix-appender
 header logging, fit-artifact serialization, inversion, and drift reporting.
 
-A source's plan is evaluated one way, step by step: each step is handed all
-the distinct values of its input header in one call, and the outputs form a
-table from each distinct source value to its retained outputs, from which rows
-are expanded.
+A source's plan is evaluated one way, step by step (``_evaluate``): each step
+is handed all the distinct values of its input header in one call, and each
+output column is kept over the source's distinct values, from which rows are
+gathered through their codes.
 ``fit`` evaluates each step right after fitting it and takes the encoded train
-table and the infill statistics from that table; ``apply`` replays the stored
-steps. So applying an artifact to its own train table makes the evaluations
-fit made and reproduces the fit output bit-exactly.
+table and the infill statistics from those columns; ``apply`` replays the
+stored steps. So applying an artifact to its own train table makes the
+evaluations fit made and reproduces the fit output bit-exactly.
 """
 
 from __future__ import annotations
@@ -106,6 +106,11 @@ class SourcePlan:
     def retained_headers(self) -> list[str]:
         return [h for rec in self.steps if rec.retained for h in rec.output_headers]
 
+    def column_classes(self) -> dict[str, str]:
+        """Retained output header -> coltype class of the behaviour writing it."""
+        return {h: BEHAVIORS[rec.behavior].coltype_class
+                for rec in self.steps if rec.retained for h in rec.output_headers}
+
 
 @dataclass
 class FitArtifact:
@@ -173,45 +178,39 @@ def _source_stats(col: list[Cell]) -> dict:
     }
 
 
-def _step_outputs(behavior, state: dict, distinct) -> dict[Cell, tuple]:
-    """Evaluate one step over all its distinct input values in one call:
-    value -> output tuple."""
-    distinct = list(distinct)
-    return dict(zip(distinct, behavior.apply_distinct(behavior.compile(state), distinct)))
+def _gather(column: list[Cell], codes: np.ndarray) -> list[Cell]:
+    """``column[c]`` for each code ``c``."""
+    return np.fromiter(column, dtype=object, count=len(column)).take(codes).tolist()
 
 
-def _record(values: dict[str, list], rec: StepRecord, step_map: dict) -> None:
-    """Add a step's outputs to ``values``: header -> value per distinct source value."""
-    outs = [step_map[v] for v in values[rec.input_header]]
+def _evaluate(rec: StepRecord, values: dict[str, list], inputs: dict) -> None:
+    """Evaluate one step over all the distinct values of its input header in
+    one call (factorized once, cached in ``inputs``) and add each output column
+    to ``values``, gathered back to the source's distinct values."""
+    if rec.input_header not in inputs:
+        inputs[rec.input_header] = factorize(values[rec.input_header])
+    distinct, codes = inputs[rec.input_header]
+    behavior = BEHAVIORS[rec.behavior]
+    outs = behavior.apply_distinct(behavior.compile(rec.fit), distinct)
     for i, h in enumerate(rec.output_headers):
-        values[h] = [o[i] for o in outs]
+        values[h] = _gather([out[i] for out in outs], codes)
 
 
-def _table(plan: SourcePlan, values: dict[str, list]) -> dict[Cell, tuple]:
-    """Distinct source value -> retained output tuple."""
-    retained = [values[h] for h in plan.retained_headers()]
-    return dict(zip(values[plan.header], zip(*retained)))
-
-
-def _walk(plan: SourcePlan, distinct: list[Cell]) -> dict[Cell, tuple]:
-    """Evaluate a fitted plan in step order, each step over its distinct inputs."""
-    values = {plan.header: distinct}
-    inputs = {plan.header: distinct}
+def _walk(plan: SourcePlan, distinct: list[Cell]) -> dict[str, list]:
+    """Evaluate a fitted plan in step order: header -> column over ``distinct``."""
+    values, inputs = {plan.header: distinct}, {}
     for rec in plan.steps:
-        if rec.input_header not in inputs:
-            inputs[rec.input_header] = factorize(values[rec.input_header])[0]
-        step_map = _step_outputs(BEHAVIORS[rec.behavior], rec.fit, inputs[rec.input_header])
-        _record(values, rec, step_map)
-    return _table(plan, values)
+        _evaluate(rec, values, inputs)
+    return values
 
 
 def _fit_source(header: str, col: list[Cell], root_key: str, reg: Registry,
                 opts: Options, dedup) -> tuple[SourcePlan, dict, dict]:
-    """Fit one source's step tree; returns the plan, distinct counts and table."""
+    """Fit one source's step tree; returns the plan, distinct counts and columns."""
     counts = distinct_counts(col)
     root_rule = reg.entry(root_key).target_rule
     steps: list[StepRecord] = []
-    values = {header: list(counts)}
+    values, inputs = {header: list(counts)}, {}
 
     def fit_step(cat_key: str, in_header: str, in_counts: dict) -> StepRecord:
         entry = reg.entry(cat_key)
@@ -230,7 +229,7 @@ def _fit_source(header: str, col: list[Cell], root_key: str, reg: Registry,
         )
         steps.append(rec)
         # Evaluated right away: the children fit on these outputs.
-        _record(values, rec, _step_outputs(entry.behavior, state, in_counts))
+        _evaluate(rec, values, inputs)
         return rec
 
     def run_generation(owner_key: str, in_header: str, in_counts: dict, slots) -> bool:
@@ -261,22 +260,14 @@ def _fit_source(header: str, col: list[Cell], root_key: str, reg: Registry,
         steps=steps,
         source_stats=_source_stats(col),
     )
-    return plan, counts, _table(plan, values)
+    return plan, counts, values
 
 
-def _expand_source(plan: SourcePlan, col: list[Cell], table: dict,
+def _expand_source(plan: SourcePlan, col: list[Cell], values: dict[str, list],
                    codes: np.ndarray) -> dict[str, list[Cell]]:
-    """Expand a source's rows from its per-distinct table: ``codes`` holds each
-    row's position in the table, through which every output column is gathered."""
-    out_headers = plan.retained_headers()
-    if not out_headers:
-        return {}
-    rows = table.values()
-    return {
-        h: np.fromiter((row[i] for row in rows), dtype=object, count=len(rows))
-        .take(codes).tolist()
-        for i, h in enumerate(out_headers)
-    }
+    """Expand a source's rows: ``codes`` holds each row's position among the
+    distinct source values, through which every retained column is gathered."""
+    return {h: _gather(values[h], codes) for h in plan.retained_headers()}
 
 
 def _infill_columns(plan: SourcePlan, col: list[Cell], columns: dict,
@@ -289,26 +280,20 @@ def _infill_columns(plan: SourcePlan, col: list[Cell], columns: dict,
         columns[h] = infill_mod.apply_infill(columns[h], mask, spec["kind"], spec.get("value"))
 
 
-def _column_classes(plan: SourcePlan) -> dict[str, str]:
-    """Retained output header -> coltype class of the behaviour writing it."""
-    return {h: BEHAVIORS[rec.behavior].coltype_class
-            for rec in plan.steps if rec.retained for h in rec.output_headers}
-
-
-def _fit_infill_spec(plan: SourcePlan, counts: dict, table: dict,
+def _fit_infill_spec(plan: SourcePlan, counts: dict, values: dict[str, list],
                      kind: str) -> dict[str, dict]:
     """Per retained column where the requested kind is compatible: the kind,
     with train stats taken over the non-target distinct values of the fit-time
-    table. Other columns get no entry, which means no infill."""
+    columns. Other columns get no entry, which means no infill."""
     spec: dict[str, dict] = {}
-    pairs = [
-        (table[value], n) for value, n in counts.items()
+    kept = [
+        (i, n) for i, (value, n) in enumerate(counts.items())
         if not infill_mod.is_infill_target(value, plan.target_rule)
     ]
-    for i, (h, coltype_class) in enumerate(_column_classes(plan).items()):
+    for h, coltype_class in plan.column_classes().items():
         if kind in infill_mod.NUMERIC_ONLY_KINDS and coltype_class != CLASS_NUMERIC:
             continue
-        stat = infill_mod.train_stat(kind, [(row[i], n) for row, n in pairs])
+        stat = infill_mod.train_stat(kind, [(values[h][i], n) for i, n in kept])
         entry = {"kind": kind}
         if stat is not None:
             entry["value"] = stat
@@ -362,15 +347,13 @@ def fit(train: TidyTable, assignments: dict[str, str] | None = None,
     for h in sources:
         col = train.column(h)
         root = assignments.get(h) or auto_root_select(col, threshold=opts.threshold)
-        # One source's table at a time, so peak memory holds one table.
-        plan, counts, table = _fit_source(h, col, root, reg, opts, dedup)
+        # One source's columns at a time, so peak memory holds one source's.
+        plan, counts, values = _fit_source(h, col, root, reg, opts, dedup)
         plans[h] = plan
         kind = requested_infill.get(h, infill_mod.KIND_DEFAULT)
         if kind != infill_mod.KIND_DEFAULT:
-            infill_spec.update(_fit_infill_spec(plan, counts, table, kind))
-        position = {value: i for i, value in enumerate(table)}
-        codes = np.fromiter(map(position.__getitem__, col), dtype=np.intp, count=len(col))
-        expanded = _expand_source(plan, col, table, codes)
+            infill_spec.update(_fit_infill_spec(plan, counts, values, kind))
+        expanded = _expand_source(plan, col, values, factorize(col)[1])
         _infill_columns(plan, col, expanded, infill_spec)
         columns.update(expanded)
 
@@ -487,7 +470,7 @@ def deserialize(data: bytes | str) -> FitArtifact:
             raise DataError(f"artifact lists source {plan.header!r} twice")
         per_source[plan.header] = plan
     artifact = FitArtifact(version, doc["labels_column"], per_source, doc["infill_spec"])
-    classes = {h: c for plan in per_source.values() for h, c in _column_classes(plan).items()}
+    classes = {h: c for plan in per_source.values() for h, c in plan.column_classes().items()}
     for h, spec in artifact.infill_spec.items():
         if h not in classes:
             raise DataError(f"artifact infill_spec names {h!r}, which is no retained column")

@@ -14,6 +14,8 @@ reader and writer that classify and render cell by cell.
 from __future__ import annotations
 
 import csv
+import math
+import sys
 
 import numpy as np
 
@@ -171,12 +173,16 @@ def valid_numeric(s: str, allow_commas: bool = True, allow_decimal: bool = True,
 def oracle_extract(s: str, allow_commas: bool = True, allow_decimal: bool = True,
                    allow_negative: bool = False) -> float | None:
     """Enumerate every substring, keep format-valid ones, pick the longest
-    (earliest start on ties), strip commas, parse."""
+    (earliest start on ties), strip commas, parse; a value beyond the float
+    range saturates to the largest finite float of its sign."""
     for length in range(len(s), 0, -1):
         for start in range(len(s) - length + 1):
             piece = s[start:start + length]
             if valid_numeric(piece, allow_commas, allow_decimal, allow_negative):
-                return float(piece.replace(",", ""))
+                value = float(piece.replace(",", ""))
+                if math.isinf(value):
+                    return math.copysign(sys.float_info.max, value)
+                return value
     return None
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import random
 
 import pytest
@@ -38,6 +39,18 @@ def _config(tmp_path, doc, name="config.json"):
     return path
 
 
+def _write_overflowing(tmp_path):
+    path = tmp_path / "overflowing.csv"
+    write_csv(TidyTable(["col1"], [["zip " + "9" * 400, "zip 94107", "zip -3", None]]), path)
+    return path
+
+
+def _finite_column(path, header):
+    with open(path, newline="", encoding="utf-8") as fh:
+        cells = [row[header] for row in csv.DictReader(fh)]
+    return all(math.isfinite(float(cell)) for cell in cells)
+
+
 class TestCmdFit:
     def test_assigncat_or19(self, tmp_path):
         train, _ = _write_train(tmp_path)
@@ -49,6 +62,14 @@ class TestCmdFit:
         assert _plan_of(artifact, "col2")["root"] == "or19"
         assert (out / "train_encoded.csv").exists()
         assert (out / "fit_report.txt").exists()
+
+    def test_overflowing_extraction_exits_0(self, tmp_path):
+        # 400 nines extract as the largest float, so every nmbr output is finite.
+        config = _config(tmp_path, {"assigncat": {"nmcm": ["col1"]}})
+        out = tmp_path / "out"
+        assert main(["fit", str(_write_overflowing(tmp_path)), "--config", str(config),
+                     "--out-dir", str(out)]) == 0
+        assert _finite_column(out / "train_encoded.csv", "col1_nmcm_nmbr")
 
     def test_no_config_auto_roots(self, tmp_path):
         train, _ = _write_train(tmp_path)
@@ -116,6 +137,17 @@ class TestCmdApply:
         assert main(["apply", str(out / "artifact.pmz.json"), str(train),
                      "--out", str(dest)]) == 0
         assert dest.read_bytes() == (out / "train_encoded.csv").read_bytes()
+
+    def test_overflowing_extraction_exits_0(self, tmp_path):
+        # 400 nines extract as the largest float, so every nmbr output is finite.
+        config = _config(tmp_path, {"assigncat": {"nmcm": ["col1"]}})
+        small = tmp_path / "small.csv"
+        write_csv(TidyTable(["col1"], [["zip 1", "zip 94107", "zip 3"]]), small)
+        main(["fit", str(small), "--config", str(config), "--out-dir", str(tmp_path / "out")])
+        dest = tmp_path / "applied.csv"
+        assert main(["apply", str(tmp_path / "out" / "artifact.pmz.json"),
+                     str(_write_overflowing(tmp_path)), "--out", str(dest)]) == 0
+        assert _finite_column(dest, "col1_nmcm_nmbr")
 
     def test_drift_summary_printed(self, tmp_path, capsys):
         train, _ = _write_train(tmp_path)

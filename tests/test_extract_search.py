@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -56,7 +57,15 @@ class TestNmcmExtract:
             s = "".join(rnd.choice(alphabet) for _ in range(rnd.randint(0, 24)))
             assert nmcm_extract(s, **flags) == oracle_extract(s, **flags), repr(s)
 
+    def test_overflow_saturates_to_largest_float(self):
+        top = sys.float_info.max
+        assert nmcm_extract("a" + "9" * 400) == top
+        assert nmcm_extract("t -" + "9" * 400, allow_negative=True) == -top
+        assert nmcm_extract("1" + "0" * 309 + ".5") == top
+        assert nmcm_extract("9" * 308) < top
+
     @given(st.text(alphabet="a0129,.- \u0663", max_size=20))
+    @example("-" + "9" * 400)
     @settings(max_examples=150, deadline=None)
     def test_oracle_equivalence_every_flag_set(self, s):
         # Only digit-run starts and "-" signs are tried; no other start can

@@ -185,6 +185,17 @@ class TestPermutationImportance:
         with pytest.raises(ConfigError, match="seed"):
             builtin_tree(TASK_CLASSIFICATION, seed=-1)
 
+    def test_zero_trees_rejected(self):
+        with pytest.raises(ConfigError, match="n_trees"):
+            builtin_tree(TASK_CLASSIFICATION, n_trees=0)
+
+    def test_zero_repeats_rejected(self):
+        table, labels = _labelled_table(50, 1)
+        _, artifact = pm.fit(table)
+        adapter = builtin_tree(TASK_CLASSIFICATION)
+        with pytest.raises(ConfigError, match="repeats"):
+            permutation_importance(artifact, table, labels, adapter, repeats=0)
+
     def test_too_few_validation_rows(self):
         table = _table(a=["x", "y", "x", "y"])
         _, artifact = pm.fit(table)

@@ -41,6 +41,7 @@ class TestMarkTargets:
     @given(st.one_of(st.text(), st.text(alphabet="ab09,.- \u0663\uff19\u00b2")))
     @example("\u0663")  # a non-ASCII digit is no digit to nmcm_extract
     @example("-,.")
+    @example("9" * 400)  # beyond the float range: saturated, still found
     @settings(max_examples=200, deadline=None)
     def test_numeric_extract_rule_is_the_extraction_failing(self, text):
         # The rule tests for an ASCII digit; extraction fails exactly without

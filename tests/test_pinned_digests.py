@@ -1,0 +1,108 @@
+"""Pinned sha256 digests of every benchmark workload, end to end.
+
+The benchmark's own gate pins only the ``apply`` output. These digests also
+pin the serialized artifact, the encoded train table and the inversion, so a
+change meant to keep every output byte-identical shows any drift here. The
+workloads are generated at a quarter of their benchmark size to keep the run
+short. Re-pin only for a change that is meant to alter an output, and say so
+where the change is described.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+import parsemunge as pm
+from parsemunge.tidytable import TidyTable
+from perfbench import workloads
+
+SIZES = {
+    "parse_highcard": {"rows": 2_000, "train_pool": 1_000, "test_extra": 100},
+    "wide_roundtrip": {"rows": 4_000},
+    "unseen_drift": {"rows": 2_500, "train_uniques": 500, "test_uniques": 7_500},
+    "importance_prefix": {"rows": 1_250},
+}
+
+# (workload, seed) -> digests of (artifact, encoded train, apply of the
+# deserialized artifact on the test table, invert of that output)
+PINNED = {
+    ('importance_prefix', 7): (
+        '3afad751342ad94ef5498c87cf4e0ac16fb8f0445aaa8cdbe75a229c40920bce',
+        '7d61285f0808b66b36d2dafd7d0e8fc4dd9f3cb84b31f88e1e6a0f8699c2fcd5',
+        '41f5d5c9cb3d215fa59f8cd6e13629971227a46493c41aee99e8098728eda2f5',
+        'e45d53bf6ba50621bf9173845a49e3ad0e6e3b043b3cfdea155d3a2a0ed0de02',
+    ),
+    ('importance_prefix', 13): (
+        '6933ffe8175b7f9347bb02e88c361da473ef92dd1af0cf647de69ed3920a621a',
+        '4d288ba1731f4625432d12e94175eb6dff232cba3be867497d757b3f7f5b92aa',
+        'c13a5b899648e31ced49afd1a51dd74e956f265004d44bfa58442e07d51afc99',
+        'eae94d5b62639ecf967a32bf45eb6ee7ba859472507898f96dba9a79b55ebb4a',
+    ),
+    ('parse_highcard', 7): (
+        'ffcf27e8fbdef4d800c1e42298b2c119ea47ade9cdc3cf130281022e7aa330df',
+        'b35a7eaebd4b24e1955bde9173048ff571ee74cb4ecfdfafca7810238335a409',
+        '62f59fc112f57cfb07654e30e1adb2a3b189293ef5c394c7ebcaa91af12673e0',
+        '6f6ffb2f544db77e10521bdb60138d855d667727542bf14c361d2ad45ce1551b',
+    ),
+    ('parse_highcard', 13): (
+        '35af583a812005e786adc9c4a9cf1e9c70037d8356a772f69e0fe4ef993ab301',
+        '6225d2a9feea8e089274cb773b22d6dce759b3d5ee5dc2dff7029e047de7df89',
+        '90526c96a3915d54996ae672df78e50b93ac86ddaa07e39af8e0dcca81be3047',
+        'aefc68cc82f20962c301127138ae8c741e97763bff908eb4bd460f7310ebb27b',
+    ),
+    ('unseen_drift', 7): (
+        'ebdade853ef202f48514e721eb01ddf9d265ce26f4b2e505e1b9e58ebf6b4cbb',
+        '02ed697f1b0287dfc3bcfb19f5b6c27ab9038bbf4deef4ce9d037127448e913a',
+        '8ef27258ea8f47d7153eb353d4ce1ad10574534d9c6f9907b3063f2ee18ae969',
+        '7c7e8f09caf0436e987d7998f7579faf4af060fbb5fe855add846dc7f77d0e3c',
+    ),
+    ('unseen_drift', 13): (
+        'a4702a6c2eb1df9e71b6c4cc19b241005019c7d7e7c5650f5b40be36f9db9b8d',
+        '37fce3bdc38866ef24eac2fda6af082ede3b31921ef287e6b2be5cb1c1c0ace6',
+        '36703d66b8afc15c43cbaf48d929498df04280087d76b306bb6b44e44b2eba1c',
+        'f4bc9450973615957faa28261d836566cc2fd20775c066e709759a0d676e5a44',
+    ),
+    ('wide_roundtrip', 7): (
+        '7472afb0b79d6f68c2c6dd4ff4aa71505d717866d83317236ecdbd6cde467f84',
+        '0ef95be65df89315d49f6d9d9acd56e063ff9ba5d3e53357b980911fd4dfb36d',
+        'b8a0f01ad136564b733419052eafcb768f5061d1abc6cd91af8d23a93abaf8b3',
+        '6790627159aba519ad8285acf3765f334b4036156fd46ab164974d78f7ff30aa',
+    ),
+    ('wide_roundtrip', 13): (
+        '1b7561e46d2eb15d9f550ff47700eb55109c24fc349bfdef92cf9131541f1a73',
+        '779201a8deb57ff1a4278b037606d553a773498f793e7fa0964f546adc85195c',
+        '2f735c91c7fa779ec5d168cf45b297042cceef4928e0d95b3e13808812da6c89',
+        '1bdbf099ac5f11845812284bb05ae5f4c0e154b720ad3867315b9fd0096a32d9',
+    ),
+}
+
+
+def _digest(doc) -> str:
+    text = json.dumps(doc, allow_nan=False, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _table(columns: dict[str, list]) -> TidyTable:
+    return TidyTable(headers=list(columns), columns=list(columns.values()))
+
+
+def digests(name: str, seed: int) -> tuple[str, str, str, str]:
+    w = workloads.GENERATORS[name](seed, **SIZES[name])
+    encoded, artifact = pm.fit(_table(w.train), w.assignments, opts=pm.Options(**w.options))
+    blob = pm.serialize(artifact)
+    applied = pm.apply(pm.deserialize(blob), _table(w.test))
+    recovered, failed = pm.invert(artifact, applied)
+    return (hashlib.sha256(blob).hexdigest(),
+            _digest([encoded.headers, encoded.columns]),
+            _digest([applied.headers, applied.columns]),
+            _digest([recovered.headers, recovered.columns, failed]))
+
+
+def test_every_workload_is_pinned():
+    assert {name for name, _ in PINNED} == set(workloads.GENERATORS) == set(SIZES)
+
+
+@pytest.mark.parametrize("name, seed", sorted(PINNED))
+def test_outputs_match_pinned_digests(name, seed):
+    assert digests(name, seed) == PINNED[name, seed]

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import json
 import logging
+import math
 import random
 
 import pytest
@@ -13,7 +14,7 @@ from parsemunge.errors import ConfigError, DataError, ParsemungeError
 from parsemunge.infill import CONFIG_KIND_NAMES
 from parsemunge.registry import BEHAVIORS, builtin_registry
 from parsemunge.schema import checker
-from parsemunge.tidytable import TidyTable, distinct_counts
+from parsemunge.tidytable import TidyTable, distinct_counts, write_csv
 from parsemunge.treeengine import FORMAT_VERSION, Options
 
 from .helpers import make_random_table, random_text_cell, retyped, run_behavior
@@ -219,23 +220,39 @@ class TestApply:
             assert pm.serialize(reartifact) == pm.serialize(artifact)
 
     def test_fit_evaluates_each_step_once_per_distinct_value(self, monkeypatch):
-        calls = {"n": 0}
+        # apply_distinct is the engine's one call per step evaluation; it also
+        # sees the behaviours that never call apply_cell (spl9, sp10, spl2,
+        # spl5, srch).
+        calls = []
         for behavior in BEHAVIORS.values():
-            def counted(state, cell, _original=behavior.apply_cell):
-                calls["n"] += 1
-                return _original(state, cell)
-            monkeypatch.setattr(behavior, "apply_cell", counted)
+            def counted(compiled, values, _original=behavior.apply_distinct):
+                calls.append(list(values))
+                return _original(compiled, values)
+            monkeypatch.setattr(behavior, "apply_distinct", counted)
         rnd = random.Random(3)
+        serial = [random_text_cell(rnd) if rnd.random() > 0.1 else None for _ in range(300)]
         table = _table(
-            serial=[random_text_cell(rnd) if rnd.random() > 0.1 else None for _ in range(300)],
+            serial=serial,
             amount=[round(rnd.uniform(0, 50), 1) if rnd.random() > 0.1 else None
                     for _ in range(300)],
+            parts=[f"{rnd.choice(['ab', 'cd'])}{rnd.randint(0, 30)}x" for _ in range(300)],
+            found=serial[::-1],
         )
-        opts = Options(assigninfill={"meaninfill": ["amount"]})
-        encoded, artifact = pm.fit(table, {"serial": "or19", "amount": "nmbr"}, opts=opts)
-        in_fit, calls["n"] = calls["n"], 0
+        roots = {"serial": "or19", "amount": "nmbr", "parts": "spl5", "found": "srch"}
+        opts = Options(assigninfill={"meaninfill": ["amount"]},
+                       assignparam={"srch": {"found": {"search": ["A", "9"]}}})
+        encoded, artifact = pm.fit(table, roots, opts=opts)
+        in_fit = calls.copy()
+        calls.clear()
         assert pm.apply(artifact, table) == encoded
-        assert in_fit == calls["n"] > 0
+        steps = sum(len(plan.steps) for plan in artifact.per_source.values())
+        assert len(in_fit) == len(calls) == steps
+        for values in in_fit + calls:
+            assert len(set(values)) == len(values)
+        assert sum(map(len, in_fit)) == sum(map(len, calls)) > 0
+        assert {plan.root for plan in artifact.per_source.values()} >= {"or19", "spl5", "srch"}
+        behaviors = {rec.behavior for plan in artifact.per_source.values() for rec in plan.steps}
+        assert {"spl9", "sp10", "spl5", "srch"} <= behaviors
 
 
 class TestEdgeCases:
@@ -282,6 +299,21 @@ class TestEdgeCases:
         splt_headers = [h for h in encoded.headers if "_splt_" in h]
         assert len(splt_headers) == 2
         assert len(set(splt_headers)) == 2
+
+    def test_overflowing_extraction_stays_finite(self, tmp_path):
+        # A digit run beyond the float range saturates, so every nmc7 output
+        # is finite: the artifact serializes and the encoded table writes.
+        huge = "chrome " + "9" * 400
+        table = _table(a=[huge, "chrome 62.0", "safari 11.0"])
+        encoded, artifact = pm.fit(table, {"a": "or19"})
+        assert all(math.isfinite(v) for v in encoded.column("a_UPCS_nmc7_nmbr"))
+        restored = pm.deserialize(pm.serialize(artifact))
+        assert pm.apply(restored, table) == encoded
+        _, plain = pm.fit(_table(a=["chrome 61.0", "chrome 62.0", "safari 11.0"]), {"a": "or19"})
+        applied = pm.apply(plain, table)
+        assert all(math.isfinite(v) for v in applied.column("a_UPCS_nmc7_nmbr"))
+        write_csv(applied, tmp_path / "applied.csv")
+        write_csv(encoded, tmp_path / "encoded.csv")
 
 
 _nasty_cells = st.one_of(
