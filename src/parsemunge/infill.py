@@ -1,7 +1,7 @@
 """Missing-data handling: infill target marking and the standard infill kinds.
 
-Targets are decided against the source column by the root category's rule;
-fills of the encoded columns use train-basis statistics only.
+Targets are decided against the source column's distinct values by the root
+category's rule; fills of the encoded columns use train-basis statistics only.
 """
 
 from __future__ import annotations
@@ -89,31 +89,18 @@ def train_stat(kind: str, pairs: list[tuple]) -> float | None:
 
 def apply_infill(col: list[Cell], mask: list[bool], kind: str,
                  stat: float | None = None) -> list[Cell]:
-    """Replace target rows per kind; non-target rows are never altered."""
+    """Replace target cells per kind; non-target cells are never altered.
+    Adjacent infill fills 0.0: the engine gathers a target row from an adjacent
+    non-target row instead, so the fill shows only where every row is a target."""
     if kind == KIND_DEFAULT:
         return list(col)
     if kind in NUMERIC_ONLY_KINDS and any(
         isinstance(v, str) for v, m in zip(col, mask) if not m
     ):
         raise ConfigError(f"{kind} infill requires a numeric column")
-    if kind == KIND_ADJACENT:
-        first = next((v for v, m in zip(col, mask) if not m), 0.0)
-        out, last, seen = [], None, False
-        for v, m in zip(col, mask):
-            if m:
-                out.append(last if seen else first)
-            else:
-                out.append(v)
-                last, seen = v, True
-        return out
-    fills = {
-        KIND_ZERO: 0.0,
-        KIND_ONE: 1.0,
-        KIND_NEGZERO: -0.0,
-        KIND_MEAN: stat if stat is not None else 0.0,
-        KIND_MEDIAN: stat if stat is not None else 0.0,
-        KIND_MODE: stat if stat is not None else 0.0,
-    }
+    stat = 0.0 if stat is None else stat
+    fills = {KIND_ZERO: 0.0, KIND_ADJACENT: 0.0, KIND_ONE: 1.0, KIND_NEGZERO: -0.0,
+             KIND_MEAN: stat, KIND_MEDIAN: stat, KIND_MODE: stat}
     try:
         fill = fills[kind]
     except KeyError:

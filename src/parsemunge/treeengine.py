@@ -9,6 +9,8 @@ gathered through their codes.
 table and the infill statistics from those columns; ``apply`` replays the
 stored steps. So applying an artifact to its own train table makes the
 evaluations fit made and reproduces the fit output bit-exactly.
+Infill fills those columns too, before the one gather; adjacent infill, the
+one order-dependent kind, remaps the row codes instead, which a shuffle permutes.
 """
 
 from __future__ import annotations
@@ -264,32 +266,38 @@ def _fit_source(header: str, col: list[Cell], root_key: str, reg: Registry,
 
 
 def _expand_source(plan: SourcePlan, col: list[Cell], values: dict[str, list],
-                   codes: np.ndarray) -> dict[str, list[Cell]]:
-    """Expand a source's rows: ``codes`` holds each row's position among the
-    distinct source values, through which every retained column is gathered."""
-    return {h: _gather(values[h], codes) for h in plan.retained_headers()}
+                   codes: dict[str, np.ndarray]) -> dict[str, list[Cell]]:
+    """Expand a source's rows: ``codes[h]`` holds each row's position among the
+    distinct source values, through which the retained column ``h`` is gathered."""
+    return {h: _gather(values[h], codes[h]) for h in plan.retained_headers()}
 
 
-def _infill_columns(plan: SourcePlan, col: list[Cell], columns: dict,
-                    infill_spec: dict) -> None:
-    kinds = {h: spec for h, spec in infill_spec.items() if h in columns}
-    if not kinds:
-        return
-    mask = infill_mod.mark_targets(col, plan.target_rule)
-    for h, spec in kinds.items():
-        columns[h] = infill_mod.apply_infill(columns[h], mask, spec["kind"], spec.get("value"))
+def _infill_columns(plan: SourcePlan, values: dict[str, list], codes: np.ndarray,
+                    infill_spec: dict, target: list[bool] | None = None) -> dict[str, np.ndarray]:
+    """Fill each retained column that has an infill entry over the source's
+    distinct values (targets marked once, unless given) and return the row
+    codes of each retained column: remapped for adjacent infill, else ``codes``."""
+    row_codes = dict.fromkeys(plan.retained_headers(), codes)
+    spec = {h: infill_spec[h] for h in row_codes if h in infill_spec}
+    if spec and target is None:
+        target = infill_mod.mark_targets(values[plan.header], plan.target_rule)
+    for h, entry in spec.items():
+        values[h] = infill_mod.apply_infill(values[h], target, entry["kind"], entry.get("value"))
+    if adjacent := [h for h, entry in spec.items() if entry["kind"] == infill_mod.KIND_ADJACENT]:
+        rows = np.asarray(target, dtype=bool)[codes]
+        if not rows.all():  # a target row takes the previous non-target row's code, or the first's
+            rows = np.maximum.accumulate(np.where(rows, rows.argmin(), np.arange(len(rows))))
+            row_codes.update(dict.fromkeys(adjacent, codes[rows]))
+    return row_codes
 
 
 def _fit_infill_spec(plan: SourcePlan, counts: dict, values: dict[str, list],
-                     kind: str) -> dict[str, dict]:
+                     target: list[bool], kind: str) -> dict[str, dict]:
     """Per retained column where the requested kind is compatible: the kind,
-    with train stats taken over the non-target distinct values of the fit-time
-    columns. Other columns get no entry, which means no infill."""
+    with train stats taken over the non-target distinct values (``target``) of
+    the fit-time columns. Other columns get no entry, which means no infill."""
     spec: dict[str, dict] = {}
-    kept = [
-        (i, n) for i, (value, n) in enumerate(counts.items())
-        if not infill_mod.is_infill_target(value, plan.target_rule)
-    ]
+    kept = [(i, n) for i, (n, t) in enumerate(zip(counts.values(), target)) if not t]
     for h, coltype_class in plan.column_classes().items():
         if kind in infill_mod.NUMERIC_ONLY_KINDS and coltype_class != CLASS_NUMERIC:
             continue
@@ -341,6 +349,9 @@ def fit(train: TidyTable, assignments: dict[str, str] | None = None,
         used_headers.add(name)
         return name
 
+    order = np.arange(train.row_count)
+    if opts.shuffle_train:
+        random.Random(opts.seed).shuffle(order)
     plans: dict[str, SourcePlan] = {}
     infill_spec: dict[str, dict] = {}
     columns: dict[str, list[Cell]] = {}
@@ -350,21 +361,18 @@ def fit(train: TidyTable, assignments: dict[str, str] | None = None,
         # One source's columns at a time, so peak memory holds one source's.
         plan, counts, values = _fit_source(h, col, root, reg, opts, dedup)
         plans[h] = plan
-        kind = requested_infill.get(h, infill_mod.KIND_DEFAULT)
+        kind, target = requested_infill.get(h, infill_mod.KIND_DEFAULT), None
         if kind != infill_mod.KIND_DEFAULT:
-            infill_spec.update(_fit_infill_spec(plan, counts, values, kind))
-        expanded = _expand_source(plan, col, values, factorize(col)[1])
-        _infill_columns(plan, col, expanded, infill_spec)
-        columns.update(expanded)
+            target = infill_mod.mark_targets(values[h], plan.target_rule)
+            infill_spec.update(_fit_infill_spec(plan, counts, values, target, kind))
+        codes = _infill_columns(plan, values, factorize(col)[1], infill_spec, target)
+        if opts.shuffle_train:  # after the infill, which reads the rows in order
+            codes = {k: c[order] for k, c in codes.items()}
+        columns.update(_expand_source(plan, col, values, codes))
 
     artifact = FitArtifact(FORMAT_VERSION, opts.labels_column, plans, infill_spec)
     output_order = artifact.output_order
-    encoded = [columns[h] for h in output_order]
-    if opts.shuffle_train:
-        order = list(range(train.row_count))
-        random.Random(opts.seed).shuffle(order)
-        encoded = [[col[i] for i in order] for col in encoded]
-    return TidyTable(headers=output_order, columns=encoded), artifact
+    return TidyTable(headers=output_order, columns=[columns[h] for h in output_order]), artifact
 
 
 def apply(artifact: FitArtifact, test: TidyTable) -> TidyTable:
@@ -380,9 +388,9 @@ def apply(artifact: FitArtifact, test: TidyTable) -> TidyTable:
     for header, plan in artifact.per_source.items():
         col = test.column(header)
         distinct, codes = factorize(col)
-        expanded = _expand_source(plan, col, _walk(plan, distinct), codes)
-        _infill_columns(plan, col, expanded, artifact.infill_spec)
-        columns.update(expanded)
+        values = _walk(plan, distinct)
+        codes = _infill_columns(plan, values, codes, artifact.infill_spec)
+        columns.update(_expand_source(plan, col, values, codes))
     output_order = artifact.output_order
     return TidyTable(headers=output_order, columns=[columns[h] for h in output_order])
 
@@ -432,10 +440,10 @@ _check_artifact = checker({
 }, "artifact")
 
 
-def _plan_from_doc(doc: dict) -> SourcePlan:
-    """Read one checked source plan; each step's fit must hold no fault its
-    behaviour names, and the step must read the source or an earlier output
-    and name one output column per output token of its fit."""
+def _plan_from_doc(doc: dict, outputs: set[str]) -> SourcePlan:
+    """Read one checked source plan. Each step's fit must hold no fault its behaviour
+    names; the step must read the source or an earlier output and name one output per
+    token of its fit that neither this plan nor ``outputs`` names yet (added to it)."""
     steps = [StepRecord(**s) for s in doc["steps"]]
     known = {doc["header"]}
     for rec in steps:
@@ -445,9 +453,13 @@ def _plan_from_doc(doc: dict) -> SourcePlan:
             fault = f"names {len(rec.output_headers)} output columns, which its fit does not make"
         if fault is None and rec.input_header not in known:
             fault = f"reads {rec.input_header!r}, which no earlier step produces"
+        for h in rec.output_headers:
+            if fault is None and (h in known or h in outputs):
+                fault = f"names the output {h!r}, which the source or an earlier output names"
+            known.add(h)
+            outputs.add(h)
         if fault is not None:
             raise DataError(f"artifact step {rec.category!r} of source {doc['header']!r} {fault}")
-        known.update(rec.output_headers)
     return SourcePlan(**{**doc, "steps": steps})
 
 
@@ -465,7 +477,8 @@ def deserialize(data: bytes | str) -> FitArtifact:
         )
     _check_artifact(doc)
     per_source: dict[str, SourcePlan] = {}
-    for plan in map(_plan_from_doc, doc["per_source"]):
+    outputs: set[str] = set()
+    for plan in (_plan_from_doc(plan_doc, outputs) for plan_doc in doc["per_source"]):
         if plan.header in per_source:
             raise DataError(f"artifact lists source {plan.header!r} twice")
         per_source[plan.header] = plan

@@ -8,7 +8,8 @@ scan replaced; unseen-entry matching and search from per-text containment
 tests in Python; numeric extraction answers from an enumerate-every-substring
 walk with a hand-rolled format validator, the built-in trees' answers from
 an argsort-and-cumsum CART with nested-dict nodes, and CSV files from a
-reader and writer that classify and render cell by cell.
+reader and writer that classify and render cell by cell, and adjacent infill
+from a row-by-row forward fill.
 """
 
 from __future__ import annotations
@@ -365,3 +366,18 @@ def reference_scan_single(entries: list[str], top: int, cfg: OverlapScanConfig) 
                 s = assignment[e] = min(candidates)
                 overlaps[s] = index[s]
     return OverlapMap(overlaps=dict(sorted(overlaps.items())), assignment=assignment)
+
+
+def reference_adjacent_fill(col: list[Cell], mask: list[bool]) -> list[Cell]:
+    """Adjacent infill row by row: a target row takes the value of the previous
+    non-target row, leading targets that of the first non-target row, and every
+    row is 0.0 when all are targets."""
+    first = next((v for v, m in zip(col, mask) if not m), 0.0)
+    out, last, seen = [], None, False
+    for v, m in zip(col, mask):
+        if m:
+            out.append(last if seen else first)
+        else:
+            out.append(v)
+            last, seen = v, True
+    return out

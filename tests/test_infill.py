@@ -57,14 +57,6 @@ class TestApplyInfill:
         stat = train_stat(KIND_MEAN, [(1.0, 1), (3.0, 1)])
         assert apply_infill(col, mask, KIND_MEAN, stat) == [1.0, 2.0, 3.0]
 
-    def test_adjacent_forward_fill(self):
-        assert apply_infill([5.0, None, None], [False, True, True],
-                            KIND_ADJACENT) == [5.0, 5.0, 5.0]
-
-    def test_adjacent_leading_uses_next(self):
-        assert apply_infill([None, 7.0, None], [True, False, True],
-                            KIND_ADJACENT) == [7.0, 7.0, 7.0]
-
     def test_adjacent_all_target(self):
         assert apply_infill([None, None], [True, True], KIND_ADJACENT) == [0.0, 0.0]
 

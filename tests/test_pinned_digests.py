@@ -10,12 +10,16 @@ where the change is described.
 
 import hashlib
 import json
+import random
 
 import pytest
 
 import parsemunge as pm
+from parsemunge.infill import CONFIG_KIND_NAMES
 from parsemunge.tidytable import TidyTable
 from perfbench import workloads
+
+from .helpers import random_text_cell
 
 SIZES = {
     "parse_highcard": {"rows": 2_000, "train_pool": 1_000, "test_extra": 100},
@@ -106,3 +110,76 @@ def test_every_workload_is_pinned():
 @pytest.mark.parametrize("name, seed", sorted(PINNED))
 def test_outputs_match_pinned_digests(name, seed):
     assert digests(name, seed) == PINNED[name, seed]
+
+
+# One table for the infill pins: a numeric source with missing cells and both
+# zeros, a numeric root over text, a numeric-extraction root, an aggregation
+# root, a binary and a categoric source, and a source that is present at fit
+# and entirely missing in the test batch.
+INFILL_SOURCES = {"num": None, "numtext": "nmbr", "ext": "nmcm", "ser": "or19",
+                  "flag": None, "cat": "onht", "gap": "mnmx"}
+
+# (assigninfill kind, shuffle_train) -> digest of (artifact, encoded train,
+# apply of the deserialized artifact on the test table)
+PINNED_INFILL = {
+    ('adjinfill', False): '303b23d80f9ff0339e88d97fd6399ead9c585c4e3ff52dabe87be5c4f9702ae7',
+    ('adjinfill', True): '154ed9d46bb2d1451906d621b876f370f61a27a8d0554f88080ee0dcfaf31338',
+    ('meaninfill', False): '252a9a879f260f2dcdac231356a3b78fcdad177a5c9a478feac2ca1a0b1b6939',
+    ('meaninfill', True): '757fd6a407fe9c304a339f9bc8c98e8c20841a4b0428c68794cf47bfb8d69b38',
+    ('medianinfill', False): '24649a20b3de1ed195b49dbf9d9af06278cc0bd88b0a6635f4203c52fb012ad3',
+    ('medianinfill', True): '532be7066374d23275a97a7c205bf350e5761bc9510001db905132c08b9037b0',
+    ('modeinfill', False): 'e83b81f3d07b024d66a8258b134b302093f90cfd26faeaeb4e146780aee4a523',
+    ('modeinfill', True): 'd0c50f654ce55ff135e7bfde1d0309a94b1fece2574b1af8eb63b33e810b8e0e',
+    ('negzeroinfill', False): '4270ae0354d67110a5970e7c631e3ec7dc23acda6c3cfb1df0248c677535c88e',
+    ('negzeroinfill', True): 'fbe4b46572e3bed4461cea950b4b18947196b667630707365ee3e159d17defe2',
+    ('oneinfill', False): '1ee0b9bf7053025b698f0507d4d47a178c606705d493f6f3f9093ca80bd3dae6',
+    ('oneinfill', True): 'be55ffa73c6165af56af28629c7dbb70691579239765503fc1a6184f8d5f2416',
+    ('stdrdinfill', False): 'e5c656e1f70813298fafec093c612f2bc3911bd2c5d2b2768af21743702ff339',
+    ('stdrdinfill', True): 'cc42e6d215e085e03a8f02c6158cb2a129fdc82fd74757186d419e3833b82e1e',
+    ('zeroinfill', False): '2105b711d0bfeff37440f414ac7e1411fb14e5bd8d92cd9880d760ec3e8c9b09',
+    ('zeroinfill', True): '8d0f1a12bba35aa93edba7ee1eb96b7b15e8f6ef7d03cd283fc8c4e34afabf10',
+}
+
+
+def _infill_tables(seed: int, rows: int) -> tuple[TidyTable, TidyTable]:
+    rnd = random.Random(seed)
+
+    def cell(make, missing: float = 0.15):
+        return None if rnd.random() < missing else make()
+
+    def table(n: int, gap) -> TidyTable:
+        return _table({
+            "num": [cell(lambda: rnd.choice([0.0, -0.0, round(rnd.uniform(-9, 9), 2)]))
+                    for _ in range(n)],
+            "numtext": [cell(lambda: rnd.choice(["n/a", "3.5", 1.25, round(rnd.uniform(0, 5), 1)]))
+                        for _ in range(n)],
+            "ext": [cell(lambda: rnd.choice(["zip 941", "none", "v2.5", "-"])) for _ in range(n)],
+            "ser": [cell(lambda: random_text_cell(rnd)) for _ in range(n)],
+            "flag": [cell(lambda: rnd.choice(["yes", "no"])) for _ in range(n)],
+            "cat": [cell(lambda: rnd.choice(["x", "y", "z"])) for _ in range(n)],
+            "gap": [gap() for _ in range(n)],
+        })
+
+    train = table(rows, lambda: cell(lambda: round(rnd.uniform(0, 1), 3)))
+    return train, table(rows // 2, lambda: None)
+
+
+def infill_digest(kind: str, shuffle: bool) -> str:
+    train, test = _infill_tables(5, 240)
+    assignments = {h: root for h, root in INFILL_SOURCES.items() if root}
+    opts = pm.Options(seed=3, shuffle_train=shuffle, assigninfill={kind: list(INFILL_SOURCES)})
+    encoded, artifact = pm.fit(train, assignments, opts=opts)
+    blob = pm.serialize(artifact)
+    applied = pm.apply(pm.deserialize(blob), test)
+    return _digest([hashlib.sha256(blob).hexdigest(), encoded.headers, encoded.columns,
+                    applied.headers, applied.columns])
+
+
+def test_every_infill_kind_is_pinned():
+    assert {kind for kind, _ in PINNED_INFILL} == set(CONFIG_KIND_NAMES)
+    assert len(PINNED_INFILL) == 2 * len(CONFIG_KIND_NAMES)
+
+
+@pytest.mark.parametrize("kind, shuffle", sorted(PINNED_INFILL))
+def test_infill_outputs_match_pinned_digests(kind, shuffle):
+    assert infill_digest(kind, shuffle) == PINNED_INFILL[kind, shuffle]

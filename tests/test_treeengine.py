@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import json
@@ -6,18 +7,20 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import parsemunge as pm
+from parsemunge import infill
 from parsemunge.errors import ConfigError, DataError, ParsemungeError
-from parsemunge.infill import CONFIG_KIND_NAMES
+from parsemunge.infill import CONFIG_KIND_NAMES, mark_targets
 from parsemunge.registry import BEHAVIORS, builtin_registry
 from parsemunge.schema import checker
-from parsemunge.tidytable import TidyTable, distinct_counts, write_csv
+from parsemunge.tidytable import TidyTable, distinct_counts, factorize, write_csv
 from parsemunge.treeengine import FORMAT_VERSION, Options
 
 from .helpers import make_random_table, random_text_cell, retyped, run_behavior
+from .oracles import reference_adjacent_fill
 
 ADDRESSES = ["123 Main St 94107", "456 Oak Ave 94110", "789 Main Blvd 94107",
              "12 Pine Rd 94110", None]
@@ -254,6 +257,49 @@ class TestApply:
         behaviors = {rec.behavior for plan in artifact.per_source.values() for rec in plan.steps}
         assert {"spl9", "sp10", "spl5", "srch"} <= behaviors
 
+    def test_infill_target_rule_runs_once_per_distinct_value(self, monkeypatch):
+        # mark_targets is the engine's one call per infilled source; the rule
+        # itself (is_infill_target) must run once per distinct source value.
+        marked, rule_calls = [], []
+        original_mark, original_rule = infill.mark_targets, infill.is_infill_target
+
+        def counted_mark(values, rule):
+            marked.append((list(values), rule))
+            return original_mark(values, rule)
+
+        def counted_rule(cell, rule):
+            rule_calls.append(cell)
+            return original_rule(cell, rule)
+
+        monkeypatch.setattr(infill, "mark_targets", counted_mark)
+        monkeypatch.setattr(infill, "is_infill_target", counted_rule)
+        rnd = random.Random(5)
+        table = _table(
+            amount=[rnd.choice([None, 0.0, -0.0, "n/a", 1.5, 2.5]) for _ in range(300)],
+            plain=[rnd.choice([None, "x", "y"]) for _ in range(300)],
+            serial=[rnd.choice([None, "zip 94107", "none", "v2"]) for _ in range(300)],
+        )
+        opts = Options(assigninfill={"meaninfill": ["amount"], "adjinfill": ["serial"]})
+        roots = {"amount": "nmbr", "plain": "onht", "serial": "nmcm"}
+        expected = [(factorize(table.column(h))[0], rule) for h, rule in
+                    (("amount", "numeric_parse"), ("serial", "numeric_extract"))]
+        encoded, artifact = pm.fit(table, roots, opts=opts)
+        assert marked == expected  # both zeros are one distinct value
+        assert len(rule_calls) == sum(len(values) for values, _ in expected) == 9
+        marked.clear()
+        rule_calls.clear()
+        assert pm.apply(artifact, table) == encoded
+        assert marked == expected
+        assert len(rule_calls) == 9
+        marked.clear()
+        pm.apply(artifact, _table(amount=[1.5] * 50, plain=[None] * 50, serial=["v2"] * 50))
+        assert marked == [([1.5], "numeric_parse"), (["v2"], "numeric_extract")]
+        # A source without an infill entry never marks its targets.
+        _, artifact = pm.fit(table, roots)
+        marked.clear()
+        pm.apply(artifact, table)
+        assert marked == []
+
 
 class TestEdgeCases:
     def test_zero_row_apply(self):
@@ -363,6 +409,65 @@ def test_apply_is_batch_invariant(root, col, kind):
     for k in range(len(col) + 1):
         head, tail = pm.apply(artifact, _table(a=col[:k])), pm.apply(artifact, _table(a=col[k:]))
         assert json.dumps([x + y for x, y in zip(head.columns, tail.columns)]) == whole
+
+
+_num_infill_cells = st.one_of(st.none(), st.sampled_from([0.0, -0.0, 2.5, -7.0, "n/a", "4"]),
+                              st.floats(-1e3, 1e3, allow_nan=False))
+_cat_infill_cells = st.one_of(st.none(), st.sampled_from(["x", "y", "v2", "zip 94107", 0.0]),
+                              st.text(alphabet="ab9 .", max_size=5))
+
+
+@given(st.lists(st.tuples(_num_infill_cells, _cat_infill_cells), min_size=1, max_size=10),
+       st.lists(st.tuples(_num_infill_cells, _cat_infill_cells), max_size=8),
+       st.lists(st.tuples(_num_infill_cells, _cat_infill_cells), max_size=8),
+       st.sampled_from(["nmbr", "mnmx", "excl"]),
+       st.sampled_from(["ord3", "onht", "1010", "or19", "nmcm", "spl5"]),
+       st.sampled_from(_BATCH_KINDS))
+@settings(max_examples=60, deadline=None)
+def test_apply_is_batch_invariant_on_numeric_and_categoric_roots(train, head, tail, num_root,
+                                                                 cat_root, kind):
+    """apply(A ++ B) == apply(A) ++ apply(B) for every fill kind but adjinfill,
+    with a numeric and a categoric root infilled in one table."""
+    def table(rows):
+        return _table(n=[r[0] for r in rows], c=[r[1] for r in rows])
+    opts = Options(assigninfill={kind: ["n", "c"]},
+                   assignparam={"global_assignparam": {"min_len": 2}})
+    _, artifact = pm.fit(table(train), {"n": num_root, "c": cat_root}, opts=opts)
+    whole = pm.apply(artifact, table(head + tail))
+    parts = pm.apply(artifact, table(head)), pm.apply(artifact, table(tail))
+    assert json.dumps(whole.columns) == json.dumps(
+        [x + y for x, y in zip(parts[0].columns, parts[1].columns)])
+
+
+_adjacent_cells = st.one_of(st.none(), st.sampled_from([0.0, -0.0, 2.5, 7.0, "x", "v9", "n/a"]))
+
+
+@given(st.lists(_adjacent_cells, min_size=1, max_size=12), st.lists(_adjacent_cells, max_size=10),
+       st.sampled_from(["excl", "nmbr", "ord3", "onht", "nmcm"]), st.booleans())
+@example([5.0, None, None], [None, None], "excl", False)  # forward fill; every row a target
+@example([None, 7.0, None], [None, 7.0, None], "excl", False)  # leading targets
+@example([None, 7.0, None, 2.5, None], [None, None, "x", 2.5], "nmbr", True)
+@example([None, None], [None], "ord3", True)
+@settings(max_examples=80, deadline=None)
+def test_adjacent_infill_matches_row_by_row_reference(train, batch, root, shuffle):
+    """fit and apply with adjinfill equal the infill-free output filled row by
+    row; shuffle_train fills in row order first and then shuffles."""
+    opts = Options(seed=4, shuffle_train=shuffle, assigninfill={"adjinfill": ["a"]})
+    encoded, artifact = pm.fit(_table(a=train), {"a": root}, opts=opts)
+    plain = dataclasses.replace(artifact, infill_spec={})
+    rule = artifact.per_source["a"].target_rule
+    assert set(artifact.infill_spec) == set(encoded.headers)
+
+    def reference(col):
+        out, mask = pm.apply(plain, _table(a=col)), mark_targets(col, rule)
+        return [reference_adjacent_fill(c, mask) for c in out.columns]
+
+    order = list(range(len(train)))
+    if shuffle:
+        random.Random(4).shuffle(order)
+    expected = [[c[i] for i in order] for c in reference(train)]
+    assert json.dumps(encoded.columns) == json.dumps(expected)
+    assert json.dumps(pm.apply(artifact, _table(a=batch)).columns) == json.dumps(reference(batch))
 
 
 _text_cells = st.one_of(st.none(), st.text(alphabet="ab9 ,.-", min_size=1, max_size=8))
@@ -589,6 +694,20 @@ class TestSerialization:
         doc = json.loads(pm.serialize(artifact))
         mutate(doc, _plan_of(doc, "col2"))
         with pytest.raises(DataError):
+            pm.deserialize(json.dumps(doc))
+
+    @pytest.mark.parametrize("source, step, name, message", [
+        ("a", "NArw", "a", "'NArw' of source 'a' names the output 'a', which the source"),
+        ("a", "NArw", "a_ord3", "'NArw' of source 'a' names the output 'a_ord3', which the"),
+        ("b", "ord3", "a_ord3", "'ord3' of source 'b' names the output 'a_ord3', which the"),
+    ], ids=["output-names-its-source", "output-names-an-earlier-output",
+            "output-named-by-two-sources"])
+    def test_colliding_output_headers_rejected(self, source, step, name, message):
+        table = _table(a=["x", "y", None], b=["p", "q", "r"])
+        _, artifact = pm.fit(table, {"a": "ord3", "b": "ord3"})
+        doc = json.loads(pm.serialize(artifact))
+        _step_of(_plan_of(doc, source), step)["output_headers"] = [name]
+        with pytest.raises(DataError, match=message):
             pm.deserialize(json.dumps(doc))
 
     def test_retyped_values_raise_only_parsemunge_errors(self):
