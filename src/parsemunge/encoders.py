@@ -1,8 +1,9 @@
 """Baseline categoric and numeric transforms, plus the automation root heuristic.
 
 Every transform is a Behavior: it fits once against the distinct-value counts
-of its train input and then maps all the distinct values of an input at once
-on that frozen basis, cell by cell unless it has a batched form.
+of its train input, and then evaluates all the distinct values of an input in
+one call on that frozen basis, values in and columns out: one list per output
+column, each holding the output of every value in order.
 Fit states are plain JSON-able dicts so they can live inside the artifact.
 """
 
@@ -11,10 +12,11 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from itertools import repeat
 from math import isinf
 
 from .errors import DataError
-from .infill import is_infill_target
+from .infill import mark_targets
 from .tidytable import (
     COLTYPE_ALL_MISSING,
     COLTYPE_NUMERIC,
@@ -33,7 +35,8 @@ CLASS_PASSTHROUGH = "passthrough"
 
 class Behavior:
     """One transform: fit on train-basis counts, then evaluation of all the
-    distinct values of its input in one call (``apply_distinct``)."""
+    distinct values of its input in one call (``apply_distinct``), which
+    returns its output columns."""
 
     name = "?"
     coltype_class = CLASS_CATEGORIC
@@ -56,18 +59,17 @@ class Behavior:
 
     def compile(self, state: dict):
         """Return the apply-ready form of a fit state, which ``apply_distinct``
-        and ``apply_cell`` take; built once per step evaluation. The fit state
-        by default."""
+        takes; built once per step evaluation. The fit state by default."""
         return state
 
-    def apply_distinct(self, compiled, values: list[Cell]) -> list[tuple]:
-        """The output tuple of each value, in order: one ``apply_cell`` per
-        value, unless the behaviour evaluates them together."""
-        apply_cell = self.apply_cell
-        return [apply_cell(compiled, value) for value in values]
+    def apply_distinct(self, compiled, values: list[Cell]) -> list[list]:
+        """Values in, columns out: one list per output token, each holding the
+        output of every value in order."""
+        raise NotImplementedError
 
     def apply_cell(self, compiled, cell: Cell) -> tuple:
-        raise NotImplementedError
+        """The output of one value; the library itself evaluates only columns."""
+        return tuple(column[0] for column in self.apply_distinct(compiled, [cell]))
 
     def decoder(self, state: dict):
         """Return a function mapping one output tuple back to the input cell;
@@ -113,11 +115,11 @@ class UpcsBehavior(Behavior):
     def fit(self, counts, params, root_rule):
         return {"enabled": params.get("enabled", True)}
 
-    def apply_cell(self, state, cell):
-        text = canon_text(cell)
-        if text is None:
-            return (None,)
-        return (text.upper() if state["enabled"] else text,)
+    def apply_distinct(self, state, values):
+        texts = map(canon_text, values)
+        if not state["enabled"]:
+            return [list(texts)]
+        return [[None if text is None else text.upper() for text in texts]]
 
 
 class NarwBehavior(Behavior):
@@ -128,8 +130,8 @@ class NarwBehavior(Behavior):
     def fit(self, counts, params, root_rule):
         return {"rule": root_rule}
 
-    def apply_cell(self, state, cell):
-        return (1.0 if is_infill_target(cell, state["rule"]) else 0.0,)
+    def apply_distinct(self, state, values):
+        return [list(map(float, mark_targets(values, state["rule"])))]
 
 
 class ExclBehavior(Behavior):
@@ -137,14 +139,14 @@ class ExclBehavior(Behavior):
     coltype_class = CLASS_PASSTHROUGH
     inversion_pass = True
 
-    def apply_cell(self, state, cell):
-        return (cell,)
+    def apply_distinct(self, state, values):
+        return [list(values)]
 
 
 class RankedCodeBehavior(Behavior):
     """A code per entry: the fit ranks the entries, entry i has code i + 1, and
-    code 0 stands for missing and unseen cells. Subclasses say how a code
-    becomes output columns (``encode``); inversion reads that map backwards."""
+    code 0 stands for missing and unseen cells. Subclasses say how codes
+    become output columns (``code_columns``); inversion reads that map backwards."""
 
     fit_schema = {"entries": [str]}
 
@@ -164,27 +166,28 @@ class RankedCodeBehavior(Behavior):
     def compile(self, state):
         return self.code_map(state), self.size(self.top_code(state))
 
-    def apply_cell(self, compiled, cell):
+    def apply_distinct(self, compiled, values):
         codes, size = compiled
-        return self.encode(codes.get(canon_text(cell), 0), size)
+        return self.code_columns(list(map(codes.get, map(canon_text, values), repeat(0))), size)
 
-    def encode(self, code: int, size: int) -> tuple:
+    def code_columns(self, codes: list[int], size: int) -> list[list[float]]:
+        """The ``size`` output columns of the codes."""
         raise NotImplementedError
 
     def decoder(self, state):
         """The code map read backwards; the code-0 pattern reads as missing."""
-        codes, size = self.compile(state)
-        patterns = {self.encode(code, size): entry for entry, code in codes.items()}
-        patterns[self.encode(0, size)] = None
-        return patterns.__getitem__
+        compiled = self.compile(state)
+        entries = [*compiled[0], None]  # missing last, so that it takes the code-0 pattern
+        columns = self.apply_distinct(compiled, entries)
+        return {tuple(c[i] for c in columns): e for i, e in enumerate(entries)}.__getitem__
 
 
 class Ord3Behavior(RankedCodeBehavior):
     name = "ord3"
     coltype_class = CLASS_CATEGORIC
 
-    def encode(self, code, size):
-        return (float(code),)
+    def code_columns(self, codes, size):
+        return [list(map(float, codes))]
 
 
 class OnhtBehavior(RankedCodeBehavior):
@@ -197,11 +200,12 @@ class OnhtBehavior(RankedCodeBehavior):
     def size(self, top):
         return top
 
-    def encode(self, code, size):
-        out = [0.0] * size
-        if code:
-            out[code - 1] = 1.0
-        return tuple(out)
+    def code_columns(self, codes, size):
+        columns = [[0.0] * len(codes) for _ in range(size)]
+        for row, code in enumerate(codes):
+            if code:
+                columns[code - 1][row] = 1.0
+        return columns
 
 
 class BnryBehavior(Behavior):
@@ -216,12 +220,10 @@ class BnryBehavior(Behavior):
         one, zero = ranked_entries(agg)
         return {"one": one, "zero": zero}
 
-    def apply_cell(self, state, cell):
-        text = canon_text(cell)
-        if text == state["zero"]:
-            return (0.0,)
+    def apply_distinct(self, state, values):
+        zero = state["zero"]
         # Mode imputation for missing and unseen; NArw carries the signal.
-        return (1.0,)
+        return [[0.0 if text == zero else 1.0 for text in map(canon_text, values)]]
 
     def decoder(self, state):
         return {(1.0,): state["one"], (0.0,): state["zero"]}.__getitem__
@@ -235,11 +237,6 @@ def binary_width(n: int) -> int:
 _BITS = (0.0, 1.0)
 
 
-def code_bits(code: int, width: int) -> tuple[float, ...]:
-    """The code's width low bits, most significant first, as shared 0.0/1.0 objects."""
-    return tuple(_BITS[(code >> (width - 1 - i)) & 1] for i in range(width))
-
-
 class B1010Behavior(RankedCodeBehavior):
     """Each code as binary_width(top code) bits, so the width follows from the
     code map; missing and unseen cells take the all-zero row."""
@@ -247,10 +244,14 @@ class B1010Behavior(RankedCodeBehavior):
     name = "1010"
     coltype_class = CLASS_BOOLEAN
     size = staticmethod(binary_width)
-    encode = staticmethod(code_bits)
 
     def output_tokens(self, state):
         return [str(i) for i in range(self.size(self.top_code(state)))]
+
+    def code_columns(self, codes, size):
+        """Each code's ``size`` low bits, most significant first, as shared
+        0.0/1.0 objects."""
+        return [[_BITS[(code >> shift) & 1] for code in codes] for shift in range(size - 1, -1, -1)]
 
 
 def _weighted_moments(counts: dict[Cell, int]) -> tuple[float, float, float, int]:
@@ -323,23 +324,24 @@ class NmbrBehavior(Behavior):
             std = 0.0
         return {"mean": mean, "shift": shift, "std": std}
 
-    def apply_cell(self, state, cell):
-        v = as_number(cell)
+    def apply_distinct(self, state, values):
         mean, shift, std = state["mean"], state["shift"], state["std"]
-        if v is None or std == 0.0:
-            return (0.0,)
-        if isinf(v - mean):
-            # Quartering every term is exact for normal floats. Only data
-            # spanning more than the float range comes here: the rest keeps every bit.
-            v, mean, shift, std = v * 0.25, mean * 0.25, shift * 0.25, std * 0.25
-        return (((v - mean) - shift) / std,)
+        if std == 0.0:
+            return [[0.0] * len(values)]
+        # Quartering every term is exact for normal floats. Only data spanning
+        # more than the float range takes the quartered terms: the rest keeps every bit.
+        mean4, shift4, std4 = mean * 0.25, shift * 0.25, std * 0.25
+        return [[0.0 if v is None
+                 else ((v - mean) - shift) / std if not isinf(v - mean)
+                 else ((v * 0.25 - mean4) - shift4) / std4
+                 for v in map(as_number, values)]]
 
     def decoder(self, state):
         mean, shift, std = state["mean"], state["shift"], state["std"]
 
         def decode(values):
             d = values[0] * std
-            if isinf(d):  # as in apply_cell; dividing by 0.25 overflows to inf, not an error
+            if isinf(d):  # as in apply_distinct; dividing by 0.25 overflows to inf, not an error
                 return ((values[0] * (std * 0.25) + shift * 0.25) + mean * 0.25) / 0.25
             return (d + shift) + mean
 
@@ -362,18 +364,16 @@ class MnmxBehavior(Behavior):
     def compile(self, state):
         """(scale, min, span, mean), where min and span are scaled. The scale
         is 1 unless the span exceeds the float range; then, as in
-        NmbrBehavior.apply_cell, every term is quartered."""
+        NmbrBehavior.apply_distinct, every term is quartered."""
         q = 0.25 if isinf(state["max"] - state["min"]) else 1.0
         return q, state["min"] * q, state["max"] * q - state["min"] * q, state["mean"]
 
-    def apply_cell(self, compiled, cell):
+    def apply_distinct(self, compiled, values):
         q, lo, span, mean = compiled
-        v = as_number(cell)
-        if v is None:
-            v = mean  # train mean, scaled below
         if span == 0.0:
-            return (0.0,)
-        return ((v * q - lo) / span,)
+            return [[0.0] * len(values)]
+        # A missing value takes the train mean, scaled as the others.
+        return [[((mean if v is None else v) * q - lo) / span for v in map(as_number, values)]]
 
     def decoder(self, state):
         q, lo, span, _ = self.compile(state)

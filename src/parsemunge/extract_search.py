@@ -18,7 +18,6 @@ import numpy as np
 from numpy.dtypes import StringDType
 
 from .encoders import (
-    _BITS,
     CLASS_BOOLEAN,
     CLASS_NUMERIC,
     Behavior,
@@ -75,11 +74,10 @@ class NmcmBehavior(Behavior):
             "allow_negative": params.get("allow_negative", False),
         }}
 
-    def apply_cell(self, state, cell):
-        text = canon_text(cell)
-        if text is None:
-            return (None,)
-        return (nmcm_extract(text, **state["flags"]),)
+    def apply_distinct(self, state, values):
+        flags = state["flags"]
+        return [[None if text is None else nmcm_extract(text, **flags)
+                 for text in map(canon_text, values)]]
 
 
 class Nmc7Behavior(NmcmBehavior):
@@ -96,14 +94,10 @@ class Nmc7Behavior(NmcmBehavior):
         }
         return state
 
-    def apply_cell(self, state, cell):
-        text = canon_text(cell)
-        if text is None:
-            return (None,)
-        lookup = state["lookup"]
-        if text in lookup:
-            return (lookup[text],)
-        return (nmcm_extract(text, **state["flags"]),)
+    def apply_distinct(self, state, values):
+        lookup, flags = state["lookup"], state["flags"]
+        return [[None if text is None else lookup[text] if text in lookup
+                 else nmcm_extract(text, **flags) for text in map(canon_text, values)]]
 
 
 @dataclass
@@ -192,8 +186,5 @@ class SrchBehavior(Behavior):
             codes = np.zeros(len(texts))
             for i in range(len(hits), 0, -1):  # the first group that hits writes last
                 codes[hits[i - 1]] = i
-            return [(code,) for code in codes.tolist()]
-        return [tuple(map(_BITS.__getitem__, flags)) for flags in hits.T.tolist()]
-
-    def apply_cell(self, state, cell):
-        return self.apply_distinct(state, [cell])[0]
+            return [codes.tolist()]
+        return hits.astype(float).tolist()

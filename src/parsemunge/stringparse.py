@@ -313,12 +313,13 @@ class SpltBehavior(Behavior):
             active[e] = [column[o] for o in names if o in column]
         return active, len(column)
 
-    def apply_cell(self, compiled, cell):
+    def apply_distinct(self, compiled, values):
         active, size = compiled
-        out = [0.0] * size
-        for i in active.get(canon_text(cell), ()):
-            out[i] = 1.0
-        return tuple(out)
+        columns = [[0.0] * len(values) for _ in range(size)]
+        for row, text in enumerate(map(canon_text, values)):
+            for i in active.get(text, ()):
+                columns[i][row] = 1.0
+        return columns
 
 
 class Sp15Behavior(SpltBehavior):
@@ -419,11 +420,8 @@ class Spl2Behavior(Behavior):
                 matched = _match_train_overlap([texts[i] for i in unseen], state["keys"])
                 for i, m in zip(unseen, matched):
                     found[i] = m
-        return [(f if f is not None or t is None else self._fallback(state, t),)
-                for t, f in zip(texts, found)]
-
-    def apply_cell(self, state, cell):
-        return self.apply_distinct(state, [cell])[0]
+        return [[f if f is not None or t is None else self._fallback(state, t)
+                 for t, f in zip(texts, found)]]
 
     @staticmethod
     def _fallback(state, text):

@@ -193,9 +193,9 @@ def _evaluate(rec: StepRecord, values: dict[str, list], inputs: dict) -> None:
         inputs[rec.input_header] = factorize(values[rec.input_header])
     distinct, codes = inputs[rec.input_header]
     behavior = BEHAVIORS[rec.behavior]
-    outs = behavior.apply_distinct(behavior.compile(rec.fit), distinct)
-    for i, h in enumerate(rec.output_headers):
-        values[h] = _gather([out[i] for out in outs], codes)
+    columns = behavior.apply_distinct(behavior.compile(rec.fit), distinct)
+    for h, column in zip(rec.output_headers, columns, strict=True):
+        values[h] = _gather(column, codes)
 
 
 def _walk(plan: SourcePlan, distinct: list[Cell]) -> dict[str, list]:

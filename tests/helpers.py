@@ -54,10 +54,7 @@ def run_behavior(name: str, col: list, params: dict | None = None,
     behavior = BEHAVIORS[name]
     if state is None:
         state = behavior.fit(distinct_counts(col), params or {}, root_rule)
-    compiled = behavior.compile(state)
-    rows = behavior.apply_distinct(compiled, col)
-    width = len(behavior.output_tokens(state))
-    return state, [[row[i] for row in rows] for i in range(width)]
+    return state, behavior.apply_distinct(behavior.compile(state), col)
 
 
 # One value of each JSON type, and of a few container shapes.

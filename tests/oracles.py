@@ -8,19 +8,23 @@ scan replaced; unseen-entry matching and search from per-text containment
 tests in Python; numeric extraction answers from an enumerate-every-substring
 walk with a hand-rolled format validator, the built-in trees' answers from
 an argsort-and-cumsum CART with nested-dict nodes, and CSV files from a
-reader and writer that classify and render cell by cell, and adjacent infill
-from a row-by-row forward fill.
+reader and writer that classify and render cell by cell, adjacent infill
+from a row-by-row forward fill, and every behaviour's output from a rule
+applied to one value at a time (``REFERENCE_CELLS``).
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import sys
 
 import numpy as np
 
+from parsemunge.encoders import binary_width
 from parsemunge.errors import DataError
+from parsemunge.extract_search import nmcm_extract
 from parsemunge.importance import (
     TASK_CLASSIFICATION,
     PredictorAdapter,
@@ -28,11 +32,13 @@ from parsemunge.importance import (
     _impurity,
     _leaf_value,
 )
+from parsemunge.infill import is_infill_target
 from parsemunge.tidytable import (
     _DECIMAL_RE,
     DEFAULT_MISSING_TOKENS,
     Cell,
     TidyTable,
+    as_number,
     canon_text,
     parse_number,
 )
@@ -381,3 +387,140 @@ def reference_adjacent_fill(col: list[Cell], mask: list[bool]) -> list[Cell]:
             out.append(v)
             last, seen = v, True
     return out
+
+
+# Each behaviour's output for one value, by the rules the behaviours applied
+# one value at a time before they evaluated whole columns. Each takes the fit
+# state; what a behaviour compiled from it is rebuilt here.
+
+def reference_upcs_cell(state: dict, cell) -> tuple:
+    text = canon_text(cell)
+    if text is None:
+        return (None,)
+    return (text.upper() if state["enabled"] else text,)
+
+
+def reference_narw_cell(state: dict, cell) -> tuple:
+    return (1.0 if is_infill_target(cell, state["rule"]) else 0.0,)
+
+
+def reference_excl_cell(state: dict, cell) -> tuple:
+    return (cell,)
+
+
+def reference_bnry_cell(state: dict, cell) -> tuple:
+    text = canon_text(cell)
+    if text == state["zero"]:
+        return (0.0,)
+    # Mode imputation for missing and unseen; NArw carries the signal.
+    return (1.0,)
+
+
+def code_bits(code: int, width: int) -> tuple[float, ...]:
+    """The code's width low bits, most significant first."""
+    return tuple(float((code >> (width - 1 - i)) & 1) for i in range(width))
+
+
+def _one_hot(code: int, size: int) -> tuple:
+    out = [0.0] * size
+    if code:
+        out[code - 1] = 1.0
+    return tuple(out)
+
+
+def reference_code_cell(name: str, state: dict, cell) -> tuple:
+    """ord3, onht, 1010 and sp19: the cell's code, 0 when missing or unseen,
+    encoded as the behaviour ``name`` encodes one code."""
+    if name == "sp19":
+        codes = state["codes"]
+        top = max(codes.values(), default=0)
+    else:
+        codes = {e: i + 1 for i, e in enumerate(state["entries"])}
+        top = len(state["entries"])
+    code = codes.get(canon_text(cell), 0)
+    if name == "ord3":
+        return (float(code),)
+    if name == "onht":
+        return _one_hot(code, top)
+    return code_bits(code, binary_width(top))
+
+
+def reference_nmbr_cell(state: dict, cell) -> tuple:
+    v = as_number(cell)
+    mean, shift, std = state["mean"], state["shift"], state["std"]
+    if v is None or std == 0.0:
+        return (0.0,)
+    if math.isinf(v - mean):
+        # Quartering every term is exact for normal floats. Only data
+        # spanning more than the float range comes here: the rest keeps every bit.
+        v, mean, shift, std = v * 0.25, mean * 0.25, shift * 0.25, std * 0.25
+    return (((v - mean) - shift) / std,)
+
+
+def reference_mnmx_cell(state: dict, cell) -> tuple:
+    q = 0.25 if math.isinf(state["max"] - state["min"]) else 1.0
+    lo, span, mean = state["min"] * q, state["max"] * q - state["min"] * q, state["mean"]
+    v = as_number(cell)
+    if v is None:
+        v = mean  # train mean, scaled below
+    if span == 0.0:
+        return (0.0,)
+    return ((v * q - lo) / span,)
+
+
+def reference_nmcm_cell(state: dict, cell) -> tuple:
+    text = canon_text(cell)
+    if text is None:
+        return (None,)
+    return (nmcm_extract(text, **state["flags"]),)
+
+
+def reference_nmc7_cell(state: dict, cell) -> tuple:
+    text = canon_text(cell)
+    if text is None:
+        return (None,)
+    lookup = state["lookup"]
+    if text in lookup:
+        return (lookup[text],)
+    return (nmcm_extract(text, **state["flags"]),)
+
+
+def reference_activation_cell(state: dict, cell) -> tuple:
+    """splt, sp15 and sbst: 1.0 in the column of each overlap assigned to the
+    cell's text; an assigned name that is no stored overlap activates nothing."""
+    column = {o: i for i, o in enumerate(state["overlaps"])}
+    mine = state["assignment"].get(canon_text(cell), ())
+    out = [0.0] * len(column)
+    for o in [mine] if isinstance(mine, str) else mine:
+        if o in column:
+            out[column[o]] = 1.0
+    return tuple(out)
+
+
+def reference_lookup_cell(state: dict, cell, plug: bool = False) -> tuple:
+    """spl9 (sp10 with ``plug``): the assigned overlap of a train entry, else
+    the text itself (the plug); unseen texts are never matched."""
+    text = canon_text(cell)
+    if text is None:
+        return (None,)
+    return (state["assignment"].get(text, state["plug"] if plug else text),)
+
+
+REFERENCE_CELLS = {
+    "UPCS": reference_upcs_cell,
+    "NArw": reference_narw_cell,
+    "excl": reference_excl_cell,
+    "bnry": reference_bnry_cell,
+    **{name: functools.partial(reference_code_cell, name)
+       for name in ("ord3", "onht", "1010", "sp19")},
+    "nmbr": reference_nmbr_cell,
+    "mnmx": reference_mnmx_cell,
+    "nmcm": reference_nmcm_cell,
+    "nmc7": reference_nmc7_cell,
+    **dict.fromkeys(("splt", "sp15", "sbst"), reference_activation_cell),
+    "spl2": reference_overlap_cell,
+    "spl5": functools.partial(reference_overlap_cell, plug=True),
+    "spl9": reference_lookup_cell,
+    "sp10": functools.partial(reference_lookup_cell, plug=True),
+    "srch": reference_srch_cell,
+}

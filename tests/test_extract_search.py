@@ -7,10 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parsemunge.errors import ConfigError
-from parsemunge.extract_search import SearchSpec, SrchBehavior, nmcm_extract
+from parsemunge.extract_search import SearchSpec, nmcm_extract
 
 from .helpers import run_behavior
-from .oracles import oracle_extract, reference_srch_cell
+from .oracles import oracle_extract
 
 
 class TestNmcmExtract:
@@ -161,38 +161,3 @@ class TestSrch:
     def test_case_sensitivity_flag(self):
         _, columns = run_behavior("srch", ["Mac"], {"search": ["mac"], "case_sensitive": True})
         assert columns[0] == [0.0]
-
-
-# "ß" and "ﬁ" upper-case to two characters; NUL is the character that
-# fixed-width numpy strings drop at the end.
-_SEARCH_TEXT = st.text(alphabet="aAbß\ufb01S\x00", max_size=8)
-
-
-@st.composite
-def _search_states(draw):
-    """A srch fit state as fit makes it (upper-cased terms unless the search
-    is case-sensitive), with term groups of any size, as an artifact may hold."""
-    case_sensitive = draw(st.booleans())
-    groups = draw(st.lists(st.lists(_SEARCH_TEXT.filter(bool), max_size=3), max_size=4))
-    if not case_sensitive:
-        groups = [[t.upper() for t in g] for g in groups]
-    return {"groups": groups, "labels": [f"g{i}" for i in range(len(groups))],
-            "ordinal": draw(st.booleans()), "case_sensitive": case_sensitive}
-
-
-@given(_search_states(),
-       st.lists(st.one_of(st.none(), st.sampled_from([1.0, -0.0, 2.5]), _SEARCH_TEXT),
-                max_size=12))
-@settings(max_examples=300, deadline=None)
-@example({"groups": [["\x00"], ["SS"], ["A\x00"]], "labels": ["a", "b", "c"],
-          "ordinal": False, "case_sensitive": False},
-         ["a\x00", "\x00a", "straße", "ß", "b", None, 1.0])
-@example({"groups": [["\x00\x00"], ["FI"]], "labels": ["a", "b"],
-          "ordinal": True, "case_sensitive": False}, ["\ufb01", "x\x00\x00", "\x00", ""])
-@example({"groups": [], "labels": [], "ordinal": True, "case_sensitive": True}, ["a", None])
-@example({"groups": [[""]], "labels": ["a"], "ordinal": False, "case_sensitive": True},
-         [None, "", "a"])  # an empty term, as a hand-edited artifact may hold
-def test_srch_apply_distinct_equals_scalar_rule(state, cells):
-    behavior = SrchBehavior()
-    got = behavior.apply_distinct(behavior.compile(state), cells)
-    assert got == [reference_srch_cell(state, c) for c in cells]

@@ -10,7 +10,6 @@ import parsemunge as pm
 from parsemunge import stringparse
 from parsemunge.errors import ConfigError
 from parsemunge.registry import BEHAVIORS
-from parsemunge.tidytable import canon_text
 from parsemunge.stringparse import (
     OverlapScanConfig,
     Spl2Behavior,
@@ -25,7 +24,6 @@ from .oracles import (
     oracle_pair_longest_common,
     oracle_single_assignment,
     reference_match_train_overlap,
-    reference_overlap_cell,
     reference_scan_single,
 )
 
@@ -382,26 +380,6 @@ def test_batched_match_equals_reference_in_any_batching(case, rnd, chunk):
     assert chunked == expected
     with mock.patch.object(stringparse, "MATCH_BLOCK", chunk):
         assert _match_train_overlap(texts, keys) == expected
-
-
-@given(st.lists(st.text(alphabet="abc", min_size=2, max_size=5), min_size=1, max_size=10),
-       st.lists(st.one_of(st.none(), st.text(alphabet="abcd", max_size=8),
-                          st.sampled_from([1.0, -0.0, 12.5])), max_size=12))
-@settings(max_examples=100, deadline=None)
-def test_apply_distinct_equals_scalar_rule(overlaps, cells):
-    # Half the overlaps' holders are cells, so seen and unseen entries mix.
-    state = {"assignment": {**{f"#{o}": o for o in overlaps},
-                            **{c: overlaps[0] for c in cells[::2] if isinstance(c, str)}},
-             "plug": "zzzplug"}
-    for name, plug in (("spl2", False), ("spl5", True), ("spl9", False), ("sp10", True)):
-        behavior = BEHAVIORS[name]
-        got = behavior.apply_distinct(behavior.compile(state), cells)
-        if behavior.unseen_matches:
-            assert got == [reference_overlap_cell(state, c, plug) for c in cells]
-        else:  # a pure lookup
-            fallback = (lambda t: "zzzplug") if plug else (lambda t: t)
-            assert got == [(None if t is None else state["assignment"].get(t, fallback(t)),)
-                           for t in map(canon_text, cells)]
 
 
 @pytest.mark.parametrize("name", ["spl9", "sp10"])
