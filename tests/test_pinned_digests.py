@@ -122,22 +122,22 @@ INFILL_SOURCES = {"num": None, "numtext": "nmbr", "ext": "nmcm", "ser": "or19",
 # (assigninfill kind, shuffle_train) -> digest of (artifact, encoded train,
 # apply of the deserialized artifact on the test table)
 PINNED_INFILL = {
-    ('adjinfill', False): '303b23d80f9ff0339e88d97fd6399ead9c585c4e3ff52dabe87be5c4f9702ae7',
-    ('adjinfill', True): '154ed9d46bb2d1451906d621b876f370f61a27a8d0554f88080ee0dcfaf31338',
+    ('adjinfill', False): '561090b3bc72dbd3e7f759717dfb1ef64368cf51fcf9825658e013b1243f8176',
+    ('adjinfill', True): '7126316229d2ff39ffc24314ab64a61544a6b080a1b1442e5a5ee097cb4b29e7',
     ('meaninfill', False): '252a9a879f260f2dcdac231356a3b78fcdad177a5c9a478feac2ca1a0b1b6939',
     ('meaninfill', True): '757fd6a407fe9c304a339f9bc8c98e8c20841a4b0428c68794cf47bfb8d69b38',
     ('medianinfill', False): '24649a20b3de1ed195b49dbf9d9af06278cc0bd88b0a6635f4203c52fb012ad3',
     ('medianinfill', True): '532be7066374d23275a97a7c205bf350e5761bc9510001db905132c08b9037b0',
-    ('modeinfill', False): 'e83b81f3d07b024d66a8258b134b302093f90cfd26faeaeb4e146780aee4a523',
-    ('modeinfill', True): 'd0c50f654ce55ff135e7bfde1d0309a94b1fece2574b1af8eb63b33e810b8e0e',
-    ('negzeroinfill', False): '4270ae0354d67110a5970e7c631e3ec7dc23acda6c3cfb1df0248c677535c88e',
-    ('negzeroinfill', True): 'fbe4b46572e3bed4461cea950b4b18947196b667630707365ee3e159d17defe2',
-    ('oneinfill', False): '1ee0b9bf7053025b698f0507d4d47a178c606705d493f6f3f9093ca80bd3dae6',
-    ('oneinfill', True): 'be55ffa73c6165af56af28629c7dbb70691579239765503fc1a6184f8d5f2416',
+    ('modeinfill', False): '2eab38d07471c2de5af5e2718b1386d40076df6e2a1cd4618c4a0fe2dda5d1e7',
+    ('modeinfill', True): 'b999fcc7b52f87837d4d8b08b36cc3112239333fe5812b8210e297b05235052b',
+    ('negzeroinfill', False): '815b7feb1086b5709a7c9ec889970553b5e827555a8267d3886a17c376a471b4',
+    ('negzeroinfill', True): 'a0dcdd480f2f48df3eb56ce08b19bf2f19fdd080301f3f1535e8e00282213be8',
+    ('oneinfill', False): 'ba245e97863f9834d99e3ad2e895a3adc822d940d840d5788df56fbd5a8d76ae',
+    ('oneinfill', True): '10c50b9fc1cd46a5cd81f1ba28fb9e91a588f630eefac832c4ebe4abb34f278b',
     ('stdrdinfill', False): 'e5c656e1f70813298fafec093c612f2bc3911bd2c5d2b2768af21743702ff339',
     ('stdrdinfill', True): 'cc42e6d215e085e03a8f02c6158cb2a129fdc82fd74757186d419e3833b82e1e',
-    ('zeroinfill', False): '2105b711d0bfeff37440f414ac7e1411fb14e5bd8d92cd9880d760ec3e8c9b09',
-    ('zeroinfill', True): '8d0f1a12bba35aa93edba7ee1eb96b7b15e8f6ef7d03cd283fc8c4e34afabf10',
+    ('zeroinfill', False): 'b910152f3c97dbe60f340969bd9a22694b0f98ad0bfe7db99e3fea6404b24c1d',
+    ('zeroinfill', True): '65d8ddcf5785ec6402e92e8223b0c7f6a6a3d26b7c9da74217e6628ee411dbf0',
 }
 
 
