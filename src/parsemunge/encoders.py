@@ -1,9 +1,8 @@
 """Baseline categoric and numeric transforms, plus the automation root heuristic.
 
 Every transform is a Behavior: it fits once against the distinct-value counts
-of its train input, and then evaluates all the distinct values of an input in
-one call on that frozen basis, values in and columns out: one list per output
-column, each holding the output of every value in order.
+of its train input, then evaluates all the distinct values of an input in one
+call on that frozen basis: values in, one list per output column out.
 Fit states are plain JSON-able dicts so they can live inside the artifact.
 """
 
@@ -35,8 +34,7 @@ CLASS_PASSTHROUGH = "passthrough"
 
 class Behavior:
     """One transform: fit on train-basis counts, then evaluation of all the
-    distinct values of its input in one call (``apply_distinct``), which
-    returns its output columns."""
+    distinct values of its input in one call (``apply_distinct``)."""
 
     name = "?"
     coltype_class = CLASS_CATEGORIC
@@ -249,9 +247,8 @@ class B1010Behavior(RankedCodeBehavior):
         return [str(i) for i in range(self.size(self.top_code(state)))]
 
     def code_columns(self, codes, size):
-        """Each code's ``size`` low bits, most significant first, as shared
-        0.0/1.0 objects."""
-        return [[_BITS[(code >> shift) & 1] for code in codes] for shift in range(size - 1, -1, -1)]
+        """Each code's ``size`` low bits, most significant first, as shared 0.0/1.0 objects."""
+        return [[_BITS[(c >> shift) & 1] for c in codes] for shift in range(size - 1, -1, -1)]
 
 
 def _weighted_moments(counts: dict[Cell, int]) -> tuple[float, float, float, int]:
@@ -330,10 +327,9 @@ class NmbrBehavior(Behavior):
             return [[0.0] * len(values)]
         # Quartering every term is exact for normal floats. Only data spanning
         # more than the float range takes the quartered terms: the rest keeps every bit.
-        mean4, shift4, std4 = mean * 0.25, shift * 0.25, std * 0.25
         return [[0.0 if v is None
                  else ((v - mean) - shift) / std if not isinf(v - mean)
-                 else ((v * 0.25 - mean4) - shift4) / std4
+                 else ((v * 0.25 - mean * 0.25) - shift * 0.25) / (std * 0.25)
                  for v in map(as_number, values)]]
 
     def decoder(self, state):

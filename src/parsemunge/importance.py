@@ -87,7 +87,8 @@ def _feature_matrix(artifact: FitArtifact, encoded: TidyTable):
     groups: dict[str, list[str]] = {}
     arrays = []
     for source, plan in artifact.per_source.items():
-        headers = [h for h, c in plan.column_classes().items() if c != CLASS_PASSTHROUGH]
+        headers = [h for h, b in plan.column_behaviors().items()
+                   if b.coltype_class != CLASS_PASSTHROUGH]
         groups[source] = headers
         for h in headers:
             col_index[h] = len(arrays)

@@ -26,6 +26,7 @@ import numpy as np
 from . import infill as infill_mod
 from .encoders import (
     CLASS_NUMERIC,
+    Behavior,
     auto_root_select,
     deviation_std,
     sum_scale_exponent,
@@ -108,14 +109,10 @@ class SourcePlan:
     def retained_headers(self) -> list[str]:
         return [h for rec in self.steps if rec.retained for h in rec.output_headers]
 
-    def column_classes(self) -> dict[str, str]:
-        """Retained output header -> coltype class of the behaviour writing it."""
-        return {h: BEHAVIORS[rec.behavior].coltype_class
+    def column_behaviors(self) -> dict[str, Behavior]:
+        """Retained output header -> the behaviour writing it."""
+        return {h: BEHAVIORS[rec.behavior]
                 for rec in self.steps if rec.retained for h in rec.output_headers}
-
-    def narw_headers(self) -> set[str]:
-        """Output headers of NArw steps, which record missingness: infill never fills them."""
-        return {h for rec in self.steps if rec.behavior == "NArw" for h in rec.output_headers}
 
 
 @dataclass
@@ -299,13 +296,13 @@ def _fit_infill_spec(plan: SourcePlan, counts: dict, values: dict[str, list],
                      target: list[bool], kind: str) -> dict[str, dict]:
     """Per retained column where the requested kind is compatible: the kind,
     with train stats taken over the non-target distinct values (``target``) of
-    the fit-time columns. Other columns, NArw's among them, get no entry, which
-    means no infill."""
+    the fit-time columns. Other columns get no entry, which means no infill;
+    so do NArw's, which record missingness."""
     spec: dict[str, dict] = {}
     kept = [(i, n) for i, (n, t) in enumerate(zip(counts.values(), target)) if not t]
-    narw = plan.narw_headers()
-    for h, coltype_class in plan.column_classes().items():
-        if h in narw or (kind in infill_mod.NUMERIC_ONLY_KINDS and coltype_class != CLASS_NUMERIC):
+    for h, behavior in plan.column_behaviors().items():
+        if behavior.name == "NArw" or (kind in infill_mod.NUMERIC_ONLY_KINDS
+                                       and behavior.coltype_class != CLASS_NUMERIC):
             continue
         stat = infill_mod.train_stat(kind, [(values[h][i], n) for i, n in kept])
         entry = {"kind": kind}
@@ -489,15 +486,15 @@ def deserialize(data: bytes | str) -> FitArtifact:
             raise DataError(f"artifact lists source {plan.header!r} twice")
         per_source[plan.header] = plan
     artifact = FitArtifact(version, doc["labels_column"], per_source, doc["infill_spec"])
-    classes = {h: c for plan in per_source.values() for h, c in plan.column_classes().items()}
-    narw = set().union(*(plan.narw_headers() for plan in per_source.values()))
+    behaviors = {h: b for plan in per_source.values() for h, b in plan.column_behaviors().items()}
     for h, spec in artifact.infill_spec.items():
-        if h not in classes:
+        if h not in behaviors:
             raise DataError(f"artifact infill_spec names {h!r}, which is no retained column")
-        if h in narw:
-            raise DataError(f"artifact infill_spec fills the NArw column {h!r}, which records"
-                            " missingness and is never infilled; refit the artifact")
-        if spec["kind"] in infill_mod.NUMERIC_ONLY_KINDS and classes[h] != CLASS_NUMERIC:
+        if behaviors[h].name == "NArw":  # fit gives none: NArw records missingness
+            raise DataError(f"artifact infill_spec fills the NArw column {h!r}, which is"
+                            " never infilled; refit the artifact")
+        if (spec["kind"] in infill_mod.NUMERIC_ONLY_KINDS
+                and behaviors[h].coltype_class != CLASS_NUMERIC):
             raise DataError(f"artifact infill_spec gives {h!r} {spec['kind']} infill,"
                             " which needs a numeric column")
     return artifact

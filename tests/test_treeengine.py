@@ -458,7 +458,7 @@ def test_adjacent_infill_matches_row_by_row_reference(train, batch, root, shuffl
     encoded, artifact = pm.fit(_table(a=train), {"a": root}, opts=opts)
     plain = dataclasses.replace(artifact, infill_spec={})
     rule = artifact.per_source["a"].target_rule
-    narw = artifact.per_source["a"].narw_headers()
+    narw = {h for h, b in artifact.per_source["a"].column_behaviors().items() if b.name == "NArw"}
     assert set(artifact.infill_spec) == set(encoded.headers) - narw
 
     def reference(col):
