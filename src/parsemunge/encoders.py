@@ -30,6 +30,8 @@ CLASS_NUMERIC = "numeric"
 CLASS_CATEGORIC = "categoric"
 CLASS_BOOLEAN = "boolean"
 CLASS_PASSTHROUGH = "passthrough"
+# 0.0 and 1.0, indexed by a bit or a bool: boolean columns share these two objects.
+_BITS = (0.0, 1.0)
 
 
 class Behavior:
@@ -129,7 +131,7 @@ class NarwBehavior(Behavior):
         return {"rule": root_rule}
 
     def apply_distinct(self, state, values):
-        return [list(map(float, mark_targets(values, state["rule"])))]
+        return [list(map(_BITS.__getitem__, mark_targets(values, state["rule"])))]
 
 
 class ExclBehavior(Behavior):
@@ -232,9 +234,6 @@ def binary_width(n: int) -> int:
     return max(1, math.ceil(math.log2(n + 1))) if n else 1
 
 
-_BITS = (0.0, 1.0)
-
-
 class B1010Behavior(RankedCodeBehavior):
     """Each code as binary_width(top code) bits, so the width follows from the
     code map; missing and unseen cells take the all-zero row."""
@@ -247,7 +246,7 @@ class B1010Behavior(RankedCodeBehavior):
         return [str(i) for i in range(self.size(self.top_code(state)))]
 
     def code_columns(self, codes, size):
-        """Each code's ``size`` low bits, most significant first, as shared 0.0/1.0 objects."""
+        """Each code's ``size`` low bits, most significant first."""
         return [[_BITS[(c >> shift) & 1] for c in codes] for shift in range(size - 1, -1, -1)]
 
 

@@ -18,6 +18,7 @@ import numpy as np
 from numpy.dtypes import StringDType
 
 from .encoders import (
+    _BITS,
     CLASS_BOOLEAN,
     CLASS_NUMERIC,
     Behavior,
@@ -187,4 +188,4 @@ class SrchBehavior(Behavior):
             for i in range(len(hits), 0, -1):  # the first group that hits writes last
                 codes[hits[i - 1]] = i
             return [codes.tolist()]
-        return hits.astype(float).tolist()
+        return [list(map(_BITS.__getitem__, flags)) for flags in hits.tolist()]
