@@ -178,8 +178,8 @@ class RankedCodeBehavior(Behavior):
         """The code map read backwards; the code-0 pattern reads as missing."""
         compiled = self.compile(state)
         entries = [*compiled[0], None]  # missing last, so that it takes the code-0 pattern
-        columns = self.apply_distinct(compiled, entries)
-        return {tuple(c[i] for c in columns): e for i, e in enumerate(entries)}.__getitem__
+        rows = zip(*self.apply_distinct(compiled, entries)) if compiled[1] else [()] * len(entries)
+        return dict(zip(rows, entries)).__getitem__
 
 
 class Ord3Behavior(RankedCodeBehavior):
