@@ -15,6 +15,7 @@ import random
 import pytest
 
 import parsemunge as pm
+from parsemunge.importance import TASK_CLASSIFICATION, TASK_REGRESSION
 from parsemunge.infill import CONFIG_KIND_NAMES
 from parsemunge.tidytable import TidyTable
 from perfbench import workloads
@@ -110,6 +111,72 @@ def test_every_workload_is_pinned():
 @pytest.mark.parametrize("name, seed", sorted(PINNED))
 def test_outputs_match_pinned_digests(name, seed):
     assert digests(name, seed) == PINNED[name, seed]
+
+
+# (workload, seed) -> digests of the permutation_importance report JSON on the
+# workload's importance rows: classification on its labels, and regression on
+# integer-valued targets, whose sums are exact in any order
+PINNED_IMPORTANCE = {
+    ('importance_prefix', 7): (
+        '7072019f2440c97e3a543341ab55652eb90970ac8d21bc9d89d7a30db9ce429e',
+        '59b01f35c8b989e17d39cfa9be5198b105c1b0abbdbf83e949325a98562d4a04',
+    ),
+    ('importance_prefix', 13): (
+        'a92ec8826f136446c98e07b40fdc93ac52e1134fe61cd1192a71468b3a679f9e',
+        'c046bb0e66d69f65fd55388d1aada1091ea023723f19304a2917ad77e381b67a',
+    ),
+    ('parse_highcard', 7): (
+        'cd1332ac40d1458f9c2fe1439aab7a1ce53e9120e48546e69e15132ad0b84ca0',
+        '83bf3aa9445dc936daeb9009c5267c28a648ca1963bb8da23480802ad9e0646e',
+    ),
+    ('parse_highcard', 13): (
+        'a234f2a17eb00b9fe76940038099bf5c9240e478dccb6fbe4d0c444e1909e256',
+        '8738332fbbd2c6f69eee21cf80702748a48433e3815f36ccc3f16984ddf7569c',
+    ),
+    ('unseen_drift', 7): (
+        '0cd80651f517955c5ab57732315a73ae1f7299d352884e6663ec6245eb2652da',
+        'da7deff659594513fedf694f0c78dc78f8126437172f040abde07cbf17da9cd7',
+    ),
+    ('unseen_drift', 13): (
+        'ea61bbf64f728cb513459ac0ce1ce468ad2409979654719ed37a039e88b0c7a8',
+        '4bf732f013d733ab6cd3b0512cfca6604ab140791ede5fb80952b79635a3a9e3',
+    ),
+    ('wide_roundtrip', 7): (
+        '22670f8fc8c855ead9884aa4f9d3683d4e4df97d84b41f48de3d0255d4a844f4',
+        'd9e5c2c162aea4c9043d2d9557f0b869bab6c218ef70a33a9625ce4f4a90db59',
+    ),
+    ('wide_roundtrip', 13): (
+        'df8e9f37280a46b89f472140c9807d010d596f6da04155d618b87719413e0c5e',
+        'e36e79275b7f6b00b197fb21c9da887b454abe63debf637f7604de5bdcc82061',
+    ),
+}
+
+
+def _integer_targets(table: TidyTable, labels: list) -> list[float]:
+    """7 for the first label's class, plus the text length of every present
+    cell in the row: integers that follow the features."""
+    return [float(7 * (label == labels[0])
+                  + sum(len(str(col[i])) for col in table.columns if col[i] is not None))
+            for i, label in enumerate(labels)]
+
+
+def importance_digests(name: str, seed: int) -> tuple[str, str]:
+    w = workloads.GENERATORS[name](seed, **SIZES[name])
+    n = w.importance_rows
+    table = _table({h: col[:n] for h, col in w.train.items()})
+    _, artifact = pm.fit(_table(w.train), w.assignments, opts=pm.Options(**w.options))
+    labels = w.labels[:n]
+    return tuple(
+        hashlib.sha256(pm.permutation_importance(
+            artifact, table, targets, pm.builtin_tree(task, seed=seed), seed=seed).to_json()
+        ).hexdigest()
+        for task, targets in ((TASK_CLASSIFICATION, labels),
+                              (TASK_REGRESSION, _integer_targets(table, labels))))
+
+
+@pytest.mark.parametrize("name, seed", sorted(PINNED))
+def test_importance_reports_match_pinned_digests(name, seed):
+    assert importance_digests(name, seed) == PINNED_IMPORTANCE[name, seed]
 
 
 # One table for the infill pins: a numeric source with missing cells and both
