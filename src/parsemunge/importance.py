@@ -10,6 +10,7 @@ means relatively more important within the feature).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -197,12 +198,16 @@ def permutation_importance(artifact: FitArtifact, table: TidyTable,
 # Built-in predictor: bagged CART trees, gini for classification and variance
 # for regression, seeded bootstraps, majority vote / mean aggregation.
 #
-# Splits are exact histogram splits (the histogram split of LightGBM, Ke et al.
-# 2017, without the approximation): each tree maps every feature of its
-# bootstrap sample to the codes of its sorted distinct values once, and a node
-# counts its rows per value in one bincount over all features. A cut lies
-# between two adjacent values present in the node, its threshold is their
-# midpoint, and NaN, which sorts last, never offers one.
+# Trees grow one depth at a time with exact histogram splits (the level-wise
+# histogram growth of XGBoost's hist method, Chen and Guestrin 2016, and of
+# LightGBM, Ke et al. 2017, without the approximation). ``train`` maps every
+# feature to the codes of its sorted distinct values once. At each depth every
+# (row, feature) holds the number of its (frontier node, bin) pair among the
+# pairs present, numbered in node then bin order, so one bincount gives every
+# frontier node's histograms. A cut lies between two adjacent bins present in a
+# node, its threshold is their midpoint, and NaN, which sorts last, never
+# offers one. Each bootstrap grows its own tree, and the trees are stored as
+# one flat forest, which ``predict`` walks together, one level at a time.
 
 
 class _Bins(NamedTuple):
@@ -215,8 +220,8 @@ class _Bins(NamedTuple):
     upper: np.ndarray    # the bin may be the upper side of a cut: not NaN
 
 
-def _bin(X) -> _Bins:
-    codes = np.empty(X.shape, dtype=np.intp)
+def _bin(X, dtype=np.int32) -> _Bins:
+    codes = np.empty(X.shape, dtype=dtype)
     values = []
     offset = 0
     for j in range(X.shape[1]):
@@ -229,148 +234,234 @@ def _bin(X) -> _Bins:
     return _Bins(codes, feature, value, ~np.isnan(value))
 
 
-def _threshold(lower: float, upper: float) -> float:
+def _threshold(lower, upper):
     """The midpoint of two adjacent values, or the lower value where the
     midpoint is not in [lower, upper): adjacent floats, a finite value and inf,
     -inf and inf, or an overflowing sum, any of which would empty a child."""
-    mid = (lower + upper) / 2.0
-    return mid if lower <= mid < upper else lower
+    with np.errstate(over="ignore", invalid="ignore"):
+        mid = (lower + upper) / 2.0
+    return np.where((lower <= mid) & (mid < upper), mid, lower)
 
 
-def _centred(y):
-    """Regression targets less the target nearest their mean, which lies within
-    one standard deviation of it: sums of squares about it do not cancel when
-    the mean is large against the spread, and integer targets stay integers,
-    whose sums are exact in any order."""
-    return y - y[np.argmin(np.abs(y - y.mean()))]
+def _segment_sums(values, start):
+    """Running sums down the rows of ``values`` that restart at each segment;
+    ``start`` holds the first row of every row's segment. Integer sums are one
+    cumulative sum less each segment's start, which is exact. Float sums are
+    added within their segment only (a Hillis-Steele scan), so a segment keeps
+    its precision however large the sums before it."""
+    if values.dtype.kind in "iu":
+        cum = np.cumsum(values, axis=0)
+        return cum - cum[start] + values[start]
+    out = values.copy()
+    step = 1
+    while True:
+        within = np.flatnonzero(start[step:] <= np.arange(len(out) - step)) + step
+        if len(within) == 0:
+            return out
+        out[within] += out[within - step]
+        step *= 2
 
 
-def _best_split(bins: _Bins, y, rows, task: str, n_classes: int, parent_imp: float):
-    """(feature, threshold) of the best cut of the node's ``rows``, or None.
-    Every feature has a present bin for every row, so each feature's segment
-    of the present bins sums to the node's totals."""
-    n = len(rows)
-    codes = bins.codes[rows]
+def _row_sums(a):
+    """``a.sum(axis=1)`` a column at a time, for numpy pays per row to reduce
+    across a short row. Integer sums are exact in any order, and two float
+    columns have one sum; wider float rows keep numpy's pairwise order."""
+    if a.dtype.kind == "f" and a.shape[1] > 2:
+        return a.sum(axis=1)
+    return functools.reduce(np.add, a.T)
+
+
+def _node_stats(node, y, m: int, task: str, n_classes: int):
+    """Per frontier node: its row count, leaf value, impurity, whether its
+    targets differ, and the histogram weights of its rows: the class of each
+    row, or the targets less the target nearest the node mean, which lies
+    within one standard deviation of it. Sums of squares about that target do
+    not cancel when the mean is large against the spread, and integer targets
+    stay integers, whose sums are exact in any order."""
     if task == TASK_CLASSIFICATION:
-        counts = np.bincount((codes * n_classes + y[rows, None]).ravel(),
-                             minlength=len(bins.value) * n_classes).reshape(-1, n_classes)
-        present = np.flatnonzero(counts.any(axis=1))
-    else:
-        counts = np.bincount(codes.ravel(), minlength=len(bins.value))
-        present = np.flatnonzero(counts)
-    feature = bins.feature[present]
-    cuts = np.flatnonzero((feature[1:] == feature[:-1]) & bins.upper[present[1:]])
+        per_class = np.bincount(node * n_classes + y, minlength=m * n_classes).reshape(m, -1)
+        count = per_class.sum(axis=1)
+        impurity = 1.0 - ((per_class / count[:, None]) ** 2).sum(axis=1)
+        mixed = np.count_nonzero(per_class, axis=1) > 1
+        return count, per_class.argmax(axis=1).astype(float), impurity, mixed, per_class, y
+    count = np.bincount(node, minlength=m)
+    mean = np.bincount(node, weights=y, minlength=m) / count
+    order = np.lexsort((np.abs(y - mean[node]), node))
+    nearest = y[order[np.flatnonzero(np.diff(node[order], prepend=-1))]]
+    centred = y - nearest[node]
+    sums = np.stack([np.bincount(node, weights=w, minlength=m)
+                     for w in (centred, centred ** 2)], axis=1)
+    impurity = sums[:, 1] / count - (sums[:, 0] / count) ** 2
+    mixed = np.bincount(node[centred != 0], minlength=m) > 0
+    return count, mean, impurity, mixed, sums, centred
+
+
+def _histograms(keys, n_keys: int, weights, task: str, n_classes: int):
+    """The (node, bin) pairs present among ``keys``, every (row, feature)'s
+    candidate pair out of ``n_keys``, and the histograms of the present pairs:
+    class counts, or row counts and the sums of the weights and their squares."""
+    if task == TASK_CLASSIFICATION:
+        counts = np.bincount((keys * n_classes + weights[:, None]).ravel(),
+                             minlength=n_keys * n_classes).reshape(n_keys, n_classes)
+        present = np.flatnonzero(_row_sums(counts))
+        return present, counts[present]
+    flat = keys.ravel()
+    counts = np.bincount(flat, minlength=n_keys)
+    present = np.flatnonzero(counts)
+    sums = [np.bincount(flat, weights=np.repeat(w, keys.shape[1]), minlength=n_keys)[present]
+            for w in (weights, weights ** 2)]
+    return present, (counts[present], np.stack(sums, axis=1))
+
+
+def _best_splits(bins: _Bins, pair_node, pair_bin, hist, totals, count, impurity, task: str):
+    """The best cut of every frontier node from the histograms of the present
+    (node, bin) pairs, grouped by node and in bin order within it. Per node:
+    the feature of its cut (-1 for none), the cut's lower bin and threshold."""
+    m = len(count)
+    choice, bound, threshold = np.full(m, -1), np.zeros(m, dtype=pair_bin.dtype), np.zeros(m)
+    feature = bins.feature[pair_bin]
+    new = np.ones(len(pair_bin), dtype=bool)
+    new[1:] = (pair_node[1:] != pair_node[:-1]) | (feature[1:] != feature[:-1])
+    cuts = np.flatnonzero(~new[1:] & bins.upper[pair_bin[1:]])
     if len(cuts) == 0:
-        return None
-    cut_feature = feature[cuts]
+        return choice, bound, threshold
+    segment = np.cumsum(new) - 1
+    start = np.flatnonzero(new)[segment]
+    at = pair_node[cuts]
+    n = count[at]
     if task == TASK_CLASSIFICATION:
-        # Integer counts: the cumsum less each segment's start is exact.
-        totals = np.bincount(y[rows], minlength=n_classes)
-        left = np.cumsum(counts[present], axis=0)[cuts] - cut_feature[:, None] * totals
-        nl = left.sum(axis=1).astype(float)
+        left = _segment_sums(hist, start)[cuts]
+        nl = _row_sums(left).astype(float)
         nr = n - nl
         lc = left.astype(float)
-        rc = (totals - left).astype(float)
-        imp_l = 1.0 - ((lc / nl[:, None]) ** 2).sum(axis=1)
-        imp_r = 1.0 - ((rc / nr[:, None]) ** 2).sum(axis=1)
+        rc = (totals[at] - left).astype(float)
+        imp_l = 1.0 - _row_sums((lc / nl[:, None]) ** 2)
+        imp_r = 1.0 - _row_sums((rc / nr[:, None]) ** 2)
     else:
-        nl = (np.cumsum(counts[present])[cuts] - cut_feature * n).astype(float)
+        rows, sums = hist
+        nl = _segment_sums(rows, start)[cuts].astype(float)
         nr = n - nl
-        ys = np.repeat(_centred(y[rows]), codes.shape[1])
-        segments = np.flatnonzero(feature[1:] != feature[:-1]) + 1
-        sums = []
-        for weights in (ys, ys ** 2):
-            per_bin = np.bincount(codes.ravel(), weights=weights, minlength=len(bins.value))
-            # Float sums: a cumulative sum per feature, never one across features.
-            cum = [np.cumsum(seg) for seg in np.split(per_bin[present], segments)]
-            sums.append((np.concatenate(cum)[cuts], np.array([c[-1] for c in cum])[cut_feature]))
-        (sl, s_all), (ssl, ss_all) = sums
-        sr, ssr = s_all - sl, ss_all - ssl
+        sl, ssl = _segment_sums(sums, start)[cuts].T
+        sr, ssr = (totals[at] - np.stack([sl, ssl], axis=1)).T
         imp_l = ssl / nl - (sl / nl) ** 2
         imp_r = ssr / nr - (sr / nr) ** 2
     weighted = (nl * imp_l + nr * imp_r) / n
-    # Per feature in order, its first minimum must beat the parent and the
-    # best so far by 1e-12: absolute for Gini, which lies in [0, 1), relative
-    # to the parent for variance, which has the targets' scale.
-    tol = 1e-12 if task == TASK_CLASSIFICATION else 1e-12 * parent_imp
-    starts = np.flatnonzero(np.concatenate(([True], cut_feature[1:] != cut_feature[:-1])))
-    best = None
-    for lo, hi, score in zip(starts.tolist(), [*starts[1:].tolist(), len(cuts)],
-                             np.minimum.reduceat(weighted, starts).tolist()):
-        if score < parent_imp - tol and (best is None or score < best[0] - tol):
-            best = (score, lo, hi)
-    if best is None:
-        return None
-    _, lo, hi = best
-    k = cuts[lo + int(np.argmin(weighted[lo:hi]))]
-    lower, upper = bins.value[present[k]], bins.value[present[k + 1]]
-    return int(feature[k]), _threshold(float(lower), float(upper))
+    # Each node's first minimum per feature; then, per feature in order, that
+    # minimum must beat the parent and the best so far by 1e-12: absolute for
+    # Gini, which lies in [0, 1), relative to the parent for variance, which
+    # has the targets' scale.
+    runs = np.flatnonzero(new[cuts])  # a segment's cuts start at its first bin
+    lowest = np.minimum.reduceat(weighted, runs)
+    cell = feature[cuts[runs]], at[runs]
+    table = np.full((bins.codes.shape[1], m), np.inf)
+    table[cell] = np.where(np.isnan(lowest), np.inf, lowest)
+    tol = 1e-12 if task == TASK_CLASSIFICATION else 1e-12 * impurity
+    limit = impurity - tol
+    for j, (scores, lowered) in enumerate(zip(table, table - tol)):
+        take = scores < limit
+        np.copyto(limit, lowered, where=take)
+        np.copyto(choice, j, where=take)
+    split = np.flatnonzero(choice >= 0)
+    run_of = np.zeros(table.shape, dtype=np.intp)
+    run_of[cell] = runs
+    at_min = np.flatnonzero(weighted == np.repeat(lowest, np.diff(runs, append=len(cuts))))
+    k = cuts[at_min[np.searchsorted(at_min, run_of[choice[split], split])]]
+    bound[split] = pair_bin[k]
+    threshold[split] = _threshold(bins.value[pair_bin[k]], bins.value[pair_bin[k + 1]])
+    return choice, bound, threshold
 
 
-def _impurity(y, task: str, n_classes: int) -> float:
-    if task == TASK_CLASSIFICATION:
-        probs = np.bincount(y, minlength=n_classes) / len(y)
-        return float(1.0 - (probs ** 2).sum())
-    return float(np.var(y))
+class _Forest(NamedTuple):
+    """The nodes of every tree in flat arrays, each tree breadth first from its
+    root; a split's children are adjacent, and a leaf is its own left and
+    right."""
 
-
-def _leaf_value(y, task: str) -> float:
-    if task == TASK_CLASSIFICATION:
-        return float(np.argmax(np.bincount(y)))
-    return float(np.mean(y))
-
-
-class _Tree(NamedTuple):
-    """Nodes in preorder as flat arrays; a leaf is its own left and right."""
-
+    root: np.ndarray
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray
-    depth: int
+    depth: int  # the deepest level of any tree
 
 
-def _grow_node(nodes: list, bins: _Bins, X, y, rows, depth: int, max_depth: int,
-               task: str, n_classes: int) -> int:
-    """Append the subtree of ``rows`` to ``nodes`` in preorder; its deepest
-    level."""
-    me = len(nodes)
-    nodes.append(())
-    ys = y[rows]
-    split = None
-    if depth < max_depth and len(ys) >= 2 and len(np.unique(ys)) > 1:
-        split = _best_split(bins, y, rows, task, n_classes, _impurity(ys, task, n_classes))
-    if split is None:
-        nodes[me] = (0, 0.0, me, me, _leaf_value(ys, task))
-        return depth
-    j, threshold = split
-    mask = X[rows, j] <= threshold
-    deepest = _grow_node(nodes, bins, X, y, rows[mask], depth + 1, max_depth, task, n_classes)
-    right = len(nodes)
-    deepest = max(deepest, _grow_node(nodes, bins, X, y, rows[~mask], depth + 1, max_depth,
-                                      task, n_classes))
-    nodes[me] = (j, threshold, me + 1, right, 0.0)
-    return deepest
+def _grow(bins: _Bins, y, samples, max_depth: int, task: str, n_classes: int) -> _Forest:
+    """One tree per sample of row indices, grown one at a time, each one depth
+    at a time over its frontier nodes."""
+    levels = []  # per level: (feature, threshold, left, right, value)
+    roots, size, deepest = [], 0, 0
+    for sample in samples:
+        roots.append(size)
+        codes, ys = bins.codes[sample], y[sample]
+        rows = np.arange(len(ys))
+        node = np.zeros(len(ys), dtype=np.intp)
+        # Each (row, feature)'s candidate (node, bin) pair; at the root, its bin.
+        keys = codes
+        key_node = np.zeros(len(bins.value), dtype=np.intp)
+        key_bin = np.arange(len(bins.value))
+        m = 1
+        for depth in range(max_depth + 1):
+            count, value, impurity, mixed, totals, weights = _node_stats(
+                node, ys[rows], m, task, n_classes)
+            live = mixed[node] if depth < max_depth else np.zeros(len(rows), dtype=bool)
+            choice, bound, threshold = np.full(m, -1), None, np.zeros(m)
+            if live.any():
+                if not live.all():
+                    rows, node, weights = rows[live], node[live], weights[live]
+                    keys = np.compress(live, keys, axis=0)
+                present, hist = _histograms(keys, len(key_node), weights, task, n_classes)
+                pair_node, pair_bin = key_node[present], key_bin[present]
+                choice, bound, threshold = _best_splits(bins, pair_node, pair_bin, hist, totals,
+                                                        count, impurity, task)
+            split = choice >= 0
+            rank_split = np.cumsum(split) - 1
+            left = np.where(split, size + m + 2 * rank_split, np.arange(size, size + m))
+            levels.append((np.where(split, choice, 0), threshold, left, left + split, value))
+            size += m
+            deepest = max(deepest, depth)
+            if not split.any():
+                break
+            # Rows of the split nodes move to their children by one gather.
+            keep = split[node]
+            rows, node = rows[keep], node[keep]
+            keys = np.compress(keep, keys, axis=0)
+            if 2 * len(key_node) * max(n_classes, 1) > keys.size:
+                # Renumber the present pairs, so that the children's histograms
+                # stay within twice the (row, feature) cells.
+                rank = np.zeros(len(key_node), dtype=keys.dtype)
+                rank[present] = np.arange(len(present))
+                keys = np.take(rank, keys)
+                key_node, key_bin = pair_node, pair_bin
+            right = codes[rows, choice[node]] > bound[node]
+            node = 2 * rank_split[node] + right
+            keys = keys + (right.astype(keys.dtype) * len(key_node))[:, None]
+            # Pairs of the nodes that did not split are never present again.
+            key_node = np.concatenate([2 * rank_split[key_node], 2 * rank_split[key_node] + 1])
+            key_bin = np.tile(key_bin, 2)
+            m = 2 * int(split.sum())
+    feature, threshold, left, right, value = map(np.concatenate, zip(*levels))
+    return _Forest(np.array(roots, dtype=np.intp), feature, threshold, left, right, value,
+                   deepest)
 
 
-def _grow(X, y, max_depth: int, task: str, n_classes: int) -> _Tree:
-    nodes: list[tuple] = []
-    depth = _grow_node(nodes, _bin(X), X, y, np.arange(len(y)), 0, max_depth, task, n_classes)
-    feature, threshold, left, right, value = zip(*nodes)
-    return _Tree(np.array(feature, dtype=np.intp), np.array(threshold, dtype=float),
-                 np.array(left, dtype=np.intp), np.array(right, dtype=np.intp),
-                 np.array(value, dtype=float), depth)
+def _predict(forest: _Forest, X) -> np.ndarray:
+    """(trees, rows) leaf values: every row down every tree together, one
+    level at a time."""
+    X = np.ascontiguousarray(X, dtype=float)
+    rows, width = X.shape
+    node = np.repeat(forest.root, rows)
+    offset = np.tile(np.arange(rows) * width, len(forest.root))
+    flat = X.ravel()
+    for _ in range(forest.depth):
+        go_left = flat[offset + forest.feature[node]] <= forest.threshold[node]
+        node = np.where(go_left, forest.left[node], forest.right[node])
+    return forest.value[node].reshape(len(forest.root), rows)
 
 
-def _predict_tree(tree: _Tree, X) -> np.ndarray:
-    """Walk every row down the tree together, one level at a time."""
-    rows = np.arange(len(X))
-    node = np.zeros(len(X), dtype=np.intp)
-    for _ in range(tree.depth):
-        go_left = X[rows, tree.feature[node]] <= tree.threshold[node]
-        node = np.where(go_left, tree.left[node], tree.right[node])
-    return tree.value[node]
+def _checked_count(name: str, value, least: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ConfigError(f"{name} must be an integer of at least {least}, not {value!r}")
+    return int(value)
 
 
 def builtin_tree(task: str, max_depth: int = 8, n_trees: int = 10,
@@ -380,8 +471,8 @@ def builtin_tree(task: str, max_depth: int = 8, n_trees: int = 10,
         raise ConfigError(f"unknown task {task!r}")
     if seed < 0:
         raise ConfigError(f"seed must not be negative, not {seed!r}")
-    if n_trees < 1:
-        raise ConfigError(f"n_trees must be at least 1, not {n_trees!r}")
+    max_depth = _checked_count("max_depth", max_depth, 0)
+    n_trees = _checked_count("n_trees", n_trees, 1)
 
     def train(X, y):
         X = np.asarray(X, dtype=float)
@@ -393,21 +484,24 @@ def builtin_tree(task: str, max_depth: int = 8, n_trees: int = 10,
         else:
             y = np.asarray(y, dtype=float)
             n_classes = 0
-        trees = []
-        for child in np.random.SeedSequence(seed).spawn(n_trees):
-            rng = np.random.default_rng(child)
-            idx = rng.integers(0, len(y), len(y))
-            trees.append(_grow(X[idx], y[idx], max_depth, task, n_classes))
-        return {"trees": trees, "n_classes": n_classes}
+        # Histogram keys stay below 2 * rows * features * classes.
+        index = np.int32 if 2 * X.size * max(n_classes, 1) < 2 ** 31 else np.intp
+        bins = _bin(X, index)
+        if task == TASK_CLASSIFICATION:
+            y = y.astype(index)
+        samples = (np.random.default_rng(child).integers(0, len(y), len(y))
+                   for child in np.random.SeedSequence(seed).spawn(n_trees))
+        return {"forest": _grow(bins, y, samples, max_depth, task, n_classes),
+                "n_classes": n_classes}
 
     def predict(model, X):
-        X = np.asarray(X, dtype=float)
-        preds = np.stack([_predict_tree(t, X) for t in model["trees"]])
+        leaves = _predict(model["forest"], X)
         if task == TASK_CLASSIFICATION:
-            votes = np.zeros((len(X), max(model["n_classes"], 1)))
-            for row in preds.astype(int):
-                votes[np.arange(len(X)), row] += 1.0
-            return votes.argmax(axis=1)
-        return preds.mean(axis=0)
+            classes = max(model["n_classes"], 1)
+            rows = leaves.shape[1]
+            votes = np.bincount((leaves.astype(np.intp) + classes * np.arange(rows)).ravel(),
+                                minlength=rows * classes)
+            return votes.reshape(rows, classes).argmax(axis=1)
+        return leaves.mean(axis=0)
 
     return PredictorAdapter(train=train, predict=predict, task=task)

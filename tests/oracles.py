@@ -25,13 +25,7 @@ import numpy as np
 from parsemunge.encoders import binary_width
 from parsemunge.errors import DataError
 from parsemunge.extract_search import nmcm_extract
-from parsemunge.importance import (
-    TASK_CLASSIFICATION,
-    PredictorAdapter,
-    _centred,
-    _impurity,
-    _leaf_value,
-)
+from parsemunge.importance import TASK_CLASSIFICATION, PredictorAdapter
 from parsemunge.infill import is_infill_target
 from parsemunge.tidytable import (
     _DECIMAL_RE,
@@ -191,6 +185,27 @@ def oracle_extract(s: str, allow_commas: bool = True, allow_decimal: bool = True
                     return math.copysign(sys.float_info.max, value)
                 return value
     return None
+
+
+def _centred(y):
+    """Regression targets less the target nearest their mean, which lies within
+    one standard deviation of it: sums of squares about it do not cancel when
+    the mean is large against the spread, and integer targets stay integers,
+    whose sums are exact in any order."""
+    return y - y[np.argmin(np.abs(y - y.mean()))]
+
+
+def _impurity(y, task: str, n_classes: int) -> float:
+    if task == TASK_CLASSIFICATION:
+        probs = np.bincount(y, minlength=n_classes) / len(y)
+        return float(1.0 - (probs ** 2).sum())
+    return float(np.var(y))
+
+
+def _leaf_value(y, task: str) -> float:
+    if task == TASK_CLASSIFICATION:
+        return float(np.argmax(np.bincount(y)))
+    return float(np.mean(y))
 
 
 def _best_split(X, y, task: str, n_classes: int, parent_imp: float):

@@ -11,17 +11,15 @@ from parsemunge.importance import (
     TASK_CLASSIFICATION,
     TASK_REGRESSION,
     PredictorAdapter,
-    _best_split,
     _bin,
     _grow,
-    _impurity,
     builtin_tree,
     permutation_importance,
 )
 from parsemunge.tidytable import TidyTable
 
 from . import oracles
-from .oracles import preorder, reference_tree
+from .oracles import _impurity, preorder, reference_tree
 
 
 def _table(**cols) -> TidyTable:
@@ -83,7 +81,8 @@ class TestBuiltinTree:
         y = np.array([0, 1] * 3)
         adapter = builtin_tree(task, max_depth=1, n_trees=1)
         model = adapter.train(X, y)
-        assert model["trees"][0].threshold[0] == lower
+        forest = model["forest"]
+        assert forest.threshold[forest.root[0]] == lower
         assert list(adapter.predict(model, X)) == [0, 1] * 3
 
     def test_deterministic_given_seed(self):
@@ -248,17 +247,37 @@ def _matrices(draw, rows: int):
     return X[:rows], X[rows:]
 
 
-def _nodes(tree) -> list[tuple]:
-    return [(tree.value[i],) if tree.left[i] == i
-            else (int(tree.feature[i]), float(tree.threshold[i]))
-            for i in range(len(tree.value))]
+def _tree(X, y, max_depth, task, n_classes):
+    """One tree grown on every row of X, without a bootstrap."""
+    return _grow(_bin(X), y, [np.arange(len(y))], max_depth, task, n_classes)
+
+
+def _nodes(forest, tree: int = 0) -> list[tuple]:
+    """(feature, threshold) of each split and (leaf value,) of each leaf of one
+    tree of the forest, in preorder."""
+    out, stack = [], [forest.root[tree]]
+    while stack:
+        i = stack.pop()
+        if forest.left[i] == i:
+            out.append((forest.value[i],))
+        else:
+            out.append((int(forest.feature[i]), float(forest.threshold[i])))
+            stack += [forest.right[i], forest.left[i]]
+    return out
+
+
+def _root_split(X, y):
+    """(feature, threshold) of the root cut of a depth-1 regression tree, or None."""
+    forest = _tree(X, y, 1, TASK_REGRESSION, 0)
+    return None if forest.left[0] == 0 else (int(forest.feature[0]), float(forest.threshold[0]))
 
 
 def _assert_same_trees(task, X, y, X_other, depth, n_trees, seed):
     fast = builtin_tree(task, max_depth=depth, n_trees=n_trees, seed=seed)
     slow = reference_tree(task, max_depth=depth, n_trees=n_trees, seed=seed)
     fast_model, slow_model = fast.train(X, y), slow.train(X, y)
-    assert [_nodes(t) for t in fast_model["trees"]] == [preorder(t) for t in slow_model["trees"]]
+    assert [_nodes(fast_model["forest"], t) for t in range(n_trees)] == \
+        [preorder(t) for t in slow_model["trees"]]
     for data in (X, X_other):
         assert np.array_equal(fast.predict(fast_model, data), slow.predict(slow_model, data))
 
@@ -303,7 +322,7 @@ class TestHistogramTreeMatchesReference:
             mask = X[:, split[0]] <= split[1]
             return (mask.sum() * np.var(y[mask]) + (~mask).sum() * np.var(y[~mask])) / rows
 
-        fast = _best_split(_bin(X), y, np.arange(rows), TASK_REGRESSION, 0, parent)
+        fast = _root_split(X, y)
         slow = oracles._best_split(X, y, TASK_REGRESSION, 0, parent)
         assert abs(score(fast) - score(slow and slow[1:])) <= tolerance
 
@@ -340,7 +359,7 @@ class TestHistogramTreeMatchesReference:
         per_value = [[0, 1, 1, 1, 1, 1, 1, 0], [2, 0, 1, 0, 0, 0, 0, 1], [0, 1, 0, 1, 1, 1, 1, 1]]
         X = np.repeat([0.0, 1.0, 2.0], [sum(c) for c in per_value])[:, None]
         y = np.concatenate([np.repeat(np.arange(8), c) for c in per_value])
-        assert _nodes(_grow(X, y, 1, TASK_CLASSIFICATION, 8)) == preorder(
+        assert _nodes(_tree(X, y, 1, TASK_CLASSIFICATION, 8)) == preorder(
             oracles._grow(X, y, 0, 1, TASK_CLASSIFICATION, 8))
 
     def test_later_feature_must_win_by_the_tolerance(self):
@@ -350,7 +369,7 @@ class TestHistogramTreeMatchesReference:
         left = [[1, 1, 2, 2, 1, 0, 2, 1, 2, 1], [0, 1, 1, 2, 2, 1, 2, 1, 1, 2]]
         X = np.array([[float(i >= n) for n in counts for i in range(5)] for counts in left]).T
         y = np.repeat(np.arange(10), 5)
-        tree = _grow(X, y, 1, TASK_CLASSIFICATION, 10)
+        tree = _tree(X, y, 1, TASK_CLASSIFICATION, 10)
         assert tree.feature[0] == 0
         assert _nodes(tree) == preorder(oracles._grow(X, y, 0, 1, TASK_CLASSIFICATION, 10))
 
@@ -371,7 +390,7 @@ class TestRegressionSplitsOnLargeTargets:
     @pytest.mark.parametrize("seed", [0, 1, 2, 17, 130])
     def test_every_split_lowers_the_children_variance(self, seed):
         X, y = self._data(seed)
-        tree = _grow(X, y, 8, TASK_REGRESSION, 0)
+        tree = _tree(X, y, 8, TASK_REGRESSION, 0)
         splits = 0
         stack = [(0, np.arange(len(y)))]
         while stack:
@@ -389,16 +408,11 @@ class TestRegressionSplitsOnLargeTargets:
     def test_root_split_matches_the_shifted_targets(self):
         # The same features over the spread alone choose the same root cut.
         X, y = self._data()
-        parent = _impurity(y, TASK_REGRESSION, 0)
-        shifted = y - 1e8
-        assert _best_split(_bin(X), y, np.arange(len(y)), TASK_REGRESSION, 0, parent) == \
-            _best_split(_bin(X), shifted, np.arange(len(y)), TASK_REGRESSION, 0,
-                        _impurity(shifted, TASK_REGRESSION, 0))
+        assert _root_split(X, y) == _root_split(X, y - 1e8)
 
     @pytest.mark.parametrize("value", [0.0, 1e8, -3.5])
     def test_constant_targets_give_a_single_leaf(self, value):
         X, _ = self._data()
         y = np.full(len(X), value)
-        tree = _grow(X, y, 8, TASK_REGRESSION, 0)
-        assert _nodes(tree) == [(value,)]
-        assert _best_split(_bin(X), y, np.arange(len(y)), TASK_REGRESSION, 0, 0.0) is None
+        assert _nodes(_tree(X, y, 8, TASK_REGRESSION, 0)) == [(value,)]
+        assert _root_split(X, y) is None
