@@ -207,6 +207,24 @@ class OnhtBehavior(RankedCodeBehavior):
                 columns[code - 1][row] = 1.0
         return columns
 
+    def decoder(self, state):
+        """The entry at the row's single 1.0, and missing for all zeros; cells
+        compare by ``==``, as in a lookup of every pattern, which would take
+        (K + 1) x K cells to build."""
+        entries = state["entries"]
+        width = len(entries)
+
+        def decode(row):
+            if len(row) == width:
+                zeros = row.count(0.0)
+                if zeros == width:
+                    return None
+                if zeros == width - 1 and row.count(1.0) == 1:
+                    return entries[row.index(1.0)]
+            raise KeyError(row)
+
+        return decode
+
 
 class BnryBehavior(Behavior):
     name = "bnry"

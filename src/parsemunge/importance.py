@@ -201,13 +201,16 @@ def permutation_importance(artifact: FitArtifact, table: TidyTable,
 # Trees grow one depth at a time with exact histogram splits (the level-wise
 # histogram growth of XGBoost's hist method, Chen and Guestrin 2016, and of
 # LightGBM, Ke et al. 2017, without the approximation). ``train`` maps every
-# feature to the codes of its sorted distinct values once. At each depth every
-# (row, feature) holds the number of its (frontier node, bin) pair among the
-# pairs present, numbered in node then bin order, so one bincount gives every
-# frontier node's histograms. A cut lies between two adjacent bins present in a
-# node, its threshold is their midpoint, and NaN, which sorts last, never
-# offers one. Each bootstrap grows its own tree, and the trees are stored as
-# one flat forest, which ``predict`` walks together, one level at a time.
+# feature to the codes of its sorted distinct values once. Every (row,
+# feature) of a tree's sample then carries a key naming its (frontier node,
+# bin) pair, so one bincount over the keys (and classes) gives every frontier
+# node's histograms, and only the pairs present are scored. A split moves a
+# row's keys into its child's half of a key space twice the size; where that
+# space would outgrow the rows' cells, the present pairs are renumbered first.
+# A cut lies between two adjacent bins present in a node, its threshold is
+# their midpoint, and NaN, which sorts last, never offers one. Each bootstrap
+# grows its own tree, and the trees are stored as one flat forest, which
+# ``predict`` walks together, one level at a time.
 
 
 class _Bins(NamedTuple):
@@ -273,11 +276,12 @@ def _row_sums(a):
 
 def _node_stats(node, y, m: int, task: str, n_classes: int):
     """Per frontier node: its row count, leaf value, impurity, whether its
-    targets differ, and the histogram weights of its rows: the class of each
-    row, or the targets less the target nearest the node mean, which lies
-    within one standard deviation of it. Sums of squares about that target do
-    not cancel when the mean is large against the spread, and integer targets
-    stay integers, whose sums are exact in any order."""
+    targets differ and its totals (class counts, or the row count and the
+    sums of the weights and their squares); and the histogram weight of each
+    row: its class, or its target less the target nearest the node mean,
+    which lies within one standard deviation of it. Sums of squares about that
+    target do not cancel when the mean is large against the spread, and
+    integer targets stay integers, whose sums are exact in any order."""
     if task == TASK_CLASSIFICATION:
         per_class = np.bincount(node * n_classes + y, minlength=m * n_classes).reshape(m, -1)
         count = per_class.sum(axis=1)
@@ -289,28 +293,28 @@ def _node_stats(node, y, m: int, task: str, n_classes: int):
     order = np.lexsort((np.abs(y - mean[node]), node))
     nearest = y[order[np.flatnonzero(np.diff(node[order], prepend=-1))]]
     centred = y - nearest[node]
-    sums = np.stack([np.bincount(node, weights=w, minlength=m)
-                     for w in (centred, centred ** 2)], axis=1)
-    impurity = sums[:, 1] / count - (sums[:, 0] / count) ** 2
+    totals = np.stack([np.bincount(node, weights=w, minlength=m)
+                       for w in (None, centred, centred ** 2)], axis=1)
+    impurity = totals[:, 2] / count - (totals[:, 1] / count) ** 2
     mixed = np.bincount(node[centred != 0], minlength=m) > 0
-    return count, mean, impurity, mixed, sums, centred
+    return count, mean, impurity, mixed, totals, centred
 
 
 def _histograms(keys, n_keys: int, weights, task: str, n_classes: int):
     """The (node, bin) pairs present among ``keys``, every (row, feature)'s
     candidate pair out of ``n_keys``, and the histograms of the present pairs:
-    class counts, or row counts and the sums of the weights and their squares."""
+    class counts, or the row count and the sums of the weights and their
+    squares."""
     if task == TASK_CLASSIFICATION:
-        counts = np.bincount((keys * n_classes + weights[:, None]).ravel(),
-                             minlength=n_keys * n_classes).reshape(n_keys, n_classes)
-        present = np.flatnonzero(_row_sums(counts))
-        return present, counts[present]
-    flat = keys.ravel()
-    counts = np.bincount(flat, minlength=n_keys)
-    present = np.flatnonzero(counts)
-    sums = [np.bincount(flat, weights=np.repeat(w, keys.shape[1]), minlength=n_keys)[present]
-            for w in (weights, weights ** 2)]
-    return present, (counts[present], np.stack(sums, axis=1))
+        hist = np.bincount((keys * n_classes + weights[:, None]).ravel(),
+                           minlength=n_keys * n_classes).reshape(n_keys, n_classes)
+        present = np.flatnonzero(_row_sums(hist))
+    else:
+        spread = np.repeat(weights, keys.shape[1])
+        hist = np.stack([np.bincount(keys.ravel(), weights=w, minlength=n_keys)
+                         for w in (None, spread, spread ** 2)], axis=1)
+        present = np.flatnonzero(hist[:, 0])
+    return present, hist[present]
 
 
 def _best_splits(bins: _Bins, pair_node, pair_bin, hist, totals, count, impurity, task: str):
@@ -329,20 +333,16 @@ def _best_splits(bins: _Bins, pair_node, pair_bin, hist, totals, count, impurity
     start = np.flatnonzero(new)[segment]
     at = pair_node[cuts]
     n = count[at]
+    left = _segment_sums(hist, start)[cuts]
+    right = totals[at] - left
     if task == TASK_CLASSIFICATION:
-        left = _segment_sums(hist, start)[cuts]
         nl = _row_sums(left).astype(float)
         nr = n - nl
-        lc = left.astype(float)
-        rc = (totals[at] - left).astype(float)
+        lc, rc = left.astype(float), right.astype(float)
         imp_l = 1.0 - _row_sums((lc / nl[:, None]) ** 2)
         imp_r = 1.0 - _row_sums((rc / nr[:, None]) ** 2)
     else:
-        rows, sums = hist
-        nl = _segment_sums(rows, start)[cuts].astype(float)
-        nr = n - nl
-        sl, ssl = _segment_sums(sums, start)[cuts].T
-        sr, ssr = (totals[at] - np.stack([sl, ssl], axis=1)).T
+        (nl, sl, ssl), (nr, sr, ssr) = left.T, right.T
         imp_l = ssl / nl - (sl / nl) ** 2
         imp_r = ssr / nr - (sr / nr) ** 2
     weighted = (nl * imp_l + nr * imp_r) / n

@@ -9,8 +9,9 @@ tests in Python; numeric extraction answers from an enumerate-every-substring
 walk with a hand-rolled format validator, the built-in trees' answers from
 an argsort-and-cumsum CART with nested-dict nodes, and CSV files from a
 reader and writer that classify and render cell by cell, adjacent infill
-from a row-by-row forward fill, and every behaviour's output from a rule
-applied to one value at a time (``REFERENCE_CELLS``).
+from a row-by-row forward fill, every behaviour's output from a rule
+applied to one value at a time (``REFERENCE_CELLS``), and code-map inversion
+from a dict of every output pattern.
 """
 
 from __future__ import annotations
@@ -510,6 +511,15 @@ def reference_activation_cell(state: dict, cell) -> tuple:
         if o in column:
             out[column[o]] = 1.0
     return tuple(out)
+
+
+def table_decoder(behavior, state: dict):
+    """A code-map step's output rows read backwards through a dict of every
+    pattern the step outputs, the code-0 pattern reading as missing."""
+    compiled = behavior.compile(state)
+    entries = [*compiled[0], None]
+    rows = zip(*behavior.apply_distinct(compiled, entries)) if compiled[1] else [()] * len(entries)
+    return dict(zip(rows, entries)).__getitem__
 
 
 def reference_lookup_cell(state: dict, cell, plug: bool = False) -> tuple:

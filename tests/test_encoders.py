@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,8 +10,9 @@ import parsemunge as pm
 from parsemunge.encoders import auto_root_select, binary_width, sanitize_token
 from parsemunge.errors import DataError
 from parsemunge.registry import BEHAVIORS
-from parsemunge.tidytable import canon_text
+from parsemunge.tidytable import TidyTable, canon_text
 
+from . import oracles
 from .helpers import run_behavior
 
 
@@ -85,6 +87,49 @@ class TestOnht:
         _, columns = run_behavior("onht", col)
         for i in range(len(col)):
             assert sum(c[i] for c in columns) == 1.0
+
+    @given(entries=st.lists(st.text("abcdef", min_size=1, max_size=3), unique=True, max_size=12),
+           data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_decoder_matches_the_pattern_table(self, entries, data):
+        """On every pattern the step outputs, on rows equal to one under
+        ``==`` (-0.0, ints, bools) and on malformed rows (two 1.0s, 0.5, NaN,
+        text, a wrong width), the decoder answers as a dict of every pattern."""
+        behavior = BEHAVIORS["onht"]
+        state = {"entries": entries}
+        width = len(entries)
+        patterns = [tuple(float(j == i) for j in range(width)) for i in range(-1, width)]
+        cell = st.sampled_from([0.0, -0.0, 1.0, 0, 1, True, False, 0.5, math.nan, "1.0", None])
+        rows = patterns + [tuple(data.draw(st.lists(cell, min_size=w, max_size=w)))
+                           for w in (width, width, width, width + 1, max(width - 1, 0))]
+        if width >= 2:
+            rows.append((1.0, 1.0) + (0.0,) * (width - 2))
+
+        def outcome(decode, row):
+            try:
+                return decode(row)
+            except KeyError:
+                return KeyError
+
+        fast, table = behavior.decoder(state), oracles.table_decoder(behavior, state)
+        for row in rows:
+            assert outcome(fast, row) == outcome(table, row), row
+
+    @pytest.mark.parametrize("width", [250, 1000])
+    def test_inverting_a_wide_onht_takes_memory_linear_in_its_width(self, width):
+        # A table of every pattern would hold (width + 1) x width cells: at
+        # 2,000 entries, 62 MiB to invert five rows.
+        entries = [f"e{i}" for i in range(width)]
+        encoded, artifact = pm.fit(TidyTable(["a"], [entries]), {"a": "onht"})
+        head = TidyTable(encoded.headers, [column[:5] for column in encoded.columns])
+        tracemalloc.start()
+        try:
+            recovered, failed = pm.invert(artifact, head)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert failed == [] and recovered.column("a") == entries[:5]
+        assert peak < 400 * width
 
 
 class TestBnry:

@@ -188,6 +188,23 @@ class TestPermutationImportance:
         with pytest.raises(ConfigError, match="n_trees"):
             builtin_tree(TASK_CLASSIFICATION, n_trees=0)
 
+    @pytest.mark.parametrize("n_trees", [-3, 2.5, True, None, "10"])
+    def test_n_trees_other_than_a_positive_integer_rejected(self, n_trees):
+        with pytest.raises(ConfigError, match="n_trees"):
+            builtin_tree(TASK_CLASSIFICATION, n_trees=n_trees)
+
+    @pytest.mark.parametrize("max_depth", [-1, None, True, False, 2.5, "8"])
+    def test_max_depth_other_than_a_non_negative_integer_rejected(self, max_depth):
+        with pytest.raises(ConfigError, match="max_depth"):
+            builtin_tree(TASK_CLASSIFICATION, max_depth=max_depth)
+
+    def test_depth_zero_and_numpy_integers_accepted(self):
+        X = np.array([[0.0], [1.0]] * 5)
+        y = np.array([0, 1] * 5)
+        adapter = builtin_tree(TASK_CLASSIFICATION, max_depth=np.int64(0), n_trees=np.int32(2))
+        forest = adapter.train(X, y)["forest"]
+        assert len(forest.root) == 2 and forest.depth == 0
+
     def test_zero_repeats_rejected(self):
         table, labels = _labelled_table(50, 1)
         _, artifact = pm.fit(table)
@@ -372,6 +389,32 @@ class TestHistogramTreeMatchesReference:
         tree = _tree(X, y, 1, TASK_CLASSIFICATION, 10)
         assert tree.feature[0] == 0
         assert _nodes(tree) == preorder(oracles._grow(X, y, 0, 1, TASK_CLASSIFICATION, 10))
+
+
+class TestHistogramTreeMatchesReferenceAtScale:
+    """Thousands of rows give frontiers of many nodes at one depth, with many
+    present bins each, which the few-row property tests above barely reach."""
+
+    @staticmethod
+    def _data(task):
+        rng = np.random.default_rng(17)
+        rows = 2_400  # 2,000 to train on, 400 held out
+        columns = [rng.integers(0, k, rows) * 0.5 - 3.0 for k in (2, 6, 31, 50, 250)]
+        special = [np.nan, -np.inf, np.inf, -1.0, 0.0, 2.5]
+        columns.append(rng.choice(special, rows, p=[0.1, 0.1, 0.1, 0.3, 0.2, 0.2]))
+        X = np.column_stack(columns)
+        noise = rng.integers(0, 4, rows)
+        if task == TASK_CLASSIFICATION:
+            y = (np.floor(X[:, 4] / 20) + 2 * X[:, 1] + noise
+                 + np.isinf(X[:, 5])).astype(int) % 3
+        else:
+            y = np.floor(4 * X[:, 2] - X[:, 3] + 3 * np.isnan(X[:, 5])) + noise
+        return X[:2_000], y[:2_000], X[2_000:]
+
+    @pytest.mark.parametrize("task", [TASK_CLASSIFICATION, TASK_REGRESSION])
+    def test_trees_and_held_out_predictions_match(self, task):
+        X, y, held_out = self._data(task)
+        _assert_same_trees(task, X, y, held_out, 8, 3, 5)
 
 
 class TestRegressionSplitsOnLargeTargets:
