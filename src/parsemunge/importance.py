@@ -204,9 +204,9 @@ def permutation_importance(artifact: FitArtifact, table: TidyTable,
 # feature to the codes of its sorted distinct values once. Every (row,
 # feature) of a tree's sample then carries a key naming its (frontier node,
 # bin) pair, so one bincount over the keys (and classes) gives every frontier
-# node's histograms, and only the pairs present are scored. A split moves a
-# row's keys into its child's half of a key space twice the size; where that
-# space would outgrow the rows' cells, the present pairs are renumbered first.
+# node's histograms, and only the pairs present are scored. After a split the
+# present pairs are renumbered, and each row's keys move into its child's half
+# of twice their number, so the keys stay below twice the rows' cells.
 # A cut lies between two adjacent bins present in a node, its threshold is
 # their midpoint, and NaN, which sorts last, never offers one. Each bootstrap
 # grows its own tree, and the trees are stored as one flat forest, which
@@ -424,20 +424,15 @@ def _grow(bins: _Bins, y, samples, max_depth: int, task: str, n_classes: int) ->
             # Rows of the split nodes move to their children by one gather.
             keep = split[node]
             rows, node = rows[keep], node[keep]
-            keys = np.compress(keep, keys, axis=0)
-            if 2 * len(key_node) * max(n_classes, 1) > keys.size:
-                # Renumber the present pairs, so that the children's histograms
-                # stay within twice the (row, feature) cells.
-                rank = np.zeros(len(key_node), dtype=keys.dtype)
-                rank[present] = np.arange(len(present))
-                keys = np.take(rank, keys)
-                key_node, key_bin = pair_node, pair_bin
+            rank = np.zeros(len(key_node), dtype=keys.dtype)
+            rank[present] = np.arange(len(present))
+            keys = np.take(rank, np.compress(keep, keys, axis=0))
             right = codes[rows, choice[node]] > bound[node]
             node = 2 * rank_split[node] + right
-            keys = keys + (right.astype(keys.dtype) * len(key_node))[:, None]
+            keys += (right.astype(keys.dtype) * len(present))[:, None]
             # Pairs of the nodes that did not split are never present again.
-            key_node = np.concatenate([2 * rank_split[key_node], 2 * rank_split[key_node] + 1])
-            key_bin = np.tile(key_bin, 2)
+            key_node = np.concatenate([2 * rank_split[pair_node], 2 * rank_split[pair_node] + 1])
+            key_bin = np.tile(pair_bin, 2)
             m = 2 * int(split.sum())
     feature, threshold, left, right, value = map(np.concatenate, zip(*levels))
     return _Forest(np.array(roots, dtype=np.intp), feature, threshold, left, right, value,
