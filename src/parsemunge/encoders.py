@@ -14,16 +14,21 @@ import sys
 from itertools import repeat
 from math import isinf
 
+import numpy as np
+
+from . import infill
 from .errors import DataError
-from .infill import mark_targets
 from .tidytable import (
     COLTYPE_ALL_MISSING,
     COLTYPE_NUMERIC,
     Cell,
-    as_number,
     canon_text,
     distinct_counts,
     infer_coltype,
+    largest_magnitude,
+    numbers,
+    sum_scale_exponent,
+    value_order_fsum,
 )
 
 CLASS_NUMERIC = "numeric"
@@ -131,7 +136,7 @@ class NarwBehavior(Behavior):
         return {"rule": root_rule}
 
     def apply_distinct(self, state, values):
-        return [list(map(_BITS.__getitem__, mark_targets(values, state["rule"])))]
+        return [list(map(_BITS.__getitem__, infill.mark_targets(values, state["rule"])))]
 
 
 class ExclBehavior(Behavior):
@@ -268,59 +273,53 @@ class B1010Behavior(RankedCodeBehavior):
         return [[_BITS[(c >> shift) & 1] for c in codes] for shift in range(size - 1, -1, -1)]
 
 
-def _weighted_moments(counts: dict[Cell, int]) -> tuple[float, float, float, int]:
-    """Population mean/std over parsable values, weighted by occurrence.
+def numeric_counts(counts: dict[Cell, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The parsable values among the keys of ``counts``, in key order, and
+    their counts, as arrays."""
+    values, present = numbers(list(counts))
+    weights = np.fromiter(counts.values(), np.int64, len(counts))
+    return values[present], weights[present]
+
+
+@np.errstate(over="ignore", invalid="ignore")  # infinite values give inf and NaN, silently
+def _weighted_moments(values: np.ndarray, weights: np.ndarray) -> tuple[float, float, float, int]:
+    """Population mean/std of values, each counting its weight.
 
     Returns (mean, shift, std, total) where shift is the residual between the
     rounded mean and the true mean; centering as (v - mean) - shift keeps the
-    standardized column's mean at zero even when std << |mean|.
+    standardized column's mean at zero even when std << |mean|. Every sum is
+    an ``fsum``, correctly rounded in any order, over one term per value.
     """
-    pairs = sorted(
-        (v, c)
-        for v, c in ((as_number(cell), c) for cell, c in counts.items())
-        if v is not None
-    )
-    total = sum(c for _, c in pairs)
+    total = int(weights.sum())
     if not total:
         return 0.0, 0.0, 0.0, 0
-    exp = sum_scale_exponent(max(-pairs[0][0], pairs[-1][0]), total)
+    exp = sum_scale_exponent(largest_magnitude(values), total)
     if exp:
-        pairs = [(math.ldexp(v, -exp), c) for v, c in pairs]
-    mean = math.fsum(v * c for v, c in pairs) / total
-    shift = math.fsum((v - mean) * c for v, c in pairs) / total
-    std = deviation_std([(v - mean) - shift for v, _ in pairs], total, [c for _, c in pairs])
+        values = np.ldexp(values, -exp)
+    mean = value_order_fsum(values * weights, values, weights) / total
+    shift = math.fsum(((values - mean) * weights).tolist()) / total
+    std = deviation_std((values - mean) - shift, total, weights)
     return math.ldexp(mean, exp), math.ldexp(shift, exp), math.ldexp(std, exp), total
 
 
-def sum_scale_exponent(largest: float, total: int) -> int:
-    """Power of two to divide values of magnitude at most ``largest`` by, so
-    that sums of ``total`` of them (weights included) and of their deviations
-    from their mean stay inside the float range; 0 when they already do.
-
-    Dividing by a power of two is exact unless a value becomes subnormal, and
-    data that needs no scaling is not scaled, so its results keep every bit.
-    """
-    return max(0, math.frexp(largest)[1] + total.bit_length() + 2 - 1024)
-
-
-def deviation_std(deviations: list[float], total: int, counts=None) -> float:
-    """sqrt(sum(count * d**2) / total) over deviations in ascending order, each
-    counting once by default.
+def deviation_std(deviations: np.ndarray, total: int, counts: np.ndarray | None = None) -> float:
+    """sqrt(sum(count * d**2) / total) over the deviations, each counting once
+    by default.
 
     Where the squares would overflow or lose bits as subnormals, every
     deviation is first scaled by the power of two of the largest, which is
     exact. Other data is not scaled, since pow() may round a scaled square
-    differently in the last bit.
+    differently in the last bit. Squares are taken by pow(), which rounds
+    some of them differently from d * d.
     """
-    largest = max(-deviations[0], deviations[-1]) if deviations else 0.0
+    largest = largest_magnitude(deviations) if len(deviations) else 0.0
     if largest == 0.0:
         return 0.0
     exp = math.frexp(largest)[1]
     exp = 0 if -400 <= exp <= 400 else max(exp, -1023)  # keeps 2**-exp finite
-    scale = math.ldexp(1.0, -exp)
-    squares = ((d * scale) ** 2 for d in deviations)
+    squares = map(pow, (deviations * math.ldexp(1.0, -exp)).tolist(), repeat(2))
     if counts is not None:
-        squares = map(operator.mul, squares, counts)
+        squares = map(operator.mul, squares, counts.tolist())
     return math.ldexp(math.sqrt(math.fsum(squares) / total), exp)
 
 
@@ -331,7 +330,7 @@ class NmbrBehavior(Behavior):
     fit_schema = {"mean": float, "shift": float, "std": float}
 
     def fit(self, counts, params, root_rule):
-        mean, shift, std, _ = _weighted_moments(counts)
+        mean, shift, std, _ = _weighted_moments(*numeric_counts(counts))
         if std < sys.float_info.min:
             # A subnormal std is a rounded stand-in for a spread too small to
             # represent; dividing by it does not standardize, so it counts as none.
@@ -342,12 +341,14 @@ class NmbrBehavior(Behavior):
         mean, shift, std = state["mean"], state["shift"], state["std"]
         if std == 0.0:
             return [[0.0] * len(values)]
-        # Quartering every term is exact for normal floats. Only data spanning
-        # more than the float range takes the quartered terms: the rest keeps every bit.
-        return [[0.0 if v is None
-                 else ((v - mean) - shift) / std if not isinf(v - mean)
-                 else ((v * 0.25 - mean * 0.25) - shift * 0.25) / (std * 0.25)
-                 for v in map(as_number, values)]]
+        v, present = numbers(values)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = v - mean
+            # Quartering every term is exact for normal floats. Only data spanning
+            # more than the float range takes the quartered terms: the rest keeps every bit.
+            out = np.where(np.isinf(d), ((v * 0.25 - mean * 0.25) - shift * 0.25) / (std * 0.25),
+                           (d - shift) / std)
+        return [np.where(present, out, 0.0).tolist()]
 
     def decoder(self, state):
         mean, shift, std = state["mean"], state["shift"], state["std"]
@@ -368,10 +369,11 @@ class MnmxBehavior(Behavior):
     fit_schema = {"min": float, "max": float, "mean": float}
 
     def fit(self, counts, params, root_rule):
-        mean, shift, _, _ = _weighted_moments(counts)
-        values = [v for v in (as_number(c) for c in counts) if v is not None]
-        lo = min(values) if values else 0.0
-        hi = max(values) if values else 0.0
+        values, weights = numeric_counts(counts)
+        mean, shift, _, _ = _weighted_moments(values, weights)
+        # The first of equal extremes, as min() and max() take it: -0.0 or 0.0.
+        lo = float(values[values.argmin()]) if len(values) else 0.0
+        hi = float(values[values.argmax()]) if len(values) else 0.0
         return {"min": lo, "max": hi, "mean": mean + shift}
 
     def compile(self, state):
@@ -385,8 +387,10 @@ class MnmxBehavior(Behavior):
         q, lo, span, mean = compiled
         if span == 0.0:
             return [[0.0] * len(values)]
+        v, present = numbers(values)
         # A missing value takes the train mean, scaled as the others.
-        return [[((mean if v is None else v) * q - lo) / span for v in map(as_number, values)]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return [((np.where(present, v, mean) * q - lo) / span).tolist()]
 
     def decoder(self, state):
         q, lo, span, _ = self.compile(state)

@@ -15,6 +15,7 @@ import hashlib
 import json
 import logging
 from dataclasses import dataclass
+from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
@@ -134,12 +135,11 @@ def permutation_importance(artifact: FitArtifact, table: TidyTable,
                            val_fraction: float = 0.2, seed: int = 0,
                            repeats: int = 1) -> ImportanceReport:
     """Seeded split, base score, then per-feature and per-column shuffle metrics."""
-    if not 0 < val_fraction < 1:
+    if isinstance(val_fraction, bool) or not isinstance(val_fraction, Real) or not (
+            0 < val_fraction < 1):
         raise ConfigError(f"val_fraction must lie strictly between 0 and 1, not {val_fraction!r}")
-    if seed < 0:
-        raise ConfigError(f"seed must not be negative, not {seed!r}")
-    if repeats < 1:
-        raise ConfigError(f"repeats must be at least 1, not {repeats!r}")
+    seed = _checked_count("seed", seed, 0)
+    repeats = _checked_count("repeats", repeats, 1)
     if len(labels) != table.row_count:
         raise DataError("labels length does not match table rows")
     encoded = apply(artifact, table)
@@ -464,8 +464,7 @@ def builtin_tree(task: str, max_depth: int = 8, n_trees: int = 10,
     """Small bagged-CART ensemble; deterministic for a given seed."""
     if task not in (TASK_CLASSIFICATION, TASK_REGRESSION):
         raise ConfigError(f"unknown task {task!r}")
-    if seed < 0:
-        raise ConfigError(f"seed must not be negative, not {seed!r}")
+    seed = _checked_count("seed", seed, 0)
     max_depth = _checked_count("max_depth", max_depth, 0)
     n_trees = _checked_count("n_trees", n_trees, 1)
 

@@ -7,10 +7,22 @@ category's rule; fills of the encoded columns use train-basis statistics only.
 from __future__ import annotations
 
 import math
+import operator
 import re
+from itertools import compress, count, repeat
+from math import isinf
+
+import numpy as np
 
 from .errors import ConfigError
-from .tidytable import Cell, as_number, canon_text
+from .tidytable import (
+    Cell,
+    canon_text,
+    largest_magnitude,
+    numbers,
+    sum_scale_exponent,
+    value_order_fsum,
+)
 
 KIND_DEFAULT = "default"
 KIND_ZERO = "zero"
@@ -38,53 +50,63 @@ NUMERIC_ONLY_KINDS = (KIND_MEAN, KIND_MEDIAN)
 _DIGIT = re.compile("[0-9]")
 
 
-def is_infill_target(cell: Cell, rule: str) -> bool:
-    """Missing cells are always targets; numeric rules also target unparsable text."""
-    if cell is None:
-        return True
+def mark_targets(col: list[Cell], rule: str = "missing_only") -> list[bool]:
+    """Whether each value is an infill target: missing values always are;
+    numeric rules also target text that does not parse."""
     if rule == "numeric_parse":
-        return as_number(cell) is None
+        return (~numbers(col)[1]).tolist()
     if rule == "numeric_extract":
         # nmcm_extract finds a number exactly when the text holds an ASCII digit.
-        return _DIGIT.search(canon_text(cell)) is None
-    return False
+        return [cell is None or _DIGIT.search(canon_text(cell)) is None for cell in col]
+    return list(map(operator.is_, col, repeat(None)))
 
 
-def mark_targets(col: list[Cell], rule: str = "missing_only") -> list[bool]:
-    return [is_infill_target(cell, rule) for cell in col]
+def _holds_text(values) -> bool:
+    return any(issubclass(t, str) for t in set(map(type, values)))
 
 
-def _sort_key(value):
-    return (isinstance(value, str), value)
-
-
-def train_stat(kind: str, pairs: list[tuple]) -> float | None:
-    """Train-basis statistic for a fill kind over (value, count) non-target pairs."""
+def train_stat(kind: str, values: list[Cell], counts: np.ndarray) -> float | str | None:
+    """Train-basis statistic for a fill kind over non-target values, each
+    counting its entry of ``counts``; None values are left out."""
     if kind not in (KIND_MEAN, KIND_MEDIAN, KIND_MODE):
         return None
-    pairs = [(v, c) for v, c in pairs if v is not None]
-    if not pairs:
-        return None
     if kind == KIND_MODE:
-        return sorted(pairs, key=lambda vc: (-vc[1], _sort_key(vc[0])))[0][0]
-    if any(isinstance(v, str) for v, _ in pairs):
+        return _mode(values, counts)
+    if _holds_text(values):
         raise ConfigError(f"{kind} infill requires a numeric column")
-    total = sum(c for _, c in pairs)
+    values, present = numbers(values)
+    values, counts = values[present], counts[present]
+    total = int(counts.sum())
+    if not len(values):
+        return None
     if kind == KIND_MEAN:
-        return math.fsum(v * c for v, c in sorted(pairs)) / total
-    # weighted median over the expanded multiset
-    ordered = sorted(pairs)
-    lo_pos, hi_pos = (total - 1) // 2, total // 2
-    lo = hi = None
-    cum = 0
-    for v, c in ordered:
-        cum += c
-        if lo is None and cum > lo_pos:
-            lo = v
-        if hi is None and cum > hi_pos:
-            hi = v
-            break
-    return (lo + hi) / 2.0
+        # Scaled as in the moments of nmbr, so that the sum cannot overflow.
+        exp = sum_scale_exponent(largest_magnitude(values), total)
+        scaled = np.ldexp(values, -exp)
+        with np.errstate(over="ignore"):  # only beside an infinite value, which sets the sum
+            terms = scaled * counts
+        return math.ldexp(value_order_fsum(terms, scaled, counts) / total, exp)
+    # weighted median over the expanded multiset: the values in order, equal
+    # values by count, then in the order given
+    order = np.lexsort((counts, values))
+    cum = np.cumsum(counts[order])
+    lo, hi = values[order[np.searchsorted(cum, [(total - 1) // 2, total // 2], side="right")]]
+    lo, hi = float(lo), float(hi)
+    middle = lo + hi
+    if isinf(middle) and not (isinf(lo) or isinf(hi)):
+        return lo / 2.0 + hi / 2.0  # the sum overflows; each half is exact
+    return middle / 2.0
+
+
+def _mode(values: list[Cell], counts: np.ndarray) -> Cell:
+    """The value with the largest count; of equal counts the smallest, numbers
+    before text, and of equal values the first."""
+    counts = np.where(list(map(operator.is_, values, repeat(None))), 0, counts)
+    if not len(values) or not counts.max():
+        return None
+    tied = list(map(values.__getitem__, np.flatnonzero(counts == counts.max()).tolist()))
+    floats = [v for v in tied if not isinstance(v, str)]
+    return min(floats or tied)
 
 
 def apply_infill(col: list[Cell], mask: list[bool], kind: str,
@@ -94,9 +116,8 @@ def apply_infill(col: list[Cell], mask: list[bool], kind: str,
     non-target row instead, so the fill shows only where every row is a target."""
     if kind == KIND_DEFAULT:
         return list(col)
-    if kind in NUMERIC_ONLY_KINDS and any(
-        isinstance(v, str) for v, m in zip(col, mask) if not m
-    ):
+    if (kind in NUMERIC_ONLY_KINDS and _holds_text(col)  # text at a target is filled over
+            and _holds_text(compress(col, map(operator.not_, mask)))):
         raise ConfigError(f"{kind} infill requires a numeric column")
     stat = 0.0 if stat is None else stat
     fills = {KIND_ZERO: 0.0, KIND_ADJACENT: 0.0, KIND_ONE: 1.0, KIND_NEGZERO: -0.0,
@@ -105,4 +126,7 @@ def apply_infill(col: list[Cell], mask: list[bool], kind: str,
         fill = fills[kind]
     except KeyError:
         raise ConfigError(f"unknown infill kind {kind!r}") from None
-    return [fill if m else v for v, m in zip(col, mask)]
+    filled = list(col)
+    for i in compress(count(), mask):
+        filled[i] = fill
+    return filled

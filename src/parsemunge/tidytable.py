@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import compress, count, islice
+from itertools import compress, count, islice, repeat
 
 import numpy as np
 
@@ -39,6 +40,7 @@ COLTYPE_ALL_MISSING = "all-missing"
 BLOCK_ROWS = 2**14
 
 _NEG_ZERO_BITS = np.float64(-0.0).view(np.uint64)
+_FLOAT_OR_NONE = {float, type(None)}
 
 # Strict decimal grammar: no inf/nan words, no underscores, no stray whitespace.
 _DECIMAL_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z", re.ASCII)
@@ -81,6 +83,52 @@ def as_number(cell: Cell) -> float | None:
     return parse_number(cell)
 
 
+def numbers(values: list[Cell]) -> tuple[np.ndarray, np.ndarray]:
+    """``as_number`` of every value as a float64 array, NaN where it is None,
+    and the mask of the values where it is not None; a NaN cell is present.
+
+    A list of floats and None without a NaN float converts in one call; any
+    other list is converted value by value.
+    """
+    if set(map(type, values)) <= _FLOAT_OR_NONE:
+        array = np.array(values, dtype=np.float64)
+        missing = np.isnan(array)  # a None or a NaN cell
+        if set(map(values.__getitem__, np.flatnonzero(missing).tolist())) <= {None}:
+            return array, ~missing
+    parsed = list(map(as_number, values))
+    present = np.fromiter(map(operator.is_not, parsed, repeat(None)), bool, len(parsed))
+    return np.array(parsed, dtype=np.float64), present
+
+
+def largest_magnitude(values: np.ndarray) -> float:
+    """The largest ``abs`` of non-empty values, a NaN left out unless all are:
+    a NaN makes every sum NaN whatever the scale."""
+    return float(np.fmax.reduce(np.abs(values)))
+
+
+def sum_scale_exponent(largest: float, total: int) -> int:
+    """Power of two to divide values of magnitude at most ``largest`` by, so
+    that sums of ``total`` of them (weights included) and of their deviations
+    from their mean stay inside the float range; 0 when they already do.
+
+    Dividing by a power of two is exact unless a value becomes subnormal, and
+    data that needs no scaling is not scaled, so its results keep every bit.
+    """
+    return max(0, math.frexp(largest)[1] + total.bit_length() + 2 - 1024)
+
+
+def value_order_fsum(terms: np.ndarray, values: np.ndarray,
+                     counts: np.ndarray | None = None) -> float:
+    """``math.fsum`` of one term per value, as if over the (value, count) pairs
+    in ascending order. fsum is correctly rounded in any order while its
+    partial sums stay finite, as scaled finite values keep them; an infinite
+    term restarts them, so that whether a finite overflow raises then depends
+    on the order. Only then are the terms sorted."""
+    if np.isinf(values).any():
+        terms = terms[np.lexsort((values,) if counts is None else (counts, values))]
+    return math.fsum(terms.tolist())
+
+
 @dataclass
 class TidyTable:
     """One column per feature, one row per observation.
@@ -94,11 +142,10 @@ class TidyTable:
     def __post_init__(self):
         if len(self.headers) != len(self.columns):
             raise DataError("header count does not match column count")
-        seen = set()
-        for h in self.headers:
-            if h in seen:
+        self._position: dict[str, int] = {}  # header -> column position
+        for i, h in enumerate(self.headers):
+            if self._position.setdefault(h, i) != i:
                 raise DataError(f"duplicate header: {h!r}")
-            seen.add(h)
         lengths = {len(c) for c in self.columns}
         if len(lengths) > 1:
             raise DataError("columns have unequal lengths")
@@ -109,8 +156,8 @@ class TidyTable:
 
     def column(self, header: str) -> list[Cell]:
         try:
-            return self.columns[self.headers.index(header)]
-        except ValueError:
+            return self.columns[self._position[header]]
+        except KeyError:
             raise DataError(f"no such column: {header!r}") from None
 
     def __eq__(self, other) -> bool:

@@ -29,7 +29,6 @@ from .encoders import (
     Behavior,
     auto_root_select,
     deviation_std,
-    sum_scale_exponent,
     text_counts,
 )
 from .errors import ConfigError, DataError
@@ -52,6 +51,10 @@ from .tidytable import (
     distinct_counts,
     factorize,
     infer_coltype,
+    largest_magnitude,
+    numbers,
+    sum_scale_exponent,
+    value_order_fsum,
 )
 
 logger = logging.getLogger(__name__)
@@ -162,13 +165,15 @@ def _resolve_params(opts: Options, behavior, category: str, source_header: str) 
 def _source_stats(col: list[Cell]) -> dict:
     coltype = infer_coltype(col)
     if coltype == COLTYPE_NUMERIC:
-        values = sorted(v for v in col if v is not None)
-        total = len(values)
-        exp = sum_scale_exponent(max(-values[0], values[-1]), total) if total else 0
+        values, present = numbers(col)
+        values = values[present]
+        total = len(values)  # at least 1 in a numeric column
+        exp = sum_scale_exponent(largest_magnitude(values), total)
         if exp:
-            values = [math.ldexp(v, -exp) for v in values]
-        mean = math.fsum(values) / total if total else 0.0
-        std = deviation_std([v - mean for v in values], total)
+            values = np.ldexp(values, -exp)
+        mean = value_order_fsum(values, values) / total
+        with np.errstate(invalid="ignore"):  # an infinite mean gives NaN, silently
+            std = deviation_std(values - mean, total)
         return {"coltype": coltype, "total": total,
                 "mean": math.ldexp(mean, exp), "std": math.ldexp(std, exp)}
     freq = text_counts(distinct_counts(col))
@@ -299,12 +304,14 @@ def _fit_infill_spec(plan: SourcePlan, counts: dict, values: dict[str, list],
     the fit-time columns. Other columns get no entry, which means no infill;
     so do NArw's, which record missingness."""
     spec: dict[str, dict] = {}
-    kept = [(i, n) for i, (n, t) in enumerate(zip(counts.values(), target)) if not t]
+    kept = np.flatnonzero(np.logical_not(target))
+    weights = np.fromiter(counts.values(), np.int64, len(counts))[kept]
+    kept = kept.tolist()
     for h, behavior in plan.column_behaviors().items():
         if behavior.name == "NArw" or (kind in infill_mod.NUMERIC_ONLY_KINDS
                                        and behavior.coltype_class != CLASS_NUMERIC):
             continue
-        stat = infill_mod.train_stat(kind, [(values[h][i], n) for i, n in kept])
+        stat = infill_mod.train_stat(kind, list(map(values[h].__getitem__, kept)), weights)
         entry = {"kind": kind}
         if stat is not None:
             entry["value"] = stat

@@ -11,7 +11,9 @@ an argsort-and-cumsum CART with nested-dict nodes, and CSV files from a
 reader and writer that classify and render cell by cell, adjacent infill
 from a row-by-row forward fill, every behaviour's output from a rule
 applied to one value at a time (``REFERENCE_CELLS``), and code-map inversion
-from a dict of every output pattern.
+from a dict of every output pattern, and the numeric statistics (moments,
+infill statistics, target marks, min/max) from loops over sorted
+(value, count) pairs, one Python value at a time.
 """
 
 from __future__ import annotations
@@ -19,15 +21,17 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import operator
+import re
 import sys
 
 import numpy as np
 
 from parsemunge.encoders import binary_width
-from parsemunge.errors import DataError
+from parsemunge.errors import ConfigError, DataError
 from parsemunge.extract_search import nmcm_extract
 from parsemunge.importance import TASK_CLASSIFICATION, PredictorAdapter
-from parsemunge.infill import is_infill_target
+from parsemunge.infill import KIND_MEAN, KIND_MEDIAN, KIND_MODE
 from parsemunge.tidytable import (
     _DECIMAL_RE,
     DEFAULT_MISSING_TOKENS,
@@ -36,6 +40,7 @@ from parsemunge.tidytable import (
     as_number,
     canon_text,
     parse_number,
+    sum_scale_exponent,
 )
 from parsemunge.stringparse import OverlapMap, OverlapScanConfig, _width_index, _windows
 
@@ -403,6 +408,131 @@ def reference_adjacent_fill(col: list[Cell], mask: list[bool]) -> list[Cell]:
             out.append(v)
             last, seen = v, True
     return out
+
+
+# The numeric statistics and target marks as they were taken one value at a
+# time, before they were taken over float64 arrays (tidytable.numbers).
+
+_DIGIT = re.compile("[0-9]")
+
+
+def is_infill_target(cell: Cell, rule: str) -> bool:
+    """Missing cells are always targets; numeric rules also target unparsable text."""
+    if cell is None:
+        return True
+    if rule == "numeric_parse":
+        return as_number(cell) is None
+    if rule == "numeric_extract":
+        # nmcm_extract finds a number exactly when the text holds an ASCII digit.
+        return _DIGIT.search(canon_text(cell)) is None
+    return False
+
+
+def reference_mark_targets(col: list[Cell], rule: str = "missing_only") -> list[bool]:
+    return [is_infill_target(cell, rule) for cell in col]
+
+
+def _sort_key(value):
+    return (isinstance(value, str), value)
+
+
+def reference_train_stat(kind: str, pairs: list[tuple]) -> float | None:
+    """Train-basis statistic for a fill kind over (value, count) non-target
+    pairs, as it was before the mean was scaled and the median halved on
+    overflow: where the sum overflows, the mean and median read inf."""
+    if kind not in (KIND_MEAN, KIND_MEDIAN, KIND_MODE):
+        return None
+    pairs = [(v, c) for v, c in pairs if v is not None]
+    if not pairs:
+        return None
+    if kind == KIND_MODE:
+        return sorted(pairs, key=lambda vc: (-vc[1], _sort_key(vc[0])))[0][0]
+    if any(isinstance(v, str) for v, _ in pairs):
+        raise ConfigError(f"{kind} infill requires a numeric column")
+    total = sum(c for _, c in pairs)
+    if kind == KIND_MEAN:
+        return math.fsum(v * c for v, c in sorted(pairs)) / total
+    # weighted median over the expanded multiset
+    ordered = sorted(pairs)
+    lo_pos, hi_pos = (total - 1) // 2, total // 2
+    lo = hi = None
+    cum = 0
+    for v, c in ordered:
+        cum += c
+        if lo is None and cum > lo_pos:
+            lo = v
+        if hi is None and cum > hi_pos:
+            hi = v
+            break
+    return (lo + hi) / 2.0
+
+
+def reference_weighted_moments(counts: dict[Cell, int]) -> tuple[float, float, float, int]:
+    """Population mean/std over parsable values, weighted by occurrence.
+
+    Returns (mean, shift, std, total) where shift is the residual between the
+    rounded mean and the true mean; centering as (v - mean) - shift keeps the
+    standardized column's mean at zero even when std << |mean|.
+    """
+    pairs = sorted(
+        (v, c)
+        for v, c in ((as_number(cell), c) for cell, c in counts.items())
+        if v is not None
+    )
+    total = sum(c for _, c in pairs)
+    if not total:
+        return 0.0, 0.0, 0.0, 0
+    exp = sum_scale_exponent(max(-pairs[0][0], pairs[-1][0]), total)
+    if exp:
+        pairs = [(math.ldexp(v, -exp), c) for v, c in pairs]
+    mean = math.fsum(v * c for v, c in pairs) / total
+    shift = math.fsum((v - mean) * c for v, c in pairs) / total
+    std = reference_deviation_std([(v - mean) - shift for v, _ in pairs], total,
+                                  [c for _, c in pairs])
+    return math.ldexp(mean, exp), math.ldexp(shift, exp), math.ldexp(std, exp), total
+
+
+def reference_deviation_std(deviations: list[float], total: int, counts=None) -> float:
+    """sqrt(sum(count * d**2) / total) over deviations in ascending order, each
+    counting once by default.
+
+    Where the squares would overflow or lose bits as subnormals, every
+    deviation is first scaled by the power of two of the largest, which is
+    exact. Other data is not scaled, since pow() may round a scaled square
+    differently in the last bit.
+    """
+    largest = max(-deviations[0], deviations[-1]) if deviations else 0.0
+    if largest == 0.0:
+        return 0.0
+    exp = math.frexp(largest)[1]
+    exp = 0 if -400 <= exp <= 400 else max(exp, -1023)  # keeps 2**-exp finite
+    scale = math.ldexp(1.0, -exp)
+    squares = ((d * scale) ** 2 for d in deviations)
+    if counts is not None:
+        squares = map(operator.mul, squares, counts)
+    return math.ldexp(math.sqrt(math.fsum(squares) / total), exp)
+
+
+def reference_numeric_source_stats(col: list[Cell]) -> dict:
+    """The train-basis statistics of a numeric source column (every cell a
+    number or None, at least one number), from its sorted cells."""
+    values = sorted(v for v in col if v is not None)
+    total = len(values)
+    exp = sum_scale_exponent(max(-values[0], values[-1]), total) if total else 0
+    if exp:
+        values = [math.ldexp(v, -exp) for v in values]
+    mean = math.fsum(values) / total if total else 0.0
+    std = reference_deviation_std([v - mean for v in values], total)
+    return {"coltype": "numeric", "total": total,
+            "mean": math.ldexp(mean, exp), "std": math.ldexp(std, exp)}
+
+
+def reference_min_max(counts: dict[Cell, int]) -> tuple[float, float]:
+    """mnmx's fitted min and max: the first of equal extremes among the keys."""
+    values = [v for v in (as_number(c) for c in counts) if v is not None]
+    lo = min(values) if values else 0.0
+    hi = max(values) if values else 0.0
+    return lo, hi
 
 
 # Each behaviour's output for one value, by the rules the behaviours applied

@@ -172,7 +172,10 @@ class TestPermutationImportance:
         with pytest.raises(ConfigError, match="seed"):
             permutation_importance(artifact, table, labels, adapter, seed=1)
 
-    @pytest.mark.parametrize("val_fraction, seed", [(0, 0), (1.0, 0), (1e308, 0), (0.2, -1)])
+    @pytest.mark.parametrize("val_fraction, seed", [
+        (0, 0), (1.0, 0), (1e308, 0), (0.2, -1),
+        (None, 0), (2.5, 0), (True, 0), ("1", 0), (0.2, None), (0.2, 2.5), (0.2, True), (0.2, "1"),
+    ])
     def test_out_of_range_argument_rejected(self, val_fraction, seed):
         table, labels = _labelled_table(50, 1)
         _, artifact = pm.fit(table)
@@ -183,6 +186,11 @@ class TestPermutationImportance:
     def test_negative_tree_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed"):
             builtin_tree(TASK_CLASSIFICATION, seed=-1)
+
+    @pytest.mark.parametrize("seed", [None, 2.5, True, "1"])
+    def test_tree_seed_other_than_an_integer_rejected(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            builtin_tree(TASK_CLASSIFICATION, seed=seed)
 
     def test_zero_trees_rejected(self):
         with pytest.raises(ConfigError, match="n_trees"):
@@ -211,6 +219,14 @@ class TestPermutationImportance:
         adapter = builtin_tree(TASK_CLASSIFICATION)
         with pytest.raises(ConfigError, match="repeats"):
             permutation_importance(artifact, table, labels, adapter, repeats=0)
+
+    @pytest.mark.parametrize("repeats", [None, 2.5, True, "1"])
+    def test_repeats_other_than_a_positive_integer_rejected(self, repeats):
+        table, labels = _labelled_table(50, 1)
+        _, artifact = pm.fit(table)
+        adapter = builtin_tree(TASK_CLASSIFICATION)
+        with pytest.raises(ConfigError, match="repeats"):
+            permutation_importance(artifact, table, labels, adapter, repeats=repeats)
 
     def test_too_few_validation_rows(self):
         table = _table(a=["x", "y", "x", "y"])

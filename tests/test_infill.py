@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,10 +17,14 @@ from parsemunge.infill import (
     KIND_ONE,
     KIND_ZERO,
     apply_infill,
-    is_infill_target,
     mark_targets,
     train_stat,
 )
+
+
+def pair_stat(kind, pairs):
+    """train_stat over (value, count) pairs."""
+    return train_stat(kind, [v for v, _ in pairs], np.array([c for _, c in pairs], np.int64))
 
 
 class TestMarkTargets:
@@ -36,7 +41,7 @@ class TestMarkTargets:
         assert mark_targets(["a", "b"]) == [False, False]
 
     def test_number_cells_parse(self):
-        assert is_infill_target(3.0, "numeric_parse") is False
+        assert mark_targets([3.0, -0.0], "numeric_parse") == [False, False]
 
     @given(st.one_of(st.text(), st.text(alphabet="ab09,.- \u0663\uff19\u00b2")))
     @example("\u0663")  # a non-ASCII digit is no digit to nmcm_extract
@@ -46,7 +51,7 @@ class TestMarkTargets:
     def test_numeric_extract_rule_is_the_extraction_failing(self, text):
         # The rule tests for an ASCII digit; extraction fails exactly without
         # one, whatever its flags.
-        target = is_infill_target(text, "numeric_extract")
+        [target] = mark_targets([text], "numeric_extract")
         for flags in itertools.product((False, True), repeat=3):
             assert target == (nmcm_extract(text, *flags) is None)
 
@@ -54,7 +59,7 @@ class TestMarkTargets:
 class TestApplyInfill:
     def test_mean_two_point(self):
         col, mask = [1.0, None, 3.0], [False, True, False]
-        stat = train_stat(KIND_MEAN, [(1.0, 1), (3.0, 1)])
+        stat = pair_stat(KIND_MEAN, [(1.0, 1), (3.0, 1)])
         assert apply_infill(col, mask, KIND_MEAN, stat) == [1.0, 2.0, 3.0]
 
     def test_adjacent_all_target(self):
@@ -62,7 +67,7 @@ class TestApplyInfill:
 
     def test_mode(self):
         pairs = [(1.0, 2), (2.0, 1)]
-        stat = train_stat(KIND_MODE, pairs)
+        stat = pair_stat(KIND_MODE, pairs)
         assert stat == 1.0
         assert apply_infill([1.0, None, 1.0, 2.0], [False, True, False, False],
                             KIND_MODE, stat) == [1.0, 1.0, 1.0, 2.0]
@@ -91,21 +96,21 @@ class TestApplyInfill:
 
 class TestTrainStat:
     def test_weighted_mean(self):
-        assert train_stat(KIND_MEAN, [(1.0, 3), (5.0, 1)]) == 2.0
+        assert pair_stat(KIND_MEAN, [(1.0, 3), (5.0, 1)]) == 2.0
 
     def test_weighted_median_odd(self):
-        assert train_stat(KIND_MEDIAN, [(1.0, 1), (2.0, 1), (9.0, 1)]) == 2.0
+        assert pair_stat(KIND_MEDIAN, [(1.0, 1), (2.0, 1), (9.0, 1)]) == 2.0
 
     def test_weighted_median_even(self):
-        assert train_stat(KIND_MEDIAN, [(1.0, 2), (9.0, 2)]) == 5.0
+        assert pair_stat(KIND_MEDIAN, [(1.0, 2), (9.0, 2)]) == 5.0
 
     def test_mode_tie_smallest(self):
-        assert train_stat(KIND_MODE, [(2.0, 2), (1.0, 2)]) == 1.0
+        assert pair_stat(KIND_MODE, [(2.0, 2), (1.0, 2)]) == 1.0
 
     def test_mean_on_text_rejected(self):
         with pytest.raises(ConfigError):
-            train_stat(KIND_MEAN, [("a", 1)])
+            pair_stat(KIND_MEAN, [("a", 1)])
 
     def test_no_stat_kinds(self):
-        assert train_stat(KIND_ZERO, [(1.0, 1)]) is None
-        assert train_stat(KIND_ADJACENT, [(1.0, 1)]) is None
+        assert pair_stat(KIND_ZERO, [(1.0, 1)]) is None
+        assert pair_stat(KIND_ADJACENT, [(1.0, 1)]) is None

@@ -243,6 +243,33 @@ class TestAgainstReference:
             load_csv(path)
 
 
+class TestColumnLookup:
+    def test_lookup_compares_one_header(self):
+        # A wide table is read column by column (invert of a wide onht), so a
+        # lookup must not compare the header with every other one.
+        class CountingStr(str):
+            calls = 0
+
+            def __eq__(self, other):
+                CountingStr.calls += 1
+                return str.__eq__(self, other)
+
+            __hash__ = str.__hash__
+
+        headers = [f"h{i}" for i in range(2000)]
+        table = TidyTable(headers=headers, columns=[[float(i)] for i in range(2000)])
+        assert table.column(CountingStr("h1999")) == [1999.0]
+        assert CountingStr.calls <= 1
+
+    def test_unknown_and_duplicate_headers(self):
+        table = TidyTable(headers=["a", "b"], columns=[[1.0], [2.0]])
+        assert table.column("b") == [2.0]
+        with pytest.raises(DataError, match="no such column: 'c'"):
+            table.column("c")
+        with pytest.raises(DataError, match="duplicate header: 'a'"):
+            TidyTable(headers=["a", "b", "a"], columns=[[1.0], [2.0], [3.0]])
+
+
 class TestInferColtype:
     @pytest.mark.parametrize("col,expected", [
         ([1.0, 2.0, None], COLTYPE_NUMERIC),

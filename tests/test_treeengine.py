@@ -258,22 +258,17 @@ class TestApply:
         assert {"spl9", "sp10", "spl5", "srch"} <= behaviors
 
     def test_infill_target_rule_runs_once_per_distinct_value(self, monkeypatch):
-        # mark_targets is the engine's one call per infilled source; the rule
-        # itself (is_infill_target) must run once per distinct source value,
-        # for infill and for each source's NArw step.
-        marked, rule_calls = [], []
-        original_mark, original_rule = infill.mark_targets, infill.is_infill_target
+        # Targets are marked by one mark_targets call per infilled source and
+        # one per NArw step, in fit and in apply, each over exactly one
+        # source's distinct values: a mark taken per row fails here.
+        marked = []
+        original_mark = infill.mark_targets
 
         def counted_mark(values, rule):
             marked.append((list(values), rule))
             return original_mark(values, rule)
 
-        def counted_rule(cell, rule):
-            rule_calls.append(cell)
-            return original_rule(cell, rule)
-
         monkeypatch.setattr(infill, "mark_targets", counted_mark)
-        monkeypatch.setattr(infill, "is_infill_target", counted_rule)
         rnd = random.Random(5)
         table = _table(
             amount=[rnd.choice([None, 0.0, -0.0, "n/a", 1.5, 2.5]) for _ in range(300)],
@@ -282,25 +277,26 @@ class TestApply:
         )
         opts = Options(assigninfill={"meaninfill": ["amount"], "adjinfill": ["serial"]})
         roots = {"amount": "nmbr", "plain": "onht", "serial": "nmcm"}
-        expected = [(factorize(table.column(h))[0], rule) for h, rule in
-                    (("amount", "numeric_parse"), ("serial", "numeric_extract"))]
-        narw = sum(len(factorize(col)[0]) for col in table.columns)
+        amount, plain, serial = [(factorize(table.column(h))[0], rule) for h, rule in
+                                 (("amount", "numeric_parse"), ("plain", "missing_only"),
+                                  ("serial", "numeric_extract"))]
+        assert [len(values) for values, _ in (amount, plain, serial)] == [5, 3, 4]
+        # Each source's NArw step, then its infill, if it has one.
+        expected = [amount, amount, plain, serial, serial]
         encoded, artifact = pm.fit(table, roots, opts=opts)
         assert marked == expected  # both zeros are one distinct value
-        assert len(rule_calls) - narw == sum(len(values) for values, _ in expected) == 9
         marked.clear()
-        rule_calls.clear()
         assert pm.apply(artifact, table) == encoded
         assert marked == expected
-        assert len(rule_calls) - narw == 9
         marked.clear()
         pm.apply(artifact, _table(amount=[1.5] * 50, plain=[None] * 50, serial=["v2"] * 50))
-        assert marked == [([1.5], "numeric_parse"), (["v2"], "numeric_extract")]
-        # A source without an infill entry never marks its targets.
+        assert marked == [([1.5], "numeric_parse")] * 2 + [([None], "missing_only")] + [
+            (["v2"], "numeric_extract")] * 2
+        # A source without an infill entry marks its targets only for NArw.
         _, artifact = pm.fit(table, roots)
         marked.clear()
         pm.apply(artifact, table)
-        assert marked == []
+        assert marked == [amount, plain, serial]
 
 
 class TestEdgeCases:
