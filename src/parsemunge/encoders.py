@@ -81,6 +81,11 @@ class Behavior:
         it raises KeyError or TypeError on a tuple the step cannot output."""
         raise DataError(f"{self.name} is not invertible")
 
+    def decode_column(self, state: dict, values: np.ndarray) -> np.ndarray | None:
+        """The decoder's cells of a whole float64 column of a one-column step,
+        bit for bit; None where the step decodes pattern by pattern."""
+        return None
+
 
 def text_counts(counts: dict[Cell, int]) -> dict[str, int]:
     """Aggregate raw-cell counts onto canonical text forms, missing excluded."""
@@ -361,6 +366,13 @@ class NmbrBehavior(Behavior):
 
         return decode
 
+    def decode_column(self, state, values):
+        mean, shift, std = state["mean"], state["shift"], state["std"]
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = values * std
+            return np.where(np.isinf(d), ((values * (std * 0.25) + shift * 0.25) + mean * 0.25) / 0.25,
+                            (d + shift) + mean)
+
 
 class MnmxBehavior(Behavior):
     name = "mnmx"
@@ -396,10 +408,17 @@ class MnmxBehavior(Behavior):
         q, lo, span, _ = self.compile(state)
         return lambda values: (values[0] * span + lo) / q
 
+    def decode_column(self, state, values):
+        q, lo, span, _ = self.compile(state)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (values * span + lo) / q
 
-def auto_root_select(col: list[Cell], threshold: int = 255) -> str:
-    """Automation default: pick a root category from column type and cardinality."""
-    coltype = infer_coltype(col)
+
+def auto_root_select(col: list[Cell], threshold: int = 255, coltype: str | None = None) -> str:
+    """Automation default: pick a root category from column type and
+    cardinality; ``coltype`` is the column's ``infer_coltype``, found here
+    when not given."""
+    coltype = infer_coltype(col) if coltype is None else coltype
     if coltype == COLTYPE_NUMERIC:
         return "nmbr"
     if coltype == COLTYPE_ALL_MISSING:

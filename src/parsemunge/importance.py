@@ -94,9 +94,9 @@ def _feature_matrix(artifact: FitArtifact, encoded: TidyTable):
         groups[source] = headers
         for h in headers:
             col_index[h] = len(arrays)
-            raw = encoded.column(h)
-            arrays.append(np.array(
-                [v if isinstance(v, float) else 0.0 for v in raw], dtype=float
+            data = encoded.column_data(h)  # an array, or a list holding text or None
+            arrays.append(data if isinstance(data, np.ndarray) else np.array(
+                [v if isinstance(v, float) else 0.0 for v in data], dtype=float
             ))
     if arrays:
         X = np.column_stack(arrays)

@@ -2,7 +2,10 @@
 
 Cells are plain Python values: ``str`` for text, ``float`` for numbers,
 ``None`` for missing. Numbers are kept finite; anything that would parse to
-NaN or an infinity is normalized to missing at ingestion.
+NaN or an infinity is normalized to missing at ingestion. A column is stored
+as a list of cells, or as a float64 array when every cell is a float (the
+encoded columns ``fit`` and ``apply`` make); ``TidyTable.columns``,
+``column`` and ``==`` read an array column as a list of Python floats.
 
 CSV I/O works column by column over blocks of ``BLOCK_ROWS`` rows:
 ``load_csv`` classifies each distinct token of a column once and gathers the
@@ -19,7 +22,6 @@ import math
 import operator
 import re
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from itertools import compress, count, islice, repeat
 
 import numpy as np
@@ -57,10 +59,15 @@ def parse_number(text: str) -> float | None:
 
 
 def format_number(x: float) -> str:
-    """Shortest round-trip decimal rendering, integers without trailing '.0'."""
+    """Shortest round-trip decimal rendering, integers without trailing '.0'.
+    A NaN or an infinity has none: it raises DataError."""
     if x == 0.0:
         return "-0" if math.copysign(1.0, x) < 0 else "0"
-    if x == int(x) and abs(x) < 1e16:
+    try:
+        integral = x == int(x)
+    except (ValueError, OverflowError):
+        raise DataError(f"the number {x!r} is not finite and has no text form") from None
+    if integral and abs(x) < 1e16:
         return str(int(x))
     return repr(x)
 
@@ -129,41 +136,78 @@ def value_order_fsum(terms: np.ndarray, values: np.ndarray,
     return math.fsum(terms.tolist())
 
 
-@dataclass
+def _as_cells(data: list[Cell] | np.ndarray) -> list[Cell]:
+    """A stored column as a list of cells: an array as Python floats, one
+    float object per distinct bit pattern, as a gather from distinct values
+    shares them."""
+    if not isinstance(data, np.ndarray):
+        return data
+    bits, codes = np.unique(data.view(np.uint64), return_inverse=True)
+    floats = bits.view(np.float64).tolist()
+    return np.fromiter(floats, object, len(floats))[codes].tolist()
+
+
+def _same_cells(a: list[Cell] | np.ndarray, b: list[Cell] | np.ndarray) -> bool:
+    """Whether two stored columns are equal as lists of cells; two arrays
+    compare without building them."""
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        return a is b or np.array_equal(a, b)
+    return (a.tolist() if isinstance(a, np.ndarray) else a) == (
+        b.tolist() if isinstance(b, np.ndarray) else b)
+
+
 class TidyTable:
     """One column per feature, one row per observation.
 
-    Treated as immutable after construction; transforms build new tables.
+    A column is a list of cells or a one-dimensional float64 array; a list
+    is held as given. Treated as immutable after construction; transforms
+    build new tables.
     """
 
-    headers: list[str]
-    columns: list[list[Cell]]
-
-    def __post_init__(self):
-        if len(self.headers) != len(self.columns):
+    def __init__(self, headers: list[str], columns: list[list[Cell] | np.ndarray]):
+        self.headers = headers
+        self._data = list(columns)
+        if len(self.headers) != len(self._data):
             raise DataError("header count does not match column count")
         self._position: dict[str, int] = {}  # header -> column position
         for i, h in enumerate(self.headers):
             if self._position.setdefault(h, i) != i:
                 raise DataError(f"duplicate header: {h!r}")
-        lengths = {len(c) for c in self.columns}
+        for data in self._data:
+            if isinstance(data, np.ndarray) and (data.dtype != np.float64 or data.ndim != 1):
+                raise DataError(f"an array column must be one-dimensional float64,"
+                                f" not {data.ndim}-dimensional {data.dtype}")
+        lengths = {len(c) for c in self._data}
         if len(lengths) > 1:
             raise DataError("columns have unequal lengths")
 
     @property
     def row_count(self) -> int:
-        return len(self.columns[0]) if self.columns else 0
+        return len(self._data[0]) if self._data else 0
+
+    @property
+    def columns(self) -> list[list[Cell]]:
+        """Every column as a list of cells; an array column's list is built
+        on each read."""
+        return list(map(_as_cells, self._data))
 
     def column(self, header: str) -> list[Cell]:
+        return _as_cells(self.column_data(header))
+
+    def column_data(self, header: str) -> list[Cell] | np.ndarray:
+        """The column as stored: a list of cells, or a float64 array."""
         try:
-            return self.columns[self._position[header]]
+            return self._data[self._position[header]]
         except KeyError:
             raise DataError(f"no such column: {header!r}") from None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TidyTable):
             return NotImplemented
-        return self.headers == other.headers and self.columns == other.columns
+        return self.headers == other.headers and all(map(_same_cells, self._data, other._data))
+
+    def __repr__(self) -> str:
+        return f"TidyTable(headers={self.headers!r}, columns={self.columns!r})"
 
 
 def _classify(tokens: set[str], missing_tokens: frozenset[str]) -> dict[str, Cell]:
@@ -224,14 +268,13 @@ def _read_columns(path, reader, tokens: frozenset[str]) -> TidyTable:
     return TidyTable(headers=headers, columns=columns)
 
 
-def _render_floats(col: list[float]) -> list[str]:
+def _render_floats(col: np.ndarray) -> list[str]:
     """``format_number`` of every cell, computed once per distinct bit pattern
     (so -0.0 stays apart from 0.0) and gathered back by code."""
-    bits, codes = np.unique(np.fromiter(col, np.float64, len(col)).view(np.uint64),
-                            return_inverse=True)
+    bits, codes = np.unique(col.view(np.uint64), return_inverse=True)
     values = bits.view(np.float64)
     if not np.isfinite(values).all():
-        return list(map(format_number, col))  # raises as format_number does
+        format_number(col[~np.isfinite(col)][0].item())  # raises, naming the first one
     integral = (values == np.trunc(values)) & (np.abs(values) < 1e16)
     text = np.empty(len(values), dtype=object)
     text[integral] = list(map(str, values[integral].astype(np.int64).tolist()))
@@ -240,17 +283,23 @@ def _render_floats(col: list[float]) -> list[str]:
     return text[codes].tolist()
 
 
+def _render(col: list[Cell] | np.ndarray) -> list[str | None]:
+    """The text of every cell of a column block; None is written as ""."""
+    if isinstance(col, np.ndarray):
+        return _render_floats(col)
+    if set(map(type, col)) == {float}:
+        return _render_floats(np.array(col, np.float64))
+    return list(map(canon_text, col))
+
+
 def write_csv(table: TidyTable, path) -> None:
     """Write a TidyTable as UTF-8 CSV with RFC-4180 quoting, missing as empty."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(table.headers)
         for start in range(0, table.row_count, BLOCK_ROWS):
-            block = [col[start:start + BLOCK_ROWS] for col in table.columns]
-            rendered = [_render_floats(col) if set(map(type, col)) == {float}
-                        else list(map(canon_text, col))  # None is written as ""
-                        for col in block]
-            writer.writerows(zip(*rendered))
+            block = [table.column_data(h)[start:start + BLOCK_ROWS] for h in table.headers]
+            writer.writerows(zip(*map(_render, block)))
 
 
 def distinct_counts(values, weights=None) -> dict[Cell, int]:
@@ -285,14 +334,8 @@ def factorize(values) -> tuple[list[Cell], np.ndarray]:
 
 def infer_coltype(col: list[Cell]) -> str:
     """numeric iff every non-missing cell is a number; all-missing iff none present."""
-    saw_value = False
-    saw_text = False
-    for cell in col:
-        if cell is None:
-            continue
-        saw_value = True
-        if isinstance(cell, str):
-            saw_text = True
-    if not saw_value:
+    types = set(map(type, col))
+    types.discard(type(None))
+    if not types:
         return COLTYPE_ALL_MISSING
-    return COLTYPE_CATEGORIC if saw_text else COLTYPE_NUMERIC
+    return COLTYPE_CATEGORIC if any(issubclass(t, str) for t in types) else COLTYPE_NUMERIC

@@ -11,6 +11,10 @@ stored steps. So applying an artifact to its own train table makes the
 evaluations fit made and reproduces the fit output bit-exactly.
 Infill fills those columns too, before the one gather; adjacent infill, the
 one order-dependent kind, remaps the row codes instead, which a shuffle permutes.
+A column whose distinct values are all floats is gathered into a float64
+array, which the encoded table holds as it is. ``invert`` decodes each
+distinct pattern of a step's encoded rows once, and a numeric step's whole
+float column at once.
 """
 
 from __future__ import annotations
@@ -18,8 +22,10 @@ from __future__ import annotations
 import json
 import logging
 import math
+import operator
 import random
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -162,8 +168,10 @@ def _resolve_params(opts: Options, behavior, category: str, source_header: str) 
     return params
 
 
-def _source_stats(col: list[Cell]) -> dict:
-    coltype = infer_coltype(col)
+def _source_stats(col: list[Cell], coltype: str | None = None) -> dict:
+    """Train-basis statistics of a source column, whose ``infer_coltype`` is
+    ``coltype`` (found here when not given)."""
+    coltype = infer_coltype(col) if coltype is None else coltype
     if coltype == COLTYPE_NUMERIC:
         values, present = numbers(col)
         values = values[present]
@@ -191,17 +199,37 @@ def _gather(column: list[Cell], codes: np.ndarray) -> list[Cell]:
     return np.fromiter(column, dtype=object, count=len(column)).take(codes).tolist()
 
 
+def _float_array(data: list[Cell] | np.ndarray) -> list[Cell] | np.ndarray:
+    """A stored column as a float64 array when every cell is a float, else
+    the list as it is."""
+    if isinstance(data, list) and data and set(map(type, data)) == {float}:
+        return np.array(data, np.float64)
+    return data
+
+
+def _row_column(column: list[Cell], codes: np.ndarray) -> list[Cell] | np.ndarray:
+    """The rows ``column[c]`` of each code ``c``, as a float64 array when
+    every value of ``column`` is a float, else as a list."""
+    data = _float_array(column)
+    return data.take(codes) if isinstance(data, np.ndarray) else _gather(column, codes)
+
+
 def _evaluate(rec: StepRecord, values: dict[str, list], inputs: dict) -> None:
     """Evaluate one step over all the distinct values of its input header in
     one call (factorized once, cached in ``inputs``) and add each output column
-    to ``values``, gathered back to the source's distinct values."""
+    to ``values``, gathered back to the source's distinct values; a column of
+    a header whose values are already distinct, as the source's are, is kept
+    as the step returned it."""
     if rec.input_header not in inputs:
-        inputs[rec.input_header] = factorize(values[rec.input_header])
+        distinct, codes = factorize(values[rec.input_header])
+        if np.array_equal(codes, np.arange(len(distinct))):
+            codes = None
+        inputs[rec.input_header] = distinct, codes
     distinct, codes = inputs[rec.input_header]
     behavior = BEHAVIORS[rec.behavior]
     columns = behavior.apply_distinct(behavior.compile(rec.fit), distinct)
     for h, column in zip(rec.output_headers, columns, strict=True):
-        values[h] = _gather(column, codes)
+        values[h] = column if codes is None else _gather(column, codes)
 
 
 def _walk(plan: SourcePlan, distinct: list[Cell]) -> dict[str, list]:
@@ -212,9 +240,10 @@ def _walk(plan: SourcePlan, distinct: list[Cell]) -> dict[str, list]:
     return values
 
 
-def _fit_source(header: str, col: list[Cell], root_key: str, reg: Registry,
+def _fit_source(header: str, col: list[Cell], coltype: str, root_key: str, reg: Registry,
                 opts: Options, dedup) -> tuple[SourcePlan, dict, dict]:
-    """Fit one source's step tree; returns the plan, distinct counts and columns."""
+    """Fit one source's step tree, over a column of type ``coltype``; returns
+    the plan, distinct counts and columns."""
     counts = distinct_counts(col)
     root_rule = reg.entry(root_key).target_rule
     steps: list[StepRecord] = []
@@ -266,27 +295,38 @@ def _fit_source(header: str, col: list[Cell], root_key: str, reg: Registry,
         root=reg.resolve(root_key),
         target_rule=root_rule,
         steps=steps,
-        source_stats=_source_stats(col),
+        source_stats=_source_stats(col, coltype),
     )
     return plan, counts, values
 
 
 def _expand_source(plan: SourcePlan, col: list[Cell], values: dict[str, list],
-                   codes: dict[str, np.ndarray]) -> dict[str, list[Cell]]:
+                   codes: dict[str, np.ndarray]) -> dict[str, list[Cell] | np.ndarray]:
     """Expand a source's rows: ``codes[h]`` holds each row's position among the
     distinct source values, through which the retained column ``h`` is gathered."""
-    return {h: _gather(values[h], codes[h]) for h in plan.retained_headers()}
+    return {h: _row_column(values[h], codes[h]) for h in plan.retained_headers()}
+
+
+def _targets(plan: SourcePlan, values: dict[str, list]) -> list[bool]:
+    """Whether each distinct source value is an infill target: read from the
+    plan's NArw step on the source under its target rule, else marked."""
+    for rec in plan.steps:
+        if (rec.behavior == "NArw" and rec.input_header == plan.header
+                and rec.fit["rule"] == plan.target_rule):
+            return [flag == 1.0 for flag in values[rec.output_headers[0]]]
+    return infill_mod.mark_targets(values[plan.header], plan.target_rule)
 
 
 def _infill_columns(plan: SourcePlan, values: dict[str, list], codes: np.ndarray,
                     infill_spec: dict, target: list[bool] | None = None) -> dict[str, np.ndarray]:
     """Fill each retained column that has an infill entry over the source's
-    distinct values (targets marked once, unless given) and return the row
-    codes of each retained column: remapped for adjacent infill, else ``codes``."""
+    distinct values (``target``, unless given, from ``_targets``) and return
+    the row codes of each retained column: remapped for adjacent infill, else
+    ``codes``."""
     row_codes = dict.fromkeys(plan.retained_headers(), codes)
     spec = {h: infill_spec[h] for h in row_codes if h in infill_spec}
     if spec and target is None:
-        target = infill_mod.mark_targets(values[plan.header], plan.target_rule)
+        target = _targets(plan, values)
     for h, entry in spec.items():
         values[h] = infill_mod.apply_infill(values[h], target, entry["kind"], entry.get("value"))
     if adjacent := [h for h, entry in spec.items() if entry["kind"] == infill_mod.KIND_ADJACENT]:
@@ -364,16 +404,17 @@ def fit(train: TidyTable, assignments: dict[str, str] | None = None,
         random.Random(opts.seed).shuffle(order)
     plans: dict[str, SourcePlan] = {}
     infill_spec: dict[str, dict] = {}
-    columns: dict[str, list[Cell]] = {}
+    columns: dict[str, list[Cell] | np.ndarray] = {}
     for h in sources:
         col = train.column(h)
-        root = assignments.get(h) or auto_root_select(col, threshold=opts.threshold)
+        coltype = infer_coltype(col)
+        root = assignments.get(h) or auto_root_select(col, opts.threshold, coltype)
         # One source's columns at a time, so peak memory holds one source's.
-        plan, counts, values = _fit_source(h, col, root, reg, opts, dedup)
+        plan, counts, values = _fit_source(h, col, coltype, root, reg, opts, dedup)
         plans[h] = plan
         kind, target = requested_infill.get(h, infill_mod.KIND_DEFAULT), None
         if kind != infill_mod.KIND_DEFAULT:
-            target = infill_mod.mark_targets(values[h], plan.target_rule)
+            target = _targets(plan, values)
             infill_spec.update(_fit_infill_spec(plan, counts, values, target, kind))
         codes = _infill_columns(plan, values, factorize(col)[1], infill_spec, target)
         if opts.shuffle_train:  # after the infill, which reads the rows in order
@@ -394,7 +435,7 @@ def apply(artifact: FitArtifact, test: TidyTable) -> TidyTable:
     extra = [h for h in test.headers if h not in known]
     if extra:
         logger.warning("ignoring columns not present at fit time: %s", extra)
-    columns: dict[str, list[Cell]] = {}
+    columns: dict[str, list[Cell] | np.ndarray] = {}
     for header, plan in artifact.per_source.items():
         col = test.column(header)
         distinct, codes = factorize(col)
@@ -415,8 +456,26 @@ def serialize(artifact: FitArtifact) -> bytes:
                        for plan in artifact.per_source.values()],
         "infill_spec": artifact.infill_spec,
     }
-    return json.dumps(doc, sort_keys=True, ensure_ascii=False, allow_nan=False,
-                      separators=(",", ":")).encode("utf-8")
+    try:
+        text = json.dumps(doc, sort_keys=True, ensure_ascii=False, allow_nan=False,
+                          separators=(",", ":"))
+    except ValueError:
+        found = _non_finite(doc, "artifact")
+        if found is None:
+            raise
+        raise DataError(f"cannot serialize {found[0]}: {found[1]!r} has no JSON form") from None
+    return text.encode("utf-8")
+
+
+def _non_finite(doc, where: str) -> tuple[str, float] | None:
+    """The place and value of the first NaN or infinity in ``doc``, if any."""
+    if isinstance(doc, float):
+        return None if math.isfinite(doc) else (where, doc)
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, item in items:
+        if found := _non_finite(item, f"{where}[{key!r}]"):
+            return found
+    return None
 
 
 _CATEGORIC_STATS = {"coltype": str, "total": int, "top": [[str, int]], "uniques": [str]}
@@ -510,12 +569,84 @@ def deserialize(data: bytes | str) -> FitArtifact:
 _INVERT_PREFERENCE = {"1010": 0, "onht": 1, "bnry": 2, "ord3": 3, "mnmx": 4, "nmbr": 5}
 
 
+def _column_codes(data: list[Cell] | np.ndarray) -> tuple[np.ndarray, int]:
+    """Each cell's code among the column's distinct cells, and their number.
+    Floats are told apart by bit pattern, so -0.0 stays apart from 0.0, and
+    the cells of a list by type and repr."""
+    data = _float_array(data)
+    if isinstance(data, np.ndarray):
+        distinct, codes = np.unique(data.view(np.uint64), return_inverse=True)
+    else:
+        distinct, codes = factorize(list(zip(map(type, data), map(repr, data))))
+    return codes, len(distinct)
+
+
+def _row_patterns(columns: list, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct patterns of cells across ``columns`` among ``rows``
+    in first-seen order: each row's pattern, and each pattern's first row.
+    The column codes combine mixed-radix into one int64 key, renumbered
+    densely before the next column could overflow it."""
+    key, size = np.zeros(len(rows), np.int64), 1
+    for codes, n in map(_column_codes, columns):
+        if size * n > 2**62:
+            distinct, key = np.unique(key, return_inverse=True)
+            size = len(distinct)
+        key, size = key * n + codes[rows], size * n
+    _, first, pattern = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[pattern], rows[first[order]]
+
+
+def _flagged(flags: list[Cell] | np.ndarray | None, n: int) -> np.ndarray:
+    """Whether each row's NArw flag is 1.0; none is without a flag column."""
+    if flags is None:
+        return np.zeros(n, bool)
+    flags = _float_array(flags)
+    if isinstance(flags, np.ndarray):
+        return flags == 1.0
+    return np.fromiter(map(operator.eq, flags, repeat(1.0)), bool, n)
+
+
+def _decode_rows(header: str, rec: StepRecord, columns: list,
+                 missing: np.ndarray) -> list[Cell] | np.ndarray:
+    """The source cells of a step's encoded rows, None where ``missing``."""
+    behavior = BEHAVIORS[rec.behavior]
+    if len(columns) == 1 and isinstance(values := _float_array(columns[0]), np.ndarray):
+        decoded = behavior.decode_column(rec.fit, values)
+        if decoded is not None and missing.any():
+            return np.where(missing, None, decoded.astype(object)).tolist()
+        if decoded is not None:
+            return decoded
+    decode = behavior.decoder(rec.fit)
+    pattern, first = _row_patterns(columns, np.flatnonzero(~missing))
+    cells = [c[first].tolist() if isinstance(c, np.ndarray)
+             else list(map(c.__getitem__, first.tolist())) for c in columns]
+    distinct = []
+    for row in (zip(*cells) if columns else [()] * len(first)):
+        try:
+            distinct.append(decode(row))
+        except (KeyError, TypeError):
+            raise DataError(f"cannot invert source {header!r}: step {rec.category!r} "
+                            f"columns {rec.output_headers} hold the pattern {list(row)!r},"
+                            " which the fitted step never outputs") from None
+    codes = np.full(len(missing), len(distinct))
+    codes[~missing] = pattern
+    return _gather(distinct + [None], codes)
+
+
 def invert(artifact: FitArtifact, encoded: TidyTable,
            sources: list[str] | None = None) -> tuple[TidyTable, list[str]]:
     """Recover source columns from encoded data where an invertible path exists.
 
     Returns the recovered table plus the list of non-invertible sources.
-    Sources reached through an uppercase step recover the uppercased form.
+    Sources reached through an uppercase step recover the uppercased form,
+    and a row whose NArw flag on the source is 1.0 recovers as missing.
+    ``nmbr`` and ``mnmx`` decode a float column in one pass of the operations
+    their decoders make per cell; any other step decodes each distinct
+    pattern of its columns once. A row the step never outputs raises
+    DataError, naming the first such row's cells.
     """
     wanted = list(sources) if sources is not None else list(artifact.per_source)
     for h in wanted:
@@ -537,23 +668,14 @@ def invert(artifact: FitArtifact, encoded: TidyTable,
             elif rec.behavior in _INVERT_PREFERENCE:
                 candidates.append((_INVERT_PREFERENCE[rec.behavior], i, rec))
             elif rec.behavior == "NArw" and rec.input_header == header and narw is None:
-                narw = encoded.column(rec.output_headers[0])
+                narw = encoded.column_data(rec.output_headers[0])
         if not candidates:
             failed.append(header)
             continue
         rec = min(candidates)[2]
-        decode = BEHAVIORS[rec.behavior].decoder(rec.fit)
-        cols = [encoded.column(h) for h in rec.output_headers]
-        recovered = []
-        for flag, *row in zip(narw or [0.0] * encoded.row_count, *cols):
-            try:
-                recovered.append(None if flag == 1.0 else decode(tuple(row)))
-            except (KeyError, TypeError):
-                raise DataError(f"cannot invert source {header!r}: step {rec.category!r} "
-                                f"columns {rec.output_headers} hold the pattern {row!r},"
-                                " which the fitted step never outputs") from None
         headers.append(header)
-        columns.append(recovered)
+        columns.append(_decode_rows(header, rec, list(map(encoded.column_data, rec.output_headers)),
+                                    _flagged(narw, encoded.row_count)))
     if sources is not None and failed:
         raise DataError(f"no invertible path for sources: {failed}")
     return TidyTable(headers=headers, columns=columns), failed

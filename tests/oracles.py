@@ -13,7 +13,8 @@ from a row-by-row forward fill, every behaviour's output from a rule
 applied to one value at a time (``REFERENCE_CELLS``), and code-map inversion
 from a dict of every output pattern, and the numeric statistics (moments,
 infill statistics, target marks, min/max) from loops over sorted
-(value, count) pairs, one Python value at a time.
+(value, count) pairs, one Python value at a time, and inversion from one
+decoder call per row over the encoded columns read as lists.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from parsemunge.errors import ConfigError, DataError
 from parsemunge.extract_search import nmcm_extract
 from parsemunge.importance import TASK_CLASSIFICATION, PredictorAdapter
 from parsemunge.infill import KIND_MEAN, KIND_MEDIAN, KIND_MODE
+from parsemunge.registry import BEHAVIORS
 from parsemunge.tidytable import (
     _DECIMAL_RE,
     DEFAULT_MISSING_TOKENS,
@@ -679,3 +681,49 @@ REFERENCE_CELLS = {
     "sp10": functools.partial(reference_lookup_cell, plug=True),
     "srch": reference_srch_cell,
 }
+
+
+_INVERT_PREFERENCE = {"1010": 0, "onht": 1, "bnry": 2, "ord3": 3, "mnmx": 4, "nmbr": 5}
+
+
+def reference_invert(artifact, encoded: TidyTable,
+                     sources: list[str] | None = None) -> tuple[TidyTable, list[str]]:
+    """``invert`` as one decoder call per row over the columns as lists."""
+    wanted = list(sources) if sources is not None else list(artifact.per_source)
+    for h in wanted:
+        if h not in artifact.per_source:
+            raise DataError(f"unknown source column {h!r}")
+    present = set(encoded.headers)
+    headers, columns, failed = [], [], []
+    for header in wanted:
+        clean, candidates, narw = {header}, [], None
+        for i, rec in enumerate(artifact.per_source[header].steps):
+            if rec.input_header not in clean:
+                continue
+            if BEHAVIORS[rec.behavior].inversion_pass:
+                clean.update(rec.output_headers)
+            elif not rec.retained or not present.issuperset(rec.output_headers):
+                continue
+            elif rec.behavior in _INVERT_PREFERENCE:
+                candidates.append((_INVERT_PREFERENCE[rec.behavior], i, rec))
+            elif rec.behavior == "NArw" and rec.input_header == header and narw is None:
+                narw = encoded.column(rec.output_headers[0])
+        if not candidates:
+            failed.append(header)
+            continue
+        rec = min(candidates)[2]
+        decode = BEHAVIORS[rec.behavior].decoder(rec.fit)
+        cols = [encoded.column(h) for h in rec.output_headers]
+        recovered = []
+        for flag, *row in zip(narw or [0.0] * encoded.row_count, *cols):
+            try:
+                recovered.append(None if flag == 1.0 else decode(tuple(row)))
+            except (KeyError, TypeError):
+                raise DataError(f"cannot invert source {header!r}: step {rec.category!r} "
+                                f"columns {rec.output_headers} hold the pattern {row!r},"
+                                " which the fitted step never outputs") from None
+        headers.append(header)
+        columns.append(recovered)
+    if sources is not None and failed:
+        raise DataError(f"no invertible path for sources: {failed}")
+    return TidyTable(headers=headers, columns=columns), failed

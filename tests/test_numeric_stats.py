@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import parsemunge as pm
 from parsemunge.encoders import _weighted_moments, numeric_counts
-from parsemunge.errors import ConfigError
+from parsemunge.errors import ConfigError, DataError
 from parsemunge.infill import KIND_MEAN, KIND_MEDIAN, KIND_MODE, mark_targets, train_stat
 from parsemunge.registry import BEHAVIORS, builtin_registry, merge_overrides
 from parsemunge.tidytable import (
@@ -54,7 +54,7 @@ def outcome(fn):
     """A result comparable bit for bit: floats by float.hex, an exception by type."""
     try:
         result = fn()
-    except (ArithmeticError, ValueError, ConfigError) as exc:
+    except (ArithmeticError, ValueError, ConfigError, DataError) as exc:
         return type(exc)
     if isinstance(result, (tuple, list)):
         return tuple(x.hex() if isinstance(x, float) else x for x in result)

@@ -113,6 +113,33 @@ def test_outputs_match_pinned_digests(name, seed):
     assert digests(name, seed) == PINNED[name, seed]
 
 
+# (workload, seed) -> digest of invert of the encoded train table as written
+# by write_csv and read back by load_csv, which holds it as lists of cells
+PINNED_CSV_INVERT = {
+    ('importance_prefix', 7): 'adc2ac7e9a68e4da0a4ed2e869acb229cc9769989c0446df15ea6669936b3c0e',
+    ('importance_prefix', 13): '371c0a4304145fa1ee5e503e3114b1b791fc3963fbc976e01dd54a4f92f85261',
+    ('parse_highcard', 7): '574e0573e62867d43b8cc2b61c0d308afd389f6b94ef18daddd532cb136d25a1',
+    ('parse_highcard', 13): '85fbcec598dba5e2cb142d84e677af3b6d82c39496e117556c52be3f0f31b54a',
+    ('unseen_drift', 7): '8de7f475063d326fd35f792c1d9769f0d1f1dfceea40a38a5093942919d59adf',
+    ('unseen_drift', 13): '397b45f31de30c7a7b4a38840b07efef606bef22498b829da1d0392872edc634',
+    ('wide_roundtrip', 7): '016bbb391cc111a8a7875ec307f6fabc5bc2e7ef63af080d8d5ed2f7bbbec443',
+    ('wide_roundtrip', 13): '38e7f7d7ef94019912bc89cdb45b7dd5c438da6daada6dd343993dba24935c6f',
+}
+
+
+def csv_invert_digest(name: str, seed: int, path) -> str:
+    w = workloads.GENERATORS[name](seed, **SIZES[name])
+    encoded, artifact = pm.fit(_table(w.train), w.assignments, opts=pm.Options(**w.options))
+    pm.write_csv(encoded, path)
+    recovered, failed = pm.invert(artifact, pm.load_csv(path))
+    return _digest([recovered.headers, recovered.columns, failed])
+
+
+@pytest.mark.parametrize("name, seed", sorted(PINNED))
+def test_inversion_of_the_written_csv_matches_pinned_digests(name, seed, tmp_path):
+    assert csv_invert_digest(name, seed, tmp_path / "encoded.csv") == PINNED_CSV_INVERT[name, seed]
+
+
 # (workload, seed) -> digests of the permutation_importance report JSON on the
 # workload's importance rows: classification on its labels, and regression on
 # integer-valued targets, whose sums are exact in any order

@@ -4,6 +4,7 @@ import re
 import struct
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -199,6 +200,19 @@ class TestAgainstReference:
     @given(_tables(st.one_of(st.none(), _any_floats), max_cols=1), _block_rows)
     def test_one_column_with_missing_writes_the_reference_bytes(self, tmp_path_factory, table,
                                                                 block_rows):
+        self._assert_same_bytes(tmp_path_factory, table, block_rows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 12).flatmap(lambda n: st.lists(st.tuples(st.booleans(), st.one_of(
+        st.lists(_any_floats, min_size=n, max_size=n),
+        st.lists(st.one_of(st.none(), _any_floats, _quoted_texts), min_size=n, max_size=n))),
+        min_size=1, max_size=5)), _block_rows)
+    def test_array_and_list_columns_write_the_reference_bytes(self, tmp_path_factory, drawn,
+                                                              block_rows):
+        """All-float columns stored as arrays or lists, beside mixed ones."""
+        columns = [np.array(col) if as_array and col and {type(c) for c in col} == {float}
+                   else col for as_array, col in drawn]
+        table = TidyTable([f"c{i}" for i in range(len(columns))], columns)
         self._assert_same_bytes(tmp_path_factory, table, block_rows)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

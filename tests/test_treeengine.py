@@ -258,9 +258,10 @@ class TestApply:
         assert {"spl9", "sp10", "spl5", "srch"} <= behaviors
 
     def test_infill_target_rule_runs_once_per_distinct_value(self, monkeypatch):
-        # Targets are marked by one mark_targets call per infilled source and
-        # one per NArw step, in fit and in apply, each over exactly one
-        # source's distinct values: a mark taken per row fails here.
+        # Targets are marked by one mark_targets call per NArw step, in fit
+        # and in apply, each over exactly one source's distinct values: a mark
+        # taken per row fails here. Infill reads the marks of the source's
+        # NArw step, and marks only a source without one.
         marked = []
         original_mark = infill.mark_targets
 
@@ -281,8 +282,8 @@ class TestApply:
                                  (("amount", "numeric_parse"), ("plain", "missing_only"),
                                   ("serial", "numeric_extract"))]
         assert [len(values) for values, _ in (amount, plain, serial)] == [5, 3, 4]
-        # Each source's NArw step, then its infill, if it has one.
-        expected = [amount, amount, plain, serial, serial]
+        # Each source's NArw step; infill marks nothing again.
+        expected = [amount, plain, serial]
         encoded, artifact = pm.fit(table, roots, opts=opts)
         assert marked == expected  # both zeros are one distinct value
         marked.clear()
@@ -290,8 +291,8 @@ class TestApply:
         assert marked == expected
         marked.clear()
         pm.apply(artifact, _table(amount=[1.5] * 50, plain=[None] * 50, serial=["v2"] * 50))
-        assert marked == [([1.5], "numeric_parse")] * 2 + [([None], "missing_only")] + [
-            (["v2"], "numeric_extract")] * 2
+        assert marked == [([1.5], "numeric_parse"), ([None], "missing_only"),
+                          (["v2"], "numeric_extract")]
         # A source without an infill entry marks its targets only for NArw.
         _, artifact = pm.fit(table, roots)
         marked.clear()
