@@ -23,7 +23,6 @@ from .tidytable import (
     COLTYPE_NUMERIC,
     Cell,
     canon_text,
-    distinct_counts,
     infer_coltype,
     largest_magnitude,
     numbers,
@@ -383,9 +382,10 @@ class MnmxBehavior(Behavior):
     def fit(self, counts, params, root_rule):
         values, weights = numeric_counts(counts)
         mean, shift, _, _ = _weighted_moments(values, weights)
-        # The first of equal extremes, as min() and max() take it: -0.0 or 0.0.
-        lo = float(values[values.argmin()]) if len(values) else 0.0
-        hi = float(values[values.argmax()]) if len(values) else 0.0
+        bits = values.view(np.int64)  # keyed in IEEE total order: -0.0 below 0.0, in any row order
+        order = bits ^ ((bits >> 63) & np.iinfo(np.int64).max)
+        lo = float(values[order.argmin()]) if len(values) else 0.0
+        hi = float(values[order.argmax()]) if len(values) else 0.0
         return {"min": lo, "max": hi, "mean": mean + shift}
 
     def compile(self, state):
@@ -414,16 +414,16 @@ class MnmxBehavior(Behavior):
             return (values * span + lo) / q
 
 
-def auto_root_select(col: list[Cell], threshold: int = 255, coltype: str | None = None) -> str:
+def auto_root_select(col: list[Cell], threshold: int = 255) -> str:
     """Automation default: pick a root category from column type and
-    cardinality; ``coltype`` is the column's ``infer_coltype``, found here
-    when not given."""
-    coltype = infer_coltype(col) if coltype is None else coltype
+    cardinality. ``col`` may be a column's cells or its distinct values:
+    the root is the same."""
+    coltype = infer_coltype(col)
     if coltype == COLTYPE_NUMERIC:
         return "nmbr"
     if coltype == COLTYPE_ALL_MISSING:
         return "excl"
-    n = len(text_counts(distinct_counts(col)))
+    n = len(set(map(canon_text, set(col))) - {None})  # set(col) holds one of the two zeros
     if n == 2:
         return "bnry"
     if n == 3:

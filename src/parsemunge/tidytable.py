@@ -69,7 +69,7 @@ def format_number(x: float) -> str:
         raise DataError(f"the number {x!r} is not finite and has no text form") from None
     if integral and abs(x) < 1e16:
         return str(int(x))
-    return repr(x)
+    return float.__repr__(x)  # also for a subclass such as numpy.float64
 
 
 def canon_text(cell: Cell) -> str | None:
@@ -334,8 +334,21 @@ def factorize(values) -> tuple[list[Cell], np.ndarray]:
 
 def infer_coltype(col: list[Cell]) -> str:
     """numeric iff every non-missing cell is a number; all-missing iff none present."""
+    return _coltype(set(map(type, col)))
+
+
+def checked_coltype(header: str, col) -> str:
+    """``infer_coltype`` of column ``header``, in the same one pass over its
+    cells; a cell that is no str, float or None, nor of a subclass of str or
+    float, raises DataError naming the column and the type."""
     types = set(map(type, col))
-    types.discard(type(None))
-    if not types:
+    if bad := sorted(t.__name__ for t in types if not issubclass(t, (str, float, type(None)))):
+        raise DataError(f"column {header!r} holds a cell of type {bad[0]};"
+                        " a cell is text (str), a number (float) or missing (None)")
+    return _coltype(types)
+
+
+def _coltype(types: set[type]) -> str:
+    if not types - {type(None)}:
         return COLTYPE_ALL_MISSING
     return COLTYPE_CATEGORIC if any(issubclass(t, str) for t in types) else COLTYPE_NUMERIC

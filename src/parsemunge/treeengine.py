@@ -1,6 +1,9 @@
 """Fit/apply orchestration: recursive family-tree traversal, suffix-appender
 header logging, fit-artifact serialization, inversion, and drift reporting.
 
+``fit`` and ``apply`` read a source's rows once, in one ``factorize``; ``fit``
+then works from its distinct values and their counts alone (root selection,
+source statistics, every step's fit and the infill statistics).
 A source's plan is evaluated one way, step by step (``_evaluate``): each step
 is handed all the distinct values of its input header in one call, and each
 output column is kept over the source's distinct values, from which rows are
@@ -54,9 +57,9 @@ from .tidytable import (
     COLTYPE_NUMERIC,
     Cell,
     TidyTable,
+    checked_coltype,
     distinct_counts,
     factorize,
-    infer_coltype,
     largest_magnitude,
     numbers,
     sum_scale_exponent,
@@ -168,13 +171,15 @@ def _resolve_params(opts: Options, behavior, category: str, source_header: str) 
     return params
 
 
-def _source_stats(col: list[Cell], coltype: str | None = None) -> dict:
-    """Train-basis statistics of a source column, whose ``infer_coltype`` is
-    ``coltype`` (found here when not given)."""
-    coltype = infer_coltype(col) if coltype is None else coltype
+def _source_stats(header: str, values: list[Cell], counts: np.ndarray | None = None) -> dict:
+    """Train-basis statistics of source column ``header`` (``checked_coltype``
+    checks its cells): over its cells, or over its distinct values, each counting
+    its entry of ``counts``. Repeating each number by its count keeps the cells'
+    sums bit for bit, as an fsum over finite scaled terms is exact in any order."""
+    coltype = checked_coltype(header, values)
     if coltype == COLTYPE_NUMERIC:
-        values, present = numbers(col)
-        values = values[present]
+        values, present = numbers(values)
+        values = values[present] if counts is None else np.repeat(values[present], counts[present])
         total = len(values)  # at least 1 in a numeric column
         exp = sum_scale_exponent(largest_magnitude(values), total)
         if exp:
@@ -184,14 +189,11 @@ def _source_stats(col: list[Cell], coltype: str | None = None) -> dict:
             std = deviation_std(values - mean, total)
         return {"coltype": coltype, "total": total,
                 "mean": math.ldexp(mean, exp), "std": math.ldexp(std, exp)}
-    freq = text_counts(distinct_counts(col))
+    freq = text_counts(distinct_counts(values) if counts is None
+                       else dict(zip(values, counts.tolist())))
     top = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
-    return {
-        "coltype": coltype,
-        "total": sum(freq.values()),
-        "top": [[entry, count] for entry, count in top],
-        "uniques": sorted(freq),
-    }
+    return {"coltype": coltype, "total": sum(freq.values()),
+            "top": [list(kv) for kv in top], "uniques": sorted(freq)}
 
 
 def _gather(column: list[Cell], codes: np.ndarray) -> list[Cell]:
@@ -218,8 +220,8 @@ def _evaluate(rec: StepRecord, values: dict[str, list], inputs: dict) -> None:
     """Evaluate one step over all the distinct values of its input header in
     one call (factorized once, cached in ``inputs``) and add each output column
     to ``values``, gathered back to the source's distinct values; a column of
-    a header whose values are already distinct, as the source's are, is kept
-    as the step returned it."""
+    a header whose values are already distinct (codes None in ``inputs``, as
+    the caller seeds the source's) is kept as the step returned it."""
     if rec.input_header not in inputs:
         distinct, codes = factorize(values[rec.input_header])
         if np.array_equal(codes, np.arange(len(distinct))):
@@ -234,20 +236,21 @@ def _evaluate(rec: StepRecord, values: dict[str, list], inputs: dict) -> None:
 
 def _walk(plan: SourcePlan, distinct: list[Cell]) -> dict[str, list]:
     """Evaluate a fitted plan in step order: header -> column over ``distinct``."""
-    values, inputs = {plan.header: distinct}, {}
+    values, inputs = {plan.header: distinct}, {plan.header: (distinct, None)}
     for rec in plan.steps:
         _evaluate(rec, values, inputs)
     return values
 
 
-def _fit_source(header: str, col: list[Cell], coltype: str, root_key: str, reg: Registry,
-                opts: Options, dedup) -> tuple[SourcePlan, dict, dict]:
-    """Fit one source's step tree, over a column of type ``coltype``; returns
-    the plan, distinct counts and columns."""
-    counts = distinct_counts(col)
+def _fit_source(header: str, counts: dict[Cell, int], root_key: str, reg: Registry,
+                opts: Options, dedup) -> tuple[SourcePlan, dict]:
+    """Fit one source's step tree on the counts of its distinct values;
+    returns the plan and the columns over those values."""
+    distinct = list(counts)  # the stats first: they check the type of every value
+    source_stats = _source_stats(header, distinct, np.array(list(counts.values()), np.int64))
     root_rule = reg.entry(root_key).target_rule
     steps: list[StepRecord] = []
-    values, inputs = {header: list(counts)}, {}
+    values, inputs = {header: distinct}, {header: (distinct, None)}
 
     def fit_step(cat_key: str, in_header: str, in_counts: dict) -> StepRecord:
         entry = reg.entry(cat_key)
@@ -295,15 +298,16 @@ def _fit_source(header: str, col: list[Cell], coltype: str, root_key: str, reg: 
         root=reg.resolve(root_key),
         target_rule=root_rule,
         steps=steps,
-        source_stats=_source_stats(col, coltype),
+        source_stats=source_stats,
     )
-    return plan, counts, values
+    return plan, values
 
 
 def _expand_source(plan: SourcePlan, col: list[Cell], values: dict[str, list],
                    codes: dict[str, np.ndarray]) -> dict[str, list[Cell] | np.ndarray]:
     """Expand a source's rows: ``codes[h]`` holds each row's position among the
     distinct source values, through which the retained column ``h`` is gathered."""
+    # ``col`` is unused here, but must stay: perfbench's _observe_expand reads it.
     return {h: _row_column(values[h], codes[h]) for h in plan.retained_headers()}
 
 
@@ -337,16 +341,15 @@ def _infill_columns(plan: SourcePlan, values: dict[str, list], codes: np.ndarray
     return row_codes
 
 
-def _fit_infill_spec(plan: SourcePlan, counts: dict, values: dict[str, list],
+def _fit_infill_spec(plan: SourcePlan, counts: np.ndarray, values: dict[str, list],
                      target: list[bool], kind: str) -> dict[str, dict]:
     """Per retained column where the requested kind is compatible: the kind,
     with train stats taken over the non-target distinct values (``target``) of
-    the fit-time columns. Other columns get no entry, which means no infill;
-    so do NArw's, which record missingness."""
+    the fit-time columns, each counting its entry of ``counts``. Other columns
+    get no entry, which means no infill; so do NArw's, which record missingness."""
     spec: dict[str, dict] = {}
     kept = np.flatnonzero(np.logical_not(target))
-    weights = np.fromiter(counts.values(), np.int64, len(counts))[kept]
-    kept = kept.tolist()
+    weights, kept = counts[kept], kept.tolist()
     for h, behavior in plan.column_behaviors().items():
         if behavior.name == "NArw" or (kind in infill_mod.NUMERIC_ONLY_KINDS
                                        and behavior.coltype_class != CLASS_NUMERIC):
@@ -406,17 +409,18 @@ def fit(train: TidyTable, assignments: dict[str, str] | None = None,
     infill_spec: dict[str, dict] = {}
     columns: dict[str, list[Cell] | np.ndarray] = {}
     for h in sources:
+        # The one read of the rows; one source at a time, so peak memory holds one source's.
         col = train.column(h)
-        coltype = infer_coltype(col)
-        root = assignments.get(h) or auto_root_select(col, opts.threshold, coltype)
-        # One source's columns at a time, so peak memory holds one source's.
-        plan, counts, values = _fit_source(h, col, coltype, root, reg, opts, dedup)
+        distinct, codes = factorize(col)
+        counts = np.bincount(codes)
+        root = assignments.get(h) or auto_root_select(distinct, opts.threshold)
+        plan, values = _fit_source(h, dict(zip(distinct, counts.tolist())), root, reg, opts, dedup)
         plans[h] = plan
         kind, target = requested_infill.get(h, infill_mod.KIND_DEFAULT), None
         if kind != infill_mod.KIND_DEFAULT:
             target = _targets(plan, values)
             infill_spec.update(_fit_infill_spec(plan, counts, values, target, kind))
-        codes = _infill_columns(plan, values, factorize(col)[1], infill_spec, target)
+        codes = _infill_columns(plan, values, codes, infill_spec, target)
         if opts.shuffle_train:  # after the infill, which reads the rows in order
             codes = {k: c[order] for k, c in codes.items()}
         columns.update(_expand_source(plan, col, values, codes))
@@ -439,6 +443,7 @@ def apply(artifact: FitArtifact, test: TidyTable) -> TidyTable:
     for header, plan in artifact.per_source.items():
         col = test.column(header)
         distinct, codes = factorize(col)
+        checked_coltype(header, distinct)
         values = _walk(plan, distinct)
         codes = _infill_columns(plan, values, codes, artifact.infill_spec)
         columns.update(_expand_source(plan, col, values, codes))
@@ -688,42 +693,26 @@ def drift_report(artifact: FitArtifact, new: TidyTable) -> DriftReport:
         base = plan.source_stats
         col = new.column(header)
         if base["coltype"] == COLTYPE_NUMERIC:
-            fresh = _source_stats(col)
+            fresh = _source_stats(header, col)
             if fresh["coltype"] != COLTYPE_NUMERIC:
                 # No moments to compare: the new data holds text or no values.
                 per_source[header] = {"kind": "type_change", "train_coltype": base["coltype"],
                                       "new_coltype": fresh["coltype"], "new_total": fresh["total"]}
                 continue
-            per_source[header] = {
-                "kind": "numeric",
-                "train": {"mean": base["mean"], "std": base["std"], "total": base["total"]},
-                "new": {"mean": fresh["mean"], "std": fresh["std"], "total": fresh["total"]},
-                "deltas": {
-                    "mean": abs(fresh["mean"] - base["mean"]),
-                    "std": abs(fresh["std"] - base["std"]),
-                },
-            }
-        else:
-            train_total = max(base["total"], 1)
-            new_freq = text_counts(distinct_counts(col))
-            total = sum(new_freq.values())
-            known = set(base["uniques"])
-            unseen = sum(n for text, n in new_freq.items() if text not in known)
-            new_total = max(total, 1)
-            top = {}
-            for entry, count in base["top"]:
-                train_prop = count / train_total
-                new_prop = new_freq.get(entry, 0) / new_total
-                top[entry] = {
-                    "train": train_prop,
-                    "new": new_prop,
-                    "delta": abs(new_prop - train_prop),
-                }
-            per_source[header] = {
-                "kind": "categoric",
-                "top": top,
-                "unseen_rate": (unseen / total) if total else 0.0,
-                "train_total": base["total"],
-                "new_total": total,
-            }
+            train, fresh = ({k: s[k] for k in ("mean", "std", "total")} for s in (base, fresh))
+            per_source[header] = {"kind": "numeric", "train": train, "new": fresh,
+                                  "deltas": {k: abs(fresh[k] - train[k]) for k in ("mean", "std")}}
+            continue
+        new_freq = text_counts(distinct_counts(col))
+        total = sum(new_freq.values())
+        top = {}
+        for entry, count in base["top"]:
+            train_prop = count / max(base["total"], 1)
+            new_prop = new_freq.get(entry, 0) / max(total, 1)
+            top[entry] = {"train": train_prop, "new": new_prop, "delta": abs(new_prop - train_prop)}
+        known = set(base["uniques"])
+        unseen = sum(n for text, n in new_freq.items() if text not in known)
+        per_source[header] = {"kind": "categoric", "top": top,
+                              "unseen_rate": (unseen / total) if total else 0.0,
+                              "train_total": base["total"], "new_total": total}
     return DriftReport(per_source=per_source)

@@ -529,11 +529,26 @@ def reference_numeric_source_stats(col: list[Cell]) -> dict:
             "mean": math.ldexp(mean, exp), "std": math.ldexp(std, exp)}
 
 
+def reference_categoric_source_stats(col: list[Cell]) -> dict:
+    """The train-basis statistics of a source column that holds text or no
+    value, counted cell by cell on canonical text; both zeros count as "0"."""
+    freq: dict[str, int] = {}
+    for cell in col:
+        if cell is not None:
+            text = "0" if isinstance(cell, float) and cell == 0.0 else canon_text(cell)
+            freq[text] = freq.get(text, 0) + 1
+    top = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
+    return {"coltype": "categoric" if freq else "all-missing", "total": sum(freq.values()),
+            "top": [list(kv) for kv in top], "uniques": sorted(freq)}
+
+
 def reference_min_max(counts: dict[Cell, int]) -> tuple[float, float]:
-    """mnmx's fitted min and max: the first of equal extremes among the keys."""
+    """mnmx's fitted min and max: the smallest and the largest number among
+    the keys, -0.0 below 0.0."""
     values = [v for v in (as_number(c) for c in counts) if v is not None]
-    lo = min(values) if values else 0.0
-    hi = max(values) if values else 0.0
+    signed = functools.partial(math.copysign, 1.0)
+    lo = min(values, key=lambda v: (v, signed(v))) if values else 0.0
+    hi = max(values, key=lambda v: (v, signed(v))) if values else 0.0
     return lo, hi
 
 

@@ -10,7 +10,7 @@ import parsemunge as pm
 from parsemunge.encoders import auto_root_select, binary_width, sanitize_token
 from parsemunge.errors import DataError
 from parsemunge.registry import BEHAVIORS
-from parsemunge.tidytable import TidyTable, canon_text
+from parsemunge.tidytable import TidyTable, canon_text, factorize
 
 from . import oracles
 from .helpers import run_behavior
@@ -275,12 +275,14 @@ class TestAutoRootSelect:
         (["a", -0.0, 0.0, "a"], "bnry"),  # both zeros are one value
     ])
     def test_rules(self, col, expected):
-        assert auto_root_select(col) == expected
+        # The distinct values, which fit passes, give the root the cells give.
+        assert auto_root_select(col) == auto_root_select(factorize(col)[0]) == expected
 
     def test_threshold_route(self):
-        col = [f"e{i}" for i in range(300)]
-        assert auto_root_select(col, threshold=255) == "ord3"
-        assert auto_root_select(col, threshold=300) == "1010"
+        col = [f"e{i}" for i in range(300)] * 2
+        for values in (col, factorize(col)[0]):
+            assert auto_root_select(values, threshold=255) == "ord3"
+            assert auto_root_select(values, threshold=300) == "1010"
 
 
 class TestSanitizeToken:

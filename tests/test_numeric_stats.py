@@ -21,12 +21,15 @@ from parsemunge.tidytable import (
     TidyTable,
     as_number,
     distinct_counts,
+    factorize,
+    infer_coltype,
     numbers,
     sum_scale_exponent,
 )
 from parsemunge.treeengine import Options, _source_stats
 
 from .oracles import (
+    reference_categoric_source_stats,
     reference_mark_targets,
     reference_min_max,
     reference_numeric_source_stats,
@@ -125,17 +128,29 @@ def test_statistics_match_the_loops_over_sorted_pairs(counts):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.one_of(st.none(), FLOATS, st.sampled_from([math.inf, -math.inf])),
-                min_size=1, max_size=30).filter(lambda col: any(v is not None for v in col)))
+@given(st.one_of(
+    st.lists(st.one_of(st.none(), FLOATS, st.sampled_from([math.inf, -math.inf])),
+             min_size=1, max_size=30).filter(lambda col: any(v is not None for v in col)),
+    # the categoric branch: text beside numbers, and no value at all
+    st.lists(st.one_of(st.none(), FLOATS, st.sampled_from(["a", "b", "0", "-0", "1", ""])),
+             min_size=1, max_size=30).filter(lambda col: infer_coltype(col) != "numeric"),
+))
 @example([1.7e308, -1.7e308, 1.7e308, None])
 @example([-0.0, 0.0, None])
 @example([5e-324] * 5 + [1e-310])
 @example([math.inf, -math.inf])
 @example([math.inf, 1.0])
 @example(POW_SQUARES)
+@example(["-0", -0.0, "a", 0.0, None, "a"])
+@example([None, None])
 def test_numeric_source_stats_match_the_loop_over_sorted_cells(col):
-    assert outcome(lambda: _source_stats(col)) == outcome(
-        lambda: reference_numeric_source_stats(col))
+    # Over the cells, and over the distinct values with their counts, as fit takes them.
+    reference = (reference_numeric_source_stats if infer_coltype(col) == "numeric"
+                 else reference_categoric_source_stats)
+    expected = outcome(lambda: reference(col))
+    distinct, codes = factorize(col)
+    assert outcome(lambda: _source_stats("x", col)) == expected
+    assert outcome(lambda: _source_stats("x", distinct, np.bincount(codes))) == expected
 
 
 @settings(max_examples=200, deadline=None)

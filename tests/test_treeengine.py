@@ -6,18 +6,20 @@ import logging
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import parsemunge as pm
-from parsemunge import infill
+from parsemunge import encoders, infill, treeengine
 from parsemunge.errors import ConfigError, DataError, ParsemungeError
 from parsemunge.infill import CONFIG_KIND_NAMES, mark_targets
 from parsemunge.registry import BEHAVIORS, builtin_registry
 from parsemunge.schema import checker
 from parsemunge.tidytable import TidyTable, distinct_counts, factorize, write_csv
 from parsemunge.treeengine import FORMAT_VERSION, Options
+from perfbench import workloads
 
 from .helpers import make_random_table, random_text_cell, retyped, run_behavior
 from .oracles import reference_adjacent_fill
@@ -257,6 +259,41 @@ class TestApply:
         behaviors = {rec.behavior for plan in artifact.per_source.values() for rec in plan.steps}
         assert {"spl9", "sp10", "spl5", "srch"} <= behaviors
 
+    def test_fit_reads_each_source_rows_once(self, monkeypatch):
+        # One factorize per source reads its rows, in fit and in apply; every
+        # other helper sees distinct values only, and _evaluate is never
+        # handed a source's distinct values to factorize again.
+        calls, factorized = [], []
+        for module in (treeengine, encoders):
+            for name in ("factorize", "distinct_counts", "infer_coltype", "checked_coltype",
+                         "numbers"):
+                if not hasattr(module, name):
+                    continue
+
+                def counted(*args, _original=getattr(module, name), _name=name):
+                    values = args[1] if _name == "checked_coltype" else args[0]
+                    calls.append((_name, len(values)))
+                    if _name == "factorize":
+                        factorized.append(list(values))
+                    return _original(*args)
+                monkeypatch.setattr(module, name, counted)
+
+        def check(table):
+            row_calls = [name for name, n in calls if n == table.row_count]
+            assert row_calls == ["factorize"] * len(table.headers) == ["factorize"] * 8
+            sources = [factorize(c)[0] for c in table.columns]
+            assert all(len(d) < table.row_count for d in sources)
+            assert not [v for v in factorized if any(v == d for d in sources)]
+            calls.clear()
+            factorized.clear()
+
+        w = workloads.wide_roundtrip(7)
+        train, test = (TidyTable(list(t), list(t.values())) for t in (w.train, w.test))
+        _, artifact = pm.fit(train, w.assignments, opts=Options(**w.options))
+        check(train)
+        pm.apply(artifact, test)
+        check(test)
+
     def test_infill_target_rule_runs_once_per_distinct_value(self, monkeypatch):
         # Targets are marked by one mark_targets call per NArw step, in fit
         # and in apply, each over exactly one source's distinct values: a mark
@@ -361,6 +398,63 @@ class TestEdgeCases:
         write_csv(encoded, tmp_path / "encoded.csv")
 
 
+class TestCellTypes:
+    """A cell is a str, float or None, or of a subclass of str or float; any
+    other type raises DataError naming the column and the type."""
+
+    @pytest.mark.parametrize("col,root,type_name", [
+        ([1, 2, 3], None, "int"),
+        (["x", 2, "y"], None, "int"),
+        ([None, True, 2.5], "nmbr", "bool"),
+        (["a", b"b", None], "ord3", "bytes"),
+    ])
+    def test_fit(self, col, root, type_name):
+        assignments = {"a": root} if root else {}
+        with pytest.raises(DataError, match=f"column 'a' holds a cell of type {type_name};"):
+            pm.fit(_table(a=col, b=["x"] * len(col)), assignments)
+
+    def test_apply(self):
+        _, artifact = pm.fit(_table(a=[1.0, 2.0, None], b=["x", "y", "x"]))
+        with pytest.raises(DataError, match="column 'a' holds a cell of type int;"):
+            pm.apply(artifact, _table(a=[1, 2.0, None], b=["x", "y", "x"]))
+        with pytest.raises(DataError, match="column 'b' holds a cell of type bytes;"):
+            pm.apply(artifact, _table(a=[1.0, 2.0, None], b=["x", b"y", "x"]))
+
+    def test_drift_report(self):
+        # Checked where drift reads the types: a numeric source's cells. A
+        # categoric source's counts are read without them, so a cell of
+        # another type counts there as an unseen entry.
+        _, artifact = pm.fit(_table(a=[1.0, 2.0, None], b=["x", "y", "x"]))
+        with pytest.raises(DataError, match="column 'a' holds a cell of type int;"):
+            pm.drift_report(artifact, _table(a=[1, 2.0, None], b=["x", "y", "x"]))
+        report = pm.drift_report(artifact, _table(a=[1.0, 2.0, None], b=["x", b"y", "x"]))
+        assert report.per_source["b"]["unseen_rate"] == pytest.approx(1 / 3)
+
+    def test_subclasses_of_str_and_float_are_cells(self):
+        class Text(str):
+            pass
+
+        class Number(float):
+            pass
+
+        plain = _table(a=[1.0, 2.5, None], b=["x", "y", "x"], c=[2.5, "z", 1.0])
+        derived = _table(a=[Number(1.0), Number(2.5), None], b=[Text("x"), "y", Text("x")],
+                         c=[np.float64(2.5), "z", np.float64(1.0)])
+        encoded, artifact = pm.fit(plain)
+        encoded2, artifact2 = pm.fit(derived)
+        assert encoded2 == encoded and pm.serialize(artifact2) == pm.serialize(artifact)
+        assert pm.apply(artifact, derived) == encoded
+        assert pm.drift_report(artifact, derived) == pm.drift_report(artifact, plain)
+
+    def test_invert_reads_ints_and_bools_as_codes(self):
+        # The onht decoder compares cells by ==, so 1 and True read as 1.0.
+        encoded, artifact = pm.fit(_table(a=["x", "y", "z"]), {"a": "onht"})
+        cells = [[int(v) for v in c] for c in encoded.columns]
+        cells[0] = [bool(v) for v in cells[0]]
+        recovered, failed = pm.invert(artifact, TidyTable(encoded.headers, cells))
+        assert failed == [] and recovered.column("a") == ["x", "y", "z"]
+
+
 _nasty_cells = st.one_of(
     st.none(),
     st.text(alphabet='ab9 ,."\'_ß€\n', min_size=1, max_size=10),
@@ -436,6 +530,47 @@ def test_apply_is_batch_invariant_on_numeric_and_categoric_roots(train, head, ta
     parts = pm.apply(artifact, table(head)), pm.apply(artifact, table(tail))
     assert json.dumps(whole.columns) == json.dumps(
         [x + y for x, y in zip(parts[0].columns, parts[1].columns)])
+
+
+_ORDER_ROOTS = ["or19", "or20", "nmbr", "mnmx", "splt", "spl5", "sp19", "nmc7", "srch", "1010",
+                "onht", "bnry", "ord3", "excl"]
+_order_cells = st.one_of(st.none(), st.sampled_from([0.0, -0.0, 2.5, -7.0, "0", "-0", "x", "y",
+                                                     "ab 1", "ab 2", "zz 9", "n/a"]))
+
+
+@given(st.lists(st.tuples(_order_cells, _order_cells), min_size=1, max_size=12),
+       st.sampled_from(_ORDER_ROOTS), st.sampled_from(_ORDER_ROOTS),
+       st.sampled_from(_BATCH_KINDS), st.data())
+@example([(0.0, "x"), (-0.0, "y"), (None, "x")], "ord3", "excl", "modeinfill", None)
+@example([(-0.0, "ab 1"), (0.0, "ab 2"), (2.5, None)], "nmbr", "splt", "meaninfill", None)
+@example([(None, None), ("x", "0"), (None, "-0")], "or19", "mnmx", "stdrdinfill", None)
+@settings(max_examples=150, deadline=None)
+def test_fit_does_not_depend_on_row_order(rows, root_a, root_b, kind, data):
+    """fit on any row permutation gives the same artifact bytes, and the
+    encoded train rows permuted alike (or the same error); json.dumps tells
+    the signed zeros apart. Every fill kind but adjinfill, which reads the
+    rows in order."""
+    order = list(reversed(range(len(rows)))) if data is None else data.draw(
+        st.permutations(range(len(rows))))
+    opts = Options(assigninfill={kind: ["a", "b"]}, assignparam={
+        "global_assignparam": {"min_len": 2}, "srch": {"a": {"search": ["x", "ab"]},
+                                                       "b": {"search": ["0", "Y"]}}})
+
+    def outcome(rows):
+        table = _table(a=[r[0] for r in rows], b=[r[1] for r in rows])
+        try:
+            encoded, artifact = pm.fit(table, {"a": root_a, "b": root_b}, opts=opts)
+        except ParsemungeError as exc:
+            return type(exc), str(exc)
+        return pm.serialize(artifact), json.dumps(encoded.columns)
+
+    before, after = outcome(rows), outcome([rows[i] for i in order])
+    if isinstance(before[0], type):
+        assert after == before
+        return
+    assert after[0] == before[0]
+    columns = json.loads(before[1])
+    assert after[1] == json.dumps([[c[i] for i in order] for c in columns])
 
 
 _adjacent_cells = st.one_of(st.none(), st.sampled_from([0.0, -0.0, 2.5, 7.0, "x", "v9", "n/a"]))
