@@ -1,9 +1,12 @@
 """Baseline categoric and numeric transforms, plus the automation root heuristic.
 
-Every transform is a Behavior: it fits once against the distinct-value counts
-of its train input, then evaluates all the distinct values of an input in one
-call on that frozen basis: values in, one list per output column out.
-Fit states are plain JSON-able dicts so they can live inside the artifact.
+Every transform is a Behavior. At fit and at apply it reads one form of its
+input, a ``tidytable.Distinct`` view of its input header's distinct values:
+it fits once on the view's values and counts, then evaluates all the values
+of a view in one call on that frozen basis, one list per output column out.
+It converts no value itself but reads the view's ``texts``, ``numbers`` and
+``text_counts``, which every step on the header shares. Fit states are plain
+JSON-able dicts so they can live inside the artifact.
 """
 
 from __future__ import annotations
@@ -22,10 +25,10 @@ from .tidytable import (
     COLTYPE_ALL_MISSING,
     COLTYPE_NUMERIC,
     Cell,
-    canon_text,
+    Distinct,
+    distinct_counts,
     infer_coltype,
     largest_magnitude,
-    numbers,
     sum_scale_exponent,
     value_order_fsum,
 )
@@ -39,8 +42,8 @@ _BITS = (0.0, 1.0)
 
 
 class Behavior:
-    """One transform: fit on train-basis counts, then evaluation of all the
-    distinct values of its input in one call (``apply_distinct``)."""
+    """One transform: fit on the view of its train input, then evaluation of
+    all the values of a view in one call (``apply_distinct``)."""
 
     name = "?"
     coltype_class = CLASS_CATEGORIC
@@ -49,7 +52,7 @@ class Behavior:
     fit_schema: dict = {}  # schema spec of every fit state; artifacts are checked on it
     param_schema: dict = {}  # schema spec of the transform parameters, every key optional
 
-    def fit(self, counts: dict[Cell, int], params: dict, root_rule: str) -> dict:
+    def fit(self, view: Distinct, params: dict, root_rule: str) -> dict:
         return {}
 
     def fit_fault(self, state: dict) -> str | None:
@@ -66,14 +69,14 @@ class Behavior:
         takes; built once per step evaluation. The fit state by default."""
         return state
 
-    def apply_distinct(self, compiled, values: list[Cell]) -> list[list]:
-        """Values in, columns out: one list per output token, each holding the
-        output of every value in order."""
+    def apply_distinct(self, compiled, view: Distinct) -> list[list]:
+        """View in, columns out: one list per output token, each holding the
+        output of every value of the view in order."""
         raise NotImplementedError
 
     def apply_cell(self, compiled, cell: Cell) -> tuple:
         """The output of one value; the library itself evaluates only columns."""
-        return tuple(column[0] for column in self.apply_distinct(compiled, [cell]))
+        return tuple(column[0] for column in self.apply_distinct(compiled, Distinct([cell])))
 
     def decoder(self, state: dict):
         """Return a function mapping one output tuple back to the input cell;
@@ -84,17 +87,6 @@ class Behavior:
         """The decoder's cells of a whole float64 column of a one-column step,
         bit for bit; None where the step decodes pattern by pattern."""
         return None
-
-
-def text_counts(counts: dict[Cell, int]) -> dict[str, int]:
-    """Aggregate raw-cell counts onto canonical text forms, missing excluded."""
-    agg: dict[str, int] = {}
-    for cell, c in counts.items():
-        text = canon_text(cell)
-        if text is None:
-            continue
-        agg[text] = agg.get(text, 0) + c
-    return agg
 
 
 def ranked_entries(agg: dict[str, int]) -> list[str]:
@@ -121,14 +113,13 @@ class UpcsBehavior(Behavior):
     fit_schema = {"enabled": bool}
     param_schema = {"enabled?": bool}
 
-    def fit(self, counts, params, root_rule):
+    def fit(self, view, params, root_rule):
         return {"enabled": params.get("enabled", True)}
 
-    def apply_distinct(self, state, values):
-        texts = map(canon_text, values)
+    def apply_distinct(self, state, view):
         if not state["enabled"]:
-            return [list(texts)]
-        return [[None if text is None else text.upper() for text in texts]]
+            return [list(view.texts)]
+        return [[None if text is None else text.upper() for text in view.texts]]
 
 
 class NarwBehavior(Behavior):
@@ -136,11 +127,11 @@ class NarwBehavior(Behavior):
     coltype_class = CLASS_BOOLEAN
     fit_schema = {"rule": str}
 
-    def fit(self, counts, params, root_rule):
+    def fit(self, view, params, root_rule):
         return {"rule": root_rule}
 
-    def apply_distinct(self, state, values):
-        return [list(map(_BITS.__getitem__, infill.mark_targets(values, state["rule"])))]
+    def apply_distinct(self, state, view):
+        return [list(map(_BITS.__getitem__, infill.mark_targets(view, state["rule"])))]
 
 
 class ExclBehavior(Behavior):
@@ -148,8 +139,8 @@ class ExclBehavior(Behavior):
     coltype_class = CLASS_PASSTHROUGH
     inversion_pass = True
 
-    def apply_distinct(self, state, values):
-        return [list(values)]
+    def apply_distinct(self, state, view):
+        return [list(view.values)]
 
 
 class RankedCodeBehavior(Behavior):
@@ -159,8 +150,8 @@ class RankedCodeBehavior(Behavior):
 
     fit_schema = {"entries": [str]}
 
-    def fit(self, counts, params, root_rule):
-        return {"entries": ranked_entries(text_counts(counts))}
+    def fit(self, view, params, root_rule):
+        return {"entries": ranked_entries(view.text_counts)}
 
     def code_map(self, state) -> dict[str, int]:
         return {e: i + 1 for i, e in enumerate(state["entries"])}
@@ -175,9 +166,9 @@ class RankedCodeBehavior(Behavior):
     def compile(self, state):
         return self.code_map(state), self.size(self.top_code(state))
 
-    def apply_distinct(self, compiled, values):
+    def apply_distinct(self, compiled, view):
         codes, size = compiled
-        return self.code_columns(list(map(codes.get, map(canon_text, values), repeat(0))), size)
+        return self.code_columns(list(map(codes.get, view.texts, repeat(0))), size)
 
     def code_columns(self, codes: list[int], size: int) -> list[list[float]]:
         """The ``size`` output columns of the codes."""
@@ -187,7 +178,8 @@ class RankedCodeBehavior(Behavior):
         """The code map read backwards; the code-0 pattern reads as missing."""
         compiled = self.compile(state)
         entries = [*compiled[0], None]  # missing last, so that it takes the code-0 pattern
-        rows = zip(*self.apply_distinct(compiled, entries)) if compiled[1] else [()] * len(entries)
+        rows = (zip(*self.apply_distinct(compiled, Distinct(entries))) if compiled[1]
+                else [()] * len(entries))
         return dict(zip(rows, entries)).__getitem__
 
 
@@ -240,17 +232,17 @@ class BnryBehavior(Behavior):
     coltype_class = CLASS_BOOLEAN
     fit_schema = {"one": str, "zero": str}
 
-    def fit(self, counts, params, root_rule):
-        agg = text_counts(counts)
+    def fit(self, view, params, root_rule):
+        agg = view.text_counts
         if len(agg) != 2:
             raise DataError(f"bnry requires exactly 2 distinct entries, got {len(agg)}")
         one, zero = ranked_entries(agg)
         return {"one": one, "zero": zero}
 
-    def apply_distinct(self, state, values):
+    def apply_distinct(self, state, view):
         zero = state["zero"]
         # Mode imputation for missing and unseen; NArw carries the signal.
-        return [[0.0 if text == zero else 1.0 for text in map(canon_text, values)]]
+        return [[0.0 if text == zero else 1.0 for text in view.texts]]
 
     def decoder(self, state):
         return {(1.0,): state["one"], (0.0,): state["zero"]}.__getitem__
@@ -277,23 +269,17 @@ class B1010Behavior(RankedCodeBehavior):
         return [[_BITS[(c >> shift) & 1] for c in codes] for shift in range(size - 1, -1, -1)]
 
 
-def numeric_counts(counts: dict[Cell, int]) -> tuple[np.ndarray, np.ndarray]:
-    """The parsable values among the keys of ``counts``, in key order, and
-    their counts, as arrays."""
-    values, present = numbers(list(counts))
-    weights = np.fromiter(counts.values(), np.int64, len(counts))
-    return values[present], weights[present]
-
-
 @np.errstate(over="ignore", invalid="ignore")  # infinite values give inf and NaN, silently
-def _weighted_moments(values: np.ndarray, weights: np.ndarray) -> tuple[float, float, float, int]:
-    """Population mean/std of values, each counting its weight.
+def _weighted_moments(view: Distinct) -> tuple[float, float, float, int]:
+    """Population mean/std of the view's parsable values, each counting its count.
 
     Returns (mean, shift, std, total) where shift is the residual between the
     rounded mean and the true mean; centering as (v - mean) - shift keeps the
     standardized column's mean at zero even when std << |mean|. Every sum is
     an ``fsum``, correctly rounded in any order, over one term per value.
     """
+    values, present = view.numbers
+    values, weights = values[present], view.counts[present]
     total = int(weights.sum())
     if not total:
         return 0.0, 0.0, 0.0, 0
@@ -333,19 +319,19 @@ class NmbrBehavior(Behavior):
     target_rule = "numeric_parse"
     fit_schema = {"mean": float, "shift": float, "std": float}
 
-    def fit(self, counts, params, root_rule):
-        mean, shift, std, _ = _weighted_moments(*numeric_counts(counts))
+    def fit(self, view, params, root_rule):
+        mean, shift, std, _ = _weighted_moments(view)
         if std < sys.float_info.min:
             # A subnormal std is a rounded stand-in for a spread too small to
             # represent; dividing by it does not standardize, so it counts as none.
             std = 0.0
         return {"mean": mean, "shift": shift, "std": std}
 
-    def apply_distinct(self, state, values):
+    def apply_distinct(self, state, view):
         mean, shift, std = state["mean"], state["shift"], state["std"]
         if std == 0.0:
-            return [[0.0] * len(values)]
-        v, present = numbers(values)
+            return [[0.0] * len(view.values)]
+        v, present = view.numbers
         with np.errstate(over="ignore", invalid="ignore"):
             d = v - mean
             # Quartering every term is exact for normal floats. Only data spanning
@@ -379,9 +365,9 @@ class MnmxBehavior(Behavior):
     target_rule = "numeric_parse"
     fit_schema = {"min": float, "max": float, "mean": float}
 
-    def fit(self, counts, params, root_rule):
-        values, weights = numeric_counts(counts)
-        mean, shift, _, _ = _weighted_moments(values, weights)
+    def fit(self, view, params, root_rule):
+        mean, shift, _, _ = _weighted_moments(view)
+        values = view.numbers[0][view.numbers[1]]
         bits = values.view(np.int64)  # keyed in IEEE total order: -0.0 below 0.0, in any row order
         order = bits ^ ((bits >> 63) & np.iinfo(np.int64).max)
         lo = float(values[order.argmin()]) if len(values) else 0.0
@@ -395,11 +381,11 @@ class MnmxBehavior(Behavior):
         q = 0.25 if isinf(state["max"] - state["min"]) else 1.0
         return q, state["min"] * q, state["max"] * q - state["min"] * q, state["mean"]
 
-    def apply_distinct(self, compiled, values):
+    def apply_distinct(self, compiled, view):
         q, lo, span, mean = compiled
         if span == 0.0:
-            return [[0.0] * len(values)]
-        v, present = numbers(values)
+            return [[0.0] * len(view.values)]
+        v, present = view.numbers
         # A missing value takes the train mean, scaled as the others.
         with np.errstate(over="ignore", invalid="ignore"):
             return [((np.where(present, v, mean) * q - lo) / span).tolist()]
@@ -418,12 +404,17 @@ def auto_root_select(col: list[Cell], threshold: int = 255) -> str:
     """Automation default: pick a root category from column type and
     cardinality. ``col`` may be a column's cells or its distinct values:
     the root is the same."""
-    coltype = infer_coltype(col)
+    return root_of(distinct_counts(col), threshold)
+
+
+def root_of(view: Distinct, threshold: int) -> str:
+    """``auto_root_select`` of the view of a column's distinct values."""
+    coltype = infer_coltype(view.values)
     if coltype == COLTYPE_NUMERIC:
         return "nmbr"
     if coltype == COLTYPE_ALL_MISSING:
         return "excl"
-    n = len(set(map(canon_text, set(col))) - {None})  # set(col) holds one of the two zeros
+    n = len(set(view.texts) - {None})
     if n == 2:
         return "bnry"
     if n == 3:

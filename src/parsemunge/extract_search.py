@@ -23,10 +23,8 @@ from .encoders import (
     CLASS_NUMERIC,
     Behavior,
     sanitize_token,
-    text_counts,
 )
 from .errors import ConfigError
-from .tidytable import canon_text
 
 
 @lru_cache(maxsize=None)
@@ -68,17 +66,16 @@ class NmcmBehavior(Behavior):
     fit_schema = {"flags": {"allow_commas": bool, "allow_decimal": bool, "allow_negative": bool}}
     param_schema = {"allow_commas?": bool, "allow_decimal?": bool, "allow_negative?": bool}
 
-    def fit(self, counts, params, root_rule):
+    def fit(self, view, params, root_rule):
         return {"flags": {
             "allow_commas": params.get("allow_commas", True),
             "allow_decimal": params.get("allow_decimal", True),
             "allow_negative": params.get("allow_negative", False),
         }}
 
-    def apply_distinct(self, state, values):
+    def apply_distinct(self, state, view):
         flags = state["flags"]
-        return [[None if text is None else nmcm_extract(text, **flags)
-                 for text in map(canon_text, values)]]
+        return [[None if text is None else nmcm_extract(text, **flags) for text in view.texts]]
 
 
 class Nmc7Behavior(NmcmBehavior):
@@ -87,18 +84,17 @@ class Nmc7Behavior(NmcmBehavior):
     name = "nmc7"
     fit_schema = {**NmcmBehavior.fit_schema, "lookup": {str: float | None}}
 
-    def fit(self, counts, params, root_rule):
-        state = super().fit(counts, params, root_rule)
+    def fit(self, view, params, root_rule):
+        state = super().fit(view, params, root_rule)
         state["lookup"] = {
-            entry: nmcm_extract(entry, **state["flags"])
-            for entry in sorted(text_counts(counts))
+            entry: nmcm_extract(entry, **state["flags"]) for entry in sorted(view.text_counts)
         }
         return state
 
-    def apply_distinct(self, state, values):
+    def apply_distinct(self, state, view):
         lookup, flags = state["lookup"], state["flags"]
         return [[None if text is None else lookup[text] if text in lookup
-                 else nmcm_extract(text, **flags) for text in map(canon_text, values)]]
+                 else nmcm_extract(text, **flags) for text in view.texts]]
 
 
 @dataclass
@@ -145,7 +141,7 @@ class SrchBehavior(Behavior):
     param_schema = {"search?": [str], "aggregate?": [[str]], "ordinal?": bool,
                     "case_sensitive?": bool}
 
-    def fit(self, counts, params, root_rule):
+    def fit(self, view, params, root_rule):
         spec = SearchSpec.from_params(params)
         groups = spec.groups
         if not spec.case_sensitive:
@@ -167,10 +163,10 @@ class SrchBehavior(Behavior):
             return [""]
         return list(state["labels"])
 
-    def apply_distinct(self, state, values):
+    def apply_distinct(self, state, view):
         """Each term is looked for in every text at once; a group hits where
         any of its terms does."""
-        texts = list(map(canon_text, values))
+        texts = view.texts
         # Python's str.upper, as fit upper-cases the terms: "ß" becomes "SS".
         probes = ["" if t is None else t if state["case_sensitive"] else t.upper()
                   for t in texts]

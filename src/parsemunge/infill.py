@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigError
 from .tidytable import (
     Cell,
-    canon_text,
+    Distinct,
     largest_magnitude,
     numbers,
     sum_scale_exponent,
@@ -50,15 +50,15 @@ NUMERIC_ONLY_KINDS = (KIND_MEAN, KIND_MEDIAN)
 _DIGIT = re.compile("[0-9]")
 
 
-def mark_targets(col: list[Cell], rule: str = "missing_only") -> list[bool]:
-    """Whether each value is an infill target: missing values always are;
-    numeric rules also target text that does not parse."""
+def mark_targets(view: Distinct, rule: str = "missing_only") -> list[bool]:
+    """Whether each value of the view is an infill target: missing values
+    always are; numeric rules also target text that does not parse."""
     if rule == "numeric_parse":
-        return (~numbers(col)[1]).tolist()
+        return (~view.numbers[1]).tolist()
     if rule == "numeric_extract":
         # nmcm_extract finds a number exactly when the text holds an ASCII digit.
-        return [cell is None or _DIGIT.search(canon_text(cell)) is None for cell in col]
-    return list(map(operator.is_, col, repeat(None)))
+        return [text is None or _DIGIT.search(text) is None for text in view.texts]
+    return list(map(operator.is_, view.values, repeat(None)))
 
 
 def _holds_text(values) -> bool:

@@ -38,11 +38,10 @@ from .encoders import (
     CLASS_CATEGORIC,
     B1010Behavior,
     Behavior,
+    ranked_entries,
     sanitize_token,
-    text_counts,
 )
 from .errors import ConfigError
-from .tidytable import canon_text
 
 DEFAULT_MIN_LEN = 5
 DEFAULT_PLUG = "zzzplug"
@@ -292,9 +291,9 @@ class SpltBehavior(Behavior):
     param_schema = SCAN_PARAMS
     single_id = True
 
-    def fit(self, counts, params, root_rule):
+    def fit(self, view, params, root_rule):
         cfg = config_from_params(params, single_id=self.single_id)
-        omap = scan_overlaps(text_counts(counts), cfg)
+        omap = scan_overlaps(view.text_counts, cfg)
         return {
             "overlaps": _ordered_overlaps(omap.overlaps),
             "assignment": omap.assignment,
@@ -313,10 +312,10 @@ class SpltBehavior(Behavior):
             active[e] = [column[o] for o in names if o in column]
         return active, len(column)
 
-    def apply_distinct(self, compiled, values):
+    def apply_distinct(self, compiled, view):
         active, size = compiled
-        columns = [[0.0] * len(values) for _ in range(size)]
-        for row, text in enumerate(map(canon_text, values)):
+        columns = [[0.0] * len(view.values) for _ in range(size)]
+        for row, text in enumerate(view.texts):
             for i in active.get(text, ()):
                 columns[i][row] = 1.0
         return columns
@@ -400,18 +399,18 @@ class Spl2Behavior(Behavior):
     param_schema = SCAN_PARAMS
     unseen_matches = True  # entries unseen in train are matched against stored overlaps
 
-    def fit(self, counts, params, root_rule):
+    def fit(self, view, params, root_rule):
         cfg = config_from_params(params, single_id=True)
-        return {"assignment": scan_overlaps(text_counts(counts), cfg).assignment}
+        return {"assignment": scan_overlaps(view.text_counts, cfg).assignment}
 
     def compile(self, state):
         if not self.unseen_matches:
             return state
         return {**state, "keys": _overlap_keys(state["assignment"].values())}
 
-    def apply_distinct(self, state, values):
+    def apply_distinct(self, state, view):
         """Seen entries are looked up; the unseen ones are matched together."""
-        texts = list(map(canon_text, values))
+        texts = view.texts
         found = list(map(state["assignment"].get, texts))
         if self.unseen_matches:
             unseen = [i for i, (t, f) in enumerate(zip(texts, found))
@@ -435,8 +434,8 @@ class Spl5Behavior(Spl2Behavior):
     fit_schema = {"assignment": {str: str}, "plug": str}
     param_schema = {**SCAN_PARAMS, "plug?": str}
 
-    def fit(self, counts, params, root_rule):
-        state = super().fit(counts, params, root_rule)
+    def fit(self, view, params, root_rule):
+        state = super().fit(view, params, root_rule)
         overlaps = set(state["assignment"].values())
         state["plug"] = _resolve_plug(params.get("plug", DEFAULT_PLUG), overlaps)
         return state
@@ -468,21 +467,19 @@ class Sp19Behavior(B1010Behavior):
     fit_schema = {"codes": {str: int}}
     param_schema = SCAN_PARAMS
 
-    def fit(self, counts, params, root_rule):
+    def fit(self, view, params, root_rule):
         cfg = config_from_params(params, single_id=False)
-        agg = text_counts(counts)
-        omap = scan_overlaps(agg, cfg)
+        omap = scan_overlaps(view.text_counts, cfg)
         overlaps = _ordered_overlaps(omap.overlaps)
         pattern_counts: dict[str, int] = {}
         entry_pattern: dict[str, str] = {}
-        for entry, n in agg.items():
+        for entry, n in view.text_counts.items():
             mine = omap.assignment.get(entry, ())
             bits = "".join("1" if o in mine else "0" for o in overlaps)
             if "1" in bits:
                 entry_pattern[entry] = bits
                 pattern_counts[bits] = pattern_counts.get(bits, 0) + n
-        ranked = sorted(pattern_counts, key=lambda p: (-pattern_counts[p], p))
-        pattern_code = {p: i + 1 for i, p in enumerate(ranked)}
+        pattern_code = {p: i + 1 for i, p in enumerate(ranked_entries(pattern_counts))}
         return {"codes": {e: pattern_code[p] for e, p in entry_pattern.items()}}
 
     def fit_fault(self, state):
@@ -502,12 +499,12 @@ class SbstBehavior(SpltBehavior):
 
     name = "sbst"
 
-    def fit(self, counts, params, root_rule):
+    def fit(self, view, params, root_rule):
         min_len = params.get("min_len", DEFAULT_MIN_LEN)
         if min_len < 1:
             raise ConfigError("sbst min_len must be at least 1")
         cfg = config_from_params(params, single_id=True)
-        uniques = sorted(text_counts(counts))
+        uniques = sorted(view.text_counts)
         candidates = [
             b for b in uniques if len(b) >= min_len and _clean(b, cfg.exclude_chars)
         ]

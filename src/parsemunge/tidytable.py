@@ -13,6 +13,10 @@ cells by token; ``write_csv`` renders each distinct number of an all-number
 column once, keyed by bit pattern so -0.0 stays apart from 0.0, and gathers
 the text by code. The cells and bytes are those of classifying and rendering
 cell by cell.
+
+Every transform reads a header as a ``Distinct`` view of its distinct values
+(and, at fit, their counts), which converts each value to its canonical text
+and number once, for every step that reads the header.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import math
 import operator
 import re
 from collections import Counter, defaultdict
+from functools import cached_property
 from itertools import compress, count, islice, repeat
 
 import numpy as np
@@ -105,6 +110,34 @@ def numbers(values: list[Cell]) -> tuple[np.ndarray, np.ndarray]:
     parsed = list(map(as_number, values))
     present = np.fromiter(map(operator.is_not, parsed, repeat(None)), bool, len(parsed))
     return np.array(parsed, dtype=np.float64), present
+
+
+class Distinct:
+    """The distinct cells of one header and, at fit, the number of source rows
+    each stands for (an int64 array). Every step that reads the header shares
+    the ``canon_text`` of each value, their ``numbers`` and the counts summed
+    onto each text, missing left out, each built on first use."""
+
+    def __init__(self, values: list[Cell], counts: np.ndarray | None = None):
+        self.values, self.counts = values, counts
+
+    @cached_property
+    def texts(self) -> list[str | None]:
+        if set(map(type, self.values)) <= {str, type(None)}:  # each is its own text
+            return self.values
+        return list(map(canon_text, self.values))
+
+    @cached_property
+    def numbers(self) -> tuple[np.ndarray, np.ndarray]:
+        return numbers(self.values)
+
+    @cached_property
+    def text_counts(self) -> dict[str, int]:
+        agg: dict[str, int] = {}
+        for text, n in zip(self.texts, self.counts.tolist()):
+            if text is not None:
+                agg[text] = agg.get(text, 0) + n
+        return agg
 
 
 def largest_magnitude(values: np.ndarray) -> float:
@@ -302,27 +335,19 @@ def write_csv(table: TidyTable, path) -> None:
             writer.writerows(zip(*map(_render, block)))
 
 
-def distinct_counts(values, weights=None) -> dict[Cell, int]:
-    """Occurrence counts keyed by raw value (missing included), in first-seen order.
-
-    ``weights`` gives each value's count, one by default. Both zeros are keyed
-    as 0.0, placed last: one key cannot hold both, and keeping whichever came
-    first would make every output derived from it depend on row order.
-    """
-    if weights is None:
-        counts = Counter(values)
-    else:
-        counts = {}
-        for value, n in zip(values, weights):
-            counts[value] = counts.get(value, 0) + n
+def distinct_counts(values) -> Distinct:
+    """The view of the distinct values, keyed as ``factorize`` keys them, and their counts."""
+    counts = Counter(values)
     if 0.0 in counts:
         counts[0.0] = counts.pop(0.0)
-    return counts
+    return Distinct(list(counts), np.fromiter(counts.values(), np.int64, len(counts)))
 
 
 def factorize(values) -> tuple[list[Cell], np.ndarray]:
-    """The keys of ``distinct_counts(values)`` in the same order, without the
-    counts, and each value's position among them, from one C-level pass."""
+    """The distinct values in first-seen order and each value's position among
+    them, from one C-level pass. Both zeros are one value, 0.0, placed last:
+    one key cannot hold both, and keeping whichever came first would make
+    every output derived from it depend on row order."""
     position = defaultdict(count().__next__)
     codes = np.fromiter(map(position.__getitem__, values), np.intp, len(values))
     if 0.0 in position:  # both zeros as one key, 0.0, placed last
@@ -346,6 +371,16 @@ def checked_coltype(header: str, col) -> str:
         raise DataError(f"column {header!r} holds a cell of type {bad[0]};"
                         " a cell is text (str), a number (float) or missing (None)")
     return _coltype(types)
+
+
+def read_cells(header: str, col, read):
+    """``read(col)`` of column ``header``; where it fails on a cell that does not
+    hash, ``checked_coltype``'s DataError names the column and the cell's type."""
+    try:
+        return read(col)
+    except TypeError:
+        checked_coltype(header, col)
+        raise
 
 
 def _coltype(types: set[type]) -> str:

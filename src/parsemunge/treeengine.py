@@ -4,10 +4,11 @@ header logging, fit-artifact serialization, inversion, and drift reporting.
 ``fit`` and ``apply`` read a source's rows once, in one ``factorize``; ``fit``
 then works from its distinct values and their counts alone (root selection,
 source statistics, every step's fit and the infill statistics).
-A source's plan is evaluated one way, step by step (``_evaluate``): each step
-is handed all the distinct values of its input header in one call, and each
-output column is kept over the source's distinct values, from which rows are
-gathered through their codes.
+A source's plan is evaluated one way, step by step (``_evaluate``). Each
+header a step reads is factorized once into one ``Distinct`` view, which the
+step fits on and is evaluated on; at fit its counts are the source counts
+summed by its codes. Each output column is kept over the source's distinct
+values, from which rows are gathered through their codes.
 ``fit`` evaluates each step right after fitting it and takes the encoded train
 table and the infill statistics from those columns; ``apply`` replays the
 stored steps. So applying an artifact to its own train table makes the
@@ -36,9 +37,9 @@ from . import infill as infill_mod
 from .encoders import (
     CLASS_NUMERIC,
     Behavior,
-    auto_root_select,
     deviation_std,
-    text_counts,
+    ranked_entries,
+    root_of,
 )
 from .errors import ConfigError, DataError
 from .registry import (
@@ -56,12 +57,14 @@ from .tidytable import (
     COLTYPE_CATEGORIC,
     COLTYPE_NUMERIC,
     Cell,
+    Distinct,
     TidyTable,
     checked_coltype,
     distinct_counts,
     factorize,
     largest_magnitude,
     numbers,
+    read_cells,
     sum_scale_exponent,
     value_order_fsum,
 )
@@ -171,29 +174,40 @@ def _resolve_params(opts: Options, behavior, category: str, source_header: str) 
     return params
 
 
-def _source_stats(header: str, values: list[Cell], counts: np.ndarray | None = None) -> dict:
+def _source_stats(header: str, view: Distinct) -> dict:
     """Train-basis statistics of source column ``header`` (``checked_coltype``
-    checks its cells): over its cells, or over its distinct values, each counting
-    its entry of ``counts``. Repeating each number by its count keeps the cells'
-    sums bit for bit, as an fsum over finite scaled terms is exact in any order."""
-    coltype = checked_coltype(header, values)
+    checks its cells) over the view of its distinct values and their counts."""
+    coltype = checked_coltype(header, view.values)
     if coltype == COLTYPE_NUMERIC:
-        values, present = numbers(values)
-        values = values[present] if counts is None else np.repeat(values[present], counts[present])
-        total = len(values)  # at least 1 in a numeric column
-        exp = sum_scale_exponent(largest_magnitude(values), total)
-        if exp:
-            values = np.ldexp(values, -exp)
-        mean = value_order_fsum(values, values) / total
-        with np.errstate(invalid="ignore"):  # an infinite mean gives NaN, silently
-            std = deviation_std(values - mean, total)
-        return {"coltype": coltype, "total": total,
-                "mean": math.ldexp(mean, exp), "std": math.ldexp(std, exp)}
-    freq = text_counts(distinct_counts(values) if counts is None
-                       else dict(zip(values, counts.tolist())))
-    top = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
+        values, present = view.numbers
+        return _numeric_stats(np.repeat(values[present], view.counts[present]))
+    freq = view.text_counts
     return {"coltype": coltype, "total": sum(freq.values()),
-            "top": [list(kv) for kv in top], "uniques": sorted(freq)}
+            "top": [[e, freq[e]] for e in ranked_entries(freq)[:10]], "uniques": sorted(freq)}
+
+
+def _row_stats(header: str, col: list[Cell]) -> dict:
+    """``_source_stats`` over the cells of column ``header``: a numeric column's
+    moments are taken over its rows, without counting its distinct values."""
+    if checked_coltype(header, col) != COLTYPE_NUMERIC:
+        return _source_stats(header, distinct_counts(col))
+    values, present = numbers(col)
+    return _numeric_stats(values[present])
+
+
+def _numeric_stats(values: np.ndarray) -> dict:
+    """The moments of a numeric column's present numbers, at least one. Repeating
+    each distinct number by its count keeps the cells' sums bit for bit, as an
+    fsum over finite scaled terms is exact in any order."""
+    total = len(values)
+    exp = sum_scale_exponent(largest_magnitude(values), total)
+    if exp:
+        values = np.ldexp(values, -exp)
+    mean = value_order_fsum(values, values) / total
+    with np.errstate(invalid="ignore"):  # an infinite mean gives NaN, silently
+        std = deviation_std(values - mean, total)
+    return {"coltype": COLTYPE_NUMERIC, "total": total,
+            "mean": math.ldexp(mean, exp), "std": math.ldexp(std, exp)}
 
 
 def _gather(column: list[Cell], codes: np.ndarray) -> list[Cell]:
@@ -216,46 +230,53 @@ def _row_column(column: list[Cell], codes: np.ndarray) -> list[Cell] | np.ndarra
     return data.take(codes) if isinstance(data, np.ndarray) else _gather(column, codes)
 
 
+def _input(header: str, values: dict[str, list], inputs: dict,
+           counts: np.ndarray | None = None) -> tuple[Distinct, np.ndarray | None]:
+    """The view of ``header``'s distinct values, from one factorize kept in
+    ``inputs``, and the codes of the source's distinct values among them (None
+    where they are the same); given the source's ``counts``, summed by code."""
+    if header not in inputs:
+        distinct, codes = factorize(values[header])
+        if counts is not None:
+            counts = np.bincount(codes, counts, len(distinct)).astype(np.int64)
+        identity = np.array_equal(codes, np.arange(len(distinct)))
+        inputs[header] = Distinct(distinct, counts), None if identity else codes
+    return inputs[header]
+
+
 def _evaluate(rec: StepRecord, values: dict[str, list], inputs: dict) -> None:
-    """Evaluate one step over all the distinct values of its input header in
-    one call (factorized once, cached in ``inputs``) and add each output column
-    to ``values``, gathered back to the source's distinct values; a column of
-    a header whose values are already distinct (codes None in ``inputs``, as
-    the caller seeds the source's) is kept as the step returned it."""
-    if rec.input_header not in inputs:
-        distinct, codes = factorize(values[rec.input_header])
-        if np.array_equal(codes, np.arange(len(distinct))):
-            codes = None
-        inputs[rec.input_header] = distinct, codes
-    distinct, codes = inputs[rec.input_header]
+    """Evaluate one step on the view of its input header in one call; add each
+    output column to ``values``, gathered back to the source's distinct values."""
+    view, codes = _input(rec.input_header, values, inputs)
     behavior = BEHAVIORS[rec.behavior]
-    columns = behavior.apply_distinct(behavior.compile(rec.fit), distinct)
+    columns = behavior.apply_distinct(behavior.compile(rec.fit), view)
     for h, column in zip(rec.output_headers, columns, strict=True):
         values[h] = column if codes is None else _gather(column, codes)
 
 
-def _walk(plan: SourcePlan, distinct: list[Cell]) -> dict[str, list]:
-    """Evaluate a fitted plan in step order: header -> column over ``distinct``."""
-    values, inputs = {plan.header: distinct}, {plan.header: (distinct, None)}
+def _walk(plan: SourcePlan, view: Distinct) -> dict[str, list]:
+    """Evaluate a fitted plan in step order: header -> column over the source's
+    distinct values (``view``)."""
+    values, inputs = {plan.header: view.values}, {plan.header: (view, None)}
     for rec in plan.steps:
         _evaluate(rec, values, inputs)
     return values
 
 
-def _fit_source(header: str, counts: dict[Cell, int], root_key: str, reg: Registry,
+def _fit_source(header: str, view: Distinct, root_key: str, reg: Registry,
                 opts: Options, dedup) -> tuple[SourcePlan, dict]:
-    """Fit one source's step tree on the counts of its distinct values;
-    returns the plan and the columns over those values."""
-    distinct = list(counts)  # the stats first: they check the type of every value
-    source_stats = _source_stats(header, distinct, np.array(list(counts.values()), np.int64))
+    """Fit one source's step tree, each step on the view it is evaluated on;
+    returns the plan and the columns over the source's distinct values."""
+    source_stats = _source_stats(header, view)  # first: it checks the type of every value
     root_rule = reg.entry(root_key).target_rule
     steps: list[StepRecord] = []
-    values, inputs = {header: distinct}, {header: (distinct, None)}
+    values, inputs = {header: view.values}, {header: (view, None)}
 
-    def fit_step(cat_key: str, in_header: str, in_counts: dict) -> StepRecord:
+    def fit_step(cat_key: str, in_header: str) -> StepRecord:
         entry = reg.entry(cat_key)
         params = _resolve_params(opts, entry.behavior, cat_key, header)
-        state = entry.behavior.fit(in_counts, params, root_rule)
+        in_view = _input(in_header, values, inputs, view.counts)[0]
+        state = entry.behavior.fit(in_view, params, root_rule)
         out_headers = []
         for token in entry.behavior.output_tokens(state):
             base = f"{in_header}_{entry.suffix}" + (f"_{token}" if token else "")
@@ -272,7 +293,7 @@ def _fit_source(header: str, counts: dict[Cell, int], root_key: str, reg: Regist
         _evaluate(rec, values, inputs)
         return rec
 
-    def run_generation(owner_key: str, in_header: str, in_counts: dict, slots) -> bool:
+    def run_generation(owner_key: str, in_header: str, slots) -> bool:
         # validate_registry has bounded the recursion depth from every root.
         tree = reg.tree(owner_key)
         input_retained = not any(
@@ -281,18 +302,15 @@ def _fit_source(header: str, counts: dict[Cell, int], root_key: str, reg: Regist
         for slot in slots:
             offspring = PRIMITIVE_SEMANTICS[slot][0]
             for cat in tree.slot(slot):
-                rec = fit_step(cat, in_header, in_counts)
+                rec = fit_step(cat, in_header)
                 if offspring and reg.tree(cat).has_downstream():
                     for out_header in rec.output_headers:
-                        rec.retained = run_generation(
-                            cat, out_header, distinct_counts(values[out_header], counts.values()),
-                            DOWNSTREAM_SLOTS,
-                        )
+                        rec.retained = run_generation(cat, out_header, DOWNSTREAM_SLOTS)
         return input_retained
 
-    if run_generation(root_key, header, counts, UPSTREAM_SLOTS):
+    if run_generation(root_key, header, UPSTREAM_SLOTS):
         # Root generation had no replacement entries: keep the source itself.
-        fit_step("excl", header, counts)
+        fit_step("excl", header)
     plan = SourcePlan(
         header=header,
         root=reg.resolve(root_key),
@@ -311,26 +329,26 @@ def _expand_source(plan: SourcePlan, col: list[Cell], values: dict[str, list],
     return {h: _row_column(values[h], codes[h]) for h in plan.retained_headers()}
 
 
-def _targets(plan: SourcePlan, values: dict[str, list]) -> list[bool]:
-    """Whether each distinct source value is an infill target: read from the
-    plan's NArw step on the source under its target rule, else marked."""
+def _targets(plan: SourcePlan, values: dict[str, list], view: Distinct) -> list[bool]:
+    """Whether each distinct source value (``view``) is an infill target: read
+    from the plan's NArw step on the source under its target rule, else marked."""
     for rec in plan.steps:
         if (rec.behavior == "NArw" and rec.input_header == plan.header
                 and rec.fit["rule"] == plan.target_rule):
             return [flag == 1.0 for flag in values[rec.output_headers[0]]]
-    return infill_mod.mark_targets(values[plan.header], plan.target_rule)
+    return infill_mod.mark_targets(view, plan.target_rule)
 
 
-def _infill_columns(plan: SourcePlan, values: dict[str, list], codes: np.ndarray,
+def _infill_columns(plan: SourcePlan, values: dict[str, list], view: Distinct, codes: np.ndarray,
                     infill_spec: dict, target: list[bool] | None = None) -> dict[str, np.ndarray]:
     """Fill each retained column that has an infill entry over the source's
-    distinct values (``target``, unless given, from ``_targets``) and return
+    distinct values (``view``; ``target``, unless given, from ``_targets``) and return
     the row codes of each retained column: remapped for adjacent infill, else
     ``codes``."""
     row_codes = dict.fromkeys(plan.retained_headers(), codes)
     spec = {h: infill_spec[h] for h in row_codes if h in infill_spec}
     if spec and target is None:
-        target = _targets(plan, values)
+        target = _targets(plan, values, view)
     for h, entry in spec.items():
         values[h] = infill_mod.apply_infill(values[h], target, entry["kind"], entry.get("value"))
     if adjacent := [h for h, entry in spec.items() if entry["kind"] == infill_mod.KIND_ADJACENT]:
@@ -411,16 +429,16 @@ def fit(train: TidyTable, assignments: dict[str, str] | None = None,
     for h in sources:
         # The one read of the rows; one source at a time, so peak memory holds one source's.
         col = train.column(h)
-        distinct, codes = factorize(col)
-        counts = np.bincount(codes)
-        root = assignments.get(h) or auto_root_select(distinct, opts.threshold)
-        plan, values = _fit_source(h, dict(zip(distinct, counts.tolist())), root, reg, opts, dedup)
+        distinct, codes = read_cells(h, col, factorize)
+        view = Distinct(distinct, np.bincount(codes))
+        root = assignments.get(h) or root_of(view, opts.threshold)
+        plan, values = _fit_source(h, view, root, reg, opts, dedup)
         plans[h] = plan
         kind, target = requested_infill.get(h, infill_mod.KIND_DEFAULT), None
         if kind != infill_mod.KIND_DEFAULT:
-            target = _targets(plan, values)
-            infill_spec.update(_fit_infill_spec(plan, counts, values, target, kind))
-        codes = _infill_columns(plan, values, codes, infill_spec, target)
+            target = _targets(plan, values, view)
+            infill_spec.update(_fit_infill_spec(plan, view.counts, values, target, kind))
+        codes = _infill_columns(plan, values, view, codes, infill_spec, target)
         if opts.shuffle_train:  # after the infill, which reads the rows in order
             codes = {k: c[order] for k, c in codes.items()}
         columns.update(_expand_source(plan, col, values, codes))
@@ -442,10 +460,11 @@ def apply(artifact: FitArtifact, test: TidyTable) -> TidyTable:
     columns: dict[str, list[Cell] | np.ndarray] = {}
     for header, plan in artifact.per_source.items():
         col = test.column(header)
-        distinct, codes = factorize(col)
+        distinct, codes = read_cells(header, col, factorize)
         checked_coltype(header, distinct)
-        values = _walk(plan, distinct)
-        codes = _infill_columns(plan, values, codes, artifact.infill_spec)
+        view = Distinct(distinct)
+        values = _walk(plan, view)
+        codes = _infill_columns(plan, values, view, codes, artifact.infill_spec)
         columns.update(_expand_source(plan, col, values, codes))
     output_order = artifact.output_order
     return TidyTable(headers=output_order, columns=[columns[h] for h in output_order])
@@ -693,7 +712,7 @@ def drift_report(artifact: FitArtifact, new: TidyTable) -> DriftReport:
         base = plan.source_stats
         col = new.column(header)
         if base["coltype"] == COLTYPE_NUMERIC:
-            fresh = _source_stats(header, col)
+            fresh = _row_stats(header, col)
             if fresh["coltype"] != COLTYPE_NUMERIC:
                 # No moments to compare: the new data holds text or no values.
                 per_source[header] = {"kind": "type_change", "train_coltype": base["coltype"],
@@ -703,7 +722,7 @@ def drift_report(artifact: FitArtifact, new: TidyTable) -> DriftReport:
             per_source[header] = {"kind": "numeric", "train": train, "new": fresh,
                                   "deltas": {k: abs(fresh[k] - train[k]) for k in ("mean", "std")}}
             continue
-        new_freq = text_counts(distinct_counts(col))
+        new_freq = read_cells(header, col, distinct_counts).text_counts
         total = sum(new_freq.values())
         top = {}
         for entry, count in base["top"]:

@@ -7,7 +7,7 @@ import copy
 import random
 
 from parsemunge.registry import BEHAVIORS
-from parsemunge.tidytable import TidyTable, distinct_counts
+from parsemunge.tidytable import Distinct, TidyTable, distinct_counts
 
 WORDS = ["chrome", "safari", "edge", "mac os x", "windows", "lynx", "opera"]
 
@@ -54,7 +54,7 @@ def run_behavior(name: str, col: list, params: dict | None = None,
     behavior = BEHAVIORS[name]
     if state is None:
         state = behavior.fit(distinct_counts(col), params or {}, root_rule)
-    return state, behavior.apply_distinct(behavior.compile(state), col)
+    return state, behavior.apply_distinct(behavior.compile(state), Distinct(col))
 
 
 # One value of each JSON type, and of a few container shapes.

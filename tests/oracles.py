@@ -38,6 +38,7 @@ from parsemunge.tidytable import (
     _DECIMAL_RE,
     DEFAULT_MISSING_TOKENS,
     Cell,
+    Distinct,
     TidyTable,
     as_number,
     canon_text,
@@ -665,7 +666,8 @@ def table_decoder(behavior, state: dict):
     pattern the step outputs, the code-0 pattern reading as missing."""
     compiled = behavior.compile(state)
     entries = [*compiled[0], None]
-    rows = zip(*behavior.apply_distinct(compiled, entries)) if compiled[1] else [()] * len(entries)
+    rows = (zip(*behavior.apply_distinct(compiled, Distinct(entries))) if compiled[1]
+            else [()] * len(entries))
     return dict(zip(rows, entries)).__getitem__
 
 

@@ -1,30 +1,34 @@
-"""Every registered behaviour evaluates values in and columns out: one list
+"""Every registered behaviour evaluates a view in and columns out: one list
 per output column, equal value by value to its one-value reference rule in
-``tests/oracles.py``, and independent of the order and batching of values."""
+``tests/oracles.py``, and independent of the order and batching of values.
+Its fit on a view whose values carry counts equals its fit on the rows that
+repeat each value by its count."""
 
+import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parsemunge.encoders import sanitize_token
 from parsemunge.registry import BEHAVIORS
-from parsemunge.tidytable import distinct_counts
+from parsemunge.tidytable import Distinct, distinct_counts, factorize
 
 from .oracles import REFERENCE_CELLS
 
 # Near ±1.7e308, a value and the train mean may lie more than the float range
 # apart, which takes nmbr and mnmx through their quartered terms.
 NUMBERS = st.one_of(
-    st.sampled_from([0.0, -0.0, 2.5, -1.0, 1.7e308, -1.7e308, 1.6e308, -1.6e308, 5e-324]),
+    st.sampled_from([0.0, -0.0, 1.0, 2.5, -1.0, 1.7e308, -1.7e308, 1.6e308, -1.6e308, 5e-324]),
     st.floats(allow_nan=False, allow_infinity=False),
 )
 # "ß" and "ﬁ" upper-case to two characters; NUL is the character that
 # fixed-width numpy strings drop at the end. Digits, commas, dots and minus
 # signs make numeric extractions and parsable texts.
 TEXTS = st.one_of(st.text(alphabet="aAbcdßﬁS\x001,.- ", max_size=8),
-                  st.sampled_from(["", "2.5", "-0", "1,234.5", "1e3", "n/a"]))
+                  st.sampled_from(["", "1", "2.5", "-0", "1,234.5", "1e3", "n/a"]))
 CELLS = st.one_of(st.none(), NUMBERS, TEXTS)
 RULES = st.sampled_from(["missing_only", "numeric_parse", "numeric_extract"])
 SCANS = ("splt", "sp15", "sbst", "sp19", "spl2", "spl5", "spl9", "sp10")
@@ -44,14 +48,28 @@ PARAMS = {
 
 @st.composite
 def _fitted(draw, name):
-    """A fit state of ``name`` as fit makes it, and the train cells it fit on."""
+    """A fit state of ``name`` as fit makes it, and the train cells it fit on.
+
+    The train cells, each with a weight, also make a weighted view as the
+    engine makes a derived header's (the counts of a factorize's codes, each
+    counting its weight); the fit on it must equal the fit on the rows that
+    repeat each cell by its weight, in any order, as the artifact stores
+    them. The cells mix -0.0 and 0.0, which are one value, and "1" beside
+    1.0, which share a text."""
     if name == "bnry":  # fits on exactly two entries
         pair = draw(st.lists(TEXTS, min_size=2, max_size=2, unique=True))
         train = pair + draw(st.lists(st.sampled_from(pair), max_size=6))
     else:
         train = draw(st.lists(CELLS, max_size=10))
-    params = draw(PARAMS.get(name, st.just({})))
-    return BEHAVIORS[name].fit(distinct_counts(train), params, draw(RULES)), train
+    params, rule = draw(PARAMS.get(name, st.just({}))), draw(RULES)
+    weights = draw(st.lists(st.integers(1, 3), min_size=len(train), max_size=len(train)))
+    distinct, codes = factorize(train)
+    weighted = Distinct(distinct, np.bincount(codes, weights, len(distinct)).astype(np.int64))
+    rows = draw(st.permutations([cell for cell, n in zip(train, weights) for _ in range(n)]))
+    # As the artifact stores a state: keys sorted, and -0.0 apart from 0.0.
+    assert (json.dumps(BEHAVIORS[name].fit(weighted, params, rule), sort_keys=True)
+            == json.dumps(BEHAVIORS[name].fit(distinct_counts(rows), params, rule), sort_keys=True))
+    return BEHAVIORS[name].fit(distinct_counts(train), params, rule), train
 
 
 @st.composite
@@ -93,17 +111,17 @@ def _bits(cell):
 def check_columns(name: str, state: dict, values: list, rnd: random.Random) -> None:
     behavior = BEHAVIORS[name]
     compiled = behavior.compile(state)
-    columns = behavior.apply_distinct(compiled, values)
+    columns = behavior.apply_distinct(compiled, Distinct(values))
     assert len(columns) == len(behavior.output_tokens(state))
     assert all(len(column) == len(values) for column in columns)
     rows = [tuple(_bits(column[i]) for column in columns) for i in range(len(values))]
     assert rows == [tuple(map(_bits, REFERENCE_CELLS[name](state, v))) for v in values]
     order = list(range(len(values)))
     rnd.shuffle(order)
-    shuffled = behavior.apply_distinct(compiled, [values[i] for i in order])
+    shuffled = behavior.apply_distinct(compiled, Distinct([values[i] for i in order]))
     assert shuffled == [[column[i] for i in order] for column in columns]
     chunk = rnd.randint(1, 4)
-    parts = [behavior.apply_distinct(compiled, values[i:i + chunk])
+    parts = [behavior.apply_distinct(compiled, Distinct(values[i:i + chunk]))
              for i in range(0, len(values), chunk)]
     assert [sum((p[j] for p in parts), []) for j in range(len(columns))] == columns
 

@@ -10,7 +10,7 @@ import parsemunge as pm
 from parsemunge.encoders import auto_root_select, binary_width, sanitize_token
 from parsemunge.errors import DataError
 from parsemunge.registry import BEHAVIORS
-from parsemunge.tidytable import TidyTable, canon_text, factorize
+from parsemunge.tidytable import TidyTable, canon_text, distinct_counts, factorize
 
 from . import oracles
 from .helpers import run_behavior
@@ -200,7 +200,7 @@ class TestNumeric:
     def test_mnmx_extrapolation(self):
         from parsemunge.encoders import MnmxBehavior
         behavior = MnmxBehavior()
-        state = behavior.fit({0.0: 1, 10.0: 1}, {}, "numeric_parse")
+        state = behavior.fit(distinct_counts([0.0, 10.0]), {}, "numeric_parse")
         assert behavior.apply_cell(behavior.compile(state), 20.0) == (2.0,)
 
     def test_mnmx_missing_uses_scaled_mean(self):

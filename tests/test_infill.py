@@ -20,6 +20,7 @@ from parsemunge.infill import (
     mark_targets,
     train_stat,
 )
+from parsemunge.tidytable import Distinct
 
 
 def pair_stat(kind, pairs):
@@ -29,19 +30,19 @@ def pair_stat(kind, pairs):
 
 class TestMarkTargets:
     def test_missing_always(self):
-        assert mark_targets(["x", None]) == [False, True]
+        assert mark_targets(Distinct(["x", None])) == [False, True]
 
     def test_numeric_parse_rule(self):
-        assert mark_targets(["3", "q"], "numeric_parse") == [False, True]
+        assert mark_targets(Distinct(["3", "q"]), "numeric_parse") == [False, True]
 
     def test_numeric_extract_rule(self):
-        assert mark_targets(["zip 94107", "none"], "numeric_extract") == [False, True]
+        assert mark_targets(Distinct(["zip 94107", "none"]), "numeric_extract") == [False, True]
 
     def test_all_valid(self):
-        assert mark_targets(["a", "b"]) == [False, False]
+        assert mark_targets(Distinct(["a", "b"])) == [False, False]
 
     def test_number_cells_parse(self):
-        assert mark_targets([3.0, -0.0], "numeric_parse") == [False, False]
+        assert mark_targets(Distinct([3.0, -0.0]), "numeric_parse") == [False, False]
 
     @given(st.one_of(st.text(), st.text(alphabet="ab09,.- \u0663\uff19\u00b2")))
     @example("\u0663")  # a non-ASCII digit is no digit to nmcm_extract
@@ -51,7 +52,7 @@ class TestMarkTargets:
     def test_numeric_extract_rule_is_the_extraction_failing(self, text):
         # The rule tests for an ASCII digit; extraction fails exactly without
         # one, whatever its flags.
-        [target] = mark_targets([text], "numeric_extract")
+        [target] = mark_targets(Distinct([text]), "numeric_extract")
         for flags in itertools.product((False, True), repeat=3):
             assert target == (nmcm_extract(text, *flags) is None)
 

@@ -13,11 +13,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import parsemunge as pm
-from parsemunge.encoders import _weighted_moments, numeric_counts
+from parsemunge.encoders import _weighted_moments
 from parsemunge.errors import ConfigError, DataError
 from parsemunge.infill import KIND_MEAN, KIND_MEDIAN, KIND_MODE, mark_targets, train_stat
 from parsemunge.registry import BEHAVIORS, builtin_registry, merge_overrides
 from parsemunge.tidytable import (
+    Distinct,
     TidyTable,
     as_number,
     distinct_counts,
@@ -26,7 +27,7 @@ from parsemunge.tidytable import (
     numbers,
     sum_scale_exponent,
 )
-from parsemunge.treeengine import Options, _source_stats
+from parsemunge.treeengine import Options, _row_stats, _source_stats
 
 from .oracles import (
     reference_categoric_source_stats,
@@ -64,6 +65,11 @@ def outcome(fn):
     if isinstance(result, dict):
         return {k: v.hex() if isinstance(v, float) else v for k, v in result.items()}
     return result.hex() if isinstance(result, float) else result
+
+
+def view_of(counts: dict) -> Distinct:
+    """The view of the keys of ``counts``, each counting its count."""
+    return Distinct(list(counts), np.fromiter(counts.values(), np.int64, len(counts)))
 
 
 def scaled_reference_mean(pairs: list[tuple]) -> float | None:
@@ -106,9 +112,9 @@ def check_stat(kind: str, values: list, counts: list[int]) -> None:
 @example(dict.fromkeys(POW_SQUARES, 1))
 def test_statistics_match_the_loops_over_sorted_pairs(counts):
     moments = outcome(lambda: reference_weighted_moments(counts))
-    assert outcome(lambda: _weighted_moments(*numeric_counts(counts))) == moments
-    nmbr = outcome(lambda: BEHAVIORS["nmbr"].fit(counts, {}, "numeric_parse"))
-    mnmx = outcome(lambda: BEHAVIORS["mnmx"].fit(counts, {}, "numeric_parse"))
+    assert outcome(lambda: _weighted_moments(view_of(counts))) == moments
+    nmbr = outcome(lambda: BEHAVIORS["nmbr"].fit(view_of(counts), {}, "numeric_parse"))
+    mnmx = outcome(lambda: BEHAVIORS["mnmx"].fit(view_of(counts), {}, "numeric_parse"))
     if isinstance(moments, tuple):
         lo, hi = reference_min_max(counts)
         mean, shift, std = map(float.fromhex, moments[:3])
@@ -119,7 +125,7 @@ def test_statistics_match_the_loops_over_sorted_pairs(counts):
         assert nmbr == mnmx == moments
     keys = list(counts)
     for rule in ("missing_only", "numeric_parse", "numeric_extract"):
-        assert outcome(lambda: mark_targets(keys, rule)) == outcome(
+        assert outcome(lambda: mark_targets(Distinct(keys), rule)) == outcome(
             lambda: reference_mark_targets(keys, rule))
     numeric = [as_number(k) for k in keys]  # a numeric column over the same values
     for kind in (KIND_MEAN, KIND_MEDIAN, KIND_MODE):
@@ -149,8 +155,8 @@ def test_numeric_source_stats_match_the_loop_over_sorted_cells(col):
                  else reference_categoric_source_stats)
     expected = outcome(lambda: reference(col))
     distinct, codes = factorize(col)
-    assert outcome(lambda: _source_stats("x", col)) == expected
-    assert outcome(lambda: _source_stats("x", distinct, np.bincount(codes))) == expected
+    assert outcome(lambda: _row_stats("x", col)) == expected
+    assert outcome(lambda: _source_stats("x", Distinct(distinct, np.bincount(codes)))) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -170,7 +176,7 @@ def test_numbers_is_as_number_of_every_value(values):
 def _run(name, col):
     behavior = BEHAVIORS[name]
     state = behavior.fit(distinct_counts(col), {}, "numeric_parse")
-    return state, behavior.apply_distinct(behavior.compile(state), col)
+    return state, behavior.apply_distinct(behavior.compile(state), Distinct(col))
 
 
 class TestNonFiniteCells:
@@ -179,12 +185,12 @@ class TestNonFiniteCells:
 
     def test_nan_cell_is_counted_and_never_a_target(self):
         counts = {math.nan: 1, 1.0: 2, None: 5}
-        mean, shift, std, total = _weighted_moments(*numeric_counts(counts))
+        mean, shift, std, total = _weighted_moments(view_of(counts))
         assert total == 3 and all(map(math.isnan, (mean, shift, std)))
         ref = reference_weighted_moments(counts)
         assert ref[3] == 3 and all(map(math.isnan, ref[:3]))
         for rule in ("missing_only", "numeric_parse"):
-            assert mark_targets([math.nan, None], rule) == [False, True]
+            assert mark_targets(Distinct([math.nan, None]), rule) == [False, True]
         _, [column] = _run("nmbr", [math.nan, 1.0, None, 3.0])
         assert math.isnan(column[0]) and column[2] == 0.0
 

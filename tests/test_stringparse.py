@@ -18,6 +18,7 @@ from parsemunge.stringparse import (
     config_from_params,
     scan_overlaps,
 )
+from parsemunge.tidytable import distinct_counts
 
 from .helpers import run_behavior
 from .oracles import (
@@ -100,7 +101,7 @@ class TestSplt:
     def test_unseen_entry_all_zero(self):
         from parsemunge.stringparse import SpltBehavior
         behavior = SpltBehavior()
-        state = behavior.fit({"chrome 62.0": 1, "chrome 49.0": 1}, {"min_len": 5},
+        state = behavior.fit(distinct_counts(["chrome 62.0", "chrome 49.0"]), {"min_len": 5},
                              "missing_only")
         assert behavior.apply_cell(behavior.compile(state), "edge 99.0") == (0.0,)
 
@@ -159,7 +160,7 @@ class TestSpl5:
     def test_plug_collision_resolved(self):
         from parsemunge.stringparse import Spl5Behavior
         behavior = Spl5Behavior()
-        counts = {"aaaa1": 1, "aaaa2": 1, "zz": 1}
+        counts = distinct_counts(["aaaa1", "aaaa2", "zz"])
         state = behavior.fit(counts, {"min_len": 4, "plug": "aaaa"}, "missing_only")
         assert state["plug"] != "aaaa"
         assert behavior.apply_cell(behavior.compile(state), "zz") == (state["plug"],)
@@ -202,7 +203,7 @@ class TestSbst:
     def test_longest_contained_entry_wins(self):
         from parsemunge.stringparse import SbstBehavior
         behavior = SbstBehavior()
-        state = behavior.fit({"a": 1, "ba": 1, "cba": 1}, {"min_len": 1},
+        state = behavior.fit(distinct_counts(["a", "ba", "cba"]), {"min_len": 1},
                              "missing_only")
         assert state["assignment"]["cba"] == "ba"
         assert state["assignment"]["ba"] == "a"
@@ -233,7 +234,7 @@ class TestTestEfficientVariants:
     def test_spl2_unseen_containment_match(self):
         from parsemunge.stringparse import Spl2Behavior
         behavior = Spl2Behavior()
-        state = behavior.fit({"chrome 62.0": 1, "chrome 49.0": 1}, {"min_len": 5},
+        state = behavior.fit(distinct_counts(["chrome 62.0", "chrome 49.0"]), {"min_len": 5},
                              "missing_only")
         assert behavior.apply_cell(behavior.compile(state), "chrome 88.0") == ("chrome ",)
 

@@ -312,5 +312,7 @@ class TestFactorize:
     @settings(max_examples=100, deadline=None)
     def test_keys_are_those_of_distinct_counts(self, col):
         distinct, codes = factorize(col)
-        assert list(map(repr, distinct)) == list(map(repr, distinct_counts(col)))
+        view = distinct_counts(col)
+        assert list(map(repr, distinct)) == list(map(repr, view.values))
+        assert view.counts.tolist() == list(map(col.count, view.values))
         assert [distinct[c] for c in codes] == col

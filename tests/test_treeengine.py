@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,12 +13,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import parsemunge as pm
-from parsemunge import encoders, infill, treeengine
+from parsemunge import encoders, extract_search, infill, stringparse, tidytable, treeengine
 from parsemunge.errors import ConfigError, DataError, ParsemungeError
 from parsemunge.infill import CONFIG_KIND_NAMES, mark_targets
 from parsemunge.registry import BEHAVIORS, builtin_registry
 from parsemunge.schema import checker
-from parsemunge.tidytable import TidyTable, distinct_counts, factorize, write_csv
+from parsemunge.tidytable import Distinct, TidyTable, distinct_counts, factorize, write_csv
 from parsemunge.treeengine import FORMAT_VERSION, Options
 from perfbench import workloads
 
@@ -230,9 +231,9 @@ class TestApply:
         # spl5, srch).
         calls = []
         for behavior in BEHAVIORS.values():
-            def counted(compiled, values, _original=behavior.apply_distinct):
-                calls.append(list(values))
-                return _original(compiled, values)
+            def counted(compiled, view, _original=behavior.apply_distinct):
+                calls.append(list(view.values))
+                return _original(compiled, view)
             monkeypatch.setattr(behavior, "apply_distinct", counted)
         rnd = random.Random(3)
         serial = [random_text_cell(rnd) if rnd.random() > 0.1 else None for _ in range(300)]
@@ -262,8 +263,11 @@ class TestApply:
     def test_fit_reads_each_source_rows_once(self, monkeypatch):
         # One factorize per source reads its rows, in fit and in apply; every
         # other helper sees distinct values only, and _evaluate is never
-        # handed a source's distinct values to factorize again.
-        calls, factorized = [], []
+        # handed a source's distinct values to factorize again. Each header a
+        # step reads is converted once: factorize runs once per header, and
+        # no distinct_counts; canon_text runs at most once per distinct value
+        # of each such header, and numbers at most once per header.
+        calls, factorized, texts, converted = [], [], [], []
         for module in (treeengine, encoders):
             for name in ("factorize", "distinct_counts", "infer_coltype", "checked_coltype",
                          "numbers"):
@@ -277,6 +281,14 @@ class TestApply:
                         factorized.append(list(values))
                     return _original(*args)
                 monkeypatch.setattr(module, name, counted)
+        # Wherever canon_text and numbers are bound and called.
+        for module in (tidytable, infill, encoders, extract_search, stringparse, treeengine):
+            for name, seen in (("canon_text", texts), ("numbers", converted)):
+                if hasattr(module, name):
+                    def recorded(arg, _original=getattr(module, name), _seen=seen):
+                        _seen.append(arg)
+                        return _original(arg)
+                    monkeypatch.setattr(module, name, recorded)
 
         def check(table):
             row_calls = [name for name, n in calls if n == table.row_count]
@@ -284,15 +296,31 @@ class TestApply:
             sources = [factorize(c)[0] for c in table.columns]
             assert all(len(d) < table.row_count for d in sources)
             assert not [v for v in factorized if any(v == d for d in sources)]
-            calls.clear()
-            factorized.clear()
+            assert "distinct_counts" not in {name for name, _ in calls}
+            read = [list(map(repr, v)) for v in factorized]
+            assert len(read) > 8 and len(set(map(tuple, read))) == len(read)
+            # How many of the headers read hold each value as a distinct value.
+            holders = Counter(v for values in factorized for v in factorize(values)[0])
+            assert not [v for v, n in Counter(texts).items() if n > holders[v]]
+            assert len(texts) <= sum(holders.values())
+            numbered = [tuple(map(repr, v)) for v in converted]
+            assert 0 < len(numbered) == len(set(numbered))
+            converted_texts = len(texts)
+            for seen in (calls, factorized, texts, converted):
+                seen.clear()
+            return converted_texts
 
         w = workloads.wide_roundtrip(7)
-        train, test = (TidyTable(list(t), list(t.values())) for t in (w.train, w.test))
-        _, artifact = pm.fit(train, w.assignments, opts=Options(**w.options))
-        check(train)
-        pm.apply(artifact, test)
-        check(test)
+        # Text beside numbers, whose texts are converted, and text alone, whose are not.
+        mixed = {h: [float(i % 7) if h in ("tier", "state", "serial") and i % 40 == 0 else v
+                     for i, v in enumerate(col)] for h, col in w.train.items()}
+        for cells, texted in ((w.train, False), (mixed, True)):
+            train = TidyTable(list(cells), list(cells.values()))
+            test = TidyTable(list(w.test), list(w.test.values()))
+            _, artifact = pm.fit(train, w.assignments, opts=Options(**w.options))
+            assert bool(check(train)) == texted
+            pm.apply(artifact, test if not texted else train)
+            assert bool(check(test if not texted else train)) == texted
 
     def test_infill_target_rule_runs_once_per_distinct_value(self, monkeypatch):
         # Targets are marked by one mark_targets call per NArw step, in fit
@@ -302,9 +330,9 @@ class TestApply:
         marked = []
         original_mark = infill.mark_targets
 
-        def counted_mark(values, rule):
-            marked.append((list(values), rule))
-            return original_mark(values, rule)
+        def counted_mark(view, rule):
+            marked.append((list(view.values), rule))
+            return original_mark(view, rule)
 
         monkeypatch.setattr(infill, "mark_targets", counted_mark)
         rnd = random.Random(5)
@@ -429,6 +457,25 @@ class TestCellTypes:
             pm.drift_report(artifact, _table(a=[1, 2.0, None], b=["x", "y", "x"]))
         report = pm.drift_report(artifact, _table(a=[1.0, 2.0, None], b=["x", b"y", "x"]))
         assert report.per_source["b"]["unseen_rate"] == pytest.approx(1 / 3)
+
+    @pytest.mark.parametrize("cells,type_name", [
+        ([["x"], ["y"], "z"], "list"),
+        (["x", {"k": 1}, None], "dict"),
+        ([2.5, {2.5}, None], "set"),
+    ])
+    def test_unhashable_cells(self, cells, type_name):
+        # Named where the one read of the rows fails on them, in fit, apply
+        # and a categoric or numeric drift report alike.
+        message = f"column 'a' holds a cell of type {type_name};"
+        with pytest.raises(DataError, match=message):
+            pm.fit(_table(a=cells, b=["x"] * len(cells)))
+        _, categoric = pm.fit(_table(a=["x", "y", "z"], b=["x", "y", "x"]))
+        _, numeric = pm.fit(_table(a=[1.0, 2.0, None], b=["x", "y", "x"]))
+        for artifact in (categoric, numeric):
+            with pytest.raises(DataError, match=message):
+                pm.apply(artifact, _table(a=cells, b=["x", "y", "x"]))
+            with pytest.raises(DataError, match=message):
+                pm.drift_report(artifact, _table(a=cells, b=["x", "y", "x"]))
 
     def test_subclasses_of_str_and_float_are_cells(self):
         class Text(str):
@@ -594,7 +641,7 @@ def test_adjacent_infill_matches_row_by_row_reference(train, batch, root, shuffl
     assert set(artifact.infill_spec) == set(encoded.headers) - narw
 
     def reference(col):
-        out, mask = pm.apply(plain, _table(a=col)), mark_targets(col, rule)
+        out, mask = pm.apply(plain, _table(a=col)), mark_targets(Distinct(col), rule)
         return [c if h in narw else reference_adjacent_fill(c, mask)
                 for h, c in zip(out.headers, out.columns)]
 

@@ -1,15 +1,18 @@
 """Print a sha256 of every output of each benchmark workload, to show that a
 change keeps every output byte-identical.
 
-    python3 tools/identity_digests.py [--seeds 0,7,13,63] [--workload NAME ...]
+    python3 tools/identity_digests.py [--seeds 0,7,13,63] [--workload NAME ...] [--against DIR]
 
 Each (workload, seed) runs in its own process at full benchmark size and
 prints one line per output: ``workload seed output sha256``. The outputs are
 the artifact bytes, the encoded train table, ``apply`` of the deserialized
 artifact on the test table, the written CSV of both tables, ``invert`` of the
 encoded train table in memory and read back from its CSV, ``drift_report`` on
-the test and the train table, and the ``ImportanceReport`` JSON. Run it on two
-checkouts and diff the output.
+the test and the train table, and the ``ImportanceReport`` JSON.
+
+With ``--against DIR``, each (workload, seed) also runs on the program and
+workloads of the checkout at DIR; only the lines that differ are printed,
+``-`` for DIR and ``+`` for this checkout, and the exit status is 1 if any do.
 """
 
 from __future__ import annotations
@@ -23,11 +26,6 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
-
-import parsemunge as pm  # noqa: E402
-from parsemunge.importance import TASK_CLASSIFICATION  # noqa: E402
-from perfbench import workloads  # noqa: E402
 
 
 def _sha(data: bytes) -> str:
@@ -39,12 +37,17 @@ def _json_sha(doc) -> str:
     return _sha(json.dumps(doc, sort_keys=True, allow_nan=False, separators=(",", ":")).encode())
 
 
-def _table_sha(table: pm.TidyTable) -> str:
+def _table_sha(table) -> str:
     return _json_sha([table.headers, table.columns])
 
 
 def digests(name: str, seed: int) -> dict[str, str]:
-    """The digest of each output of one workload at one seed."""
+    """The digest of each output of one workload at one seed, from the program
+    and workloads first on ``sys.path``."""
+    import parsemunge as pm
+    from parsemunge.importance import TASK_CLASSIFICATION
+    from perfbench import workloads
+
     w = workloads.GENERATORS[name](seed)
     train = pm.TidyTable(list(w.train), list(w.train.values()))
     test = pm.TidyTable(list(w.test), list(w.test.values()))
@@ -71,26 +74,53 @@ def digests(name: str, seed: int) -> dict[str, str]:
     return out
 
 
+def _run(root: Path, name: str, seed: str) -> list[str] | None:
+    """The digest lines of one (workload, seed) on the checkout at ``root``, in
+    a process of its own; None, with its error written, if it fails."""
+    done = subprocess.run([sys.executable, __file__, "--one", name, seed, str(root)],
+                          capture_output=True, text=True)
+    if done.returncode:
+        sys.stderr.write(done.stderr)
+        return None
+    return done.stdout.splitlines()
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seeds", default="0,7,13,63", help="comma-separated seeds")
-    parser.add_argument("--workload", action="append", choices=sorted(workloads.GENERATORS))
-    parser.add_argument("--one", nargs=2, metavar=("WORKLOAD", "SEED"), help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
-    if args.one:
-        name, seed = args.one
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--one"]:  # one (workload, seed) on one checkout, as _run starts it
+        name, seed, root = argv[1:]
+        sys.path[:0] = [str(Path(root) / "src"), root]
         for output, digest in digests(name, int(seed)).items():
             print(name, seed, output, digest)
         return 0
-    for name in args.workload or list(workloads.GENERATORS):
+    sys.path.insert(0, str(ROOT))
+    from perfbench.workloads import GENERATORS
+
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seeds", default="0,7,13,63", help="comma-separated seeds")
+    parser.add_argument("--workload", action="append", choices=sorted(GENERATORS))
+    parser.add_argument("--against", type=Path, metavar="DIR",
+                        help="another checkout: print only the lines that differ from it")
+    args = parser.parse_args(argv)
+    differ = False
+    for name in args.workload or list(GENERATORS):
         for seed in args.seeds.split(","):
-            done = subprocess.run([sys.executable, __file__, "--one", name, seed],
-                                  capture_output=True, text=True)
-            if done.returncode:
-                sys.stderr.write(done.stderr)
-                return done.returncode
-            print(done.stdout, end="", flush=True)
-    return 0
+            lines = _run(ROOT, name, seed)
+            if lines is None:
+                return 2
+            if args.against is None:
+                print(*lines, sep="\n", flush=True)
+                continue
+            other = _run(args.against.resolve(), name, seed)
+            if other is None:
+                return 2
+            for old, new in zip(other, lines):
+                if old != new:
+                    print(f"- {old}\n+ {new}", flush=True)
+            if len(other) != len(lines):
+                print(f"{name} {seed}: {len(other)} outputs in {args.against}, {len(lines)} here")
+            differ = differ or other != lines
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
