@@ -9,6 +9,7 @@ where the change is described.
 """
 
 import hashlib
+import itertools
 import json
 import random
 
@@ -277,3 +278,111 @@ def test_every_infill_kind_is_pinned():
 @pytest.mark.parametrize("kind, shuffle", sorted(PINNED_INFILL))
 def test_infill_outputs_match_pinned_digests(kind, shuffle):
     assert infill_digest(kind, shuffle) == PINNED_INFILL[kind, shuffle]
+
+
+# Numeric extraction under every flag set. The workloads use only the default
+# flags, so these pin the grammar branches (negatives, no commas, no decimals)
+# the workload digests cannot see. Each source is fitted as an nmcm, nmc7 and
+# nmc8 root with mean infill, and applied to a table that is mostly unseen.
+EXTRACTION_ROOTS = ("nmcm", "nmc7", "nmc8")
+EXTRACTION_FLAGS = [dict(zip(("allow_commas", "allow_decimal", "allow_negative"), bits))
+                    for bits in itertools.product((True, False), repeat=3)]
+_EXTRACTION_PIECES = ["12", "-3", "1,234", "7.25", "0", "-", ",", ".", "a", " b", "--8",
+                      "5,", ",5", "1.2.3", "x-1,000.5", "-.5", "٣", "９", "²",
+                      "9" * 40, "4" * 400, "3" * 309 + ".5"]
+
+# (root, allow_commas, allow_decimal, allow_negative) -> digest of (artifact,
+# encoded train, apply of the deserialized artifact on the test table)
+PINNED_EXTRACTION = {
+    ('nmcm', True, True, True):
+        'cb69f140bd0c9eb50b403bd9b914caa5e8eddbcaebb48e6176cb3d23b3c4be4a',
+    ('nmcm', True, True, False):
+        'e5a7f535af3f06f811ce50e8f5b5587ae4e86b2c1368e50553ba75ba87e4095d',
+    ('nmcm', True, False, True):
+        '35236af56e462838e470e5227bc762bccc7b88887393d6c816dea18755ae7007',
+    ('nmcm', True, False, False):
+        '534e58030b67790a73b120860b2d60f7bf605bb0269515d5a244a4a87246e774',
+    ('nmcm', False, True, True):
+        '14bb1f4ac81eb7baedb191e6305c081d6cef0137ba1b15232108d1d5bbd59f08',
+    ('nmcm', False, True, False):
+        '5fcbf69c3353587677dcc787a7b92fb979b296fdaac9f3d8431cc7dd47d18654',
+    ('nmcm', False, False, True):
+        'e8c25686d086098f07b8880b50bbfd30793aaa3f9df1e07d66c518b25d8141c9',
+    ('nmcm', False, False, False):
+        '63568447edcdea806ec694cff5bfebbeae258e1ec21fc4a8c9d4cf384dd9c834',
+    ('nmc7', True, True, True):
+        'f66357e6227b10fb020434f1d4bc6a20fa32f5ff8c2a42219998238e9432c872',
+    ('nmc7', True, True, False):
+        'b736f64de31d7f3fad7f1a8eccbfe37953ae4c48ede37d79fe6cc60e907b36d7',
+    ('nmc7', True, False, True):
+        '6aaf7a965705d3832c46c477ffedc35c025b53a79c7d557c2f2ac1bdbde97f28',
+    ('nmc7', True, False, False):
+        '8e942486d51caf8db43c3eac00afa22db1f73fd251ffc9f0bb45e45e34658679',
+    ('nmc7', False, True, True):
+        '18b28329b355b4a21cde196d12cc1b9a13dc478f881e17c40eb0203956ee57f9',
+    ('nmc7', False, True, False):
+        '0e097e5c62f9db23165f4cf3bdc89a9d90c20e869fc8a224448e1b519b9d8ff8',
+    ('nmc7', False, False, True):
+        '3cdd671c57206addce7a1dbd8b4f5ec5ead8c0ac9852c86186eeb758151f145a',
+    ('nmc7', False, False, False):
+        'ac72d3af011a6d38e0b6c4651355faf9f91c0dbef6e025210b5a838fdd6f7af4',
+    ('nmc8', True, True, True):
+        'efef9b77cf860601240bc8ada4eac1d89243d8dac7b01022c07bd81c51b0725f',
+    ('nmc8', True, True, False):
+        '8ed27651659474eb28982cd5999041955347e811529d1defa33621fd068fa438',
+    ('nmc8', True, False, True):
+        '09ff377e6d589d6da3a795ae3c864095b424a2e2e3827dd8f58f39ed2d9a296c',
+    ('nmc8', True, False, False):
+        '8bb0ed1ea4606812cb64288e298828e9d33f8c7021c9488623e1612c9a0fb253',
+    ('nmc8', False, True, True):
+        '27a5e4fc894d2a68954263d6f07bd15a89fc42eac379b69db34ff3dbeb371edd',
+    ('nmc8', False, True, False):
+        '81a5049afe771ab7702523ec3fd858c5a4542b7c56d10afb77ebd21efcaaadf4',
+    ('nmc8', False, False, True):
+        '75a61430479a8862ccfaa740c13119d9da4315c2a49e1ffb5e22bfa0c3f47a12',
+    ('nmc8', False, False, False):
+        '20ec4ffdf3f6a983c4fdde55c3746d2a97a979d8ec5feb854e11fe4f6288298e',
+}
+
+
+def _extraction_tables(seed: int, rows: int) -> tuple[TidyTable, TidyTable]:
+    rnd = random.Random(seed)
+
+    def text() -> str:
+        return "".join(rnd.choice(_EXTRACTION_PIECES) for _ in range(rnd.randint(0, 4)))
+
+    def cell(pool: list[str]):
+        r = rnd.random()
+        if r < 0.1:
+            return None
+        if r < 0.2:
+            return rnd.choice([1.5, -3.0, 1e20, 0.0, -0.0, 12345.0])
+        return rnd.choice(pool)
+
+    seen = [text() for _ in range(rows // 3)]
+    unseen = [text() for _ in range(rows)]
+    return (_table({"a": [cell(seen) for _ in range(rows)]}),
+            _table({"a": [cell(seen if rnd.random() < 0.2 else unseen) for _ in range(rows)]}))
+
+
+def extraction_digest(root: str, flags: dict) -> str:
+    train, test = _extraction_tables(11, 150)
+    opts = pm.Options(assignparam={"global_assignparam": flags},
+                      assigninfill={"meaninfill": ["a"]})
+    encoded, artifact = pm.fit(train, {"a": root}, opts=opts)
+    blob = pm.serialize(artifact)
+    applied = pm.apply(pm.deserialize(blob), test)
+    return _digest([hashlib.sha256(blob).hexdigest(), encoded.headers, encoded.columns,
+                    applied.headers, applied.columns])
+
+
+def test_every_extraction_flag_set_is_pinned():
+    assert set(PINNED_EXTRACTION) == {(root, *flags.values()) for root in EXTRACTION_ROOTS
+                                      for flags in EXTRACTION_FLAGS}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_EXTRACTION))
+def test_extraction_outputs_match_pinned_digests(key):
+    root, *bits = key
+    flags = dict(zip(("allow_commas", "allow_decimal", "allow_negative"), bits))
+    assert extraction_digest(root, flags) == PINNED_EXTRACTION[key]
