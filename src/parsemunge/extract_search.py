@@ -3,16 +3,19 @@ user-specified substring search.
 
 Extraction picks the longest format-valid numeric partition of an entry
 (earliest occurrence on ties), matching a brute-force enumerate-all-substrings
-rule exactly. Search looks for each term in all the distinct texts of its
-input at once, with ``numpy.strings.find``.
+rule exactly. It works on all the texts of a view at once, over the view's
+one array of code points: masks of the ASCII digits, commas, dots and minus
+signs give every candidate match and its end, one reduction per text keeps
+the longest, and only each winning substring is parsed, by ``float``. Search
+looks for each term in all the distinct texts of its input at once, with
+``numpy.strings.find``.
 """
 
 from __future__ import annotations
 
-import re
+import math
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from numpy.dtypes import StringDType
@@ -25,36 +28,66 @@ from .encoders import (
     sanitize_token,
 )
 from .errors import ConfigError
+from .tidytable import Distinct
 
 
-@lru_cache(maxsize=None)
-def _pattern(allow_commas: bool, allow_decimal: bool, allow_negative: bool):
-    """The match at every candidate start, in order: a digit that follows no
-    digit, and, when negatives are allowed, a "-" sign. A start inside a digit
-    run matches a strict suffix of the match at the run's start."""
-    core = r"\d+(?:,\d+)*" if allow_commas else r"\d+"
-    if allow_decimal:
-        core += r"(?:\.\d+)?"
-    starts = rf"(?<!\d){core}"
-    if allow_negative:
-        starts = f"-{core}|{starts}"
-    return re.compile(f"(?=({starts}))", re.ASCII)
+def extract_numbers(view: Distinct, allow_commas: bool = True, allow_decimal: bool = True,
+                    allow_negative: bool = False) -> list[float | None]:
+    """The longest numeric partition of each text of the view as a float; None
+    where a text holds none or is missing. Ties go to the earliest occurrence.
+    A partition beyond the float range saturates to the largest finite float
+    of its sign, so every extraction is finite.
+
+    A match starts at a digit that follows no digit, or, when negatives are
+    allowed, at a "-" before such a digit. It runs over the digits, then over
+    each ",digits" group when commas are allowed, then over one ".digits" when
+    decimals are. A start inside a digit run would match a strict suffix of
+    the match at the run's start, and a "-" start a longer and earlier match
+    than the digit after it, so only these starts are tried.
+    """
+    codes, starts = view.code_points
+    found: list[float | None] = [None] * len(starts)
+    digit = (codes >= ord("0")) & (codes <= ord("9"))
+    edge = digit.copy()
+    edge[1:] ^= digit[:-1]
+    # Where each digit run starts and where it ends, in turn; the codes end in
+    # TEXT_END, so every run ends, and no run crosses from one text to the next.
+    bounds = edge.nonzero()[0]
+    if not len(bounds):
+        return found
+    first, run_end = bounds[0::2], bounds[1::2]
+    # Per run, the code after it, and whether the next run starts right after that code.
+    after = codes[run_end]
+    touches = np.concatenate((first[1:] == run_end[:-1] + 1, [False]))
+    last = np.arange(len(first))  # per run, the last run its match covers
+    if allow_commas:  # a run that ends in a comma right before the next joins it
+        stops = (~(touches & (after == ord(",")))).nonzero()[0]
+        last = stops[stops.searchsorted(last)]
+    if allow_decimal:  # a "." right before the next run adds that run
+        last = last + (touches & (after == ord(".")))[last]
+    end = run_end[last]
+    if allow_negative:  # for a first code, codes[-1] is TEXT_END
+        first = first - (codes[first - 1] == ord("-"))
+    # Per text, the largest key: the longest match, then the earliest.
+    n = len(codes)
+    key = (end - first) * n + (n - 1 - first)
+    owner = starts.searchsorted(first, side="right") - 1
+    group = np.concatenate(([True], owner[1:] != owner[:-1])).nonzero()[0]
+    best = np.maximum.reduceat(key, group)
+    won = owner[group]
+    lo = n - 1 - best % n - starts[won]  # where each text's match starts in it
+    texts, top = view.texts, sys.float_info.max
+    for i, a, b in zip(won.tolist(), lo.tolist(), (lo + best // n).tolist()):
+        value = float(texts[i][a:b].replace(",", ""))
+        found[i] = value if -top <= value <= top else math.copysign(top, value)
+    return found
 
 
 def nmcm_extract(entry: str, allow_commas: bool = True, allow_decimal: bool = True,
                  allow_negative: bool = False) -> float | None:
-    """Longest numeric partition of entry as a float, or None when absent.
-
-    Every start that can begin a longest match is tried, so partitions
-    overlapping a shorter leading match are still found; ties go to the
-    earliest occurrence. A partition beyond the float range saturates to the
-    largest finite float of its sign, so every extraction is finite.
-    """
-    found = _pattern(allow_commas, allow_decimal, allow_negative).findall(entry)
-    if not found:
-        return None
-    value = float(max(found, key=len).replace(",", ""))
-    return max(-sys.float_info.max, min(value, sys.float_info.max))
+    """Longest numeric partition of one entry as a float, or None when absent:
+    ``extract_numbers`` of a view of the entry alone."""
+    return extract_numbers(Distinct([entry]), allow_commas, allow_decimal, allow_negative)[0]
 
 
 class NmcmBehavior(Behavior):
@@ -74,8 +107,7 @@ class NmcmBehavior(Behavior):
         }}
 
     def apply_distinct(self, state, view):
-        flags = state["flags"]
-        return [[None if text is None else nmcm_extract(text, **flags) for text in view.texts]]
+        return [extract_numbers(view, **state["flags"])]
 
 
 class Nmc7Behavior(NmcmBehavior):
@@ -86,15 +118,20 @@ class Nmc7Behavior(NmcmBehavior):
 
     def fit(self, view, params, root_rule):
         state = super().fit(view, params, root_rule)
-        state["lookup"] = {
-            entry: nmcm_extract(entry, **state["flags"]) for entry in sorted(view.text_counts)
-        }
+        entries = sorted(view.text_counts)
+        state["lookup"] = dict(zip(entries, extract_numbers(Distinct(entries), **state["flags"])))
         return state
 
     def apply_distinct(self, state, view):
-        lookup, flags = state["lookup"], state["flags"]
-        return [[None if text is None else lookup[text] if text in lookup
-                 else nmcm_extract(text, **flags) for text in view.texts]]
+        """The lookup's value of each text; a missing text is None. The texts
+        the lookup lacks are extracted, all in one call."""
+        lookup = state["lookup"]
+        values = list(map(lookup.get, view.texts, view.texts))  # an unseen text stays itself
+        if str in set(map(type, values)):
+            unseen = list(set(view.texts).difference(lookup, [None]))
+            found = dict(zip(unseen, extract_numbers(Distinct(unseen), **state["flags"])))
+            values = list(map(found.get, values, values))  # a number or None stays itself
+        return [values]
 
 
 @dataclass

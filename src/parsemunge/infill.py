@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 import operator
-import re
 from itertools import compress, count, repeat
 from math import isinf
 
@@ -47,17 +46,16 @@ CONFIG_KIND_NAMES = {
 
 NUMERIC_ONLY_KINDS = (KIND_MEAN, KIND_MEDIAN)
 
-_DIGIT = re.compile("[0-9]")
-
-
 def mark_targets(view: Distinct, rule: str = "missing_only") -> list[bool]:
     """Whether each value of the view is an infill target: missing values
     always are; numeric rules also target text that does not parse."""
     if rule == "numeric_parse":
         return (~view.numbers[1]).tolist()
     if rule == "numeric_extract":
-        # nmcm_extract finds a number exactly when the text holds an ASCII digit.
-        return [text is None or _DIGIT.search(text) is None for text in view.texts]
+        # Extraction finds a number exactly when the text holds an ASCII digit.
+        codes, starts = view.code_points
+        digit = (codes >= ord("0")) & (codes <= ord("9"))
+        return (~np.logical_or.reduceat(digit, starts)).tolist()  # each text ends in TEXT_END
     return list(map(operator.is_, view.values, repeat(None)))
 
 

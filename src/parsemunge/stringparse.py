@@ -42,6 +42,7 @@ from .encoders import (
     sanitize_token,
 )
 from .errors import ConfigError
+from .tidytable import utf32
 
 DEFAULT_MIN_LEN = 5
 DEFAULT_PLUG = "zzzplug"
@@ -110,11 +111,6 @@ def _width_index(windows) -> dict[str, list[str]]:
     return index
 
 
-def _utf32(text: str) -> np.ndarray:
-    """The text's code points, surrogates included."""
-    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), "<u4")
-
-
 def scan_overlaps(uniques, cfg: OverlapScanConfig) -> OverlapMap:
     """Find character-subset overlaps between the given unique entries."""
     if cfg.min_len < 2:
@@ -137,7 +133,7 @@ def _scan_single(entries: list[str], top: int, cfg: OverlapScanConfig) -> Overla
         return OverlapMap()
     # The entries as one array of character ranks from 1, each entry followed
     # by a 0 separator; excluded characters are separators too.
-    codes = _utf32(text)
+    codes = utf32(text)
     low = int(codes.min())
     ranks = codes - np.int64(low - 1)
     if cfg.exclude_chars:
@@ -335,7 +331,7 @@ def _overlap_keys(overlaps) -> list[tuple[int, np.ndarray | None, list[str]]]:
     by_length: dict[int, list[str]] = {}
     for o in sorted(set(overlaps)):
         by_length.setdefault(len(o), []).append(o)
-    return [(n, _utf32("".join(names)).view(f"<U{n}") if n else None, names)
+    return [(n, utf32("".join(names)).view(f"<U{n}") if n else None, names)
             for n, names in sorted(by_length.items(), reverse=True)]
 
 
@@ -353,7 +349,7 @@ def _match_block(texts: list[str], keys) -> list[str | None]:
     found: list[str | None] = [None] * len(texts)
     if not keys:
         return found
-    codes = _utf32("".join(texts))
+    codes = utf32("".join(texts))
     size = np.fromiter(map(len, texts), np.int64, len(texts))
     offset = np.cumsum(size) - size
     unmatched = np.ones(len(texts), bool)

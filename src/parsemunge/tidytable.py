@@ -15,8 +15,8 @@ the text by code. The cells and bytes are those of classifying and rendering
 cell by cell.
 
 Every transform reads a header as a ``Distinct`` view of its distinct values
-(and, at fit, their counts), which converts each value to its canonical text
-and number once, for every step that reads the header.
+(and, at fit, their counts), which converts each value to its canonical text,
+its number and its code points once, for every step that reads the header.
 """
 
 from __future__ import annotations
@@ -112,11 +112,22 @@ def numbers(values: list[Cell]) -> tuple[np.ndarray, np.ndarray]:
     return np.array(parsed, dtype=np.float64), present
 
 
+# Follows every text in a view's code array. It is no digit, ",", "." or "-",
+# so no numeric match runs from one text into the next.
+TEXT_END = "\x1f"
+
+
+def utf32(text: str) -> np.ndarray:
+    """The text's code points, surrogates included."""
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), "<u4")
+
+
 class Distinct:
     """The distinct cells of one header and, at fit, the number of source rows
     each stands for (an int64 array). Every step that reads the header shares
-    the ``canon_text`` of each value, their ``numbers`` and the counts summed
-    onto each text, missing left out, each built on first use."""
+    the ``canon_text`` of each value, their ``numbers``, the counts summed
+    onto each text, missing left out, and the texts' code points, each built
+    on first use."""
 
     def __init__(self, values: list[Cell], counts: np.ndarray | None = None):
         self.values, self.counts = values, counts
@@ -138,6 +149,14 @@ class Distinct:
             if text is not None:
                 agg[text] = agg.get(text, 0) + n
         return agg
+
+    @cached_property
+    def code_points(self) -> tuple[np.ndarray, np.ndarray]:
+        """The code points of every text, each followed by ``TEXT_END`` (a
+        missing text is empty), as one array, and where each text starts."""
+        texts = ["" if text is None else text for text in self.texts]
+        size = np.fromiter(map(len, texts), np.int64, len(texts)) + 1
+        return utf32(TEXT_END.join(texts) + TEXT_END), size.cumsum() - size
 
 
 def largest_magnitude(values: np.ndarray) -> float:

@@ -1,15 +1,16 @@
 """Independent brute-force oracles used to verify the production paths.
 
 These deliberately avoid the implementation's suffix-array scan and
-regex-match machinery: overlap answers come from a dynamic-programming
+code-point mask machinery: overlap answers come from a dynamic-programming
 longest common substring table plus substring enumeration, and whole
 single-id overlap maps from the window-width loop that the suffix-array
 scan replaced; unseen-entry matching and search from per-text containment
 tests in Python; numeric extraction answers from an enumerate-every-substring
-walk with a hand-rolled format validator, the built-in trees' answers from
-an argsort-and-cumsum CART with nested-dict nodes, and CSV files from a
-reader and writer that classify and render cell by cell, adjacent infill
-from a row-by-row forward fill, every behaviour's output from a rule
+walk with a hand-rolled format validator, and from the regex search of one
+text at a time that the code-point extraction replaced, the built-in trees'
+answers from an argsort-and-cumsum CART with nested-dict nodes, and CSV
+files from a reader and writer that classify and render cell by cell,
+adjacent infill from a row-by-row forward fill, every behaviour's output from a rule
 applied to one value at a time (``REFERENCE_CELLS``), and code-map inversion
 from a dict of every output pattern, and the numeric statistics (moments,
 infill statistics, target marks, min/max) from loops over sorted
@@ -30,7 +31,6 @@ import numpy as np
 
 from parsemunge.encoders import binary_width
 from parsemunge.errors import ConfigError, DataError
-from parsemunge.extract_search import nmcm_extract
 from parsemunge.importance import TASK_CLASSIFICATION, PredictorAdapter
 from parsemunge.infill import KIND_MEAN, KIND_MEDIAN, KIND_MODE
 from parsemunge.registry import BEHAVIORS
@@ -632,11 +632,40 @@ def reference_mnmx_cell(state: dict, cell) -> tuple:
     return ((v * q - lo) / span,)
 
 
+# Numeric extraction as it was done one text at a time, before it was done
+# over the code points of all of a view's texts (extract_search.extract_numbers).
+
+@functools.lru_cache(maxsize=None)
+def _nmcm_pattern(allow_commas: bool, allow_decimal: bool, allow_negative: bool):
+    """The match at every candidate start, in order: a digit that follows no
+    digit, and, when negatives are allowed, a "-" sign. A start inside a digit
+    run matches a strict suffix of the match at the run's start."""
+    core = r"\d+(?:,\d+)*" if allow_commas else r"\d+"
+    if allow_decimal:
+        core += r"(?:\.\d+)?"
+    starts = rf"(?<!\d){core}"
+    if allow_negative:
+        starts = f"-{core}|{starts}"
+    return re.compile(f"(?=({starts}))", re.ASCII)
+
+
+def reference_nmcm_extract(entry: str, allow_commas: bool = True, allow_decimal: bool = True,
+                           allow_negative: bool = False) -> float | None:
+    """Longest numeric partition of entry as a float, or None when absent: the
+    longest of the regex matches at every start, the earliest on ties; beyond
+    the float range, the largest finite float of its sign."""
+    found = _nmcm_pattern(allow_commas, allow_decimal, allow_negative).findall(entry)
+    if not found:
+        return None
+    value = float(max(found, key=len).replace(",", ""))
+    return max(-sys.float_info.max, min(value, sys.float_info.max))
+
+
 def reference_nmcm_cell(state: dict, cell) -> tuple:
     text = canon_text(cell)
     if text is None:
         return (None,)
-    return (nmcm_extract(text, **state["flags"]),)
+    return (reference_nmcm_extract(text, **state["flags"]),)
 
 
 def reference_nmc7_cell(state: dict, cell) -> tuple:
@@ -646,7 +675,7 @@ def reference_nmc7_cell(state: dict, cell) -> tuple:
     lookup = state["lookup"]
     if text in lookup:
         return (lookup[text],)
-    return (nmcm_extract(text, **state["flags"]),)
+    return (reference_nmcm_extract(text, **state["flags"]),)
 
 
 def reference_activation_cell(state: dict, cell) -> tuple:

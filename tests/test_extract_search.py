@@ -7,10 +7,35 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parsemunge.errors import ConfigError
-from parsemunge.extract_search import SearchSpec, nmcm_extract
+from parsemunge.extract_search import SearchSpec, extract_numbers, nmcm_extract
+from parsemunge.tidytable import TEXT_END, Distinct
 
 from .helpers import run_behavior
-from .oracles import oracle_extract
+from .oracles import oracle_extract, reference_nmcm_extract
+
+FLAG_SETS = list(itertools.product((False, True), repeat=3))
+# Digits, the characters of the grammar, characters that are no ASCII digit
+# ("٣", "９", "²"), the character that ends each text in a view's code array,
+# a lone surrogate, and digit runs beyond the float range.
+PIECES = [*"0123456789", ",", ".", "-", "a", "Z", " ", "\n", "\x00", TEXT_END,
+          "\u0663", "\uff19", "\u00b2", "\ud800", "9" * 400, "1" + "0" * 400]
+TEXTS = st.lists(st.sampled_from(PIECES), max_size=12).map("".join)
+
+
+@st.composite
+def _batches(draw):
+    """0, 1 or many texts, missing and empty ones among them, some repeated;
+    a place to split them at, and an order to shuffle them in."""
+    batch = draw(st.lists(st.one_of(st.none(), st.just(""), TEXTS), max_size=8))
+    if batch:
+        batch += draw(st.lists(st.sampled_from(batch), max_size=3))
+    return (draw(st.permutations(batch)), draw(st.integers(0, len(batch))),
+            draw(st.permutations(range(len(batch)))))
+
+
+def _bits(values):
+    """Extractions compared bit for bit: -0.0 apart from 0.0."""
+    return [None if v is None else v.hex() for v in values]
 
 
 class TestNmcmExtract:
@@ -72,6 +97,35 @@ class TestNmcmExtract:
         # begin a longest match.
         for flags in itertools.product((False, True), repeat=3):
             assert nmcm_extract(s, *flags) == oracle_extract(s, *flags), (s, flags)
+
+
+class TestExtractNumbers:
+    @given(_batches())
+    @example((["", None, "1,2.5", "-" + "9" * 400, "a" + TEXT_END + "-3", "-3"], 2,
+              [5, 4, 3, 2, 1, 0]))
+    @settings(max_examples=300, deadline=None)
+    def test_each_text_as_the_reference_in_any_batch(self, drawn):
+        # The batch equals the one-text regex reference, text by text, under
+        # every flag set; splitting or shuffling the batch changes no text's result.
+        batch, cut, order = drawn
+        for flags in FLAG_SETS:
+            want = _bits(None if t is None else reference_nmcm_extract(t, *flags) for t in batch)
+            assert _bits(extract_numbers(Distinct(batch), *flags)) == want, flags
+            split = (extract_numbers(Distinct(batch[:cut]), *flags)
+                     + extract_numbers(Distinct(batch[cut:]), *flags))
+            assert _bits(split) == want, flags
+            shuffled = extract_numbers(Distinct([batch[i] for i in order]), *flags)
+            assert _bits(shuffled) == [want[i] for i in order], flags
+
+    def test_no_match_crosses_texts(self):
+        # Joined, "1," + "2" and "3" + ".4" would read as 1,2 and 3.4.
+        assert extract_numbers(Distinct(["1,", "2", "3", ".4", "5-", "-6"]),
+                               allow_negative=True) == [1.0, 2.0, 3.0, 4.0, 5.0, -6.0]
+
+    def test_number_cells_are_read_as_their_text(self):
+        # 1e20 reads "1e+20", and -0.0 "-0"
+        found = extract_numbers(Distinct([1e20, -0.0, None, "x 7"]), allow_negative=True)
+        assert _bits(found) == _bits([20.0, -0.0, None, 7.0])
 
 
 class TestNmcmColumn:

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parsemunge.errors import ConfigError
-from parsemunge.extract_search import nmcm_extract
+from parsemunge.extract_search import extract_numbers
 from parsemunge.infill import (
     KIND_ADJACENT,
     KIND_DEFAULT,
@@ -20,7 +20,9 @@ from parsemunge.infill import (
     mark_targets,
     train_stat,
 )
-from parsemunge.tidytable import Distinct
+from parsemunge.tidytable import Distinct, canon_text
+
+from .oracles import reference_nmcm_extract
 
 
 def pair_stat(kind, pairs):
@@ -44,17 +46,22 @@ class TestMarkTargets:
     def test_number_cells_parse(self):
         assert mark_targets(Distinct([3.0, -0.0]), "numeric_parse") == [False, False]
 
-    @given(st.one_of(st.text(), st.text(alphabet="ab09,.- \u0663\uff19\u00b2")))
-    @example("\u0663")  # a non-ASCII digit is no digit to nmcm_extract
-    @example("-,.")
-    @example("9" * 400)  # beyond the float range: saturated, still found
+    @given(st.lists(st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False),
+                              st.text(), st.text(alphabet="ab09,.- \u0663\uff19\u00b2")),
+                    max_size=8))
+    @example(["\u0663"])  # a non-ASCII digit is no digit to the extraction
+    @example(["-,.", None, "", 0.0])
+    @example(["9" * 400, -1e300])  # beyond the float range: saturated, still found
     @settings(max_examples=200, deadline=None)
-    def test_numeric_extract_rule_is_the_extraction_failing(self, text):
-        # The rule tests for an ASCII digit; extraction fails exactly without
-        # one, whatever its flags.
-        [target] = mark_targets(Distinct([text]), "numeric_extract")
+    def test_numeric_extract_rule_is_the_extraction_failing(self, values):
+        # The rule tests each text for an ASCII digit; extraction fails
+        # exactly without one, whatever its flags.
+        view = Distinct(values)
+        targets = mark_targets(view, "numeric_extract")
         for flags in itertools.product((False, True), repeat=3):
-            assert target == (nmcm_extract(text, *flags) is None)
+            assert targets == [text is None or reference_nmcm_extract(text, *flags) is None
+                               for text in map(canon_text, values)]
+            assert targets == [value is None for value in extract_numbers(view, *flags)]
 
 
 class TestApplyInfill:
