@@ -14,8 +14,10 @@ looks for each term in all the distinct texts of its input at once, with
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
+from itertools import compress, count
 
 import numpy as np
 from numpy.dtypes import StringDType
@@ -28,7 +30,11 @@ from .encoders import (
     sanitize_token,
 )
 from .errors import ConfigError
-from .tidytable import Distinct
+from .tidytable import TEXT_END, Distinct
+
+# extract_numbers reads the code arrays of views, where TEXT_END follows each
+# text: as no match can hold it, none runs from one text into the next.
+assert TEXT_END not in "0123456789,.-"
 
 
 def extract_numbers(view: Distinct, allow_commas: bool = True, allow_decimal: bool = True,
@@ -47,18 +53,18 @@ def extract_numbers(view: Distinct, allow_commas: bool = True, allow_decimal: bo
     """
     codes, starts = view.code_points
     found: list[float | None] = [None] * len(starts)
-    digit = (codes >= ord("0")) & (codes <= ord("9"))
+    digit = codes - ord("0") < 10  # unsigned: a code below "0" wraps past 9
     edge = digit.copy()
     edge[1:] ^= digit[:-1]
     # Where each digit run starts and where it ends, in turn; the codes end in
-    # TEXT_END, so every run ends, and no run crosses from one text to the next.
+    # TEXT_END, so every run ends within its text.
     bounds = edge.nonzero()[0]
     if not len(bounds):
         return found
     first, run_end = bounds[0::2], bounds[1::2]
-    # Per run, the code after it, and whether the next run starts right after that code.
-    after = codes[run_end]
-    touches = np.concatenate((first[1:] == run_end[:-1] + 1, [False]))
+    # Per run, the code after it, and whether the next run starts right after
+    # that code: a digit follows it (past the end, the last code stands in).
+    after, touches = codes[run_end], digit.take(run_end + 1, mode="clip")
     last = np.arange(len(first))  # per run, the last run its match covers
     if allow_commas:  # a run that ends in a comma right before the next joins it
         stops = (~(touches & (after == ord(",")))).nonzero()[0]
@@ -70,14 +76,15 @@ def extract_numbers(view: Distinct, allow_commas: bool = True, allow_decimal: bo
         first = first - (codes[first - 1] == ord("-"))
     # Per text, the largest key: the longest match, then the earliest.
     n = len(codes)
-    key = (end - first) * n + (n - 1 - first)
+    key = (end - first) * n - first
     owner = starts.searchsorted(first, side="right") - 1
     group = np.concatenate(([True], owner[1:] != owner[:-1])).nonzero()[0]
     best = np.maximum.reduceat(key, group)
+    at = -best % n  # where each text's match starts among the codes
     won = owner[group]
-    lo = n - 1 - best % n - starts[won]  # where each text's match starts in it
+    lo = at - starts[won]  # and in its text
     texts, top = view.texts, sys.float_info.max
-    for i, a, b in zip(won.tolist(), lo.tolist(), (lo + best // n).tolist()):
+    for i, a, b in zip(won.tolist(), lo.tolist(), (lo + (best + at) // n).tolist()):
         value = float(texts[i][a:b].replace(",", ""))
         found[i] = value if -top <= value <= top else math.copysign(top, value)
     return found
@@ -110,6 +117,9 @@ class NmcmBehavior(Behavior):
         return [extract_numbers(view, **state["flags"])]
 
 
+_LOOKUP_VALUE = {float, type(None)}
+
+
 class Nmc7Behavior(NmcmBehavior):
     """As nmcm, but fit stores each train entry's extraction: apply parses unseen ones."""
 
@@ -118,19 +128,21 @@ class Nmc7Behavior(NmcmBehavior):
 
     def fit(self, view, params, root_rule):
         state = super().fit(view, params, root_rule)
-        entries = sorted(view.text_counts)
-        state["lookup"] = dict(zip(entries, extract_numbers(Distinct(entries), **state["flags"])))
+        found = dict(zip(view.texts, extract_numbers(view, **state["flags"])))
+        state["lookup"] = {text: found[text] for text in sorted(view.text_counts)}
         return state
 
     def apply_distinct(self, state, view):
         """The lookup's value of each text; a missing text is None. The texts
         the lookup lacks are extracted, all in one call."""
-        lookup = state["lookup"]
-        values = list(map(lookup.get, view.texts, view.texts))  # an unseen text stays itself
-        if str in set(map(type, values)):
-            unseen = list(set(view.texts).difference(lookup, [None]))
-            found = dict(zip(unseen, extract_numbers(Distinct(unseen), **state["flags"])))
-            values = list(map(found.get, values, values))  # a number or None stays itself
+        lookup, texts = state["lookup"], view.texts
+        values = list(map(lookup.get, texts, texts))  # an unseen text stays itself
+        if not set(map(type, values)) <= _LOOKUP_VALUE:  # some text is unseen
+            # Where the value is the text itself; a missing text, too, extracts as None.
+            at = list(compress(count(), map(operator.is_, values, texts)))
+            found = extract_numbers(Distinct(list(map(texts.__getitem__, at))), **state["flags"])
+            for i, value in zip(at, found):
+                values[i] = value
         return [values]
 
 

@@ -112,8 +112,7 @@ def numbers(values: list[Cell]) -> tuple[np.ndarray, np.ndarray]:
     return np.array(parsed, dtype=np.float64), present
 
 
-# Follows every text in a view's code array. It is no digit, ",", "." or "-",
-# so no numeric match runs from one text into the next.
+# Follows every text in a view's code array; it is no ASCII digit.
 TEXT_END = "\x1f"
 
 

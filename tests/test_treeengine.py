@@ -493,6 +493,21 @@ class TestCellTypes:
         assert pm.apply(artifact, derived) == encoded
         assert pm.drift_report(artifact, derived) == pm.drift_report(artifact, plain)
 
+    @pytest.mark.parametrize("root", ["nmcm", "nmc7"])
+    def test_unseen_subclass_texts_are_extracted(self, root):
+        class Text(str):
+            pass
+
+        _, artifact = pm.fit(_table(a=["a1", "b2.5", None]), {"a": root})
+        plain = ["a1", "z9", "q3.5x", "none", None]
+        expected = pm.apply(artifact, _table(a=plain))
+        assert all(type(v) is float for c in expected.columns for v in c)
+        for cell in (Text, np.str_):
+            derived = [None if v is None else cell(v) for v in plain]
+            assert pm.apply(artifact, _table(a=derived)) == expected
+            unseen = [None if v is None else cell(v) for v in plain[1:]]
+            assert pm.apply(artifact, _table(a=unseen)) == pm.apply(artifact, _table(a=plain[1:]))
+
     def test_invert_reads_ints_and_bools_as_codes(self):
         # The onht decoder compares cells by ==, so 1 and True read as 1.0.
         encoded, artifact = pm.fit(_table(a=["x", "y", "z"]), {"a": "onht"})
