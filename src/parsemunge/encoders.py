@@ -210,7 +210,7 @@ class OnhtBehavior(RankedCodeBehavior):
 
     def decoder(self, state):
         """The entry at the row's single 1.0, and missing for all zeros; cells
-        compare by ``==``, as in a lookup of every pattern, which would take
+        compare by ``==``, as in a table of every pattern, which would take
         (K + 1) x K cells to build."""
         entries = state["entries"]
         width = len(entries)

@@ -14,10 +14,8 @@ looks for each term in all the distinct texts of its input at once, with
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass, field
-from itertools import compress, count
 
 import numpy as np
 from numpy.dtypes import StringDType
@@ -98,7 +96,8 @@ def nmcm_extract(entry: str, allow_commas: bool = True, allow_decimal: bool = Tr
 
 
 class NmcmBehavior(Behavior):
-    """Numeric extraction of every entry at apply (scan-at-apply variant)."""
+    """Numeric extraction of every entry, at fit and at apply. The nmc7 and
+    nmc8 categories are steps of this behaviour under the suffix nmc7."""
 
     name = "nmcm"
     coltype_class = CLASS_NUMERIC
@@ -115,35 +114,6 @@ class NmcmBehavior(Behavior):
 
     def apply_distinct(self, state, view):
         return [extract_numbers(view, **state["flags"])]
-
-
-_LOOKUP_VALUE = {float, type(None)}
-
-
-class Nmc7Behavior(NmcmBehavior):
-    """As nmcm, but fit stores each train entry's extraction: apply parses unseen ones."""
-
-    name = "nmc7"
-    fit_schema = {**NmcmBehavior.fit_schema, "lookup": {str: float | None}}
-
-    def fit(self, view, params, root_rule):
-        state = super().fit(view, params, root_rule)
-        found = dict(zip(view.texts, extract_numbers(view, **state["flags"])))
-        state["lookup"] = {text: found[text] for text in sorted(view.text_counts)}
-        return state
-
-    def apply_distinct(self, state, view):
-        """The lookup's value of each text; a missing text is None. The texts
-        the lookup lacks are extracted, all in one call."""
-        lookup, texts = state["lookup"], view.texts
-        values = list(map(lookup.get, texts, texts))  # an unseen text stays itself
-        if not set(map(type, values)) <= _LOOKUP_VALUE:  # some text is unseen
-            # Where the value is the text itself; a missing text, too, extracts as None.
-            at = list(compress(count(), map(operator.is_, values, texts)))
-            found = extract_numbers(Distinct(list(map(texts.__getitem__, at))), **state["flags"])
-            for i, value in zip(at, found):
-                values[i] = value
-        return [values]
 
 
 @dataclass

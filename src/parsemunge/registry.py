@@ -56,7 +56,6 @@ BEHAVIORS: dict[str, Behavior] = {
         stringparse.Sp19Behavior(),
         stringparse.SbstBehavior(),
         extract_search.NmcmBehavior(),
-        extract_search.Nmc7Behavior(),
         extract_search.SrchBehavior(),
     )
 }
@@ -190,8 +189,10 @@ def builtin_registry() -> Registry:
         _cat("spl9", children=("ord3", "sp10")),
         _cat("sp10", children=("ord3",)),
         _cat("nmcm", children=("nmbr",)),
-        _cat("nmc7", children=("nmbr",)),
-        _cat("nmc8", behavior="nmc7", children=("nmbr",)),
+        # The paper's test-efficient nmc7 stores each train entry's extraction;
+        # here extraction of a whole view is one batch, so it replays as nmcm.
+        _cat("nmc7", behavior="nmcm", suffix="nmc7", children=("nmbr",)),
+        _cat("nmc8", behavior="nmcm", suffix="nmc7", children=("nmbr",)),
         # Root aggregations. or19 chains through the shared UPCS/spl9/sp10 keys;
         # or20 needs its own upper tiers to add the extra spl9 level.
         _cat("or19", behavior="excl", suffix="or19", parents=("UPCS",)),

@@ -442,14 +442,14 @@ class Spl5Behavior(Spl2Behavior):
 
 
 class Spl9Behavior(Spl2Behavior):
-    """spl2 fit with pure-lookup application (test entries assumed within train)."""
+    """spl2 fit, applied by its stored assignment alone (test entries assumed within train)."""
 
     name = "spl9"
     unseen_matches = False
 
 
 class Sp10Behavior(Spl5Behavior):
-    """spl5 fit with pure-lookup application (test entries assumed within train)."""
+    """spl5 fit, applied by its stored assignment alone (test entries assumed within train)."""
 
     name = "sp10"
     unseen_matches = False

@@ -71,7 +71,7 @@ from .tidytable import (
 
 logger = logging.getLogger(__name__)
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 ARTIFACT_SUFFIX = ".pmz.json"
 
 
@@ -722,7 +722,9 @@ def drift_report(artifact: FitArtifact, new: TidyTable) -> DriftReport:
             per_source[header] = {"kind": "numeric", "train": train, "new": fresh,
                                   "deltas": {k: abs(fresh[k] - train[k]) for k in ("mean", "std")}}
             continue
-        new_freq = read_cells(header, col, distinct_counts).text_counts
+        view = read_cells(header, col, distinct_counts)
+        checked_coltype(header, view.values)  # as apply checks them: on the distinct values
+        new_freq = view.text_counts
         total = sum(new_freq.values())
         top = {}
         for entry, count in base["top"]:

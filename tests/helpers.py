@@ -5,9 +5,14 @@ from __future__ import annotations
 
 import copy
 import random
+from pathlib import Path
 
 from parsemunge.registry import BEHAVIORS
 from parsemunge.tidytable import Distinct, TidyTable, distinct_counts
+
+# An or19 fit of four addresses, as artifact format 4 wrote it: its nmc8 step
+# is behaviour nmc7 and stores each train text's extraction under "lookup".
+FORMAT_4_OR19 = Path(__file__).parent / "data" / "or19_format4.pmz.json"
 
 WORDS = ["chrome", "safari", "edge", "mac os x", "windows", "lynx", "opera"]
 

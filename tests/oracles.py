@@ -668,16 +668,6 @@ def reference_nmcm_cell(state: dict, cell) -> tuple:
     return (reference_nmcm_extract(text, **state["flags"]),)
 
 
-def reference_nmc7_cell(state: dict, cell) -> tuple:
-    text = canon_text(cell)
-    if text is None:
-        return (None,)
-    lookup = state["lookup"]
-    if text in lookup:
-        return (lookup[text],)
-    return (reference_nmcm_extract(text, **state["flags"]),)
-
-
 def reference_activation_cell(state: dict, cell) -> tuple:
     """splt, sp15 and sbst: 1.0 in the column of each overlap assigned to the
     cell's text; an assigned name that is no stored overlap activates nothing."""
@@ -719,7 +709,6 @@ REFERENCE_CELLS = {
     "nmbr": reference_nmbr_cell,
     "mnmx": reference_mnmx_cell,
     "nmcm": reference_nmcm_cell,
-    "nmc7": reference_nmc7_cell,
     **dict.fromkeys(("splt", "sp15", "sbst"), reference_activation_cell),
     "spl2": reference_overlap_cell,
     "spl5": functools.partial(reference_overlap_cell, plug=True),

@@ -38,7 +38,6 @@ PARAMS = {
     **dict.fromkeys(SCANS, st.fixed_dictionaries({"min_len": st.integers(2, 3)})),
     "UPCS": st.fixed_dictionaries({"enabled": st.booleans()}),
     "nmcm": FLAGS,
-    "nmc7": FLAGS,
     "srch": st.fixed_dictionaries({"search": st.lists(TEXTS.filter(bool), min_size=1, max_size=3,
                                                       unique_by=sanitize_token),
                                    "ordinal": st.booleans(),
@@ -157,9 +156,6 @@ EDGE_CASES = [
     ("nmbr", {"mean": 0.0, "shift": 0.0, "std": 0.0}, [1.0, None]),
     ("mnmx", {"min": -1.7e308, "max": 1.7e308, "mean": 1e300}, [-1.7e308, 1.7e308, None, -0.0]),
     ("mnmx", {"min": 3.0, "max": 3.0, "mean": 3.0}, [3.0, None]),
-    # nmc7: a stored extraction wins over a fresh one, as a hand-edited artifact may hold.
-    ("nmc7", {"flags": {"allow_commas": True, "allow_decimal": True, "allow_negative": False},
-              "lookup": {"a1": 7.0, "b": None}}, ["a1", "b2", "b", None]),
     # Code maps: no entries, and an empty batch.
     ("onht", {"entries": []}, ["a", None]),
     ("1010", {"entries": []}, ["a", None]),

@@ -9,7 +9,7 @@ import parsemunge as pm
 from parsemunge.cli import main
 from parsemunge.tidytable import TidyTable, load_csv, write_csv
 
-from .helpers import random_text_cell, retyped
+from .helpers import FORMAT_4_OR19, random_text_cell, retyped
 from .oracles import reference_write_csv
 
 
@@ -220,6 +220,14 @@ class TestCmdApply:
         blob.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["apply", str(blob), str(train), "--out", str(tmp_path / "r.csv")]) == 3
         assert "retained" in capsys.readouterr().err
+
+    def test_format_4_artifact_exit_3(self, tmp_path, capsys):
+        train = tmp_path / "train.csv"
+        write_csv(TidyTable(["col2"], [["123 Main St 94107", "1 Elm St 94110"]]), train)
+        assert main(["apply", str(FORMAT_4_OR19), str(train),
+                     "--out", str(tmp_path / "r.csv")]) == 3
+        assert "format_version 4, expected 5" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
     def test_bad_registry_snapshot_exit_3(self, tmp_path, capsys):
         train, _ = _write_train(tmp_path)

@@ -34,49 +34,49 @@ SIZES = {
 # deserialized artifact on the test table, invert of that output)
 PINNED = {
     ('importance_prefix', 7): (
-        '3afad751342ad94ef5498c87cf4e0ac16fb8f0445aaa8cdbe75a229c40920bce',
+        '1d588aea98ceca85b6cfe18c10760ab5c9b95204ab833c29d6d02e923fca856a',
         '7d61285f0808b66b36d2dafd7d0e8fc4dd9f3cb84b31f88e1e6a0f8699c2fcd5',
         '41f5d5c9cb3d215fa59f8cd6e13629971227a46493c41aee99e8098728eda2f5',
         'e45d53bf6ba50621bf9173845a49e3ad0e6e3b043b3cfdea155d3a2a0ed0de02',
     ),
     ('importance_prefix', 13): (
-        '6933ffe8175b7f9347bb02e88c361da473ef92dd1af0cf647de69ed3920a621a',
+        '7301330b35668d7565c5bb86b6c11726e157880862aac49c954bfc29cb701c4d',
         '4d288ba1731f4625432d12e94175eb6dff232cba3be867497d757b3f7f5b92aa',
         'c13a5b899648e31ced49afd1a51dd74e956f265004d44bfa58442e07d51afc99',
         'eae94d5b62639ecf967a32bf45eb6ee7ba859472507898f96dba9a79b55ebb4a',
     ),
     ('parse_highcard', 7): (
-        'ffcf27e8fbdef4d800c1e42298b2c119ea47ade9cdc3cf130281022e7aa330df',
+        '774ed31c0814f121c021f1281f52354e10d002c2da423d03f71b49ed0919842b',
         'b35a7eaebd4b24e1955bde9173048ff571ee74cb4ecfdfafca7810238335a409',
         '62f59fc112f57cfb07654e30e1adb2a3b189293ef5c394c7ebcaa91af12673e0',
         '6f6ffb2f544db77e10521bdb60138d855d667727542bf14c361d2ad45ce1551b',
     ),
     ('parse_highcard', 13): (
-        '35af583a812005e786adc9c4a9cf1e9c70037d8356a772f69e0fe4ef993ab301',
+        '26d2b5faf8d8483b44bf265c8acaa5fed116ec5001a1a4c721e0de8036a6b8fa',
         '6225d2a9feea8e089274cb773b22d6dce759b3d5ee5dc2dff7029e047de7df89',
         '90526c96a3915d54996ae672df78e50b93ac86ddaa07e39af8e0dcca81be3047',
         'aefc68cc82f20962c301127138ae8c741e97763bff908eb4bd460f7310ebb27b',
     ),
     ('unseen_drift', 7): (
-        'ebdade853ef202f48514e721eb01ddf9d265ce26f4b2e505e1b9e58ebf6b4cbb',
+        '2205f334a373c06735d198d694ec11e52c490c04a0f149125de4bf2ea67e590d',
         '02ed697f1b0287dfc3bcfb19f5b6c27ab9038bbf4deef4ce9d037127448e913a',
         '8ef27258ea8f47d7153eb353d4ce1ad10574534d9c6f9907b3063f2ee18ae969',
         '7c7e8f09caf0436e987d7998f7579faf4af060fbb5fe855add846dc7f77d0e3c',
     ),
     ('unseen_drift', 13): (
-        'a4702a6c2eb1df9e71b6c4cc19b241005019c7d7e7c5650f5b40be36f9db9b8d',
+        'fd9ffc6b01a67a68c9f26a5a873baa9a13db991dc7f052942c05a6ecdb69e25e',
         '37fce3bdc38866ef24eac2fda6af082ede3b31921ef287e6b2be5cb1c1c0ace6',
         '36703d66b8afc15c43cbaf48d929498df04280087d76b306bb6b44e44b2eba1c',
         'f4bc9450973615957faa28261d836566cc2fd20775c066e709759a0d676e5a44',
     ),
     ('wide_roundtrip', 7): (
-        '7472afb0b79d6f68c2c6dd4ff4aa71505d717866d83317236ecdbd6cde467f84',
+        '90466d8caaaeec880fdc08aaf896c0b5ddefb269880a3f7ef7e4d9f22bac68f8',
         '0ef95be65df89315d49f6d9d9acd56e063ff9ba5d3e53357b980911fd4dfb36d',
         'b8a0f01ad136564b733419052eafcb768f5061d1abc6cd91af8d23a93abaf8b3',
         '6790627159aba519ad8285acf3765f334b4036156fd46ab164974d78f7ff30aa',
     ),
     ('wide_roundtrip', 13): (
-        '1b7561e46d2eb15d9f550ff47700eb55109c24fc349bfdef92cf9131541f1a73',
+        'fb305396fe98c1d90cfcc9dcdf84c8441d55ea2641da7d5cb7425b23b4331213',
         '779201a8deb57ff1a4278b037606d553a773498f793e7fa0964f546adc85195c',
         '2f735c91c7fa779ec5d168cf45b297042cceef4928e0d95b3e13808812da6c89',
         '1bdbf099ac5f11845812284bb05ae5f4c0e154b720ad3867315b9fd0096a32d9',
@@ -218,67 +218,67 @@ INFILL_SOURCES = {"num": None, "numtext": "nmbr", "ext": "nmcm", "ser": "or19",
 # encoded train and apply of the deserialized artifact on the test table)
 PINNED_INFILL = {
     ('adjinfill', False): (
-        '09fa614aa4c38fafd8222a3015ae4b27a35bf4fa4e02e25730e8caf9474817eb',
+        '0395590d6cfa07780f1ea963a9ba6010bae9bd2cae457142be484b3771d7bbf1',
         '385015a121316e1556afa8425bdb949b68e8ae721758a2b8922889021597eb86',
     ),
     ('adjinfill', True): (
-        '09fa614aa4c38fafd8222a3015ae4b27a35bf4fa4e02e25730e8caf9474817eb',
+        '0395590d6cfa07780f1ea963a9ba6010bae9bd2cae457142be484b3771d7bbf1',
         '89540cc1c82d3e4de4ac476b6debdf7fbec59d20623af40240241ed76e3fc12f',
     ),
     ('meaninfill', False): (
-        'c9695522db614af05fb758d44d0c53f2842225cb140b655a8268ab3c6506306a',
+        'e64d4197d723c119eae259250fc8e79470cf83d26b7557dc83ef304017cedf35',
         '9a5c177bb189a4c52d7e1d3aab08372c605fcb34010c76843bf801b93615264c',
     ),
     ('meaninfill', True): (
-        'c9695522db614af05fb758d44d0c53f2842225cb140b655a8268ab3c6506306a',
+        'e64d4197d723c119eae259250fc8e79470cf83d26b7557dc83ef304017cedf35',
         'b125bcfacf511045f279b9607c377120948b3adb67a20ee3ec8b7f56cd33bb14',
     ),
     ('medianinfill', False): (
-        '96ff3897fbc5e946cdc635fdc7dd0f8542c77d55d629e109eb3917620422d411',
+        '870299945d3d771807216f3802ecddd90d88446d93647c0e932e5c26e06b26c3',
         'f177b81cc2bea4639b3c948ce48ce6ac07c7cb2a19006c31ba391d28211b1069',
     ),
     ('medianinfill', True): (
-        '96ff3897fbc5e946cdc635fdc7dd0f8542c77d55d629e109eb3917620422d411',
+        '870299945d3d771807216f3802ecddd90d88446d93647c0e932e5c26e06b26c3',
         '6a317aa5088420642bb46029d655a35d324e9e80096a180f865c73e2268e1411',
     ),
     ('modeinfill', False): (
-        '607217865865c098168ccb6d9a21e97c10bdc3eb0308def9ec6a43fb2c62371f',
+        'cdfff3baa5eee258f059796e32b9847c92b889ddba47ec8145aff0b6b8d9e4bd',
         '8830430c01e0a33ea4691651387bd302ef3a7a5daa2ec9beb554b0a37fccff11',
     ),
     ('modeinfill', True): (
-        '607217865865c098168ccb6d9a21e97c10bdc3eb0308def9ec6a43fb2c62371f',
+        'cdfff3baa5eee258f059796e32b9847c92b889ddba47ec8145aff0b6b8d9e4bd',
         'fcda6efd03f014b368e6aaf89b021afe146bcc41c150cd14c9b40407c4a778da',
     ),
     ('negzeroinfill', False): (
-        'b30f3f2e414d933450a26e11188a3fe229f2910c40dbf8a999c8dc84c4306036',
+        'c22737a347dfb7574492549dbab986313d4e138acc1d300ccf80b84bc869d142',
         '2090aa538a6cd71289624226a8bd31f4d9f2e74153ac4e17f193a5f96db01820',
     ),
     ('negzeroinfill', True): (
-        'b30f3f2e414d933450a26e11188a3fe229f2910c40dbf8a999c8dc84c4306036',
+        'c22737a347dfb7574492549dbab986313d4e138acc1d300ccf80b84bc869d142',
         '29e9df1d30feea59560278ea6a2df7fab660032e96ac239058867e01bb07f240',
     ),
     ('oneinfill', False): (
-        'a695a0469221d1acb5723336ab67aa287988a88fad13a4c77f2de9b98a4d1a62',
+        'd1aeffa59cfe20d3911526d8c2237ea6930c71e1a409740ab74092c5d71554c4',
         '9b2673ce72937c40ac054b0b1b7ac292a69bbff70603fdb2247a010865d4b9c3',
     ),
     ('oneinfill', True): (
-        'a695a0469221d1acb5723336ab67aa287988a88fad13a4c77f2de9b98a4d1a62',
+        'd1aeffa59cfe20d3911526d8c2237ea6930c71e1a409740ab74092c5d71554c4',
         'f886d6103a21e6e296f24e4f66805cf2d51c2dbcde706f53cd035a45430ecaa0',
     ),
     ('stdrdinfill', False): (
-        'ff3a6ea029eefe6cf11277ff22b181e6a1b78bed85802782b618d771e3ad7d67',
+        'b8f0bbf576b5587ae4393d7b0e98ad410bbe8531c82454ad5e7957e539d01f21',
         '23c252bf241d5c4d89fe1cf6c9d37e2656ad38a152ff816a2b3d522751122f36',
     ),
     ('stdrdinfill', True): (
-        'ff3a6ea029eefe6cf11277ff22b181e6a1b78bed85802782b618d771e3ad7d67',
+        'b8f0bbf576b5587ae4393d7b0e98ad410bbe8531c82454ad5e7957e539d01f21',
         'c7d49b7207c419bb614cc6ace8e87e436614b1dec9c8e84172e1f640877db1d3',
     ),
     ('zeroinfill', False): (
-        'f2a461558ec0e15c96cc2b294538d5703f72edfceb89010173e76c6b3f766345',
+        '24a754a7410c78048950361657b5e63994f1fd7e66f89de3376b3a3f4871bb67',
         'fe2515582625dd1afe128c0215f7cef74f1680d02d0040a5110bd4ff457fc2b7',
     ),
     ('zeroinfill', True): (
-        'f2a461558ec0e15c96cc2b294538d5703f72edfceb89010173e76c6b3f766345',
+        '24a754a7410c78048950361657b5e63994f1fd7e66f89de3376b3a3f4871bb67',
         'd591e3aa9be28c14ae90e47226ccd4846784854a2219873b65ebb0c5ba43bccd',
     ),
 }
@@ -352,99 +352,99 @@ _EXTRACTION_PIECES = ["12", "-3", "1,234", "7.25", "0", "-", ",", ".", "a", " b"
 # test table)
 PINNED_EXTRACTION = {
     ('nmcm', True, True, True): (
-        '4e2b0b20f3df6fd4b4e9c98f42ac4c0f73b96096c21aa19c5896485478cf08d2',
+        '2d6e69eb6d9194800b2262cc55a45496de924d866afa16e7c933c8a3e298a779',
         '1f010b735e19bf947a70347096e162f8ad9181c11d30df4cf3af42e5bf263bc6',
     ),
     ('nmcm', True, True, False): (
-        '90dd55f02f01a6a5751cde7a595d52ad6e9dad2adfc66b71127854bc15c836b9',
+        '66a133e3eaad8a483a188dd0dacbc888ef5f6d6900e54ace4b672106d5a40a7d',
         'b55f195f68cdc44a19afb85930461a4bc73a27939e1ef6fd2e919016fb5eb059',
     ),
     ('nmcm', True, False, True): (
-        '143d981689fd775f4f47996fcd507efa11b9acde1b95a587ceefa747c4c708bd',
+        'f0a41ed499fd90e96c1b93f6c3cccddec6b16fe1dd1ef57fd0ceff2392f2f560',
         '2d3216fcbef1e99c051b9975e9de438a531af93527d9f31038659bc447482a82',
     ),
     ('nmcm', True, False, False): (
-        '9a47d2d808c95bf554e3532e8a18f245a32058c68ee9d919aab2d5031754c97c',
+        '2ba880ea9618c2f1225b9c20d0df8dedf4ec64b2e11d5424cc73d0ec7b48635f',
         '4f5fa17e473b58d6ef80405037c2bcf65de9edfdd631bbe41d257e36310dca38',
     ),
     ('nmcm', False, True, True): (
-        'f1fd53647964478bdc2dc417b974f3fd8069b5425dc94b294007b6baaf0627ae',
+        'a96b940174282b5e1d9c0d39081186695a51edc720e5bbacaab9b60688d070b9',
         '1f010b735e19bf947a70347096e162f8ad9181c11d30df4cf3af42e5bf263bc6',
     ),
     ('nmcm', False, True, False): (
-        '6ab6ee4cb931c085ebe0b5e43d64f6d95dfa18a047281d2e96b8a1a3a97a4e3b',
+        'a0ea3509b7eda5c5981d895efb88bb12ecf574f31f049f87696b3e0d0ea35f78',
         'b55f195f68cdc44a19afb85930461a4bc73a27939e1ef6fd2e919016fb5eb059',
     ),
     ('nmcm', False, False, True): (
-        '195e35fb3156c8940e568fe83b16e7b24df7f24aadaf38f461602ed221e663be',
+        '10295459607119ee2b63034f92d79f0b51cd440e3b12d5ed5cf69b8a3dcf80a6',
         '2d3216fcbef1e99c051b9975e9de438a531af93527d9f31038659bc447482a82',
     ),
     ('nmcm', False, False, False): (
-        '8f8866b9bbf46946e74b4f8e03f12e04e8a6b862724a18eb910ab2e89fd46a9c',
+        '3d3bdc50355dddee8a54119a7140038bb36bc6f8f6b63b9c8c3dccbff3266507',
         '4f5fa17e473b58d6ef80405037c2bcf65de9edfdd631bbe41d257e36310dca38',
     ),
     ('nmc7', True, True, True): (
-        '6a370a7470c475fc2d371c2ae0263b01c789cc3021dd7952daf70a6b6ac1e681',
+        'd7349742ef961724b5e9b00f9e1b183e68e3424e7456426c22b072eeb029a1ec',
         'b4ecbe5fa911770762df673f3c64ca8e165d834e0da8bd966c5c0d0e66677ba0',
     ),
     ('nmc7', True, True, False): (
-        'f05150906026547ff4f31b80ff4592f41cc2a2cb33a3895ad67887ec753f0790',
+        '49559ff574e129ba7b755d0c805f0efb5d4b43c80ed8679f7865dfd47ae568b4',
         'b188de51463e2ac5645986f90bb066945790e9a42996a79cb421c9545bee1e05',
     ),
     ('nmc7', True, False, True): (
-        'b217d3a080f5578e441666ab4ee3088d550df953dadbf0c2029aa3efeeb3bdd5',
+        '017e7c43e3b20c6e2ba5a1ba778f1cef10774a21c63119a4346bc446c6c24c05',
         'bddd183f2e8ab2408f5a08c8b8a6ee75eb453c0e90eec5269bcdea21924ce6f5',
     ),
     ('nmc7', True, False, False): (
-        'fe52e815e5739b196fa04975304a34219b7d846abfe22775b301497309617628',
+        '3ea2e885b7dba67db24dfd8a9305cd375e7f981e1c05de4441f65bbdc45288a6',
         'e9ea06ded62028264a8fe3a1c39295fc18736217d6e2596dc9bf3af1db80d3b0',
     ),
     ('nmc7', False, True, True): (
-        '5e9e8121517bfe71533ff1701c091ed0882ab6c5042cc48bc6ce3024befda68b',
+        '4dce17eb624928e59358c0b6590eabf14e54f5089941e93784e42364f7d5cb41',
         'b4ecbe5fa911770762df673f3c64ca8e165d834e0da8bd966c5c0d0e66677ba0',
     ),
     ('nmc7', False, True, False): (
-        '3c8140e4cdc94dcb517ca51f6ef7043d41fd1f84f13d9b556b994de70719277d',
+        '5691bebb855c4491e6caf48058b27793ce527864d6b9a549da34a49f4bfcc45e',
         'b188de51463e2ac5645986f90bb066945790e9a42996a79cb421c9545bee1e05',
     ),
     ('nmc7', False, False, True): (
-        'a209484927d1845575ab06dbc3e8a2c29c322d0b7a6cd49cd0f355a84d450442',
+        '6f55659aed90d918343bd810ec4454dfa49e089147aa4479f0a0b079dda793c9',
         'bddd183f2e8ab2408f5a08c8b8a6ee75eb453c0e90eec5269bcdea21924ce6f5',
     ),
     ('nmc7', False, False, False): (
-        '57676c8234bc13b40f4d351b10cb989f2e29df0034cdc3547d69c2158174dd51',
+        '53a41d1bb43f16ba5d4798749ec4bf61087e75562f38185a3d7f28a3e20d8b02',
         'e9ea06ded62028264a8fe3a1c39295fc18736217d6e2596dc9bf3af1db80d3b0',
     ),
     ('nmc8', True, True, True): (
-        '500f2a3249b944af26dd8395bf8a7d6bf4ea907215978bc3e16026c87023afc3',
+        '9fe81c8c4bf331965dc389b0d0677198c37be53c575bfbdc9e41db11cd6ee7c8',
         'b4ecbe5fa911770762df673f3c64ca8e165d834e0da8bd966c5c0d0e66677ba0',
     ),
     ('nmc8', True, True, False): (
-        '7ea6168a6afc98ca3db289b5ae79a1918efd388012a259c53e5875e52aa4bace',
+        '6d920e8f25bb39b4258adac2d224fed65cc2bb2bfaf74e1a0ce3eb6636e206aa',
         'b188de51463e2ac5645986f90bb066945790e9a42996a79cb421c9545bee1e05',
     ),
     ('nmc8', True, False, True): (
-        'bb61513a5d145da95992c39a2a3627c9ebdc8c9356c4cc8be022a99241913c6b',
+        '9ebb1944a6c83ddcc99b406fe5f982a169623e8e7556f0ad9bc38604dd70d46e',
         'bddd183f2e8ab2408f5a08c8b8a6ee75eb453c0e90eec5269bcdea21924ce6f5',
     ),
     ('nmc8', True, False, False): (
-        '49812a2ca2b5cec4a3f2018ead5fc1601bf5b4b40acf37392865974dc93be1c3',
+        '606e0b4febbd3f3fd473d61b9e750e9198cf545058f4daf958cad366a2713da5',
         'e9ea06ded62028264a8fe3a1c39295fc18736217d6e2596dc9bf3af1db80d3b0',
     ),
     ('nmc8', False, True, True): (
-        '23e0621e17187c2607bc97dbfe85017d2b784871527368291cf78da49ef6349e',
+        '90b26adbe9dcf43c38deb652d8ff69a6a75f88f7d857d6497d5fe14e443a23e4',
         'b4ecbe5fa911770762df673f3c64ca8e165d834e0da8bd966c5c0d0e66677ba0',
     ),
     ('nmc8', False, True, False): (
-        'bbcfc78ed050cd0b229b63807c0065ca0bf37b352b60d559f5f626d4992f7dba',
+        '845793b03ee48035ad8c69ee2544d7ae5ffb5a1e3b7b1055a39164d41e361592',
         'b188de51463e2ac5645986f90bb066945790e9a42996a79cb421c9545bee1e05',
     ),
     ('nmc8', False, False, True): (
-        '5e40cf9281c04d17e2ab1c5a10e6ac1dedd364a98667ed07752b29adcb055d28',
+        '66ec8496b9403b55b3e82a61bf41efb89ecd916b64088ecd5ad1e9ffab42948f',
         'bddd183f2e8ab2408f5a08c8b8a6ee75eb453c0e90eec5269bcdea21924ce6f5',
     ),
     ('nmc8', False, False, False): (
-        'e0b365497f774786e5ec2a0e2f4cd21cba099fa7d019bf14a58ce38dad5f9467',
+        'a5a9da0e8acfbb4fbbca16757cf7de049829d1d49096b56e73fbe3efa6cdcf93',
         'e9ea06ded62028264a8fe3a1c39295fc18736217d6e2596dc9bf3af1db80d3b0',
     ),
 }
