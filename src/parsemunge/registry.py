@@ -189,8 +189,9 @@ def builtin_registry() -> Registry:
         _cat("spl9", children=("ord3", "sp10")),
         _cat("sp10", children=("ord3",)),
         _cat("nmcm", children=("nmbr",)),
-        # The paper's test-efficient nmc7 stores each train entry's extraction;
-        # here extraction of a whole view is one batch, so it replays as nmcm.
+        # nmc7 is nmcm's test-efficient variant, which would store each train
+        # entry's extraction; extraction of a whole view is one batch, so it
+        # replays as nmcm.
         _cat("nmc7", behavior="nmcm", suffix="nmc7", children=("nmbr",)),
         _cat("nmc8", behavior="nmcm", suffix="nmc7", children=("nmbr",)),
         # Root aggregations. or19 chains through the shared UPCS/spl9/sp10 keys;

@@ -4,6 +4,7 @@ import parsemunge as pm
 from parsemunge.errors import ConfigError
 from parsemunge.registry import (
     ALL_SLOTS,
+    BEHAVIORS,
     DOWNSTREAM_SLOTS,
     MAX_DEPTH,
     PRIMITIVE_SEMANTICS,
@@ -47,7 +48,8 @@ class TestBuiltins:
     def test_nmc8_defaults(self):
         reg = builtin_registry()
         assert reg.tree("nmc8").children == ("nmbr",)
-        assert reg.entry("nmc8").suffix == "nmc7"
+        assert reg.entry("nmc8").suffix == reg.entry("nmc7").suffix == "nmc7"
+        assert reg.entry("nmc8").behavior is reg.entry("nmc7").behavior is BEHAVIORS["nmcm"]
 
     def test_spl9_chain(self):
         reg = builtin_registry()
@@ -118,6 +120,9 @@ class TestMergeOverrides:
         with pytest.raises(ConfigError, match="nope"):
             merge_overrides(builtin_registry(),
                             entries={"wxyz": {"behavior": "nope"}})
+        # nmc7 is a category whose behaviour is nmcm, and no behaviour of its own.
+        with pytest.raises(ConfigError, match="unknown behavior 'nmc7'"):
+            merge_overrides(builtin_registry(), entries={"wxyz": {"behavior": "nmc7"}})
 
     def test_entry_spec_accepts_behavior_and_suffix_only(self):
         with pytest.raises(ConfigError, match="default_infill"):
