@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from collections.abc import Iterable
 from itertools import repeat
 from math import isinf
 
@@ -78,15 +79,12 @@ class Behavior:
         """The output of one value; the library itself evaluates only columns."""
         return tuple(column[0] for column in self.apply_distinct(compiled, Distinct([cell])))
 
-    def decoder(self, state: dict):
-        """Return a function mapping one output tuple back to the input cell;
-        it raises KeyError or TypeError on a tuple the step cannot output."""
+    def decode(self, state: dict, columns: Iterable[np.ndarray], rows: int
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """The input cells of the step's output columns, read as float64 arrays
+        of ``rows`` cells (each read once), and the mask of the rows that hold
+        a pattern the step outputs."""
         raise DataError(f"{self.name} is not invertible")
-
-    def decode_column(self, state: dict, values: np.ndarray) -> np.ndarray | None:
-        """The decoder's cells of a whole float64 column of a one-column step,
-        bit for bit; None where the step decodes pattern by pattern."""
-        return None
 
 
 def ranked_entries(agg: dict[str, int]) -> list[str]:
@@ -174,13 +172,12 @@ class RankedCodeBehavior(Behavior):
         """The ``size`` output columns of the codes."""
         raise NotImplementedError
 
-    def decoder(self, state):
-        """The code map read backwards; the code-0 pattern reads as missing."""
-        compiled = self.compile(state)
-        entries = [*compiled[0], None]  # missing last, so that it takes the code-0 pattern
-        rows = (zip(*self.apply_distinct(compiled, Distinct(entries))) if compiled[1]
-                else [()] * len(entries))
-        return dict(zip(rows, entries)).__getitem__
+    def decode(self, state, columns, rows):
+        """The code map read backwards: code c is entry c - 1, code 0 missing.
+        ``read_codes`` reads ``code_columns`` backwards: each row's code, and
+        whether the row is one of codes 0 through the top in that form."""
+        codes, valid = self.read_codes(columns, rows, self.top_code(state))
+        return np.array([None, *state["entries"]], object)[np.where(valid, codes, 0)], valid
 
 
 class Ord3Behavior(RankedCodeBehavior):
@@ -189,6 +186,11 @@ class Ord3Behavior(RankedCodeBehavior):
 
     def code_columns(self, codes, size):
         return [list(map(float, codes))]
+
+    def read_codes(self, columns, rows, top):
+        [column] = columns
+        valid = (column >= 0.0) & (column <= top) & (column == np.trunc(column))
+        return np.where(valid, column, 0.0).astype(np.intp), valid
 
 
 class OnhtBehavior(RankedCodeBehavior):
@@ -208,23 +210,15 @@ class OnhtBehavior(RankedCodeBehavior):
                 columns[code - 1][row] = 1.0
         return columns
 
-    def decoder(self, state):
-        """The entry at the row's single 1.0, and missing for all zeros; cells
-        compare by ``==``, as in a table of every pattern, which would take
-        (K + 1) x K cells to build."""
-        entries = state["entries"]
-        width = len(entries)
-
-        def decode(row):
-            if len(row) == width:
-                zeros = row.count(0.0)
-                if zeros == width:
-                    return None
-                if zeros == width - 1 and row.count(1.0) == 1:
-                    return entries[row.index(1.0)]
-            raise KeyError(row)
-
-        return decode
+    def read_codes(self, columns, rows, top):
+        """The position of the row's one 1.0, 0 for all zeros; one column at a
+        time, so memory grows with the rows, not with the rows times the width."""
+        codes, valid = np.zeros(rows, np.intp), np.ones(rows, bool)
+        for code, column in enumerate(columns, 1):
+            one = column == 1.0
+            valid &= (column == 0.0) | (one & (codes == 0))
+            codes[one] = code
+        return codes, valid
 
 
 class BnryBehavior(Behavior):
@@ -244,8 +238,11 @@ class BnryBehavior(Behavior):
         # Mode imputation for missing and unseen; NArw carries the signal.
         return [[0.0 if text == zero else 1.0 for text in view.texts]]
 
-    def decoder(self, state):
-        return {(1.0,): state["one"], (0.0,): state["zero"]}.__getitem__
+    def decode(self, state, columns, rows):
+        [column] = columns
+        one = column == 1.0
+        cells = np.array([state["zero"], state["one"]], object)[one.astype(np.intp)]
+        return cells, one | (column == 0.0)
 
 
 def binary_width(n: int) -> int:
@@ -267,6 +264,14 @@ class B1010Behavior(RankedCodeBehavior):
     def code_columns(self, codes, size):
         """Each code's ``size`` low bits, most significant first."""
         return [[_BITS[(c >> shift) & 1] for c in codes] for shift in range(size - 1, -1, -1)]
+
+    def read_codes(self, columns, rows, top):
+        codes, valid = np.zeros(rows, np.int64), np.ones(rows, bool)
+        for column in columns:
+            bit = column == 1.0
+            valid &= bit | (column == 0.0)
+            codes = 2 * codes + bit
+        return codes, valid & (codes <= top)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # infinite values give inf and NaN, silently
@@ -340,23 +345,15 @@ class NmbrBehavior(Behavior):
                            (d - shift) / std)
         return [np.where(present, out, 0.0).tolist()]
 
-    def decoder(self, state):
+    def decode(self, state, columns, rows):
+        """Every number decodes; an infinite product takes the quartered terms,
+        as in apply_distinct, and dividing them by 0.25 may overflow to inf."""
         mean, shift, std = state["mean"], state["shift"], state["std"]
-
-        def decode(values):
-            d = values[0] * std
-            if isinf(d):  # as in apply_distinct; dividing by 0.25 overflows to inf, not an error
-                return ((values[0] * (std * 0.25) + shift * 0.25) + mean * 0.25) / 0.25
-            return (d + shift) + mean
-
-        return decode
-
-    def decode_column(self, state, values):
-        mean, shift, std = state["mean"], state["shift"], state["std"]
+        [values] = columns
         with np.errstate(over="ignore", invalid="ignore"):
             d = values * std
             return np.where(np.isinf(d), ((values * (std * 0.25) + shift * 0.25) + mean * 0.25) / 0.25,
-                            (d + shift) + mean)
+                            (d + shift) + mean), np.ones(rows, bool)
 
 
 class MnmxBehavior(Behavior):
@@ -390,14 +387,11 @@ class MnmxBehavior(Behavior):
         with np.errstate(over="ignore", invalid="ignore"):
             return [((np.where(present, v, mean) * q - lo) / span).tolist()]
 
-    def decoder(self, state):
+    def decode(self, state, columns, rows):
         q, lo, span, _ = self.compile(state)
-        return lambda values: (values[0] * span + lo) / q
-
-    def decode_column(self, state, values):
-        q, lo, span, _ = self.compile(state)
+        [values] = columns
         with np.errstate(over="ignore", invalid="ignore"):
-            return (values * span + lo) / q
+            return (values * span + lo) / q, np.ones(rows, bool)
 
 
 def auto_root_select(col: list[Cell], threshold: int = 255) -> str:

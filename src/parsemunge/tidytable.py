@@ -124,7 +124,8 @@ def utf32(text: str) -> np.ndarray:
 class Distinct:
     """The distinct cells of one header and, at fit, the number of source rows
     each stands for (an int64 array). Every step that reads the header shares
-    the ``canon_text`` of each value, their ``numbers``, the counts summed
+    the set of the values' types, the ``canon_text`` of each value, their
+    ``numbers``, the counts summed
     onto each text, missing left out, and the texts' code points, each built
     on first use."""
 
@@ -132,8 +133,12 @@ class Distinct:
         self.values, self.counts = values, counts
 
     @cached_property
+    def types(self) -> set[type]:
+        return set(map(type, self.values))
+
+    @cached_property
     def texts(self) -> list[str | None]:
-        if set(map(type, self.values)) <= {str, type(None)}:  # each is its own text
+        if self.types <= {str, type(None)}:  # each is its own text
             return self.values
         return list(map(canon_text, self.values))
 
@@ -380,11 +385,10 @@ def infer_coltype(col: list[Cell]) -> str:
     return _coltype(set(map(type, col)))
 
 
-def checked_coltype(header: str, col) -> str:
-    """``infer_coltype`` of column ``header``, in the same one pass over its
-    cells; a cell that is no str, float or None, nor of a subclass of str or
-    float, raises DataError naming the column and the type."""
-    types = set(map(type, col))
+def checked_coltype(header: str, types: set[type]) -> str:
+    """``infer_coltype`` of column ``header`` from the types of its cells; a
+    cell that is no str, float or None, nor of a subclass of str or float,
+    raises DataError naming the column and the type."""
     if bad := sorted(t.__name__ for t in types if not issubclass(t, (str, float, type(None)))):
         raise DataError(f"column {header!r} holds a cell of type {bad[0]};"
                         " a cell is text (str), a number (float) or missing (None)")
@@ -397,7 +401,7 @@ def read_cells(header: str, col, read):
     try:
         return read(col)
     except TypeError:
-        checked_coltype(header, col)
+        checked_coltype(header, set(map(type, col)))
         raise
 
 

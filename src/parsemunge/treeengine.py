@@ -16,9 +16,9 @@ evaluations fit made and reproduces the fit output bit-exactly.
 Infill fills those columns too, before the one gather; adjacent infill, the
 one order-dependent kind, remaps the row codes instead, which a shuffle permutes.
 A column whose distinct values are all floats is gathered into a float64
-array, which the encoded table holds as it is. ``invert`` decodes each
-distinct pattern of a step's encoded rows once, and a numeric step's whole
-float column at once.
+array, which the encoded table holds as it is. ``invert`` reads a step's
+encoded columns as float64 arrays and decodes all their rows at once, by
+arithmetic on the columns (a code map's code, a numeric step's closed form).
 """
 
 from __future__ import annotations
@@ -177,7 +177,7 @@ def _resolve_params(opts: Options, behavior, category: str, source_header: str) 
 def _source_stats(header: str, view: Distinct) -> dict:
     """Train-basis statistics of source column ``header`` (``checked_coltype``
     checks its cells) over the view of its distinct values and their counts."""
-    coltype = checked_coltype(header, view.values)
+    coltype = checked_coltype(header, view.types)
     if coltype == COLTYPE_NUMERIC:
         values, present = view.numbers
         return _numeric_stats(np.repeat(values[present], view.counts[present]))
@@ -189,7 +189,7 @@ def _source_stats(header: str, view: Distinct) -> dict:
 def _row_stats(header: str, col: list[Cell]) -> dict:
     """``_source_stats`` over the cells of column ``header``: a numeric column's
     moments are taken over its rows, without counting its distinct values."""
-    if checked_coltype(header, col) != COLTYPE_NUMERIC:
+    if checked_coltype(header, set(map(type, col))) != COLTYPE_NUMERIC:
         return _source_stats(header, distinct_counts(col))
     values, present = numbers(col)
     return _numeric_stats(values[present])
@@ -461,8 +461,8 @@ def apply(artifact: FitArtifact, test: TidyTable) -> TidyTable:
     for header, plan in artifact.per_source.items():
         col = test.column(header)
         distinct, codes = read_cells(header, col, factorize)
-        checked_coltype(header, distinct)
         view = Distinct(distinct)
+        checked_coltype(header, view.types)
         values = _walk(plan, view)
         codes = _infill_columns(plan, values, view, codes, artifact.infill_spec)
         columns.update(_expand_source(plan, col, values, codes))
@@ -484,20 +484,39 @@ def serialize(artifact: FitArtifact) -> bytes:
         text = json.dumps(doc, sort_keys=True, ensure_ascii=False, allow_nan=False,
                           separators=(",", ":"))
     except ValueError:
-        found = _non_finite(doc, "artifact")
+        found = _first_leaf(doc, "artifact", _non_finite)
         if found is None:
             raise
         raise DataError(f"cannot serialize {found[0]}: {found[1]!r} has no JSON form") from None
-    return text.encode("utf-8")
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError:  # a text of the train table held a lone surrogate
+        parts = [(f"source {plan['header']!r}", plan, f"artifact['per_source'][{i}]")
+                 for i, plan in enumerate(doc["per_source"])]
+        for what, part, where in [*parts, ("artifact", doc, "artifact")]:
+            if found := _first_leaf(part, where, _lone_surrogate):
+                raise DataError(f"cannot serialize {what}: {found[0]} holds the text {found[1]!r},"
+                                " whose lone surrogate has no UTF-8 form") from None
+        raise
 
 
-def _non_finite(doc, where: str) -> tuple[str, float] | None:
-    """The place and value of the first NaN or infinity in ``doc``, if any."""
-    if isinstance(doc, float):
-        return None if math.isfinite(doc) else (where, doc)
-    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
-    for key, item in items:
-        if found := _non_finite(item, f"{where}[{key!r}]"):
+def _non_finite(value) -> bool:
+    return isinstance(value, float) and not math.isfinite(value)
+
+
+def _lone_surrogate(value) -> bool:
+    return isinstance(value, str) and any("\ud800" <= c <= "\udfff" for c in value)
+
+
+def _first_leaf(doc, where: str, bad) -> tuple[str, object] | None:
+    """The place and value of the first key or leaf value of ``doc`` that is
+    ``bad``, if any; a key's place is its dict's."""
+    if not isinstance(doc, dict | list):
+        return (where, doc) if bad(doc) else None
+    for key, item in doc.items() if isinstance(doc, dict) else enumerate(doc):
+        if bad(key):
+            return where, key
+        if found := _first_leaf(item, f"{where}[{key!r}]", bad):
             return found
     return None
 
@@ -593,36 +612,6 @@ def deserialize(data: bytes | str) -> FitArtifact:
 _INVERT_PREFERENCE = {"1010": 0, "onht": 1, "bnry": 2, "ord3": 3, "mnmx": 4, "nmbr": 5}
 
 
-def _column_codes(data: list[Cell] | np.ndarray) -> tuple[np.ndarray, int]:
-    """Each cell's code among the column's distinct cells, and their number.
-    Floats are told apart by bit pattern, so -0.0 stays apart from 0.0, and
-    the cells of a list by type and repr."""
-    data = _float_array(data)
-    if isinstance(data, np.ndarray):
-        distinct, codes = np.unique(data.view(np.uint64), return_inverse=True)
-    else:
-        distinct, codes = factorize(list(zip(map(type, data), map(repr, data))))
-    return codes, len(distinct)
-
-
-def _row_patterns(columns: list, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Number the distinct patterns of cells across ``columns`` among ``rows``
-    in first-seen order: each row's pattern, and each pattern's first row.
-    The column codes combine mixed-radix into one int64 key, renumbered
-    densely before the next column could overflow it."""
-    key, size = np.zeros(len(rows), np.int64), 1
-    for codes, n in map(_column_codes, columns):
-        if size * n > 2**62:
-            distinct, key = np.unique(key, return_inverse=True)
-            size = len(distinct)
-        key, size = key * n + codes[rows], size * n
-    _, first, pattern = np.unique(key, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return rank[pattern], rows[first[order]]
-
-
 def _flagged(flags: list[Cell] | np.ndarray | None, n: int) -> np.ndarray:
     """Whether each row's NArw flag is 1.0; none is without a flag column."""
     if flags is None:
@@ -633,31 +622,47 @@ def _flagged(flags: list[Cell] | np.ndarray | None, n: int) -> np.ndarray:
     return np.fromiter(map(operator.eq, flags, repeat(1.0)), bool, n)
 
 
+def _as_floats(data: list[Cell] | np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """A stored column as float64, and the mask of its number cells (None if
+    all are): a float, an int or a bool, subclasses included, that a float
+    can hold. Any other cell reads as NaN."""
+    data = _float_array(data)
+    if isinstance(data, np.ndarray):
+        return data, None
+    values = list(map(_cell_float, data))
+    return (np.array(values, np.float64),
+            np.fromiter(map(operator.is_not, values, repeat(None)), bool, len(values)))
+
+
+def _cell_float(cell: Cell) -> float | None:
+    try:
+        return float(cell) if isinstance(cell, float | int) else None
+    except OverflowError:  # an int beyond the float range
+        return None
+
+
 def _decode_rows(header: str, rec: StepRecord, columns: list,
                  missing: np.ndarray) -> list[Cell] | np.ndarray:
     """The source cells of a step's encoded rows, None where ``missing``."""
-    behavior = BEHAVIORS[rec.behavior]
-    if len(columns) == 1 and isinstance(values := _float_array(columns[0]), np.ndarray):
-        decoded = behavior.decode_column(rec.fit, values)
-        if decoded is not None and missing.any():
-            return np.where(missing, None, decoded.astype(object)).tolist()
-        if decoded is not None:
-            return decoded
-    decode = behavior.decoder(rec.fit)
-    pattern, first = _row_patterns(columns, np.flatnonzero(~missing))
-    cells = [c[first].tolist() if isinstance(c, np.ndarray)
-             else list(map(c.__getitem__, first.tolist())) for c in columns]
-    distinct = []
-    for row in (zip(*cells) if columns else [()] * len(first)):
-        try:
-            distinct.append(decode(row))
-        except (KeyError, TypeError):
-            raise DataError(f"cannot invert source {header!r}: step {rec.category!r} "
-                            f"columns {rec.output_headers} hold the pattern {list(row)!r},"
-                            " which the fitted step never outputs") from None
-    codes = np.full(len(missing), len(distinct))
-    codes[~missing] = pattern
-    return _gather(distinct + [None], codes)
+    number = np.ones(len(missing), bool)
+
+    def floats():  # each column converted as the decode reads it
+        for data in columns:
+            values, is_number = _as_floats(data)
+            if is_number is not None:
+                number[~is_number] = False
+            yield values
+
+    cells, valid = BEHAVIORS[rec.behavior].decode(rec.fit, floats(), len(missing))
+    bad = np.flatnonzero(~((valid & number) | missing))
+    if len(bad):
+        row = [c[bad[0]].item() if isinstance(c, np.ndarray) else c[bad[0]] for c in columns]
+        raise DataError(f"cannot invert source {header!r}: step {rec.category!r} "
+                        f"columns {rec.output_headers} hold the pattern {row!r},"
+                        " which the fitted step never outputs")
+    if cells.dtype == object or missing.any():
+        return np.where(missing, None, cells).tolist()
+    return cells
 
 
 def invert(artifact: FitArtifact, encoded: TidyTable,
@@ -666,11 +671,11 @@ def invert(artifact: FitArtifact, encoded: TidyTable,
 
     Returns the recovered table plus the list of non-invertible sources.
     Sources reached through an uppercase step recover the uppercased form,
-    and a row whose NArw flag on the source is 1.0 recovers as missing.
-    ``nmbr`` and ``mnmx`` decode a float column in one pass of the operations
-    their decoders make per cell; any other step decodes each distinct
-    pattern of its columns once. A row the step never outputs raises
-    DataError, naming the first such row's cells.
+    and a row whose NArw flag on the source is 1.0 recovers as missing,
+    whatever it holds. Each step decodes its columns at once, read as
+    float64 (``Behavior.decode``); a cell that is no float, int or bool
+    decodes nowhere. Any other row the step never outputs raises DataError,
+    naming the first such row's cells.
     """
     wanted = list(sources) if sources is not None else list(artifact.per_source)
     for h in wanted:
@@ -723,7 +728,7 @@ def drift_report(artifact: FitArtifact, new: TidyTable) -> DriftReport:
                                   "deltas": {k: abs(fresh[k] - train[k]) for k in ("mean", "std")}}
             continue
         view = read_cells(header, col, distinct_counts)
-        checked_coltype(header, view.values)  # as apply checks them: on the distinct values
+        checked_coltype(header, view.types)  # as apply checks them: on the distinct values
         new_freq = view.text_counts
         total = sum(new_freq.values())
         top = {}

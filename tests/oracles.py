@@ -690,6 +690,66 @@ def table_decoder(behavior, state: dict):
     return dict(zip(rows, entries)).__getitem__
 
 
+def onht_decoder(state: dict):
+    """The entry at the row's single 1.0, and missing for all zeros."""
+    entries = state["entries"]
+    width = len(entries)
+
+    def decode(row):
+        if len(row) == width:
+            zeros = row.count(0.0)
+            if zeros == width:
+                return None
+            if zeros == width - 1 and row.count(1.0) == 1:
+                return entries[row.index(1.0)]
+        raise KeyError(row)
+
+    return decode
+
+
+def nmbr_decoder(state: dict):
+    mean, shift, std = state["mean"], state["shift"], state["std"]
+
+    def decode(row):
+        d = row[0] * std
+        if math.isinf(d):  # dividing by 0.25 overflows to inf, not an error
+            return ((row[0] * (std * 0.25) + shift * 0.25) + mean * 0.25) / 0.25
+        return (d + shift) + mean
+
+    return decode
+
+
+def mnmx_decoder(state: dict):
+    q, lo, span, _ = BEHAVIORS["mnmx"].compile(state)
+    return lambda row: (row[0] * span + lo) / q
+
+
+def reference_decoder(name: str, state: dict):
+    """One encoded row back to its source cell, per invertible behaviour:
+    ``1010`` and ``ord3`` through a dict of every pattern, ``onht`` by the
+    position of its 1.0, ``nmbr`` and ``mnmx`` cell by cell in closed form.
+    Every cell must be a float, an int or a bool that a float can hold, and
+    is read as that float. Raises KeyError on a row the step never outputs."""
+    decode = {
+        "1010": lambda: table_decoder(BEHAVIORS["1010"], state),
+        "ord3": lambda: table_decoder(BEHAVIORS["ord3"], state),
+        "onht": lambda: onht_decoder(state),
+        "bnry": lambda: {(1.0,): state["one"], (0.0,): state["zero"]}.__getitem__,
+        "nmbr": lambda: nmbr_decoder(state),
+        "mnmx": lambda: mnmx_decoder(state),
+    }[name]()
+
+    def checked(row):
+        if not all(isinstance(cell, float | int) for cell in row):
+            raise KeyError(row)
+        try:
+            return decode(tuple(map(float, row)))
+        except OverflowError:  # an int beyond the float range
+            raise KeyError(row) from None
+
+    return checked
+
+
 def reference_lookup_cell(state: dict, cell, plug: bool = False) -> tuple:
     """spl9 (sp10 with ``plug``): the assigned overlap of a train entry, else
     the text itself (the plug); unseen texts are never matched."""
@@ -747,13 +807,13 @@ def reference_invert(artifact, encoded: TidyTable,
             failed.append(header)
             continue
         rec = min(candidates)[2]
-        decode = BEHAVIORS[rec.behavior].decoder(rec.fit)
+        decode = reference_decoder(rec.behavior, rec.fit)
         cols = [encoded.column(h) for h in rec.output_headers]
         recovered = []
         for flag, *row in zip(narw or [0.0] * encoded.row_count, *cols):
             try:
                 recovered.append(None if flag == 1.0 else decode(tuple(row)))
-            except (KeyError, TypeError):
+            except KeyError:
                 raise DataError(f"cannot invert source {header!r}: step {rec.category!r} "
                                 f"columns {rec.output_headers} hold the pattern {row!r},"
                                 " which the fitted step never outputs") from None

@@ -94,14 +94,16 @@ class TestOnht:
     def test_decoder_matches_the_pattern_table(self, entries, data):
         """On every pattern the step outputs, on rows equal to one under
         ``==`` (-0.0, ints, bools) and on malformed rows (two 1.0s, 0.5, NaN,
-        text, a wrong width), the decoder answers as a dict of every pattern."""
-        behavior = BEHAVIORS["onht"]
-        state = {"entries": entries}
+        text, None), ``invert``'s column decode answers as the per-row
+        decoder and as a dict of every pattern; the two reject a row of the
+        wrong width, which ``invert``, reading the step's own columns, never sees."""
+        _, artifact = pm.fit(TidyTable(["a"], [entries + [None]]), {"a": "onht"})
+        [rec] = [rec for rec in artifact.per_source["a"].steps if rec.behavior == "onht"]
         width = len(entries)
         patterns = [tuple(float(j == i) for j in range(width)) for i in range(-1, width)]
         cell = st.sampled_from([0.0, -0.0, 1.0, 0, 1, True, False, 0.5, math.nan, "1.0", None])
-        rows = patterns + [tuple(data.draw(st.lists(cell, min_size=w, max_size=w)))
-                           for w in (width, width, width, width + 1, max(width - 1, 0))]
+        rows = patterns + [tuple(data.draw(st.lists(cell, min_size=width, max_size=width)))
+                           for _ in range(4)]
         if width >= 2:
             rows.append((1.0, 1.0) + (0.0,) * (width - 2))
 
@@ -111,9 +113,21 @@ class TestOnht:
             except KeyError:
                 return KeyError
 
-        fast, table = behavior.decoder(state), oracles.table_decoder(behavior, state)
+        def column_decode(row):
+            try:
+                # "pad" holds the row when the step has no columns; invert ignores it.
+                encoded = TidyTable([*rec.output_headers, "pad"], [*([c] for c in row), [0.0]])
+                recovered, _ = pm.invert(artifact, encoded)
+            except DataError:
+                return KeyError
+            return recovered.column("a")[0]
+
+        per_row = oracles.reference_decoder("onht", rec.fit)
+        table = oracles.table_decoder(BEHAVIORS["onht"], rec.fit)
         for row in rows:
-            assert outcome(fast, row) == outcome(table, row), row
+            assert column_decode(row) == outcome(per_row, row) == outcome(table, row), row
+        for row in [patterns[0] + (0.0,)] + [patterns[-1][1:]] * bool(width):
+            assert outcome(per_row, row) is KeyError is outcome(table, row)
 
     @pytest.mark.parametrize("width", [250, 1000])
     def test_inverting_a_wide_onht_takes_memory_linear_in_its_width(self, width):

@@ -18,7 +18,7 @@ from parsemunge.errors import DataError
 from parsemunge.registry import BEHAVIORS, builtin_registry, merge_overrides
 from parsemunge.tidytable import TidyTable, distinct_counts, format_number
 
-from .oracles import reference_invert
+from .oracles import reference_decoder, reference_invert
 
 ROOTS = {"a": "ord3", "b": "onht", "c": "1010", "d": "or19", "e": "nmbr", "f": "mnmx",
          "g": "bnry"}
@@ -54,16 +54,9 @@ def outcome(invert, artifact, table):
     return recovered.headers, typed(recovered), failed
 
 
-@st.composite
-def encoded_tables(draw):
-    """Rows the fitted steps output, some cells swapped for probes or -0.0,
-    some columns left out; each all-float column stored as an array or a list."""
-    rows = [list(ROWS[i]) for i in draw(st.lists(st.integers(0, len(ROWS) - 1), max_size=12))]
-    for r, j, probe in draw(st.lists(st.tuples(st.integers(0, 11), st.integers(0, len(ROWS[0]) - 1),
-                                               st.sampled_from(PROBES)), max_size=6)):
-        if r < len(rows):
-            rows[r][j] = probe
-    columns = [list(col) for col in zip(*rows)] if rows else [[] for _ in ENCODED.headers]
+def _stored(draw, columns: list[list]) -> TidyTable:
+    """The columns under ENCODED's headers, some left out, some with each zero
+    as -0.0; each all-float column stored as an array or a list."""
     negative = draw(st.sets(st.integers(0, len(columns) - 1), max_size=4))
     kept = draw(st.lists(st.integers(0, 9).map(bool), min_size=len(columns),
                          max_size=len(columns)))
@@ -80,11 +73,97 @@ def encoded_tables(draw):
     return TidyTable(headers, stored)
 
 
+def _rows(draw) -> list[list]:
+    return [list(ROWS[i]) for i in draw(st.lists(st.integers(0, len(ROWS) - 1), max_size=12))]
+
+
+def _columns(rows: list[list]) -> list[list]:
+    return [list(col) for col in zip(*rows)] if rows else [[] for _ in ENCODED.headers]
+
+
+@st.composite
+def encoded_tables(draw):
+    """Rows the fitted steps output, some cells swapped for probes or -0.0,
+    some columns left out; each all-float column stored as an array or a list."""
+    rows = _rows(draw)
+    for r, j, probe in draw(st.lists(st.tuples(st.integers(0, 11), st.integers(0, len(ROWS[0]) - 1),
+                                               st.sampled_from(PROBES)), max_size=6)):
+        if r < len(rows):
+            rows[r][j] = probe
+    return _stored(draw, _columns(rows))
+
+
+def _at(*prefixes: str) -> list[int]:
+    return [j for j, h in enumerate(ENCODED.headers) if h.startswith(prefixes)]
+
+
+BITS_1010 = [_at("c_1010"), _at("d_UPCS_1010")]  # top code 5 in 3 bits each: 6 and 7 are above
+ONHT = _at("b_onht")
+ORD3 = _at("a_ord3")  # top code 3
+NUMERIC = _at("e_nmbr", "f_mnmx", "a_ord3", "b_onht", "c_1010", "g_bnry")
+# Number cells that are no float, an int beyond the float range (which decodes
+# nowhere), and cells that are no number.
+NUMBERS = [1, 0, 2, True, False, 10**400, -10**400, "junk", None]
+NARW = {h[0]: j for j, h in enumerate(ENCODED.headers) if h.endswith("_NArw")}
+DECODED = {source: [j for j in _at(source + "_") if j != NARW[source]] for source in NARW}
+
+
+@st.composite
+def malformed_tables(draw):
+    """Rows the fitted steps output, with edits that only the validity rules
+    reject: a 1010 bit pattern above the top code, an onht row with two 1.0s,
+    an ord3 code of top + 1, below 0 or out of range; int, bool and
+    too-large int cells; and rows whose NArw is 1.0 while their other
+    columns hold text, None or NaN, which decode as missing."""
+    rows = [list(ROWS[i]) for i in draw(st.lists(st.integers(0, len(ROWS) - 1), min_size=1,
+                                                 max_size=12))]
+    for _ in range(draw(st.integers(0, 4))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        kind = draw(st.sampled_from(["bits", "ones", "code", "number", "flag"]))
+        if kind == "bits":
+            bits, code = draw(st.sampled_from(BITS_1010)), draw(st.integers(0, 7))
+            for shift, j in enumerate(reversed(bits)):
+                row[j] = float(code >> shift & 1)
+        elif kind == "ones":
+            for j in draw(st.sets(st.sampled_from(ONHT), min_size=2, max_size=2)):
+                row[j] = 1.0
+        elif kind == "code":
+            row[draw(st.sampled_from(ORD3))] = draw(st.sampled_from(
+                [4.0, 3.0, -1.0, 1e308, math.inf, -math.inf]))
+        elif kind == "number":
+            row[draw(st.sampled_from(NUMERIC))] = draw(st.sampled_from(NUMBERS))
+        else:
+            source = draw(st.sampled_from(sorted(NARW)))
+            row[NARW[source]] = 1.0
+            for j in DECODED[source]:
+                row[j] = draw(st.sampled_from(["junk", None, math.nan]))
+    return _stored(draw, _columns(rows))
+
+
 class TestInvert:
     @settings(max_examples=300, deadline=None)
     @given(encoded_tables())
     def test_matches_the_per_row_reference(self, table):
         assert outcome(pm.invert, ARTIFACT, table) == outcome(reference_invert, ARTIFACT, table)
+
+    @settings(max_examples=300, deadline=None)
+    @given(malformed_tables())
+    def test_validity_rules_match_the_per_row_reference(self, table):
+        assert outcome(pm.invert, ARTIFACT, table) == outcome(reference_invert, ARTIFACT, table)
+
+    @pytest.mark.parametrize("header, cell, decodes", [
+        ("e_nmbr", 10**400, False), ("f_mnmx", -10**400, False), ("c_1010_2", 10**400, False),
+        ("e_nmbr", True, True), ("f_mnmx", 2, True), ("a_ord3", 2, True),
+        ("b_onht_p", False, True)])
+    def test_int_and_bool_cells_decode_as_their_float(self, header, cell, decodes):
+        columns = ENCODED.columns
+        j = ENCODED.headers.index(header)
+        row = next(r for r, flag in enumerate(ENCODED.column(header[0] + "_NArw")) if flag == 0.0)
+        columns[j][row] = cell
+        table = TidyTable(ENCODED.headers, columns)
+        expected = outcome(reference_invert, ARTIFACT, table)
+        assert (expected[0] is not DataError) is decodes
+        assert outcome(pm.invert, ARTIFACT, table) == expected
 
     def test_encoded_table_recovers_the_source(self):
         recovered, failed = pm.invert(ARTIFACT, ENCODED)
@@ -135,8 +214,9 @@ class TestInvert:
             0.0, -0.0, 1e308, -1e308, 5e-324, math.inf, -math.inf, math.nan]
         for fit_values in ([1.0, 2.5, -4.0], [1.7e308, -1.7e308, 3.0], [5.0, 5.0]):
             state = BEHAVIORS[name].fit(distinct_counts(fit_values), {}, "numeric_parse")
-            decode = BEHAVIORS[name].decoder(state)
-            column = BEHAVIORS[name].decode_column(state, np.array(values))
+            decode = reference_decoder(name, state)
+            column, valid = BEHAVIORS[name].decode(state, iter([np.array(values)]), len(values))
+            assert valid.all()
             assert [x.hex() for x in column.tolist()] == [decode((v,)).hex() for v in values]
 
     def test_zero_rows_and_no_decoded_columns(self):

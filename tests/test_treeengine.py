@@ -818,6 +818,20 @@ class TestSerialization:
         _, a2 = pm.fit(table, {"col2": "or19"}, opts=Options(seed=5))
         assert pm.serialize(a1) == pm.serialize(a2)
 
+    @pytest.mark.parametrize("table, opts, message", [
+        (_table(a=["\ud800", "x"]), Options(),
+         r"cannot serialize source 'a': artifact\['per_source'\]\[0\]\['steps'\]\[0\]\['fit'\]"
+         r"\['entries'\]\[[01]\] holds the text '\\ud800', whose lone surrogate has no UTF-8 form"),
+        (_table(**{"a": ["y", "x"], "b\udc00": ["p", "q"]}), Options(),
+         r"cannot serialize source 'b\\udc00': artifact\['per_source'\]\[1\]\['header'\]"),
+        (_table(**{"a": ["y", "x"], "l\udc00": ["p", "q"]}), Options(labels_column="l\udc00"),
+         r"cannot serialize artifact: artifact\['labels_column'\] holds the text 'l\\udc00'"),
+    ], ids=["cell", "header", "labels-column"])
+    def test_lone_surrogate_raises_data_error_naming_the_source(self, table, opts, message):
+        _, artifact = pm.fit(table, {"a": "ord3"}, opts=opts)
+        with pytest.raises(DataError, match=message):
+            pm.serialize(artifact)
+
     def test_version_mismatch(self):
         _, artifact = pm.fit(_table(a=["x"]), {"a": "ord3"})
         for version in (999, FORMAT_VERSION - 1):

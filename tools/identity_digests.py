@@ -6,9 +6,10 @@ change keeps every output byte-identical.
 Each (workload, seed) runs in its own process at full benchmark size and
 prints one line per output: ``workload seed output sha256``. The outputs are
 the artifact bytes, the encoded train table, ``apply`` of the deserialized
-artifact on the test table, the written CSV of both tables, ``invert`` of the
-encoded train table in memory and read back from its CSV, ``drift_report`` on
-the test and the train table, and the ``ImportanceReport`` JSON.
+artifact on the test table, the written CSV of both tables, ``invert`` of
+both tables in memory and read back from their CSVs (the applied test table
+reaches the unseen code-0 and NArw-missing decodes), ``drift_report`` on the
+test and the train table, and the ``ImportanceReport`` JSON.
 
 With ``--against DIR``, each (workload, seed) also runs on the program and
 workloads of the checkout at DIR; only the lines that differ are printed,
@@ -60,8 +61,9 @@ def digests(name: str, seed: int) -> dict[str, str]:
             path = Path(tmp) / f"{label}.csv"
             pm.write_csv(table, path)
             out[f"{label}_csv"] = _sha(path.read_bytes())
-        read_back = pm.load_csv(Path(tmp) / "encoded.csv")
-    for label, table in (("invert", encoded), ("invert_csv", read_back)):
+        read_back = {label: pm.load_csv(Path(tmp) / f"{label}.csv") for label in ("encoded", "apply")}
+    for label, table in (("invert", encoded), ("invert_csv", read_back["encoded"]),
+                         ("invert_apply", applied), ("invert_apply_csv", read_back["apply"])):
         recovered, failed = pm.invert(artifact, table)
         out[label] = _json_sha([recovered.headers, recovered.columns, failed])
     out["drift_test"] = _json_sha(pm.drift_report(artifact, test).to_jsonable())
