@@ -125,9 +125,8 @@ class Distinct:
     """The distinct cells of one header and, at fit, the number of source rows
     each stands for (an int64 array). Every step that reads the header shares
     the set of the values' types, the ``canon_text`` of each value, their
-    ``numbers``, the counts summed
-    onto each text, missing left out, and the texts' code points, each built
-    on first use."""
+    ``numbers``, the counts summed onto each text, missing left out, and the
+    texts' code points, each built on first use."""
 
     def __init__(self, values: list[Cell], counts: np.ndarray | None = None):
         self.values, self.counts = values, counts

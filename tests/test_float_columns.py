@@ -154,7 +154,9 @@ class TestInvert:
     @pytest.mark.parametrize("header, cell, decodes", [
         ("e_nmbr", 10**400, False), ("f_mnmx", -10**400, False), ("c_1010_2", 10**400, False),
         ("e_nmbr", True, True), ("f_mnmx", 2, True), ("a_ord3", 2, True),
-        ("b_onht_p", False, True)])
+        ("b_onht_p", False, True)],
+        ids=["nmbr-big-int", "mnmx-big-int", "1010-big-int", "nmbr-bool", "mnmx-int", "ord3-int",
+             "onht-bool"])
     def test_int_and_bool_cells_decode_as_their_float(self, header, cell, decodes):
         columns = ENCODED.columns
         j = ENCODED.headers.index(header)
@@ -197,7 +199,7 @@ class TestInvert:
         assert outcome(pm.invert, ARTIFACT, table) == expected
 
     def test_wide_patterns_renumber_before_the_key_overflows(self):
-        # 90 one-hot columns: the mixed-radix key would need 2**90 codes.
+        # 90 one-hot columns: more than a 64-bit key of their bits could hold.
         rnd = random.Random(3)
         entries = [f"e{i:02d}" for i in range(90)]
         encoded, artifact = pm.fit(TidyTable(["a"], [entries + [None] * 10]), {"a": "onht"})
