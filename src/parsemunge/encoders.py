@@ -3,8 +3,9 @@
 Every transform is a Behavior. At fit and at apply it reads one form of its
 input, a ``tidytable.Distinct`` view of its input header's distinct values:
 it fits once on the view's values and counts, then evaluates all the values
-of a view in one call on that frozen basis, one list per output column out.
-It converts no value itself but reads the view's ``texts``, ``numbers`` and
+of a view in one call on that frozen basis, one column per output out: a
+float64 array where every cell is a float by construction, else a list. It
+converts no value itself but reads the view's ``texts``, ``numbers`` and
 ``text_counts``, which every step on the header shares. Fit states are plain
 JSON-able dicts so they can live inside the artifact.
 """
@@ -38,8 +39,6 @@ CLASS_NUMERIC = "numeric"
 CLASS_CATEGORIC = "categoric"
 CLASS_BOOLEAN = "boolean"
 CLASS_PASSTHROUGH = "passthrough"
-# 0.0 and 1.0, indexed by a bit or a bool: boolean columns share these two objects.
-_BITS = (0.0, 1.0)
 
 
 class Behavior:
@@ -70,14 +69,15 @@ class Behavior:
         takes; built once per step evaluation. The fit state by default."""
         return state
 
-    def apply_distinct(self, compiled, view: Distinct) -> list[list]:
-        """View in, columns out: one list per output token, each holding the
-        output of every value of the view in order."""
+    def apply_distinct(self, compiled, view: Distinct) -> list[list[Cell] | np.ndarray]:
+        """View in, columns out: per output token, the output of every value of the
+        view in order, a float64 array where its cells are floats by construction."""
         raise NotImplementedError
 
     def apply_cell(self, compiled, cell: Cell) -> tuple:
-        """The output of one value; the library itself evaluates only columns."""
-        return tuple(column[0] for column in self.apply_distinct(compiled, Distinct([cell])))
+        """The output of one value as Python cells; the library evaluates only columns."""
+        return tuple(column[0].item() if isinstance(column, np.ndarray) else column[0]
+                     for column in self.apply_distinct(compiled, Distinct([cell])))
 
     def decode(self, state: dict, columns: Iterable[np.ndarray], rows: int
                ) -> tuple[np.ndarray, np.ndarray]:
@@ -90,6 +90,13 @@ class Behavior:
 def ranked_entries(agg: dict[str, int]) -> list[str]:
     """Entries sorted by occurrence count descending, then alphabetical."""
     return sorted(agg, key=lambda k: (-agg[k], k))
+
+
+def activations(size: int, n: int, rows, positions) -> list[np.ndarray]:
+    """``size`` float64 columns of ``n`` zeros, with 1.0 at each (positions[k], rows[k])."""
+    columns = np.zeros((size, n))
+    columns[positions, rows] = 1.0
+    return list(columns)
 
 
 def sanitize_token(s: str) -> str:
@@ -129,7 +136,7 @@ class NarwBehavior(Behavior):
         return {"rule": root_rule}
 
     def apply_distinct(self, state, view):
-        return [list(map(_BITS.__getitem__, infill.mark_targets(view, state["rule"])))]
+        return [infill.mark_targets(view, state["rule"]).astype(np.float64)]
 
 
 class ExclBehavior(Behavior):
@@ -138,7 +145,7 @@ class ExclBehavior(Behavior):
     inversion_pass = True
 
     def apply_distinct(self, state, view):
-        return [list(view.values)]
+        return [np.array(view.values, np.float64) if view.types == {float} else list(view.values)]
 
 
 class RankedCodeBehavior(Behavior):
@@ -168,7 +175,7 @@ class RankedCodeBehavior(Behavior):
         codes, size = compiled
         return self.code_columns(list(map(codes.get, view.texts, repeat(0))), size)
 
-    def code_columns(self, codes: list[int], size: int) -> list[list[float]]:
+    def code_columns(self, codes: list[int], size: int) -> list[np.ndarray]:
         """The ``size`` output columns of the codes."""
         raise NotImplementedError
 
@@ -185,7 +192,7 @@ class Ord3Behavior(RankedCodeBehavior):
     coltype_class = CLASS_CATEGORIC
 
     def code_columns(self, codes, size):
-        return [list(map(float, codes))]
+        return [np.array(codes, np.float64)]
 
     def read_codes(self, columns, rows, top):
         [column] = columns
@@ -204,11 +211,9 @@ class OnhtBehavior(RankedCodeBehavior):
         return top
 
     def code_columns(self, codes, size):
-        columns = [[0.0] * len(codes) for _ in range(size)]
-        for row, code in enumerate(codes):
-            if code:
-                columns[code - 1][row] = 1.0
-        return columns
+        codes = np.array(codes, np.intp)
+        rows = codes.nonzero()[0]
+        return activations(size, len(codes), rows, codes[rows] - 1)
 
     def read_codes(self, columns, rows, top):
         """The position of the row's one 1.0, 0 for all zeros; one column at a
@@ -234,9 +239,9 @@ class BnryBehavior(Behavior):
         return {"one": one, "zero": zero}
 
     def apply_distinct(self, state, view):
-        zero = state["zero"]
         # Mode imputation for missing and unseen; NArw carries the signal.
-        return [[0.0 if text == zero else 1.0 for text in view.texts]]
+        texts = view.texts
+        return [np.fromiter(map(operator.ne, texts, repeat(state["zero"])), np.float64, len(texts))]
 
     def decode(self, state, columns, rows):
         [column] = columns
@@ -262,8 +267,11 @@ class B1010Behavior(RankedCodeBehavior):
         return [str(i) for i in range(self.size(self.top_code(state)))]
 
     def code_columns(self, codes, size):
-        """Each code's ``size`` low bits, most significant first."""
-        return [[_BITS[(c >> shift) & 1] for c in codes] for shift in range(size - 1, -1, -1)]
+        """Each code's ``size`` low bits, most significant first: of any size, by its bytes."""
+        width = (size + 7) // 8
+        data = b"".join(map(int.to_bytes, codes, repeat(width), repeat("big")))
+        bits = np.unpackbits(np.frombuffer(data, np.uint8).reshape(len(codes), width), axis=1)
+        return list(np.ascontiguousarray(bits[:, 8 * width - size:].T, np.float64))
 
     def read_codes(self, columns, rows, top):
         codes, valid = np.zeros(rows, np.int64), np.ones(rows, bool)
@@ -335,7 +343,7 @@ class NmbrBehavior(Behavior):
     def apply_distinct(self, state, view):
         mean, shift, std = state["mean"], state["shift"], state["std"]
         if std == 0.0:
-            return [[0.0] * len(view.values)]
+            return [np.zeros(len(view.values))]
         v, present = view.numbers
         with np.errstate(over="ignore", invalid="ignore"):
             d = v - mean
@@ -343,7 +351,7 @@ class NmbrBehavior(Behavior):
             # more than the float range takes the quartered terms: the rest keeps every bit.
             out = np.where(np.isinf(d), ((v * 0.25 - mean * 0.25) - shift * 0.25) / (std * 0.25),
                            (d - shift) / std)
-        return [np.where(present, out, 0.0).tolist()]
+        return [np.where(present, out, 0.0)]
 
     def decode(self, state, columns, rows):
         """Every number decodes; an infinite product takes the quartered terms,
@@ -381,11 +389,11 @@ class MnmxBehavior(Behavior):
     def apply_distinct(self, compiled, view):
         q, lo, span, mean = compiled
         if span == 0.0:
-            return [[0.0] * len(view.values)]
+            return [np.zeros(len(view.values))]
         v, present = view.numbers
         # A missing value takes the train mean, scaled as the others.
         with np.errstate(over="ignore", invalid="ignore"):
-            return [((np.where(present, v, mean) * q - lo) / span).tolist()]
+            return [(np.where(present, v, mean) * q - lo) / span]
 
     def decode(self, state, columns, rows):
         q, lo, span, _ = self.compile(state)

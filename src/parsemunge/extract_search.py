@@ -13,7 +13,6 @@ looks for each term in all the distinct texts of its input at once, with
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass, field
 
@@ -21,7 +20,6 @@ import numpy as np
 from numpy.dtypes import StringDType
 
 from .encoders import (
-    _BITS,
     CLASS_BOOLEAN,
     CLASS_NUMERIC,
     Behavior,
@@ -36,11 +34,11 @@ assert TEXT_END not in "0123456789,.-"
 
 
 def extract_numbers(view: Distinct, allow_commas: bool = True, allow_decimal: bool = True,
-                    allow_negative: bool = False) -> list[float | None]:
-    """The longest numeric partition of each text of the view as a float; None
-    where a text holds none or is missing. Ties go to the earliest occurrence.
-    A partition beyond the float range saturates to the largest finite float
-    of its sign, so every extraction is finite.
+                    allow_negative: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The longest numeric partition of each text of the view as float64 (NaN
+    for none), and the mask of the texts that hold one. Ties go to the earliest
+    occurrence. A partition beyond the float range saturates to the largest
+    finite float of its sign, so every extraction is finite.
 
     A match starts at a digit that follows no digit, or, when negatives are
     allowed, at a "-" before such a digit. It runs over the digits, then over
@@ -50,7 +48,7 @@ def extract_numbers(view: Distinct, allow_commas: bool = True, allow_decimal: bo
     than the digit after it, so only these starts are tried.
     """
     codes, starts = view.code_points
-    found: list[float | None] = [None] * len(starts)
+    values = np.full(len(starts), np.nan)
     digit = codes - ord("0") < 10  # unsigned: a code below "0" wraps past 9
     edge = digit.copy()
     edge[1:] ^= digit[:-1]
@@ -58,7 +56,7 @@ def extract_numbers(view: Distinct, allow_commas: bool = True, allow_decimal: bo
     # TEXT_END, so every run ends within its text.
     bounds = edge.nonzero()[0]
     if not len(bounds):
-        return found
+        return values, np.zeros(len(starts), bool)
     first, run_end = bounds[0::2], bounds[1::2]
     # Per run, the code after it, and whether the next run starts right after
     # that code: a digit follows it (past the end, the last code stands in).
@@ -82,21 +80,23 @@ def extract_numbers(view: Distinct, allow_commas: bool = True, allow_decimal: bo
     won = owner[group]
     lo = at - starts[won]  # and in its text
     texts, top = view.texts, sys.float_info.max
-    for i, a, b in zip(won.tolist(), lo.tolist(), (lo + (best + at) // n).tolist()):
-        value = float(texts[i][a:b].replace(",", ""))
-        found[i] = value if -top <= value <= top else math.copysign(top, value)
-    return found
+    values[won] = np.clip([float(texts[i][a:b].replace(",", "")) for i, a, b
+                           in zip(won.tolist(), lo.tolist(), (lo + (best + at) // n).tolist())],
+                          -top, top)
+    return values, ~np.isnan(values)  # no extraction is NaN
 
 
 def nmcm_extract(entry: str, allow_commas: bool = True, allow_decimal: bool = True,
                  allow_negative: bool = False) -> float | None:
     """Longest numeric partition of one entry as a float, or None when absent:
     ``extract_numbers`` of a view of the entry alone."""
-    return extract_numbers(Distinct([entry]), allow_commas, allow_decimal, allow_negative)[0]
+    values, found = extract_numbers(Distinct([entry]), allow_commas, allow_decimal, allow_negative)
+    return values[0].item() if found[0] else None
 
 
 class NmcmBehavior(Behavior):
-    """Numeric extraction of every entry, at fit and at apply. The nmc7 and
+    """Numeric extraction of every entry, at fit and at apply: an array where every
+    text holds a number, else a list with None where one holds none. The nmc7 and
     nmc8 categories are steps of this behaviour under the suffix nmc7."""
 
     name = "nmcm"
@@ -113,7 +113,8 @@ class NmcmBehavior(Behavior):
         }}
 
     def apply_distinct(self, state, view):
-        return [extract_numbers(view, **state["flags"])]
+        values, found = extract_numbers(view, **state["flags"])
+        return [values if found.all() else np.where(found, values, None).tolist()]
 
 
 @dataclass
@@ -202,5 +203,5 @@ class SrchBehavior(Behavior):
             codes = np.zeros(len(texts))
             for i in range(len(hits), 0, -1):  # the first group that hits writes last
                 codes[hits[i - 1]] = i
-            return [codes.tolist()]
-        return [list(map(_BITS.__getitem__, flags)) for flags in hits.tolist()]
+            return [codes]
+        return list(hits.astype(np.float64))

@@ -46,34 +46,36 @@ CONFIG_KIND_NAMES = {
 
 NUMERIC_ONLY_KINDS = (KIND_MEAN, KIND_MEDIAN)
 
-def mark_targets(view: Distinct, rule: str = "missing_only") -> list[bool]:
-    """Whether each value of the view is an infill target: missing values
-    always are; numeric rules also target text that does not parse."""
+def mark_targets(view: Distinct, rule: str = "missing_only") -> np.ndarray:
+    """Whether each value of the view is an infill target, a bool array: missing
+    values always are; numeric rules also target text that does not parse."""
     if rule == "numeric_parse":
-        return (~view.numbers[1]).tolist()
+        return ~view.numbers[1]
     if rule == "numeric_extract":
         # Extraction finds a number exactly when the text holds an ASCII digit.
         codes, starts = view.code_points
         digit = (codes >= ord("0")) & (codes <= ord("9"))
-        return (~np.logical_or.reduceat(digit, starts)).tolist()  # each text ends in TEXT_END
-    return list(map(operator.is_, view.values, repeat(None)))
+        return ~np.logical_or.reduceat(digit, starts)  # each text ends in TEXT_END
+    return np.fromiter(map(operator.is_, view.values, repeat(None)), bool, len(view.values))
 
 
 def _holds_text(values) -> bool:
     return any(issubclass(t, str) for t in set(map(type, values)))
 
 
-def train_stat(kind: str, values: list[Cell], counts: np.ndarray) -> float | str | None:
-    """Train-basis statistic for a fill kind over non-target values, each
-    counting its entry of ``counts``; None values are left out."""
+def train_stat(kind: str, values: list[Cell] | np.ndarray,
+               counts: np.ndarray) -> float | str | None:
+    """Train-basis statistic for a fill kind over non-target cells or floats,
+    each counting its entry of ``counts``; None values are left out."""
     if kind not in (KIND_MEAN, KIND_MEDIAN, KIND_MODE):
         return None
-    if kind == KIND_MODE:
-        return _mode(values, counts)
-    if _holds_text(values):
-        raise ConfigError(f"{kind} infill requires a numeric column")
-    values, present = numbers(values)
-    values, counts = values[present], counts[present]
+    if kind == KIND_MODE:  # a Python cell, as the artifact stores it
+        return _mode(values.tolist() if isinstance(values, np.ndarray) else values, counts)
+    if isinstance(values, list):
+        if _holds_text(values):
+            raise ConfigError(f"{kind} infill requires a numeric column")
+        values, present = numbers(values)
+        values, counts = values[present], counts[present]
     total = int(counts.sum())
     if not len(values):
         return None
@@ -107,15 +109,16 @@ def _mode(values: list[Cell], counts: np.ndarray) -> Cell:
     return min(floats or tied)
 
 
-def apply_infill(col: list[Cell], mask: list[bool], kind: str,
-                 stat: float | None = None) -> list[Cell]:
-    """Replace target cells per kind; non-target cells are never altered.
-    Adjacent infill fills 0.0: the engine gathers a target row from an adjacent
-    non-target row instead, so the fill shows only where every row is a target."""
+def apply_infill(col: list[Cell] | np.ndarray, mask, kind: str,
+                 stat: float | str | None = None) -> list[Cell] | np.ndarray:
+    """Replace target cells per kind; non-target cells are never altered, and
+    an array filled with a float stays one. Adjacent infill fills 0.0: the engine
+    gathers a target row from an adjacent non-target row instead, so the fill
+    shows only where every row is a target."""
     if kind == KIND_DEFAULT:
-        return list(col)
-    if (kind in NUMERIC_ONLY_KINDS and _holds_text(col)  # text at a target is filled over
-            and _holds_text(compress(col, map(operator.not_, mask)))):
+        return col.copy() if isinstance(col, np.ndarray) else list(col)
+    if (kind in NUMERIC_ONLY_KINDS and isinstance(col, list) and _holds_text(col)
+            and _holds_text(compress(col, map(operator.not_, mask)))):  # text at targets is filled
         raise ConfigError(f"{kind} infill requires a numeric column")
     stat = 0.0 if stat is None else stat
     fills = {KIND_ZERO: 0.0, KIND_ADJACENT: 0.0, KIND_ONE: 1.0, KIND_NEGZERO: -0.0,
@@ -124,7 +127,9 @@ def apply_infill(col: list[Cell], mask: list[bool], kind: str,
         fill = fills[kind]
     except KeyError:
         raise ConfigError(f"unknown infill kind {kind!r}") from None
-    filled = list(col)
+    if isinstance(col, np.ndarray) and isinstance(fill, float):
+        return np.where(mask, fill, col)
+    filled = col.tolist() if isinstance(col, np.ndarray) else list(col)
     for i in compress(count(), mask):
         filled[i] = fill
     return filled

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .encoders import (
     CLASS_CATEGORIC,
     B1010Behavior,
     Behavior,
+    activations,
     ranked_entries,
     sanitize_token,
 )
@@ -310,11 +312,9 @@ class SpltBehavior(Behavior):
 
     def apply_distinct(self, compiled, view):
         active, size = compiled
-        columns = [[0.0] * len(view.values) for _ in range(size)]
-        for row, text in enumerate(view.texts):
-            for i in active.get(text, ()):
-                columns[i][row] = 1.0
-        return columns
+        mine = list(map(active.get, view.texts, repeat(())))
+        rows = np.repeat(np.arange(len(mine)), list(map(len, mine)))
+        return activations(size, len(mine), rows, list(chain.from_iterable(mine)))
 
 
 class Sp15Behavior(SpltBehavior):

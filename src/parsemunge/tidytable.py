@@ -3,8 +3,8 @@
 Cells are plain Python values: ``str`` for text, ``float`` for numbers,
 ``None`` for missing. Numbers are kept finite; anything that would parse to
 NaN or an infinity is normalized to missing at ingestion. A column is stored
-as a list of cells, or as a float64 array when every cell is a float (the
-encoded columns ``fit`` and ``apply`` make); ``TidyTable.columns``,
+as a list of cells, or as a float64 array (an encoded column whose cells its
+behaviour emits as floats by construction); ``TidyTable.columns``,
 ``column`` and ``==`` read an array column as a list of Python floats.
 
 CSV I/O works column by column over blocks of ``BLOCK_ROWS`` rows:

@@ -15,8 +15,9 @@ stored steps. So applying an artifact to its own train table makes the
 evaluations fit made and reproduces the fit output bit-exactly.
 Infill fills those columns too, before the one gather; adjacent infill, the
 one order-dependent kind, remaps the row codes instead, which a shuffle permutes.
-A column whose distinct values are all floats is gathered into a float64
-array, which the encoded table holds as it is. ``invert`` reads a step's
+A behaviour emits a column whose cells are floats by construction as a
+float64 array and any other as a list; rows are gathered in the column's
+form, and the encoded table holds it as it is. ``invert`` reads a step's
 encoded columns as float64 arrays and decodes all their rows at once, by
 arithmetic on the columns (a code map's code, a numeric step's closed form).
 """
@@ -210,33 +211,22 @@ def _numeric_stats(values: np.ndarray) -> dict:
             "mean": math.ldexp(mean, exp), "std": math.ldexp(std, exp)}
 
 
-def _gather(column: list[Cell], codes: np.ndarray) -> list[Cell]:
-    """``column[c]`` for each code ``c``."""
+def _gather(column: list[Cell] | np.ndarray, codes: np.ndarray) -> list[Cell] | np.ndarray:
+    """``column[c]`` for each code ``c``, in the column's form."""
+    if isinstance(column, np.ndarray):
+        return column.take(codes)
     return np.fromiter(column, dtype=object, count=len(column)).take(codes).tolist()
 
 
-def _float_array(data: list[Cell] | np.ndarray) -> list[Cell] | np.ndarray:
-    """A stored column as a float64 array when every cell is a float, else
-    the list as it is."""
-    if isinstance(data, list) and data and set(map(type, data)) == {float}:
-        return np.array(data, np.float64)
-    return data
-
-
-def _row_column(column: list[Cell], codes: np.ndarray) -> list[Cell] | np.ndarray:
-    """The rows ``column[c]`` of each code ``c``, as a float64 array when
-    every value of ``column`` is a float, else as a list."""
-    data = _float_array(column)
-    return data.take(codes) if isinstance(data, np.ndarray) else _gather(column, codes)
-
-
-def _input(header: str, values: dict[str, list], inputs: dict,
+def _input(header: str, values: dict[str, list | np.ndarray], inputs: dict,
            counts: np.ndarray | None = None) -> tuple[Distinct, np.ndarray | None]:
     """The view of ``header``'s distinct values, from one factorize kept in
     ``inputs``, and the codes of the source's distinct values among them (None
-    where they are the same); given the source's ``counts``, summed by code."""
+    where they are the same); given the source's ``counts``, summed by code.
+    An array column is factorized as the Python floats it holds."""
     if header not in inputs:
-        distinct, codes = factorize(values[header])
+        column = values[header]
+        distinct, codes = factorize(column.tolist() if isinstance(column, np.ndarray) else column)
         if counts is not None:
             counts = np.bincount(codes, counts, len(distinct)).astype(np.int64)
         identity = np.array_equal(codes, np.arange(len(distinct)))
@@ -326,16 +316,16 @@ def _expand_source(plan: SourcePlan, col: list[Cell], values: dict[str, list],
     """Expand a source's rows: ``codes[h]`` holds each row's position among the
     distinct source values, through which the retained column ``h`` is gathered."""
     # ``col`` is unused here, but must stay: perfbench's _observe_expand reads it.
-    return {h: _row_column(values[h], codes[h]) for h in plan.retained_headers()}
+    return {h: _gather(values[h], codes[h]) for h in plan.retained_headers()}
 
 
-def _targets(plan: SourcePlan, values: dict[str, list], view: Distinct) -> list[bool]:
+def _targets(plan: SourcePlan, values: dict[str, list], view: Distinct) -> np.ndarray:
     """Whether each distinct source value (``view``) is an infill target: read
     from the plan's NArw step on the source under its target rule, else marked."""
     for rec in plan.steps:
         if (rec.behavior == "NArw" and rec.input_header == plan.header
                 and rec.fit["rule"] == plan.target_rule):
-            return [flag == 1.0 for flag in values[rec.output_headers[0]]]
+            return values[rec.output_headers[0]] == 1.0
     return infill_mod.mark_targets(view, plan.target_rule)
 
 
@@ -352,7 +342,7 @@ def _infill_columns(plan: SourcePlan, values: dict[str, list], view: Distinct, c
     for h, entry in spec.items():
         values[h] = infill_mod.apply_infill(values[h], target, entry["kind"], entry.get("value"))
     if adjacent := [h for h, entry in spec.items() if entry["kind"] == infill_mod.KIND_ADJACENT]:
-        rows = np.asarray(target, dtype=bool)[codes]
+        rows = target[codes]
         if not rows.all():  # a target row takes the previous non-target row's code, or the first's
             rows = np.maximum.accumulate(np.where(rows, rows.argmin(), np.arange(len(rows))))
             row_codes.update(dict.fromkeys(adjacent, codes[rows]))
@@ -366,13 +356,12 @@ def _fit_infill_spec(plan: SourcePlan, counts: np.ndarray, values: dict[str, lis
     the fit-time columns, each counting its entry of ``counts``. Other columns
     get no entry, which means no infill; so do NArw's, which record missingness."""
     spec: dict[str, dict] = {}
-    kept = np.flatnonzero(np.logical_not(target))
-    weights, kept = counts[kept], kept.tolist()
+    kept = np.flatnonzero(~target)
     for h, behavior in plan.column_behaviors().items():
         if behavior.name == "NArw" or (kind in infill_mod.NUMERIC_ONLY_KINDS
                                        and behavior.coltype_class != CLASS_NUMERIC):
             continue
-        stat = infill_mod.train_stat(kind, list(map(values[h].__getitem__, kept)), weights)
+        stat = infill_mod.train_stat(kind, _gather(values[h], kept), counts[kept])
         entry = {"kind": kind}
         if stat is not None:
             entry["value"] = stat
@@ -612,21 +601,12 @@ def deserialize(data: bytes | str) -> FitArtifact:
 _INVERT_PREFERENCE = {"1010": 0, "onht": 1, "bnry": 2, "ord3": 3, "mnmx": 4, "nmbr": 5}
 
 
-def _flagged(flags: list[Cell] | np.ndarray | None, n: int) -> np.ndarray:
-    """Whether each row's NArw flag is 1.0; none is without a flag column."""
-    if flags is None:
-        return np.zeros(n, bool)
-    flags = _float_array(flags)
-    if isinstance(flags, np.ndarray):
-        return flags == 1.0
-    return np.fromiter(map(operator.eq, flags, repeat(1.0)), bool, n)
-
-
 def _as_floats(data: list[Cell] | np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """A stored column as float64, and the mask of its number cells (None if
     all are): a float, an int or a bool, subclasses included, that a float
-    can hold. Any other cell reads as NaN."""
-    data = _float_array(data)
+    can hold. Any other cell reads as NaN. A list of floats converts in one call."""
+    if isinstance(data, list) and set(map(type, data)) == {float}:
+        data = np.array(data, np.float64)
     if isinstance(data, np.ndarray):
         return data, None
     values = list(map(_cell_float, data))
@@ -674,7 +654,7 @@ def invert(artifact: FitArtifact, encoded: TidyTable,
     and a row whose NArw flag on the source is 1.0 recovers as missing,
     whatever it holds. Each step decodes its columns at once, read as
     float64 (``Behavior.decode``); a cell that is no float, int or bool
-    decodes nowhere. Any other row the step never outputs raises DataError,
+    decodes nowhere and flags nothing. Any other row the step never outputs raises DataError,
     naming the first such row's cells.
     """
     wanted = list(sources) if sources is not None else list(artifact.per_source)
@@ -702,9 +682,10 @@ def invert(artifact: FitArtifact, encoded: TidyTable,
             failed.append(header)
             continue
         rec = min(candidates)[2]
+        flagged = np.zeros(encoded.row_count, bool) if narw is None else _as_floats(narw)[0] == 1.0
         headers.append(header)
         columns.append(_decode_rows(header, rec, list(map(encoded.column_data, rec.output_headers)),
-                                    _flagged(narw, encoded.row_count)))
+                                    flagged))
     if sources is not None and failed:
         raise DataError(f"no invertible path for sources: {failed}")
     return TidyTable(headers=headers, columns=columns), failed

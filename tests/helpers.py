@@ -7,6 +7,8 @@ import copy
 import random
 from pathlib import Path
 
+import numpy as np
+
 from parsemunge.registry import BEHAVIORS
 from parsemunge.tidytable import Distinct, TidyTable, distinct_counts
 
@@ -48,18 +50,24 @@ def make_random_table(rnd: random.Random, rows: int = 40, want_missing: bool = T
     return TidyTable(headers=headers, columns=columns), assignments
 
 
+def cells(column) -> list:
+    """A behaviour's output column as the list of its cells: an array's as
+    Python floats."""
+    return column.tolist() if isinstance(column, np.ndarray) else column
+
+
 def run_behavior(name: str, col: list, params: dict | None = None,
                  root_rule: str = "missing_only", state: dict | None = None):
     """Fit the registered behavior ``name`` on the column's distinct counts
     (skipped when a fit ``state`` is given), compile the state and apply it
     to the whole column in one ``apply_distinct`` call, as a step is evaluated.
 
-    Returns the fit state and one list per output column.
+    Returns the fit state and each output column as a list (``cells``).
     """
     behavior = BEHAVIORS[name]
     if state is None:
         state = behavior.fit(distinct_counts(col), params or {}, root_rule)
-    return state, behavior.apply_distinct(behavior.compile(state), Distinct(col))
+    return state, list(map(cells, behavior.apply_distinct(behavior.compile(state), Distinct(col))))
 
 
 # One value of each JSON type, and of a few container shapes.

@@ -812,7 +812,9 @@ def reference_invert(artifact, encoded: TidyTable,
         recovered = []
         for flag, *row in zip(narw or [0.0] * encoded.row_count, *cols):
             try:
-                recovered.append(None if flag == 1.0 else decode(tuple(row)))
+                # A flag counts as a number cell equal to 1.0, as a decoded cell reads.
+                flagged = isinstance(flag, float | int) and flag == 1.0
+                recovered.append(None if flagged else decode(tuple(row)))
             except KeyError:
                 raise DataError(f"cannot invert source {header!r}: step {rec.category!r} "
                                 f"columns {rec.output_headers} hold the pattern {row!r},"

@@ -1,6 +1,7 @@
-"""Every registered behaviour evaluates a view in and columns out: one list
-per output column, equal value by value to its one-value reference rule in
-``tests/oracles.py``, and independent of the order and batching of values.
+"""Every registered behaviour evaluates a view in and columns out: one column
+per output, a float64 array exactly when all its cells are floats, equal
+value by value to its one-value reference rule in ``tests/oracles.py``, and
+independent of the order and batching of values.
 Its fit on a view whose values carry counts equals its fit on the rows that
 repeat each value by its count."""
 
@@ -16,6 +17,7 @@ from parsemunge.encoders import sanitize_token
 from parsemunge.registry import BEHAVIORS
 from parsemunge.tidytable import Distinct, distinct_counts, factorize
 
+from .helpers import cells
 from .oracles import REFERENCE_CELLS
 
 # Near ±1.7e308, a value and the train mean may lie more than the float range
@@ -110,18 +112,27 @@ def _bits(cell):
 def check_columns(name: str, state: dict, values: list, rnd: random.Random) -> None:
     behavior = BEHAVIORS[name]
     compiled = behavior.compile(state)
-    columns = behavior.apply_distinct(compiled, Distinct(values))
-    assert len(columns) == len(behavior.output_tokens(state))
-    assert all(len(column) == len(values) for column in columns)
+
+    def evaluate(batch: list) -> list[list]:
+        return list(map(cells, behavior.apply_distinct(compiled, Distinct(batch))))
+
+    stored = behavior.apply_distinct(compiled, Distinct(values))
+    assert len(stored) == len(behavior.output_tokens(state))
+    assert all(len(column) == len(values) for column in stored)
+    for column in stored:
+        if isinstance(column, np.ndarray):
+            assert column.dtype == np.float64 and column.ndim == 1
+        if values:  # a non-empty column is an array exactly when all its cells are floats
+            assert isinstance(column, np.ndarray) == all(type(c) is float for c in cells(column))
+    columns = list(map(cells, stored))
     rows = [tuple(_bits(column[i]) for column in columns) for i in range(len(values))]
     assert rows == [tuple(map(_bits, REFERENCE_CELLS[name](state, v))) for v in values]
     order = list(range(len(values)))
     rnd.shuffle(order)
-    shuffled = behavior.apply_distinct(compiled, Distinct([values[i] for i in order]))
+    shuffled = evaluate([values[i] for i in order])
     assert shuffled == [[column[i] for i in order] for column in columns]
     chunk = rnd.randint(1, 4)
-    parts = [behavior.apply_distinct(compiled, Distinct(values[i:i + chunk]))
-             for i in range(0, len(values), chunk)]
+    parts = [evaluate(values[i:i + chunk]) for i in range(0, len(values), chunk)]
     assert [sum((p[j] for p in parts), []) for j in range(len(columns))] == columns
 
 
@@ -156,6 +167,10 @@ EDGE_CASES = [
     ("nmbr", {"mean": 0.0, "shift": 0.0, "std": 0.0}, [1.0, None]),
     ("mnmx", {"min": -1.7e308, "max": 1.7e308, "mean": 1e300}, [-1.7e308, 1.7e308, None, -0.0]),
     ("mnmx", {"min": 3.0, "max": 3.0, "mean": 3.0}, [3.0, None]),
+    # Array columns of behaviours whose form follows their view or extraction.
+    ("excl", {}, [1.5, -0.0, 1.5]),
+    ("nmcm", {"flags": {"allow_commas": True, "allow_decimal": True, "allow_negative": False}},
+     ["a1", "2,5", 3.0]),
     # Code maps: no entries, and an empty batch.
     ("onht", {"entries": []}, ["a", None]),
     ("1010", {"entries": []}, ["a", None]),

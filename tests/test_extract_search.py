@@ -2,6 +2,7 @@ import itertools
 import random
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -38,6 +39,13 @@ def _batches(draw):
 def _bits(values):
     """Extractions compared bit for bit: -0.0 apart from 0.0."""
     return [None if v is None else v.hex() for v in values]
+
+
+def extracted(values, *flags, **named) -> list:
+    """``extract_numbers`` of the view of the values, as cells: None where
+    a text holds no number."""
+    numbers, found = extract_numbers(Distinct(values), *flags, **named)
+    return np.where(found, numbers, None).tolist()
 
 
 class TestNmcmExtract:
@@ -112,21 +120,20 @@ class TestExtractNumbers:
         batch, cut, order = drawn
         for flags in FLAG_SETS:
             want = _bits(None if t is None else reference_nmcm_extract(t, *flags) for t in batch)
-            assert _bits(extract_numbers(Distinct(batch), *flags)) == want, flags
-            split = (extract_numbers(Distinct(batch[:cut]), *flags)
-                     + extract_numbers(Distinct(batch[cut:]), *flags))
+            assert _bits(extracted(batch, *flags)) == want, flags
+            split = extracted(batch[:cut], *flags) + extracted(batch[cut:], *flags)
             assert _bits(split) == want, flags
-            shuffled = extract_numbers(Distinct([batch[i] for i in order]), *flags)
+            shuffled = extracted([batch[i] for i in order], *flags)
             assert _bits(shuffled) == [want[i] for i in order], flags
 
     def test_no_match_crosses_texts(self):
         # Joined, "1," + "2" and "3" + ".4" would read as 1,2 and 3.4.
-        assert extract_numbers(Distinct(["1,", "2", "3", ".4", "5-", "-6"]),
-                               allow_negative=True) == [1.0, 2.0, 3.0, 4.0, 5.0, -6.0]
+        assert extracted(["1,", "2", "3", ".4", "5-", "-6"],
+                         allow_negative=True) == [1.0, 2.0, 3.0, 4.0, 5.0, -6.0]
 
     def test_number_cells_are_read_as_their_text(self):
         # 1e20 reads "1e+20", and -0.0 "-0"
-        found = extract_numbers(Distinct([1e20, -0.0, None, "x 7"]), allow_negative=True)
+        found = extracted([1e20, -0.0, None, "x 7"], allow_negative=True)
         assert _bits(found) == _bits([20.0, -0.0, None, 7.0])
 
 

@@ -167,6 +167,20 @@ class TestInvert:
         assert (expected[0] is not DataError) is decodes
         assert outcome(pm.invert, ARTIFACT, table) == expected
 
+    @pytest.mark.parametrize("flag, decoded", [
+        (1.0, None), (1, None), (True, None), (np.float64(1.0), None),
+        (np.float32(1.0), "y"), (np.int64(1), "y"), ("1", "y"), (0.0, "y")])
+    def test_a_flag_counts_as_a_number_cell_equal_to_one(self, flag, decoded):
+        # As a decoded cell: a numpy scalar that is no float or int is no number.
+        table = TidyTable(["a_ord3", "a_NArw"], [[1.0, 2.0, 2.0], [0.0, 0.0, flag]])
+        expected = outcome(reference_invert, ARTIFACT, table)
+        assert expected[:2] == (["a"], typed(TidyTable(["a"], [["x", "y", decoded]])))
+        assert outcome(pm.invert, ARTIFACT, table) == expected
+
+    def test_an_unflagged_cell_that_is_no_number_raises(self):
+        table = TidyTable(["a_ord3", "a_NArw"], [[1.0, 2.0, np.float32(2.0)], [0.0, 0.0, 0.0]])
+        assert outcome(pm.invert, ARTIFACT, table)[0] is DataError
+
     def test_encoded_table_recovers_the_source(self):
         recovered, failed = pm.invert(ARTIFACT, ENCODED)
         assert failed == []
@@ -230,9 +244,41 @@ class TestTableColumns:
     def test_fit_and_apply_store_float_columns_as_arrays(self):
         stored = {h: ENCODED.column_data(h) for h in ENCODED.headers}
         assert all(isinstance(col, np.ndarray) for col in stored.values())
+        # excl on a numeric source with no missing cell, nmc7 where every text
+        # holds a digit, srch, and the overlap activations and codes.
+        overlapping = ["abcdefx", "abcdefy", "zzabcdef", "q", "abcdefx"]
+        table = TidyTable(list("nxsptbq"), [[1.5, -0.0, 2.0, 1.5, 7.0],
+                                            ["a1", "b 22", "c3,4", "a1", "9"],
+                                            ["red car", "blue", "RED", "x", None],
+                                            *[overlapping] * 2, ["abcdef", *overlapping[1:]],
+                                            overlapping])
+        roots = dict(zip("nxsptbq", ["excl", "nmc7", "srch", "splt", "sp15", "sbst", "sp19"]))
+        opts = pm.Options(assignparam={"srch": {"s": {"search": ["red", "blue"]}}})
+        encoded, artifact = pm.fit(table, roots, opts=opts)
+        assert {h.split("_")[1] for h in encoded.headers} == {*roots.values(), "NArw"}
+        for out in (encoded, pm.apply(artifact, table)):
+            assert [h for h in out.headers if not isinstance(out.column_data(h), np.ndarray)] == []
         text = TidyTable(["s"], [["a", None, "b"]])
         out, _ = pm.fit(text, {"s": "excl"})
         assert isinstance(out.column_data(out.headers[0]), list)
+
+    @pytest.mark.parametrize("kind", ["meaninfill", "medianinfill", "modeinfill"])
+    def test_infill_keeps_arrays_and_stores_python_floats(self, kind):
+        def leaves(node):
+            if isinstance(node, dict | list):
+                items = node.values() if isinstance(node, dict) else node
+                return [leaf for item in items for leaf in leaves(item)]
+            return [node]
+
+        table = TidyTable(["a", "b"], [[1.5, None, 2.0, 1.5], ["x", "y", None, "x"]])
+        encoded, artifact = pm.fit(table, {"b": "ord3"},
+                                   opts=pm.Options(assigninfill={kind: ["a", "b"]}))
+        for out in (encoded, pm.apply(artifact, table)):
+            assert all(isinstance(out.column_data(h), np.ndarray) for h in out.headers)
+        assert artifact.infill_spec
+        plans = [{**vars(p), "steps": list(map(vars, p.steps))} for p in artifact.per_source.values()]
+        assert {type(leaf) for leaf in leaves([artifact.infill_spec, plans])} <= {
+            str, float, int, bool, type(None)}
 
     def test_column_gives_python_floats_one_object_per_bit_pattern(self):
         table = TidyTable(["x"], [np.array([1.5, -0.0, 1.5, 0.0, -0.0])])

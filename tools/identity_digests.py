@@ -6,7 +6,8 @@ change keeps every output byte-identical.
 Each (workload, seed) runs in its own process at full benchmark size and
 prints one line per output: ``workload seed output sha256``. The outputs are
 the artifact bytes, the encoded train table, ``apply`` of the deserialized
-artifact on the test table, the written CSV of both tables, ``invert`` of
+artifact on the test table, the storage form of each column of both tables
+(a float64 array or a list), the written CSV of both tables, ``invert`` of
 both tables in memory and read back from their CSVs (the applied test table
 reaches the unseen code-0 and NArw-missing decodes), ``drift_report`` on the
 test and the train table, and the ``ImportanceReport`` JSON.
@@ -42,6 +43,13 @@ def _table_sha(table) -> str:
     return _json_sha([table.headers, table.columns])
 
 
+def _form_sha(table) -> str:
+    """sha256 of each column's storage form: a column that becomes a list
+    keeps its cells but moves the CSV writer and ``invert``."""
+    return _json_sha(["list" if isinstance(table.column_data(h), list) else "array"
+                      for h in table.headers])
+
+
 def digests(name: str, seed: int) -> dict[str, str]:
     """The digest of each output of one workload at one seed, from the program
     and workloads first on ``sys.path``."""
@@ -55,7 +63,8 @@ def digests(name: str, seed: int) -> dict[str, str]:
     encoded, artifact = pm.fit(train, w.assignments, opts=pm.Options(**w.options))
     blob = pm.serialize(artifact)
     applied = pm.apply(pm.deserialize(blob), test)
-    out = {"artifact": _sha(blob), "encoded": _table_sha(encoded), "apply": _table_sha(applied)}
+    out = {"artifact": _sha(blob), "encoded": _table_sha(encoded), "apply": _table_sha(applied),
+           "encoded_form": _form_sha(encoded), "apply_form": _form_sha(applied)}
     with tempfile.TemporaryDirectory() as tmp:
         for label, table in (("encoded", encoded), ("apply", applied)):
             path = Path(tmp) / f"{label}.csv"
