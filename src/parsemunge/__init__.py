@@ -3,7 +3,7 @@ family-tree transform composition, and a serializable fit artifact."""
 
 from .encoders import auto_root_select
 from .errors import ConfigError, DataError, ParsemungeError
-from .extract_search import SearchSpec, nmcm_extract
+from .extract_search import nmcm_extract
 from .importance import ImportanceReport, PredictorAdapter, builtin_tree, permutation_importance
 from .registry import FamilyTree, ProcessEntry, Registry, builtin_registry, merge_overrides, validate_registry
 from .stringparse import OverlapMap, OverlapScanConfig, scan_overlaps
@@ -37,7 +37,6 @@ __all__ = [
     "PredictorAdapter",
     "ProcessEntry",
     "Registry",
-    "SearchSpec",
     "StepRecord",
     "TidyTable",
     "apply",

@@ -28,8 +28,8 @@ from .tidytable import (
     COLTYPE_NUMERIC,
     Cell,
     Distinct,
+    coltype_of,
     distinct_counts,
-    infer_coltype,
     largest_magnitude,
     sum_scale_exponent,
     value_order_fsum,
@@ -411,7 +411,7 @@ def auto_root_select(col: list[Cell], threshold: int = 255) -> str:
 
 def root_of(view: Distinct, threshold: int) -> str:
     """``auto_root_select`` of the view of a column's distinct values."""
-    coltype = infer_coltype(view.values)
+    coltype = coltype_of(view.types)  # the view's cached types, which the engine reads too
     if coltype == COLTYPE_NUMERIC:
         return "nmbr"
     if coltype == COLTYPE_ALL_MISSING:

@@ -7,17 +7,16 @@ rule exactly. It works on all the texts of a view at once, over the view's
 one array of code points: masks of the ASCII digits, commas, dots and minus
 signs give every candidate match and its end, one reduction per text keeps
 the longest, and only each winning substring is parsed, by ``float``. Search
-looks for each term in all the distinct texts of its input at once, with
-``numpy.strings.find``.
+works over a view's code points too, upper-cased unless it is case-sensitive:
+each term is compared with every window of its length, and a window counts
+where it ends inside the text it starts in.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.dtypes import StringDType
 
 from .encoders import (
     CLASS_BOOLEAN,
@@ -26,7 +25,7 @@ from .encoders import (
     sanitize_token,
 )
 from .errors import ConfigError
-from .tidytable import TEXT_END, Distinct
+from .tidytable import TEXT_END, Distinct, utf32
 
 # extract_numbers reads the code arrays of views, where TEXT_END follows each
 # text: as no match can hold it, none runs from one text into the next.
@@ -117,41 +116,6 @@ class NmcmBehavior(Behavior):
         return [values if found.all() else np.where(found, values, None).tolist()]
 
 
-@dataclass
-class SearchSpec:
-    """Ordered term groups; substrings within a group share one activation."""
-
-    groups: list[list[str]]
-    labels: list[str] = field(default_factory=list)
-    ordinal: bool = False
-    case_sensitive: bool = False
-
-    def __post_init__(self):
-        if not self.groups:
-            raise ConfigError("srch requires at least one search term")
-        for group in self.groups:
-            for term in group:
-                if not term:
-                    raise ConfigError("srch terms must be nonempty strings")
-        if not self.labels:
-            self.labels = [sanitize_token(g[0]) for g in self.groups]
-        if len(set(self.labels)) != len(self.labels):
-            raise ConfigError("srch group labels must be unique")
-
-    @classmethod
-    def from_params(cls, params: dict) -> "SearchSpec":
-        aggregate = params.get("aggregate")
-        if aggregate:
-            groups = [list(g) for g in aggregate]
-        else:
-            groups = [[t] for t in params.get("search", [])]
-        return cls(
-            groups=groups,
-            ordinal=params.get("ordinal", False),
-            case_sensitive=params.get("case_sensitive", False),
-        )
-
-
 class SrchBehavior(Behavior):
     """Boolean column per term group, or a single ordinal column."""
 
@@ -162,15 +126,22 @@ class SrchBehavior(Behavior):
                     "case_sensitive?": bool}
 
     def fit(self, view, params, root_rule):
-        spec = SearchSpec.from_params(params)
-        groups = spec.groups
-        if not spec.case_sensitive:
-            groups = [[t.upper() for t in g] for g in groups]
+        """One term group per ``aggregate`` entry, else one per ``search`` term,
+        each labelled by its first term; upper-cased unless case-sensitive."""
+        groups = params.get("aggregate") or [[t] for t in params.get("search", [])]
+        if not groups or not all(groups):
+            raise ConfigError("srch requires at least one search term")
+        if not all(map(all, groups)):
+            raise ConfigError("srch terms must be nonempty strings")
+        labels = [sanitize_token(g[0]) for g in groups]
+        if len(set(labels)) != len(labels):
+            raise ConfigError("srch group labels must be unique")
+        case_sensitive = params.get("case_sensitive", False)
         return {
-            "groups": groups,
-            "labels": spec.labels,
-            "ordinal": spec.ordinal,
-            "case_sensitive": spec.case_sensitive,
+            "groups": [list(g) if case_sensitive else [t.upper() for t in g] for g in groups],
+            "labels": labels,
+            "ordinal": params.get("ordinal", False),
+            "case_sensitive": case_sensitive,
         }
 
     def fit_fault(self, state):
@@ -184,24 +155,26 @@ class SrchBehavior(Behavior):
         return list(state["labels"])
 
     def apply_distinct(self, state, view):
-        """Each term is looked for in every text at once; a group hits where
-        any of its terms does."""
+        """Each term is compared with every window of its length over the code
+        points of all the texts, and hits each text that holds an equal window;
+        a group hits where any of its terms does."""
         texts = view.texts
-        # Python's str.upper, as fit upper-cases the terms: "ß" becomes "SS".
-        probes = ["" if t is None else t if state["case_sensitive"] else t.upper()
-                  for t in texts]
-        array = np.array(probes, StringDType())
+        if not state["case_sensitive"]:  # str.upper, as fit upper-cases the terms: "ß" becomes "SS"
+            view = Distinct([None if t is None else t.upper() for t in texts])
+        codes, starts = view.code_points
+        ends = np.append(starts[1:], len(codes)) - 1  # where each text's TEXT_END is
         hits = np.zeros((len(state["groups"]), len(texts)), bool)
-        for row, group in zip(hits, state["groups"]):
+        for row, group in zip(hits, state["groups"] if texts else ()):  # no text, no window
             for term in group:
-                if term.endswith("\0"):  # np.strings.find drops a term's trailing NULs
-                    row |= np.fromiter((term in p for p in probes), bool, len(probes))
-                else:
-                    row |= np.strings.find(array, term) >= 0
+                at = np.arange(len(codes) - len(term))  # the windows before the last TEXT_END
+                for k, code in enumerate(utf32(term).tolist()):
+                    at = at[codes[at + k] == code]
+                owner = starts.searchsorted(at, "right") - 1
+                row[owner[at + len(term) <= ends[owner]]] = True  # a window within its text
         hits[:, [t is None for t in texts]] = False  # a missing cell hits no term
         if state["ordinal"]:
-            codes = np.zeros(len(texts))
+            column = np.zeros(len(texts))
             for i in range(len(hits), 0, -1):  # the first group that hits writes last
-                codes[hits[i - 1]] = i
-            return [codes]
+                column[hits[i - 1]] = i
+            return [column]
         return list(hits.astype(np.float64))

@@ -111,8 +111,10 @@ def _mode(values: list[Cell], counts: np.ndarray) -> Cell:
 
 def apply_infill(col: list[Cell] | np.ndarray, mask, kind: str,
                  stat: float | str | None = None) -> list[Cell] | np.ndarray:
-    """Replace target cells per kind; non-target cells are never altered, and
-    an array filled with a float stays one. Adjacent infill fills 0.0: the engine
+    """Replace target cells per kind; non-target cells are never altered. A
+    column filled to all floats is a float64 array, as a behaviour stores one:
+    an array filled with a float stays one, and a list that a float fill leaves
+    all floats becomes one. Adjacent infill fills 0.0: the engine
     gathers a target row from an adjacent non-target row instead, so the fill
     shows only where every row is a target."""
     if kind == KIND_DEFAULT:
@@ -132,4 +134,6 @@ def apply_infill(col: list[Cell] | np.ndarray, mask, kind: str,
     filled = col.tolist() if isinstance(col, np.ndarray) else list(col)
     for i in compress(count(), mask):
         filled[i] = fill
+    if filled and all(type(c) is float for c in filled):
+        return np.array(filled)
     return filled

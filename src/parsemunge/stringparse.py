@@ -504,14 +504,11 @@ class SbstBehavior(SpltBehavior):
         candidates = [
             b for b in uniques if len(b) >= min_len and _clean(b, cfg.exclude_chars)
         ]
-        assignment = {}
-        for a in uniques:
-            mine = [b for b in candidates if b != a and b in a]
-            if mine:
-                assignment[a] = sorted(mine, key=lambda b: (-len(b), b))[0]
-        overlaps = [
-            b for b in candidates if any(a != b and b in a for a in uniques)
-        ]
+        overlaps, assignment = set(), {}
+        for a in uniques:  # the overlaps are the candidates some other entry contains
+            if mine := [b for b in candidates if b != a and b in a]:
+                overlaps.update(mine)
+                assignment[a] = min(mine, key=lambda b: (-len(b), b))
         return {
             "overlaps": _ordered_overlaps(overlaps),
             "assignment": assignment,

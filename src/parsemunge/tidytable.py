@@ -381,7 +381,7 @@ def factorize(values) -> tuple[list[Cell], np.ndarray]:
 
 def infer_coltype(col: list[Cell]) -> str:
     """numeric iff every non-missing cell is a number; all-missing iff none present."""
-    return _coltype(set(map(type, col)))
+    return coltype_of(set(map(type, col)))
 
 
 def checked_coltype(header: str, types: set[type]) -> str:
@@ -391,7 +391,7 @@ def checked_coltype(header: str, types: set[type]) -> str:
     if bad := sorted(t.__name__ for t in types if not issubclass(t, (str, float, type(None)))):
         raise DataError(f"column {header!r} holds a cell of type {bad[0]};"
                         " a cell is text (str), a number (float) or missing (None)")
-    return _coltype(types)
+    return coltype_of(types)
 
 
 def read_cells(header: str, col, read):
@@ -404,7 +404,8 @@ def read_cells(header: str, col, read):
         raise
 
 
-def _coltype(types: set[type]) -> str:
+def coltype_of(types: set[type]) -> str:
+    """``infer_coltype`` of a column from the set of its cells' types."""
     if not types - {type(None)}:
         return COLTYPE_ALL_MISSING
     return COLTYPE_CATEGORIC if any(issubclass(t, str) for t in types) else COLTYPE_NUMERIC

@@ -4,7 +4,8 @@ These deliberately avoid the implementation's suffix-array scan and
 code-point mask machinery: overlap answers come from a dynamic-programming
 longest common substring table plus substring enumeration, and whole
 single-id overlap maps from the window-width loop that the suffix-array
-scan replaced; unseen-entry matching and search from per-text containment
+scan replaced; sbst's fit from the two containment passes that its one pass
+replaced; unseen-entry matching and search from per-text containment
 tests in Python; numeric extraction answers from an enumerate-every-substring
 walk with a hand-rolled format validator, and from the regex search of one
 text at a time that the code-point extraction replaced, the built-in trees'
@@ -45,7 +46,13 @@ from parsemunge.tidytable import (
     parse_number,
     sum_scale_exponent,
 )
-from parsemunge.stringparse import OverlapMap, OverlapScanConfig, _width_index, _windows
+from parsemunge.stringparse import (
+    OverlapMap,
+    OverlapScanConfig,
+    _width_index,
+    _windows,
+    config_from_params,
+)
 
 
 def dp_lcs_length(a: str, b: str) -> int:
@@ -103,6 +110,23 @@ def oracle_pair_longest_common(a: str, b: str, min_len: int,
         if common:
             return common
     return set()
+
+
+def reference_sbst_fit(texts, params: dict) -> dict:
+    """sbst's fit state by two passes over the sorted texts: each text takes
+    the longest, then smallest, candidate it contains, and the overlaps are
+    the candidates that some other text contains, each found on its own."""
+    cfg = config_from_params(params)
+    uniques = sorted(texts)
+    candidates = [b for b in uniques
+                  if len(b) >= cfg.min_len and not any(ch in cfg.exclude_chars for ch in b)]
+    assignment = {}
+    for a in uniques:
+        mine = [b for b in candidates if b != a and b in a]
+        if mine:
+            assignment[a] = sorted(mine, key=lambda b: (-len(b), b))[0]
+    overlaps = [b for b in candidates if any(a != b and b in a for a in uniques)]
+    return {"overlaps": sorted(overlaps, key=lambda s: (-len(s), s)), "assignment": assignment}
 
 
 def reference_match_train_overlap(text: str, overlaps) -> str | None:

@@ -161,6 +161,14 @@ EDGE_CASES = [
     ("srch", {"groups": [], "labels": [], "ordinal": False, "case_sensitive": True}, ["a", None]),
     ("srch", {"groups": [[""]], "labels": ["a"], "ordinal": False, "case_sensitive": True},
      [None, "", "a"]),
+    ("srch", {"groups": [[""]], "labels": ["a"], "ordinal": False, "case_sensitive": False}, []),
+    # srch: a lone surrogate, and TEXT_END, which follows each text among the
+    # code points, in terms and texts; no window runs from one text into the next.
+    ("srch", {"groups": [["\ud800"], ["\x1f"], ["A\x1fB"], ["B\x1f"]], "labels": list("abcd"),
+              "ordinal": False, "case_sensitive": False},
+     ["x\ud800", "a", "b", "a\x1fb", "\x1f", "b\x1f", "", None]),
+    ("srch", {"groups": [["a\x1fb"], ["\ud800\x1f"]], "labels": ["a", "b"],
+              "ordinal": True, "case_sensitive": True}, ["a", "b", "\ud800", "\x1f", "\ud800\x1fb"]),
     # nmbr and mnmx: values and train statistics more than the float range apart.
     ("nmbr", {"mean": 5e307, "shift": 1e291, "std": 1.6e308},
      [-1.7e308, 1.7e308, -0.0, None, "-1.7e308", 5e-324]),

@@ -7,10 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import parsemunge as pm
-from parsemunge.encoders import auto_root_select, binary_width, sanitize_token
+from parsemunge.encoders import auto_root_select, binary_width, root_of, sanitize_token
 from parsemunge.errors import DataError
 from parsemunge.registry import BEHAVIORS
-from parsemunge.tidytable import TidyTable, canon_text, distinct_counts, factorize
+from parsemunge.tidytable import Distinct, TidyTable, canon_text, distinct_counts, factorize
 
 from . import oracles
 from .helpers import run_behavior
@@ -297,6 +297,13 @@ class TestAutoRootSelect:
         for values in (col, factorize(col)[0]):
             assert auto_root_select(values, threshold=255) == "ord3"
             assert auto_root_select(values, threshold=300) == "1010"
+
+    def test_root_reads_the_views_cached_types(self):
+        # fit's source statistics read the same set, so the values are scanned once.
+        view = Distinct(["a", "b", None])
+        assert view.types and view.texts  # each built and cached
+        view.values = None
+        assert root_of(view, 255) == "bnry"
 
 
 class TestSanitizeToken:

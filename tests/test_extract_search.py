@@ -8,12 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import parsemunge as pm
+from parsemunge.encoders import sanitize_token
 from parsemunge.errors import ConfigError
-from parsemunge.extract_search import SearchSpec, extract_numbers, nmcm_extract
+from parsemunge.extract_search import extract_numbers, nmcm_extract
 from parsemunge.tidytable import TEXT_END, Distinct, TidyTable
 
 from .helpers import run_behavior
-from .oracles import oracle_extract, reference_nmcm_extract
+from .oracles import oracle_extract, reference_nmcm_extract, reference_srch_cell
 
 FLAG_NAMES = ("allow_commas", "allow_decimal", "allow_negative")
 FLAG_SETS = list(itertools.product((False, True), repeat=3))
@@ -237,24 +238,56 @@ class TestSrch:
         _, [out] = run_behavior("srch", ["ab"], {"aggregate": [["a"], ["b"]], "ordinal": True})
         assert out == [1.0]
 
-    def test_empty_term_rejected(self):
-        with pytest.raises(ConfigError):
-            SearchSpec(groups=[[""]])
+    @pytest.mark.parametrize("params", [{"search": [""]}, {"search": ["a", ""]},
+                                        {"aggregate": [["a"], ["b", ""]]}])
+    def test_empty_term_rejected(self, params):
+        with pytest.raises(ConfigError, match="^srch terms must be nonempty strings$"):
+            run_behavior("srch", ["a"], params)
 
-    def test_no_terms_rejected(self):
-        with pytest.raises(ConfigError):
-            SearchSpec(groups=[])
+    @pytest.mark.parametrize("params", [{}, {"search": []}, {"aggregate": []},
+                                        {"aggregate": [["a"], []]}])
+    def test_no_terms_rejected(self, params):
+        with pytest.raises(ConfigError, match="^srch requires at least one search term$"):
+            run_behavior("srch", ["a"], params)
 
-    def test_containment_equivalence_random(self):
+    def test_labels_must_be_unique(self):
+        # "a " and "a" sanitize to one label.
+        with pytest.raises(ConfigError, match="^srch group labels must be unique$"):
+            run_behavior("srch", ["a"], {"search": ["a ", "a"]})
+
+    @pytest.mark.parametrize("case_sensitive", [False, True])
+    def test_lone_surrogate_fits_and_applies(self, case_sensitive):
+        # A lone surrogate has no UTF-8 form, and the search never encodes one.
+        cells = ["abc", "x\ud800yabc", "zzz", "\ud800", None]
+        params = {"search": ["abc", "\ud800y", "Z"], "case_sensitive": case_sensitive}
+        opts = pm.Options(assignparam={"srch": {"a": params}})
+        encoded, artifact = pm.fit(_one_column(cells), {"a": "srch"}, opts=opts)
+        test = ["\ud800Z", "ABC\ud800", None, "y"]
+        applied = pm.apply(artifact, _one_column(test))
+        step = artifact.per_source["a"].steps[0]
+        for table, values in ((encoded, cells), (applied, test)):
+            rows = list(zip(*map(table.column, step.output_headers)))
+            assert rows == [reference_srch_cell(step.fit, v) for v in values]
+
+    @pytest.mark.parametrize("ordinal", [False, True])
+    @pytest.mark.parametrize("case_sensitive", [False, True])
+    def test_containment_equivalence_random(self, case_sensitive, ordinal):
+        # NUL, the TEXT_END that follows each text among the code points, a
+        # lone surrogate, and "ß" and "ﬁ", which upper-case to two characters;
+        # terms longer than every text; empty and missing cells.
         rnd = random.Random(3)
-        cells = ["".join(rnd.choice("abcdef ") for _ in range(rnd.randint(0, 15)))
-                 or "x" for _ in range(100)]
-        terms = sorted({"".join(rnd.choice("abcdef") for _ in range(rnd.randint(1, 3)))
-                        for _ in range(10)})
-        _, columns = run_behavior("srch", cells, {"search": terms, "case_sensitive": True})
-        for j, term in enumerate(terms):
-            for i, cell in enumerate(cells):
-                assert columns[j][i] == (1.0 if term in cell else 0.0)
+        alphabet = ["a", "b", "B", "s", "S", " ", "\x00", TEXT_END, "\ud800", "ß", "ﬁ", "F"]
+        cells = [None if rnd.random() < 0.05 else
+                 "".join(rnd.choice(alphabet) for _ in range(rnd.randint(0, 8)))
+                 for _ in range(300)]
+        terms = {"".join(rnd.choice(alphabet) for _ in range(rnd.randint(1, 3)))
+                 for _ in range(30)}
+        terms |= {"ab" * 5, "\x00" * 9, TEXT_END.join("ab" * 4)}
+        terms = sorted({sanitize_token(t): t for t in sorted(terms)}.values())  # one per label
+        params = {"aggregate": [[t, u] for t, u in zip(terms, terms[::-1])],
+                  "ordinal": ordinal, "case_sensitive": case_sensitive}
+        state, columns = run_behavior("srch", cells, params)
+        assert list(zip(*columns)) == [reference_srch_cell(state, c) for c in cells]
 
     def test_case_sensitivity_flag(self):
         _, columns = run_behavior("srch", ["Mac"], {"search": ["mac"], "case_sensitive": True})

@@ -280,6 +280,26 @@ class TestTableColumns:
         assert {type(leaf) for leaf in leaves([artifact.infill_spec, plans])} <= {
             str, float, int, bool, type(None)}
 
+    @pytest.mark.parametrize("kind", ["zeroinfill", "oneinfill", "negzeroinfill", "meaninfill",
+                                      "medianinfill", "modeinfill", "adjinfill"])
+    def test_a_list_that_infill_fills_to_all_floats_becomes_an_array(self, kind):
+        # excl and nmcm make a list where a cell is missing or holds no number;
+        # a float fill of those cells leaves only floats. A text cell that no
+        # fill reaches keeps its column a list.
+        reg = merge_overrides(builtin_registry(), {"nmcq": {"parents": ["nmcq"]}},
+                              {"nmcq": {"behavior": "nmcm"}})
+        table = TidyTable(["a", "n", "t"], [[1.0, None, 2.0, 1.0], ["a1", "b", None, "c 7"],
+                                            ["x", None, "y", "x"]])
+        opts = pm.Options(assigninfill={kind: ["a", "n", "t"]})
+        encoded, artifact = pm.fit(table, {"a": "excl", "n": "nmcq", "t": "excl"}, reg=reg,
+                                   opts=opts)
+        numeric_only = kind in ("meaninfill", "medianinfill")  # which excl takes no part in
+        for out in (encoded, pm.apply(artifact, table)):
+            assert isinstance(out.column_data("a_excl"), np.ndarray) != numeric_only
+            assert isinstance(out.column_data("n_nmcm"), np.ndarray)
+            assert isinstance(out.column_data("t_excl"), list)
+            assert out == as_lists(out)
+
     def test_column_gives_python_floats_one_object_per_bit_pattern(self):
         table = TidyTable(["x"], [np.array([1.5, -0.0, 1.5, 0.0, -0.0])])
         col = table.column("x")

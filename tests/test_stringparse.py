@@ -25,6 +25,7 @@ from .oracles import (
     oracle_pair_longest_common,
     oracle_single_assignment,
     reference_match_train_overlap,
+    reference_sbst_fit,
     reference_scan_single,
 )
 
@@ -208,6 +209,17 @@ class TestSbst:
         assert state["assignment"]["cba"] == "ba"
         assert state["assignment"]["ba"] == "a"
         assert state["overlaps"] == ["ba", "a"]
+
+    @given(st.lists(st.text(alphabet="ab c", max_size=6), max_size=14),
+           st.fixed_dictionaries({"min_len": st.integers(1, 3)},
+                                 optional={"exclude_chars": st.sampled_from(["", " ", "c"]),
+                                           "space_and_punctuation": st.booleans()}))
+    @settings(max_examples=200, deadline=None)
+    def test_fit_matches_the_two_pass_reference(self, col, params):
+        # One containment pass gives the assignment and, as the union of each
+        # text's contained candidates, the overlaps.
+        state = BEHAVIORS["sbst"].fit(distinct_counts(col), params, "missing_only")
+        assert state == reference_sbst_fit(set(col) - {None}, params)
 
 
 class TestTestEfficientVariants:

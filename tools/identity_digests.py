@@ -10,7 +10,10 @@ artifact on the test table, the storage form of each column of both tables
 (a float64 array or a list), the written CSV of both tables, ``invert`` of
 both tables in memory and read back from their CSVs (the applied test table
 reaches the unseen code-0 and NArw-missing decodes), ``drift_report`` on the
-test and the train table, and the ``ImportanceReport`` JSON.
+test and the train table, and the ``ImportanceReport`` JSON. Two more fits,
+of every non-numeric source under ``sbst`` and under a case-sensitive ``srch``
+with fixed terms (``SEARCH``), give the artifact and ``apply`` output of roots
+that the workloads do not run.
 
 With ``--against DIR``, each (workload, seed) also runs on the program and
 workloads of the checkout at DIR; only the lines that differ are printed,
@@ -28,6 +31,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# The srch terms of the extra fit: single characters and short words in both
+# cases, so that case-sensitive hits differ from case-insensitive ones.
+SEARCH = ["a", "E", "0", "1", "-", ".", " ", "re", "Mac", "ab"]
 
 
 def _sha(data: bytes) -> str:
@@ -55,6 +61,7 @@ def digests(name: str, seed: int) -> dict[str, str]:
     and workloads first on ``sys.path``."""
     import parsemunge as pm
     from parsemunge.importance import TASK_CLASSIFICATION
+    from parsemunge.tidytable import COLTYPE_NUMERIC
     from perfbench import workloads
 
     w = workloads.GENERATORS[name](seed)
@@ -82,6 +89,12 @@ def digests(name: str, seed: int) -> dict[str, str]:
     report = pm.permutation_importance(artifact, subset, w.labels[:n],
                                        pm.builtin_tree(TASK_CLASSIFICATION, seed=0))
     out["importance"] = _json_sha(report.to_jsonable())
+    text = [h for h in train.headers if pm.infer_coltype(train.column(h)) != COLTYPE_NUMERIC]
+    for root, params in (("sbst", {}), ("srch", {"search": SEARCH, "case_sensitive": True})):
+        opts = pm.Options(assignparam={root: dict.fromkeys(text, params)})
+        _, fitted = pm.fit(train, dict.fromkeys(text, root), opts=opts)
+        out[f"{root}_artifact"] = _sha(pm.serialize(fitted))
+        out[f"{root}_apply"] = _table_sha(pm.apply(fitted, test))
     return out
 
 
