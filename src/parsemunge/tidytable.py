@@ -9,10 +9,10 @@ behaviour emits as floats by construction); ``TidyTable.columns``,
 
 CSV I/O works column by column over blocks of ``BLOCK_ROWS`` rows:
 ``load_csv`` classifies each distinct token of a column once and gathers the
-cells by token; ``write_csv`` renders each distinct number of an all-number
-column once, keyed by bit pattern so -0.0 stays apart from 0.0, and gathers
-the text by code. The cells and bytes are those of classifying and rendering
-cell by cell.
+cells by token; ``write_csv`` renders each column once into its fields (each
+distinct number of an all-number column once, keyed by bit pattern so -0.0
+stays apart from 0.0) and joins each row's fields. The cells and bytes are
+those of classifying and rendering cell by cell.
 
 Every transform reads a header as a ``Distinct`` view of its distinct values
 (and, at fit, their counts), which converts each value to its canonical text,
@@ -51,6 +51,7 @@ _FLOAT_OR_NONE = {float, type(None)}
 
 # Strict decimal grammar: no inf/nan words, no underscores, no stray whitespace.
 _DECIMAL_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z", re.ASCII)
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
 def parse_number(text: str) -> float | None:
@@ -338,23 +339,31 @@ def _render_floats(col: np.ndarray) -> list[str]:
     return text[codes].tolist()
 
 
-def _render(col: list[Cell] | np.ndarray) -> list[str | None]:
-    """The text of every cell of a column block; None is written as ""."""
-    if isinstance(col, np.ndarray):
-        return _render_floats(col)
-    if set(map(type, col)) == {float}:
-        return _render_floats(np.array(col, np.float64))
-    return list(map(canon_text, col))
+def _fields(col: list[Cell] | np.ndarray, lone: bool) -> list[str]:
+    """The field of every cell of a column block, quoted as ``write_csv`` says."""
+    if isinstance(col, np.ndarray) or (types := set(map(type, col))) == {float}:
+        return _render_floats(np.asarray(col, np.float64))  # never quoted: digits, ".-e+"
+    fields = (list(map({None: ""}.get, col, col)) if types <= {str, type(None)}  # None as ""
+              else ["" if text is None else str(text) for text in map(canon_text, col)])
+    if _NEEDS_QUOTES.search("".join(fields)):
+        fields = ['"%s"' % f.replace('"', '""') if _NEEDS_QUOTES.search(f) else f for f in fields]
+    if lone and "" in fields:
+        fields = [f or '""' for f in fields]
+    return fields
 
 
 def write_csv(table: TidyTable, path) -> None:
-    """Write a TidyTable as UTF-8 CSV with RFC-4180 quoting, missing as empty."""
+    """Write a TidyTable as UTF-8 CSV, each row ending in LF, missing as empty.
+    A field holding a comma, a quote, CR or LF is quoted, its quotes doubled, and so
+    is an empty field of a one-column table: every text round-trips, CR included."""
+    lone = len(table.headers) == 1
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(table.headers)
+        fh.write(",".join(_fields(table.headers, lone)) + "\n")
         for start in range(0, table.row_count, BLOCK_ROWS):
-            block = [table.column_data(h)[start:start + BLOCK_ROWS] for h in table.headers]
-            writer.writerows(zip(*map(_render, block)))
+            block = [_fields(table.column_data(h)[start:start + BLOCK_ROWS], lone)
+                     for h in table.headers]
+            block[-1] = list(map(operator.add, block[-1], repeat("\n")))
+            fh.writelines(map(",".join, zip(*block)))
 
 
 def distinct_counts(values) -> Distinct:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import math
 import operator
 import re
@@ -394,12 +395,17 @@ def reference_load_csv(path, missing_tokens=None) -> TidyTable:
 
 
 def reference_write_csv(table: TidyTable, path) -> None:
-    """``write_csv`` rendering cell by cell, row by row."""
+    """``write_csv`` rendering cell by cell, row by row. Each row goes through
+    ``csv.writer`` with a CRLF line end, which quotes a field holding CR (with
+    LF alone, Python 3.11's writer does not), and its CRLF becomes LF."""
+    columns = table.columns
+    rows = [table.headers] + [[canon_text(col[i]) for col in columns]  # None as ""
+                              for i in range(table.row_count)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(table.headers)
-        for i in range(table.row_count):
-            writer.writerow([canon_text(col[i]) for col in table.columns])  # None as ""
+        for row in rows:
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\r\n").writerow(row)
+            fh.write(buf.getvalue().removesuffix("\r\n") + "\n")
 
 
 def reference_scan_single(entries: list[str], top: int, cfg: OverlapScanConfig) -> OverlapMap:

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parsemunge import tidytable
@@ -88,10 +88,11 @@ class TestLoadCsv:
 
 class TestWriteCsv:
     def test_quoting_and_missing(self, tmp_path):
+        # a bare CR would end the row for a CSV reader, so a text holding one is quoted
         path = tmp_path / "out.csv"
         write_csv(TidyTable(headers=["t", "u"],
-                            columns=[["a,b", None, 2.5], ["1", "2", "3"]]), path)
-        assert path.read_text() == 't,u\n"a,b",1\n,2\n2.5,3\n'
+                            columns=[["a,b", None, 2.5, "x\ry"], ["1", "2", "3", "4"]]), path)
+        assert path.read_bytes() == b't,u\n"a,b",1\n,2\n2.5,3\n"x\ry",4\n'
 
     def test_single_column_missing_quoted_empty(self, tmp_path):
         # a bare blank line would be dropped by CSV readers; the writer quotes
@@ -134,6 +135,23 @@ def test_round_trip_property(tmp_path_factory, cols):
     assert load_csv(path) == table
 
 
+_csv_texts = st.text(alphabet='ab ,"\r\n', min_size=1)  # no digit, so never a number
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 8).flatmap(lambda n: st.lists(
+    st.tuples(st.one_of(st.just(""), _csv_texts),
+              st.lists(st.one_of(st.none(), _csv_texts), min_size=n, max_size=n)),
+    min_size=1, max_size=4, unique_by=lambda column: column[0])))
+def test_texts_and_headers_round_trip(tmp_path_factory, columns):
+    """Texts and headers holding commas, quotes, CR, LF and spaces read back
+    as written, in one-column tables too."""
+    table = TidyTable(headers=[h for h, _ in columns], columns=[cells for _, cells in columns])
+    path = tmp_path_factory.mktemp("rt") / "t.csv"
+    write_csv(table, path)
+    assert load_csv(path) == table
+
+
 # Blocks of one or a few rows put block boundaries inside the small tables
 # drawn here; the default size checks the single-block path.
 _block_rows = st.sampled_from([1, 2, 3, tidytable.BLOCK_ROWS])
@@ -145,13 +163,24 @@ _raw_floats = st.integers(0, 2**64 - 1).map(
 _any_floats = st.one_of(_raw_floats, st.sampled_from(_EDGE_FLOATS),
                         st.floats(allow_nan=False, allow_infinity=False))
 _quoted_texts = st.text(alphabet='ab ,"\n\r-.0123eE', min_size=1)
+_headers = st.one_of(st.just(""), _quoted_texts)
+# Cells of a list column: texts, empty texts and missing cells beside floats,
+# and the int, bool and str-subclass cells that are written through str().
+_list_cells = st.one_of(st.none(), st.just(""), _any_floats, _quoted_texts, st.integers(),
+                        st.booleans(), _quoted_texts.map(np.str_))
+
+
+def _named(columns):
+    """Unique headers from ``_headers``, one per column."""
+    return st.lists(_headers, min_size=len(columns), max_size=len(columns), unique=True).map(
+        lambda headers: TidyTable(headers, columns))
 
 
 def _tables(cells, max_cols=4):
     """Tables of 1..max_cols columns, all of one drawn length, cells from ``cells``."""
     return st.integers(0, 12).flatmap(lambda n: st.lists(
         st.lists(cells, min_size=n, max_size=n), min_size=1, max_size=max_cols)
-    ).map(lambda cols: TidyTable(headers=[f"c{i}" for i in range(len(cols))], columns=cols))
+    ).flatmap(_named)
 
 
 def _typed(table):
@@ -192,12 +221,13 @@ class TestAgainstReference:
                                 block_rows)
 
     @settings(max_examples=150, deadline=None)
-    @given(_tables(st.one_of(st.none(), _any_floats, _quoted_texts)), _block_rows)
+    @given(_tables(_list_cells), _block_rows)
     def test_mixed_columns_write_the_reference_bytes(self, tmp_path_factory, table, block_rows):
         self._assert_same_bytes(tmp_path_factory, table, block_rows)
 
     @settings(max_examples=40, deadline=None)
-    @given(_tables(st.one_of(st.none(), _any_floats), max_cols=1), _block_rows)
+    @given(_tables(st.one_of(st.none(), st.just(""), _any_floats), max_cols=1), _block_rows)
+    @example(TidyTable([""], [[None, "", 1.0]]), 1)
     def test_one_column_with_missing_writes_the_reference_bytes(self, tmp_path_factory, table,
                                                                 block_rows):
         self._assert_same_bytes(tmp_path_factory, table, block_rows)
@@ -205,14 +235,13 @@ class TestAgainstReference:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 12).flatmap(lambda n: st.lists(st.tuples(st.booleans(), st.one_of(
         st.lists(_any_floats, min_size=n, max_size=n),
-        st.lists(st.one_of(st.none(), _any_floats, _quoted_texts), min_size=n, max_size=n))),
-        min_size=1, max_size=5)), _block_rows)
-    def test_array_and_list_columns_write_the_reference_bytes(self, tmp_path_factory, drawn,
+        st.lists(_list_cells, min_size=n, max_size=n))),
+        min_size=1, max_size=5)).flatmap(lambda drawn: _named(
+            [np.array(col) if as_array and col and {type(c) for c in col} == {float}
+             else col for as_array, col in drawn])), _block_rows)
+    def test_array_and_list_columns_write_the_reference_bytes(self, tmp_path_factory, table,
                                                               block_rows):
         """All-float columns stored as arrays or lists, beside mixed ones."""
-        columns = [np.array(col) if as_array and col and {type(c) for c in col} == {float}
-                   else col for as_array, col in drawn]
-        table = TidyTable([f"c{i}" for i in range(len(columns))], columns)
         self._assert_same_bytes(tmp_path_factory, table, block_rows)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -9,11 +9,14 @@ the artifact bytes, the encoded train table, ``apply`` of the deserialized
 artifact on the test table, the storage form of each column of both tables
 (a float64 array or a list), the written CSV of both tables, ``invert`` of
 both tables in memory and read back from their CSVs (the applied test table
-reaches the unseen code-0 and NArw-missing decodes), ``drift_report`` on the
-test and the train table, and the ``ImportanceReport`` JSON. Two more fits,
-of every non-numeric source under ``sbst`` and under a case-sensitive ``srch``
-with fixed terms (``SEARCH``), give the artifact and ``apply`` output of roots
-that the workloads do not run.
+reaches the unseen code-0 and NArw-missing decodes), the written CSV of
+``invert`` of both tables (the list columns of texts that the CLI's ``invert``
+writes), ``drift_report`` on the test and the train table, and the
+``ImportanceReport`` JSON. Two more fits, of every non-numeric source under
+``sbst`` and under a case-sensitive ``srch`` with fixed terms (``SEARCH``),
+give the artifact and ``apply`` output of roots that the workloads do not run;
+a third, of ``sbst`` on a fixed table (``TIES``), gives those of entries that
+contain two candidates of one length, which no workload holds.
 
 With ``--against DIR``, each (workload, seed) also runs on the program and
 workloads of the checkout at DIR; only the lines that differ are printed,
@@ -34,6 +37,9 @@ ROOT = Path(__file__).resolve().parent.parent
 # The srch terms of the extra fit: single characters and short words in both
 # cases, so that case-sensitive hits differ from case-insensitive ones.
 SEARCH = ["a", "E", "0", "1", "-", ".", " ", "re", "Mac", "ab"]
+# The texts of the fixed sbst fit: "abcde vwxyz" and "vwxyz-abcde" each contain
+# the candidates "abcde" and "vwxyz", of one length, so the tie-break decides.
+TIES = ["abcde", "vwxyz", "abcde vwxyz", "vwxyz-abcde", "pqrst", "pqrst!"]
 
 
 def _sha(data: bytes) -> str:
@@ -73,15 +79,20 @@ def digests(name: str, seed: int) -> dict[str, str]:
     out = {"artifact": _sha(blob), "encoded": _table_sha(encoded), "apply": _table_sha(applied),
            "encoded_form": _form_sha(encoded), "apply_form": _form_sha(applied)}
     with tempfile.TemporaryDirectory() as tmp:
-        for label, table in (("encoded", encoded), ("apply", applied)):
+        def written(label, table):
             path = Path(tmp) / f"{label}.csv"
             pm.write_csv(table, path)
-            out[f"{label}_csv"] = _sha(path.read_bytes())
+            return path
+
+        for label, table in (("encoded", encoded), ("apply", applied)):
+            out[f"{label}_csv"] = _sha(written(label, table).read_bytes())
         read_back = {label: pm.load_csv(Path(tmp) / f"{label}.csv") for label in ("encoded", "apply")}
-    for label, table in (("invert", encoded), ("invert_csv", read_back["encoded"]),
-                         ("invert_apply", applied), ("invert_apply_csv", read_back["apply"])):
-        recovered, failed = pm.invert(artifact, table)
-        out[label] = _json_sha([recovered.headers, recovered.columns, failed])
+        for label, table in (("invert", encoded), ("invert_csv", read_back["encoded"]),
+                             ("invert_apply", applied), ("invert_apply_csv", read_back["apply"])):
+            recovered, failed = pm.invert(artifact, table)
+            out[label] = _json_sha([recovered.headers, recovered.columns, failed])
+            if label in ("invert", "invert_apply"):
+                out[f"{label}_written"] = _sha(written(label, recovered).read_bytes())
     out["drift_test"] = _json_sha(pm.drift_report(artifact, test).to_jsonable())
     out["drift_train"] = _json_sha(pm.drift_report(artifact, train).to_jsonable())
     n = w.importance_rows
@@ -95,6 +106,10 @@ def digests(name: str, seed: int) -> dict[str, str]:
         _, fitted = pm.fit(train, dict.fromkeys(text, root), opts=opts)
         out[f"{root}_artifact"] = _sha(pm.serialize(fitted))
         out[f"{root}_apply"] = _table_sha(pm.apply(fitted, test))
+    ties = pm.TidyTable(["t"], [TIES])
+    _, fitted = pm.fit(ties, {"t": "sbst"})
+    out["sbst_ties_artifact"] = _sha(pm.serialize(fitted))
+    out["sbst_ties_apply"] = _table_sha(pm.apply(fitted, ties))
     return out
 
 
