@@ -212,9 +212,7 @@ def cmd_inspect(args) -> int:
     print(f"format_version: {artifact.format_version}")
     print(f"source columns: {len(artifact.per_source)}")
     print(f"output columns: {len(artifact.output_order)}")
-    for header, plan in artifact.per_source.items():
-        kept = len(plan.retained_headers())
-        print(f"  {header}: root={plan.root} steps={len(plan.steps)} kept={kept}")
+    print(_fit_report(artifact), end="")
     return 0
 
 

@@ -1,7 +1,9 @@
-"""Missing-data handling: infill target marking and the standard infill kinds.
+"""Missing-data handling: infill target marking and the stored infill kinds.
 
 Targets are decided against the source column's distinct values by the root
 category's rule; fills of the encoded columns use train-basis statistics only.
+``FILLS`` is the one table of the kinds an artifact stores, and ``eligible``
+decides which columns may take each.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from math import isinf
 
 import numpy as np
 
-from .errors import ConfigError
+from . import encoders
+from .schema import Tagged
 from .tidytable import (
     Cell,
     Distinct,
@@ -23,28 +26,44 @@ from .tidytable import (
     value_order_fsum,
 )
 
-KIND_DEFAULT = "default"
-KIND_ZERO = "zero"
-KIND_ONE = "one"
-KIND_ADJACENT = "adjacent"
-KIND_MEAN = "mean"
-KIND_MEDIAN = "median"
-KIND_MODE = "mode"
-KIND_NEGZERO = "negzero"
-
-# Config-document spelling of each kind.
-CONFIG_KIND_NAMES = {
-    "stdrdinfill": KIND_DEFAULT,
-    "zeroinfill": KIND_ZERO,
-    "oneinfill": KIND_ONE,
-    "adjinfill": KIND_ADJACENT,
-    "meaninfill": KIND_MEAN,
-    "medianinfill": KIND_MEDIAN,
-    "modeinfill": KIND_MODE,
-    "negzeroinfill": KIND_NEGZERO,
+# Each stored kind: its constant fill, or the type of the train statistic that
+# fills it (0.0 where train has none). The engine gathers an adjacent target row
+# from a non-target row, so its 0.0 shows only where every row is a target.
+FILLS: dict[str, float | type] = {
+    "zero": 0.0,
+    "one": 1.0,
+    "negzero": -0.0,
+    "adjacent": 0.0,
+    "mean": float,
+    "median": float,
+    "mode": float | str,
 }
 
-NUMERIC_ONLY_KINDS = (KIND_MEAN, KIND_MEDIAN)
+# An infill entry holds its kind, and the train statistic of a kind that has one.
+ENTRY_SCHEMA = Tagged("kind", {
+    kind: {"kind": str} if isinstance(fill, float) else {"kind": str, "value?": fill}
+    for kind, fill in FILLS.items()
+})
+
+# Config-document spelling of each kind; stdrdinfill stores no kind.
+CONFIG_KIND_NAMES = {
+    "stdrdinfill": None,
+    "zeroinfill": "zero",
+    "oneinfill": "one",
+    "adjinfill": "adjacent",
+    "meaninfill": "mean",
+    "medianinfill": "median",
+    "modeinfill": "mode",
+    "negzeroinfill": "negzero",
+}
+
+
+def eligible(kind: str, behavior: encoders.Behavior) -> bool:
+    """Whether a column of the behaviour may take the kind: an NArw column, which
+    records missingness, none; a kind with a float statistic only a numeric one."""
+    return behavior.name != "NArw" and (
+        FILLS[kind] is not float or behavior.coltype_class == encoders.CLASS_NUMERIC)
+
 
 def mark_targets(view: Distinct, rule: str = "missing_only") -> np.ndarray:
     """Whether each value of the view is an infill target, a bool array: missing
@@ -59,27 +78,21 @@ def mark_targets(view: Distinct, rule: str = "missing_only") -> np.ndarray:
     return np.fromiter(map(operator.is_, view.values, repeat(None)), bool, len(view.values))
 
 
-def _holds_text(values) -> bool:
-    return any(issubclass(t, str) for t in set(map(type, values)))
-
-
 def train_stat(kind: str, values: list[Cell] | np.ndarray,
                counts: np.ndarray) -> float | str | None:
     """Train-basis statistic for a fill kind over non-target cells or floats,
     each counting its entry of ``counts``; None values are left out."""
-    if kind not in (KIND_MEAN, KIND_MEDIAN, KIND_MODE):
+    if isinstance(FILLS[kind], float):
         return None
-    if kind == KIND_MODE:  # a Python cell, as the artifact stores it
+    if kind == "mode":  # a Python cell, as the artifact stores it
         return _mode(values.tolist() if isinstance(values, np.ndarray) else values, counts)
     if isinstance(values, list):
-        if _holds_text(values):
-            raise ConfigError(f"{kind} infill requires a numeric column")
         values, present = numbers(values)
         values, counts = values[present], counts[present]
     total = int(counts.sum())
     if not len(values):
         return None
-    if kind == KIND_MEAN:
+    if kind == "mean":
         # Scaled as in the moments of nmbr, so that the sum cannot overflow.
         exp = sum_scale_exponent(largest_magnitude(values), total)
         scaled = np.ldexp(values, -exp)
@@ -114,21 +127,11 @@ def apply_infill(col: list[Cell] | np.ndarray, mask, kind: str,
     """Replace target cells per kind; non-target cells are never altered. A
     column filled to all floats is a float64 array, as a behaviour stores one:
     an array filled with a float stays one, and a list that a float fill leaves
-    all floats becomes one. Adjacent infill fills 0.0: the engine
-    gathers a target row from an adjacent non-target row instead, so the fill
-    shows only where every row is a target."""
-    if kind == KIND_DEFAULT:
-        return col.copy() if isinstance(col, np.ndarray) else list(col)
-    if (kind in NUMERIC_ONLY_KINDS and isinstance(col, list) and _holds_text(col)
-            and _holds_text(compress(col, map(operator.not_, mask)))):  # text at targets is filled
-        raise ConfigError(f"{kind} infill requires a numeric column")
-    stat = 0.0 if stat is None else stat
-    fills = {KIND_ZERO: 0.0, KIND_ADJACENT: 0.0, KIND_ONE: 1.0, KIND_NEGZERO: -0.0,
-             KIND_MEAN: stat, KIND_MEDIAN: stat, KIND_MODE: stat}
-    try:
-        fill = fills[kind]
-    except KeyError:
-        raise ConfigError(f"unknown infill kind {kind!r}") from None
+    all floats becomes one. The fill is the kind's entry of ``FILLS``: its
+    constant, or ``stat``."""
+    fill = FILLS[kind]
+    if not isinstance(fill, float):
+        fill = 0.0 if stat is None else stat
     if isinstance(col, np.ndarray) and isinstance(fill, float):
         return np.where(mask, fill, col)
     filled = col.tolist() if isinstance(col, np.ndarray) else list(col)

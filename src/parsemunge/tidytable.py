@@ -10,9 +10,10 @@ behaviour emits as floats by construction); ``TidyTable.columns``,
 CSV I/O works column by column over blocks of ``BLOCK_ROWS`` rows:
 ``load_csv`` classifies each distinct token of a column once and gathers the
 cells by token; ``write_csv`` renders each column once into its fields (each
-distinct number of an all-number column once, keyed by bit pattern so -0.0
-stays apart from 0.0) and joins each row's fields. The cells and bytes are
-those of classifying and rendering cell by cell.
+distinct number of a column of numbers, with or without missing cells, once,
+keyed by bit pattern so -0.0 stays apart from 0.0) and joins each row's
+fields. The cells and bytes are those of classifying and rendering cell by
+cell.
 
 Every transform reads a header as a ``Distinct`` view of its distinct values
 (and, at fit, their counts), which converts each value to its canonical text,
@@ -279,13 +280,14 @@ def _classify(tokens: set[str], missing_tokens: frozenset[str]) -> dict[str, Cel
 
 
 def load_csv(path, missing_tokens=None) -> TidyTable:
-    """Load a headered CSV into a TidyTable.
+    """Load a headered UTF-8 CSV into a TidyTable; a byte order mark that
+    starts the file is dropped.
 
     Cells matching a missing token become missing; cells that parse fully as a
     finite decimal become numbers; everything else is text.
     """
     tokens = frozenset(missing_tokens) if missing_tokens is not None else DEFAULT_MISSING_TOKENS
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         # strict: a quoted field must end in a quote and a delimiter or line end.
         reader = csv.reader(fh, strict=True)
         try:
@@ -343,6 +345,11 @@ def _fields(col: list[Cell] | np.ndarray, lone: bool) -> list[str]:
     """The field of every cell of a column block, quoted as ``write_csv`` says."""
     if isinstance(col, np.ndarray) or (types := set(map(type, col))) == {float}:
         return _render_floats(np.asarray(col, np.float64))  # never quoted: digits, ".-e+"
+    if types == _FLOAT_OR_NONE:  # floats and missing cells, missing as ""
+        present = np.fromiter(map(operator.is_not, col, repeat(None)), bool, len(col))
+        fields = np.full(len(col), '""' if lone else "", object)
+        fields[present] = _render_floats(np.array(col, np.float64)[present])
+        return fields.tolist()
     fields = (list(map({None: ""}.get, col, col)) if types <= {str, type(None)}  # None as ""
               else ["" if text is None else str(text) for text in map(canon_text, col)])
     if _NEEDS_QUOTES.search("".join(fields)):

@@ -36,7 +36,6 @@ import numpy as np
 
 from . import infill as infill_mod
 from .encoders import (
-    CLASS_NUMERIC,
     Behavior,
     deviation_std,
     ranked_entries,
@@ -341,7 +340,7 @@ def _infill_columns(plan: SourcePlan, values: dict[str, list], view: Distinct, c
         target = _targets(plan, values, view)
     for h, entry in spec.items():
         values[h] = infill_mod.apply_infill(values[h], target, entry["kind"], entry.get("value"))
-    if adjacent := [h for h, entry in spec.items() if entry["kind"] == infill_mod.KIND_ADJACENT]:
+    if adjacent := [h for h, entry in spec.items() if entry["kind"] == "adjacent"]:
         rows = target[codes]
         if not rows.all():  # a target row takes the previous non-target row's code, or the first's
             rows = np.maximum.accumulate(np.where(rows, rows.argmin(), np.arange(len(rows))))
@@ -351,15 +350,14 @@ def _infill_columns(plan: SourcePlan, values: dict[str, list], view: Distinct, c
 
 def _fit_infill_spec(plan: SourcePlan, counts: np.ndarray, values: dict[str, list],
                      target: list[bool], kind: str) -> dict[str, dict]:
-    """Per retained column where the requested kind is compatible: the kind,
-    with train stats taken over the non-target distinct values (``target``) of
-    the fit-time columns, each counting its entry of ``counts``. Other columns
-    get no entry, which means no infill; so do NArw's, which record missingness."""
+    """Per retained column that may take the requested kind (``infill.eligible``):
+    the kind, with train stats taken over the non-target distinct values
+    (``target``) of the fit-time columns, each counting its entry of ``counts``.
+    Other columns get no entry, which means no infill."""
     spec: dict[str, dict] = {}
     kept = np.flatnonzero(~target)
     for h, behavior in plan.column_behaviors().items():
-        if behavior.name == "NArw" or (kind in infill_mod.NUMERIC_ONLY_KINDS
-                                       and behavior.coltype_class != CLASS_NUMERIC):
+        if not infill_mod.eligible(kind, behavior):
             continue
         stat = infill_mod.train_stat(kind, _gather(values[h], kept), counts[kept])
         entry = {"kind": kind}
@@ -423,8 +421,8 @@ def fit(train: TidyTable, assignments: dict[str, str] | None = None,
         root = assignments.get(h) or root_of(view, opts.threshold)
         plan, values = _fit_source(h, view, root, reg, opts, dedup)
         plans[h] = plan
-        kind, target = requested_infill.get(h, infill_mod.KIND_DEFAULT), None
-        if kind != infill_mod.KIND_DEFAULT:
+        kind, target = requested_infill.get(h), None
+        if kind is not None:
             target = _targets(plan, values, view)
             infill_spec.update(_fit_infill_spec(plan, view.counts, values, target, kind))
         codes = _infill_columns(plan, values, view, codes, infill_spec, target)
@@ -513,14 +511,6 @@ def _first_leaf(doc, where: str, bad) -> tuple[str, object] | None:
 _CATEGORIC_STATS = {"coltype": str, "total": int, "top": [[str, int]], "uniques": [str]}
 _STEP = {"category": str, "behavior": str, "input_header": str, "output_headers": [str],
          "retained": bool}
-# An infill entry holds its kind, and the train statistic of a kind that has one.
-_INFILL = Tagged("kind", {
-    infill_mod.KIND_MEAN: {"kind": str, "value?": float},
-    infill_mod.KIND_MEDIAN: {"kind": str, "value?": float},
-    infill_mod.KIND_MODE: {"kind": str, "value?": float | str},
-    **dict.fromkeys((infill_mod.KIND_ZERO, infill_mod.KIND_ONE, infill_mod.KIND_NEGZERO,
-                     infill_mod.KIND_ADJACENT), {"kind": str}),
-})
 # The serialized FitArtifact: the keys of a plan and of a step are their fields.
 _check_artifact = checker({
     "format_version": int,
@@ -537,7 +527,7 @@ _check_artifact = checker({
             COLTYPE_ALL_MISSING: _CATEGORIC_STATS,
         }),
     }],
-    "infill_spec": {str: _INFILL},
+    "infill_spec": {str: infill_mod.ENTRY_SCHEMA},
 }, "artifact")
 
 
@@ -588,13 +578,9 @@ def deserialize(data: bytes | str) -> FitArtifact:
     for h, spec in artifact.infill_spec.items():
         if h not in behaviors:
             raise DataError(f"artifact infill_spec names {h!r}, which is no retained column")
-        if behaviors[h].name == "NArw":  # fit gives none: NArw records missingness
-            raise DataError(f"artifact infill_spec fills the NArw column {h!r}, which is"
-                            " never infilled; refit the artifact")
-        if (spec["kind"] in infill_mod.NUMERIC_ONLY_KINDS
-                and behaviors[h].coltype_class != CLASS_NUMERIC):
-            raise DataError(f"artifact infill_spec gives {h!r} {spec['kind']} infill,"
-                            " which needs a numeric column")
+        if not infill_mod.eligible(spec["kind"], behaviors[h]):
+            raise DataError(f"artifact infill_spec gives the {behaviors[h].name} column {h!r}"
+                            f" {spec['kind']} infill, which fit never gives it; refit the artifact")
     return artifact
 
 

@@ -4,9 +4,9 @@ These deliberately avoid the implementation's suffix-array scan and
 code-point mask machinery: overlap answers come from a dynamic-programming
 longest common substring table plus substring enumeration, and whole
 single-id overlap maps from the window-width loop that the suffix-array
-scan replaced; sbst's fit from the two containment passes that its one pass
-replaced; unseen-entry matching and search from per-text containment
-tests in Python; numeric extraction answers from an enumerate-every-substring
+scan replaced, and whole multi-mode maps pair by pair by containment;
+sbst's fit from the two containment passes that its one pass replaced;
+unseen-entry matching and search from per-text containment tests in Python; numeric extraction answers from an enumerate-every-substring
 walk with a hand-rolled format validator, and from the regex search of one
 text at a time that the code-point extraction replaced, the built-in trees'
 answers from an argsort-and-cumsum CART with nested-dict nodes, and CSV
@@ -34,7 +34,6 @@ import numpy as np
 from parsemunge.encoders import binary_width
 from parsemunge.errors import ConfigError, DataError
 from parsemunge.importance import TASK_CLASSIFICATION, PredictorAdapter
-from parsemunge.infill import KIND_MEAN, KIND_MEDIAN, KIND_MODE
 from parsemunge.registry import BEHAVIORS
 from parsemunge.tidytable import (
     _DECIMAL_RE,
@@ -47,13 +46,7 @@ from parsemunge.tidytable import (
     parse_number,
     sum_scale_exponent,
 )
-from parsemunge.stringparse import (
-    OverlapMap,
-    OverlapScanConfig,
-    _width_index,
-    _windows,
-    config_from_params,
-)
+from parsemunge.stringparse import OverlapMap, OverlapScanConfig, config_from_params
 
 
 def dp_lcs_length(a: str, b: str) -> int:
@@ -73,6 +66,10 @@ def dp_lcs_length(a: str, b: str) -> int:
 
 def _substrings_of_len(s: str, length: int) -> set[str]:
     return {s[i:i + length] for i in range(len(s) - length + 1)}
+
+
+def _clean_substrings(s: str, length: int, exclude: frozenset) -> set[str]:
+    return {t for t in _substrings_of_len(s, length) if not any(ch in exclude for ch in t)}
 
 
 def oracle_single_assignment(uniques, min_len: int = 2,
@@ -372,7 +369,7 @@ def _reference_classify(token: str, missing_tokens: frozenset[str]) -> Cell:
 def reference_load_csv(path, missing_tokens=None) -> TidyTable:
     """``load_csv`` classifying cell by cell, row by row."""
     tokens = frozenset(missing_tokens) if missing_tokens is not None else DEFAULT_MISSING_TOKENS
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             headers = next(reader)
@@ -413,19 +410,42 @@ def reference_scan_single(entries: list[str], top: int, cfg: OverlapScanConfig) 
     with a window index over every entry at each width."""
     assignment: dict[str, str] = {}
     overlaps: dict[str, list[str]] = {}
-    exclude = cfg.exclude_chars
     for w in range(top, cfg.min_len - 1, -1):
         if len(assignment) == len(entries):
             break
-        index = _width_index((e, _windows(e, w, exclude)) for e in entries)
+        windows = {e: _clean_substrings(e, w, cfg.exclude_chars) for e in entries}
+        index: dict[str, list[str]] = {}
+        for e in entries:
+            for s in windows[e]:
+                index.setdefault(s, []).append(e)
         for e in entries:
             if e in assignment:
                 continue
-            candidates = [s for s in _windows(e, w, exclude) if len(index[s]) > 1]
+            candidates = [s for s in windows[e] if len(index[s]) > 1]
             if candidates:
                 s = assignment[e] = min(candidates)
                 overlaps[s] = index[s]
     return OverlapMap(overlaps=dict(sorted(overlaps.items())), assignment=assignment)
+
+
+def reference_scan_multi(uniques, min_len: int,
+                         exclude: frozenset = frozenset()) -> tuple[dict, dict]:
+    """The multi-mode overlap scan pair by pair: every common substring of a
+    pair at the pair's longest match length is an overlap; an overlap's
+    supporters are the entries containing it, and an entry's assignment is the
+    overlaps it contains, longest first, then smallest. The overlaps and the
+    assignment, each keyed in order."""
+    entries = sorted(uniques)
+    found: set[str] = set()
+    for i, a in enumerate(entries):
+        for b in entries[i + 1:]:
+            found |= oracle_pair_longest_common(a, b, min_len, exclude)
+    overlaps = {s: [e for e in entries if s in e] for s in sorted(found)}
+    assignment = {}
+    for e in entries:
+        if mine := [s for s in overlaps if s in e]:
+            assignment[e] = sorted(mine, key=lambda s: (-len(s), s))
+    return overlaps, assignment
 
 
 def reference_adjacent_fill(col: list[Cell], mask: list[bool]) -> list[Cell]:
@@ -473,17 +493,17 @@ def reference_train_stat(kind: str, pairs: list[tuple]) -> float | None:
     """Train-basis statistic for a fill kind over (value, count) non-target
     pairs, as it was before the mean was scaled and the median halved on
     overflow: where the sum overflows, the mean and median read inf."""
-    if kind not in (KIND_MEAN, KIND_MEDIAN, KIND_MODE):
+    if kind not in ("mean", "median", "mode"):
         return None
     pairs = [(v, c) for v, c in pairs if v is not None]
     if not pairs:
         return None
-    if kind == KIND_MODE:
+    if kind == "mode":
         return sorted(pairs, key=lambda vc: (-vc[1], _sort_key(vc[0])))[0][0]
     if any(isinstance(v, str) for v, _ in pairs):
         raise ConfigError(f"{kind} infill requires a numeric column")
     total = sum(c for _, c in pairs)
-    if kind == KIND_MEAN:
+    if kind == "mean":
         return math.fsum(v * c for v, c in sorted(pairs)) / total
     # weighted median over the expanded multiset
     ordered = sorted(pairs)

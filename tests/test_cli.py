@@ -508,6 +508,18 @@ class TestCmdInspect:
         text = capsys.readouterr().out
         assert "source columns: 3" in text
 
+    def test_prints_the_fit_report(self, tmp_path, capsys):
+        train, _ = _write_train(tmp_path)
+        out = tmp_path / "out"
+        assert main(["fit", str(train), "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["inspect", str(out / "artifact.pmz.json")]) == 0
+        artifact = pm.deserialize((out / "artifact.pmz.json").read_bytes())
+        report = (out / "fit_report.txt").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == (
+            f"format_version: {artifact.format_version}\nsource columns: 3\n"
+            f"output columns: {len(artifact.output_order)}\n{report}")
+
 
 def test_written_csvs_match_the_cell_by_cell_writer(tmp_path):
     """fit --test, apply and invert write the bytes the reference writer makes

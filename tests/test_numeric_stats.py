@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import parsemunge as pm
 from parsemunge.encoders import _weighted_moments
 from parsemunge.errors import ConfigError, DataError
-from parsemunge.infill import KIND_MEAN, KIND_MEDIAN, KIND_MODE, mark_targets, train_stat
+from parsemunge.infill import mark_targets, train_stat
 from parsemunge.registry import BEHAVIORS, builtin_registry, merge_overrides
 from parsemunge.tidytable import (
     Distinct,
@@ -79,20 +79,20 @@ def scaled_reference_mean(pairs: list[tuple]) -> float | None:
     if numeric and len(numeric) == sum(v is not None for v, _ in pairs):
         exp = sum_scale_exponent(max(abs(v) for v, _ in numeric), sum(c for _, c in numeric))
         return math.ldexp(reference_train_stat(
-            KIND_MEAN, [(math.ldexp(v, -exp), c) for v, c in numeric]), exp)
-    return reference_train_stat(KIND_MEAN, pairs)
+            "mean", [(math.ldexp(v, -exp), c) for v, c in numeric]), exp)
+    return reference_train_stat("mean", pairs)
 
 
 def check_stat(kind: str, values: list, counts: list[int]) -> None:
     pairs = list(zip(values, counts))
     new = outcome(lambda: train_stat(kind, values, np.array(counts, np.int64)))
-    if kind == KIND_MEAN:
+    if kind == "mean":
         assert new == outcome(lambda: scaled_reference_mean(pairs))
         return
     old = outcome(lambda: reference_train_stat(kind, pairs))
     if new != old:
         # Only where the old median overflowed: now a finite value in range.
-        assert kind == KIND_MEDIAN and old in (math.inf.hex(), (-math.inf).hex())
+        assert kind == "median" and old in (math.inf.hex(), (-math.inf).hex())
         stat = float.fromhex(new)
         present = [v for v in values if v is not None]
         assert math.isfinite(stat) and min(present) <= stat <= max(present)
@@ -128,9 +128,9 @@ def test_statistics_match_the_loops_over_sorted_pairs(counts):
         assert outcome(lambda: mark_targets(Distinct(keys), rule).tolist()) == outcome(
             lambda: reference_mark_targets(keys, rule))
     numeric = [as_number(k) for k in keys]  # a numeric column over the same values
-    for kind in (KIND_MEAN, KIND_MEDIAN, KIND_MODE):
+    for kind in ("mean", "median", "mode"):
         check_stat(kind, numeric, list(counts.values()))
-    check_stat(KIND_MODE, keys, list(counts.values()))
+    check_stat("mode", keys, list(counts.values()))
 
 
 @settings(max_examples=300, deadline=None)
@@ -197,20 +197,20 @@ class TestNonFiniteCells:
 
 class TestInfillStatisticOverflow:
     def test_mean_of_huge_values_is_finite(self):
-        stat = train_stat(KIND_MEAN, [1.7e308, 1.6e308], np.array([2, 1]))
+        stat = train_stat("mean", [1.7e308, 1.6e308], np.array([2, 1]))
         assert stat == pytest.approx(1.7e308 / 3 * 2 + 1.6e308 / 3, rel=1e-15)
-        assert reference_train_stat(KIND_MEAN, [(1.7e308, 2), (1.6e308, 1)]) == math.inf
-        assert train_stat(KIND_MEAN, [-1.7e308, -1.7e308], np.array([1, 1])) == -1.7e308
+        assert reference_train_stat("mean", [(1.7e308, 2), (1.6e308, 1)]) == math.inf
+        assert train_stat("mean", [-1.7e308, -1.7e308], np.array([1, 1])) == -1.7e308
 
     def test_median_of_huge_values_is_finite(self):
-        assert reference_train_stat(KIND_MEDIAN, [(1.7e308, 1), (1.6e308, 1)]) == math.inf
-        assert train_stat(KIND_MEDIAN, [1.7e308, 1.6e308], np.array([1, 1])) == (
+        assert reference_train_stat("median", [(1.7e308, 1), (1.6e308, 1)]) == math.inf
+        assert train_stat("median", [1.7e308, 1.6e308], np.array([1, 1])) == (
             1.7e308 / 2 + 1.6e308 / 2)
-        assert train_stat(KIND_MEDIAN, [-1.7e308, -1.6e308], np.array([1, 1])) == (
+        assert train_stat("median", [-1.7e308, -1.6e308], np.array([1, 1])) == (
             -1.7e308 / 2 - 1.6e308 / 2)
         # Sums that stay in range keep their bits.
-        assert train_stat(KIND_MEDIAN, [1.0, 2.0], np.array([1, 1])) == 1.5
-        assert train_stat(KIND_MEDIAN, [math.inf, 1.0], np.array([1, 1])) == math.inf
+        assert train_stat("median", [1.0, 2.0], np.array([1, 1])) == 1.5
+        assert train_stat("median", [math.inf, 1.0], np.array([1, 1])) == math.inf
 
     def test_meaninfill_of_saturated_extractions_serializes(self):
         reg = merge_overrides(builtin_registry(), {"nmcq": {"parents": ["nmcq"]}},

@@ -26,6 +26,7 @@ from .oracles import (
     oracle_single_assignment,
     reference_match_train_overlap,
     reference_sbst_fit,
+    reference_scan_multi,
     reference_scan_single,
 )
 
@@ -87,6 +88,20 @@ class TestScanOverlaps:
                 for b in uniques[i + 1:]:
                     expected |= oracle_pair_longest_common(a, b, min_len=2)
             assert set(omap.overlaps) == expected
+
+    @given(st.lists(st.text(alphabet="abc -", max_size=8), min_size=1, max_size=7, unique=True),
+           st.integers(2, 4), st.frozensets(st.sampled_from("ab -"), max_size=2))
+    @example(["", "ab", "cd"], 2, frozenset())  # an empty entry; entries without an overlap
+    @example(["ab-ab", "xab-", "-abx"], 2, frozenset("-"))
+    @settings(max_examples=300, deadline=None)
+    def test_multi_mode_matches_pairwise_reference(self, uniques, min_len, exclude):
+        """The whole multi-mode map, supporters, assignments and key order
+        included, equals the pair-by-pair reference."""
+        cfg = OverlapScanConfig(min_len=min_len, exclude_chars=exclude, single_id=False)
+        omap = scan_overlaps(uniques, cfg)
+        overlaps, assignment = reference_scan_multi(uniques, min_len, exclude)
+        assert list(omap.overlaps.items()) == list(overlaps.items())
+        assert list(omap.assignment.items()) == list(assignment.items())
 
 
 class TestSplt:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import parsemunge as pm
 from parsemunge import tidytable
 from parsemunge.errors import DataError
 from parsemunge.tidytable import (
@@ -70,6 +71,17 @@ class TestLoadCsv:
         with pytest.raises(DataError) as info:
             load_csv(path)
         assert str(info.value) == f"{path}: not UTF-8: byte 0xff: invalid start byte"
+
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        # Spreadsheet tools start a "CSV UTF-8" export with one; only a leading one goes.
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"\xef\xbb\xbfa,b\nx,1\n\xef\xbb\xbf,2\n")
+        table = load_csv(path)
+        assert table.headers == ["a", "b"]
+        assert table.column("a") == ["x", "\ufeff"]
+        assert table == reference_load_csv(path)
+        _, artifact = pm.fit(table, {"a": "onht"})
+        assert artifact.per_source["a"].root == "onht"
 
     def test_custom_missing_tokens(self, tmp_path):
         table = load_csv(_write(tmp_path, "a\nNA\n"), missing_tokens={""})
@@ -243,6 +255,22 @@ class TestAgainstReference:
                                                               block_rows):
         """All-float columns stored as arrays or lists, beside mixed ones."""
         self._assert_same_bytes(tmp_path_factory, table, block_rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_tables(st.one_of(st.none(), _any_floats)), _block_rows)
+    @example(TidyTable(["a", "b"], [[None, -0.0, 1e17], [2.5, None, None]]), 1)
+    def test_float_and_missing_columns_write_the_reference_bytes(self, tmp_path_factory, table,
+                                                                 block_rows):
+        """Lists of floats and missing cells, as ``invert`` gives for a numeric source."""
+        self._assert_same_bytes(tmp_path_factory, table, block_rows)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_float_beside_missing_raises_as_the_reference(self, tmp_path, bad):
+        table = TidyTable(headers=["x", "y"], columns=[[None, bad], ["a", "b"]])
+        with pytest.raises(Exception) as ref:
+            reference_write_csv(table, tmp_path / "ref.csv")
+        with pytest.raises(ref.type, match=re.escape(str(ref.value))):
+            write_csv(table, tmp_path / "new.csv")
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_float_raises_as_the_reference(self, tmp_path, bad):

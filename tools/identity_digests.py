@@ -16,7 +16,10 @@ writes), ``drift_report`` on the test and the train table, and the
 ``sbst`` and under a case-sensitive ``srch`` with fixed terms (``SEARCH``),
 give the artifact and ``apply`` output of roots that the workloads do not run;
 a third, of ``sbst`` on a fixed table (``TIES``), gives those of entries that
-contain two candidates of one length, which no workload holds.
+contain two candidates of one length, which no workload holds. Then the
+workload is refitted once per stored infill kind (``INFILL_KINDS``) over every
+source, for the artifact and ``apply`` output of fills that the workloads do
+not run.
 
 With ``--against DIR``, each (workload, seed) also runs on the program and
 workloads of the checkout at DIR; only the lines that differ are printed,
@@ -40,6 +43,9 @@ SEARCH = ["a", "E", "0", "1", "-", ".", " ", "re", "Mac", "ab"]
 # The texts of the fixed sbst fit: "abcde vwxyz" and "vwxyz-abcde" each contain
 # the candidates "abcde" and "vwxyz", of one length, so the tie-break decides.
 TIES = ["abcde", "vwxyz", "abcde vwxyz", "vwxyz-abcde", "pqrst", "pqrst!"]
+# Every infill kind that an artifact stores, by its config name.
+INFILL_KINDS = ["zeroinfill", "oneinfill", "negzeroinfill", "adjinfill", "meaninfill",
+                "medianinfill", "modeinfill"]
 
 
 def _sha(data: bytes) -> str:
@@ -110,6 +116,11 @@ def digests(name: str, seed: int) -> dict[str, str]:
     _, fitted = pm.fit(ties, {"t": "sbst"})
     out["sbst_ties_artifact"] = _sha(pm.serialize(fitted))
     out["sbst_ties_apply"] = _table_sha(pm.apply(fitted, ties))
+    for kind in INFILL_KINDS:
+        opts = pm.Options(**{**w.options, "assigninfill": {kind: list(w.train)}})
+        _, fitted = pm.fit(train, w.assignments, opts=opts)
+        out[f"infill_{kind}_artifact"] = _sha(pm.serialize(fitted))
+        out[f"infill_{kind}_apply"] = _table_sha(pm.apply(fitted, test))
     return out
 
 
