@@ -11,6 +11,7 @@ position drop the column the generation was applied to from the returned set.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 from . import encoders, extract_search, stringparse
@@ -231,26 +232,6 @@ def merge_overrides(base: Registry, trees: dict | None = None,
     return merged
 
 
-def _offspring_depth_exceeded(reg: Registry, key: str, slots, depth: int) -> bool:
-    """Whether the generation that fit runs for ``key`` over ``slots`` at
-    ``depth``, or one it starts, is deeper than MAX_DEPTH. As in fit, a root's
-    generation has depth 1 and each offspring generation one more."""
-    if depth > MAX_DEPTH:
-        return True
-    tree = reg.trees.get(reg.resolve(key))
-    if tree is None:
-        return False
-    for slot in slots:
-        if not PRIMITIVE_SEMANTICS[slot][0]:
-            continue
-        for entry in tree.slot(slot):
-            sub = reg.trees.get(reg.resolve(entry))
-            if sub is not None and sub.has_downstream():
-                if _offspring_depth_exceeded(reg, entry, DOWNSTREAM_SLOTS, depth + 1):
-                    return True
-    return False
-
-
 def validate_registry(reg: Registry) -> list[str]:
     """Diagnostics for dangling keys, unbounded offspring recursion, and
     downstream wiring that no offspring-bearing slot can ever reach."""
@@ -273,8 +254,25 @@ def validate_registry(reg: Registry) -> list[str]:
                 f"category {key!r} has downstream wiring but never appears in an "
                 "offspring-bearing slot"
             )
+
+    @functools.cache
+    def exceeded(key: str, slots, depth: int) -> bool:
+        """Whether the generation that fit runs for the resolved ``key`` over
+        ``slots`` at ``depth``, or one it starts, is deeper than MAX_DEPTH. As
+        in fit, a root's generation has depth 1 and each offspring generation
+        one more. Each (key, slots, depth) is answered once, so the check is
+        linear in the registry's size times MAX_DEPTH."""
+        if depth > MAX_DEPTH:
+            return True
+        tree = reg.trees.get(key)
+        return tree is not None and any(
+            exceeded(sub, DOWNSTREAM_SLOTS, depth + 1)
+            for slot in slots if PRIMITIVE_SEMANTICS[slot][0]
+            for sub in map(reg.resolve, tree.slot(slot))
+            if sub in reg.trees and reg.trees[sub].has_downstream())
+
     for key in sorted(reg.trees):
-        if _offspring_depth_exceeded(reg, key, UPSTREAM_SLOTS, 1):
+        if exceeded(reg.resolve(key), UPSTREAM_SLOTS, 1):
             diagnostics.append(
                 f"offspring recursion from {key!r} exceeds max depth {MAX_DEPTH}"
             )

@@ -8,9 +8,8 @@ prefix doubling over integer ranks (Manber & Myers 1993), and the longest
 common prefix of each adjacent pair comes from binary lifting over the same
 ranks. A suffix's longest prefix shared with another entry is the running
 minimum of those prefixes back to the nearest suffix of another entry on
-either side, so one pass gives every entry its widest overlap, and the
-entries holding an overlap are the owners of one interval of the array. The
-cost grows with the total characters of the set, times their logarithm.
+either side, so one pass gives every entry its widest overlap. The cost grows
+with the total characters of the set, times their logarithm.
 
 Entries unseen at fit (``spl2``, ``spl5``) are matched in one call per step
 evaluation. The stored overlaps of each length are one sorted array of
@@ -21,9 +20,9 @@ is exact.
 
 Multi mode walks window lengths from (longest entry - 1) down to the
 minimum. At each width it intersects the window sets of every entry pair not
-yet matched, which stays quadratic in the entry count, and maps every
-entry's windows to the entries containing them, which gives each overlap its
-supporting entries.
+yet matched, which stays quadratic in the entry count, and each entry's
+window set with the overlaps found at that width, which appends them to the
+entry's assignment.
 """
 
 from __future__ import annotations
@@ -65,14 +64,15 @@ class OverlapScanConfig:
 
 @dataclass
 class OverlapMap:
-    """Identified overlaps with their supporting entries, plus per-entry assignments.
+    """Identified overlaps, longest first, then smallest (the column order of
+    splt, sp15 and sp19), plus per-entry assignments.
 
     In single-identification mode each entry maps to at most one overlap (the
     longest available, ties broken by smallest string); in multi mode each
-    entry maps to the ordered list of overlaps it contains.
+    entry maps to the list of overlaps it contains, in the same order.
     """
 
-    overlaps: dict[str, list[str]] = field(default_factory=dict)
+    overlaps: list[str] = field(default_factory=list)
     assignment: dict = field(default_factory=dict)
 
 
@@ -97,20 +97,6 @@ def _windows(entry: str, w: int, exclude: frozenset[str]) -> set[str]:
     if exclude:
         windows = {s for s in windows if _clean(s, exclude)}
     return windows
-
-
-def _width_index(windows) -> dict[str, list[str]]:
-    """Window -> the entries containing it, in the order of the (entry, window
-    set) pairs given."""
-    index: dict[str, list[str]] = {}
-    for e, mine in windows:
-        for s in mine:
-            holders = index.get(s)
-            if holders is None:
-                index[s] = [e]
-            else:
-                holders.append(e)
-    return index
 
 
 def scan_overlaps(uniques, cfg: OverlapScanConfig) -> OverlapMap:
@@ -185,19 +171,7 @@ def _scan_single(entries: list[str], top: int, cfg: OverlapScanConfig) -> Overla
     names = [text[p:p + w] for p, w in zip((sa[first] - owner[first]).tolist(), width)]
     assignment = {entries[owners[i]]: names[i]
                   for i in sorted(range(len(names)), key=width.__getitem__, reverse=True)}
-    # Each distinct overlap's supporters: the owners of the interval of suffixes
-    # around one of its suffix-array positions where lcp stays at its width.
-    one = dict(zip(names, first.tolist()))
-    lcp, owner = lcp.tolist(), owner.tolist()
-    overlaps = {}
-    for s, lo in sorted(one.items()):
-        hi = lo
-        while lcp[lo] >= len(s):
-            lo -= 1
-        while lcp[hi + 1] >= len(s):
-            hi += 1
-        overlaps[s] = [entries[o] for o in sorted(set(owner[lo:hi + 1]))]
-    return OverlapMap(overlaps=overlaps, assignment=assignment)
+    return OverlapMap(overlaps=_ordered_overlaps(set(names)), assignment=assignment)
 
 
 def _block_keys(chars, base: int, longest: int):
@@ -241,7 +215,8 @@ def _scan_multi(entries: list[str], top: int, cfg: OverlapScanConfig) -> Overlap
     pending = {
         (a, b) for i, a in enumerate(entries) for b in entries[i + 1:]
     }
-    overlaps: dict[str, list[str]] = {}
+    overlaps: list[str] = []
+    mine: dict[str, list[str]] = {e: [] for e in entries}
     for w in range(top, cfg.min_len - 1, -1):
         if not pending:
             break
@@ -255,16 +230,11 @@ def _scan_multi(entries: list[str], top: int, cfg: OverlapScanConfig) -> Overlap
                 found |= common
                 done.add(pair)
         pending -= done
-        if found:
-            index = _width_index(windows.items())
-            for s in found:
-                overlaps[s] = index[s]
-    overlaps = dict(sorted(overlaps.items()))
-    assignment: dict[str, list[str]] = {}
-    for s in _ordered_overlaps(overlaps):
-        for e in overlaps[s]:
-            assignment.setdefault(e, []).append(s)
-    return OverlapMap(overlaps=overlaps, assignment=dict(sorted(assignment.items())))
+        if found:  # widths fall, so every list comes out longest first, then smallest
+            overlaps += sorted(found)
+            for e, held in windows.items():
+                mine[e] += sorted(held & found)
+    return OverlapMap(overlaps=overlaps, assignment={e: m for e, m in mine.items() if m})
 
 
 def _ordered_overlaps(keys) -> list[str]:
@@ -292,10 +262,7 @@ class SpltBehavior(Behavior):
     def fit(self, view, params, root_rule):
         cfg = config_from_params(params, single_id=self.single_id)
         omap = scan_overlaps(view.text_counts, cfg)
-        return {
-            "overlaps": _ordered_overlaps(omap.overlaps),
-            "assignment": omap.assignment,
-        }
+        return {"overlaps": omap.overlaps, "assignment": omap.assignment}
 
     def output_tokens(self, state):
         return [sanitize_token(o) for o in state["overlaps"]]
@@ -466,12 +433,11 @@ class Sp19Behavior(B1010Behavior):
     def fit(self, view, params, root_rule):
         cfg = config_from_params(params, single_id=False)
         omap = scan_overlaps(view.text_counts, cfg)
-        overlaps = _ordered_overlaps(omap.overlaps)
         pattern_counts: dict[str, int] = {}
         entry_pattern: dict[str, str] = {}
         for entry, n in view.text_counts.items():
             mine = omap.assignment.get(entry, ())
-            bits = "".join("1" if o in mine else "0" for o in overlaps)
+            bits = "".join("1" if o in mine else "0" for o in omap.overlaps)
             if "1" in bits:
                 entry_pattern[entry] = bits
                 pattern_counts[bits] = pattern_counts.get(bits, 0) + n

@@ -36,6 +36,8 @@ import numpy as np
 
 from . import infill as infill_mod
 from .encoders import (
+    CLASS_BOOLEAN,
+    CLASS_NUMERIC,
     Behavior,
     deviation_std,
     ranked_entries,
@@ -581,6 +583,10 @@ def deserialize(data: bytes | str) -> FitArtifact:
         if not infill_mod.eligible(spec["kind"], behaviors[h]):
             raise DataError(f"artifact infill_spec gives the {behaviors[h].name} column {h!r}"
                             f" {spec['kind']} infill, which fit never gives it; refit the artifact")
+        if isinstance(spec.get("value"), str) and (
+                behaviors[h].coltype_class in (CLASS_NUMERIC, CLASS_BOOLEAN)):
+            raise DataError(f"artifact infill_spec fills the {behaviors[h].name} column {h!r},"
+                            f" which holds floats, with the text {spec['value']!r}; refit the artifact")
     return artifact
 
 

@@ -46,7 +46,7 @@ from parsemunge.tidytable import (
     parse_number,
     sum_scale_exponent,
 )
-from parsemunge.stringparse import OverlapMap, OverlapScanConfig, config_from_params
+from parsemunge.stringparse import OverlapScanConfig, config_from_params
 
 
 def dp_lcs_length(a: str, b: str) -> int:
@@ -405,11 +405,13 @@ def reference_write_csv(table: TidyTable, path) -> None:
             fh.write(buf.getvalue().removesuffix("\r\n") + "\n")
 
 
-def reference_scan_single(entries: list[str], top: int, cfg: OverlapScanConfig) -> OverlapMap:
+def reference_scan_single(entries: list[str], top: int,
+                          cfg: OverlapScanConfig) -> tuple[list[str], dict]:
     """The single-id overlap scan as a loop over window widths, longest first,
-    with a window index over every entry at each width."""
+    with a window index over every entry at each width. The overlaps, longest
+    first, then smallest, and the assignment, keyed in assignment order."""
     assignment: dict[str, str] = {}
-    overlaps: dict[str, list[str]] = {}
+    overlaps: list[str] = []
     for w in range(top, cfg.min_len - 1, -1):
         if len(assignment) == len(entries):
             break
@@ -423,28 +425,27 @@ def reference_scan_single(entries: list[str], top: int, cfg: OverlapScanConfig) 
                 continue
             candidates = [s for s in windows[e] if len(index[s]) > 1]
             if candidates:
-                s = assignment[e] = min(candidates)
-                overlaps[s] = index[s]
-    return OverlapMap(overlaps=dict(sorted(overlaps.items())), assignment=assignment)
+                assignment[e] = min(candidates)
+        overlaps += sorted({s for s in assignment.values() if len(s) == w})
+    return overlaps, assignment
 
 
 def reference_scan_multi(uniques, min_len: int,
-                         exclude: frozenset = frozenset()) -> tuple[dict, dict]:
+                         exclude: frozenset = frozenset()) -> tuple[list[str], dict]:
     """The multi-mode overlap scan pair by pair: every common substring of a
-    pair at the pair's longest match length is an overlap; an overlap's
-    supporters are the entries containing it, and an entry's assignment is the
-    overlaps it contains, longest first, then smallest. The overlaps and the
-    assignment, each keyed in order."""
+    pair at the pair's longest match length is an overlap, and an entry's
+    assignment is the overlaps it contains, longest first, then smallest. The
+    overlaps in that order, and the assignment keyed in entry order."""
     entries = sorted(uniques)
     found: set[str] = set()
     for i, a in enumerate(entries):
         for b in entries[i + 1:]:
             found |= oracle_pair_longest_common(a, b, min_len, exclude)
-    overlaps = {s: [e for e in entries if s in e] for s in sorted(found)}
+    overlaps = sorted(found, key=lambda s: (-len(s), s))
     assignment = {}
     for e in entries:
-        if mine := [s for s in overlaps if s in e]:
-            assignment[e] = sorted(mine, key=lambda s: (-len(s), s))
+        if mine := [s for s in overlaps if s in e]:  # in the overlaps' order
+            assignment[e] = mine
     return overlaps, assignment
 
 

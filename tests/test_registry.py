@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 import parsemunge as pm
@@ -222,6 +224,24 @@ class TestValidate:
         except ConfigError:
             ran = False
         assert ran == accepted
+
+    def test_layered_registry_validates_in_linear_time(self):
+        """14 layers of 3 categories, each listing all of the next layer's as
+        children: 3**13 paths from each root. The depth check answers each
+        (category, slots, depth) once, so this takes milliseconds, where
+        walking every path took seconds."""
+        trees = {}
+        for i in range(1, 15):
+            layer = [f"l{i + 1}w{k}" for k in range(3)] if i < 14 else []
+            for j in range(3):
+                trees[f"l{i}w{j}"] = {"children": layer} if layer else {}
+        for j in range(3):
+            trees[f"l1w{j}"]["parents"] = [f"l1w{j}"]
+        entries = dict.fromkeys(trees, {"behavior": "UPCS"})
+        start = time.perf_counter()
+        merged = merge_overrides(builtin_registry(), trees, entries)
+        assert validate_registry(merged) == []
+        assert time.perf_counter() - start < 1.0
 
     def test_dangling_diagnostic(self):
         base = builtin_registry()

@@ -35,7 +35,7 @@ class TestScanOverlaps:
     def test_chrome_pair(self):
         omap = scan_overlaps({"chrome 62.0", "chrome 49.0"}, OverlapScanConfig(min_len=5))
         assert omap.assignment == {"chrome 62.0": "chrome ", "chrome 49.0": "chrome "}
-        assert omap.overlaps == {"chrome ": ["chrome 49.0", "chrome 62.0"]}
+        assert omap.overlaps == ["chrome "]
 
     def test_mac_pair(self):
         omap = scan_overlaps({"Mac OS X 10_11_6", "Mac OS X 10_7_5"},
@@ -45,7 +45,7 @@ class TestScanOverlaps:
 
     def test_no_overlap(self):
         omap = scan_overlaps({"abc", "xyz"}, OverlapScanConfig(min_len=2))
-        assert omap.overlaps == {}
+        assert omap.overlaps == []
         assert omap.assignment == {}
 
     def test_min_len_validated(self):
@@ -95,12 +95,12 @@ class TestScanOverlaps:
     @example(["ab-ab", "xab-", "-abx"], 2, frozenset("-"))
     @settings(max_examples=300, deadline=None)
     def test_multi_mode_matches_pairwise_reference(self, uniques, min_len, exclude):
-        """The whole multi-mode map, supporters, assignments and key order
-        included, equals the pair-by-pair reference."""
+        """The whole multi-mode map, the overlaps' order and the assignment's
+        key order included, equals the pair-by-pair reference."""
         cfg = OverlapScanConfig(min_len=min_len, exclude_chars=exclude, single_id=False)
         omap = scan_overlaps(uniques, cfg)
         overlaps, assignment = reference_scan_multi(uniques, min_len, exclude)
-        assert list(omap.overlaps.items()) == list(overlaps.items())
+        assert omap.overlaps == overlaps
         assert list(omap.assignment.items()) == list(assignment.items())
 
 
@@ -322,11 +322,11 @@ def _by_length_then_text(s):
 
 @given(_entries, st.booleans(), st.sampled_from([frozenset(), frozenset("b")]))
 @settings(max_examples=80, deadline=None)
-def test_overlap_supporters_match_containment(uniques, single_id, exclude):
+def test_assignment_matches_containment(uniques, single_id, exclude):
     cfg = OverlapScanConfig(min_len=2, exclude_chars=exclude, single_id=single_id)
     omap = scan_overlaps(uniques, cfg)
-    for s, supporters in omap.overlaps.items():
-        assert supporters == sorted(e for e in uniques if s in e)
+    for e, mine in omap.assignment.items():
+        assert all(s in e for s in ([mine] if single_id else mine))
     if single_id:
         assert set(omap.overlaps) == set(omap.assignment.values())
     else:
@@ -335,16 +335,22 @@ def test_overlap_supporters_match_containment(uniques, single_id, exclude):
             assert omap.assignment.get(e, []) == mine
 
 
-@given(st.sets(st.text(alphabet="ab c", min_size=1, max_size=9), max_size=14),
-       st.integers(min_value=2, max_value=4),
-       st.sampled_from([frozenset(), frozenset(" ")]))
-@settings(max_examples=100, deadline=None)
-def test_single_id_overlaps_are_the_assigned_values(uniques, min_len, exclude):
-    # spl2/spl5/spl9/sp10 store only the assignment and rebuild the overlaps
-    # from its values, which loses nothing only while this holds.
-    cfg = OverlapScanConfig(min_len=min_len, exclude_chars=exclude)
+@given(st.sets(st.text(alphabet="ab c", max_size=9), max_size=14), st.booleans(),
+       st.integers(min_value=2, max_value=4), st.sampled_from([frozenset(), frozenset(" ")]))
+@settings(max_examples=150, deadline=None)
+def test_overlaps_are_ordered_assigned_and_shared(uniques, single_id, min_len, exclude):
+    """In both modes the overlaps are in column order, longest first, then
+    smallest; they are exactly the assigned ones; and each is contained in at
+    least two entries."""
+    cfg = OverlapScanConfig(min_len=min_len, exclude_chars=exclude, single_id=single_id)
     omap = scan_overlaps(uniques, cfg)
-    assert set(omap.overlaps) == set(omap.assignment.values())
+    assert omap.overlaps == sorted(set(omap.overlaps), key=_by_length_then_text)
+    # spl2/spl5/spl9/sp10 store only the single-id assignment and rebuild the
+    # overlaps from its values, which loses nothing only while this holds.
+    assigned = [[mine] if single_id else mine for mine in omap.assignment.values()]
+    assert set(omap.overlaps) == set().union(*assigned)
+    for s in omap.overlaps:
+        assert sum(s in e for e in uniques) >= 2
 
 
 @given(st.sets(st.text(alphabet="abc", min_size=1, max_size=5), max_size=12),
@@ -493,12 +499,12 @@ def test_assignment_to_no_stored_overlap_activates_nothing(name):
 
 def _assert_same_as_width_loop(uniques, cfg):
     """The single-id scan equals the width-loop reference: the same overlaps
-    with the same holders, the same assignment, and the same key order."""
+    in the same order, and the same assignment in the same key order."""
     got = scan_overlaps(uniques, cfg)
     entries = sorted(uniques)
-    want = reference_scan_single(entries, max(map(len, entries)) - 1, cfg)
-    assert list(got.overlaps.items()) == list(want.overlaps.items())
-    assert list(got.assignment.items()) == list(want.assignment.items())
+    overlaps, assignment = reference_scan_single(entries, max(map(len, entries)) - 1, cfg)
+    assert got.overlaps == overlaps
+    assert list(got.assignment.items()) == list(assignment.items())
 
 
 # NUL and U+10FFFF bound the code points; the astral characters take four

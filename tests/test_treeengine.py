@@ -956,6 +956,20 @@ class TestSerialization:
         with pytest.raises(DataError):
             pm.deserialize(json.dumps(doc))
 
+    @pytest.mark.parametrize("cells, root, column", [
+        ([1.0, None, 3.0], "nmbr", "a_nmbr"),
+        (["x", "y", None, "x"], "onht", "a_onht_y"),
+    ], ids=["numeric-column", "boolean-column"])
+    def test_text_mode_value_on_a_float_column_is_refused(self, cells, root, column):
+        """Numeric and boolean columns hold floats, so fit gives them a float
+        mode; a text one would put text in the encoded column at apply."""
+        opts = Options(assigninfill={"modeinfill": ["a"]})
+        _, artifact = pm.fit(_table(a=cells), {"a": root}, opts=opts)
+        doc = json.loads(pm.serialize(artifact))
+        doc["infill_spec"][column] = {"kind": "mode", "value": "zz"}
+        with pytest.raises(DataError, match=f"column '{column}', which holds floats"):
+            pm.deserialize(json.dumps(doc))
+
     @pytest.mark.parametrize("source, step, name, message", [
         ("a", "NArw", "a", "'NArw' of source 'a' names the output 'a', which the source"),
         ("a", "NArw", "a_ord3", "'NArw' of source 'a' names the output 'a_ord3', which the"),

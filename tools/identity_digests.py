@@ -16,10 +16,12 @@ writes), ``drift_report`` on the test and the train table, and the
 ``sbst`` and under a case-sensitive ``srch`` with fixed terms (``SEARCH``),
 give the artifact and ``apply`` output of roots that the workloads do not run;
 a third, of ``sbst`` on a fixed table (``TIES``), gives those of entries that
-contain two candidates of one length, which no workload holds. Then the
-workload is refitted once per stored infill kind (``INFILL_KINDS``) over every
-source, for the artifact and ``apply`` output of fills that the workloads do
-not run.
+contain two candidates of one length, which no workload holds. The overlap
+scan roots that no workload runs (``SCAN_ROOTS``) are fitted over the
+non-numeric sources of the first ``SCAN_ROWS`` train rows, for their artifact
+and ``apply`` output on the test table. Then the workload is refitted once per
+stored infill kind (``INFILL_KINDS``) over every source, for the artifact and
+``apply`` output of fills that the workloads do not run.
 
 With ``--against DIR``, each (workload, seed) also runs on the program and
 workloads of the checkout at DIR; only the lines that differ are printed,
@@ -43,6 +45,10 @@ SEARCH = ["a", "E", "0", "1", "-", ".", " ", "re", "Mac", "ab"]
 # The texts of the fixed sbst fit: "abcde vwxyz" and "vwxyz-abcde" each contain
 # the candidates "abcde" and "vwxyz", of one length, so the tie-break decides.
 TIES = ["abcde", "vwxyz", "abcde vwxyz", "vwxyz-abcde", "pqrst", "pqrst!"]
+# The overlap scan roots that no workload runs, and the train rows they are
+# fitted on: the scan of sp15 and sp19 is quadratic in the uniques.
+SCAN_ROOTS = ["splt", "sp15", "sp19"]
+SCAN_ROWS = 300
 # Every infill kind that an artifact stores, by its config name.
 INFILL_KINDS = ["zeroinfill", "oneinfill", "negzeroinfill", "adjinfill", "meaninfill",
                 "medianinfill", "modeinfill"]
@@ -110,6 +116,11 @@ def digests(name: str, seed: int) -> dict[str, str]:
     for root, params in (("sbst", {}), ("srch", {"search": SEARCH, "case_sensitive": True})):
         opts = pm.Options(assignparam={root: dict.fromkeys(text, params)})
         _, fitted = pm.fit(train, dict.fromkeys(text, root), opts=opts)
+        out[f"{root}_artifact"] = _sha(pm.serialize(fitted))
+        out[f"{root}_apply"] = _table_sha(pm.apply(fitted, test))
+    prefix = pm.TidyTable(train.headers, [c[:SCAN_ROWS] for c in train.columns])
+    for root in SCAN_ROOTS:
+        _, fitted = pm.fit(prefix, dict.fromkeys(text, root))
         out[f"{root}_artifact"] = _sha(pm.serialize(fitted))
         out[f"{root}_apply"] = _table_sha(pm.apply(fitted, test))
     ties = pm.TidyTable(["t"], [TIES])
