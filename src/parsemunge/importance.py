@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import logging
 from dataclasses import dataclass
@@ -208,9 +209,15 @@ def permutation_importance(artifact: FitArtifact, table: TidyTable,
 # present pairs are renumbered, and each row's keys move into its child's half
 # of twice their number, so the keys stay below twice the rows' cells.
 # A cut lies between two adjacent bins present in a node, its threshold is
-# their midpoint, and NaN, which sorts last, never offers one. Each bootstrap
-# grows its own tree, and the trees are stored as one flat forest, which
-# ``predict`` walks together, one level at a time.
+# their midpoint, and NaN, which sorts last, never offers one. Consecutive
+# bootstraps grow together, as many as _FRONTIER_CELLS sample cells (rows
+# times features) hold, or one larger tree alone: a frontier's arrays grow
+# with its cells, and a larger frontier saved no time but raised peak memory.
+# A node's rows keep their order and every sum is per node or per segment, so
+# a tree is the same in any group. The forest is one set of flat arrays, which
+# ``predict`` walks for every tree together, one level at a time.
+
+_FRONTIER_CELLS = 2 ** 16
 
 
 class _Bins(NamedTuple):
@@ -372,9 +379,9 @@ def _best_splits(bins: _Bins, pair_node, pair_bin, hist, totals, count, impurity
 
 
 class _Forest(NamedTuple):
-    """The nodes of every tree in flat arrays, each tree breadth first from its
-    root; a split's children are adjacent, and a leaf is its own left and
-    right."""
+    """The nodes of every tree in flat arrays, each group of trees level by
+    level from its roots; a split's children are adjacent, and a leaf is its
+    own left and right."""
 
     root: np.ndarray
     feature: np.ndarray
@@ -386,20 +393,25 @@ class _Forest(NamedTuple):
 
 
 def _grow(bins: _Bins, y, samples, max_depth: int, task: str, n_classes: int) -> _Forest:
-    """One tree per sample of row indices, grown one at a time, each one depth
-    at a time over its frontier nodes."""
+    """One tree per sample of row indices. Consecutive trees grow together,
+    as many as fit in ``_FRONTIER_CELLS`` sample cells (a larger tree grows
+    alone), one depth at a time over the frontier nodes of all of them."""
+    n_bins = len(bins.value)
+    per_group = max(1, _FRONTIER_CELLS // max(bins.codes.size, 1))
+    samples = iter(samples)
     levels = []  # per level: (feature, threshold, left, right, value)
     roots, size, deepest = [], 0, 0
-    for sample in samples:
-        roots.append(size)
+    while group := list(itertools.islice(samples, per_group)):
+        m = len(group)
+        roots.extend(range(size, size + m))
+        sample = np.concatenate(group)
         codes, ys = bins.codes[sample], y[sample]
         rows = np.arange(len(ys))
-        node = np.zeros(len(ys), dtype=np.intp)
-        # Each (row, feature)'s candidate (node, bin) pair; at the root, its bin.
-        keys = codes
-        key_node = np.zeros(len(bins.value), dtype=np.intp)
-        key_bin = np.arange(len(bins.value))
-        m = 1
+        node = np.repeat(np.arange(m), list(map(len, group)))
+        # Each (row, feature)'s candidate (node, bin) pair; at a root, its bin
+        # after the bins of the trees before it.
+        keys = codes + (node * n_bins).astype(codes.dtype)[:, None]
+        key_node, key_bin = np.divmod(np.arange(m * n_bins), n_bins)
         for depth in range(max_depth + 1):
             count, value, impurity, mixed, totals, weights = _node_stats(
                 node, ys[rows], m, task, n_classes)
@@ -478,8 +490,10 @@ def builtin_tree(task: str, max_depth: int = 8, n_trees: int = 10,
         else:
             y = np.asarray(y, dtype=float)
             n_classes = 0
-        # Histogram keys stay below 2 * rows * features * classes.
-        index = np.int32 if 2 * X.size * max(n_classes, 1) < 2 ** 31 else np.intp
+        # Histogram keys stay below 2 * classes * a group's cells, which
+        # number _FRONTIER_CELLS at most, or one tree's X.size.
+        cells = max(X.size, _FRONTIER_CELLS)
+        index = np.int32 if 2 * cells * max(n_classes, 1) < 2 ** 31 else np.intp
         bins = _bin(X, index)
         if task == TASK_CLASSIFICATION:
             y = y.astype(index)

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import parsemunge as pm
+from parsemunge import importance
 from parsemunge.errors import ConfigError, DataError
 from parsemunge.importance import (
     TASK_CLASSIFICATION,
@@ -13,6 +14,7 @@ from parsemunge.importance import (
     PredictorAdapter,
     _bin,
     _grow,
+    _predict,
     builtin_tree,
     permutation_importance,
 )
@@ -407,6 +409,42 @@ class TestHistogramTreeMatchesReference:
         assert _nodes(tree) == preorder(oracles._grow(X, y, 0, 1, TASK_CLASSIFICATION, 10))
 
 
+class TestGroupedGrowth:
+    """Trees grown together in a group of any size are the trees grown one at
+    a time, bit for bit: every node, and every prediction on held-out rows."""
+
+    # Leaves of a depth-4 tree over 200 rows sum about a dozen float targets
+    # each, so a change in their order shows in the last bits.
+    ROWS, FEATURES = 200, 4
+
+    @classmethod
+    def _grown(cls, monkeypatch, cells, task, n_classes):
+        rng = np.random.default_rng(3)
+        X = rng.integers(0, 6, (2 * cls.ROWS, cls.FEATURES)) * 0.25
+        if task == TASK_CLASSIFICATION:
+            y = (X[:, 0] * 4 + rng.integers(0, 2, len(X))).astype(int) % n_classes
+        else:
+            y = 0.37 * X.sum(axis=1) + rng.normal(0.0, 1.0, len(X))
+        X[rng.random(X.shape) < 0.1] = np.nan
+        X, y, held_out = X[:cls.ROWS], y[:cls.ROWS], X[cls.ROWS:]
+        samples = [rng.integers(0, cls.ROWS, cls.ROWS) for _ in range(7)]
+        # Every row of one label: that tree stops at depth 0 beside deeper ones.
+        samples.insert(2, np.resize(np.flatnonzero(y == y[0]), cls.ROWS))
+        monkeypatch.setattr(importance, "_FRONTIER_CELLS", cells)
+        forest = _grow(_bin(X), y, samples, 4, task, n_classes)
+        return [_nodes(forest, t) for t in range(len(samples))], _predict(forest, held_out)
+
+    @pytest.mark.parametrize("task, n_classes", [(TASK_CLASSIFICATION, 3), (TASK_REGRESSION, 0)])
+    def test_any_group_size_grows_the_same_trees(self, monkeypatch, task, n_classes):
+        cells = self.ROWS * self.FEATURES
+        trees, predictions = self._grown(monkeypatch, 1, task, n_classes)
+        assert len(trees[2]) == 1 and max(map(len, trees)) > 5
+        for budget in (3 * cells, 2 ** 40):  # groups of 3, 3 and 2; one group of 8
+            grouped, grouped_predictions = self._grown(monkeypatch, budget, task, n_classes)
+            assert repr(grouped) == repr(trees)  # repr tells every float bit apart
+            assert grouped_predictions.tobytes() == predictions.tobytes()
+
+
 class TestHistogramTreeMatchesReferenceAtScale:
     """Thousands of rows give frontiers of many nodes at one depth, with many
     present bins each, which the few-row property tests above barely reach."""
@@ -430,7 +468,11 @@ class TestHistogramTreeMatchesReferenceAtScale:
     @pytest.mark.parametrize("task", [TASK_CLASSIFICATION, TASK_REGRESSION])
     def test_trees_and_held_out_predictions_match(self, task):
         X, y, held_out = self._data(task)
-        _assert_same_trees(task, X, y, held_out, 8, 3, 5)
+        # Trees of 2,000 x 6 cells grow five to a group: 3 trees grow in one
+        # group, 6 in a group of five and a group of one.
+        assert importance._FRONTIER_CELLS // X.size == 5
+        for n_trees in (3, 6):
+            _assert_same_trees(task, X, y, held_out, 8, n_trees, 5)
 
 
 class TestRegressionSplitsOnLargeTargets:

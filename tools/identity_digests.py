@@ -12,9 +12,12 @@ both tables in memory and read back from their CSVs (the applied test table
 reaches the unseen code-0 and NArw-missing decodes), the written CSV of
 ``invert`` of both tables (the list columns of texts that the CLI's ``invert``
 writes), ``drift_report`` on the test and the train table, and the
-``ImportanceReport`` JSON. Two more fits, of every non-numeric source under
-``sbst`` and under a case-sensitive ``srch`` with fixed terms (``SEARCH``),
-give the artifact and ``apply`` output of roots that the workloads do not run;
+``ImportanceReport`` JSON of the workload's labels and of a regression on
+seeded float targets (``0.37 * sum of the features + N(0, 1)``), whose sums
+round, so that any change in the order of the trees' sums shows. Two more
+fits, of every non-numeric source under ``sbst`` and under a case-sensitive
+``srch`` with fixed terms (``SEARCH``), give the artifact and ``apply``
+output of roots that the workloads do not run;
 a third, of ``sbst`` on a fixed table (``TIES``), gives those of entries that
 contain two candidates of one length, which no workload holds. The overlap
 scan roots that no workload runs (``SCAN_ROOTS``) are fitted over the
@@ -77,8 +80,9 @@ def _form_sha(table) -> str:
 def digests(name: str, seed: int) -> dict[str, str]:
     """The digest of each output of one workload at one seed, from the program
     and workloads first on ``sys.path``."""
+    import numpy as np
     import parsemunge as pm
-    from parsemunge.importance import TASK_CLASSIFICATION
+    from parsemunge.importance import TASK_CLASSIFICATION, TASK_REGRESSION, _feature_matrix
     from parsemunge.tidytable import COLTYPE_NUMERIC
     from perfbench import workloads
 
@@ -112,6 +116,11 @@ def digests(name: str, seed: int) -> dict[str, str]:
     report = pm.permutation_importance(artifact, subset, w.labels[:n],
                                        pm.builtin_tree(TASK_CLASSIFICATION, seed=0))
     out["importance"] = _json_sha(report.to_jsonable())
+    X, _, _ = _feature_matrix(artifact, pm.apply(artifact, subset))
+    targets = 0.37 * X.sum(axis=1) + np.random.default_rng(seed).normal(0.0, 1.0, len(X))
+    report = pm.permutation_importance(artifact, subset, targets.tolist(),
+                                       pm.builtin_tree(TASK_REGRESSION, seed=0))
+    out["importance_regression"] = _json_sha(report.to_jsonable())
     text = [h for h in train.headers if pm.infer_coltype(train.column(h)) != COLTYPE_NUMERIC]
     for root, params in (("sbst", {}), ("srch", {"search": SEARCH, "case_sensitive": True})):
         opts = pm.Options(assignparam={root: dict.fromkeys(text, params)})
