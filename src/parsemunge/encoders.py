@@ -28,6 +28,7 @@ from .tidytable import (
     COLTYPE_NUMERIC,
     Cell,
     Distinct,
+    cells,
     coltype_of,
     distinct_counts,
     largest_magnitude,
@@ -76,8 +77,7 @@ class Behavior:
 
     def apply_cell(self, compiled, cell: Cell) -> tuple:
         """The output of one value as Python cells; the library evaluates only columns."""
-        return tuple(column[0].item() if isinstance(column, np.ndarray) else column[0]
-                     for column in self.apply_distinct(compiled, Distinct([cell])))
+        return tuple(cells(column)[0] for column in self.apply_distinct(compiled, Distinct([cell])))
 
     def decode(self, state: dict, columns: Iterable[np.ndarray], rows: int
                ) -> tuple[np.ndarray, np.ndarray]:

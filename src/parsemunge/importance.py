@@ -23,7 +23,7 @@ import numpy as np
 
 from .encoders import CLASS_PASSTHROUGH
 from .errors import ConfigError, DataError
-from .tidytable import Cell, TidyTable, as_number, canon_text
+from .tidytable import Cell, TidyTable, canon_text, floats, numbers
 from .treeengine import FitArtifact, apply
 
 logger = logging.getLogger(__name__)
@@ -95,14 +95,9 @@ def _feature_matrix(artifact: FitArtifact, encoded: TidyTable):
         groups[source] = headers
         for h in headers:
             col_index[h] = len(arrays)
-            data = encoded.column_data(h)  # an array, or a list holding text or None
-            arrays.append(data if isinstance(data, np.ndarray) else np.array(
-                [v if isinstance(v, float) else 0.0 for v in data], dtype=float
-            ))
-    if arrays:
-        X = np.column_stack(arrays)
-    else:
-        X = np.zeros((encoded.row_count, 0))
+            values, number = floats(encoded.column_data(h))
+            arrays.append(values if number is None else np.where(number, values, 0.0))
+    X = np.column_stack(arrays) if arrays else np.zeros((encoded.row_count, 0))
     return X, col_index, groups
 
 
@@ -115,20 +110,17 @@ def _score(task: str, predictions: np.ndarray, truth: np.ndarray) -> float:
 
 
 def _encode_labels(labels: list[Cell], task: str):
-    keep = [i for i, v in enumerate(labels) if v is not None]
+    """The rows that have a label, and their labels: class codes, or the finite
+    numbers of a regression's labels (``numbers``; a NaN or an infinity is none)."""
     if task == TASK_CLASSIFICATION:
+        keep = [i for i, v in enumerate(labels) if v is not None]
         texts = [canon_text(labels[i]) for i in keep]
         classes = sorted(set(texts))
         code = {c: i for i, c in enumerate(classes)}
         return keep, np.array([code[t] for t in texts], dtype=int)
-    values = []
-    kept = []
-    for i in keep:
-        v = as_number(labels[i])
-        if v is not None:
-            kept.append(i)
-            values.append(v)
-    return kept, np.array(values, dtype=float)
+    values = numbers(labels)[0]
+    kept = np.flatnonzero(np.isfinite(values))
+    return kept, values[kept]
 
 
 def permutation_importance(artifact: FitArtifact, table: TidyTable,

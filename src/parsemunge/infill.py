@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import compress, count, repeat
+from itertools import repeat
 from math import isinf
 
 import numpy as np
@@ -20,8 +20,10 @@ from .schema import Tagged
 from .tidytable import (
     Cell,
     Distinct,
+    cells,
+    fill,
+    floats,
     largest_magnitude,
-    numbers,
     sum_scale_exponent,
     value_order_fsum,
 )
@@ -85,9 +87,9 @@ def train_stat(kind: str, values: list[Cell] | np.ndarray,
     if isinstance(FILLS[kind], float):
         return None
     if kind == "mode":  # a Python cell, as the artifact stores it
-        return _mode(values.tolist() if isinstance(values, np.ndarray) else values, counts)
-    if isinstance(values, list):
-        values, present = numbers(values)
+        return _mode(cells(values), counts)
+    values, present = floats(values)
+    if present is not None:
         values, counts = values[present], counts[present]
     total = int(counts.sum())
     if not len(values):
@@ -118,25 +120,16 @@ def _mode(values: list[Cell], counts: np.ndarray) -> Cell:
     if not len(values) or not counts.max():
         return None
     tied = list(map(values.__getitem__, np.flatnonzero(counts == counts.max()).tolist()))
-    floats = [v for v in tied if not isinstance(v, str)]
-    return min(floats or tied)
+    numeric = [v for v in tied if not isinstance(v, str)]
+    return min(numeric or tied)
 
 
 def apply_infill(col: list[Cell] | np.ndarray, mask, kind: str,
                  stat: float | str | None = None) -> list[Cell] | np.ndarray:
-    """Replace target cells per kind; non-target cells are never altered. A
-    column filled to all floats is a float64 array, as a behaviour stores one:
-    an array filled with a float stays one, and a list that a float fill leaves
-    all floats becomes one. The fill is the kind's entry of ``FILLS``: its
-    constant, or ``stat``."""
-    fill = FILLS[kind]
-    if not isinstance(fill, float):
-        fill = 0.0 if stat is None else stat
-    if isinstance(col, np.ndarray) and isinstance(fill, float):
-        return np.where(mask, fill, col)
-    filled = col.tolist() if isinstance(col, np.ndarray) else list(col)
-    for i in compress(count(), mask):
-        filled[i] = fill
-    if filled and all(type(c) is float for c in filled):
-        return np.array(filled)
-    return filled
+    """Replace target cells per kind (``tidytable.fill``); non-target cells are
+    never altered. The fill is the kind's entry of ``FILLS``: its constant, or
+    ``stat``."""
+    cell = FILLS[kind]
+    if not isinstance(cell, float):
+        cell = 0.0 if stat is None else stat
+    return fill(col, mask, cell)

@@ -6,6 +6,11 @@ NaN or an infinity is normalized to missing at ingestion. A column is stored
 as a list of cells, or as a float64 array (an encoded column whose cells its
 behaviour emits as floats by construction); ``TidyTable.columns``,
 ``column`` and ``==`` read an array column as a list of Python floats.
+This module alone decides between the two forms. Every other module reads
+and writes a stored column through four operations that take either form:
+``cells`` (its Python cells), ``gather`` (its cells at given codes, in its
+form), ``floats`` (it as float64, with the mask of its number cells) and
+``fill`` (it with given rows replaced, an array when all cells are floats).
 
 CSV I/O works column by column over blocks of ``BLOCK_ROWS`` rows:
 ``load_csv`` classifies each distinct token of a column once and gathers the
@@ -200,8 +205,7 @@ def _as_cells(data: list[Cell] | np.ndarray) -> list[Cell]:
     if not isinstance(data, np.ndarray):
         return data
     bits, codes = np.unique(data.view(np.uint64), return_inverse=True)
-    floats = bits.view(np.float64).tolist()
-    return np.fromiter(floats, object, len(floats))[codes].tolist()
+    return gather(bits.view(np.float64).tolist(), codes)
 
 
 def _same_cells(a: list[Cell] | np.ndarray, b: list[Cell] | np.ndarray) -> bool:
@@ -209,8 +213,51 @@ def _same_cells(a: list[Cell] | np.ndarray, b: list[Cell] | np.ndarray) -> bool:
     compare without building them."""
     if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
         return a is b or np.array_equal(a, b)
-    return (a.tolist() if isinstance(a, np.ndarray) else a) == (
-        b.tolist() if isinstance(b, np.ndarray) else b)
+    return cells(a) == cells(b)
+
+
+def cells(data: list[Cell] | np.ndarray) -> list[Cell]:
+    """A stored column as Python cells: an array's ``tolist()``, a list itself."""
+    return data.tolist() if isinstance(data, np.ndarray) else data
+
+
+def gather(data: list[Cell] | np.ndarray, codes: np.ndarray) -> list[Cell] | np.ndarray:
+    """``data[c]`` for each code ``c``, in the column's form."""
+    if isinstance(data, np.ndarray):
+        return data.take(codes)
+    return np.fromiter(data, dtype=object, count=len(data)).take(codes).tolist()
+
+
+def floats(data: list[Cell] | np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """A stored column as float64, and the mask of its number cells (None if
+    all are): a float, an int or a bool, subclasses included, that a float
+    can hold. Any other cell reads as NaN. A list of floats converts in one call."""
+    if isinstance(data, np.ndarray) or set(map(type, data)) == {float}:
+        return np.asarray(data, np.float64), None
+    values = list(map(_cell_float, data))
+    return (np.array(values, np.float64),
+            np.fromiter(map(operator.is_not, values, repeat(None)), bool, len(values)))
+
+
+def _cell_float(cell: Cell) -> float | None:
+    try:
+        return float(cell) if isinstance(cell, float | int) else None
+    except OverflowError:  # an int beyond the float range
+        return None
+
+
+def fill(data: list[Cell] | np.ndarray, mask, cell: Cell) -> list[Cell] | np.ndarray:
+    """The column with ``cell`` in each row of ``mask``, the others unaltered.
+    A column filled to all floats is a float64 array: an array filled with a
+    float stays one, and a list that a float fill leaves all floats becomes one."""
+    if isinstance(data, np.ndarray) and isinstance(cell, float):
+        return np.where(mask, cell, data)
+    filled = list(cells(data))
+    for i in compress(count(), mask):
+        filled[i] = cell
+    if filled and all(type(c) is float for c in filled):
+        return np.array(filled)
+    return filled
 
 
 class TidyTable:

@@ -15,11 +15,10 @@ stored steps. So applying an artifact to its own train table makes the
 evaluations fit made and reproduces the fit output bit-exactly.
 Infill fills those columns too, before the one gather; adjacent infill, the
 one order-dependent kind, remaps the row codes instead, which a shuffle permutes.
-A behaviour emits a column whose cells are floats by construction as a
-float64 array and any other as a list; rows are gathered in the column's
-form, and the encoded table holds it as it is. ``invert`` reads a step's
-encoded columns as float64 arrays and decodes all their rows at once, by
-arithmetic on the columns (a code map's code, a numeric step's closed form).
+Rows are gathered in the column's storage form (``tidytable.gather``), and
+the encoded table holds it as it is. ``invert`` reads a step's encoded
+columns as float64 (``tidytable.floats``) and decodes all their rows at once,
+by arithmetic on the columns (a code map's code, a numeric step's closed form).
 """
 
 from __future__ import annotations
@@ -27,10 +26,8 @@ from __future__ import annotations
 import json
 import logging
 import math
-import operator
 import random
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
@@ -61,9 +58,12 @@ from .tidytable import (
     Cell,
     Distinct,
     TidyTable,
+    cells,
     checked_coltype,
     distinct_counts,
     factorize,
+    floats,
+    gather,
     largest_magnitude,
     numbers,
     read_cells,
@@ -212,22 +212,13 @@ def _numeric_stats(values: np.ndarray) -> dict:
             "mean": math.ldexp(mean, exp), "std": math.ldexp(std, exp)}
 
 
-def _gather(column: list[Cell] | np.ndarray, codes: np.ndarray) -> list[Cell] | np.ndarray:
-    """``column[c]`` for each code ``c``, in the column's form."""
-    if isinstance(column, np.ndarray):
-        return column.take(codes)
-    return np.fromiter(column, dtype=object, count=len(column)).take(codes).tolist()
-
-
 def _input(header: str, values: dict[str, list | np.ndarray], inputs: dict,
            counts: np.ndarray | None = None) -> tuple[Distinct, np.ndarray | None]:
     """The view of ``header``'s distinct values, from one factorize kept in
     ``inputs``, and the codes of the source's distinct values among them (None
-    where they are the same); given the source's ``counts``, summed by code.
-    An array column is factorized as the Python floats it holds."""
+    where they are the same); given the source's ``counts``, summed by code."""
     if header not in inputs:
-        column = values[header]
-        distinct, codes = factorize(column.tolist() if isinstance(column, np.ndarray) else column)
+        distinct, codes = factorize(cells(values[header]))
         if counts is not None:
             counts = np.bincount(codes, counts, len(distinct)).astype(np.int64)
         identity = np.array_equal(codes, np.arange(len(distinct)))
@@ -242,7 +233,7 @@ def _evaluate(rec: StepRecord, values: dict[str, list], inputs: dict) -> None:
     behavior = BEHAVIORS[rec.behavior]
     columns = behavior.apply_distinct(behavior.compile(rec.fit), view)
     for h, column in zip(rec.output_headers, columns, strict=True):
-        values[h] = column if codes is None else _gather(column, codes)
+        values[h] = column if codes is None else gather(column, codes)
 
 
 def _walk(plan: SourcePlan, view: Distinct) -> dict[str, list]:
@@ -317,7 +308,7 @@ def _expand_source(plan: SourcePlan, col: list[Cell], values: dict[str, list],
     """Expand a source's rows: ``codes[h]`` holds each row's position among the
     distinct source values, through which the retained column ``h`` is gathered."""
     # ``col`` is unused here, but must stay: perfbench's _observe_expand reads it.
-    return {h: _gather(values[h], codes[h]) for h in plan.retained_headers()}
+    return {h: gather(values[h], codes[h]) for h in plan.retained_headers()}
 
 
 def _targets(plan: SourcePlan, values: dict[str, list], view: Distinct) -> np.ndarray:
@@ -361,7 +352,7 @@ def _fit_infill_spec(plan: SourcePlan, counts: np.ndarray, values: dict[str, lis
     for h, behavior in plan.column_behaviors().items():
         if not infill_mod.eligible(kind, behavior):
             continue
-        stat = infill_mod.train_stat(kind, _gather(values[h], kept), counts[kept])
+        stat = infill_mod.train_stat(kind, gather(values[h], kept), counts[kept])
         entry = {"kind": kind}
         if stat is not None:
             entry["value"] = stat
@@ -593,48 +584,28 @@ def deserialize(data: bytes | str) -> FitArtifact:
 _INVERT_PREFERENCE = {"1010": 0, "onht": 1, "bnry": 2, "ord3": 3, "mnmx": 4, "nmbr": 5}
 
 
-def _as_floats(data: list[Cell] | np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """A stored column as float64, and the mask of its number cells (None if
-    all are): a float, an int or a bool, subclasses included, that a float
-    can hold. Any other cell reads as NaN. A list of floats converts in one call."""
-    if isinstance(data, list) and set(map(type, data)) == {float}:
-        data = np.array(data, np.float64)
-    if isinstance(data, np.ndarray):
-        return data, None
-    values = list(map(_cell_float, data))
-    return (np.array(values, np.float64),
-            np.fromiter(map(operator.is_not, values, repeat(None)), bool, len(values)))
-
-
-def _cell_float(cell: Cell) -> float | None:
-    try:
-        return float(cell) if isinstance(cell, float | int) else None
-    except OverflowError:  # an int beyond the float range
-        return None
-
-
 def _decode_rows(header: str, rec: StepRecord, columns: list,
                  missing: np.ndarray) -> list[Cell] | np.ndarray:
     """The source cells of a step's encoded rows, None where ``missing``."""
     number = np.ones(len(missing), bool)
 
-    def floats():  # each column converted as the decode reads it
+    def read():  # each column converted as the decode reads it
         for data in columns:
-            values, is_number = _as_floats(data)
+            values, is_number = floats(data)
             if is_number is not None:
                 number[~is_number] = False
             yield values
 
-    cells, valid = BEHAVIORS[rec.behavior].decode(rec.fit, floats(), len(missing))
+    decoded, valid = BEHAVIORS[rec.behavior].decode(rec.fit, read(), len(missing))
     bad = np.flatnonzero(~((valid & number) | missing))
     if len(bad):
-        row = [c[bad[0]].item() if isinstance(c, np.ndarray) else c[bad[0]] for c in columns]
+        row = [cells(c)[bad[0]] for c in columns]
         raise DataError(f"cannot invert source {header!r}: step {rec.category!r} "
                         f"columns {rec.output_headers} hold the pattern {row!r},"
                         " which the fitted step never outputs")
-    if cells.dtype == object or missing.any():
-        return np.where(missing, None, cells).tolist()
-    return cells
+    if decoded.dtype == object or missing.any():
+        return np.where(missing, None, decoded).tolist()
+    return decoded
 
 
 def invert(artifact: FitArtifact, encoded: TidyTable,
@@ -674,7 +645,7 @@ def invert(artifact: FitArtifact, encoded: TidyTable,
             failed.append(header)
             continue
         rec = min(candidates)[2]
-        flagged = np.zeros(encoded.row_count, bool) if narw is None else _as_floats(narw)[0] == 1.0
+        flagged = np.zeros(encoded.row_count, bool) if narw is None else floats(narw)[0] == 1.0
         headers.append(header)
         columns.append(_decode_rows(header, rec, list(map(encoded.column_data, rec.output_headers)),
                                     flagged))

@@ -1,3 +1,5 @@
+import json
+import math
 import random
 
 import numpy as np
@@ -246,6 +248,20 @@ class TestPermutationImportance:
         adapter = builtin_tree(TASK_REGRESSION, seed=1)
         report = permutation_importance(artifact, table, labels, adapter, seed=1)
         assert report.base_score == 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
+    def test_non_finite_regression_label_is_dropped_as_a_missing_one(self, bad):
+        rnd = random.Random(4)
+        rows = 60
+        table = _table(a=[float(rnd.randint(0, 5)) for _ in range(rows)],
+                       b=[rnd.choice(["p", "q", "r"]) for _ in range(rows)])
+        labels = [float(rnd.randint(0, 9)) for _ in range(rows)]
+        _, artifact = pm.fit(table)
+        adapter = builtin_tree(TASK_REGRESSION, seed=4)
+        reports = [permutation_importance(artifact, table, labels[:7] + [cell] + labels[8:],
+                                          adapter, seed=4).to_json() for cell in (None, bad)]
+        assert reports[0] == reports[1]
+        assert json.loads(reports[1])["base_score"] >= 0.0
 
     def test_sorted_table_renders(self):
         table, labels = _labelled_table(200, 13)

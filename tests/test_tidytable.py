@@ -1,7 +1,9 @@
+import ast
 import csv
 import math
 import re
 import struct
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -17,9 +19,14 @@ from parsemunge.tidytable import (
     COLTYPE_CATEGORIC,
     COLTYPE_NUMERIC,
     TidyTable,
+    _cell_float,
+    cells,
     distinct_counts,
     factorize,
+    fill,
+    floats,
     format_number,
+    gather,
     infer_coltype,
     load_csv,
     parse_number,
@@ -373,3 +380,93 @@ class TestFactorize:
         assert list(map(repr, distinct)) == list(map(repr, view.values))
         assert view.counts.tolist() == list(map(col.count, view.values))
         assert [distinct[c] for c in codes] == col
+
+
+# Every float64 bit pattern is drawn: NaN, both infinities, -0.0, subnormals
+# and the largest magnitudes.
+FLOAT_CELLS = st.floats(width=64)
+
+
+def _cell_keys(column) -> list:
+    """A stored column's cells, each float by its bit pattern, so that -0.0
+    differs from 0.0 and a NaN equals itself."""
+    return [struct.pack("<d", c) if isinstance(c, float) else c for c in cells(column)]
+
+
+def _ndarray_form_tests(tree: ast.AST) -> list[int]:
+    """The lines of the ``isinstance`` calls whose class argument names ``ndarray``,
+    alone, in a tuple or in a union."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+            and len(node.args) == 2 and any(
+                getattr(n, "attr", None) == "ndarray" or getattr(n, "id", None) == "ndarray"
+                for n in ast.walk(node.args[1]))]
+
+
+class TestColumnForms:
+    """A stored column is a list of cells or a float64 array, and only
+    ``tidytable`` tells them apart: its four operations read and write a
+    float column alike in either form."""
+
+    @given(st.lists(st.tuples(FLOAT_CELLS, st.booleans()), min_size=1, max_size=20),
+           st.lists(st.integers(0, 2**20), max_size=30),
+           st.one_of(FLOAT_CELLS, st.sampled_from(["x", "", None])))
+    @example([(-0.0, True), (0.0, False), (5e-324, True), (-5e-324, False), (1e308, False),
+              (-1e308, True), (2.2250738585072014e-308, False)], [0, 2, 4, 6, 6], -0.0)
+    @example([(-0.0, False), (1e308, False)], [1, 0], "x")  # no row filled: all floats
+    @example([(math.nan, True), (-1e308, False)], [0, 1], "x")
+    @settings(max_examples=300, deadline=None)
+    def test_list_and_array_forms_read_and_write_alike(self, rows, raw_codes, cell):
+        values = [v for v, _ in rows]
+        mask = np.array([m for _, m in rows], bool)
+        array = np.array(values, np.float64)
+        codes = np.array([c % len(values) for c in raw_codes], np.intp)
+
+        assert cells(values) is values
+        assert type(cells(array)) is list and _cell_keys(array) == _cell_keys(values)
+
+        by_list, by_array = gather(values, codes), gather(array, codes)
+        assert type(by_list) is list and type(by_array) is np.ndarray
+        assert _cell_keys(by_list) == _cell_keys(by_array) == _cell_keys([values[c] for c in codes])
+
+        (from_list, list_mask), (from_array, array_mask) = floats(values), floats(array)
+        assert list_mask is None and array_mask is None
+        assert from_list.dtype == from_array.dtype == np.float64
+        assert _cell_keys(from_list) == _cell_keys(from_array) == _cell_keys(values)
+
+        by_list, by_array = fill(values, mask, cell), fill(array, mask, cell)
+        expected = [cell if m else v for v, m in zip(values, mask.tolist())]
+        all_floats = all(type(c) is float for c in expected)
+        assert type(by_list) is type(by_array) is (np.ndarray if all_floats else list)
+        assert _cell_keys(by_list) == _cell_keys(by_array) == _cell_keys(expected)
+        assert _cell_keys(values) == _cell_keys(array)  # neither form is altered
+
+    @given(st.lists(st.one_of(FLOAT_CELLS, st.text(max_size=3), st.none(), st.booleans(),
+                              st.integers(-2**1100, 2**1100), st.builds(np.float64, FLOAT_CELLS)),
+                    max_size=12))
+    @example([10**400, -(10**400), 2**1023, True, False, 3, "1.5", None, np.float64(-0.0), 5e-324])
+    @example([np.float64(math.nan), -0.0])
+    @settings(max_examples=300, deadline=None)
+    def test_floats_reads_each_cell_of_a_list_as_cell_float(self, column):
+        values, mask = floats(column)
+        expected = list(map(_cell_float, column))
+        if mask is None:
+            assert set(map(type, column)) == {float}
+            mask = np.ones(len(column), bool)
+        assert mask.tolist() == [e is not None for e in expected]
+        assert _cell_keys(values[mask]) == _cell_keys([e for e in expected if e is not None])
+        assert np.isnan(values[~mask]).all()
+
+    def test_only_tidytable_tests_for_an_array(self):
+        # Every other module reads and writes a column through cells, gather,
+        # floats and fill, so a new storage form is added in tidytable only.
+        package = Path(tidytable.__file__).parent
+        found = {path.stem: lines for path in sorted(package.glob("*.py"))
+                 if (lines := _ndarray_form_tests(ast.parse(path.read_text(encoding="utf-8"))))}
+        assert set(found) == {"tidytable"}, found
+
+    @pytest.mark.parametrize("source", [
+        "isinstance(x, np.ndarray)", "isinstance(x, numpy.ndarray)", "isinstance(x, ndarray)",
+        "isinstance(x, (list, np.ndarray))", "isinstance(x, list | np.ndarray)"])
+    def test_the_structure_check_sees_each_spelling(self, source):
+        assert _ndarray_form_tests(ast.parse(source)) == [1]
